@@ -37,7 +37,6 @@ fn harness(target_vars: usize) -> Harness {
         [dc.clone()],
         clock.clone(),
         StorageConfig {
-            replicas_per_ring: 1,
             ring: ClusterConfig {
                 replicas: 1,
                 ..Default::default()

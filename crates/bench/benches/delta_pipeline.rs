@@ -76,7 +76,6 @@ fn seeded_coordinator(vars: usize, delta: bool) -> (Coordinator, SimClock) {
         [DatacenterId::new("dcX")],
         clock.clone(),
         StorageConfig {
-            replicas_per_ring: 1,
             ring: ClusterConfig {
                 replicas: 1,
                 ..Default::default()

@@ -150,7 +150,6 @@ fn measure(vars: usize, rounds: usize, columnar: bool) -> PlaneResult {
         [DatacenterId::new("dcX")],
         clock.clone(),
         StorageConfig {
-            replicas_per_ring: 1,
             ring: ClusterConfig {
                 replicas: 1,
                 // One simulated minute walks every device's cpu/mem

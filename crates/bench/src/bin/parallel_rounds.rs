@@ -179,7 +179,6 @@ fn measure(vars: usize, g: usize) -> (f64, f64, StageBreakdown, PlanShape) {
         dc_ids,
         clock.clone(),
         StorageConfig {
-            replicas_per_ring: 1,
             ring: ClusterConfig {
                 replicas: 1,
                 ..Default::default()

@@ -25,7 +25,6 @@ fn main() {
             [DatacenterId::new("dcX")],
             clock.clone(),
             StorageConfig {
-                replicas_per_ring: 1,
                 ring: ClusterConfig {
                     replicas: 1,
                     ..Default::default()

@@ -53,7 +53,6 @@ pub fn checker_pass_at_scale(target_vars: usize, seed: u64) -> ScalePoint {
         [dc.clone()],
         clock.clone(),
         StorageConfig {
-            replicas_per_ring: 1,
             ring: ClusterConfig {
                 replicas: 1,
                 ..Default::default()

@@ -26,7 +26,6 @@
 //! checker latency the paper reports (<10 s at 394K variables, §8).
 
 use crate::deps::{blast_radius, DependencyModel};
-use crate::engine::WorkerPool;
 use crate::groups::ImpactGroup;
 use crate::invariants::{Invariant, InvariantContext, Violation};
 use crate::locks;
@@ -36,7 +35,7 @@ use statesman_storage::{ReadRequest, StorageService, WriteRequest};
 use statesman_topology::{HealthView, NetworkGraph};
 use statesman_types::{
     AppId, DatacenterId, DependencyLevel, DeviceName, Freshness, NetworkState, Pool, SimTime,
-    StateKey, StateResult, Value, VarId, Version, WriteOutcome, WriteReceipt,
+    StateKey, StateResult, Value, VarId, Version, WorkerPool, WriteOutcome, WriteReceipt,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};

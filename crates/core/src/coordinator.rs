@@ -11,7 +11,9 @@
 
 use crate::checker::{Checker, CheckerConfig, CheckerPassReport, MergePolicy};
 use crate::groups::ImpactGroup;
-use crate::invariants::{ConnectivityInvariant, TorPairCapacityInvariant, WanLinkInvariant};
+use crate::invariants::{
+    ConnectivityInvariant, Invariant, TorPairCapacityInvariant, WanLinkInvariant,
+};
 use crate::monitor::{Monitor, MonitorReport};
 use crate::updater::{Updater, UpdaterReport};
 use statesman_net::SimNetwork;
@@ -332,11 +334,11 @@ pub struct Coordinator {
     updater: Updater,
     storage: StorageService,
     net: SimNetwork,
-    monitor_instances: Option<usize>,
+    monitor_instances: usize,
     parallel_checkers: bool,
     /// Bounds the `parallel_checkers` fan-out (no thread-per-group
     /// spawning on large fleets).
-    workers: crate::engine::WorkerPool,
+    workers: statesman_types::WorkerPool,
     obs: Option<(Obs, CoordObs)>,
     round: AtomicU64,
 }
@@ -369,17 +371,23 @@ impl Coordinator {
             }
         }
 
-        let mut checkers = Vec::new();
-        for dc in &dcs {
-            let mut c = Checker::new(
-                CheckerConfig {
-                    group: ImpactGroup::Datacenter(dc.clone()),
-                    policy: config.policy,
-                },
-                graph.clone(),
-            );
+        let mut groups: Vec<ImpactGroup> = dcs.into_iter().map(ImpactGroup::Datacenter).collect();
+        if has_wan {
+            groups.push(ImpactGroup::Wan);
+        }
+        // One invariant factory for both consumers — each group's checker
+        // and the updater's plan set — so they always evaluate the same
+        // invariants over the same pair panel.
+        let invariants_for = |group: &ImpactGroup| -> Vec<Box<dyn Invariant>> {
+            let mut invs: Vec<Box<dyn Invariant>> = Vec::new();
+            let ImpactGroup::Datacenter(dc) = group else {
+                if let Some(min) = config.wan_invariant {
+                    invs.push(Box::new(WanLinkInvariant::new(min)));
+                }
+                return invs;
+            };
             if config.connectivity_invariant {
-                c.add_invariant(Box::new(ConnectivityInvariant::new(dc.clone())));
+                invs.push(Box::new(ConnectivityInvariant::new(dc.clone())));
             }
             if let Some((threshold, fraction, sample)) = config.capacity_invariant {
                 let inv = match config.capacity_max_pairs {
@@ -401,36 +409,34 @@ impl Coordinator {
                     ),
                 };
                 if inv.pair_count() > 0 {
-                    c.add_invariant(Box::new(inv));
+                    invs.push(Box::new(inv));
                 }
             }
-            let mut c = c
-                .with_delta_reads(config.delta_state_plane)
-                .with_columnar_state(config.columnar_state);
-            if let Some(n) = config.worker_threads {
-                c = c.with_worker_threads(n);
-            }
-            checkers.push(c);
-        }
-        if has_wan {
-            let mut c = Checker::new(
-                CheckerConfig {
-                    group: ImpactGroup::Wan,
-                    policy: config.policy,
-                },
-                graph.clone(),
-            );
-            if let Some(min) = config.wan_invariant {
-                c.add_invariant(Box::new(WanLinkInvariant::new(min)));
-            }
-            let mut c = c
-                .with_delta_reads(config.delta_state_plane)
-                .with_columnar_state(config.columnar_state);
-            if let Some(n) = config.worker_threads {
-                c = c.with_worker_threads(n);
-            }
-            checkers.push(c);
-        }
+            invs
+        };
+
+        let checkers = groups
+            .iter()
+            .map(|group| {
+                let mut c = Checker::new(
+                    CheckerConfig {
+                        group: group.clone(),
+                        policy: config.policy,
+                    },
+                    graph.clone(),
+                );
+                for inv in invariants_for(group) {
+                    c.add_invariant(inv);
+                }
+                let c = c
+                    .with_delta_reads(config.delta_state_plane)
+                    .with_columnar_state(config.columnar_state);
+                match config.worker_threads {
+                    Some(n) => c.with_worker_threads(n),
+                    None => c,
+                }
+            })
+            .collect();
 
         let mut monitor = Monitor::new(net.clone(), storage.clone(), graph.clone())
             .with_columnar_state(config.columnar_state);
@@ -465,41 +471,8 @@ impl Coordinator {
             // validated the full target state, but the observed state can
             // shift between acceptance and execution, so each step is
             // re-checked against the projected intermediate network.
-            let mut invs: Vec<Box<dyn crate::invariants::Invariant>> = Vec::new();
-            for dc in &dcs {
-                if config.connectivity_invariant {
-                    invs.push(Box::new(ConnectivityInvariant::new(dc.clone())));
-                }
-                if let Some((threshold, fraction, sample)) = config.capacity_invariant {
-                    let inv = match config.capacity_max_pairs {
-                        Some(cap) => TorPairCapacityInvariant::sampled(
-                            graph,
-                            dc.clone(),
-                            threshold,
-                            fraction,
-                            sample,
-                            cap,
-                            CAPACITY_PANEL_SEED,
-                        ),
-                        None => TorPairCapacityInvariant::new(
-                            graph,
-                            dc.clone(),
-                            threshold,
-                            fraction,
-                            sample,
-                        ),
-                    };
-                    if inv.pair_count() > 0 {
-                        invs.push(Box::new(inv));
-                    }
-                }
-            }
-            if has_wan {
-                if let Some(min) = config.wan_invariant {
-                    invs.push(Box::new(WanLinkInvariant::new(min)));
-                }
-            }
-            updater = updater.with_plan_invariants(invs);
+            updater =
+                updater.with_plan_invariants(groups.iter().flat_map(&invariants_for).collect());
         }
 
         // Instrument the shared services against the same registry the
@@ -519,11 +492,11 @@ impl Coordinator {
             updater,
             storage,
             net,
-            monitor_instances: config.monitor_instances,
+            monitor_instances: config.monitor_instances.unwrap_or(1),
             parallel_checkers: config.parallel_checkers,
             workers: config
                 .worker_threads
-                .map(crate::engine::WorkerPool::new)
+                .map(statesman_types::WorkerPool::new)
                 .unwrap_or_default(),
             obs,
             round: AtomicU64::new(0),
@@ -561,14 +534,9 @@ impl Coordinator {
             .filter(|dc| !self.storage.partition_available(dc))
             .collect();
 
-        let monitor = if !down.is_empty() {
-            self.monitor.run_round_excluding(&down)?
-        } else {
-            match self.monitor_instances {
-                Some(n) => self.monitor.run_round_parallel(n)?,
-                None => self.monitor.run_round()?,
-            }
-        };
+        let monitor = self
+            .monitor
+            .run_round_sharded(self.monitor_instances, &down)?;
         let now = self.net.clock().now();
         let quarantined = self.monitor.quarantined_devices(now);
 
@@ -905,40 +873,51 @@ mod tests {
 
     #[test]
     fn degraded_tick_skips_down_partition_groups() {
-        let clock = SimClock::new();
-        let mut graph = NetworkGraph::new();
-        DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
-        DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
-        let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
-        let storage = StorageService::new(
-            [DatacenterId::new("dc1"), DatacenterId::new("dc2")],
-            clock.clone(),
-            statesman_storage::StorageConfig::default(),
-        );
-        let coord = Coordinator::new(&graph, net, storage.clone(), CoordinatorConfig::default());
-        assert_eq!(coord.groups().len(), 2);
+        // Sharded polling honors the skip set exactly like one instance.
+        for monitor_instances in [None, Some(3)] {
+            let clock = SimClock::new();
+            let mut graph = NetworkGraph::new();
+            DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
+            DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
+            let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
+            let storage = StorageService::new(
+                [DatacenterId::new("dc1"), DatacenterId::new("dc2")],
+                clock.clone(),
+                statesman_storage::StorageConfig::default(),
+            );
+            let coord = Coordinator::new(
+                &graph,
+                net,
+                storage.clone(),
+                CoordinatorConfig {
+                    monitor_instances,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(coord.groups().len(), 2);
 
-        let r0 = coord.tick().unwrap();
-        assert!(!r0.degraded());
-        assert_eq!(r0.checkers.len(), 2);
+            let r0 = coord.tick().unwrap();
+            assert!(!r0.degraded());
+            assert_eq!(r0.checkers.len(), 2);
 
-        // dc2's partition goes down: its group is skipped, dc1's work
-        // continues, and the round completes instead of erroring.
-        storage.set_partition_available(&DatacenterId::new("dc2"), false);
-        clock.advance(SimDuration::from_mins(1));
-        let r1 = coord.tick().unwrap();
-        assert!(r1.degraded());
-        assert_eq!(r1.skipped_groups, vec!["dc:dc2".to_string()]);
-        assert_eq!(r1.checkers.len(), 1);
-        assert_eq!(r1.monitor.devices_polled, graph.node_count() / 2);
+            // dc2's partition goes down: its group is skipped, dc1's work
+            // continues, and the round completes instead of erroring.
+            storage.set_partition_available(&DatacenterId::new("dc2"), false);
+            clock.advance(SimDuration::from_mins(1));
+            let r1 = coord.tick().unwrap();
+            assert!(r1.degraded());
+            assert_eq!(r1.skipped_groups, vec!["dc:dc2".to_string()]);
+            assert_eq!(r1.checkers.len(), 1);
+            assert_eq!(r1.monitor.devices_polled, graph.node_count() / 2);
 
-        // Heal: full service resumes.
-        storage.set_partition_available(&DatacenterId::new("dc2"), true);
-        clock.advance(SimDuration::from_mins(1));
-        let r2 = coord.tick().unwrap();
-        assert!(!r2.degraded());
-        assert_eq!(r2.checkers.len(), 2);
-        assert_eq!(r2.monitor.devices_polled, graph.node_count());
+            // Heal: full service resumes.
+            storage.set_partition_available(&DatacenterId::new("dc2"), true);
+            clock.advance(SimDuration::from_mins(1));
+            let r2 = coord.tick().unwrap();
+            assert!(!r2.degraded());
+            assert_eq!(r2.checkers.len(), 2);
+            assert_eq!(r2.monitor.devices_polled, graph.node_count());
+        }
     }
 
     #[test]

@@ -1,138 +1,7 @@
-//! Deterministic fork-join worker pool for the round engine.
-//!
-//! Every *pure* stage of the round (command rendering, invariant
-//! evaluation, partition diffing, health projection) may fan out across
-//! this pool; every *effectful* stage (command issue, RNG draws, sim
-//! clock stepping, storage submits) stays single-threaded. The pool
-//! guarantees that for a pure `f`, `run(items, f)` returns exactly
-//! `items.iter().enumerate().map(f).collect()` regardless of worker
-//! count: items are partitioned by stride, each worker tags results
-//! with the item index, and the merge reorders by index. No
-//! work-stealing, no shared mutable state, no scheduling dependence.
-//!
-//! Worker count resolution (first match wins):
-//! 1. explicit `WorkerPool::new(n)` with `n >= 1`
-//! 2. `STATESMAN_WORKER_THREADS` env var
-//! 3. `std::thread::available_parallelism()`
+//! Invariant evaluation on the round engine's worker pool
+//! ([`statesman_types::par`]).
 
-/// Fixed-size deterministic fork-join pool. Cheap to construct (holds
-/// only the thread count); threads are scoped per `run` call so the
-/// pool is trivially `Send + Sync` and never leaks OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerPool {
-    threads: usize,
-}
-
-/// Resolve the default worker count: `STATESMAN_WORKER_THREADS` if set
-/// and parseable, else the host's available parallelism, else 1.
-pub fn default_worker_threads() -> usize {
-    statesman_topology::par::worker_threads()
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::new(default_worker_threads())
-    }
-}
-
-impl WorkerPool {
-    /// A pool with exactly `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        WorkerPool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// A serial pool: `run` degenerates to a plain map on the caller's
-    /// thread. Useful as the bit-equality reference in tests.
-    pub fn serial() -> Self {
-        WorkerPool::new(1)
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Map `f` over `items`, returning results in item order.
-    ///
-    /// `f` must be pure (its output a function of the index and item
-    /// alone) for the determinism guarantee to mean anything; the pool
-    /// only guarantees *ordering*, purity is the caller's contract.
-    pub fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::with_capacity(items.len() / workers + 1);
-                    let mut i = w;
-                    while i < items.len() {
-                        out.push((i, f(i, &items[i])));
-                        i += workers;
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                tagged.extend(h.join().expect("worker panicked"));
-            }
-        });
-        tagged.sort_by_key(|(i, _)| *i);
-        tagged.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Like `run`, but each worker processes one *contiguous* chunk of
-    /// `items` and `f` receives the whole chunk plus its starting
-    /// offset. Use when per-item dispatch is too fine-grained; the
-    /// chunk boundaries depend only on `items.len()` and the thread
-    /// count, never on timing.
-    pub fn run_chunked<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len()).max(1);
-        if workers <= 1 {
-            if items.is_empty() {
-                return Vec::new();
-            }
-            return vec![f(0, items)];
-        }
-        let chunk = items.len().div_ceil(workers);
-        let chunks: Vec<(usize, &[T])> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk, c))
-            .collect();
-        let mut tagged: Vec<(usize, R)> = Vec::with_capacity(chunks.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for (ci, (off, c)) in chunks.iter().enumerate() {
-                let f = &f;
-                let off = *off;
-                let c = *c;
-                handles.push(scope.spawn(move || (ci, f(off, c))));
-            }
-            for h in handles {
-                tagged.push(h.join().expect("worker panicked"));
-            }
-        });
-        tagged.sort_by_key(|(i, _)| *i);
-        tagged.into_iter().map(|(_, r)| r).collect()
-    }
-}
+use statesman_types::WorkerPool;
 
 /// Evaluate a list of invariants against one context and return the
 /// first violation **in invariant order** — bit-identical to the serial
@@ -170,11 +39,10 @@ pub fn first_violation(
     }
     if pure_idx.len() == invariants.len() && pool.threads() <= 1 {
         // All pure, one thread: plain serial loop with early exit.
-        for (i, inv) in invariants.iter().enumerate() {
+        for inv in invariants {
             if let Err(v) = inv.check(ctx) {
                 return Some(v);
             }
-            let _ = i;
         }
         return None;
     }
@@ -197,50 +65,4 @@ pub fn first_violation(
         }
     }
     first.map(|(_, v)| v)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_preserves_item_order_across_thread_counts() {
-        let items: Vec<u64> = (0..257).collect();
-        let reference: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let pool = WorkerPool::new(threads);
-            let got = pool.run(&items, |_, x| x * 3 + 1);
-            assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_chunked_covers_all_items_in_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        for threads in [1, 2, 7, 16] {
-            let pool = WorkerPool::new(threads);
-            let parts = pool.run_chunked(&items, |off, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| (off + i, *x))
-                    .collect::<Vec<_>>()
-            });
-            let flat: Vec<(usize, usize)> = parts.into_iter().flatten().collect();
-            assert_eq!(flat.len(), items.len());
-            for (pos, (off, val)) in flat.iter().enumerate() {
-                assert_eq!(pos, *off, "threads={threads}");
-                assert_eq!(pos, *val, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        let pool = WorkerPool::new(8);
-        let empty: Vec<u8> = vec![];
-        assert!(pool.run(&empty, |_, x| *x).is_empty());
-        assert!(pool.run_chunked(&empty, |_, c: &[u8]| c.len()).is_empty());
-        assert_eq!(pool.run(&[42u8], |_, x| *x), vec![42]);
-    }
 }

@@ -53,12 +53,12 @@ pub use checker::{Checker, CheckerConfig, CheckerPassReport, MergePolicy};
 pub use client::StatesmanClient;
 pub use coordinator::{Coordinator, CoordinatorConfig, RoundReport};
 pub use deps::DependencyModel;
-pub use engine::{default_worker_threads, WorkerPool};
 pub use groups::ImpactGroup;
 pub use invariants::{
     ConnectivityInvariant, Invariant, InvariantContext, TorPairCapacityInvariant, WanLinkInvariant,
 };
 pub use monitor::{Monitor, MonitorReport};
 pub use plan::{PlanStep, UpdatePlan};
+pub use statesman_types::{default_worker_threads, WorkerPool};
 pub use updater::{CommandTemplatePool, Updater, UpdaterReport, UpdaterScope};
 pub use view::{MapView, StateView};

@@ -28,7 +28,7 @@ use statesman_storage::{StorageService, WriteRequest};
 use statesman_topology::NetworkGraph;
 use statesman_types::{
     AppId, Attribute, DatacenterId, DeviceName, EntityName, NetworkState, Pool, SimDuration,
-    SimTime, StateResult, Value, VarId,
+    SimTime, StateResult, Value, VarId, WorkerPool,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -472,159 +472,121 @@ impl Monitor {
 
     /// Run one collection round: poll everything, write the OS.
     pub fn run_round(&self) -> StateResult<MonitorReport> {
-        self.run_round_excluding(&BTreeSet::new())
+        self.run_round_sharded(1, &BTreeSet::new())
     }
 
-    /// Run one collection round skipping every entity homed in `skip_dcs`
-    /// (their storage partition is down, so their OS rows could not be
-    /// written anyway). The coordinator's degraded mode drives this.
-    pub fn run_round_excluding(
+    /// Run one collection round with `instances` concurrent monitor
+    /// instances (§6.3: "We split the monitoring responsibility across
+    /// many monitor instances"), skipping every entity homed in
+    /// `skip_dcs` (their storage partition is down, so their OS rows
+    /// could not be written anyway; the coordinator's degraded mode
+    /// drives this).
+    ///
+    /// The one poll loop: the devices and links outside `skip_dcs` are
+    /// cut into `instances` contiguous shards, polled one shard per
+    /// worker, and merged in shard order — devices first, then links,
+    /// exactly the row order of a single instance — so the round's
+    /// outcome does not depend on the instance count.
+    pub fn run_round_sharded(
         &self,
+        instances: usize,
         skip_dcs: &BTreeSet<DatacenterId>,
     ) -> StateResult<MonitorReport> {
         let started = Instant::now();
         let now = self.net.clock().now();
         let writer = AppId::monitor();
-        let mut rows: Vec<NetworkState> = Vec::new();
-        let mut devices_polled = 0usize;
-        let mut devices_unreachable = 0usize;
-        let mut devices_quarantined = 0usize;
-        let mut links_polled = 0usize;
-        let mut entities_polled = 0u64;
+        let pool = WorkerPool::new(instances);
 
-        for (node_id, info) in self.graph.nodes() {
-            if skip_dcs.contains(&info.datacenter) {
-                continue;
+        let device_ids: Vec<statesman_topology::NodeId> = self
+            .graph
+            .nodes()
+            .filter(|(_, info)| !skip_dcs.contains(&info.datacenter))
+            .map(|(id, _)| id)
+            .collect();
+        let device_shards = pool.run(shards(&device_ids, pool.threads()), |_, shard| {
+            let mut poll = DevicePoll::default();
+            for &node_id in shard {
+                let name = &self.graph.node(node_id).name;
+                // Quarantined devices are not re-polled (no poll budget
+                // spent re-timing-out); their links stay inferred-down.
+                if self.is_quarantined(name, now) {
+                    poll.quarantined += 1;
+                    poll.rows
+                        .extend(self.inferred_down_rows(node_id, now, &writer));
+                    continue;
+                }
+                let (mut rows, reachable) = self.collect_one_device(node_id, now, &writer);
+                poll.rows.append(&mut rows);
+                self.note_poll(name, now, reachable);
+                if reachable {
+                    poll.polled += 1;
+                } else {
+                    poll.unreachable += 1;
+                }
             }
-            // Quarantined devices are not re-polled (no poll budget spent
-            // re-timing-out); their links stay inferred-down.
-            if self.is_quarantined(&info.name, now) {
-                devices_quarantined += 1;
-                rows.extend(self.inferred_down_rows(node_id, now, &writer));
-                continue;
+            poll
+        });
+
+        let edge_ids: Vec<statesman_topology::EdgeId> = self
+            .graph
+            .edges()
+            .filter(|(_, edge)| !skip_dcs.contains(&edge.datacenter))
+            .map(|(id, _)| id)
+            .collect();
+        let link_shards = pool.run(shards(&edge_ids, pool.threads()), |_, shard| {
+            let mut rows = Vec::new();
+            for &edge_id in shard {
+                rows.extend(self.collect_one_link(edge_id, now, &writer));
             }
-            entities_polled += 1;
-            let (mut r, reachable) = self.collect_one_device(node_id, now, &writer);
-            rows.append(&mut r);
-            self.note_poll(&info.name, now, reachable);
-            if reachable {
-                devices_polled += 1;
-            } else {
-                devices_unreachable += 1;
-            }
+            rows
+        });
+
+        let mut devices = DevicePoll::default();
+        for mut shard in device_shards {
+            devices.polled += shard.polled;
+            devices.unreachable += shard.unreachable;
+            devices.quarantined += shard.quarantined;
+            concat(&mut devices.rows, &mut shard.rows);
         }
-        for (edge_id, edge) in self.graph.edges() {
-            if skip_dcs.contains(&edge.datacenter) {
-                continue;
-            }
-            entities_polled += 1;
-            rows.extend(self.collect_one_link(edge_id, now, &writer));
-            links_polled += 1;
+        let mut rows = devices.rows;
+        for mut shard in link_shards {
+            concat(&mut rows, &mut shard);
         }
         self.finish_round(
             rows,
-            devices_polled,
-            devices_unreachable,
-            devices_quarantined,
-            links_polled,
-            entities_polled,
+            devices.polled,
+            devices.unreachable,
+            devices.quarantined,
+            edge_ids.len(),
+            (devices.polled + devices.unreachable + edge_ids.len()) as u64,
             !skip_dcs.is_empty(),
             started,
         )
     }
+}
 
-    /// Run one collection round with `instances` concurrent monitor
-    /// instances, each covering a contiguous shard of devices and links
-    /// (§6.3: "We split the monitoring responsibility across many monitor
-    /// instances"). Results are identical to [`Monitor::run_round`]; only
-    /// the collection concurrency differs. Shard results fan in over a
-    /// channel and are written in one batch path.
-    pub fn run_round_parallel(&self, instances: usize) -> StateResult<MonitorReport> {
-        let instances = instances.max(1);
-        let started = Instant::now();
-        let now = self.net.clock().now();
-        let writer = AppId::monitor();
+/// One shard's device polls: the rows collected (or inferred) and the
+/// per-outcome device counts.
+#[derive(Default)]
+struct DevicePoll {
+    rows: Vec<NetworkState>,
+    polled: usize,
+    unreachable: usize,
+    quarantined: usize,
+}
 
-        let device_ids: Vec<statesman_topology::NodeId> =
-            self.graph.nodes().map(|(id, _)| id).collect();
-        let edge_ids: Vec<statesman_topology::EdgeId> =
-            self.graph.edges().map(|(id, _)| id).collect();
+/// Cut `ids` into at most `instances` contiguous shards.
+fn shards<T>(ids: &[T], instances: usize) -> Vec<&[T]> {
+    ids.chunks(ids.len().div_ceil(instances).max(1)).collect()
+}
 
-        type ShardResult = (Vec<NetworkState>, usize, usize, usize, usize, u64);
-        let (tx, rx) = crossbeam_channel::unbounded::<ShardResult>();
-        let dev_chunk = device_ids.len().div_ceil(instances).max(1);
-        let edge_chunk = edge_ids.len().div_ceil(instances).max(1);
-
-        std::thread::scope(|scope| {
-            for i in 0..instances {
-                let tx = tx.clone();
-                let devs = device_ids
-                    .iter()
-                    .skip(i * dev_chunk)
-                    .take(dev_chunk)
-                    .copied()
-                    .collect::<Vec<_>>();
-                let edges = edge_ids
-                    .iter()
-                    .skip(i * edge_chunk)
-                    .take(edge_chunk)
-                    .copied()
-                    .collect::<Vec<_>>();
-                let writer = writer.clone();
-                scope.spawn(move || {
-                    let mut rows = Vec::new();
-                    let (mut polled, mut unreachable, mut quarantined, mut links) = (0, 0, 0, 0);
-                    let mut entities = 0u64;
-                    for id in devs {
-                        let name = self.graph.node(id).name.clone();
-                        if self.is_quarantined(&name, now) {
-                            quarantined += 1;
-                            rows.extend(self.inferred_down_rows(id, now, &writer));
-                            continue;
-                        }
-                        entities += 1;
-                        let (mut r, ok) = self.collect_one_device(id, now, &writer);
-                        rows.append(&mut r);
-                        self.note_poll(&name, now, ok);
-                        if ok {
-                            polled += 1;
-                        } else {
-                            unreachable += 1;
-                        }
-                    }
-                    for id in edges {
-                        entities += 1;
-                        rows.extend(self.collect_one_link(id, now, &writer));
-                        links += 1;
-                    }
-                    let _ = tx.send((rows, polled, unreachable, quarantined, links, entities));
-                });
-            }
-        });
-        drop(tx);
-
-        let mut rows = Vec::new();
-        let (mut devices_polled, mut devices_unreachable, mut devices_quarantined) = (0, 0, 0);
-        let mut links_polled = 0;
-        let mut entities_polled = 0u64;
-        for (mut r, p, u, q, l, e) in rx {
-            rows.append(&mut r);
-            devices_polled += p;
-            devices_unreachable += u;
-            devices_quarantined += q;
-            links_polled += l;
-            entities_polled += e;
-        }
-        self.finish_round(
-            rows,
-            devices_polled,
-            devices_unreachable,
-            devices_quarantined,
-            links_polled,
-            entities_polled,
-            false,
-            started,
-        )
+/// Append `part` to `all`, taking over `part`'s buffer when `all` is
+/// still empty so the first shard's rows are never copied.
+fn concat<T>(all: &mut Vec<T>, part: &mut Vec<T>) {
+    if all.is_empty() {
+        std::mem::swap(all, part);
+    } else {
+        all.append(part);
     }
 }
 
@@ -830,40 +792,67 @@ mod tests {
 
     #[test]
     fn parallel_round_matches_serial() {
-        // Two identical worlds: one polled serially, one with 4 monitor
-        // instances. The resulting OS must be identical.
-        let build = || {
+        // Identical worlds polled by 1, 3 and 4 monitor instances, with
+        // and without a skipped DC, must end with identical reports and
+        // OS contents. dc1.agg-1-1 is unreachable in round 1 and back up
+        // — but still quarantined — in round 2, so its inferred-down link
+        // rows compete with the polled rows of the same links: only the
+        // fixed merge order makes that outcome instance-count invariant.
+        let dcs = [DatacenterId::new("dc1"), DatacenterId::new("dc2")];
+        let run = |instances: usize, skip: &BTreeSet<DatacenterId>| {
             let clock = SimClock::new();
-            let graph = DcnSpec::tiny("dc1").build();
-            let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
-            let storage = StorageService::single_dc("dc1", clock.clone());
-            (Monitor::new(net, storage.clone(), graph), storage)
-        };
-        let (serial, s_storage) = build();
-        let (parallel, p_storage) = build();
-        let r1 = serial.run_round().unwrap();
-        let r2 = parallel.run_round_parallel(4).unwrap();
-        assert_eq!(r1.rows_written, r2.rows_written);
-        assert_eq!(r1.devices_polled, r2.devices_polled);
-        assert_eq!(r1.links_polled, r2.links_polled);
-
-        let dc = DatacenterId::new("dc1");
-        let read = |st: &StorageService| {
-            let mut rows = st
-                .read(statesman_storage::ReadRequest {
+            let mut graph = NetworkGraph::new();
+            DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
+            DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
+            let mut cfg = SimConfig::ideal();
+            cfg.faults.reboot_window_ms = 30_000;
+            let net = SimNetwork::new(&graph, clock.clone(), cfg);
+            let storage = StorageService::new(dcs.clone(), clock, Default::default());
+            net.submit(
+                &DeviceName::new("dc1.agg-1-1"),
+                DeviceCommand::UpgradeFirmware {
+                    version: "7".into(),
+                },
+            );
+            net.step(SimDuration::from_millis(1));
+            let m = Monitor::new(net.clone(), storage.clone(), graph);
+            let r1 = m.run_round_sharded(instances, &BTreeSet::new()).unwrap();
+            assert_eq!(r1.devices_unreachable, 1);
+            net.step(SimDuration::from_mins(1));
+            let r2 = m.run_round_sharded(instances, skip).unwrap();
+            assert_eq!(r2.devices_quarantined, 1);
+            let mut os: Vec<(StateKey, Value)> = Vec::new();
+            for dc in &dcs {
+                let rows = storage.read(statesman_storage::ReadRequest {
                     datacenter: dc.clone(),
                     pool: Pool::Observed,
                     freshness: Freshness::UpToDate,
                     entity: None,
                     attribute: None,
-                })
-                .unwrap();
-            rows.sort_by_key(|a| a.key());
-            rows.into_iter()
-                .map(|r| (r.key(), r.value))
-                .collect::<Vec<_>>()
+                });
+                os.extend(rows.unwrap().into_iter().map(|r| (r.key(), r.value)));
+            }
+            os.sort_by(|a, b| a.0.cmp(&b.0));
+            let counts = [r1, r2].map(|r| {
+                (
+                    r.devices_polled,
+                    r.links_polled,
+                    r.rows_written,
+                    r.writes_suppressed,
+                )
+            });
+            (counts, os)
         };
-        assert_eq!(read(&s_storage), read(&p_storage));
+        for skip in [BTreeSet::new(), BTreeSet::from([dcs[1].clone()])] {
+            let serial = run(1, &skip);
+            for instances in [3, 4] {
+                assert_eq!(
+                    run(instances, &skip),
+                    serial,
+                    "instances={instances} skip={skip:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -882,7 +871,7 @@ mod tests {
         );
         net.step(SimDuration::from_millis(1));
         let m = Monitor::new(net, storage, graph);
-        let r = m.run_round_parallel(3).unwrap();
+        let r = m.run_round_sharded(3, &BTreeSet::new()).unwrap();
         assert_eq!(r.devices_unreachable, 1);
     }
 

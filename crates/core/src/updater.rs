@@ -393,7 +393,7 @@ pub struct Updater {
     /// per-wave command pre-rendering. All effectful work (command
     /// issue, RNG draws, clock stepping) stays on the round's one
     /// execute thread regardless of this pool's size.
-    workers: crate::engine::WorkerPool,
+    workers: statesman_types::WorkerPool,
 }
 
 /// One partition's pool mirrored updater-side (see `Updater::part_cache`).
@@ -534,7 +534,7 @@ impl Updater {
             quiescent: Mutex::new(None),
             plan_synthesis: false,
             plan_invariants: Vec::new(),
-            workers: crate::engine::WorkerPool::default(),
+            workers: statesman_types::WorkerPool::default(),
         }
     }
 
@@ -543,7 +543,7 @@ impl Updater {
     /// invariant evaluation). Defaults to `STATESMAN_WORKER_THREADS` /
     /// host parallelism; `1` forces the serial reference path.
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.workers = crate::engine::WorkerPool::new(threads);
+        self.workers = statesman_types::WorkerPool::new(threads);
         self
     }
 
@@ -659,98 +659,39 @@ impl Updater {
         }
     }
 
-    /// Read a full pool across all partitions. Unavailable partitions are
-    /// skipped (degraded mode): their entities simply produce no diffs
-    /// this round rather than aborting everyone else's work — and their
-    /// mirror entries are dropped, since the partition may move on while
-    /// unobserved. With `use_delta`, available partitions are served by
-    /// the mirrored view advanced via `read_since`; otherwise they are
-    /// re-read in full and the mirror invalidated. Multi-partition
-    /// services read every partition **concurrently** — each read only
-    /// touches its own partition's ring, so there is nothing to serialize
-    /// on; rows merge in sorted-partition order, same as the serial path.
-    fn read_all(&self, pool: Pool, use_delta: bool) -> StateResult<Vec<NetworkState>> {
-        let dcs = self.storage.partitions();
-        if dcs.len() <= 1 {
-            let mut rows = Vec::new();
-            for dc in dcs {
-                rows.extend(self.read_partition(&pool, dc, use_delta)?);
-            }
-            return Ok(rows);
-        }
-        let results: Vec<StateResult<Vec<NetworkState>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = dcs
-                .into_iter()
-                .map(|dc| {
-                    let pool = pool.clone();
-                    scope.spawn(move || self.read_partition(&pool, dc, use_delta))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("updater read thread panicked"))
-                .collect()
+    /// Read a full pool across all partitions, re-reading each in full and
+    /// dropping its mirror (the fallback for quarantine rounds and
+    /// disabled delta reads; delta rounds advance the mirrors in place via
+    /// [`Updater::advance_mirror`]). Unavailable partitions are skipped
+    /// (degraded mode): their entities simply produce no diffs this round
+    /// rather than aborting everyone else's work. Partitions are read on
+    /// the worker pool — each read only touches its own partition's ring,
+    /// so there is nothing to serialize on — and rows merge in
+    /// sorted-partition order.
+    fn read_all(&self, pool: Pool) -> StateResult<Vec<NetworkState>> {
+        let parts = self.workers.run(self.storage.partitions(), |_, dc| {
+            self.read_partition(&pool, dc)
         });
         let mut rows = Vec::new();
-        for r in results {
-            rows.extend(r?);
+        for part in parts {
+            rows.extend(part?);
         }
         Ok(rows)
     }
 
-    /// One partition's share of `read_all`. The mirror entry moves out of
-    /// the shared map while in use, so concurrent partition readers never
-    /// hold the map lock across a storage call.
-    fn read_partition(
-        &self,
-        pool: &Pool,
-        dc: DatacenterId,
-        use_delta: bool,
-    ) -> StateResult<Vec<NetworkState>> {
-        let key = (pool.clone(), dc.clone());
+    /// One partition's share of `read_all`.
+    fn read_partition(&self, pool: &Pool, dc: DatacenterId) -> StateResult<Vec<NetworkState>> {
+        self.part_cache.lock().remove(&(pool.clone(), dc.clone()));
         if !self.storage.partition_available(&dc) {
-            self.part_cache.lock().remove(&key);
             return Ok(Vec::new());
         }
-        if use_delta {
-            let mut entry = self
-                .part_cache
-                .lock()
-                .remove(&key)
-                .unwrap_or_else(|| CachedPart {
-                    view: if self.columnar_state {
-                        crate::view::MapView::columnar(pool.clone())
-                    } else {
-                        crate::view::MapView::new()
-                    },
-                    watermark: Version::default(),
-                });
-            match self.storage.read_since(&dc, pool, entry.watermark) {
-                Ok(delta) => {
-                    entry.watermark = delta.watermark;
-                    entry.view.apply_delta(delta);
-                    let rows: Vec<NetworkState> = entry.view.rows().cloned().collect();
-                    self.part_cache.lock().insert(key, entry);
-                    Ok(rows)
-                }
-                Err(e) => {
-                    // Put the mirror back untouched: its watermark still
-                    // matches its contents, so the next round resumes
-                    // cleanly from where this one left off.
-                    self.part_cache.lock().insert(key, entry);
-                    Err(e)
-                }
-            }
-        } else {
-            self.part_cache.lock().remove(&key);
-            self.storage.read(ReadRequest {
-                datacenter: dc,
-                pool: pool.clone(),
-                freshness: Freshness::UpToDate,
-                entity: None,
-                attribute: None,
-            })
-        }
+        self.storage.read(ReadRequest {
+            datacenter: dc,
+            pool: pool.clone(),
+            freshness: Freshness::UpToDate,
+            entity: None,
+            attribute: None,
+        })
     }
 
     /// Advance (or create) the mirror for one `(pool, partition)` in
@@ -859,9 +800,9 @@ impl Updater {
             }
             None => {
                 owned_os = Some(crate::view::MapView::from_rows(
-                    self.read_all(Pool::Observed, use_delta)?,
+                    self.read_all(Pool::Observed)?,
                 ));
-                self.read_all(Pool::Target, use_delta)?
+                self.read_all(Pool::Target)?
             }
         };
         let os = match cache_guard.as_ref() {

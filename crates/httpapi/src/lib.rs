@@ -37,12 +37,8 @@
 //! exposes the header contract on [`RawResponse`].
 //!
 //! The Table-3 spellings (`/NetworkState/Read`, `/NetworkState/Write`,
-//! `/NetworkState/Receipts`, `/healthz`) are **sunset**: by default they
-//! answer `410 Gone` with a `link: </v1/...>; rel="successor-version"`
-//! pointer; [`ServerConfig::legacy_aliases`] restores them for one more
-//! deprecation cycle (with `deprecation: true` headers, each hit bumping
-//! `httpapi_deprecated_total`). They live in a cold table outside the
-//! hot dispatch path either way.
+//! `/NetworkState/Receipts`, `/healthz`) are retired and answer 404 like
+//! any other unknown path.
 //!
 //! The paper's storage front end "is implemented as a HTTP web service
 //! with RESTful APIs" (§6.4); applications, monitors, updaters, and

@@ -33,11 +33,8 @@
 //!   deficit-round-robin across apps (quantum 1), so one chatty app
 //!   cannot starve the rest.
 //!
-//! Dispatch is a typed route table: the hot path scans only the six v1
-//! rows ([`ROUTES`]); the Table-3 aliases live in a separate cold table
-//! ([`LEGACY_ROUTES`]) consulted only on a v1 miss, and answer `410 Gone`
-//! with a `link` to the successor unless [`ServerConfig::legacy_aliases`]
-//! is enabled.
+//! Dispatch is a typed route table of the six v1 rows ([`ROUTES`]); any
+//! other path — the retired Table-3 spellings included — is a 404.
 //!
 //! Every response carries `x-statesman-server`; every retryable error
 //! carries `retry-after`; delta and pool reads carry
@@ -82,8 +79,7 @@ pub const SERVER_HEADER: &str = "x-statesman-server";
 /// The `x-statesman-server` value this build stamps.
 pub const SERVER_VERSION: &str = concat!("statesman/", env!("CARGO_PKG_VERSION"));
 
-/// The endpoints the server implements (each may be reachable through
-/// several [`RouteSpec`] entries: the v1 path and deprecated aliases).
+/// The endpoints the server implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `GET /v1/read` — pool rows at a chosen freshness (Table 3a).
@@ -113,91 +109,39 @@ pub struct RouteSpec {
     pub path: &'static str,
     /// The endpoint this row reaches.
     pub route: Route,
-    /// Deprecated alias? (Table-3 spelling; gated by
-    /// [`ServerConfig::legacy_aliases`].)
-    pub deprecated: bool,
-    /// The v1 path a deprecated alias forwards to (self for v1 rows).
-    pub successor: &'static str,
 }
 
-/// The v1 route table — the only table the hot dispatch path scans.
+/// The v1 route table.
 pub const ROUTES: &[RouteSpec] = &[
     RouteSpec {
         method: "GET",
         path: "/v1/read",
         route: Route::Read,
-        deprecated: false,
-        successor: "/v1/read",
     },
     RouteSpec {
         method: "POST",
         path: "/v1/write",
         route: Route::Write,
-        deprecated: false,
-        successor: "/v1/write",
     },
     RouteSpec {
         method: "GET",
         path: "/v1/receipts",
         route: Route::Receipts,
-        deprecated: false,
-        successor: "/v1/receipts",
     },
     RouteSpec {
         method: "GET",
         path: "/v1/health",
         route: Route::Health,
-        deprecated: false,
-        successor: "/v1/health",
     },
     RouteSpec {
         method: "GET",
         path: "/v1/metrics",
         route: Route::Metrics,
-        deprecated: false,
-        successor: "/v1/metrics",
     },
     RouteSpec {
         method: "GET",
         path: "/v1/status",
         route: Route::Status,
-        deprecated: false,
-        successor: "/v1/status",
-    },
-];
-
-/// The sunset Table-3 spellings, out of the hot path. Disabled by
-/// default: they answer `410 Gone` with a `link` to the v1 successor
-/// unless [`ServerConfig::legacy_aliases`] re-enables them for one more
-/// deprecation cycle.
-pub const LEGACY_ROUTES: &[RouteSpec] = &[
-    RouteSpec {
-        method: "GET",
-        path: "/NetworkState/Read",
-        route: Route::Read,
-        deprecated: true,
-        successor: "/v1/read",
-    },
-    RouteSpec {
-        method: "POST",
-        path: "/NetworkState/Write",
-        route: Route::Write,
-        deprecated: true,
-        successor: "/v1/write",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/NetworkState/Receipts",
-        route: Route::Receipts,
-        deprecated: true,
-        successor: "/v1/receipts",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/healthz",
-        route: Route::Health,
-        deprecated: true,
-        successor: "/v1/health",
     },
 ];
 
@@ -240,15 +184,9 @@ pub struct ServerConfig {
     /// quiet keep-alive connection that has been served before is closed
     /// silently.
     pub idle_timeout: Duration,
-    /// Serve many requests per connection (HTTP/1.1 keep-alive). Off
-    /// forces `connection: close` after every response.
-    pub keep_alive: bool,
     /// Requests served on one connection before the server closes it
     /// (resource rotation; `Retry-After`-free — clients just reconnect).
     pub max_requests_per_conn: u64,
-    /// Serve the Table-3 alias paths (deprecation headers and all).
-    /// Default off: aliases answer `410 Gone` + `link` to the successor.
-    pub legacy_aliases: bool,
     /// Maximum request-line + header bytes before `431`.
     pub max_header_bytes: usize,
     /// Maximum declared body bytes before `413`.
@@ -283,9 +221,7 @@ impl Default for ServerConfig {
             queue_depth: 256,
             max_connections: 16_384,
             idle_timeout: DEFAULT_IO_TIMEOUT,
-            keep_alive: true,
             max_requests_per_conn: 100_000,
-            legacy_aliases: false,
             max_header_bytes: 16 << 10,
             max_body_bytes: 64 << 20,
             retry_after: Duration::from_secs(1),
@@ -673,7 +609,7 @@ struct AppReceipts {
 
 impl ServerContext {
     /// Count one served request in the shared registry, labeled by route
-    /// path and status code, plus the byte/deprecation side counters.
+    /// path and status code, plus the byte side counters.
     fn record(&self, spec: Option<&RouteSpec>, resp: &HttpResponse, bytes_in: usize) {
         let Some(obs) = &self.obs else { return };
         let r = &obs.registry;
@@ -688,10 +624,6 @@ impl ServerContext {
             .add(bytes_in as u64);
         r.counter("httpapi_bytes_sent_total")
             .add(resp.body.len() as u64);
-        if spec.map(|s| s.deprecated).unwrap_or(false) {
-            r.counter_with("httpapi_deprecated_total", &[("route", route)])
-                .inc();
-        }
     }
 
     fn record_io_timeout(&self) {
@@ -807,29 +739,6 @@ impl ApiServer {
     /// into its registry.
     pub fn start_with_obs(storage: StorageService, obs: Obs) -> StateResult<ApiServer> {
         Self::start_with_config(storage, ServerConfig::default(), Some(obs))
-    }
-
-    /// Like [`ApiServer::start`] but with an explicit idle timeout
-    /// (tests use a short one to exercise the half-open path quickly).
-    pub fn start_with_io_timeout(
-        storage: StorageService,
-        io_timeout: Duration,
-    ) -> StateResult<ApiServer> {
-        Self::start_configured(storage, io_timeout, None)
-    }
-
-    /// Compatibility constructor: idle timeout + optional observability,
-    /// default everything else.
-    pub fn start_configured(
-        storage: StorageService,
-        io_timeout: Duration,
-        obs: Option<Obs>,
-    ) -> StateResult<ApiServer> {
-        let cfg = ServerConfig {
-            idle_timeout: io_timeout,
-            ..ServerConfig::default()
-        };
-        Self::start_with_config(storage, cfg, obs)
     }
 
     /// Fully explicit constructor.
@@ -1285,8 +1194,7 @@ impl Worker {
     ) -> bool {
         let start = Instant::now();
         let cfg = &self.ctx.cfg;
-        let will_close =
-            !cfg.keep_alive || req.wants_close() || conn.served + 1 >= cfg.max_requests_per_conn;
+        let will_close = req.wants_close() || conn.served + 1 >= cfg.max_requests_per_conn;
         if conn.served > 0 {
             self.ctx.bump("httpapi_keepalive_reuses_total");
         }
@@ -1417,50 +1325,13 @@ impl Worker {
     }
 }
 
-/// Route-table dispatch: the hot path scans only the six v1 rows; a miss
-/// falls through to the cold legacy table, where aliases answer `410
-/// Gone` + `link` unless [`ServerConfig::legacy_aliases`] keeps them
-/// alive (with `deprecation` headers, as before). A known path under an
-/// unknown verb is 405 (with `allow`), an unknown path is 404.
+/// Route-table dispatch: exact-match lookup + handler invocation. A known
+/// path under an unknown verb is 405 (with `allow`), an unknown path is
+/// 404.
 fn dispatch(req: &HttpRequest, ctx: &ServerContext) -> (Option<&'static RouteSpec>, HttpResponse) {
-    if let Some(found) = dispatch_table(req, ctx, ROUTES) {
-        return found;
-    }
-    let on_path: Vec<&'static RouteSpec> = LEGACY_ROUTES
-        .iter()
-        .filter(|s| s.path == req.path)
-        .collect();
+    let on_path: Vec<&'static RouteSpec> = ROUTES.iter().filter(|s| s.path == req.path).collect();
     if on_path.is_empty() {
         return (None, HttpResponse::not_found());
-    }
-    if !ctx.cfg.legacy_aliases {
-        let spec = on_path[0];
-        return (Some(spec), gone_response(spec));
-    }
-    match dispatch_table(req, ctx, LEGACY_ROUTES) {
-        Some((spec, mut resp)) => {
-            if let Some(s) = spec {
-                resp = resp.with_header("deprecation", "true").with_header(
-                    "link",
-                    format!("<{}>; rel=\"successor-version\"", s.successor),
-                );
-            }
-            (spec, resp)
-        }
-        None => (None, HttpResponse::not_found()),
-    }
-}
-
-/// Exact-match lookup + handler invocation over one table. `None`: the
-/// path is not in this table at all.
-fn dispatch_table(
-    req: &HttpRequest,
-    ctx: &ServerContext,
-    table: &'static [RouteSpec],
-) -> Option<(Option<&'static RouteSpec>, HttpResponse)> {
-    let on_path: Vec<&'static RouteSpec> = table.iter().filter(|s| s.path == req.path).collect();
-    if on_path.is_empty() {
-        return None;
     }
     let Some(spec) = on_path.iter().find(|s| s.method == req.method) else {
         let allow = on_path
@@ -1470,7 +1341,7 @@ fn dispatch_table(
             .join(", ");
         // Attribute the 405 to the path's first row so the metric lands
         // on a real route.
-        return Some((Some(on_path[0]), HttpResponse::method_not_allowed(&allow)));
+        return (Some(on_path[0]), HttpResponse::method_not_allowed(&allow));
     };
     let resp = match spec.route {
         Route::Read => handle_read(req, &ctx.storage),
@@ -1480,34 +1351,7 @@ fn dispatch_table(
         Route::Metrics => handle_metrics(req, ctx),
         Route::Status => handle_status(req, ctx),
     };
-    Some((Some(spec), resp))
-}
-
-/// The `410 Gone` answer for a sunset alias: typed JSON body plus a
-/// `link` to the v1 successor.
-fn gone_response(spec: &'static RouteSpec) -> HttpResponse {
-    let msg = format!(
-        "{} was retired; use {} (enable the legacy_aliases server config to restore it for one more cycle)",
-        spec.path, spec.successor
-    );
-    let body = ApiErrorBody {
-        code: "gone".to_string(),
-        message: msg.clone(),
-        retryable: false,
-        source: StateError::invalid(msg),
-    };
-    let json = serde_json::to_vec(&body).unwrap_or_else(|_| b"{}".to_vec());
-    HttpResponse {
-        status: 410,
-        reason: reason(410),
-        body: json,
-        content_type: "application/json",
-        headers: Vec::new(),
-    }
-    .with_header(
-        "link",
-        format!("<{}>; rel=\"successor-version\"", spec.successor),
-    )
+    (Some(spec), resp)
 }
 
 fn storage_error(e: StateError) -> HttpResponse {
@@ -1969,9 +1813,16 @@ mod tests {
         let resp = client.raw_request("POST", "/v1/read", &[]).unwrap();
         assert_eq!(resp.status, 405);
         assert_eq!(resp.header("allow"), Some("GET"));
-        // Unknown path stays 404 even with a known verb.
-        let resp = client.raw_request("GET", "/v2/read", &[]).unwrap();
-        assert_eq!(resp.status, 404);
+        // Unknown paths — the retired Table-3 spellings included — stay
+        // 404 even with a known verb.
+        for path in [
+            "/v2/read",
+            "/NetworkState/Read?Datacenter=dc1&Pool=OS",
+            "/healthz",
+        ] {
+            let resp = client.raw_request("GET", path, &[]).unwrap();
+            assert_eq!(resp.status, 404, "{path}");
+        }
         server.shutdown();
     }
 
@@ -1986,65 +1837,6 @@ mod tests {
             text.contains(&format!("\"now_ms\":{}", 3 * 60_000)),
             "{text}"
         );
-        server.shutdown();
-    }
-
-    #[test]
-    fn legacy_aliases_are_gone_by_default() {
-        let (mut server, client, _clock) = server();
-        for (method, path) in [
-            ("GET", "/NetworkState/Read?Datacenter=dc1&Pool=OS"),
-            ("POST", "/NetworkState/Write?Pool=OS"),
-            ("GET", "/NetworkState/Receipts?App=switch-upgrade"),
-            ("GET", "/healthz"),
-        ] {
-            let resp = client.raw_request(method, path, &[]).unwrap();
-            assert_eq!(resp.status, 410, "{path}");
-            let link = resp.header("link").unwrap_or_default();
-            assert!(link.contains("successor-version"), "{path}: {link:?}");
-            assert!(link.contains("/v1/"), "{path}: {link:?}");
-            // Typed JSON body, non-retryable.
-            let body: ApiErrorBody = serde_json::from_slice(&resp.body).unwrap();
-            assert_eq!(body.code, "gone");
-            assert!(!body.retryable);
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn legacy_aliases_answer_with_deprecation_headers_when_enabled() {
-        let (mut server, client, clock) = server_with(ServerConfig {
-            legacy_aliases: true,
-            ..ServerConfig::default()
-        });
-        client
-            .write(&Pool::Observed, &[fw_row("agg-1-1", "6.0", clock.now())])
-            .unwrap();
-        for (method, path) in [
-            ("GET", "/NetworkState/Read?Datacenter=dc1&Pool=OS"),
-            ("GET", "/NetworkState/Receipts?App=switch-upgrade"),
-            ("GET", "/healthz"),
-        ] {
-            let resp = client.raw_request(method, path, &[]).unwrap();
-            assert_eq!(resp.status, 200, "{path}");
-            assert_eq!(
-                resp.header("deprecation"),
-                Some("true"),
-                "{path} must carry a deprecation header: {:?}",
-                resp.headers
-            );
-            assert!(
-                resp.header("link")
-                    .map(|l| l.contains("successor-version"))
-                    .unwrap_or(false),
-                "{path} must link its successor: {:?}",
-                resp.headers
-            );
-        }
-        // The v1 spelling answers without them.
-        let resp = client.raw_request("GET", "/v1/health", &[]).unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("deprecation"), None);
         server.shutdown();
     }
 
@@ -2079,8 +1871,11 @@ mod tests {
         use std::io::Read;
         let clock = SimClock::new();
         let storage = StorageService::single_dc("dc1", clock);
-        let mut server =
-            ApiServer::start_with_io_timeout(storage, Duration::from_millis(100)).unwrap();
+        let cfg = ServerConfig {
+            idle_timeout: Duration::from_millis(100),
+            ..ServerConfig::default()
+        };
+        let mut server = ApiServer::start_with_config(storage, cfg, None).unwrap();
         let client = ApiClient::new(server.addr());
 
         // A client connects and never sends a byte (half-open)...

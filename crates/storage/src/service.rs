@@ -29,9 +29,9 @@ use statesman_obs::{Counter, Gauge, Histogram, RecoverySummary, Registry};
 use statesman_types::{
     AppId, Attribute, DatacenterId, EntityName, Freshness, NetworkState, Pool, RetryPolicy,
     SimDuration, SimTime, StateDelta, StateError, StateKey, StateResult, VarId, Version,
-    WriteReceipt,
+    WorkerPool, WriteReceipt,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,8 +39,6 @@ use std::time::Instant;
 /// Service construction knobs.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
-    /// Replicas per ring.
-    pub replicas_per_ring: usize,
     /// Bounded-staleness window (paper: 5 minutes).
     pub staleness_bound: SimDuration,
     /// Seed for ring buses (each ring perturbs it by partition index).
@@ -57,7 +55,6 @@ pub struct StorageConfig {
 impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
-            replicas_per_ring: 3,
             staleness_bound: SimDuration::from_mins(5),
             seed: 11,
             ring: ClusterConfig::default(),
@@ -387,6 +384,9 @@ pub struct StorageService {
     /// every multi-partition operation uses).
     names: Arc<Vec<DatacenterId>>,
     config: Arc<StorageConfig>,
+    /// Multi-partition writes and deletes fan out on this pool (resolved
+    /// once at construction; see [`statesman_types::par`]).
+    workers: WorkerPool,
     /// Bounded-stale read cache, deliberately *outside* the partition
     /// locks: cache hits are concurrent reads that never contend with
     /// writes or leader reads — the architectural point of §6.4 (cache
@@ -422,7 +422,6 @@ impl StorageService {
         let mut idx = 0u64;
         for dc in datacenters {
             let mut rc = config.ring.clone();
-            rc.replicas = config.replicas_per_ring;
             rc.seed = config.seed.wrapping_add(idx);
             scope_durability(&mut rc, &dc);
             idx += 1;
@@ -430,7 +429,6 @@ impl StorageService {
         }
         if let std::collections::hash_map::Entry::Vacant(e) = parts.entry(DatacenterId::wan()) {
             let mut rc = config.ring.clone();
-            rc.replicas = config.replicas_per_ring;
             rc.seed = config.seed.wrapping_add(idx);
             scope_durability(&mut rc, &DatacenterId::wan());
             e.insert(Partition::new(rc));
@@ -441,6 +439,7 @@ impl StorageService {
             parts: Arc::new(parts),
             names: Arc::new(names),
             config: Arc::new(config),
+            workers: WorkerPool::default(),
             cache: Arc::new(parking_lot::RwLock::new(HashMap::new())),
             cache_hits: Arc::new(AtomicU64::new(0)),
             clock,
@@ -456,7 +455,7 @@ impl StorageService {
         let _ = self.obs.set(StorageObs::new(
             registry,
             &self.names,
-            self.config.replicas_per_ring,
+            self.config.ring.replicas,
         ));
     }
 
@@ -547,53 +546,57 @@ impl StorageService {
     /// unroutable rows are still rejected up front, before *any*
     /// partition commits.
     pub fn write(&self, req: WriteRequest) -> StateResult<()> {
+        self.admit_write(&req.rows)?;
+        let pool = req.pool;
+        self.dispatch(
+            req.rows,
+            |row| &row.entity,
+            |dc, rows| self.write_partition(dc, pool.clone(), rows),
+        )?;
+        Ok(())
+    }
+
+    /// Count a write request and reject it whole if any row is malformed.
+    fn admit_write(&self, rows: &[NetworkState]) -> StateResult<()> {
         if let Some(o) = self.obs() {
             o.writes.inc();
-            o.rows_written.add(req.rows.len() as u64);
+            o.rows_written.add(rows.len() as u64);
         }
-        let mut by_dc: HashMap<DatacenterId, Vec<NetworkState>> = HashMap::new();
-        for row in req.rows {
-            if !row.is_well_formed() {
-                return Err(StateError::invalid(format!("malformed row {row}")));
-            }
+        match rows.iter().find(|row| !row.is_well_formed()) {
+            Some(row) => Err(StateError::invalid(format!("malformed row {row}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// The partition dispatcher behind [`StorageService::write`],
+    /// [`StorageService::write_bulk`] and [`StorageService::delete`]:
+    /// group `items` by home partition, reject the whole batch if any
+    /// partition is unknown (so a bad item cannot land part of it), then
+    /// run one `commit` per partition on the worker pool, each sub-batch
+    /// moved into its commit. Results come back in sorted partition
+    /// order; a single-partition batch commits inline with no spawn.
+    fn dispatch<T: Send, R: Send>(
+        &self,
+        items: Vec<T>,
+        entity: impl Fn(&T) -> &EntityName,
+        commit: impl Fn(&DatacenterId, Vec<T>) -> StateResult<R> + Sync,
+    ) -> StateResult<Vec<R>> {
+        let mut by_dc: BTreeMap<DatacenterId, Vec<T>> = BTreeMap::new();
+        for item in items {
             by_dc
-                .entry(row.entity.datacenter.clone())
+                .entry(entity(&item).datacenter.clone())
                 .or_default()
-                .push(row);
+                .push(item);
         }
-        // Deterministic partition order, and routability validated up
-        // front so a bad row cannot land part of the batch.
-        let mut dcs: Vec<DatacenterId> = by_dc.keys().cloned().collect();
-        dcs.sort();
-        for dc in &dcs {
+        for (dc, batch) in &by_dc {
             if !self.parts.contains_key(dc) {
                 return Err(StateError::UnroutableEntity {
-                    entity: by_dc[dc][0].entity.clone(),
+                    entity: entity(&batch[0]).clone(),
                 });
             }
         }
-        let pool = req.pool;
-        if dcs.len() <= 1 {
-            if let Some(dc) = dcs.first() {
-                let rows = by_dc.remove(dc).expect("key exists");
-                self.write_partition(dc, pool, rows)?;
-            }
-            return Ok(());
-        }
-        let results: Vec<StateResult<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = dcs
-                .iter()
-                .map(|dc| {
-                    let rows = by_dc.remove(dc).expect("key exists");
-                    let pool = pool.clone();
-                    scope.spawn(move || self.write_partition(dc, pool, rows))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition write thread panicked"))
-                .collect()
-        });
+        let (dcs, batches): (Vec<DatacenterId>, Vec<Vec<T>>) = by_dc.into_iter().unzip();
+        let results = self.workers.run(batches, |i, batch| commit(&dcs[i], batch));
         partition_results(&dcs, results)
     }
 
@@ -631,64 +634,18 @@ impl StorageService {
     /// chunked steady-state write path deliberately avoids.
     pub fn write_bulk(&self, req: WriteRequest) -> StateResult<SeedStats> {
         let started = Instant::now();
-        if let Some(o) = self.obs() {
-            o.writes.inc();
-            o.rows_written.add(req.rows.len() as u64);
-        }
-        let mut by_dc: HashMap<DatacenterId, Vec<NetworkState>> = HashMap::new();
-        for row in req.rows {
-            if !row.is_well_formed() {
-                return Err(StateError::invalid(format!("malformed row {row}")));
-            }
-            by_dc
-                .entry(row.entity.datacenter.clone())
-                .or_default()
-                .push(row);
-        }
-        let mut dcs: Vec<DatacenterId> = by_dc.keys().cloned().collect();
-        dcs.sort();
-        for dc in &dcs {
-            if !self.parts.contains_key(dc) {
-                return Err(StateError::UnroutableEntity {
-                    entity: by_dc[dc][0].entity.clone(),
-                });
-            }
-        }
+        self.admit_write(&req.rows)?;
         let pool = req.pool;
-        let per_part: Vec<StateResult<crate::machine::BulkStats>> = if dcs.len() <= 1 {
-            match dcs.first() {
-                Some(dc) => {
-                    let rows = by_dc.remove(dc).expect("key exists");
-                    vec![self.write_bulk_partition(dc, pool, rows)]
-                }
-                None => Vec::new(),
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = dcs
-                    .iter()
-                    .map(|dc| {
-                        let rows = by_dc.remove(dc).expect("key exists");
-                        let pool = pool.clone();
-                        scope.spawn(move || self.write_bulk_partition(dc, pool, rows))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition bulk-write thread panicked"))
-                    .collect()
-            })
-        };
-        let unit_results: Vec<StateResult<()>> = per_part
-            .iter()
-            .map(|r| r.as_ref().map(|_| ()).map_err(|e| e.clone()))
-            .collect();
-        partition_results(&dcs, unit_results)?;
+        let per_part = self.dispatch(
+            req.rows,
+            |row| &row.entity,
+            |dc, rows| self.write_bulk_partition(dc, pool.clone(), rows),
+        )?;
         let mut stats = SeedStats {
-            partitions: dcs.len(),
+            partitions: per_part.len(),
             ..SeedStats::default()
         };
-        for bulk in per_part.into_iter().flatten() {
+        for bulk in per_part {
             stats.rows += bulk.rows;
             stats.intern_ms += bulk.intern_nanos as f64 / 1e6;
             stats.fill_ms += bulk.fill_nanos as f64 / 1e6;
@@ -749,44 +706,12 @@ impl StorageService {
         if let Some(o) = self.obs() {
             o.deletes.inc();
         }
-        let mut by_dc: HashMap<DatacenterId, Vec<StateKey>> = HashMap::new();
-        for k in keys {
-            by_dc
-                .entry(k.entity.datacenter.clone())
-                .or_default()
-                .push(k);
-        }
-        let mut dcs: Vec<DatacenterId> = by_dc.keys().cloned().collect();
-        dcs.sort();
-        for dc in &dcs {
-            if !self.parts.contains_key(dc) {
-                return Err(StateError::UnroutableEntity {
-                    entity: by_dc[dc][0].entity.clone(),
-                });
-            }
-        }
-        if dcs.len() <= 1 {
-            if let Some(dc) = dcs.first() {
-                let keys = by_dc.remove(dc).expect("key exists");
-                self.delete_partition(dc, pool, keys)?;
-            }
-            return Ok(());
-        }
-        let results: Vec<StateResult<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = dcs
-                .iter()
-                .map(|dc| {
-                    let keys = by_dc.remove(dc).expect("key exists");
-                    let pool = pool.clone();
-                    scope.spawn(move || self.delete_partition(dc, pool, keys))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition delete thread panicked"))
-                .collect()
-        });
-        partition_results(&dcs, results)
+        self.dispatch(
+            keys,
+            |key| &key.entity,
+            |dc, keys| self.delete_partition(dc, pool.clone(), keys),
+        )?;
+        Ok(())
     }
 
     fn delete_partition(
@@ -1395,21 +1320,24 @@ impl StorageService {
     }
 }
 
-/// Collapse a multi-partition fan-out's per-partition results (in sorted
+/// Collapse a partition fan-out's per-partition results (in sorted
 /// partition order). Sub-batches commit independently, so an error here
-/// never means "nothing landed": `Ok` when every partition committed;
-/// the partition's own typed error when exactly one failed; an aggregate
-/// [`StateError::StorageUnavailable`] naming every failed partition when
-/// several did, so callers see the full damage rather than only the
-/// sorted-first casualty.
-fn partition_results(dcs: &[DatacenterId], results: Vec<StateResult<()>>) -> StateResult<()> {
-    let mut failures: Vec<(&DatacenterId, StateError)> = dcs
-        .iter()
-        .zip(results)
-        .filter_map(|(dc, r)| r.err().map(|e| (dc, e)))
-        .collect();
+/// never means "nothing landed": every partition's value when all
+/// committed; the partition's own typed error when exactly one failed; an
+/// aggregate [`StateError::StorageUnavailable`] naming every failed
+/// partition when several did, so callers see the full damage rather
+/// than only the sorted-first casualty.
+fn partition_results<R>(dcs: &[DatacenterId], results: Vec<StateResult<R>>) -> StateResult<Vec<R>> {
+    let mut committed = Vec::with_capacity(results.len());
+    let mut failures: Vec<(&DatacenterId, StateError)> = Vec::new();
+    for (dc, result) in dcs.iter().zip(results) {
+        match result {
+            Ok(r) => committed.push(r),
+            Err(e) => failures.push((dc, e)),
+        }
+    }
     match failures.len() {
-        0 => Ok(()),
+        0 => Ok(committed),
         1 => Err(failures.pop().expect("length checked").1),
         _ => Err(StateError::StorageUnavailable {
             partition: failures
@@ -1736,44 +1664,64 @@ mod tests {
         // healthy partition's sub-batch lands (sub-batches are
         // independent commits, not a transaction) and the error
         // aggregates *both* failed partitions, not just the sorted-first.
-        let c = clock();
-        let s = svc(&c); // dc1, dc2, wan
-        s.set_partition_available(&DatacenterId::new("dc1"), false);
-        s.set_partition_available(&DatacenterId::wan(), false);
-        let err = s
-            .write(WriteRequest {
+        // `write`, `write_bulk` and `delete` share one dispatcher, so all
+        // three must behave the same way.
+        type Op = fn(&StorageService, Vec<NetworkState>) -> StateResult<()>;
+        let write: Op = |s, rows| {
+            s.write(WriteRequest {
                 pool: Pool::Observed,
-                rows: vec![
-                    row("dc1", "a", "1", c.now()),
-                    row("dc2", "a", "1", c.now()),
-                    row("wan", "br-1", "1", c.now()),
-                ],
+                rows,
             })
-            .unwrap_err();
-        assert_eq!(s.pool_len(&DatacenterId::new("dc2"), &Pool::Observed), 1);
-        assert_eq!(s.pool_len(&DatacenterId::new("dc1"), &Pool::Observed), 0);
-        match &err {
-            StateError::StorageUnavailable { partition, reason } => {
-                assert!(partition.contains("dc1"), "missing dc1 in {partition}");
-                assert!(partition.contains("wan"), "missing wan in {partition}");
-                assert!(reason.contains("dc1") && reason.contains("wan"));
+        };
+        let write_bulk: Op = |s, rows| {
+            s.write_bulk(WriteRequest {
+                pool: Pool::Observed,
+                rows,
+            })
+            .map(|_| ())
+        };
+        let delete: Op = |s, rows| s.delete(Pool::Observed, rows.iter().map(|r| r.key()).collect());
+        // Writes add new devices; deletes remove the seeded ones. `step`
+        // is what one landed sub-batch does to a partition's row count.
+        for (name, op, devs, step) in [
+            ("write", write, ["n1", "n2"], 1),
+            ("write_bulk", write_bulk, ["n1", "n2"], 1),
+            ("delete", delete, ["d1", "d2"], -1),
+        ] {
+            let c = clock();
+            let s = svc(&c); // dc1, dc2, wan
+            let batch = |dev: &str, dcs: &[&str]| -> Vec<NetworkState> {
+                dcs.iter().map(|dc| row(dc, dev, "1", c.now())).collect()
+            };
+            for dev in ["d1", "d2"] {
+                write(&s, batch(dev, &["dc1", "dc2", "wan"])).unwrap();
             }
-            other => panic!("expected aggregate StorageUnavailable, got {other:?}"),
-        }
-        assert!(err.is_retryable());
+            let len = |dc: &str| s.pool_len(&DatacenterId::new(dc), &Pool::Observed) as i64;
 
-        // Exactly one failed partition surfaces its own typed error.
-        s.set_partition_available(&DatacenterId::wan(), true);
-        let err = s
-            .write(WriteRequest {
-                pool: Pool::Observed,
-                rows: vec![row("dc1", "b", "1", c.now()), row("dc2", "b", "1", c.now())],
-            })
-            .unwrap_err();
-        assert!(
-            matches!(&err, StateError::StorageUnavailable { partition, .. } if partition == "dc1")
-        );
-        assert_eq!(s.pool_len(&DatacenterId::new("dc2"), &Pool::Observed), 2);
+            s.set_partition_available(&DatacenterId::new("dc1"), false);
+            s.set_partition_available(&DatacenterId::wan(), false);
+            let err = op(&s, batch(devs[0], &["dc1", "dc2", "wan"])).unwrap_err();
+            assert_eq!(len("dc2"), 2 + step, "{name}");
+            assert_eq!(len("dc1"), 2, "{name}");
+            match &err {
+                StateError::StorageUnavailable { partition, reason } => {
+                    assert!(partition.contains("dc1"), "{name}: no dc1 in {partition}");
+                    assert!(partition.contains("wan"), "{name}: no wan in {partition}");
+                    assert!(reason.contains("dc1") && reason.contains("wan"), "{name}");
+                }
+                other => panic!("{name}: expected aggregate StorageUnavailable, got {other:?}"),
+            }
+            assert!(err.is_retryable(), "{name}");
+
+            // Exactly one failed partition surfaces its own typed error.
+            s.set_partition_available(&DatacenterId::wan(), true);
+            let err = op(&s, batch(devs[1], &["dc1", "dc2"])).unwrap_err();
+            assert!(
+                matches!(&err, StateError::StorageUnavailable { partition, .. } if partition == "dc1"),
+                "{name}: {err:?}"
+            );
+            assert_eq!(len("dc2"), 2 + 2 * step, "{name}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::flow::{max_flow, max_flow_scoped};
 use crate::graph::{HealthView, NetworkGraph, NodeId};
-use statesman_types::{DatacenterId, DeviceRole};
+use statesman_types::{DatacenterId, DeviceRole, WorkerPool};
 use std::collections::HashSet;
 
 /// Capacity of one directional ToR pair.
@@ -157,9 +157,7 @@ pub fn evaluate(
 pub fn baselines_for(graph: &NetworkGraph, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
     let all_up = HealthView::all_up();
     let layered = is_pod_layered(graph);
-    crate::par::ordered_map(crate::par::worker_threads(), pairs, |&(s, t)| {
-        pair_flow(graph, &all_up, s, t, layered)
-    })
+    WorkerPool::default().run(pairs, |_, &(s, t)| pair_flow(graph, &all_up, s, t, layered))
 }
 
 /// Whether every edge either stays within one pod or touches a pod-less
@@ -224,13 +222,11 @@ pub fn evaluate_with_baselines(
         .zip(baselines)
         .map(|(&(s, t), &b)| (s, t, b))
         .collect();
-    let pairs = crate::par::ordered_map(crate::par::worker_threads(), &indexed, |&(s, t, b)| {
-        TorPairCapacity {
-            src: s,
-            dst: t,
-            baseline_mbps: b,
-            current_mbps: pair_flow(graph, health, s, t, layered),
-        }
+    let pairs = WorkerPool::default().run(&indexed, |_, &(s, t, b)| TorPairCapacity {
+        src: s,
+        dst: t,
+        baseline_mbps: b,
+        current_mbps: pair_flow(graph, health, s, t, layered),
     });
     CapacityReport { pairs }
 }
@@ -252,7 +248,7 @@ impl CapacityReport {
         touched_pods: &HashSet<(DatacenterId, u32)>,
     ) -> CapacityReport {
         let layered = is_pod_layered(graph);
-        let pairs = crate::par::ordered_map(crate::par::worker_threads(), &self.pairs, |p| {
+        let pairs = WorkerPool::default().run(&self.pairs, |_, p| {
             let touched = [p.src, p.dst].iter().any(|&n| {
                 let info = graph.node(n);
                 info.pod

@@ -24,7 +24,6 @@ pub mod builder;
 pub mod capacity;
 pub mod flow;
 pub mod graph;
-pub mod par;
 pub mod paths;
 
 pub use builder::{DcnSpec, DeploymentSpec, WanSpec};

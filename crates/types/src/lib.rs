@@ -31,6 +31,7 @@ pub mod entity;
 pub mod error;
 pub mod intern;
 pub mod lock;
+pub mod par;
 pub mod retry;
 pub mod state;
 pub mod time;
@@ -46,6 +47,7 @@ pub use intern::{
     interned_count, interner, key_resolutions, slot_registry, EntityId, SlotId, SlotRegistry, VarId,
 };
 pub use lock::{LockPriority, LockRecord};
+pub use par::{default_worker_threads, WorkerPool};
 pub use retry::RetryPolicy;
 pub use state::{
     AppId, Freshness, NetworkState, Pool, StateDelta, StateKey, StateKeyRef, WriteOutcome,

@@ -1,8 +1,7 @@
 //! The API front end's admission and timeout edges, observed on real
-//! TCP: a sunset legacy alias (410 Gone), the same alias re-enabled for
-//! a deprecation cycle, a half-open connection (connects, never sends —
-//! the classic slow-client attack), and a garbage request, each answered
-//! appropriately — all without a thread per connection.
+//! TCP: a retired Table-3 path (404), a half-open connection (connects,
+//! never sends — the classic slow-client attack), and a garbage request,
+//! each answered appropriately — all without a thread per connection.
 //!
 //! ```text
 //! cargo run --example api_timeouts
@@ -19,7 +18,7 @@ fn main() {
     let clock = SimClock::new();
     let storage = StorageService::single_dc("dc1", clock);
     let server = ApiServer::start_with_config(
-        storage.clone(),
+        storage,
         ServerConfig {
             idle_timeout: Duration::from_millis(300),
             ..ServerConfig::default()
@@ -30,33 +29,13 @@ fn main() {
     let addr = server.addr();
     println!("API on http://{addr}, idle timeout 300ms\n");
 
-    // The Table-3 alias is sunset: 410 Gone with a successor link.
+    // The Table-3 spellings are retired: an ordinary 404.
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(b"GET /healthz HTTP/1.1\r\nhost: demo\r\nconnection: close\r\n\r\n")
         .unwrap();
     let mut buf = String::new();
     s.read_to_string(&mut buf).unwrap();
-    println!("--- /healthz on a default server (sunset alias) ---\n{buf}\n");
-
-    // Re-enable the aliases for one more deprecation cycle: the alias
-    // answers, flagged with deprecation + successor headers.
-    let legacy = ApiServer::start_with_config(
-        storage,
-        ServerConfig {
-            legacy_aliases: true,
-            idle_timeout: Duration::from_millis(300),
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let mut s = TcpStream::connect(legacy.addr()).unwrap();
-    s.write_all(b"GET /healthz HTTP/1.1\r\nhost: demo\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let mut buf = String::new();
-    s.read_to_string(&mut buf).unwrap();
-    println!("--- /healthz with legacy_aliases enabled ---\n{buf}\n");
-    drop(legacy);
+    println!("--- /healthz (retired Table-3 path) ---\n{buf}\n");
 
     // Half-open: connect and send nothing. The reactor answers 408 and
     // closes rather than pinning anything (no thread is waiting on it).

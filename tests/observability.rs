@@ -3,12 +3,10 @@
 //! quarantine forms), and everything is verified over the real wire —
 //! `/v1/metrics` reports non-zero series from every layer, `/v1/status`'s
 //! last trace matches the coordinator's own `RoundReport` accounting,
-//! counters are monotonic across rounds, and the deprecated Table-3
-//! aliases answer with successor pointers while bumping the deprecation
-//! counter.
+//! and counters are monotonic across rounds.
 
 use statesman::core::{Coordinator, CoordinatorConfig, StatesmanClient};
-use statesman::httpapi::{ApiClient, ApiServer, ServerConfig, StatusResponse};
+use statesman::httpapi::{ApiClient, ApiServer, StatusResponse};
 use statesman::net::{SimClock, SimConfig, SimNetwork};
 use statesman::obs::Obs;
 use statesman::prelude::*;
@@ -145,80 +143,4 @@ fn five_rounds_light_up_every_layer_over_the_wire() {
         status.status
     );
     assert!(last.quarantined.iter().any(|d| d == "agg-2-2"));
-}
-
-#[test]
-fn legacy_aliases_deprecate_but_keep_answering() {
-    let clock = SimClock::new();
-    let dc = DatacenterId::new("dc1");
-    let graph = DcnSpec::tiny("dc1").build();
-    let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
-    let storage = StorageService::new([dc.clone()], clock.clone(), StorageConfig::default());
-    let obs = Obs::new();
-    Coordinator::new(
-        &graph,
-        net,
-        storage.clone(),
-        CoordinatorConfig {
-            obs: Some(obs.clone()),
-            ..CoordinatorConfig::default()
-        },
-    )
-    .tick_and_advance(SimDuration::from_mins(1))
-    .unwrap();
-    // Sunset by default: a plain server answers the alias 410 Gone with
-    // a successor link.
-    let plain = ApiServer::start(storage.clone()).unwrap();
-    let gone = ApiClient::new(plain.addr())
-        .raw_request("GET", "/healthz", &[])
-        .unwrap();
-    assert_eq!(gone.status, 410);
-    assert_eq!(
-        gone.header("link"),
-        Some("</v1/health>; rel=\"successor-version\"")
-    );
-    drop(plain);
-
-    // Opting in restores the aliases for one more deprecation cycle.
-    let server = ApiServer::start_with_config(
-        storage,
-        ServerConfig {
-            legacy_aliases: true,
-            ..ServerConfig::default()
-        },
-        Some(obs.clone()),
-    )
-    .unwrap();
-    let api = ApiClient::new(server.addr());
-
-    // The Table-3 spelling still answers with the same rows as /v1/read…
-    let target = "?Datacenter=dc1&Pool=OS&Freshness=up-to-date";
-    let legacy = api
-        .raw_request("GET", &format!("/NetworkState/Read{target}"), &[])
-        .unwrap();
-    assert_eq!(legacy.status, 200);
-    let v1 = api
-        .raw_request("GET", &format!("/v1/read{target}"), &[])
-        .unwrap();
-    assert_eq!(legacy.body, v1.body);
-
-    // …plus the deprecation marker and a successor pointer.
-    assert_eq!(legacy.header("deprecation"), Some("true"));
-    assert_eq!(
-        legacy.header("link"),
-        Some("</v1/read>; rel=\"successor-version\"")
-    );
-
-    // And each legacy hit is counted, labeled by route.
-    let text = String::from_utf8(api.raw_get("/v1/metrics").unwrap()).unwrap();
-    let metrics = parse_metrics(&text);
-    let deprecated: f64 = metrics
-        .iter()
-        .filter(|(k, _)| k.starts_with("httpapi_deprecated_total"))
-        .map(|(_, v)| *v)
-        .sum();
-    assert_eq!(deprecated, 1.0, "exactly one legacy hit: {metrics:?}");
-    assert!(metrics
-        .keys()
-        .any(|k| k.starts_with("httpapi_deprecated_total{") && k.contains("/NetworkState/Read")));
 }
