@@ -174,3 +174,79 @@ fn canary_truncation_below_committed_is_caught() {
     );
     assert!(safety.violations[0].contains("recovery_safety violated"));
 }
+
+/// A partition-sized ring: 20,000 seeded rows, then enough small commits
+/// at a short snapshot cadence that every replica has folded the seed
+/// into a snapshot image (one multi-megabyte JSON blob per store).
+fn compacted_20k_row_cluster() -> PaxosCluster {
+    let mut cfg = ClusterConfig::intra_dc(5);
+    cfg.durability = DurabilityMode::FramedMemory;
+    cfg.snapshot_every = 8;
+    let mut c = PaxosCluster::new(cfg);
+    let rows = (0..20_000)
+        .map(|i| {
+            NetworkState::new(
+                EntityName::device("dc1", format!("tor-{}-{}", i / 40, i % 40)),
+                Attribute::DeviceFirmwareVersion,
+                Value::text(format!("fw \"{i}\" \u{2205}")),
+                SimTime::ZERO,
+                AppId::monitor(),
+            )
+        })
+        .collect();
+    c.submit(LogCommand::BulkBatch {
+        pool: Pool::Observed,
+        rows: std::sync::Arc::new(rows),
+    })
+    .unwrap();
+    for i in 0..12 {
+        c.submit(wb(&format!("tor-0-{i}"), "2")).unwrap();
+    }
+    assert!(
+        c.wal_stats().compactions >= 3,
+        "every replica compacted at least once: {:?}",
+        c.wal_stats()
+    );
+    c
+}
+
+/// Snapshot decode at a real size. Until the JSON shim's string parse
+/// became one pass, verifying or recovering a store that had compacted
+/// did not return in minutes even at 3K rows (the image is one JSON blob
+/// and decode was quadratic in its length), so nothing exercised it
+/// beyond the toy sizes above. Both halves run here at 20K rows: the
+/// chain verifier behind `StorageService::verify_wal_chains` decodes
+/// every replica's snapshot and log tail, and a kill -9'd replica
+/// rebuilt from its durable store alone is bit-equal to the replica that
+/// never crashed.
+///
+/// `benchmark/src/api_ingest.rs` still skips `verify_wal_chains` on
+/// partitions that have a `.snap` file (it reports them under
+/// `wal_chains.unverified`); with this passing, a later benchmark-only
+/// PR may drop that skip.
+#[test]
+fn compacted_20k_row_store_verifies_and_recovers_bit_equal() {
+    let mut c = compacted_20k_row_cluster();
+    assert!(c.verify_chains().expect("chains verify") > 0);
+
+    let victim = ReplicaId(2);
+    let live = c.replica_machine(victim).to_snapshot();
+    let frontier = c.applied_through(victim);
+    c.kill9(victim);
+    c.restart(victim);
+    let report = c.last_recovery().expect("restart recovers");
+    assert!(!report.refused);
+    assert!(
+        report.snapshot_frontier > 1,
+        "recovered from the snapshot image, not an empty store"
+    );
+    // Recovered to the pre-crash frontier from disk alone: no peer state
+    // transfer papered over a short recovery.
+    assert_eq!(report.recovered_frontier, frontier);
+    assert_eq!(c.applied_through(victim), frontier);
+    assert_eq!(
+        c.replica_machine(victim).to_snapshot(),
+        live,
+        "recovered state diverged"
+    );
+}

@@ -62,14 +62,14 @@ fn write_content(c: &Content, out: &mut String) -> Result<(), Error> {
         Content::Null => out.push_str("null"),
         Content::Bool(true) => out.push_str("true"),
         Content::Bool(false) => out.push_str("false"),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
+        Content::I64(v) => write_fmt(out, format_args!("{v}")),
+        Content::U64(v) => write_fmt(out, format_args!("{v}")),
         Content::F64(v) => {
             if v.is_finite() {
                 // `{:?}` is Rust's shortest round-trip float formatting
                 // and keeps `.0` on integral values, matching upstream
                 // serde_json with `float_roundtrip`.
-                out.push_str(&format!("{v:?}"));
+                write_fmt(out, format_args!("{v:?}"));
             } else {
                 out.push_str("null");
             }
@@ -108,23 +108,36 @@ fn write_content(c: &Content, out: &mut String) -> Result<(), Error> {
     Ok(())
 }
 
+/// Format straight into the output: no `to_string()`/`format!` temporary.
+fn write_fmt(out: &mut String, args: std::fmt::Arguments<'_>) {
+    use std::fmt::Write;
+    out.write_fmt(args)
+        .expect("writing to a String cannot fail");
+}
+
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Everything that needs escaping is ASCII, so the unescaped run
+    // before it ends on a char boundary and is copied whole.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => write_fmt(out, format_args!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -132,15 +145,28 @@ fn write_json_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting accepted (upstream serde_json's limit).
+/// A constant, not a setting: the parser recurses per level, so without
+/// it a body of `[` bytes overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
+/// One pass over the input. `input` is the `&str` the caller gave (valid
+/// UTF-8 by type; `from_slice` checked it once); `bytes` is the same
+/// memory for scanning. `pos` only ever stops after an ASCII byte or a
+/// whole copied run, so it is always a char boundary of `input`.
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse(input: &str) -> Result<Content, Error> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -187,8 +213,8 @@ impl<'a> Parser<'a> {
             b't' => self.keyword("true", Content::Bool(true)),
             b'f' => self.keyword("false", Content::Bool(false)),
             b'"' => self.string().map(Content::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error(format!(
                 "unexpected character `{}` at byte {}",
@@ -204,6 +230,20 @@ impl<'a> Parser<'a> {
         } else {
             Err(Error(format!("invalid literal at byte {}", self.pos)))
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Content, Error>,
+    ) -> Result<Content, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error("recursion limit exceeded".into()));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Content, Error> {
@@ -264,77 +304,78 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next `"` or `\` whole. Both are
+            // ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error("unterminated string".into()))?;
+            let end = self.pos + run;
+            out.push_str(&self.input[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error("unterminated string".into()))?;
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(Error("lone leading surrogate".into()));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error(format!("bad codepoint {cp:#x}")))?,
-                            );
+                .ok_or_else(|| Error("unterminated escape".into()))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{08}'),
+                b'f' => out.push('\u{0C}'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let cp = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: the low half must follow.
+                        if !self.bytes[self.pos..].starts_with(b"\\u") {
+                            return Err(Error("lone leading surrogate".into()));
                         }
-                        other => {
-                            return Err(Error(format!("bad escape `\\{}`", other as char)));
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(Error("lone leading surrogate".into()));
                         }
-                    }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        hi
+                    };
+                    out.push(
+                        char::from_u32(cp)
+                            .ok_or_else(|| Error(format!("bad codepoint {cp:#x}")))?,
+                    );
                 }
-                _ => {
-                    // Consume one UTF-8 scalar starting at pos.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error(format!("invalid UTF-8 in string: {e}")))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                other => {
+                    return Err(Error(format!("bad escape `\\{}`", other as char)));
                 }
             }
         }
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, Error> {
         let end = self.pos + 4;
-        let slice = self
-            .bytes
+        if end > self.bytes.len() {
+            return Err(Error("truncated \\u escape".into()));
+        }
+        // `None` when the four bytes cut a multi-byte scalar in half.
+        let s = self
+            .input
             .get(self.pos..end)
-            .ok_or_else(|| Error("truncated \\u escape".into()))?;
-        let s = std::str::from_utf8(slice).map_err(|_| Error("bad \\u escape".into()))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error(format!("bad \\u escape `{s}`")))?;
+            .ok_or_else(|| Error("bad \\u escape".into()))?;
+        let mut v = 0;
+        for b in s.bytes() {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| Error(format!("bad \\u escape `{s}`")))?;
+            v = v * 16 + digit;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -355,7 +396,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.input[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Content::I64(v));
@@ -414,6 +455,19 @@ mod tests {
         // Escaped unicode input parses too.
         let from_escape: String = from_str("\"\\u2205 \\ud83d\\ude00\"").unwrap();
         assert_eq!(from_escape, "∅ 😀");
+    }
+
+    /// The boundary itself; the hostile inputs (a 200 KB body of `[`,
+    /// surrogate and `\\u` abuse) are in the root package's
+    /// `tests/json_codec.rs`, where tier-1 runs them.
+    #[test]
+    fn nesting_limit_is_exactly_max_depth() {
+        let err = |s: &str| parse(s).unwrap_err().0;
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(err(&nest(MAX_DEPTH + 1)), "recursion limit exceeded");
+        let objects = r#"{"k":"#.repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(err(&objects), "recursion limit exceeded");
     }
 
     #[test]

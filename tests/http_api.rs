@@ -195,6 +195,30 @@ fn garbage_requests_get_400_not_a_hang() {
 }
 
 #[test]
+fn a_body_of_open_brackets_gets_400_not_a_dead_server() {
+    // 200 KB of `[`: the JSON parser recurses once per nesting level, so
+    // without its depth limit this body overflows a worker's stack and
+    // the abort takes the whole process down, not one request.
+    use statesman_httpapi::error::decode_error;
+    use statesman_types::StateError;
+    let clock = SimClock::new();
+    let storage = StorageService::single_dc("dc1", clock);
+    let server = ApiServer::start(storage).unwrap();
+    let client = ApiClient::new(server.addr());
+    let resp = client
+        .raw_request("POST", "/v1/write?Pool=OS", &[b'['; 200_000])
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    let err = decode_error(resp.status, &resp.body);
+    assert!(
+        matches!(&err, StateError::Protocol { reason } if reason.contains("recursion limit exceeded")),
+        "typed error body names the limit: {err:?}"
+    );
+    let health = client.raw_request("GET", "/v1/health", &[]).unwrap();
+    assert_eq!(health.status, 200, "the server still answers");
+}
+
+#[test]
 fn concurrent_wire_clients() {
     // Several clients hammer the same server from threads; every request
     // must be answered coherently by the fixed worker pool.
