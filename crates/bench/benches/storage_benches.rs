@@ -7,6 +7,10 @@
 //! * `freshness_modes` — up-to-date (leader) reads vs bounded-stale
 //!   (cache) reads (§6.4: "we boost the read throughput"). Measured in
 //!   host wall-clock throughput over the same data.
+//! * `entity_reads` — the read applications actually issue ("the state
+//!   of this switch", Table 3 `Entity=`) against a 100K-row pool in both
+//!   freshness modes: a slot probe, so it should sit orders of magnitude
+//!   below the whole-pool reads above and not move with pool size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use statesman_net::SimClock;
@@ -131,6 +135,53 @@ fn bench_freshness_modes(c: &mut Criterion) {
     );
 }
 
+fn bench_entity_reads(c: &mut Criterion) {
+    const ROWS: usize = 100_000;
+    let mut group = c.benchmark_group("entity_reads");
+    let clock = SimClock::new();
+    let dc = DatacenterId::new("dc1");
+    let storage = StorageService::new([dc.clone()], clock.clone(), StorageConfig::default());
+    storage
+        .write_bulk(WriteRequest {
+            pool: Pool::Observed,
+            rows: (0..ROWS)
+                .map(|i| fw_row("dc1", &format!("dev-{i}"), clock.now()))
+                .collect(),
+        })
+        .unwrap();
+    let read = |freshness, i: usize| {
+        let rows = storage
+            .read(ReadRequest {
+                datacenter: dc.clone(),
+                pool: Pool::Observed,
+                freshness,
+                entity: Some(EntityName::device("dc1", format!("dev-{i}"))),
+                attribute: None,
+            })
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+    };
+    for (name, freshness) in [
+        ("up_to_date_100k_x1000", Freshness::UpToDate),
+        ("bounded_stale_100k_x1000", Freshness::BoundedStale),
+    ] {
+        // The cache fill is set-up, not a read.
+        read(freshness, 0);
+        let mut i = 0usize;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                // A thousand reads an iteration (one is microseconds),
+                // walking the pool so no row stays hot.
+                for _ in 0..1_000 {
+                    i = (i + 7_919) % ROWS;
+                    read(freshness, i);
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_freshness_concurrency(c: &mut Criterion) {
     // The architectural point of §6.4: bounded-stale reads are served from
     // a cache that scales out (shared read lock + Arc snapshots), while
@@ -189,6 +240,7 @@ criterion_group!(
     benches,
     bench_storage_partitioning,
     bench_freshness_modes,
+    bench_entity_reads,
     bench_freshness_concurrency
 );
 criterion_main!(benches);

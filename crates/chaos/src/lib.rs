@@ -959,7 +959,7 @@ impl ChaosScenario {
                         wire_view.apply_delta(delta);
                         match wclient.read_os(&dc, Freshness::UpToDate) {
                             Ok(mut full) => {
-                                full.sort_by_key(|r| r.key());
+                                full.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
                                 let mine = wire_view.clone().into_sorted_rows();
                                 w.rounds_compared += 1;
                                 if mine != full {

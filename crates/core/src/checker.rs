@@ -1588,7 +1588,7 @@ mod tests {
                     attribute: None,
                 })
                 .unwrap();
-            ts.sort_by_key(|r| r.key());
+            ts.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
             let summary: Vec<_> = history
                 .iter()
                 .map(|r| {

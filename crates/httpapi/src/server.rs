@@ -1396,20 +1396,16 @@ fn handle_read(req: &HttpRequest, storage: &StorageService) -> HttpResponse {
         Ok(r) => r,
         Err(e) => return error_response(e),
     };
-    let (dc, pool) = (request.datacenter.clone(), request.pool.clone());
-    match storage.read(request) {
-        Ok(mut rows) => {
-            rows.sort_by_key(|a| a.key());
+    match storage.read_versioned(request) {
+        Ok((mut rows, served)) => {
+            rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
             match serde_json::to_vec(&rows) {
+                // Stamp the pool version these rows reflect — not the
+                // leader's current one, which a bounded-stale body may
+                // trail — so a snapshot-then-follow client can start its
+                // changefeed from exactly here without a probe.
                 Ok(json) => {
-                    let resp = HttpResponse::ok_json(json);
-                    // Stamp the pool watermark so snapshot-then-follow
-                    // clients can start a changefeed without a probe
-                    // (best-effort: the read itself already succeeded).
-                    match storage.pool_watermark(&dc, &pool) {
-                        Ok(w) => resp.with_header(WATERMARK_HEADER, w.0.to_string()),
-                        Err(_) => resp,
-                    }
+                    HttpResponse::ok_json(json).with_header(WATERMARK_HEADER, served.0.to_string())
                 }
                 Err(e) => error_response(StateError::protocol(format!("serialize: {e}"))),
             }
@@ -1772,6 +1768,33 @@ mod tests {
             .read_os_since(&DatacenterId::new("dc1"), Version(w))
             .unwrap();
         assert!(d.is_empty(), "{d:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn bounded_stale_reads_stamp_the_version_they_served() {
+        let (mut server, client, clock) = server();
+        let dc = DatacenterId::new("dc1");
+        client
+            .write(&Pool::Observed, &[fw_row("agg-1-1", "6.0", clock.now())])
+            .unwrap();
+        // Warm the cache, then commit a row the cached snapshot lacks.
+        let stale = "/v1/read?Datacenter=dc1&Pool=OS&Freshness=bounded-stale";
+        assert_eq!(client.raw_request("GET", stale, &[]).unwrap().status, 200);
+        let late = fw_row("agg-1-2", "6.1", clock.now());
+        client
+            .write(&Pool::Observed, std::slice::from_ref(&late))
+            .unwrap();
+        let resp = client.raw_request("GET", stale, &[]).unwrap();
+        let body: Vec<NetworkState> = serde_json::from_slice(&resp.body).unwrap();
+        assert_eq!(body.len(), 1, "served from the cache: {body:?}");
+        // Snapshot-then-follow: the header is the version of the rows in
+        // the body, so following from it delivers the row they lack. (The
+        // leader's current watermark here would skip it for good.)
+        let w = resp.watermark().expect("reads carry the watermark");
+        let d = client.read_os_since(&dc, Version(w)).unwrap();
+        assert_eq!(d.upserts.len(), 1, "{d:?}");
+        assert_eq!(d.upserts[0].key(), late.key());
         server.shutdown();
     }
 

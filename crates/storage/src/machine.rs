@@ -355,16 +355,11 @@ impl StateMachine {
             .unwrap_or_default()
     }
 
-    /// All rows of a pool whose entity matches `pred`.
-    pub fn pool_rows_where(
-        &self,
-        pool: &Pool,
-        pred: impl Fn(&NetworkState) -> bool,
-    ) -> Vec<NetworkState> {
-        self.pools
-            .get(pool)
-            .map(|p| p.rows().filter(|r| pred(r)).cloned().collect())
-            .unwrap_or_default()
+    /// One pool's column, if the pool has ever been written: what
+    /// filtered reads probe ([`Column::entity_rows`]) and what the
+    /// bounded-stale cache clones.
+    pub fn column(&self, pool: &Pool) -> Option<&Column> {
+        self.pools.get(pool)
     }
 
     /// Number of rows in a pool.
@@ -507,7 +502,7 @@ impl StateMachine {
             .iter()
             .map(|(p, col)| {
                 let mut rows: Vec<NetworkState> = col.rows().cloned().collect();
-                rows.sort_by_key(|r| r.key());
+                rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
                 (p.clone(), rows)
             })
             .collect();
@@ -723,19 +718,17 @@ mod tests {
     }
 
     #[test]
-    fn filtered_scan() {
+    fn column_exposes_entity_probes() {
         let mut m = StateMachine::new();
+        assert!(m.column(&Pool::Observed).is_none());
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
             rows: vec![row("agg-1-1", "1"), row("tor-1-1", "1")],
         });
-        let aggs = m.pool_rows_where(&Pool::Observed, |r| {
-            r.entity
-                .as_device()
-                .map(|d| d.as_str().starts_with("agg"))
-                .unwrap_or(false)
-        });
+        let col = m.column(&Pool::Observed).unwrap();
+        let aggs = col.entity_rows(&EntityName::device("dc1", "agg-1-1"), None);
         assert_eq!(aggs.len(), 1);
+        assert_eq!(aggs[0].value, Value::text("1"));
     }
 
     #[test]

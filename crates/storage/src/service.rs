@@ -5,11 +5,23 @@
 //! proxy layer that provides uniform access to the network states" —
 //! callers never name a ring, only entities. Reads take a [`Freshness`]:
 //!
-//! * `UpToDate` — served by the partition leader (linearizable with
-//!   respect to commits through this service);
-//! * `BoundedStale` — served from a per-partition cache refreshed from a
-//!   follower replica no more often than the staleness bound (5 minutes in
-//!   the paper), trading freshness for read throughput.
+//! * `UpToDate` — served from the partition leader's column under the
+//!   ring lock (linearizable with respect to commits through this
+//!   service);
+//! * `BoundedStale` — served from a per-partition cache: an
+//!   `Arc<Column>` cloned from a follower replica no more often than the
+//!   staleness bound (5 minutes in the paper) and patched by the
+//!   changefeed in between, trading freshness for read throughput.
+//!
+//! Both modes answer from the same representation, so both answer an
+//! `Entity=` filter the same way: [`Column::entity_rows`] probes the
+//! entity's ≤ |attribute catalogue| slots instead of comparing names
+//! across the pool (§6.4's applications read "this switch", not the
+//! pool). Attribute-only and unfiltered reads scan the live rows. The
+//! order of returned rows is unspecified; callers that show rows sort
+//! them. Every read also knows which pool version it served
+//! ([`StorageService::read_versioned`]) — the cache entry's watermark, or
+//! the leader's under the same lock acquisition as the rows.
 //!
 //! Locking is sharded to match the paper's partitioning: each partition
 //! owns its own ring mutex and bookkeeping, so operations against
@@ -27,9 +39,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use statesman_obs::{Counter, Gauge, Histogram, RecoverySummary, Registry};
 use statesman_types::{
-    AppId, Attribute, DatacenterId, EntityName, Freshness, NetworkState, Pool, RetryPolicy,
-    SimDuration, SimTime, StateDelta, StateError, StateKey, StateResult, VarId, Version,
-    WorkerPool, WriteReceipt,
+    AppId, Attribute, Column, DatacenterId, EntityName, Freshness, NetworkState, Pool, RetryPolicy,
+    SimDuration, SimTime, StateDelta, StateError, StateKey, StateResult, Version, WorkerPool,
+    WriteReceipt,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,15 +123,20 @@ pub struct SeedStats {
     pub wall_ms: f64,
 }
 
-/// Cached pool snapshot for bounded-stale reads. Rows are shared via
-/// `Arc` so concurrent cache readers never copy under the lock. The
-/// watermark records which pool version the snapshot reflects, so an
-/// expired entry can be refreshed by applying a small delta to its own
-/// rows instead of recopying the pool out of a replica.
+/// One pool of one partition as a follower replica held it at
+/// `fetched_at`, for bounded-stale reads. It is the replica's [`Column`]
+/// itself, not a flattened row list: a cached read probes or scans it
+/// exactly as a leader read does the live one, and an expired entry is
+/// refreshed by upserting and tombstoning the changefeed since
+/// `watermark` into it instead of recopying the pool. Shared via `Arc`,
+/// so a hit is a refcount bump under the cache lock and the selection
+/// runs outside it. `watermark` is the pool version the column reflects
+/// — what a read served from it reports as the version served.
+#[derive(Clone)]
 struct CacheEntry {
     fetched_at: SimTime,
     watermark: Version,
-    rows: Arc<Vec<NetworkState>>,
+    column: Arc<Column>,
 }
 
 /// µs buckets for the per-partition ring-lock wait histogram. An
@@ -149,6 +166,9 @@ struct StorageObs {
     full_fallbacks: Counter,
     writes_suppressed: Counter,
     cache_delta_refreshes: Counter,
+    /// Rows (or slots) reads looked at to select what they returned: a
+    /// deterministic work count, not a time.
+    rows_visited: Counter,
     /// Per-partition contention series, labeled
     /// `storage_lock_wait_us{partition="..."}` /
     /// `storage_partition_inflight{partition="..."}`.
@@ -209,6 +229,7 @@ impl StorageObs {
             full_fallbacks: registry.counter("storage_full_fallbacks_total"),
             writes_suppressed: registry.counter("storage_writes_suppressed_total"),
             cache_delta_refreshes: registry.counter("storage_cache_delta_refreshes_total"),
+            rows_visited: registry.counter("storage_read_rows_visited_total"),
             lock_wait,
             partition_inflight,
             wal_appends: registry.counter("wal_appends_total"),
@@ -725,17 +746,24 @@ impl StorageService {
         self.submit_with_retry(part, &mut ring, dc, LogCommand::DeleteBatch { pool, keys })
     }
 
-    /// Read rows per the request's freshness mode.
+    /// Read rows per the request's freshness mode. Row order is
+    /// unspecified (it differs between a probe and a scan, and between
+    /// processes); callers that show rows sort them.
     pub fn read(&self, req: ReadRequest) -> StateResult<Vec<NetworkState>> {
+        self.read_versioned(req).map(|(rows, _)| rows)
+    }
+
+    /// [`StorageService::read`], plus the pool version the returned rows
+    /// reflect: the cached column's watermark for a bounded-stale read,
+    /// the leader's pool watermark — under the same ring-lock acquisition
+    /// as the rows — for an up-to-date one. A snapshot-then-follow client
+    /// passes it as its first `since=`; a version taken any later would
+    /// skip the changes committed in between.
+    pub fn read_versioned(&self, req: ReadRequest) -> StateResult<(Vec<NetworkState>, Version)> {
         if let Some(o) = self.obs() {
             o.reads.inc();
         }
-        let now = self.clock.now();
-        let matches = |r: &NetworkState| {
-            req.entity.as_ref().map(|e| &r.entity == e).unwrap_or(true)
-                && req.attribute.map(|a| r.attribute == a).unwrap_or(true)
-        };
-        let rows: Arc<Vec<NetworkState>> = match req.freshness {
+        let (rows, visited, served) = match req.freshness {
             Freshness::UpToDate => {
                 let part = self.part(&req.datacenter)?;
                 part.check_online(&req.datacenter)?;
@@ -745,69 +773,62 @@ impl StorageService {
                 }
                 let mut ring = self.lock_ring(&req.datacenter, part);
                 let machine = ring.leader_machine()?;
-                if req.entity.is_some() || req.attribute.is_some() {
-                    // Filter before cloning: a single-entity read copies
-                    // its handful of rows, not the whole pool.
-                    return Ok(machine.pool_rows_where(&req.pool, matches));
-                }
-                // Full-pool leader read: hand the copy straight back
-                // rather than re-cloning every row through the no-op
-                // filter below (full scans pay this per round).
-                return Ok(machine.pool_rows(&req.pool));
+                let (rows, visited) = machine
+                    .column(&req.pool)
+                    .map(|column| select_rows(column, &req))
+                    .unwrap_or_default();
+                (rows, visited, machine.pool_watermark(&req.pool))
             }
             Freshness::BoundedStale => {
-                let key = (req.datacenter.clone(), req.pool.clone());
-                // The config is immutable and outside every lock: the
-                // staleness-bound peek costs nothing.
-                let bound = self.config.staleness_bound;
-                // Fast path: a shared read lock and an Arc clone — no
-                // partition contention, no row copies.
-                let hit = {
-                    let cache = self.cache.read();
-                    cache.get(&key).and_then(|c| {
-                        (now.saturating_since(c.fetched_at) <= bound).then(|| Arc::clone(&c.rows))
-                    })
-                };
-                match hit {
-                    Some(rows) => {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = self.obs() {
-                            o.cache_hits.inc();
-                        }
-                        rows
-                    }
-                    None => {
-                        // The expired snapshot (if any) seeds a delta
-                        // refresh: apply the changefeed since its
-                        // watermark instead of recopying the pool.
-                        let prior = {
-                            let cache = self.cache.read();
-                            cache.get(&key).map(|c| (Arc::clone(&c.rows), c.watermark))
-                        };
-                        self.refresh_cache_entry(&req, now, key, prior)?
-                    }
-                }
+                let cached = self.cached_column(&req)?;
+                let (rows, visited) = select_rows(&cached.column, &req);
+                (rows, visited, cached.watermark)
             }
         };
-        Ok(rows.iter().filter(|r| matches(r)).cloned().collect())
+        if let Some(o) = self.obs() {
+            o.rows_visited.add(visited);
+        }
+        Ok((rows, served))
+    }
+
+    /// The bounded-stale cache's entry for the request's pool, refreshed
+    /// first if older than the staleness bound. A hit is a shared read
+    /// lock and an `Arc` clone: no partition lock, no health check
+    /// (bounded-stale reads ride out outages within the bound), no row
+    /// copies.
+    fn cached_column(&self, req: &ReadRequest) -> StateResult<CacheEntry> {
+        let now = self.clock.now();
+        let key = (req.datacenter.clone(), req.pool.clone());
+        let held = self.cache.read().get(&key).cloned();
+        match held {
+            Some(hit) if now.saturating_since(hit.fetched_at) <= self.config.staleness_bound => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = self.obs() {
+                    o.cache_hits.inc();
+                }
+                Ok(hit)
+            }
+            // The expired entry (if any) seeds a delta refresh.
+            expired => self.refresh_cache_entry(req, now, key, expired),
+        }
     }
 
     /// Refresh one bounded-stale cache entry from a (possibly behind)
-    /// replica: extract the small delta under the partition lock, apply
-    /// it to the held snapshot *outside* the lock, fall back to a full
-    /// pool copy when the changefeed cannot serve the gap. (Refreshes
-    /// check partition health: cache *hits* deliberately skip the online
-    /// check so bounded-stale reads ride out outages within the bound.)
+    /// replica: under the partition lock, extract the changefeed since
+    /// the held column's watermark, or clone the replica's column when
+    /// the change index cannot serve the gap; outside it, apply the
+    /// delta to the held column. (Refreshes check partition health;
+    /// cache *hits* deliberately do not.)
     fn refresh_cache_entry(
         &self,
         req: &ReadRequest,
         now: SimTime,
         key: (DatacenterId, Pool),
-        prior: Option<(Arc<Vec<NetworkState>>, Version)>,
-    ) -> StateResult<Arc<Vec<NetworkState>>> {
+        prior: Option<CacheEntry>,
+    ) -> StateResult<CacheEntry> {
         enum Refresh {
-            Delta(Arc<Vec<NetworkState>>, StateDelta),
-            Full(Vec<NetworkState>, Version),
+            Delta(Arc<Column>, StateDelta),
+            Full(Column, Version),
         }
         let refresh = {
             let part = self.part(&req.datacenter)?;
@@ -816,47 +837,50 @@ impl StorageService {
             // A follower replica: cheap, and possibly behind the leader —
             // both forms of staleness the 5-minute bound covers.
             let machine = ring.any_machine();
-            let delta = prior.and_then(|(rows, since)| {
+            let delta = prior.and_then(|held| {
                 machine
-                    .changes_since(&req.pool, since)
+                    .changes_since(&req.pool, held.watermark)
                     .filter(|d| !d.snapshot)
-                    .map(|d| (rows, d))
+                    .map(|d| (held.column, d))
             });
             match delta {
-                Some((rows, delta)) => Refresh::Delta(rows, delta),
+                Some((column, delta)) => Refresh::Delta(column, delta),
                 None => Refresh::Full(
-                    machine.pool_rows(&req.pool),
+                    machine
+                        .column(&req.pool)
+                        .cloned()
+                        .unwrap_or_else(|| Column::new(req.pool.clone())),
                     machine.pool_watermark(&req.pool),
                 ),
             }
         };
-        let (rows, watermark) = match refresh {
-            Refresh::Delta(old, delta) => {
+        let (column, watermark) = match refresh {
+            Refresh::Delta(mut column, delta) => {
                 if let Some(o) = self.obs() {
                     o.cache_delta_refreshes.inc();
                 }
-                let watermark = delta.watermark;
-                let mut map: HashMap<VarId, NetworkState> =
-                    old.iter().map(|r| (r.var_id(), r.clone())).collect();
-                for k in &delta.deletes {
-                    map.remove(&k.var_id());
+                if !delta.is_empty() {
+                    // Copy-on-write: the cache, and any reader mid-read,
+                    // still share the expired column.
+                    let held = Arc::make_mut(&mut column);
+                    for key in &delta.deletes {
+                        held.remove_var(key.var_id());
+                    }
+                    for row in delta.upserts {
+                        held.upsert(row);
+                    }
                 }
-                for r in delta.upserts {
-                    map.insert(r.var_id(), r);
-                }
-                (Arc::new(map.into_values().collect()), watermark)
+                (column, delta.watermark)
             }
-            Refresh::Full(rows, watermark) => (Arc::new(rows), watermark),
+            Refresh::Full(column, watermark) => (Arc::new(column), watermark),
         };
-        self.cache.write().insert(
-            key,
-            CacheEntry {
-                fetched_at: now,
-                watermark,
-                rows: Arc::clone(&rows),
-            },
-        );
-        Ok(rows)
+        let entry = CacheEntry {
+            fetched_at: now,
+            watermark,
+            column,
+        };
+        self.cache.write().insert(key, entry.clone());
+        Ok(entry)
     }
 
     /// Read one row up-to-date (checker fast path). Touches only the
@@ -1351,6 +1375,27 @@ fn partition_results<R>(dcs: &[DatacenterId], results: Vec<StateResult<R>>) -> S
                 .collect::<Vec<_>>()
                 .join("; "),
         }),
+    }
+}
+
+/// The rows of `column` a request selects, and how many rows the
+/// selection looked at (`storage_read_rows_visited_total`): an entity
+/// filter is one probe per attribute asked for — the whole catalogue, or
+/// the one named — whatever the column holds; anything else walks the
+/// live rows.
+fn select_rows(column: &Column, req: &ReadRequest) -> (Vec<NetworkState>, u64) {
+    match &req.entity {
+        Some(entity) => {
+            let probes = req.attribute.map_or(Attribute::catalogue().len(), |_| 1);
+            let rows = column.entity_rows(entity, req.attribute);
+            (rows.into_iter().cloned().collect(), probes as u64)
+        }
+        None => {
+            let rows = column
+                .rows()
+                .filter(|r| req.attribute.map(|a| r.attribute == a).unwrap_or(true));
+            (rows.cloned().collect(), column.len() as u64)
+        }
     }
 }
 

@@ -16,9 +16,11 @@
 //! reference across interleaved upserts, deletes, and compaction
 //! crossings.
 
-use crate::intern::{slot_registry, SlotId, VarId};
+use crate::entity::EntityName;
+use crate::intern::{interner, slot_registry, SlotId, VarId};
 use crate::state::{NetworkState, Pool};
 use crate::value::Value;
+use crate::vars::Attribute;
 
 /// Rows per arena chunk. Chunks are allocated whole and never moved, so
 /// row references stay valid across pushes while values still sit
@@ -197,6 +199,33 @@ impl Column {
         self.get_slot(slot_registry().lookup(&self.pool, var)?)
     }
 
+    /// The live rows of one entity — all of them, or the one under
+    /// `attribute` — in catalogue order. A lookup, not a scan: an entity
+    /// has at most one variable per catalogue attribute, each at a known
+    /// [`VarId`], so this costs one probe per attribute whatever the
+    /// column holds. The entity is resolved *without minting* (it arrives
+    /// as a request parameter; a name nobody ever wrote has no rows and
+    /// must not grow the process-wide table), and the slot probes share
+    /// one registry read lock.
+    pub fn entity_rows(
+        &self,
+        entity: &EntityName,
+        attribute: Option<Attribute>,
+    ) -> Vec<&NetworkState> {
+        let Some(id) = interner().lookup(entity) else {
+            return Vec::new();
+        };
+        let attributes = match &attribute {
+            Some(a) => std::slice::from_ref(a),
+            None => Attribute::catalogue(),
+        };
+        slot_registry()
+            .lookup_batch(&self.pool, attributes.iter().map(|a| VarId::new(id, *a)))
+            .into_iter()
+            .filter_map(|slot| self.get_slot(slot))
+            .collect()
+    }
+
     /// Pre-size the slot vector and occupancy bitmap up to `slot_high`
     /// slots and reserve arena storage for `rows` incoming rows — the
     /// bulk-ingest companion of [`Column::upsert_at`]: after one reserve,
@@ -342,10 +371,8 @@ impl<'a> Iterator for ColumnIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::EntityName;
     use crate::state::AppId;
     use crate::time::SimTime;
-    use crate::vars::Attribute;
 
     fn row(dev: &str, fw: &str) -> NetworkState {
         NetworkState::new(
@@ -380,6 +407,46 @@ mod tests {
         let high = c.slot_high_water();
         assert_eq!(c.upsert(a.clone()), slot);
         assert_eq!(c.slot_high_water(), high, "no new slot on re-insert");
+    }
+
+    #[test]
+    fn entity_rows_probe_matches_a_scan_and_never_mints() {
+        let mut c = Column::new(Pool::Observed);
+        let a = EntityName::device("dc-col", "probe-a");
+        let at = |attribute, v: &str| {
+            NetworkState::new(
+                a.clone(),
+                attribute,
+                Value::text(v),
+                SimTime::ZERO,
+                AppId::monitor(),
+            )
+        };
+        c.upsert(row("probe-b", "1"));
+        // Inserted out of catalogue order; one later tombstoned.
+        c.upsert(at(Attribute::DeviceBootImage, "img"));
+        c.upsert(at(Attribute::DeviceFirmwareVersion, "7"));
+        c.upsert(at(Attribute::DeviceAdminPower, "on"));
+        c.remove_var(VarId::of(&a, Attribute::DeviceAdminPower));
+
+        let mut scan: Vec<&NetworkState> = c.rows().filter(|r| r.entity == a).collect();
+        scan.sort_by_key(|r| r.attribute);
+        assert_eq!(c.entity_rows(&a, None), scan, "catalogue order");
+        assert_eq!(scan.len(), 2);
+        assert_eq!(
+            c.entity_rows(&a, Some(Attribute::DeviceBootImage)),
+            vec![&at(Attribute::DeviceBootImage, "img")]
+        );
+        assert!(c
+            .entity_rows(&a, Some(Attribute::DeviceAdminPower))
+            .is_empty());
+
+        // A name nobody wrote: no rows, and the probe did not intern it
+        // (table sizes are asserted where tests do not share a process
+        // table: `tests/entity_read_guards.rs`).
+        let ghost = EntityName::device("dc-col", "probe-ghost");
+        assert!(c.entity_rows(&ghost, None).is_empty());
+        assert_eq!(interner().lookup(&ghost), None);
     }
 
     #[test]

@@ -110,14 +110,8 @@ impl Interner {
     /// The id for `name`, minting one on first sight. Lookups for known
     /// names take a shared read lock and allocate nothing.
     pub fn intern(&self, name: &EntityName) -> EntityId {
-        if let Some(&id) = self
-            .inner
-            .read()
-            .expect("interner poisoned")
-            .lookup
-            .get(name)
-        {
-            return EntityId(id);
+        if let Some(id) = self.lookup(name) {
+            return id;
         }
         let mut inner = self.inner.write().expect("interner poisoned");
         if let Some(&id) = inner.lookup.get(name) {
@@ -128,6 +122,19 @@ impl Interner {
         inner.names.push(Arc::clone(&arc));
         inner.lookup.insert(arc, id);
         EntityId(id)
+    }
+
+    /// The id of `name` if it has been interned; never mints. This is the
+    /// lookup for names that arrive as *request parameters*: resolving
+    /// `GET /v1/read?Entity=<junk>` through [`Interner::intern`] would let
+    /// any client grow the append-only table without ever writing a row.
+    pub fn lookup(&self, name: &EntityName) -> Option<EntityId> {
+        self.inner
+            .read()
+            .expect("interner poisoned")
+            .lookup
+            .get(name)
+            .map(|&id| EntityId(id))
     }
 
     /// The name behind `id`. Panics on a foreign id (ids are only minted
@@ -262,6 +269,21 @@ impl SlotRegistry {
             .map(|&s| SlotId(s))
     }
 
+    /// The already-minted slots among `vars` in `pool`, in input order,
+    /// under one read-lock acquisition (never mints) — the probe behind
+    /// [`Column::entity_rows`](crate::Column::entity_rows), where the
+    /// per-variable [`SlotRegistry::lookup`] would take the lock once per
+    /// catalogue attribute.
+    pub fn lookup_batch(&self, pool: &Pool, vars: impl IntoIterator<Item = VarId>) -> Vec<SlotId> {
+        let inner = self.inner.read().expect("slot registry poisoned");
+        let Some(pool_slots) = inner.pools.get(pool) else {
+            return Vec::new();
+        };
+        vars.into_iter()
+            .filter_map(|v| pool_slots.lookup.get(&v).map(|&s| SlotId(s)))
+            .collect()
+    }
+
     /// The variable behind a slot. Panics on a foreign slot (slots are
     /// only minted by [`SlotRegistry::slot_of`]).
     pub fn var_of(&self, pool: &Pool, slot: SlotId) -> VarId {
@@ -337,6 +359,16 @@ mod tests {
     }
 
     #[test]
+    fn lookup_never_mints() {
+        let t = Interner::new();
+        assert_eq!(t.lookup(&dev("ghost")), None);
+        assert_eq!(t.len(), 0, "a miss leaves the table untouched");
+        let a = t.intern(&dev("a"));
+        assert_eq!(t.lookup(&dev("a")), Some(a));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
     fn var_id_packs_and_unpacks() {
         for attr in Attribute::catalogue() {
             let vid = VarId::new(EntityId(12345), *attr);
@@ -387,6 +419,15 @@ mod tests {
         assert_eq!(reg.var_of(&os, sb), b);
         assert_eq!(reg.pool_slots(&os), 2);
         assert_eq!(reg.pool_slots(&ts), 1);
+        // The batch probe returns only what is minted, in input order, and
+        // mints nothing itself.
+        let c = VarId::of(&dev("slot-c"), Attribute::DeviceFirmwareVersion);
+        assert_eq!(reg.lookup_batch(&os, [b, c, a]), vec![sb, sa]);
+        assert_eq!(
+            reg.lookup_batch(&Pool::Proposed(crate::AppId::new("none")), [a]),
+            vec![]
+        );
+        assert_eq!(reg.pool_slots(&os), 2);
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! * **compaction crossing** — a columnar mirror fed `read_since` deltas
 //!   survives a change-index compaction (snapshot fallback) bit-equal to
 //!   a full read;
+//! * **probe equivalence** — `StorageService` reads, which answer an
+//!   `Entity=` filter by probing the entity's catalogue slots, return what
+//!   a naive filter over a `BTreeMap` returns, for every filter shape and
+//!   entity kind, on the leader column and on the bounded-stale cache
+//!   across its full and delta refreshes, and report the version served;
 //! * **incremental checker equivalence** — a delta+columnar checker and
 //!   a full-read checker driven through identical proposal/churn/outage
 //!   histories issue identical receipts and leave identical pools;
@@ -26,19 +31,21 @@
 //!   checker (the snapshot fallback evicts, never serves stale parts).
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use statesman_core::groups::ImpactGroup;
 use statesman_core::{
     Checker, CheckerConfig, MapView, MergePolicy, Monitor, StateView, TorPairCapacityInvariant,
 };
 use statesman_net::{SimClock, SimConfig, SimNetwork};
+use statesman_obs::Registry;
 use statesman_storage::{
     LogCommand, ReadRequest, StateMachine, StorageConfig, StorageService, WriteRequest,
 };
 use statesman_types::{
-    slot_registry, AppId, Attribute, DatacenterId, EntityName, Freshness, NetworkState, Pool,
-    SimTime, StateKey, Value,
+    interner, slot_registry, AppId, Attribute, DatacenterId, EntityName, Freshness, NetworkState,
+    Pool, SimDuration, SimTime, StateKey, Value, Version,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The change-index depth (mirrors `CHANGE_INDEX_CAPACITY` in
 /// `statesman-storage`); writing more distinct rows than this between two
@@ -246,6 +253,215 @@ fn full_sorted(storage: &StorageService, dc: &DatacenterId, pool: Pool) -> Vec<N
         .unwrap();
     rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
     rows
+}
+
+/// One partition's pool as the probe-equivalence reference holds it, with
+/// the pool version it reflects.
+#[derive(Clone, Default)]
+struct PoolModel {
+    rows: BTreeMap<StateKey, NetworkState>,
+    watermark: Version,
+}
+
+/// One seeded history of writes, tombstone deletes, re-inserts and clock
+/// advances against a two-DC service, with every read shape compared to
+/// the reference after every step. Returns how many times the reference
+/// refreshed its bounded-stale copy.
+fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clock = SimClock::new();
+    let dcs = [DatacenterId::new("pe-dc1"), DatacenterId::new("pe-dc2")];
+    let mut config = StorageConfig::default();
+    // Small enough that a whole-universe batch outruns the change index
+    // (the cache's full refresh) and a few small ones do not (its delta).
+    config.ring.change_index_capacity = 16;
+    let bound = config.staleness_bound;
+    let storage = StorageService::new(dcs.clone(), clock.clone(), config);
+    storage.attach_obs(registry);
+    let pool = Pool::Observed;
+
+    // A device, a second device, a link and a path homed in dc1, a device
+    // homed in dc2, and a name nobody ever writes. Every catalogue
+    // attribute appears on every entity it applies to, so a probe that
+    // skipped any one of them would lose a row here.
+    let ghost = EntityName::device("pe-dc1", "never-written");
+    let entities = [
+        EntityName::device("pe-dc1", "agg-1-1"),
+        EntityName::device("pe-dc1", "tor-1-1"),
+        EntityName::link("pe-dc1", "agg-1-1", "tor-1-1"),
+        EntityName::path("pe-dc1", "tunnel-1"),
+        EntityName::device("pe-dc2", "agg-1-1"),
+    ];
+    let keys: Vec<StateKey> = entities
+        .iter()
+        .flat_map(|e| {
+            Attribute::catalogue()
+                .iter()
+                .filter(|a| a.applies_to(e.kind()))
+                .map(|a| StateKey::new(e.clone(), *a))
+        })
+        .collect();
+    let row = |key: &StateKey, value: String, rng: &mut StdRng| {
+        let value = if key.attribute.is_lock() {
+            Value::None
+        } else {
+            Value::text(value)
+        };
+        let writer = AppId::new(["probe-a", "probe-b"][rng.gen_range(0..2usize)]);
+        NetworkState::new(
+            key.entity.clone(),
+            key.attribute,
+            value,
+            clock.now(),
+            writer,
+        )
+    };
+
+    let mut live: HashMap<DatacenterId, PoolModel> = HashMap::new();
+    let mut cached: HashMap<DatacenterId, (SimTime, PoolModel)> = HashMap::new();
+    let mut refreshes = 0;
+    for step in 0..60 {
+        match rng.gen_range(0..10u32) {
+            kind @ 0..=4 => {
+                // Mostly a few rows from a small value space (re-writes are
+                // suppressed); now and then the whole universe, changed.
+                let rows: Vec<NetworkState> = if kind == 0 {
+                    keys.iter()
+                        .map(|k| row(k, format!("all-{step}"), &mut rng))
+                        .collect()
+                } else {
+                    (0..rng.gen_range(1..=3usize))
+                        .map(|_| {
+                            let key = &keys[rng.gen_range(0..keys.len())];
+                            let value = format!("v-{}", rng.gen_range(0..3u32));
+                            row(key, value, &mut rng)
+                        })
+                        .collect()
+                };
+                for r in &rows {
+                    let held = live.entry(r.entity.datacenter.clone()).or_default();
+                    let same = held
+                        .rows
+                        .get(&r.key())
+                        .is_some_and(|old| old.value == r.value && old.writer == r.writer);
+                    if !same {
+                        held.rows.insert(r.key(), r.clone());
+                    }
+                }
+                storage
+                    .write(WriteRequest {
+                        pool: pool.clone(),
+                        rows,
+                    })
+                    .unwrap();
+            }
+            5 | 6 => {
+                let doomed: Vec<StateKey> = (0..rng.gen_range(1..=4usize))
+                    .map(|_| keys[rng.gen_range(0..keys.len())].clone())
+                    .collect();
+                for key in &doomed {
+                    if let Some(held) = live.get_mut(&key.entity.datacenter) {
+                        held.rows.remove(key);
+                    }
+                }
+                storage.delete(pool.clone(), doomed).unwrap();
+            }
+            7 | 8 => {
+                clock.advance(SimDuration::from_mins(6));
+            }
+            _ => {
+                clock.advance(SimDuration::from_mins(1));
+            }
+        }
+
+        for dc in &dcs {
+            let held = live.entry(dc.clone()).or_default();
+            held.watermark = storage.pool_watermark(dc, &pool).unwrap();
+            for freshness in [Freshness::UpToDate, Freshness::BoundedStale] {
+                let reference = match freshness {
+                    Freshness::UpToDate => &*held,
+                    Freshness::BoundedStale => {
+                        let now = clock.now();
+                        let fresh = cached
+                            .get(dc)
+                            .is_some_and(|(at, _)| now.saturating_since(*at) <= bound);
+                        if !fresh {
+                            cached.insert(dc.clone(), (now, held.clone()));
+                            refreshes += 1;
+                        }
+                        &cached[dc].1
+                    }
+                };
+                let entity_filters = std::iter::once(None)
+                    .chain(entities.iter().map(Some))
+                    .chain([Some(&ghost)]);
+                for entity in entity_filters {
+                    let attribute_filters = std::iter::once(None)
+                        .chain(Attribute::catalogue().iter().copied().map(Some));
+                    for attribute in attribute_filters {
+                        let (mut got, served) = storage
+                            .read_versioned(ReadRequest {
+                                datacenter: dc.clone(),
+                                pool: pool.clone(),
+                                freshness,
+                                entity: entity.cloned(),
+                                attribute,
+                            })
+                            .unwrap();
+                        got.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
+                        // Commit versions are the machine's to stamp.
+                        for r in &mut got {
+                            r.version = Version::GENESIS;
+                        }
+                        let want: Vec<NetworkState> = reference
+                            .rows
+                            .values()
+                            .filter(|r| entity.map(|e| &r.entity == e).unwrap_or(true))
+                            .filter(|r| attribute.map(|a| r.attribute == a).unwrap_or(true))
+                            .cloned()
+                            .collect();
+                        let shape = format!(
+                            "seed {seed} step {step}: {dc} {freshness} Entity={entity:?} \
+                             Attribute={attribute:?}"
+                        );
+                        assert_eq!(got, want, "{shape}");
+                        assert_eq!(served, reference.watermark, "{shape}: version served");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        interner().lookup(&ghost),
+        None,
+        "reading a name never interns it"
+    );
+    refreshes
+}
+
+/// Probe-based reads ≡ a naive filter over a `BTreeMap`, as sorted sets:
+/// {up-to-date, bounded-stale} × {entity, entity+attribute, attribute,
+/// none} × {device, link, path, never-seen entity, entity homed in the
+/// other DC}, across interleaved upserts, tombstone deletes, re-inserts
+/// and clock advances past the staleness bound.
+#[test]
+fn probe_reads_match_a_naive_filter_over_a_btreemap() {
+    let registry = Registry::new();
+    let seeds = 4;
+    let refreshes: u64 = (0..seeds)
+        .map(|seed| probe_read_history(seed, &registry))
+        .sum();
+    // Both ways of refreshing the cache were on the path: every seed's
+    // two first fills are full copies, so any further non-delta refresh
+    // is a full copy forced by the change index.
+    let delta = registry
+        .counter_value("storage_cache_delta_refreshes_total")
+        .unwrap_or(0);
+    assert!(delta > 0, "no delta refresh in {refreshes} refreshes");
+    assert!(
+        refreshes - delta > 2 * seeds,
+        "no full refresh after the first fills ({refreshes} refreshes, {delta} delta)"
+    );
 }
 
 /// A columnar changefeed mirror crossing the change-index compaction
