@@ -76,8 +76,8 @@ pub struct CoordinatorConfig {
     /// against the projected intermediate state. `false` restores the
     /// legacy per-device chain walk (no plan, no in-flight checks).
     pub plan_synthesis: bool,
-    /// Run the delta-driven state plane: the monitor diffs against its
-    /// last-written view and writes only changed rows, and the checker
+    /// Run the delta-driven state plane: the monitor diffs each poll
+    /// against its diff base and writes only changed rows, and the checker
     /// and updater advance cached views via `read_since` changefeeds.
     /// `false` restores the seed's snapshot-per-round behavior (every
     /// stage reads and writes full pools every round).
@@ -89,9 +89,13 @@ pub struct CoordinatorConfig {
     /// projection + invariant sweep per pass — the reference behavior the
     /// columnar plane is property-tested bit-equal against.
     pub columnar_state: bool,
-    /// How often the monitor rewrites its full view even when nothing
-    /// changed (`None` = monitor default). Ignored when
-    /// `delta_state_plane` is false (every round is a full write).
+    /// How often the monitor distrusts its diff base: every Nth round it
+    /// re-reads the OS pool from the partition leaders and diffs the poll
+    /// against that, so whatever drifted between its memory and the store
+    /// — a row another writer overwrote or deleted, a half-committed
+    /// write — is rewritten, and nothing else is (`None` = monitor
+    /// default, 16). Ignored when `delta_state_plane` is false (no base
+    /// is kept; every round writes every polled row).
     pub monitor_resync_every: Option<u64>,
     /// Observability handle. When set, every tick records stage metrics
     /// into its registry, pushes a [`RoundTrace`] onto its ring, and
@@ -165,6 +169,8 @@ struct CoordObs {
     last_full_degrades: std::sync::atomic::AtomicU64,
     monitor_rows_written: Counter,
     monitor_writes_suppressed: Counter,
+    monitor_rows_compared: Counter,
+    monitor_rows_materialized: Counter,
     watermark_lag: Gauge,
     /// Distinct entity names in the process-wide interner.
     interned_entities: Gauge,
@@ -217,6 +223,8 @@ impl CoordObs {
             last_full_degrades: std::sync::atomic::AtomicU64::new(0),
             monitor_rows_written: r.counter("monitor_rows_written_total"),
             monitor_writes_suppressed: r.counter("monitor_writes_suppressed_total"),
+            monitor_rows_compared: r.counter("monitor_rows_compared_total"),
+            monitor_rows_materialized: r.counter("monitor_rows_materialized_total"),
             watermark_lag: r.gauge("state_watermark_lag"),
             interned_entities: r.gauge("interned_entities"),
             state_rows: r.gauge("state_rows"),
@@ -449,7 +457,7 @@ impl Coordinator {
                 None => monitor,
             }
         } else {
-            // Snapshot mode: every round is a full rewrite.
+            // Snapshot mode: no diff base, every round a full write.
             monitor.with_resync_every(1)
         };
         let mut updater = Updater::new(net.clone(), storage.clone(), graph.clone())
@@ -674,6 +682,10 @@ impl Coordinator {
         m.monitor_rows_written.add(report.rows_written as u64);
         m.monitor_writes_suppressed
             .add(report.writes_suppressed as u64);
+        m.monitor_rows_compared
+            .add(report.monitor.rows_compared as u64);
+        m.monitor_rows_materialized
+            .add(report.monitor.rows_materialized as u64);
         m.watermark_lag.set(report.watermark_lag as i64);
         let interned = statesman_types::interned_count() as u64;
         m.interned_entities.set(interned as i64);
@@ -1017,6 +1029,31 @@ mod tests {
         );
         assert_eq!(obs.traces.len(), 2);
         assert_eq!(obs.status().last_round, Some(1));
+    }
+
+    #[test]
+    fn monitor_work_counters_are_exported() {
+        let (graph, net, storage, _clock) = setup();
+        let obs = Obs::new();
+        let config = CoordinatorConfig {
+            obs: Some(obs.clone()),
+            ..Default::default()
+        };
+        let coord = Coordinator::new(&graph, net, storage, config);
+        let r0 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+        let r1 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+        let total = |f: fn(&MonitorReport) -> usize| Some((f(&r0.monitor) + f(&r1.monitor)) as u64);
+        let reg = &obs.registry;
+        assert_eq!(
+            reg.counter_value("monitor_rows_compared_total"),
+            total(|m| m.rows_compared)
+        );
+        // Neither round re-read a row (round 0 found the pool empty), so
+        // the loop built exactly the rows it wrote.
+        assert_eq!(
+            reg.counter_value("monitor_rows_materialized_total"),
+            total(|m| m.rows_written)
+        );
     }
 
     #[test]

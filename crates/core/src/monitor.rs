@@ -10,25 +10,31 @@
 //! Protocol use mirrors the deployment: SNMP for power/firmware/config
 //! state and counters on everything; OpenFlow collection for routing state
 //! on OpenFlow models; the vendor CLI for the RIB of BGP routers. A device
-//! that times out is handled the way network management systems do: the
-//! monitor marks every incident link oper-down (its live peers corroborate
-//! this), which is exactly the signal the checker's projection needs to
-//! treat the device as unavailable.
+//! that times out reports nothing; its links still do, through whichever
+//! endpoint answers — oper-down while the device is not forwarding — and
+//! a link neither endpoint answers for is marked oper-down the way
+//! network management systems do, which is exactly the signal the
+//! checker's projection needs to treat the devices as unavailable.
 //!
 //! Rounds are *partial-tolerant*: no device failure aborts a round. A
 //! failing device is quarantined for a cooldown — its OS rows go stale
-//! and its links stay inferred-down — instead of being re-polled (and
-//! re-timing-out) every round. After the cooldown one half-open probe
-//! either clears the quarantine or renews it. Only storage write failures
-//! abort a round; those are the coordinator's degraded-mode concern.
+//! — instead of being re-polled (and re-timing-out) every round. After the cooldown one half-open probe
+//! either clears the quarantine or renews it. Only storage failures abort
+//! a round; those are the coordinator's degraded-mode concern.
+//!
+//! A round costs what changed: every poll shard compares the values it
+//! collects against the monitor's *diff base* — what it believes the OS
+//! pool holds — in place, so only a row that differs is ever built,
+//! sorted, written and stored back. The belief is periodically
+//! distrusted, not the store: see [`Monitor::with_resync_every`].
 
 use parking_lot::Mutex;
 use statesman_net::{DeviceModel, DeviceProtocol, OpenFlowSim, SimNetwork, SnmpSim, VendorCliSim};
-use statesman_storage::{StorageService, WriteRequest};
-use statesman_topology::NetworkGraph;
+use statesman_storage::{ReadRequest, StorageService, WriteRequest};
+use statesman_topology::{EdgeId, NetworkGraph, NodeId};
 use statesman_types::{
-    AppId, Attribute, DatacenterId, DeviceName, EntityName, NetworkState, Pool, SimDuration,
-    SimTime, StateResult, Value, VarId, WorkerPool,
+    interner, AppId, Attribute, DatacenterId, DeviceName, EntityId, EntityName, Freshness,
+    NetworkState, Pool, SimDuration, SimTime, StateResult, Value, VarId, WorkerPool,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -39,17 +45,18 @@ const POLL_MS: u64 = 50;
 const CONCURRENCY_PER_SHARD: u64 = 64;
 /// Switches per monitor instance (§6.3: "roughly 1,000 switches").
 pub const SHARD_SIZE: usize = 1_000;
-/// Changed-row count above which a bootstrap round (empty diff base)
-/// routes through the storage bulk-ingest path instead of chunked
-/// steady-state writes. Matches the 50K chunk size: below it the
-/// chunked path is a single WriteBatch per partition anyway, so the
-/// switch only replaces rounds that would otherwise multi-chunk.
+/// Changed-row count above which a bootstrap round (nothing to diff
+/// against and nothing stored) routes through the storage bulk-ingest
+/// path instead of chunked steady-state writes. Matches the 50K chunk
+/// size: below it the chunked path is a single WriteBatch per partition
+/// anyway, so the switch only replaces rounds that would otherwise
+/// multi-chunk.
 pub const BULK_SEED_THRESHOLD: usize = 50_000;
 /// Default quarantine cooldown after a failed device poll.
 pub const DEFAULT_QUARANTINE_COOLDOWN: SimDuration = SimDuration::from_mins(5);
-/// Default full-resync cadence: every Nth round writes the whole OS view
-/// regardless of the diff cache, healing any drift between the monitor's
-/// memory of what it wrote and what storage actually holds.
+/// Default resync cadence: every Nth round distrusts the diff base,
+/// re-reads the OS pool and diffs against that, healing any drift between
+/// the monitor's memory of what it wrote and what storage actually holds.
 pub const DEFAULT_RESYNC_EVERY: u64 = 16;
 
 /// One collection round's outcome.
@@ -60,35 +67,46 @@ pub struct MonitorReport {
     /// Devices that timed out (rebooting, powered off, broken).
     pub devices_unreachable: usize,
     /// Devices skipped this round because they are quarantined from an
-    /// earlier failed poll (their links stay inferred-down; their other
-    /// OS rows go stale).
+    /// earlier failed poll (their OS rows go stale).
     pub devices_quarantined: usize,
-    /// Links reported (directly or inferred down).
+    /// Links reported (by an endpoint, or inferred down when neither
+    /// answers).
     pub links_polled: usize,
     /// OS rows written.
     pub rows_written: usize,
-    /// Polled rows *not* written because they match the monitor's last
-    /// written value (the delta path; quiescent rounds suppress nearly
-    /// everything).
+    /// Polled rows *not* written because they match the diff base
+    /// (quiescent rounds suppress nearly everything).
     pub writes_suppressed: usize,
+    /// Polled or inferred values compared against the diff base: one
+    /// base probe each, `rows_written + writes_suppressed`.
+    pub rows_compared: usize,
+    /// Owned rows the round built: one per changed row, plus every OS
+    /// row a resync re-read from storage. (The copies a write hands to
+    /// storage are not counted.) A quiescent round materialises exactly
+    /// what it writes.
+    pub rows_materialized: usize,
     /// Number of monitor instances (shards) this round used.
     pub shards: usize,
     /// Modeled wall time of the collection round in simulated terms
     /// (polls run concurrently within each shard).
     pub sim_io: SimDuration,
-    /// Host wall-clock time of the round (compute only).
+    /// Host wall-clock time of the round (compute only). The three
+    /// stages below sum to it.
     pub elapsed: Duration,
-    /// Wall time spent polling devices and links (including shard
-    /// fan-in on the parallel path).
+    /// Wall time spent polling devices and links *and comparing what
+    /// they report against the diff base*, which rides in the poll
+    /// shards (including shard fan-in on the parallel path).
     pub stage_poll: Duration,
-    /// Wall time spent deduplicating and diffing against the last
-    /// written base.
+    /// Wall time spent re-reading the OS pool into the diff base (resync
+    /// rounds only), merging the shards' changed rows and sorting them
+    /// into write order.
     pub stage_diff: Duration,
     /// Wall time spent on storage writes and diff-base maintenance.
     pub stage_write: Duration,
     /// Stage breakdown of the bulk-ingest seed write, present only on
-    /// rounds routed through [`StorageService::write_bulk`] (an empty
-    /// diff base plus a seed-sized changed set — bootstrap).
+    /// rounds routed through [`StorageService::write_bulk`] (nothing to
+    /// diff against, nothing stored, a seed-sized changed set —
+    /// bootstrap).
     pub seed: Option<statesman_storage::SeedStats>,
 }
 
@@ -100,22 +118,62 @@ pub struct Monitor {
     cli: VendorCliSim,
     storage: StorageService,
     graph: NetworkGraph,
+    ids: EntityIds,
     /// Devices under quarantine, mapped to when their cooldown expires.
     quarantine: Mutex<HashMap<DeviceName, SimTime>>,
     quarantine_cooldown: SimDuration,
-    /// What this monitor last wrote per variable: the diff base that lets
-    /// a round write only rows whose value actually changed. Columnar by
-    /// default — the base lives in the process-wide OS slot space, so a
-    /// full-coverage round clears and refills the same arena instead of
-    /// reallocating a map. Cleared on any write failure so the next round
-    /// rewrites everything (the cache may no longer match what storage
-    /// holds).
-    last_written: Mutex<crate::view::MapView>,
-    /// Rounds completed (drives the periodic full resync).
-    rounds: Mutex<u64>,
-    /// Every Nth round ignores the diff cache and writes the full view
-    /// (1 = the pre-delta behavior: every round writes everything).
+    base: Mutex<DiffBase>,
+    /// Every Nth round re-seeds the diff base from storage (1 = keep no
+    /// base: every round writes everything it polls).
     resync_every: u64,
+}
+
+/// The interned id of every graph node and edge, by index. The graph is
+/// immutable, so names are resolved once and every [`VarId`] a round
+/// needs is arithmetic on these.
+struct EntityIds {
+    nodes: Vec<EntityId>,
+    edges: Vec<EntityId>,
+    /// The partitions homing those entities: what a resync re-reads.
+    datacenters: BTreeSet<DatacenterId>,
+}
+
+impl EntityIds {
+    fn resolve(graph: &NetworkGraph) -> Self {
+        let id = |entity: EntityName| interner().intern(&entity);
+        let (nodes, edges) = (graph.nodes(), graph.edges());
+        EntityIds {
+            nodes: nodes.map(|(n, _)| id(device_entity(graph, n))).collect(),
+            edges: edges.map(|(e, _)| id(link_entity(graph, e))).collect(),
+            datacenters: (graph.nodes().map(|(_, n)| &n.datacenter))
+                .chain(graph.edges().map(|(_, e)| &e.datacenter))
+                .cloned()
+                .collect(),
+        }
+    }
+}
+
+fn device_entity(graph: &NetworkGraph, id: NodeId) -> EntityName {
+    let info = graph.node(id);
+    EntityName::device(info.datacenter.clone(), info.name.clone())
+}
+
+fn link_entity(graph: &NetworkGraph, id: EdgeId) -> EntityName {
+    let edge = graph.edge(id);
+    EntityName::link_named(edge.datacenter.clone(), edge.name.clone())
+}
+
+/// What the monitor believes the OS pool holds, and how many rounds it
+/// has run (the resync cadence counts from the first).
+struct DiffBase {
+    /// Columnar by default — the base lives in the process-wide OS slot
+    /// space, the same addressing as the storage column it mirrors.
+    /// Compared on value and writer only: an unchanged row keeps whatever
+    /// timestamp it arrived with. Empty means untrusted — a failed write
+    /// clears it, a bulk seed never fills it — and an empty base is
+    /// re-seeded from storage before use.
+    rows: crate::view::MapView,
+    rounds: u64,
 }
 
 impl Monitor {
@@ -127,11 +185,14 @@ impl Monitor {
             cli: VendorCliSim::new(net.clone()),
             net,
             storage,
+            ids: EntityIds::resolve(&graph),
             graph,
             quarantine: Mutex::new(HashMap::new()),
             quarantine_cooldown: DEFAULT_QUARANTINE_COOLDOWN,
-            last_written: Mutex::new(crate::view::MapView::columnar(Pool::Observed)),
-            rounds: Mutex::new(0),
+            base: Mutex::new(DiffBase {
+                rows: crate::view::MapView::columnar(Pool::Observed),
+                rounds: 0,
+            }),
             resync_every: DEFAULT_RESYNC_EVERY,
         }
     }
@@ -140,7 +201,7 @@ impl Monitor {
     /// Disabled, the base is a plain hash map — the reference layout the
     /// columnar plane is property-tested against.
     pub fn with_columnar_state(mut self, enabled: bool) -> Self {
-        *self.last_written.get_mut() = if enabled {
+        self.base.get_mut().rows = if enabled {
             crate::view::MapView::columnar(Pool::Observed)
         } else {
             crate::view::MapView::new()
@@ -155,8 +216,17 @@ impl Monitor {
         self
     }
 
-    /// Replace the full-resync cadence. `1` disables the delta path
-    /// entirely: every round writes the whole view, as before deltas.
+    /// Replace the resync cadence. The diff base is a belief, and beliefs
+    /// drift: another writer overwrites or deletes an OS row, a write
+    /// fails after part of it committed, the store is restored from an
+    /// older image. So on the first round, every `every`-th round and
+    /// whenever the base is empty (any failed write clears it) the
+    /// monitor distrusts the base, not the store: it re-reads the OS pool
+    /// from the partition leaders and diffs the poll against that. What
+    /// differs is exactly what the store is missing, and healing it takes
+    /// a write of those rows alone — one pool read, not a rewrite of the
+    /// whole view. `1` keeps no base at all: every round writes every row
+    /// it polls, as before deltas.
     pub fn with_resync_every(mut self, every: u64) -> Self {
         self.resync_every = every.max(1);
         self
@@ -188,286 +258,61 @@ impl Monitor {
         }
     }
 
-    /// The NMS inference rows for an unresponsive device: every incident
-    /// link is oper-down for traffic purposes (its live peers corroborate
-    /// this).
-    fn inferred_down_rows(
-        &self,
-        node_id: statesman_topology::NodeId,
-        now: SimTime,
-        writer: &AppId,
-    ) -> Vec<NetworkState> {
-        let mut rows = Vec::new();
-        for (e, _) in self.graph.neighbors(node_id) {
-            let edge = self.graph.edge(*e);
-            rows.push(NetworkState::new(
-                EntityName::link_named(edge.datacenter.clone(), edge.name.clone()),
-                Attribute::LinkOperStatus,
-                Value::oper(false),
-                now,
-                writer.clone(),
-            ));
-        }
-        rows
-    }
-
-    /// Poll one device: its state rows on success, or inferred link-down
-    /// rows when its management plane fails in any way. Returns
-    /// (rows, reachable). Infallible by design — a broken device must
-    /// never abort a collection round (partial-round tolerance).
-    fn collect_one_device(
-        &self,
-        node_id: statesman_topology::NodeId,
-        now: SimTime,
-        writer: &AppId,
-    ) -> (Vec<NetworkState>, bool) {
-        let info = self.graph.node(node_id);
-        let entity = EntityName::device(info.datacenter.clone(), info.name.clone());
-        let mut rows = Vec::new();
-        match self.snmp.collect_device(&info.name) {
-            Ok(pairs) => {
-                for (attr, value) in pairs {
-                    rows.push(NetworkState::new(
-                        entity.clone(),
-                        attr,
-                        value,
-                        now,
-                        writer.clone(),
-                    ));
-                }
-                // Routing state by model.
-                let model = self
-                    .net
-                    .device_snapshot(&info.name)
-                    .map(|d| d.model)
-                    .unwrap_or(DeviceModel::OpenFlowSwitch);
-                let routing = match model {
-                    DeviceModel::OpenFlowSwitch => self.of.collect_device(&info.name),
-                    DeviceModel::BgpRouter => self.cli.collect_device(&info.name),
-                };
-                if let Ok(pairs) = routing {
-                    for (attr, value) in pairs {
-                        rows.push(NetworkState::new(
-                            entity.clone(),
-                            attr,
-                            value,
-                            now,
-                            writer.clone(),
-                        ));
-                    }
-                }
-                (rows, true)
-            }
-            Err(_) => (self.inferred_down_rows(node_id, now, writer), false),
-        }
-    }
-
-    /// Poll one link (or infer oper-down when neither endpoint answers).
-    /// Infallible for the same reason as device polls.
-    fn collect_one_link(
-        &self,
-        edge_id: statesman_topology::EdgeId,
-        now: SimTime,
-        writer: &AppId,
-    ) -> Vec<NetworkState> {
-        let edge = self.graph.edge(edge_id);
-        let entity = EntityName::link_named(edge.datacenter.clone(), edge.name.clone());
-        match self.snmp.collect_link(&edge.name) {
-            Ok(pairs) => pairs
-                .into_iter()
-                .map(|(attr, value)| {
-                    NetworkState::new(entity.clone(), attr, value, now, writer.clone())
-                })
-                .collect(),
-            Err(_) => vec![NetworkState::new(
-                entity,
-                Attribute::LinkOperStatus,
-                Value::oper(false),
-                now,
-                writer.clone(),
-            )],
-        }
-    }
-
-    /// Deduplicate, persist, and account one round's rows.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_round(
-        &self,
-        rows: Vec<NetworkState>,
-        devices_polled: usize,
-        devices_unreachable: usize,
-        devices_quarantined: usize,
-        links_polled: usize,
-        entities_polled: u64,
-        skipped_dcs: bool,
-        started: Instant,
-    ) -> StateResult<MonitorReport> {
-        let stage_poll = started.elapsed();
-        // De-duplicate: a link may get an inferred down row (from a dead
-        // endpoint) *and* a polled row (from the live peer); polled rows
-        // already report oper-down for dead-endpoint links, so shadowing
-        // is consistent either way. A hash map (not the full sort) keeps
-        // the quiescent-round cost linear.
-        let mut dedup: HashMap<VarId, NetworkState> = HashMap::with_capacity(rows.len());
-        for r in rows {
-            dedup.insert(r.var_id(), r);
-        }
-        let round = {
-            let mut r = self.rounds.lock();
-            let current = *r;
-            *r += 1;
-            current
+    /// Poll one device: its attribute/value pairs (one per attribute; a
+    /// value the routing adapter repeats replaces SNMP's), or `None` when
+    /// its management plane fails in any way. Infallible by design — a
+    /// broken device must never abort a collection round (partial-round
+    /// tolerance).
+    fn poll_device(&self, name: &DeviceName) -> Option<Vec<(Attribute, Value)>> {
+        let mut pairs = self.snmp.collect_device(name).ok()?;
+        // Routing state by model.
+        let model = self
+            .net
+            .device_snapshot(name)
+            .map(|d| d.model)
+            .unwrap_or(DeviceModel::OpenFlowSwitch);
+        let routing = match model {
+            DeviceModel::OpenFlowSwitch => self.of.collect_device(name),
+            DeviceModel::BgpRouter => self.cli.collect_device(name),
         };
-        let force_full = round % self.resync_every == 0;
-        let mut last = self.last_written.lock();
-        let base_empty = last.rows().next().is_none();
-        let mut changed: Vec<NetworkState> = Vec::new();
-        let mut writes_suppressed = 0usize;
-        for (vid, row) in &dedup {
-            let unchanged = crate::view::StateView::get_var(&*last, *vid)
-                .map(|p| p.value == row.value && p.writer == row.writer)
-                .unwrap_or(false);
-            if unchanged && !force_full {
-                writes_suppressed += 1;
-                continue;
+        for (attr, value) in routing.unwrap_or_default() {
+            match pairs.iter_mut().find(|(a, _)| *a == attr) {
+                Some(pair) => pair.1 = value,
+                None => pairs.push((attr, value)),
             }
-            changed.push(row.clone());
         }
-        // Only the changed rows need the deterministic write order —
-        // string-key order, not id order (ids follow interning order).
-        changed.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
-        let rows_written = changed.len();
-        let diff_done = started.elapsed();
-        let stage_diff = diff_done - stage_poll;
-        // Chunk large rounds: one consensus commit per ~50K rows *per
-        // partition* keeps per-message payloads bounded at DC scale (§8:
-        // 394K variables). Chunks are ranked within each partition and
-        // every write batch carries each partition's same-rank chunk, so
-        // the storage proxy's per-partition fan-out commits them
-        // concurrently — while each ring still sees its own rows in the
-        // exact order the serial loop fed them, keeping versions,
-        // watermarks, and the wire format byte-identical.
-        let mut seed = None;
-        if base_empty && changed.len() >= BULK_SEED_THRESHOLD {
-            // Bootstrap: the diff base has never been written, so every
-            // row is new and each partition's pool is being seeded from
-            // empty. One BulkBatch per partition (batched slot minting,
-            // pre-sized columns, single watermark bump) replaces the
-            // chunked steady-state commits — below the threshold the
-            // chunked path degenerates to one WriteBatch per partition
-            // anyway, so small fabrics keep their exact prior behavior.
-            // The write consumes `changed` instead of cloning it — at
-            // seed scale that clone is millions of rows — and the diff
-            // base below refills from `dedup`, which at seed holds the
-            // same set (an empty base suppresses nothing).
-            match self.storage.write_bulk(WriteRequest {
+        Some(pairs)
+    }
+
+    /// Re-seed the diff base from a leader read of the OS pool of every
+    /// partition that homes a polled entity; returns the rows read.
+    /// Partitions in `skip_dcs` cannot be read (they are down), so their
+    /// entries carry over and a partial resync only overwrites. A failed
+    /// read leaves the base holding nothing it did not just read or
+    /// already hold, so the error costs at worst rewrites.
+    fn reseed(
+        &self,
+        base: &mut crate::view::MapView,
+        skip_dcs: &BTreeSet<DatacenterId>,
+    ) -> StateResult<usize> {
+        if self.ids.datacenters.is_disjoint(skip_dcs) {
+            base.clear();
+        }
+        let mut reread = 0;
+        for dc in self.ids.datacenters.difference(skip_dcs) {
+            let rows = self.storage.read(ReadRequest {
+                datacenter: dc.clone(),
                 pool: Pool::Observed,
-                rows: std::mem::take(&mut changed),
-            }) {
-                Ok(stats) => seed = Some(stats),
-                Err(e) => {
-                    // The diff base may no longer match storage; rewrite
-                    // everything next round.
-                    last.clear();
-                    return Err(e);
-                }
-            }
-        } else {
-            let mut by_part: BTreeMap<&DatacenterId, Vec<&NetworkState>> = BTreeMap::new();
-            for row in &changed {
-                by_part.entry(&row.entity.datacenter).or_default().push(row);
-            }
-            let max_chunks = by_part
-                .values()
-                .map(|rows| rows.len().div_ceil(50_000))
-                .max()
-                .unwrap_or(0);
-            for rank in 0..max_chunks {
-                let batch: Vec<NetworkState> = by_part
-                    .values()
-                    .flat_map(|rows| {
-                        rows.chunks(50_000)
-                            .nth(rank)
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|&r| r.clone())
-                    })
-                    .collect();
-                if let Err(e) = self.storage.write(WriteRequest {
-                    pool: Pool::Observed,
-                    rows: batch,
-                }) {
-                    // The diff base may no longer match storage; rewrite
-                    // everything next round.
-                    last.clear();
-                    return Err(e);
-                }
+                freshness: Freshness::UpToDate,
+                entity: None,
+                attribute: None,
+            })?;
+            reread += rows.len();
+            for row in rows {
+                base.upsert(row);
             }
         }
-        // Everything this round observed — written or suppressed — is the
-        // diff base for the next round. Keys in skipped DCs or on
-        // quarantined/unreachable devices were not polled, so those
-        // rounds must merge to carry their entries over.
-        let full_coverage = !skipped_dcs && devices_quarantined == 0 && devices_unreachable == 0;
-        if seed.is_some() {
-            // Bulk seed: the base was empty and every polled row was
-            // written (the write consumed `changed`), so the refill
-            // comes from the dedup map — the same rows, and upserting
-            // into a map is order-independent.
-            for (_, row) in dedup {
-                last.upsert(row);
-            }
-        } else if full_coverage && !force_full {
-            // Full coverage, delta round: the base already holds every
-            // polled key with its last-written value, so upserting only
-            // the changed rows and dropping keys that vanished from the
-            // poll is equivalent to the wholesale refill — minus cloning
-            // millions of unchanged rows back into place. Unchanged base
-            // rows keep their older timestamps; the diff above compares
-            // value + writer only, so that is invisible.
-            let stale: Vec<statesman_types::StateKey> = last
-                .rows()
-                .filter(|r| !dedup.contains_key(&r.var_id()))
-                .map(|r| statesman_types::StateKey::new(r.entity.clone(), r.attribute))
-                .collect();
-            for key in &stale {
-                last.remove(key);
-            }
-            for row in changed {
-                last.upsert(row);
-            }
-        } else {
-            if full_coverage {
-                // Wholesale replacement; a columnar base keeps its slots
-                // and arena, so this writes straight back into place.
-                last.clear();
-            }
-            for (_, row) in dedup {
-                last.upsert(row);
-            }
-        }
-        drop(last);
-
-        let shards = self.graph.node_count().div_ceil(SHARD_SIZE).max(1);
-        let lanes = shards as u64 * CONCURRENCY_PER_SHARD;
-        let sim_io = SimDuration::from_millis(entities_polled.div_ceil(lanes) * POLL_MS);
-
-        let elapsed = started.elapsed();
-        Ok(MonitorReport {
-            devices_polled,
-            devices_unreachable,
-            devices_quarantined,
-            links_polled,
-            rows_written,
-            writes_suppressed,
-            shards,
-            sim_io,
-            elapsed,
-            stage_poll,
-            stage_diff,
-            stage_write: elapsed.saturating_sub(diff_done),
-            seed,
-        })
+        Ok(reread)
     }
 
     /// Run one collection round: poll everything, write the OS.
@@ -483,10 +328,12 @@ impl Monitor {
     /// drives this).
     ///
     /// The one poll loop: the devices and links outside `skip_dcs` are
-    /// cut into `instances` contiguous shards, polled one shard per
-    /// worker, and merged in shard order — devices first, then links,
-    /// exactly the row order of a single instance — so the round's
-    /// outcome does not depend on the instance count.
+    /// cut into `instances` contiguous shards and polled one shard per
+    /// worker, each shard comparing what it collects against the
+    /// read-only diff base and handing back only the rows that differ.
+    /// Every variable is polled, and so compared, exactly once, and the
+    /// changed rows are sorted by key before they are written, so the
+    /// round's outcome does not depend on the instance count.
     pub fn run_round_sharded(
         &self,
         instances: usize,
@@ -496,83 +343,237 @@ impl Monitor {
         let now = self.net.clock().now();
         let writer = AppId::monitor();
         let pool = WorkerPool::new(instances);
+        let mut state = self.base.lock();
+        let round = state.rounds;
+        state.rounds += 1;
 
-        let device_ids: Vec<statesman_topology::NodeId> = self
+        // Resync = distrust the base, not the store: diff this round
+        // against what storage holds instead of what we remember writing.
+        let keeps_base = self.resync_every > 1;
+        let mut reread = 0;
+        if keeps_base && (round % self.resync_every == 0 || state.rows.is_empty()) {
+            reread = self.reseed(&mut state.rows, skip_dcs)?;
+        }
+        let reseeded = started.elapsed();
+
+        // Compare one entity's polled pairs against the base in place
+        // (one registry lock for the run): equal values are counted, the
+        // rest become owned rows — the only place a round names an entity.
+        let base = &state.rows;
+        let compare = |poll: &mut ShardPoll,
+                       id: EntityId,
+                       entity: &dyn Fn() -> EntityName,
+                       pairs: Vec<(Attribute, Value)>| {
+            let vars = pairs.into_iter().map(|(a, v)| (VarId::new(id, a), (a, v)));
+            base.get_each(vars, |(attr, value), prior| {
+                if prior.is_some_and(|p| p.value == value && p.writer == writer) {
+                    poll.suppressed += 1;
+                } else {
+                    let row = NetworkState::new(entity(), attr, value, now, writer.clone());
+                    poll.changed.push(row);
+                }
+            });
+        };
+        let device_ids: Vec<NodeId> = self
             .graph
             .nodes()
             .filter(|(_, info)| !skip_dcs.contains(&info.datacenter))
             .map(|(id, _)| id)
             .collect();
         let device_shards = pool.run(shards(&device_ids, pool.threads()), |_, shard| {
-            let mut poll = DevicePoll::default();
+            let mut poll = ShardPoll::default();
             for &node_id in shard {
                 let name = &self.graph.node(node_id).name;
                 // Quarantined devices are not re-polled (no poll budget
-                // spent re-timing-out); their links stay inferred-down.
+                // spent re-timing-out); their rows go stale.
                 if self.is_quarantined(name, now) {
                     poll.quarantined += 1;
-                    poll.rows
-                        .extend(self.inferred_down_rows(node_id, now, &writer));
                     continue;
                 }
-                let (mut rows, reachable) = self.collect_one_device(node_id, now, &writer);
-                poll.rows.append(&mut rows);
-                self.note_poll(name, now, reachable);
-                if reachable {
-                    poll.polled += 1;
-                } else {
+                let pairs = self.poll_device(name);
+                self.note_poll(name, now, pairs.is_some());
+                let Some(pairs) = pairs else {
                     poll.unreachable += 1;
-                }
+                    continue;
+                };
+                poll.polled += 1;
+                let id = self.ids.nodes[node_id.0 as usize];
+                let entity = || device_entity(&self.graph, node_id);
+                compare(&mut poll, id, &entity, pairs);
             }
             poll
         });
 
-        let edge_ids: Vec<statesman_topology::EdgeId> = self
+        let edge_ids: Vec<EdgeId> = self
             .graph
             .edges()
             .filter(|(_, edge)| !skip_dcs.contains(&edge.datacenter))
             .map(|(id, _)| id)
             .collect();
         let link_shards = pool.run(shards(&edge_ids, pool.threads()), |_, shard| {
-            let mut rows = Vec::new();
+            let mut poll = ShardPoll::default();
             for &edge_id in shard {
-                rows.extend(self.collect_one_link(edge_id, now, &writer));
+                // Infallible for the same reason as device polls. A link
+                // reports its own oper status whatever its endpoints'
+                // polls did; when neither endpoint answers, the NMS
+                // inference stands in: oper-down for traffic purposes.
+                let pairs = self
+                    .snmp
+                    .collect_link(&self.graph.edge(edge_id).name)
+                    .unwrap_or_else(|_| vec![(Attribute::LinkOperStatus, Value::oper(false))]);
+                let id = self.ids.edges[edge_id.0 as usize];
+                let entity = || link_entity(&self.graph, edge_id);
+                compare(&mut poll, id, &entity, pairs);
             }
-            rows
+            poll
         });
 
-        let mut devices = DevicePoll::default();
-        for mut shard in device_shards {
-            devices.polled += shard.polled;
-            devices.unreachable += shard.unreachable;
-            devices.quarantined += shard.quarantined;
-            concat(&mut devices.rows, &mut shard.rows);
+        // Fold the shards into the first, whose rows then never move.
+        let mut shards_polled = device_shards.into_iter().chain(link_shards);
+        let mut round_poll = shards_polled.next().unwrap_or_default();
+        shards_polled.for_each(|shard| round_poll.absorb(shard));
+        let polled = started.elapsed();
+
+        // Only the changed rows need the deterministic write order —
+        // string-key order, not id order (ids follow interning order).
+        // Keys are unique, so the in-place sort yields that one order.
+        let mut changed = std::mem::take(&mut round_poll.changed);
+        changed.sort_unstable_by(|a, b| a.key_ref().cmp(&b.key_ref()));
+        let rows_written = changed.len();
+        let diffed = started.elapsed();
+
+        let written = self.write_changed(&mut changed, state.rows.is_empty());
+        let seed = match written {
+            Ok(seed) => seed,
+            Err(e) => {
+                // The base may no longer match storage: distrust it.
+                state.rows.clear();
+                return Err(e);
+            }
+        };
+        if keeps_base {
+            // The base mirrors the store, so it moves exactly as the
+            // store just did: the suppressed rows are in it already, and
+            // what was not polled — skipped DCs, quarantined or silent
+            // devices, a key a poll stopped reporting — stays in it as it
+            // stays in the store.
+            for row in changed {
+                state.rows.upsert(row);
+            }
         }
-        let mut rows = devices.rows;
-        for mut shard in link_shards {
-            concat(&mut rows, &mut shard);
+        drop(state);
+
+        let shards = self.graph.node_count().div_ceil(SHARD_SIZE).max(1);
+        let lanes = shards as u64 * CONCURRENCY_PER_SHARD;
+        let entities_polled = (round_poll.polled + round_poll.unreachable + edge_ids.len()) as u64;
+        let sim_io = SimDuration::from_millis(entities_polled.div_ceil(lanes) * POLL_MS);
+
+        let elapsed = started.elapsed();
+        Ok(MonitorReport {
+            devices_polled: round_poll.polled,
+            devices_unreachable: round_poll.unreachable,
+            devices_quarantined: round_poll.quarantined,
+            links_polled: edge_ids.len(),
+            rows_written,
+            writes_suppressed: round_poll.suppressed,
+            rows_compared: rows_written + round_poll.suppressed,
+            rows_materialized: rows_written + reread,
+            shards,
+            sim_io,
+            elapsed,
+            stage_poll: polled - reseeded,
+            stage_diff: reseeded + (diffed - polled),
+            stage_write: elapsed.saturating_sub(diffed),
+            seed,
+        })
+    }
+
+    /// Persist one round's changed rows (key-sorted), handing storage its
+    /// own copies: the originals become diff-base entries. Except at
+    /// bootstrap, where storage takes the rows themselves.
+    fn write_changed(
+        &self,
+        changed: &mut Vec<NetworkState>,
+        base_empty: bool,
+    ) -> StateResult<Option<statesman_storage::SeedStats>> {
+        // Bootstrap: nothing to diff against and nothing stored, so every
+        // row is new and each partition's pool is being seeded from
+        // empty. One BulkBatch per partition (batched slot minting,
+        // pre-sized columns, single watermark bump) replaces the chunked
+        // steady-state commits — below the threshold the chunked path
+        // degenerates to one WriteBatch per partition anyway, so small
+        // fabrics keep their exact prior behavior. The write consumes the
+        // rows — at seed scale a copy is millions of rows — which leaves
+        // the base empty, so the next round re-reads what was stored.
+        let pool_len = |dc| self.storage.pool_len(dc, &Pool::Observed);
+        let pools_empty = || self.ids.datacenters.iter().all(|dc| pool_len(dc) == 0);
+        if base_empty && changed.len() >= BULK_SEED_THRESHOLD && pools_empty() {
+            let stats = self.storage.write_bulk(WriteRequest {
+                pool: Pool::Observed,
+                rows: std::mem::take(changed),
+            })?;
+            return Ok(Some(stats));
         }
-        self.finish_round(
-            rows,
-            devices.polled,
-            devices.unreachable,
-            devices.quarantined,
-            edge_ids.len(),
-            (devices.polled + devices.unreachable + edge_ids.len()) as u64,
-            !skip_dcs.is_empty(),
-            started,
-        )
+        // Chunk large rounds: one consensus commit per ~50K rows *per
+        // partition* keeps per-message payloads bounded at DC scale (§8:
+        // 394K variables). Chunks are ranked within each partition and
+        // every write batch carries each partition's same-rank chunk, so
+        // the storage proxy's per-partition fan-out commits them
+        // concurrently — while each ring still sees its own rows in the
+        // exact order the serial loop fed them, keeping versions,
+        // watermarks, and the wire format byte-identical.
+        let mut by_part: BTreeMap<&DatacenterId, Vec<&NetworkState>> = BTreeMap::new();
+        for row in changed.iter() {
+            by_part.entry(&row.entity.datacenter).or_default().push(row);
+        }
+        let max_chunks = by_part
+            .values()
+            .map(|rows| rows.len().div_ceil(50_000))
+            .max()
+            .unwrap_or(0);
+        for rank in 0..max_chunks {
+            let batch: Vec<NetworkState> = by_part
+                .values()
+                .flat_map(|rows| {
+                    rows.chunks(50_000)
+                        .nth(rank)
+                        .unwrap_or(&[])
+                        .iter()
+                        .map(|&r| r.clone())
+                })
+                .collect();
+            self.storage.write(WriteRequest {
+                pool: Pool::Observed,
+                rows: batch,
+            })?;
+        }
+        Ok(None)
     }
 }
 
-/// One shard's device polls: the rows collected (or inferred) and the
-/// per-outcome device counts.
+/// What one poll shard hands back: the rows that differ from the diff
+/// base, and counts for everything else.
 #[derive(Default)]
-struct DevicePoll {
-    rows: Vec<NetworkState>,
+struct ShardPoll {
+    /// Rows whose value or writer differs from the base (or that the base
+    /// does not hold), in poll order.
+    changed: Vec<NetworkState>,
+    /// Polled values equal to their base row.
+    suppressed: usize,
     polled: usize,
     unreachable: usize,
     quarantined: usize,
+}
+
+impl ShardPoll {
+    /// Fold a later shard into this one.
+    fn absorb(&mut self, mut shard: ShardPoll) {
+        self.changed.append(&mut shard.changed);
+        self.suppressed += shard.suppressed;
+        self.polled += shard.polled;
+        self.unreachable += shard.unreachable;
+        self.quarantined += shard.quarantined;
+    }
 }
 
 /// Cut `ids` into at most `instances` contiguous shards.
@@ -580,22 +581,12 @@ fn shards<T>(ids: &[T], instances: usize) -> Vec<&[T]> {
     ids.chunks(ids.len().div_ceil(instances).max(1)).collect()
 }
 
-/// Append `part` to `all`, taking over `part`'s buffer when `all` is
-/// still empty so the first shard's rows are never copied.
-fn concat<T>(all: &mut Vec<T>, part: &mut Vec<T>) {
-    if all.is_empty() {
-        std::mem::swap(all, part);
-    } else {
-        all.append(part);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use statesman_net::{DeviceCommand, SimClock, SimConfig};
     use statesman_topology::DcnSpec;
-    use statesman_types::{DatacenterId, DeviceName, Freshness, LinkName, StateKey};
+    use statesman_types::{LinkName, StateKey};
 
     fn setup() -> (SimNetwork, StorageService, NetworkGraph, SimClock) {
         let clock = SimClock::new();
@@ -743,18 +734,151 @@ mod tests {
         );
     }
 
+    /// A single-DC world whose counters wander on every `net.step`, and a
+    /// monitor over it at the given resync cadence. Two calls build
+    /// identical worlds (same simulator seed).
+    fn churning(resync_every: u64) -> (SimNetwork, StorageService, Monitor) {
+        let (net, storage, graph, _clock) = setup();
+        let m = Monitor::new(net.clone(), storage.clone(), graph).with_resync_every(resync_every);
+        (net, storage, m)
+    }
+
+    /// The OS pool as (key, value, writer), key-sorted.
+    fn os(storage: &StorageService) -> Vec<(StateKey, Value, AppId)> {
+        let rows = storage.read(statesman_storage::ReadRequest {
+            datacenter: DatacenterId::new("dc1"),
+            pool: Pool::Observed,
+            freshness: Freshness::UpToDate,
+            entity: None,
+            attribute: None,
+        });
+        let mut os: Vec<_> = rows
+            .unwrap()
+            .into_iter()
+            .map(|r| (r.key(), r.value, r.writer))
+            .collect();
+        os.sort_by(|a, b| a.0.cmp(&b.0));
+        os
+    }
+
+    /// Drift of the kind a resync exists for, applied behind the monitor's
+    /// back to one of two identical worlds; the untouched twin tells what
+    /// each round's real changes are.
+    fn heals_exactly_one_row(drift: impl Fn(&StorageService, &StateKey, SimTime)) {
+        let (net, storage, m) = churning(3);
+        let (twin_net, twin_storage, twin) = churning(3);
+        let round = || {
+            net.step(SimDuration::from_mins(1));
+            twin_net.step(SimDuration::from_mins(1));
+            (m.run_round().unwrap(), twin.run_round().unwrap())
+        };
+        round(); // round 0 seeds both stores
+        let key = StateKey::new(
+            EntityName::device("dc1", "agg-1-1"),
+            Attribute::DeviceFirmwareVersion,
+        );
+        drift(&storage, &key, net.clock().now());
+        // Delta rounds trust the base: the row stays wrong, its poll is
+        // suppressed like every other unchanged value.
+        for _ in 0..2 {
+            let (r, t) = round();
+            assert_eq!(r.rows_written, t.rows_written);
+            assert_eq!(r.writes_suppressed, t.writes_suppressed);
+            assert_ne!(os(&storage), os(&twin_storage));
+        }
+        // Round 3 distrusts the base and re-reads the pool: the drifted
+        // row, and only it, is written on top of the round's real changes.
+        let (r, t) = round();
+        assert_eq!(r.rows_written, t.rows_written + 1);
+        assert_eq!(r.writes_suppressed + 1, t.writes_suppressed);
+        assert_eq!(os(&storage), os(&twin_storage));
+        let healed = storage.read_row(&Pool::Observed, &key).unwrap().unwrap();
+        assert_eq!(healed.value, Value::text("6.0.3"));
+        assert_eq!(healed.updated_at, net.clock().now());
+        // The next resync (round 6) finds nothing to repair.
+        for _ in 0..3 {
+            let (r, t) = round();
+            assert_eq!(r.rows_written, t.rows_written);
+            assert_eq!(os(&storage), os(&twin_storage));
+        }
+    }
+
     #[test]
-    fn resync_round_rewrites_the_full_view() {
-        let (net, storage, graph, clock) = setup();
-        let m = Monitor::new(net, storage.clone(), graph).with_resync_every(2);
-        let r1 = m.run_round().unwrap(); // round 0: forced full
-        clock.advance(SimDuration::from_mins(5));
-        let r2 = m.run_round().unwrap(); // round 1: delta
-        clock.advance(SimDuration::from_mins(5));
-        let r3 = m.run_round().unwrap(); // round 2: forced full again
-        assert!(r2.rows_written < r1.rows_written);
-        assert_eq!(r3.rows_written, r1.rows_written);
-        assert_eq!(r3.writes_suppressed, 0);
+    fn resync_heals_a_row_overwritten_behind_the_monitors_back() {
+        heals_exactly_one_row(|storage, key, now| {
+            let intruder = AppId::new("intruder");
+            let row = NetworkState::new(
+                key.entity.clone(),
+                key.attribute,
+                Value::text("bogus"),
+                now,
+                intruder,
+            );
+            let overwrite = WriteRequest {
+                pool: Pool::Observed,
+                rows: vec![row],
+            };
+            storage.write(overwrite).unwrap();
+        });
+    }
+
+    #[test]
+    fn resync_heals_a_row_deleted_behind_the_monitors_back() {
+        heals_exactly_one_row(|storage, key, _| {
+            storage.delete(Pool::Observed, vec![key.clone()]).unwrap();
+        });
+    }
+
+    #[test]
+    fn work_counters_count_rows_built_and_rows_reread() {
+        let (net, storage, m) = churning(3);
+        let dc = DatacenterId::new("dc1");
+        let assert_compared = |r: &MonitorReport| {
+            assert_eq!(r.rows_compared, r.rows_written + r.writes_suppressed);
+        };
+        // Round 0 re-reads an empty pool and builds every row it writes.
+        let r0 = m.run_round().unwrap();
+        assert_eq!(r0.rows_materialized, r0.rows_written);
+        assert_compared(&r0);
+        // A full-coverage delta round builds exactly the rows that
+        // changed — none at all when nothing did.
+        net.step(SimDuration::from_mins(1));
+        let r1 = m.run_round().unwrap();
+        assert!(r1.rows_written > 0 && r1.writes_suppressed > 0);
+        assert_eq!(r1.rows_materialized, r1.rows_written);
+        assert_compared(&r1);
+        let r2 = m.run_round().unwrap();
+        assert_eq!((r2.rows_written, r2.rows_materialized), (0, 0));
+        assert_eq!(r2.rows_compared, r0.rows_written);
+        // A resync round adds the pool rows it re-read, nothing else.
+        net.step(SimDuration::from_mins(1));
+        let pool_rows = storage.pool_len(&dc, &Pool::Observed);
+        let r3 = m.run_round().unwrap();
+        assert!(r3.rows_written > 0);
+        assert_eq!(r3.rows_materialized, r3.rows_written + pool_rows);
+        assert_compared(&r3);
+    }
+
+    #[test]
+    fn bulk_seed_hands_storage_the_rows_and_the_next_round_rereads_them() {
+        let clock = SimClock::new();
+        let graph = DcnSpec::sized_for_variables("dc1", BULK_SEED_THRESHOLD + 2_000).build();
+        let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
+        let storage = StorageService::single_dc("dc1", clock);
+        let m = Monitor::new(net.clone(), storage.clone(), graph);
+        let r0 = m.run_round().unwrap();
+        assert!(r0.rows_written >= BULK_SEED_THRESHOLD);
+        assert_eq!(r0.seed.map(|s| s.rows), Some(r0.rows_written as u64));
+        // The seed write took the rows, not copies: the base is still
+        // empty, so round 1 re-reads the pool and then diffs as usual.
+        net.step(SimDuration::from_mins(1));
+        let r1 = m.run_round().unwrap();
+        assert_eq!(r1.rows_materialized, r1.rows_written + r0.rows_written);
+        assert!(r1.rows_written > 0 && r1.rows_written * 4 < r0.rows_written);
+        assert!(r1.seed.is_none());
+        net.step(SimDuration::from_mins(1));
+        let r2 = m.run_round().unwrap();
+        assert_eq!(r2.rows_materialized, r2.rows_written);
     }
 
     #[test]
@@ -770,24 +894,38 @@ mod tests {
 
     #[test]
     fn write_failure_clears_the_diff_base() {
-        let (net, storage, graph, clock) = setup();
-        let m = Monitor::new(net, storage.clone(), graph).with_resync_every(2);
+        let (net, storage, m) = churning(8);
+        let (twin_net, twin_storage, twin) = churning(8);
         let dc = DatacenterId::new("dc1");
-        let r0 = m.run_round().unwrap(); // round 0: full
-        clock.advance(SimDuration::from_mins(5));
+        let step = || {
+            net.step(SimDuration::from_mins(1));
+            twin_net.step(SimDuration::from_mins(1));
+        };
+        let r0 = m.run_round().unwrap(); // round 0 seeds
+        twin.run_round().unwrap();
+        step();
         m.run_round().unwrap(); // round 1: delta
+        twin.run_round().unwrap();
+        // Round 2 is a delta round with real changes to write: the write
+        // fails against the offline partition, and the base with it.
         storage.set_partition_available(&dc, false);
-        clock.advance(SimDuration::from_mins(5));
-        // Round 2 is a forced resync: the write fails against the offline
-        // partition and must clear the diff base.
+        step();
         assert!(m.run_round().is_err());
+        twin.run_round().unwrap();
         storage.set_partition_available(&dc, true);
-        clock.advance(SimDuration::from_mins(5));
-        // Round 3 would normally be a delta round, but with the base
-        // cleared it rewrites the whole view.
+        step();
+        // Round 3 is no resync round by the cadence, but the base is
+        // gone: it is re-seeded from storage, and the round writes what
+        // storage is missing — the rows that changed since round 1 — not
+        // the whole view.
+        let pool_rows = storage.pool_len(&dc, &Pool::Observed);
         let r3 = m.run_round().unwrap();
-        assert_eq!(r3.rows_written, r0.rows_written);
-        assert_eq!(r3.writes_suppressed, 0);
+        twin.run_round().unwrap();
+        assert_eq!(r3.rows_materialized, r3.rows_written + pool_rows);
+        assert!(r3.rows_written > 0 && r3.rows_written * 4 < r0.rows_written);
+        assert_eq!(r3.rows_written + r3.writes_suppressed, r0.rows_written);
+        // OS ≡ device state: the same as a store that never went away.
+        assert_eq!(os(&storage), os(&twin_storage));
     }
 
     #[test]

@@ -162,6 +162,26 @@ impl MapView {
         }
     }
 
+    /// [`StateView::get_var`] for a run of variables: `each` gets every
+    /// item back with the row stored for its variable, in input order. A
+    /// columnar view resolves the whole run under one slot-registry read
+    /// lock (see [`Column::get_each`]), so `each` must not touch the
+    /// registry.
+    pub fn get_each<'a, T>(
+        &'a self,
+        items: impl IntoIterator<Item = (VarId, T)>,
+        mut each: impl FnMut(T, Option<&'a NetworkState>),
+    ) {
+        match &self.repr {
+            ViewRepr::Hash(rows) => {
+                for (var, item) in items {
+                    each(item, rows.get(&var));
+                }
+            }
+            ViewRepr::Columnar(col) => col.get_each(items, each),
+        }
+    }
+
     /// Iterate all rows (hash: unordered; columnar: slot order).
     pub fn rows(&self) -> RowsIter<'_> {
         match &self.repr {

@@ -112,7 +112,7 @@ fn row_heap_bytes(row: &NetworkState) -> usize {
         Value::Lock(_) => 64,
         _ => 0,
     };
-    row.entity.to_string().len() + row.writer.as_str().len() + value
+    row.entity.wire_len() + row.writer.as_str().len() + value
 }
 
 /// One pool's columnar store: a dense slot → row mapping over a
@@ -199,6 +199,20 @@ impl Column {
         self.get_slot(slot_registry().lookup(&self.pool, var)?)
     }
 
+    /// [`Column::get_var`] for a run of variables under one registry read
+    /// lock: `each` gets every item back with the live row of its
+    /// variable, in input order. `each` runs under that lock and must not
+    /// touch the slot registry.
+    pub fn get_each<'a, T>(
+        &'a self,
+        items: impl IntoIterator<Item = (VarId, T)>,
+        mut each: impl FnMut(T, Option<&'a NetworkState>),
+    ) {
+        slot_registry().lookup_each(&self.pool, items, |item, slot| {
+            each(item, slot.and_then(|s| self.get_slot(s)))
+        });
+    }
+
     /// The live rows of one entity — all of them, or the one under
     /// `attribute` — in catalogue order. A lookup, not a scan: an entity
     /// has at most one variable per catalogue attribute, each at a known
@@ -219,11 +233,12 @@ impl Column {
             Some(a) => std::slice::from_ref(a),
             None => Attribute::catalogue(),
         };
-        slot_registry()
-            .lookup_batch(&self.pool, attributes.iter().map(|a| VarId::new(id, *a)))
-            .into_iter()
-            .filter_map(|slot| self.get_slot(slot))
-            .collect()
+        let mut rows = Vec::new();
+        self.get_each(
+            attributes.iter().map(|a| (VarId::new(id, *a), ())),
+            |(), row| rows.extend(row),
+        );
+        rows
     }
 
     /// Pre-size the slot vector and occupancy bitmap up to `slot_high`

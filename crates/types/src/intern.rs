@@ -270,18 +270,36 @@ impl SlotRegistry {
     }
 
     /// The already-minted slots among `vars` in `pool`, in input order,
-    /// under one read-lock acquisition (never mints) — the probe behind
-    /// [`Column::entity_rows`](crate::Column::entity_rows), where the
-    /// per-variable [`SlotRegistry::lookup`] would take the lock once per
-    /// catalogue attribute.
+    /// under one read-lock acquisition (never mints).
     pub fn lookup_batch(&self, pool: &Pool, vars: impl IntoIterator<Item = VarId>) -> Vec<SlotId> {
+        let mut slots = Vec::new();
+        self.lookup_each(pool, vars.into_iter().map(|v| (v, ())), |(), slot| {
+            slots.extend(slot)
+        });
+        slots
+    }
+
+    /// The positional form of [`SlotRegistry::lookup_batch`]: `each` gets
+    /// every item back with its variable's slot (`None` if never minted),
+    /// in input order, all under one read-lock acquisition — so a caller
+    /// can carry a payload per variable (the monitor's polled values)
+    /// and still see the misses. This is the probe behind
+    /// [`Column::get_each`](crate::Column::get_each), where the
+    /// per-variable [`SlotRegistry::lookup`] would take the lock once per
+    /// variable. Never mints. `each` runs under the lock and must not call
+    /// back into the registry.
+    pub fn lookup_each<T>(
+        &self,
+        pool: &Pool,
+        items: impl IntoIterator<Item = (VarId, T)>,
+        mut each: impl FnMut(T, Option<SlotId>),
+    ) {
         let inner = self.inner.read().expect("slot registry poisoned");
-        let Some(pool_slots) = inner.pools.get(pool) else {
-            return Vec::new();
-        };
-        vars.into_iter()
-            .filter_map(|v| pool_slots.lookup.get(&v).map(|&s| SlotId(s)))
-            .collect()
+        let pool_slots = inner.pools.get(pool);
+        for (var, item) in items {
+            let slot = pool_slots.and_then(|p| p.lookup.get(&var));
+            each(item, slot.map(|&s| SlotId(s)));
+        }
     }
 
     /// The variable behind a slot. Panics on a foreign slot (slots are
