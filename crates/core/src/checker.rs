@@ -29,13 +29,15 @@ use crate::deps::{blast_radius, DependencyModel};
 use crate::groups::ImpactGroup;
 use crate::invariants::{Invariant, InvariantContext, Violation};
 use crate::locks;
-use crate::view::{project_health, reproject_entities, MapView, OverlayView, StateView};
+use crate::view::{
+    project_health, reproject_entities, MapView, OverlayView, PartsView, PoolMirror, StateView,
+};
 use parking_lot::Mutex;
-use statesman_storage::{ReadRequest, StorageService, WriteRequest};
+use statesman_storage::{StorageService, WriteRequest};
 use statesman_topology::{HealthView, NetworkGraph};
 use statesman_types::{
-    AppId, DatacenterId, DependencyLevel, DeviceName, Freshness, NetworkState, Pool, SimTime,
-    StateKey, StateResult, Value, VarId, Version, WorkerPool, WriteOutcome, WriteReceipt,
+    AppId, DatacenterId, DependencyLevel, DeviceName, NetworkState, Pool, SimTime, StateDelta,
+    StateKey, StateResult, Value, Version, WorkerPool, WriteOutcome, WriteReceipt,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -93,15 +95,11 @@ impl CheckerPassReport {
     }
 }
 
-/// One partition's pool, mirrored checker-side and advanced by storage
-/// changefeed deltas between passes. `group_rows` counts the mirror rows
-/// that belong to this checker's group — maintained incrementally so the
-/// zero-copy columnar read path can report `variables_read` without a
-/// scan.
-#[derive(Default)]
-struct CachedPart {
-    view: MapView,
-    watermark: Version,
+/// A partition mirror and the count of its rows that belong to this
+/// checker's group, kept by [`Checker::note_delta`] so the zero-copy read
+/// path can report `variables_read` without a scan.
+struct GroupMirror {
+    mirror: PoolMirror,
     group_rows: usize,
 }
 
@@ -111,11 +109,22 @@ struct CachedPart {
 /// abandoned — a snapshot-fallback delta arrived (the mirror was
 /// rebuilt wholesale, e.g. after a change-index compaction) or the churn
 /// exceeded [`SEED_TRACK_LIMIT`] — and the pass must reseed from scratch.
+/// It starts out abandoned where nothing is to be tracked: PS pools, and
+/// the hash plane's full-seed reference.
 #[derive(Default)]
 struct ChangeTrack {
     rows: Vec<NetworkState>,
     keys: Vec<StateKey>,
     full: bool,
+}
+
+impl ChangeTrack {
+    fn abandoned() -> Self {
+        ChangeTrack {
+            full: true,
+            ..ChangeTrack::default()
+        }
+    }
 }
 
 /// Above this many tracked changes a full reseed is cheaper than
@@ -133,33 +142,6 @@ const SEED_TRACK_LIMIT: usize = 8_192;
 struct SeedCache {
     health: HealthView,
     verdicts: Vec<Option<Violation>>,
-}
-
-/// The observed-state view a pass reasons over: an owned copy (hash
-/// path, quarantine fallback) or zero-copy references into the columnar
-/// partition mirrors. The mirrors hold every row of their partitions, so
-/// the zero-copy lookup re-applies the group filter per hit — DC groups
-/// exclude border devices homed in their own partition.
-enum OsView<'a> {
-    Owned(MapView),
-    Mirrors(Vec<&'a MapView>, &'a ImpactGroup),
-}
-
-impl StateView for OsView<'_> {
-    fn get_var(&self, var: VarId) -> Option<&NetworkState> {
-        match self {
-            OsView::Owned(v) => v.get_var(var),
-            OsView::Mirrors(parts, group) => {
-                for p in parts {
-                    if let Some(r) = p.get_var(var) {
-                        // A variable is homed in exactly one partition.
-                        return group.contains(&r.entity).then_some(r);
-                    }
-                }
-                None
-            }
-        }
-    }
 }
 
 /// Evidence that the last pass was a pure no-op: the partition-level
@@ -180,20 +162,19 @@ pub struct Checker {
     model: DependencyModel,
     invariants: Vec<Box<dyn Invariant>>,
     graph: NetworkGraph,
-    /// Read pools incrementally via `read_since` (default). Disabled, the
-    /// checker re-reads full pools every pass — the pre-delta behavior.
+    /// Carry mirrors, seed and quiescent mark from pass to pass
+    /// (default). Disabled, every pass first forgets all three — the
+    /// full-read reference the equivalence suites compare against.
     delta_reads: bool,
     /// Columnar state plane (default). Partition mirrors are slot-indexed
-    /// [`Column`](statesman_types::Column)s read zero-copy, and the seed
-    /// evaluation is blast-radius incremental. Disabled, mirrors are hash
-    /// maps, the OS is copied out per pass, and every pass seeds with a
-    /// full projection + invariant sweep — the pre-columnar behavior the
-    /// equivalence suite compares against.
+    /// [`Column`](statesman_types::Column)s, and the seed evaluation is
+    /// blast-radius incremental. Disabled, mirrors are hash maps and
+    /// every pass seeds with a full projection + invariant sweep — the
+    /// pre-columnar behavior the equivalence suite compares against.
     columnar_state: bool,
-    /// Per-(pool, partition) mirror advanced by deltas. Entries are
-    /// invalidated whenever a pass cannot use the delta path, so the next
-    /// delta pass re-seeds from a consistent `read_since` reply.
-    part_cache: Mutex<HashMap<(Pool, DatacenterId), CachedPart>>,
+    /// Per-(pool, partition) mirror advanced by `read_since`; the only
+    /// way a pass reads a pool.
+    part_cache: Mutex<HashMap<(Pool, DatacenterId), GroupMirror>>,
     /// Pool for the pure fan-out stages (seed invariant sweeps). The
     /// per-candidate gate below stays serial: invariant caches make
     /// evaluation *order* observable once a candidate is rejected, and
@@ -203,8 +184,8 @@ pub struct Checker {
     /// Carried-over seed for the blast-radius incremental checker.
     seed_cache: Mutex<Option<SeedCache>>,
     /// Set iff the previous pass was a recorded no-op (see
-    /// [`QuiescentMark`]); cleared by quarantine passes, disabled delta
-    /// reads, or any pass that did work.
+    /// [`QuiescentMark`]); cleared by quarantine passes or any pass that
+    /// did work.
     quiescent: Mutex<Option<QuiescentMark>>,
     /// Times a pass's [`ChangeTrack`] silently degraded to a full reseed:
     /// churn beyond [`SEED_TRACK_LIMIT`], or a snapshot-fallback delta on
@@ -302,97 +283,80 @@ impl Checker {
         }
     }
 
-    /// Read every row of `pool` that belongs to this group. With
-    /// `use_delta`, each partition's pool is mirrored checker-side and
-    /// advanced by `read_since` deltas — pass cost scales with churn, not
-    /// pool size. Without it (quarantine passes, or delta reads disabled)
-    /// the pool is re-read in full and the mirror invalidated, so the
-    /// next delta pass re-seeds from one consistent changefeed reply.
+    /// Advance this group's mirrors of `pool` and copy its rows out
+    /// (TS and PS are small and the pass edits its working copy).
     fn read_group_pool(
         &self,
-        cache: &mut HashMap<(Pool, DatacenterId), CachedPart>,
+        cache: &mut HashMap<(Pool, DatacenterId), GroupMirror>,
         storage: &StorageService,
         pool: &Pool,
-        use_delta: bool,
-        mut track: Option<&mut ChangeTrack>,
+        track: &mut ChangeTrack,
     ) -> StateResult<Vec<NetworkState>> {
         let mut rows = Vec::new();
         for dc in self.group_partitions(storage) {
-            if use_delta {
-                self.advance_partition(cache, storage, pool, &dc, track.as_deref_mut())?;
-                let entry = &cache[&(pool.clone(), dc)];
-                rows.extend(
-                    entry
-                        .view
-                        .rows()
-                        .filter(|r| self.group_ref().contains(&r.entity))
-                        .cloned(),
-                );
-            } else {
-                cache.remove(&(pool.clone(), dc.clone()));
-                let part_rows = storage.read(ReadRequest {
-                    datacenter: dc,
-                    pool: pool.clone(),
-                    freshness: Freshness::UpToDate,
-                    entity: None,
-                    attribute: None,
-                })?;
-                rows.extend(
-                    part_rows
-                        .into_iter()
-                        .filter(|r| self.group_ref().contains(&r.entity)),
-                );
-            }
+            self.advance_partition(cache, storage, pool, &dc, track)?;
+            let part = cache[&(pool.clone(), dc)].mirror.view();
+            rows.extend(
+                PartsView::new(vec![part], Some(self.group_ref()))
+                    .rows()
+                    .cloned(),
+            );
         }
         Ok(rows)
     }
 
-    /// Advance one partition mirror by its `read_since` delta, keeping the
-    /// group-row count exact and (when `track` is given) recording the
-    /// group rows the delta changed — the input to [`blast_radius`]. A
-    /// snapshot-fallback delta rebuilds the mirror wholesale and abandons
-    /// tracking: the change set is unknowable, so the pass must reseed.
+    /// Advance one partition mirror (cold on first use) by its
+    /// `read_since` reply, keeping the group-row count exact and
+    /// recording the group rows the reply changed.
     fn advance_partition(
         &self,
-        cache: &mut HashMap<(Pool, DatacenterId), CachedPart>,
+        cache: &mut HashMap<(Pool, DatacenterId), GroupMirror>,
         storage: &StorageService,
         pool: &Pool,
         dc: &DatacenterId,
-        mut track: Option<&mut ChangeTrack>,
+        track: &mut ChangeTrack,
     ) -> StateResult<()> {
-        let key = (pool.clone(), dc.clone());
-        let since = cache.get(&key).map(|e| e.watermark).unwrap_or_default();
-        let delta = storage.read_since(dc, pool, since)?;
-        let entry = cache.entry(key).or_insert_with(|| CachedPart {
-            view: if self.columnar_state {
-                MapView::columnar(pool.clone())
-            } else {
-                MapView::new()
-            },
-            watermark: Version::default(),
-            group_rows: 0,
-        });
-        entry.watermark = delta.watermark;
-        if delta.snapshot {
-            if let Some(t) = track.as_deref_mut() {
-                // A snapshot on an established mirror (change-index
-                // compaction fallback) is a silent whole-network degrade;
-                // the very first seed of a fresh mirror is not.
-                if !t.full && since != Version::default() {
-                    self.full_degrades
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                t.full = true;
-                t.rows.clear();
-                t.keys.clear();
+        let entry = cache
+            .entry((pool.clone(), dc.clone()))
+            .or_insert_with(|| GroupMirror {
+                mirror: PoolMirror::cold(pool, self.columnar_state),
+                group_rows: 0,
+            });
+        let group_rows = &mut entry.group_rows;
+        entry
+            .mirror
+            .advance(storage, dc, pool, |view, since, delta| {
+                self.note_delta(view, since, delta, group_rows, track)
+            })
+    }
+
+    /// The visitor over a `read_since` reply about to be applied to
+    /// `view`: update the mirror's group-row count and record the group
+    /// rows the reply changes — the input to [`blast_radius`]. A snapshot
+    /// reply or churn past [`SEED_TRACK_LIMIT`] abandons tracking (the
+    /// pass must reseed): a silent whole-network degrade on an
+    /// established mirror, not on a cold one (`since` at genesis).
+    fn note_delta(
+        &self,
+        view: &MapView,
+        since: Version,
+        delta: &StateDelta,
+        group_rows: &mut usize,
+        track: &mut ChangeTrack,
+    ) {
+        let in_group = |r: &&NetworkState| self.group_ref().contains(&r.entity);
+        let degrade = |t: &mut ChangeTrack| {
+            if !t.full && since != Version::default() {
+                self.full_degrades
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            entry.view.apply_delta(delta);
-            entry.group_rows = entry
-                .view
-                .rows()
-                .filter(|r| self.group_ref().contains(&r.entity))
-                .count();
-            return Ok(());
+            *t = ChangeTrack::abandoned();
+        };
+        if delta.snapshot {
+            degrade(track);
+            // A snapshot lists each of the pool's rows once.
+            *group_rows = delta.upserts.iter().filter(in_group).count();
+            return;
         }
         // Counter-level variables (cpu/mem telemetry) never enter the
         // health projection or any invariant — see `project_health` —
@@ -402,52 +366,34 @@ impl Checker {
         // which would otherwise touch every pod and re-solve the whole
         // capacity panel) and keeps heavy telemetry rounds under
         // `SEED_TRACK_LIMIT`.
-        let radius_relevant =
-            |attr: statesman_types::Attribute| attr.dependency_level() != DependencyLevel::Counter;
+        let tracked = |t: &ChangeTrack, attr: statesman_types::Attribute| {
+            !t.full && attr.dependency_level() != DependencyLevel::Counter
+        };
         for k in &delta.deletes {
-            if let Some(old) = entry.view.get_var(k.var_id()) {
-                if self.group_ref().contains(&old.entity) {
-                    entry.group_rows -= 1;
-                    if let Some(t) = track.as_deref_mut() {
-                        if !t.full && radius_relevant(k.attribute) {
-                            t.keys.push(k.clone());
-                        }
-                    }
+            if view.get_var(k.var_id()).is_some_and(|old| in_group(&old)) {
+                *group_rows -= 1;
+                if tracked(track, k.attribute) {
+                    track.keys.push(k.clone());
                 }
             }
         }
-        for row in &delta.upserts {
-            if self.group_ref().contains(&row.entity) {
-                if entry.view.get_var(row.var_id()).is_none() {
-                    entry.group_rows += 1;
-                }
-                if let Some(t) = track.as_deref_mut() {
-                    if !t.full && radius_relevant(row.attribute) {
-                        t.rows.push(row.clone());
-                    }
-                }
+        for row in delta.upserts.iter().filter(in_group) {
+            if view.get_var(row.var_id()).is_none() {
+                *group_rows += 1;
+            }
+            if tracked(track, row.attribute) {
+                track.rows.push(row.clone());
             }
         }
-        if let Some(t) = track {
-            if !t.full && t.rows.len() + t.keys.len() > SEED_TRACK_LIMIT {
-                self.full_degrades
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                t.full = true;
-                t.rows.clear();
-                t.keys.clear();
-            }
+        if track.rows.len() + track.keys.len() > SEED_TRACK_LIMIT {
+            degrade(track);
         }
-        entry.view.apply_delta(delta);
-        Ok(())
     }
 
     /// The set of applications with proposals touching this group.
     fn proposing_apps(&self, storage: &StorageService) -> Vec<AppId> {
-        let partitions: Vec<DatacenterId> = match self.group_ref() {
-            ImpactGroup::Datacenter(dc) => vec![dc.clone()],
-            ImpactGroup::Wan | ImpactGroup::Global => storage.partitions(),
-        };
-        let mut apps: Vec<AppId> = partitions
+        let mut apps: Vec<AppId> = self
+            .group_partitions(storage)
             .iter()
             .flat_map(|dc| storage.proposing_apps(dc))
             .collect();
@@ -521,13 +467,22 @@ impl Checker {
     ) -> StateResult<CheckerPassReport> {
         let started = Instant::now();
 
+        if !self.delta_reads {
+            // The full-read reference: every pool is re-read through a
+            // cold mirror and the seed rebuilt from scratch.
+            self.part_cache.lock().clear();
+            *self.seed_cache.lock() = None;
+            *self.quiescent.lock() = None;
+        }
+
         // ---- 0. quiescence short-circuit ----
         // If every partition's machine-wide watermark sits exactly where
         // the last recorded no-op pass left it, nothing any pool read
         // could return has changed, and this pass — a deterministic
         // function of pool contents — would repeat that no-op. Skip it.
-        let use_delta = self.delta_reads && unreachable.is_empty();
-        let marks = if use_delta {
+        // A pass with quarantined devices is a function of that set too:
+        // it neither honours nor records a mark.
+        let marks = if unreachable.is_empty() {
             self.partition_marks(storage)
         } else {
             None
@@ -550,33 +505,22 @@ impl Checker {
         }
 
         // ---- 1. read OS, TS, PSes ----
-        // Quarantine passes force the full-read fallback: stale-device
-        // rounds are exactly when the mirror must not drift from storage.
-        // The part-cache lock is held for the whole pass: the columnar
-        // path reads the OS zero-copy out of the partition mirrors.
-        let columnar_inc = use_delta && self.columnar_state;
+        // Every pool is read by advancing its partition mirrors; the OS
+        // is then read zero-copy out of them, so the part-cache lock is
+        // held for the whole pass. The carried seed is taken first: a
+        // pass that fails after a mirror moved has lost that part of the
+        // change track, so the next pass must reseed.
+        let cached_seed = self.seed_cache.lock().take();
         let mut cache = self.part_cache.lock();
-        let mut track = ChangeTrack::default();
-        let partitions = self.group_partitions(storage);
-
-        let os_rows: Option<Vec<NetworkState>> = if columnar_inc {
-            // Zero-copy OS: advance the mirrors in place, tracking the
-            // changed group rows for the blast radius; the view is built
-            // over mirror references below.
-            for dc in &partitions {
-                self.advance_partition(&mut cache, storage, &Pool::Observed, dc, Some(&mut track))?;
-            }
-            None
-        } else {
-            Some(self.read_group_pool(&mut cache, storage, &Pool::Observed, use_delta, None)?)
+        let mut track = ChangeTrack {
+            full: !self.columnar_state,
+            ..ChangeTrack::default()
         };
-        let ts_rows = self.read_group_pool(
-            &mut cache,
-            storage,
-            &Pool::Target,
-            use_delta,
-            if columnar_inc { Some(&mut track) } else { None },
-        )?;
+        let partitions = self.group_partitions(storage);
+        for dc in &partitions {
+            self.advance_partition(&mut cache, storage, &Pool::Observed, dc, &mut track)?;
+        }
+        let ts_rows = self.read_group_pool(&mut cache, storage, &Pool::Target, &mut track)?;
         let apps = self.proposing_apps(storage);
         let mut proposals: Vec<(AppId, Vec<NetworkState>)> = Vec::new();
         for app in &apps {
@@ -584,38 +528,20 @@ impl Checker {
                 &mut cache,
                 storage,
                 &Pool::Proposed(app.clone()),
-                use_delta,
-                None,
+                &mut ChangeTrack::abandoned(),
             )?;
             if !ps.is_empty() {
                 proposals.push((app.clone(), ps));
             }
         }
-        let os_vars = match &os_rows {
-            Some(rows) => rows.len(),
-            None => partitions
-                .iter()
-                .map(|dc| {
-                    cache
-                        .get(&(Pool::Observed, dc.clone()))
-                        .map_or(0, |e| e.group_rows)
-                })
-                .sum(),
-        };
-        let variables_read =
-            os_vars + ts_rows.len() + proposals.iter().map(|(_, p)| p.len()).sum::<usize>();
-
-        let os: OsView<'_> = match os_rows {
-            Some(rows) => OsView::Owned(MapView::from_rows(rows)),
-            None => OsView::Mirrors(
-                partitions
-                    .iter()
-                    .filter_map(|dc| cache.get(&(Pool::Observed, dc.clone())))
-                    .map(|e| &e.view)
-                    .collect(),
-                self.group_ref(),
-            ),
-        };
+        let os_parts = partitions
+            .iter()
+            .map(|dc| &cache[&(Pool::Observed, dc.clone())]);
+        let variables_read = os_parts.clone().map(|m| m.group_rows).sum::<usize>()
+            + ts_rows.len()
+            + proposals.iter().map(|(_, p)| p.len()).sum::<usize>();
+        let group = Some(self.group_ref());
+        let os = PartsView::new(os_parts.map(|m| m.mirror.view()).collect(), group);
         let mut ts = MapView::from_rows(ts_rows.clone());
         // Lock rows expire on the wall clock, not on writes — a TS
         // carrying any lock keeps the pass time-dependent and therefore
@@ -635,7 +561,7 @@ impl Checker {
                     .unwrap_or(true)
                 {
                     ts.remove_var(row.var_id());
-                    if columnar_inc && !track.full {
+                    if !track.full {
                         track.keys.push(row.key());
                     }
                     ts_deletes.push(row.key());
@@ -661,7 +587,7 @@ impl Checker {
                 .is_err()
             {
                 ts.remove_var(row.var_id());
-                if columnar_inc && !track.full {
+                if !track.full {
                     track.keys.push(row.key());
                 }
                 ts_deletes.push(row.key());
@@ -716,12 +642,11 @@ impl Checker {
         // per candidate would make the pass quadratic in topology size).
         //
         // Seeding is where a 4M-variable round lives or dies. The
-        // columnar path carries the previous pass's seed forward: from
+        // columnar plane carries the previous pass's seed forward: from
         // the round's deltas it computes the Fig-4 blast radius,
         // re-projects only the entities inside it, re-evaluates only the
         // invariants it can reach, and keeps cached verdicts for the
-        // rest. Taken up front so any failed pass forces a full reseed.
-        let cached_seed = self.seed_cache.lock().take();
+        // rest.
         let (mut health, verdicts) = if self.invariants.is_empty() {
             // With no invariants installed, nothing ever consults the
             // projection — skip the whole-graph sweep here and every
@@ -731,11 +656,7 @@ impl Checker {
             (HealthView::all_up(), Vec::new())
         } else {
             match cached_seed {
-                Some(seed)
-                    if columnar_inc
-                        && !track.full
-                        && seed.verdicts.len() == self.invariants.len() =>
-                {
+                Some(seed) if !track.full && seed.verdicts.len() == self.invariants.len() => {
                     let radius = blast_radius(
                         &self.graph,
                         track
@@ -985,7 +906,7 @@ impl Checker {
                 };
                 let invs: Vec<&dyn Invariant> =
                     self.invariants.iter().map(|b| b.as_ref()).collect();
-                let violation = crate::engine::first_violation(&self.workers, &invs, &ctx);
+                let violation = crate::invariants::first_violation(&self.workers, &invs, &ctx);
                 (Some(delta), violation)
             };
 
@@ -1085,12 +1006,10 @@ impl Checker {
 
         // Carry the seed forward: `health` reflects every accepted
         // candidate (rejected ones were reverted) and matches the TS just
-        // persisted; verdicts are the seed's. The next delta pass covers
-        // this pass's own writes via its changefeed, so re-projection
-        // over them is an idempotent no-op.
-        if columnar_inc {
-            *self.seed_cache.lock() = Some(SeedCache { health, verdicts });
-        }
+        // persisted; verdicts are the seed's. The next pass covers this
+        // pass's own writes via its changefeed, so re-projection over
+        // them is an idempotent no-op.
+        *self.seed_cache.lock() = Some(SeedCache { health, verdicts });
         Ok(report)
     }
 }
@@ -1123,9 +1042,9 @@ mod tests {
     use super::*;
     use crate::invariants::TorPairCapacityInvariant;
     use statesman_net::SimClock;
+    use statesman_storage::ReadRequest;
     use statesman_topology::DcnSpec;
-    use statesman_types::Attribute;
-    use statesman_types::{EntityName, LockPriority};
+    use statesman_types::{Attribute, EntityName, Freshness, LockPriority};
 
     fn setup() -> (NetworkGraph, StorageService, SimClock) {
         let clock = SimClock::new();
@@ -1542,8 +1461,9 @@ mod tests {
     #[test]
     fn delta_passes_match_full_read_passes() {
         // Two identical worlds driven through the same multi-pass history:
-        // one checker mirrors pools via deltas, the other re-reads in
-        // full. Reports and the resulting TS must be identical.
+        // one checker carries mirrors and seed from pass to pass, the
+        // other starts every pass from cold mirrors and no seed. Reports
+        // and the resulting TS must be identical.
         let run = |delta: bool| {
             let (graph, storage, clock) = setup();
             seed_os(&graph, &storage, clock.now());
@@ -1569,14 +1489,15 @@ mod tests {
                 .unwrap();
             propose_upgrade(&storage, &app, "agg-1-3", "7.0", clock.now());
             history.push(chk.run_pass(&storage, clock.now()).unwrap());
-            // A quarantine pass in the middle forces the full-read path.
+            // A quarantine pass in the middle reads like any other pass
+            // (warm mirrors, carried seed); only its decisions differ.
             let q: BTreeSet<DeviceName> = [DeviceName::new("agg-1-2")].into_iter().collect();
             propose_upgrade(&storage, &app, "agg-1-2", "8.0", clock.now());
             history.push(
                 chk.run_pass_with_unreachable(&storage, clock.now(), &q)
                     .unwrap(),
             );
-            // And a final clean pass back on the delta path.
+            // And a final clean pass.
             propose_upgrade(&storage, &app, "agg-1-4", "7.0", clock.now());
             history.push(chk.run_pass(&storage, clock.now()).unwrap());
             let mut ts = storage
@@ -1610,6 +1531,100 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn first_seed_of_a_cold_mirror_is_not_a_full_degrade() {
+        let (graph, storage, clock) = setup();
+        // More group rows than the change track holds, written in chunks
+        // so the index serves them from genesis as an incremental reply.
+        let write = |version: &str| {
+            let rows: Vec<NetworkState> = (0..SEED_TRACK_LIMIT + 500)
+                .map(|i| {
+                    os_row(
+                        EntityName::device("dc1", format!("dev-{i}")),
+                        Attribute::DeviceFirmwareVersion,
+                        Value::text(version),
+                        clock.now(),
+                    )
+                })
+                .collect();
+            for chunk in rows.chunks(3_000) {
+                let (pool, rows) = (Pool::Observed, chunk.to_vec());
+                storage.write(WriteRequest { pool, rows }).unwrap();
+            }
+        };
+        write("6.0");
+        let genesis = storage.read_since(&DatacenterId::new("dc1"), &Pool::Observed, Version(0));
+        assert!(!genesis.unwrap().snapshot);
+
+        let chk = checker(&graph, MergePolicy::LastWriterWins);
+        let seeded = chk.run_pass(&storage, clock.now()).unwrap();
+        assert!(seeded.variables_read > SEED_TRACK_LIMIT);
+        assert_eq!(
+            chk.full_degrades(),
+            0,
+            "a cold mirror has no seed to degrade"
+        );
+        // The same churn on the established mirror is the real thing.
+        write("7.0");
+        chk.run_pass(&storage, clock.now()).unwrap();
+        assert_eq!(chk.full_degrades(), 1);
+    }
+
+    #[test]
+    fn a_failed_pass_forces_the_next_one_to_reseed() {
+        // One checker over two partitions: a pass that advances dc1's
+        // mirror and then fails on dc2 has consumed dc1's changes without
+        // acting on them, so the carried seed must go with it.
+        let clock = SimClock::new();
+        let mut graph = NetworkGraph::new();
+        DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
+        DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
+        let dcs = [DatacenterId::new("dc1"), DatacenterId::new("dc2")];
+        let storage = StorageService::new(dcs.clone(), clock.clone(), Default::default());
+        seed_os(&graph, &storage, clock.now());
+        let group = ImpactGroup::Global;
+        let policy = MergePolicy::LastWriterWins;
+        let mut chk = Checker::new(CheckerConfig { group, policy }, graph.clone());
+        chk.add_invariant(Box::new(TorPairCapacityInvariant::paper_default(
+            &graph,
+            "dc1",
+            Some(1),
+        )));
+        chk.run_pass(&storage, clock.now()).unwrap();
+
+        // One of pod 1's two aggs goes dark while dc2 is unreadable.
+        let agg = |a: u32| EntityName::device("dc1", format!("dc1.agg-1-{a}"));
+        let power_off = os_row(
+            agg(1),
+            Attribute::DeviceAdminPower,
+            Value::power(false),
+            clock.now(),
+        );
+        let (pool, rows) = (Pool::Observed, vec![power_off]);
+        storage.write(WriteRequest { pool, rows }).unwrap();
+        storage.set_partition_available(&dcs[1], false);
+        assert!(chk.run_pass(&storage, clock.now()).is_err());
+        storage.set_partition_available(&dcs[1], true);
+
+        // Upgrading the other agg would now cut the pod off.
+        let app = AppId::new("switch-upgrade");
+        let upgrade = NetworkState::new(
+            agg(2),
+            Attribute::DeviceFirmwareVersion,
+            Value::text("7.0"),
+            clock.now(),
+            app.clone(),
+        );
+        let (pool, rows) = (Pool::Proposed(app), vec![upgrade]);
+        storage.write(WriteRequest { pool, rows }).unwrap();
+        let report = chk.run_pass(&storage, clock.now()).unwrap();
+        assert_eq!(report.accepted, 0, "{:?}", report.receipts);
+        assert!(matches!(
+            report.receipts[0].outcome,
+            WriteOutcome::RejectedInvariant { .. }
+        ));
     }
 
     #[test]

@@ -78,9 +78,9 @@ pub struct CoordinatorConfig {
     pub plan_synthesis: bool,
     /// Run the delta-driven state plane: the monitor diffs each poll
     /// against its diff base and writes only changed rows, and the checker
-    /// and updater advance cached views via `read_since` changefeeds.
+    /// and updater carry their `read_since` mirrors from round to round.
     /// `false` restores the seed's snapshot-per-round behavior (every
-    /// stage reads and writes full pools every round).
+    /// polled row written, every pool re-read through cold mirrors).
     pub delta_state_plane: bool,
     /// Run the columnar state plane: storage pools, checker/updater
     /// mirrors, and the monitor diff base use dense slot-indexed columns,
@@ -582,9 +582,10 @@ impl Coordinator {
         let updater = self.updater.run_round_excluding(&quarantined)?;
         let (storage_retries, storage_retries_exhausted) = self.storage.retry_stats();
         let (delta_reads, full_fallbacks, _suppressed) = self.storage.delta_stats();
-        // How far behind the freshest OS is the updater's cached mirror,
-        // in versions, across live partitions. A healthy delta plane
-        // keeps this at 0; a gap means the next round falls back.
+        // How far behind the freshest OS is the updater's mirror, in
+        // versions, across live partitions: 0 unless something wrote the
+        // OS after the updater read it, which the next round's
+        // `read_since` then carries.
         let watermark_lag = self
             .storage
             .partitions()
@@ -987,6 +988,57 @@ mod tests {
     }
 
     #[test]
+    fn a_quarantine_round_reads_what_changed_not_the_pool() {
+        use statesman_net::FaultEvent;
+        let clock = SimClock::new();
+        let graph = DcnSpec::tiny("dc1").build();
+        let mut cfg = SimConfig::ideal();
+        cfg.faults = cfg.faults.with_event(
+            statesman_types::SimTime::from_secs(30),
+            FaultEvent::CrashDevice {
+                device: statesman_types::DeviceName::new("agg-1-1"),
+            },
+        );
+        let net = SimNetwork::new(&graph, clock.clone(), cfg);
+        let storage = StorageService::single_dc("dc1", clock);
+        let obs = Obs::new();
+        let coord = Coordinator::new(
+            &graph,
+            net,
+            storage.clone(),
+            CoordinatorConfig {
+                quarantine_cooldown: Some(SimDuration::from_mins(30)),
+                obs: Some(obs.clone()),
+                ..Default::default()
+            },
+        );
+        // Round 0 seeds the OS, round 1 finds the crashed device.
+        coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+        coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+
+        let dc = DatacenterId::new("dc1");
+        let visited = || {
+            let name = "storage_read_rows_visited_total";
+            obs.registry.counter_value(name).unwrap_or(0)
+        };
+        let before = visited();
+        let r2 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+        assert_eq!(r2.devices_quarantined(), 1);
+        // The quarantine set decides what the stages do, not how they
+        // read: no stage walked the OS pool, and the mirrors survived.
+        let os_rows = storage.pool_len(&dc, &Pool::Observed) as u64;
+        assert!(
+            visited() - before < os_rows,
+            "a quarantine round scanned {} rows of a {os_rows}-row OS pool",
+            visited() - before
+        );
+        assert!(coord
+            .updater
+            .cached_watermark(&Pool::Observed, &dc)
+            .is_some());
+    }
+
+    #[test]
     fn obs_records_metrics_trace_and_status_each_tick() {
         let (graph, net, storage, clock) = setup();
         let obs = Obs::new();
@@ -1135,11 +1187,14 @@ mod tests {
         );
         let r0 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
         let r1 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
-        // Snapshot mode: the quiescent round still rewrites everything
-        // and never touches the change index.
+        // Snapshot mode: the quiescent round still rewrites everything,
+        // and checker and updater read every pool again, as in round 0
+        // (from cold mirrors; no pass is skipped as quiescent).
         assert_eq!(r1.rows_written, r0.rows_written);
         assert_eq!(r1.writes_suppressed, 0);
-        assert_eq!(r1.delta_reads, 0);
+        let reads = |r: &RoundReport| r.delta_reads + r.full_fallbacks;
+        assert_eq!(reads(&r1) - reads(&r0), reads(&r0));
+        assert_eq!(r1.checkers[0].variables_read, r0.checkers[0].variables_read);
         assert_eq!(r1.watermark_lag, 0);
     }
 

@@ -40,7 +40,6 @@ pub mod checker;
 pub mod client;
 pub mod coordinator;
 pub mod deps;
-pub mod engine;
 pub mod groups;
 pub mod invariants;
 pub mod locks;

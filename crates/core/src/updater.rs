@@ -15,19 +15,18 @@
 //! and merged with any device-level `DeviceRoutingRules` TS rows before
 //! diffing, so applications can operate purely at the path level.
 
-use crate::view::StateView;
+use crate::view::{PartsView, PoolMirror, StateView};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use statesman_net::{
     CommandOutcome, DeviceCommand, DeviceModel, DeviceProtocol, OpenFlowSim, ProtocolKind,
     SimNetwork, VendorCliSim,
 };
-use statesman_storage::{ReadRequest, StorageService};
+use statesman_storage::StorageService;
 use statesman_topology::NetworkGraph;
 use statesman_types::{
-    Attribute, DatacenterId, DeviceName, EntityName, FlowLinkRule, Freshness, LinkName,
-    NetworkState, Pool, RetryPolicy, SimDuration, SimTime, StateError, StateResult, Value, VarId,
-    Version,
+    Attribute, DatacenterId, DeviceName, EntityName, FlowLinkRule, LinkName, NetworkState, Pool,
+    RetryPolicy, SimDuration, SimTime, StateError, StateResult, Value, Version,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -330,8 +329,7 @@ pub struct UpdaterReport {
     pub sim_io: SimDuration,
     /// Host wall-clock compute time.
     pub elapsed: Duration,
-    /// Host wall time of the read stage: mirror advance (zero-copy
-    /// rounds) or full pool reads.
+    /// Host wall time of the read stage: advancing the mirrors.
     pub stage_read: Duration,
     /// Host wall time of the pure diff stage: path expansion, TS sort,
     /// and the per-partition OS−TS comparisons.
@@ -359,21 +357,22 @@ pub struct Updater {
     /// cooldown); `None` disables breakers entirely.
     breaker: Option<(u32, SimDuration)>,
     breakers: Mutex<HashMap<DeviceName, BreakerState>>,
-    /// Read pools incrementally via `read_since` (default). This is a
-    /// *read-path optimization only*: the mirror is a verbatim copy of
-    /// storage, advanced by the changefeed, and the updater still rediffs
-    /// OS−TS from scratch every round — §6.2's memoryless property is
-    /// observable behavior, property-tested bit-equal to full reads.
+    /// Carry mirrors and quiescent marks from round to round (default).
+    /// This is a *read-path optimization only*: the mirror is a verbatim
+    /// copy of storage, advanced by the changefeed, and the updater still
+    /// rediffs OS−TS from scratch every round — §6.2's memoryless
+    /// property, property-tested bit-equal to the disabled setting,
+    /// where every round first forgets both.
     delta_reads: bool,
     /// Columnar mirrors (default): each partition mirror is a
     /// slot-indexed column, so delta application writes straight into
     /// slots. Disabled, mirrors are hash maps — the reference layout.
     columnar_state: bool,
-    /// Per-(pool, partition) mirror and its watermark. Entries are
-    /// dropped whenever a round cannot use the delta path (quarantine
-    /// rounds, unavailable partitions), forcing a clean re-seed.
-    part_cache: Mutex<HashMap<(Pool, DatacenterId), CachedPart>>,
-    /// Partition-level watermarks from the last zero-diff delta round.
+    /// Per-(pool, partition) mirror advanced by `read_since`; the only
+    /// way a round reads a pool. Dropped while its partition is
+    /// unavailable.
+    part_cache: Mutex<HashMap<(Pool, DatacenterId), PoolMirror>>,
+    /// Partition-level watermarks from the last zero-diff round.
     /// The updater is a deterministic function of pool contents; while
     /// every partition's machine-wide watermark is unchanged, the rediff
     /// would find the same zero differences, so the round short-circuits.
@@ -394,13 +393,6 @@ pub struct Updater {
     /// issue, RNG draws, clock stepping) stays on the round's one
     /// execute thread regardless of this pool's size.
     workers: statesman_types::WorkerPool,
-}
-
-/// One partition's pool mirrored updater-side (see `Updater::part_cache`).
-#[derive(Default)]
-struct CachedPart {
-    view: crate::view::MapView,
-    watermark: Version,
 }
 
 /// One storage partition's share of a round's diff work: its non-routing
@@ -426,39 +418,6 @@ enum PendingDiff<'a> {
         entity: &'a EntityName,
         desired: Vec<FlowLinkRule>,
     },
-}
-
-/// The observed-state view a round diffs against: an owned snapshot
-/// (hash plane, quarantine fallback) or zero-copy references into the
-/// columnar partition mirrors, held under the part-cache lock for the
-/// whole round. The zero-copy path removes the per-round full-pool clone
-/// and hash-map rebuild that dominated 4M-variable churn rounds; a
-/// variable is homed in exactly one partition, so the mirror probe order
-/// cannot change any lookup's answer.
-enum RoundOs<'a> {
-    Owned(crate::view::MapView),
-    Mirrors(Vec<&'a crate::view::MapView>),
-}
-
-impl StateView for RoundOs<'_> {
-    fn get_var(&self, var: VarId) -> Option<&NetworkState> {
-        match self {
-            RoundOs::Owned(v) => v.get_var(var),
-            RoundOs::Mirrors(parts) => parts.iter().find_map(|p| p.get_var(var)),
-        }
-    }
-}
-
-impl RoundOs<'_> {
-    /// Iterate every row. Only order-insensitive consumers may use this
-    /// (the routing-withdrawal scan folds into a `BTreeMap`), since the
-    /// mirror iteration order differs from the owned hash order.
-    fn rows(&self) -> Box<dyn Iterator<Item = &NetworkState> + '_> {
-        match self {
-            RoundOs::Owned(v) => Box::new(v.rows()),
-            RoundOs::Mirrors(parts) => Box::new(parts.iter().flat_map(|p| p.rows())),
-        }
-    }
 }
 
 /// A step's commands rendered ahead of the serial issue point, tagged
@@ -569,7 +528,7 @@ impl Updater {
     }
 
     /// Enable or disable incremental pool reads (`true` by default).
-    /// Disabled, every round re-reads full pools — the pre-delta behavior.
+    /// Disabled, every round starts from cold mirrors.
     pub fn with_delta_reads(mut self, enabled: bool) -> Self {
         self.delta_reads = enabled;
         self
@@ -589,7 +548,7 @@ impl Updater {
         self.part_cache
             .lock()
             .get(&(pool.clone(), dc.clone()))
-            .map(|e| e.watermark)
+            .map(PoolMirror::watermark)
     }
 
     /// Replace the template pool.
@@ -659,73 +618,6 @@ impl Updater {
         }
     }
 
-    /// Read a full pool across all partitions, re-reading each in full and
-    /// dropping its mirror (the fallback for quarantine rounds and
-    /// disabled delta reads; delta rounds advance the mirrors in place via
-    /// [`Updater::advance_mirror`]). Unavailable partitions are skipped
-    /// (degraded mode): their entities simply produce no diffs this round
-    /// rather than aborting everyone else's work. Partitions are read on
-    /// the worker pool — each read only touches its own partition's ring,
-    /// so there is nothing to serialize on — and rows merge in
-    /// sorted-partition order.
-    fn read_all(&self, pool: Pool) -> StateResult<Vec<NetworkState>> {
-        let parts = self.workers.run(self.storage.partitions(), |_, dc| {
-            self.read_partition(&pool, dc)
-        });
-        let mut rows = Vec::new();
-        for part in parts {
-            rows.extend(part?);
-        }
-        Ok(rows)
-    }
-
-    /// One partition's share of `read_all`.
-    fn read_partition(&self, pool: &Pool, dc: DatacenterId) -> StateResult<Vec<NetworkState>> {
-        self.part_cache.lock().remove(&(pool.clone(), dc.clone()));
-        if !self.storage.partition_available(&dc) {
-            return Ok(Vec::new());
-        }
-        self.storage.read(ReadRequest {
-            datacenter: dc,
-            pool: pool.clone(),
-            freshness: Freshness::UpToDate,
-            entity: None,
-            attribute: None,
-        })
-    }
-
-    /// Advance (or create) the mirror for one `(pool, partition)` in
-    /// place, under the caller-held cache lock — the zero-copy analogue
-    /// of [`Updater::read_partition`]. Returns whether the partition is
-    /// available; an unavailable partition drops its mirror (it may move
-    /// on while unobserved). On a read error the mirror is left
-    /// untouched, so its watermark still matches its contents and the
-    /// next round resumes cleanly.
-    fn advance_mirror(
-        &self,
-        cache: &mut HashMap<(Pool, DatacenterId), CachedPart>,
-        pool: &Pool,
-        dc: &DatacenterId,
-    ) -> StateResult<bool> {
-        let key = (pool.clone(), dc.clone());
-        if !self.storage.partition_available(dc) {
-            cache.remove(&key);
-            return Ok(false);
-        }
-        let entry = cache.entry(key).or_insert_with(|| CachedPart {
-            view: if self.columnar_state {
-                crate::view::MapView::columnar(pool.clone())
-            } else {
-                crate::view::MapView::new()
-            },
-            watermark: Version::default(),
-        });
-        let delta = self.storage.read_since(dc, pool, entry.watermark)?;
-        entry.watermark = delta.watermark;
-        entry.view.apply_delta(delta);
-        Ok(true)
-    }
-
     /// Run one update round.
     pub fn run_round(&self) -> StateResult<UpdaterReport> {
         self.run_round_excluding(&BTreeSet::new())
@@ -747,14 +639,17 @@ impl Updater {
     pub fn run_round_excluding(&self, skip: &BTreeSet<DeviceName>) -> StateResult<UpdaterReport> {
         let started = Instant::now();
         let now = self.net.clock().now();
-        // Quarantine rounds force the full-read fallback (and drop the
-        // mirrors): rounds with stale devices in play are exactly when
-        // the updater must provably act on what storage holds.
-        let use_delta = self.delta_reads && skip.is_empty();
+        if !self.delta_reads {
+            // The full-read reference: carry nothing over from the last
+            // round, so every pool is re-read through a cold mirror.
+            self.part_cache.lock().clear();
+            *self.quiescent.lock() = None;
+        }
 
         // Quiescence short-circuit: unchanged partition watermarks since
         // the last zero-diff round prove the rediff would find nothing.
-        let marks = if use_delta {
+        // A round with excluded devices neither honours nor records one.
+        let marks = if skip.is_empty() {
             self.partition_marks()
         } else {
             None
@@ -769,50 +664,36 @@ impl Updater {
         }
 
         // ---- read stage ----
-        // Zero-copy fast path: hold the mirror-cache lock for the whole
-        // round and diff directly against the partition mirrors, advanced
-        // in place by `read_since` deltas. This removes the per-round
-        // full-pool row clone and hash-map rebuild that dominated large
-        // churn rounds. The fallback (quarantine rounds, delta reads
-        // disabled) re-reads full pools into an owned snapshot as before.
-        // While the guard is held, `read_all`/`read_partition` must not
-        // be called — they take the same lock.
+        // Hold the mirror-cache lock for the whole round and diff
+        // directly against the partition mirrors, advanced in place by
+        // `read_since`. Unavailable partitions are skipped (degraded
+        // mode) and their mirrors dropped, so their entities simply
+        // produce no diffs this round rather than aborting everyone
+        // else's work.
         let read_started = Instant::now();
         let dcs = self.storage.partitions();
-        let mut cache_guard = if use_delta {
-            Some(self.part_cache.lock())
-        } else {
-            None
-        };
-        let mut owned_os = None;
-        let ts_rows = match cache_guard.as_mut() {
-            Some(cache) => {
-                let mut ts_rows: Vec<NetworkState> = Vec::new();
-                for dc in &dcs {
-                    self.advance_mirror(cache, &Pool::Observed, dc)?;
-                    if self.advance_mirror(cache, &Pool::Target, dc)? {
-                        if let Some(entry) = cache.get(&(Pool::Target, dc.clone())) {
-                            ts_rows.extend(entry.view.rows().cloned());
-                        }
-                    }
-                }
-                ts_rows
+        let mut cache = self.part_cache.lock();
+        let mut ts_rows: Vec<NetworkState> = Vec::new();
+        for dc in &dcs {
+            if !self.storage.partition_available(dc) {
+                cache.retain(|(_, homed), _| homed != dc);
+                continue;
             }
-            None => {
-                owned_os = Some(crate::view::MapView::from_rows(
-                    self.read_all(Pool::Observed)?,
-                ));
-                self.read_all(Pool::Target)?
+            for pool in [Pool::Observed, Pool::Target] {
+                cache
+                    .entry((pool.clone(), dc.clone()))
+                    .or_insert_with(|| PoolMirror::cold(&pool, self.columnar_state))
+                    .advance(&self.storage, dc, &pool, |_, _, _| {})?;
             }
-        };
-        let os = match cache_guard.as_ref() {
-            Some(cache) => RoundOs::Mirrors(
-                dcs.iter()
-                    .filter_map(|dc| cache.get(&(Pool::Observed, dc.clone())).map(|e| &e.view))
-                    .collect(),
-            ),
-            None => RoundOs::Owned(owned_os.take().expect("owned snapshot present")),
-        };
+            ts_rows.extend(cache[&(Pool::Target, dc.clone())].view().rows().cloned());
+        }
+        let os = PartsView::new(
+            dcs.iter()
+                .filter_map(|dc| cache.get(&(Pool::Observed, dc.clone())))
+                .map(PoolMirror::view)
+                .collect(),
+            None,
+        );
         let stage_read = read_started.elapsed();
         let diff_started = Instant::now();
 
@@ -1048,7 +929,7 @@ impl Updater {
     fn execute_plan(
         &self,
         pending: Vec<Vec<PendingDiff<'_>>>,
-        os: &RoundOs<'_>,
+        os: &PartsView<'_>,
         skip: &BTreeSet<DeviceName>,
         report: &mut UpdaterReport,
         per_device_ms: &mut HashMap<DeviceName, u64>,
@@ -1156,7 +1037,8 @@ impl Updater {
                         .map(|b| b.as_ref())
                         .collect();
                     let violated =
-                        crate::engine::first_violation(&self.workers, &affected, &ctx).is_some();
+                        crate::invariants::first_violation(&self.workers, &affected, &ctx)
+                            .is_some();
                     if violated {
                         d.revert(health);
                         committed.remove(&key);
@@ -1272,7 +1154,7 @@ impl Updater {
     fn collect_partition_diffs<'a>(
         &self,
         work: &'a PartitionWork<'a>,
-        os: &RoundOs<'_>,
+        os: &PartsView<'_>,
         desired_routes: &BTreeMap<DeviceName, Vec<FlowLinkRule>>,
     ) -> Vec<PendingDiff<'a>> {
         let mut pending = Vec::new();
@@ -1880,9 +1762,11 @@ mod tests {
 
     #[test]
     fn delta_rounds_match_full_read_rounds() {
-        // Identical worlds, one updater mirroring pools via deltas and
-        // one re-reading in full: every round's observable outcome must
-        // match, including across a quarantine round and a TS delete.
+        // Identical worlds, one updater carrying its mirrors from round
+        // to round and one starting every round from cold mirrors: every
+        // round's observable outcome must match, including across a
+        // quarantine round (which reads like any other round and only
+        // withholds the command) and a TS delete.
         let run = |delta: bool| {
             let (net, storage, graph, clock) = setup();
             seed_os(&net, &storage, &graph);
@@ -1904,8 +1788,8 @@ mod tests {
             outcomes.push(key(&u.run_round().unwrap()));
             net.step(SimDuration::from_secs(100));
             seed_os(&net, &storage, &graph);
-            // Quarantine round (forces the full-read path) with a second
-            // pending diff.
+            // Quarantine round with a second pending diff: found through
+            // the advanced mirror, counted, and not issued.
             storage
                 .write(WriteRequest {
                     pool: Pool::Target,

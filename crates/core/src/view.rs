@@ -18,8 +18,13 @@
 //!   lets the checker block the Fig-2 disaster before any command is
 //!   issued.
 
+use crate::groups::ImpactGroup;
+use statesman_storage::StorageService;
 use statesman_topology::{HealthView, NetworkGraph};
-use statesman_types::{Attribute, Column, EntityName, NetworkState, Pool, StateKey, Value, VarId};
+use statesman_types::{
+    Attribute, Column, DatacenterId, EntityName, NetworkState, Pool, StateDelta, StateKey,
+    StateResult, Value, VarId, Version,
+};
 use std::collections::HashMap;
 
 /// Anything that can answer point lookups over one pool of rows.
@@ -99,15 +104,6 @@ impl MapView {
     /// earlier ones).
     pub fn from_rows(rows: impl IntoIterator<Item = NetworkState>) -> Self {
         let mut v = MapView::new();
-        for r in rows {
-            v.upsert(r);
-        }
-        v
-    }
-
-    /// Build a columnar view over `pool` from a row list.
-    pub fn columnar_from_rows(pool: Pool, rows: impl IntoIterator<Item = NetworkState>) -> Self {
-        let mut v = MapView::columnar(pool);
         for r in rows {
             v.upsert(r);
         }
@@ -218,7 +214,7 @@ impl MapView {
     /// bit-equal to a fresh full read — the property the delta-driven
     /// state plane is tested against. On columnar views this writes
     /// straight into slots; a snapshot rebuild keeps the arena.
-    pub fn apply_delta(&mut self, delta: statesman_types::StateDelta) {
+    pub fn apply_delta(&mut self, delta: StateDelta) {
         if delta.snapshot {
             self.clear();
         }
@@ -228,6 +224,97 @@ impl MapView {
         for row in delta.upserts {
             self.upsert(row);
         }
+    }
+}
+
+/// One partition's pool as checker and updater hold it — the only way
+/// they read one: a verbatim copy of storage and the watermark it is
+/// current to, advanced by `read_since`. A *full read* is a cold mirror
+/// (empty, at `Version::default()`) advanced once: what a first pass, a
+/// dropped partition and the `with_delta_reads(false)` reference all do.
+pub struct PoolMirror {
+    view: MapView,
+    watermark: Version,
+}
+
+impl PoolMirror {
+    /// A cold mirror of `pool`: columnar (slot-indexed) or hash-backed.
+    pub fn cold(pool: &Pool, columnar: bool) -> Self {
+        PoolMirror {
+            view: if columnar {
+                MapView::columnar(pool.clone())
+            } else {
+                MapView::new()
+            },
+            watermark: Version::default(),
+        }
+    }
+
+    /// The mirrored rows.
+    pub fn view(&self) -> &MapView {
+        &self.view
+    }
+
+    /// The pool version the rows reflect.
+    pub fn watermark(&self) -> Version {
+        self.watermark
+    }
+
+    /// Advance to the leader's watermark with one `read_since`. `visit`
+    /// sees the reply before it is applied: the rows as they stand, the
+    /// watermark the reply starts from, and the reply. A failed read
+    /// leaves the mirror untouched, watermark still matching contents.
+    pub fn advance(
+        &mut self,
+        storage: &StorageService,
+        dc: &DatacenterId,
+        pool: &Pool,
+        visit: impl FnOnce(&MapView, Version, &StateDelta),
+    ) -> StateResult<()> {
+        let delta = storage.read_since(dc, pool, self.watermark)?;
+        visit(&self.view, self.watermark, &delta);
+        self.watermark = delta.watermark;
+        self.view.apply_delta(delta);
+        Ok(())
+    }
+}
+
+/// One pool read zero-copy out of its partition mirrors, optionally
+/// narrowed to an impact group. A variable is homed in exactly one
+/// partition, so the probe order cannot change a lookup's answer. The
+/// mirrors hold every row of their partitions, so the group filter is
+/// applied per hit — DC groups exclude their own border devices.
+pub struct PartsView<'a> {
+    parts: Vec<&'a MapView>,
+    group: Option<&'a ImpactGroup>,
+}
+
+impl<'a> PartsView<'a> {
+    /// The union of `parts`, narrowed to `group` when one is given.
+    pub fn new(parts: Vec<&'a MapView>, group: Option<&'a ImpactGroup>) -> Self {
+        PartsView { parts, group }
+    }
+
+    fn in_group(&self, row: &NetworkState) -> bool {
+        self.group.iter().all(|g| g.contains(&row.entity))
+    }
+
+    /// Iterate every row, in an order that differs between the mirror
+    /// representations: for order-insensitive consumers only.
+    pub fn rows(&self) -> impl Iterator<Item = &'a NetworkState> + '_ {
+        self.parts
+            .iter()
+            .flat_map(|p| p.rows())
+            .filter(|r| self.in_group(r))
+    }
+}
+
+impl StateView for PartsView<'_> {
+    fn get_var(&self, var: VarId) -> Option<&NetworkState> {
+        self.parts
+            .iter()
+            .find_map(|p| p.get_var(var))
+            .filter(|r| self.in_group(r))
     }
 }
 
@@ -583,14 +670,12 @@ mod tests {
 
     #[test]
     fn columnar_view_snapshot_delta_replaces_contents() {
-        let mut v = MapView::columnar_from_rows(
-            Pool::Observed,
-            [os_row(
-                dev("a"),
-                Attribute::DeviceFirmwareVersion,
-                Value::text("1"),
-            )],
-        );
+        let mut v = MapView::columnar(Pool::Observed);
+        v.upsert(os_row(
+            dev("a"),
+            Attribute::DeviceFirmwareVersion,
+            Value::text("1"),
+        ));
         let snap = statesman_types::StateDelta::full_snapshot(
             vec![os_row(
                 dev("b"),
@@ -610,6 +695,55 @@ mod tests {
             v.value_of(&dev("b"), Attribute::DeviceBootImage),
             Some(&Value::text("x"))
         );
+    }
+
+    #[test]
+    fn pool_mirror_follows_storage_and_parts_view_narrows_to_a_group() {
+        let clock = statesman_net::SimClock::new();
+        let storage = StorageService::single_dc("dc1", clock);
+        let dc = DatacenterId::new("dc1");
+        let write = |rows| {
+            let pool = Pool::Observed;
+            storage
+                .write(statesman_storage::WriteRequest { pool, rows })
+                .unwrap();
+        };
+        let fw = |name: &str, v: &str| {
+            os_row(dev(name), Attribute::DeviceFirmwareVersion, Value::text(v))
+        };
+        write(vec![fw("agg-1-1", "1"), fw("br-1", "1")]);
+
+        for columnar in [true, false] {
+            let mut mirror = PoolMirror::cold(&Pool::Observed, columnar);
+            let mut seen = Vec::new();
+            let mut advance = |mirror: &mut PoolMirror| {
+                mirror
+                    .advance(&storage, &dc, &Pool::Observed, |before, since, delta| {
+                        seen.push((before.len(), since, delta.upserts.len()));
+                    })
+                    .unwrap();
+            };
+            advance(&mut mirror);
+            let head = mirror.watermark();
+            advance(&mut mirror);
+            // The visitor saw the rows as they stood before each reply.
+            assert_eq!(seen, [(0, Version::default(), 2), (2, head, 0)]);
+            assert_eq!(mirror.view().is_columnar(), columnar);
+
+            // A DC group does not own the border router homed with it.
+            let group = ImpactGroup::Datacenter(dc.clone());
+            let all = PartsView::new(vec![mirror.view()], None);
+            let own = PartsView::new(vec![mirror.view()], Some(&group));
+            let border = VarId::of(&dev("br-1"), Attribute::DeviceFirmwareVersion);
+            assert!(all.get_var(border).is_some() && own.get_var(border).is_none());
+            assert_eq!((all.rows().count(), own.rows().count()), (2, 1));
+        }
+        // Unavailable: the read fails and the mirror stays as it was.
+        let mut mirror = PoolMirror::cold(&Pool::Observed, true);
+        storage.set_partition_available(&dc, false);
+        let failed = mirror.advance(&storage, &dc, &Pool::Observed, |_, _, _| {});
+        assert!(failed.is_err() && mirror.view().is_empty());
+        assert_eq!(mirror.watermark(), Version::default());
     }
 
     #[test]

@@ -254,11 +254,6 @@ impl HttpResponse {
         HttpResponse::new(204, "No Content", Vec::new(), "text/plain")
     }
 
-    /// 400 with a plain-text reason.
-    pub fn bad_request(msg: impl Into<String>) -> Self {
-        HttpResponse::new(400, "Bad Request", msg.into().into_bytes(), "text/plain")
-    }
-
     /// 408 (the connection idled past the server's read timeout before a
     /// full request arrived — half-open sockets and slow-loris clients).
     pub fn request_timeout(msg: impl Into<String>) -> Self {

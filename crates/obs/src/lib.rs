@@ -134,15 +134,6 @@ impl Obs {
         Obs::default()
     }
 
-    /// A fresh handle with an explicit trace-ring capacity.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Obs {
-            registry: Registry::new(),
-            traces: TraceRing::new(capacity),
-            status: Arc::new(Mutex::new(StatusBoard::default())),
-        }
-    }
-
     /// Replace the status board (coordinator, once per tick).
     pub fn set_status(&self, board: StatusBoard) {
         *self.status.lock() = board;

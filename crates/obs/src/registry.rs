@@ -323,20 +323,6 @@ impl Registry {
         }
     }
 
-    /// Sum of all counters whose full name starts with `prefix`
-    /// (aggregates across label sets).
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.metrics
-            .lock()
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(_, m)| match m {
-                Metric::Counter(c) => Some(c.get()),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Snapshot every metric, sorted by full name.
     pub fn snapshot(&self) -> Vec<MetricSample> {
         let m = self.metrics.lock();
@@ -447,7 +433,10 @@ mod tests {
             r.counter_value("req_total{route=\"read\",status=\"200\"}"),
             Some(5)
         );
-        assert_eq!(r.counter_sum("req_total"), 12);
+        assert_eq!(
+            r.counter_value("req_total{route=\"write\",status=\"200\"}"),
+            Some(7)
+        );
     }
 
     #[test]

@@ -1024,18 +1024,6 @@ impl StorageService {
         (hits, leader_reads)
     }
 
-    /// Mean consensus commit latency per partition, µs.
-    pub fn commit_latency_by_partition(&self) -> Vec<(DatacenterId, f64)> {
-        self.names
-            .iter()
-            .map(|dc| {
-                let part = self.parts.get(dc).expect("name maps to partition");
-                let ring = self.lock_ring(dc, part);
-                (dc.clone(), ring.mean_commit_latency())
-            })
-            .collect()
-    }
-
     /// Cumulative wall-clock µs operations spent waiting on partition
     /// ring locks, summed across partitions. Zero while callers stay on
     /// disjoint partitions — the number the sharded plane is supposed to

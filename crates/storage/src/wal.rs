@@ -551,12 +551,6 @@ impl ReplicaStore {
         }
     }
 
-    /// Whether this store verifies byte framing (false for the logical
-    /// backend, whose medium is modeled as perfect).
-    pub fn is_framed(&self) -> bool {
-        matches!(&*self.inner.lock().unwrap(), StoreInner::Framed { .. })
-    }
-
     /// Durably append one event (synchronous: the flush is counted before
     /// this returns, modeling log-before-ack).
     pub fn append(&self, ev: &WalEvent) {

@@ -150,20 +150,6 @@ pub fn max_flow_scoped(
     d.max_flow(s.0, t.0)
 }
 
-/// Max-flow between the same source and several sinks, reusing the edge
-/// scan (the residual graph is rebuilt per sink — capacities must reset).
-pub fn max_flow_one_to_many(
-    graph: &NetworkGraph,
-    health: &HealthView,
-    s: NodeId,
-    sinks: &[NodeId],
-) -> Vec<f64> {
-    sinks
-        .iter()
-        .map(|&t| max_flow(graph, health, s, t))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,17 +242,5 @@ mod tests {
         let g = fig7();
         let h = HealthView::all_up();
         assert!(max_flow(&g, &h, node(&g, "tor-1-1"), node(&g, "tor-1-1")).is_infinite());
-    }
-
-    #[test]
-    fn one_to_many_matches_individual() {
-        let g = fig7();
-        let h = HealthView::all_up();
-        let s = node(&g, "tor-1-1");
-        let sinks = vec![node(&g, "tor-2-1"), node(&g, "tor-3-1")];
-        let many = max_flow_one_to_many(&g, &h, s, &sinks);
-        for (i, &t) in sinks.iter().enumerate() {
-            assert_eq!(many[i], max_flow(&g, &h, s, t));
-        }
     }
 }

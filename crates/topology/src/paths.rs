@@ -189,14 +189,6 @@ pub fn path_links(graph: &NetworkGraph, path: &[NodeId]) -> Vec<statesman_types:
         .collect()
 }
 
-/// The minimum nominal capacity along a path (its bottleneck), Mbps.
-pub fn path_bottleneck(graph: &NetworkGraph, path: &[NodeId]) -> f64 {
-    path_links(graph, path)
-        .iter()
-        .filter_map(|l| graph.edge_id(l).map(|e| graph.edge(e).capacity_mbps))
-        .fold(f64::INFINITY, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +274,6 @@ mod tests {
         let p = shortest_path(&g, &h, node(&g, "br-1"), node(&g, "br-3")).unwrap();
         let links = path_links(&g, &p);
         assert_eq!(links.len(), 1);
-        assert_eq!(path_bottleneck(&g, &p), 100_000.0);
     }
 
     #[test]

@@ -303,14 +303,6 @@ pub struct StateKeyRef<'a> {
     pub attribute: Attribute,
 }
 
-impl StateKeyRef<'_> {
-    /// Materialize an owned [`StateKey`] (clones the entity — an edge
-    /// operation, not for hot loops).
-    pub fn to_owned(self) -> StateKey {
-        StateKey::new(self.entity.clone(), self.attribute)
-    }
-}
-
 impl fmt::Display for StateKeyRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}#{}", self.entity, self.attribute)
