@@ -383,6 +383,32 @@ impl Coordinator {
         if has_wan {
             groups.push(ImpactGroup::Wan);
         }
+        // Each DC's capacity invariant is built once — pair selection,
+        // baselines and scope index are the expensive part of set-up —
+        // and both consumers get instances sharing that panel.
+        let capacity: Vec<TorPairCapacityInvariant> = match config.capacity_invariant {
+            Some((threshold, fraction, sample)) => groups
+                .iter()
+                .filter_map(|group| match group {
+                    ImpactGroup::Datacenter(dc) => Some(dc.clone()),
+                    _ => None,
+                })
+                .map(|dc| {
+                    let cap = config.capacity_max_pairs.unwrap_or(usize::MAX);
+                    TorPairCapacityInvariant::sampled(
+                        graph,
+                        dc,
+                        threshold,
+                        fraction,
+                        sample,
+                        cap,
+                        CAPACITY_PANEL_SEED,
+                    )
+                })
+                .filter(|inv| inv.pair_count() > 0)
+                .collect(),
+            None => Vec::new(),
+        };
         // One invariant factory for both consumers — each group's checker
         // and the updater's plan set — so they always evaluate the same
         // invariants over the same pair panel.
@@ -397,28 +423,8 @@ impl Coordinator {
             if config.connectivity_invariant {
                 invs.push(Box::new(ConnectivityInvariant::new(dc.clone())));
             }
-            if let Some((threshold, fraction, sample)) = config.capacity_invariant {
-                let inv = match config.capacity_max_pairs {
-                    Some(cap) => TorPairCapacityInvariant::sampled(
-                        graph,
-                        dc.clone(),
-                        threshold,
-                        fraction,
-                        sample,
-                        cap,
-                        CAPACITY_PANEL_SEED,
-                    ),
-                    None => TorPairCapacityInvariant::new(
-                        graph,
-                        dc.clone(),
-                        threshold,
-                        fraction,
-                        sample,
-                    ),
-                };
-                if inv.pair_count() > 0 {
-                    invs.push(Box::new(inv));
-                }
+            if let Some(inv) = capacity.iter().find(|inv| &inv.datacenter == dc) {
+                invs.push(Box::new(inv.sharing_panel()));
             }
             invs
         };

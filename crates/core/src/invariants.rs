@@ -20,9 +20,12 @@
 //! * [`WanLinkInvariant`] — every datacenter pair keeps at least one
 //!   usable WAN link (the Fig-9/Fig-10 safety floor).
 
-use statesman_topology::{capacity, graph::components, HealthView, NetworkGraph, NodeId};
+use statesman_topology::{
+    capacity, graph::components, CapacityPanel, HealthView, NetworkGraph, NodeId,
+};
 use statesman_types::{DatacenterId, DeviceRole, WorkerPool};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// What the checker hands an invariant.
 pub struct InvariantContext<'a> {
@@ -246,9 +249,11 @@ pub struct TorPairCapacityInvariant {
     pub capacity_threshold: f64,
     /// Minimum fraction of pairs that must meet the threshold (0.99).
     pub pair_fraction: f64,
-    pairs: Vec<(NodeId, NodeId)>,
-    baselines: Vec<f64>,
-    /// Last full evaluation, reused for incremental updates.
+    /// Pairs, baselines and scope index: immutable, shared between the
+    /// instances of one datacenter.
+    panel: Arc<CapacityPanel>,
+    /// Last passing evaluation, refreshed in place by incremental checks.
+    /// The only per-consumer state.
     last_report: parking_lot::Mutex<Option<capacity::CapacityReport>>,
 }
 
@@ -282,13 +287,11 @@ impl TorPairCapacityInvariant {
             max_pairs,
             seed,
         );
-        let baselines = capacity::baselines_for(graph, &pairs);
         TorPairCapacityInvariant {
             datacenter,
             capacity_threshold,
             pair_fraction,
-            pairs,
-            baselines,
+            panel: Arc::new(CapacityPanel::new(graph, pairs)),
             last_report: parking_lot::Mutex::new(None),
         }
     }
@@ -302,26 +305,44 @@ impl TorPairCapacityInvariant {
         pair_fraction: f64,
         sample_tors_per_pod: Option<u32>,
     ) -> Self {
-        let datacenter = datacenter.into();
-        let pairs = capacity::select_tor_pairs(graph, &datacenter, sample_tors_per_pod);
-        let baselines = capacity::baselines_for(graph, &pairs);
-        TorPairCapacityInvariant {
+        Self::sampled(
+            graph,
             datacenter,
             capacity_threshold,
             pair_fraction,
-            pairs,
-            baselines,
+            sample_tors_per_pod,
+            usize::MAX,
+            0,
+        )
+    }
+
+    /// A second instance over the same panel (same pairs, baselines and
+    /// thresholds) with a cache of its own — for a consumer whose checks
+    /// interleave with this one's, like the updater's plan set beside the
+    /// checker's.
+    pub fn sharing_panel(&self) -> Self {
+        TorPairCapacityInvariant {
+            datacenter: self.datacenter.clone(),
+            capacity_threshold: self.capacity_threshold,
+            pair_fraction: self.pair_fraction,
+            panel: self.panel.clone(),
             last_report: parking_lot::Mutex::new(None),
         }
     }
 
     /// Number of sampled pairs.
     pub fn pair_count(&self) -> usize {
-        self.pairs.len()
+        self.panel.pairs().len()
     }
 
-    /// The most recent evaluation (for scenario plotting — Fig 8 reads
-    /// this to emit its capacity matrix).
+    /// Max-flow solves run on this instance's panel since it was built —
+    /// baselines, and every check of every instance sharing it.
+    pub fn solves(&self) -> u64 {
+        self.panel.solves()
+    }
+
+    /// The most recent passing evaluation (for scenario plotting — Fig 8
+    /// reads this to emit its capacity matrix).
     pub fn last_report(&self) -> Option<capacity::CapacityReport> {
         self.last_report.lock().clone()
     }
@@ -343,42 +364,46 @@ impl Invariant for TorPairCapacityInvariant {
     }
 
     fn check(&self, ctx: &InvariantContext<'_>) -> Result<(), Violation> {
-        let mut cache = self.last_report.lock();
-        let report = match (&*cache, ctx.touched_pods) {
-            (Some(prev), Some(touched)) => {
-                prev.evaluate_incremental(ctx.graph, ctx.projected, touched)
-            }
-            _ => capacity::evaluate_with_baselines(
-                ctx.graph,
-                ctx.projected,
-                &self.pairs,
-                &self.baselines,
-            ),
-        };
-        let meeting = report.fraction_meeting(self.capacity_threshold);
-        let result = if meeting + 1e-9 >= self.pair_fraction {
-            Ok(())
-        } else {
-            let worst = report.worst_fraction();
-            Err(Violation {
-                invariant: self.name().to_string(),
-                reason: format!(
-                    "only {:.1}% of ToR pairs keep ≥{:.0}% capacity (worst {:.0}%)",
-                    meeting * 100.0,
-                    self.capacity_threshold * 100.0,
-                    worst * 100.0
-                ),
-            })
-        };
-        // Only cache passing evaluations: the checker drops rejected
+        // Only passing evaluations are cached: the checker drops rejected
         // candidates, so the cached report must keep reflecting the last
         // state that could actually be merged — otherwise a later
         // incremental evaluation would inherit phantom outages from a
         // rejected proposal that never entered the TS.
-        if result.is_ok() {
-            *cache = Some(report);
+        let mut cache = self.last_report.lock();
+        let Some((last, touched)) = cache.as_mut().zip(ctx.touched_pods) else {
+            let report = self.panel.evaluate(ctx.graph, ctx.projected);
+            let result = self.verdict(&report);
+            if result.is_ok() {
+                *cache = Some(report);
+            }
+            return result;
+        };
+        let overwritten = self.panel.refresh(ctx.graph, ctx.projected, touched, last);
+        let result = self.verdict(last);
+        if result.is_err() {
+            for (i, current_mbps) in overwritten {
+                last.pairs[i as usize].current_mbps = current_mbps;
+            }
         }
         result
+    }
+}
+
+impl TorPairCapacityInvariant {
+    fn verdict(&self, report: &capacity::CapacityReport) -> Result<(), Violation> {
+        let meeting = report.fraction_meeting(self.capacity_threshold);
+        if meeting + 1e-9 >= self.pair_fraction {
+            return Ok(());
+        }
+        Err(Violation {
+            invariant: self.name().to_string(),
+            reason: format!(
+                "only {:.1}% of ToR pairs keep ≥{:.0}% capacity (worst {:.0}%)",
+                meeting * 100.0,
+                self.capacity_threshold * 100.0,
+                report.worst_fraction() * 100.0
+            ),
+        })
     }
 }
 
@@ -600,6 +625,73 @@ mod tests {
             inv.check(&c).is_err(),
             "incremental path sees the violation"
         );
+    }
+
+    #[test]
+    fn capacity_checks_solve_what_they_touch() {
+        let g = DcnSpec::fig7("dc1").build();
+        let inv = TorPairCapacityInvariant::paper_default(&g, "dc1", Some(1));
+        assert_eq!(inv.solves(), 90, "baselines");
+        let h = HealthView::all_up();
+        assert!(inv.check(&ctx(&g, &h)).is_ok());
+        assert_eq!(inv.solves(), 180, "a cold check solves the panel");
+
+        let check_touching = |pods: &[(&str, u32)]| {
+            let touched: HashSet<_> = (pods.iter())
+                .map(|&(dc, pod)| (DatacenterId::new(dc), pod))
+                .collect();
+            let before = inv.solves();
+            let c = InvariantContext {
+                graph: &g,
+                projected: &h,
+                touched_pods: Some(&touched),
+            };
+            assert!(inv.check(&c).is_ok());
+            inv.solves() - before
+        };
+        // One sampled ToR per pod: 9 pairs out of it and 9 into it.
+        assert_eq!(check_touching(&[("dc1", 7)]), 18);
+        assert_eq!(check_touching(&[("dc1", 11), ("dc2", 7)]), 0);
+        // A second instance on the panel counts into the same total and
+        // starts cold.
+        let second = inv.sharing_panel();
+        assert!(second.last_report().is_none());
+        assert!(second.check(&ctx(&g, &h)).is_ok());
+        assert_eq!(inv.solves(), 198 + 90);
+    }
+
+    #[test]
+    fn a_rejected_candidate_leaves_no_phantom_outage_in_the_cache() {
+        let g = DcnSpec::fig7("dc1").build();
+        let inv = TorPairCapacityInvariant::paper_default(&g, "dc1", Some(1));
+        assert!(inv.check(&ctx(&g, &HealthView::all_up())).is_ok());
+        let passing = inv.last_report().unwrap();
+        let check_touching = |h: &HealthView, pod: u32| {
+            let touched = HashSet::from([(DatacenterId::new("dc1"), pod)]);
+            inv.check(&InvariantContext {
+                graph: &g,
+                projected: h,
+                touched_pods: Some(&touched),
+            })
+        };
+
+        // Candidate 1: three of pod 2's four Aggs — rejected, never merged.
+        let mut h = HealthView::all_up();
+        for a in 1..=3 {
+            h.set_device_down(DeviceName::new(format!("agg-2-{a}")));
+        }
+        assert!(check_touching(&h, 2).is_err());
+        assert_eq!(inv.last_report().unwrap().pairs, passing.pairs);
+
+        // Candidate 2: one Agg of pod 5, on the projection candidate 1 was
+        // reverted from. Had the rejected evaluation been kept, pod 2's 18
+        // pairs would still read 25% and this would be rejected too.
+        let mut h = HealthView::all_up();
+        h.set_device_down(DeviceName::new("agg-5-1"));
+        assert!(check_touching(&h, 5).is_ok());
+        let report = inv.last_report().unwrap();
+        let full = capacity::evaluate(&g, &h, inv.panel.pairs());
+        assert_eq!(report.pairs, full.pairs);
     }
 
     #[test]

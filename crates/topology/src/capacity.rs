@@ -10,14 +10,25 @@
 //! and links "near" the two pods (the core tier is heavily overprovisioned),
 //! the checker can evaluate invariants incrementally: when a proposed
 //! change touches pods P, only pairs with an endpoint in P need
-//! re-evaluation. [`CapacityReport::evaluate_incremental`] implements that
-//! optimization and is benchmarked against the full evaluation in the
-//! `invariant_incremental` ablation.
+//! re-evaluation ([`CapacityPanel::refresh`], benchmarked against the full
+//! evaluation in the `invariant_incremental` ablation).
+//!
+//! On a pod-layered fabric a pair's solve costs its two pods, not the
+//! fabric: a [`CapacityPanel`] owns a scope index — each pod's edges, the
+//! pod-less tier's edges, a compact node numbering, and per pod the panel
+//! pairs with an endpoint in it — an evaluation resolves its health view
+//! once into an edge mask, and each solve loads `pod(s) ∪ pod(t) ∪ tier`
+//! into a flow workspace reused across the evaluation. Edges are loaded in
+//! ascending [`crate::EdgeId`] order, the order a whole-graph solve
+//! restricted to those nodes would use, so the result is the same to the
+//! bit. A fabric with a cross-pod link, or a pair with a pod-less
+//! endpoint, is solved on the whole graph by the same kernel.
 
-use crate::flow::{max_flow, max_flow_scoped};
+use crate::flow::{EdgeMask, FlowNet};
 use crate::graph::{HealthView, NetworkGraph, NodeId};
 use statesman_types::{DatacenterId, DeviceRole, WorkerPool};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Capacity of one directional ToR pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,19 +100,17 @@ pub fn select_tor_pairs(
     dc: &DatacenterId,
     sample_tors_per_pod: Option<u32>,
 ) -> Vec<(NodeId, NodeId)> {
-    let mut tors: Vec<NodeId> = Vec::new();
-    for pod in graph.pods_in(dc) {
-        let mut pod_tors: Vec<NodeId> = graph
-            .devices_in_pod(dc, pod)
-            .into_iter()
-            .filter(|&id| graph.node(id).role == DeviceRole::ToR)
-            .collect();
-        pod_tors.sort_unstable();
-        if let Some(k) = sample_tors_per_pod {
-            pod_tors.truncate(k as usize);
-        }
-        tors.extend(pod_tors);
-    }
+    let per_pod = sample_tors_per_pod.map_or(usize::MAX, |k| k as usize);
+    let tors: Vec<NodeId> = graph
+        .pods()
+        .filter(|(pod_dc, _, _)| *pod_dc == dc)
+        .flat_map(|(_, _, members)| {
+            let tors = members
+                .iter()
+                .filter(|&&id| graph.node(id).role == DeviceRole::ToR);
+            tors.copied().take(per_pod)
+        })
+        .collect();
     let mut pairs = Vec::with_capacity(tors.len() * tors.len().saturating_sub(1));
     for &s in &tors {
         for &d in &tors {
@@ -140,24 +149,23 @@ pub fn downsample_pairs(
 /// Evaluate baseline and current capacity for the given pairs.
 ///
 /// Baselines are computed against an all-up view; callers that evaluate
-/// repeatedly should compute baselines once via [`baselines_for`] and use
-/// [`evaluate_with_baselines`].
+/// repeatedly should build a [`CapacityPanel`] once.
 pub fn evaluate(
     graph: &NetworkGraph,
     health: &HealthView,
     pairs: &[(NodeId, NodeId)],
 ) -> CapacityReport {
-    let base = baselines_for(graph, pairs);
-    evaluate_with_baselines(graph, health, pairs, &base)
+    let scope = ScopeIndex::build(graph);
+    let (baselines, _) = scope.solve_pairs(graph, &HealthView::all_up(), pairs);
+    scope.report(graph, health, pairs, &baselines).0
 }
 
-/// Baseline (all-up) max-flow per pair. Pairs solve independently, so
-/// the panel fans out across the worker pool; `pair_flow` is pure and
-/// results merge in pair order, so the output is thread-count invariant.
+/// Baseline (all-up) max-flow per pair.
 pub fn baselines_for(graph: &NetworkGraph, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
     let all_up = HealthView::all_up();
-    let layered = is_pod_layered(graph);
-    WorkerPool::default().run(pairs, |_, &(s, t)| pair_flow(graph, &all_up, s, t, layered))
+    ScopeIndex::build(graph)
+        .solve_pairs(graph, &all_up, pairs)
+        .0
 }
 
 /// Whether every edge either stays within one pod or touches a pod-less
@@ -175,36 +183,6 @@ pub fn is_pod_layered(graph: &NetworkGraph) -> bool {
     })
 }
 
-/// Solve one pair, scoping the flow network to the endpoints' pods plus
-/// pod-less tiers when the fabric is layered.
-fn pair_flow(
-    graph: &NetworkGraph,
-    health: &HealthView,
-    s: NodeId,
-    t: NodeId,
-    layered: bool,
-) -> f64 {
-    let (sp, tp) = (graph.node(s).pod, graph.node(t).pod);
-    match (layered, sp, tp) {
-        (true, Some(sp), Some(tp)) => {
-            let (sdc, tdc) = (
-                graph.node(s).datacenter.clone(),
-                graph.node(t).datacenter.clone(),
-            );
-            max_flow_scoped(graph, health, s, t, |n| {
-                let info = graph.node(n);
-                match info.pod {
-                    None => true,
-                    Some(p) => {
-                        (p == sp && info.datacenter == sdc) || (p == tp && info.datacenter == tdc)
-                    }
-                }
-            })
-        }
-        _ => max_flow(graph, health, s, t),
-    }
-}
-
 /// Evaluate current capacity given precomputed baselines.
 pub fn evaluate_with_baselines(
     graph: &NetworkGraph,
@@ -212,23 +190,9 @@ pub fn evaluate_with_baselines(
     pairs: &[(NodeId, NodeId)],
     baselines: &[f64],
 ) -> CapacityReport {
-    assert_eq!(pairs.len(), baselines.len());
-    let layered = is_pod_layered(graph);
-    // Each (pair, pod-scope) max-flow is independent of every other;
-    // fan the panel out and merge in pair order (bit-identical to the
-    // serial sweep for any worker count).
-    let indexed: Vec<(NodeId, NodeId, f64)> = pairs
-        .iter()
-        .zip(baselines)
-        .map(|(&(s, t), &b)| (s, t, b))
-        .collect();
-    let pairs = WorkerPool::default().run(&indexed, |_, &(s, t, b)| TorPairCapacity {
-        src: s,
-        dst: t,
-        baseline_mbps: b,
-        current_mbps: pair_flow(graph, health, s, t, layered),
-    });
-    CapacityReport { pairs }
+    ScopeIndex::build(graph)
+        .report(graph, health, pairs, baselines)
+        .0
 }
 
 impl CapacityReport {
@@ -241,30 +205,406 @@ impl CapacityReport {
     /// strictly exceeds ToR uplink capacity) and verified by the
     /// `invariant_incremental` ablation bench, which cross-checks
     /// incremental results against full recomputation.
+    ///
+    /// Builds the scope index and scans the report for touched pairs on
+    /// every call; a [`CapacityPanel`] keeps both.
     pub fn evaluate_incremental(
         &self,
         graph: &NetworkGraph,
         health: &HealthView,
         touched_pods: &HashSet<(DatacenterId, u32)>,
     ) -> CapacityReport {
-        let layered = is_pod_layered(graph);
-        let pairs = WorkerPool::default().run(&self.pairs, |_, p| {
-            let touched = [p.src, p.dst].iter().any(|&n| {
-                let info = graph.node(n);
-                info.pod
-                    .map(|pod| touched_pods.contains(&(info.datacenter.clone(), pod)))
-                    .unwrap_or(false)
-            });
-            if touched {
-                TorPairCapacity {
-                    current_mbps: pair_flow(graph, health, p.src, p.dst, layered),
-                    ..p.clone()
-                }
-            } else {
-                p.clone()
+        let scope = ScopeIndex::build(graph);
+        let pods: Vec<u32> = scope.pod_indexes(touched_pods).collect();
+        let in_touched = |n: NodeId| pods.contains(&scope.node_pod[n.0 as usize]);
+        let touched: Vec<u32> = (0..self.pairs.len() as u32)
+            .filter(|&i| {
+                let p = &self.pairs[i as usize];
+                in_touched(p.src) || in_touched(p.dst)
+            })
+            .collect();
+        let mut report = self.clone();
+        scope.patch(graph, health, &touched, &mut report);
+        report
+    }
+}
+
+/// Solves at or above this many in one evaluation are cut into one chunk
+/// per worker; fewer run inline. A scoped solve is a few microseconds and
+/// a thread spawn is tens, so a touched pod's ≈100 pairs are cheaper on
+/// the caller's thread than split in two.
+const FAN_OUT_MIN_SOLVES: usize = 256;
+
+/// Marks, in a [`ScopeEdge`] endpoint, a pod-local node number (to be
+/// offset by where the solve places that pod); unmarked endpoints are
+/// tier-local and need no offset.
+const IN_POD: u32 = 1 << 31;
+
+/// `node_pod` value of a pod-less (tier) node.
+const TIER: u32 = u32::MAX;
+
+/// One edge of a scope list, endpoints already in compact numbering.
+#[derive(Debug, Clone, Copy)]
+struct ScopeEdge {
+    id: u32,
+    a: u32,
+    b: u32,
+    capacity_mbps: f64,
+}
+
+#[derive(Debug, Default)]
+struct PodScope {
+    nodes: u32,
+    /// Intra-pod and pod↔tier edges, ascending by id.
+    edges: Vec<ScopeEdge>,
+}
+
+/// What an evaluation did, counted beside the flows it returns.
+#[derive(Debug, Default, Clone, Copy)]
+struct Work {
+    solves: u64,
+    edges_visited: u64,
+}
+
+/// The graph cut along its pods, built once per panel: which edges a
+/// pair's solve has to look at, and where each node sits in the solve's
+/// compact numbering (tier nodes first, then `pod(s)`, then `pod(t)`).
+#[derive(Debug)]
+struct ScopeIndex {
+    /// [`is_pod_layered`]; when false the lists below stay empty and
+    /// every pair is solved on the whole graph.
+    layered: bool,
+    /// Per node: its pod's index in `pods`, or [`TIER`].
+    node_pod: Vec<u32>,
+    /// Per node: its number within its pod (or within the tier).
+    node_local: Vec<u32>,
+    tier_nodes: u32,
+    /// Edges between two pod-less nodes, ascending by id.
+    tier_edges: Vec<ScopeEdge>,
+    pods: Vec<PodScope>,
+    pod_ids: HashMap<(DatacenterId, u32), u32>,
+}
+
+impl ScopeIndex {
+    fn build(graph: &NetworkGraph) -> ScopeIndex {
+        let mut index = ScopeIndex {
+            layered: is_pod_layered(graph),
+            node_pod: vec![TIER; graph.node_count()],
+            node_local: vec![0; graph.node_count()],
+            tier_nodes: 0,
+            tier_edges: Vec::new(),
+            pods: Vec::new(),
+            pod_ids: HashMap::new(),
+        };
+        for (dc, pod, members) in graph.pods() {
+            let p = index.pods.len() as u32;
+            index.pod_ids.insert((dc.clone(), pod), p);
+            for (local, &n) in members.iter().enumerate() {
+                index.node_pod[n.0 as usize] = p;
+                index.node_local[n.0 as usize] = local as u32;
             }
-        });
-        CapacityReport { pairs }
+            index.pods.push(PodScope {
+                nodes: members.len() as u32,
+                edges: Vec::new(),
+            });
+        }
+        for (n, &pod) in index.node_pod.iter().enumerate() {
+            if pod == TIER {
+                index.node_local[n] = index.tier_nodes;
+                index.tier_nodes += 1;
+            }
+        }
+        if !index.layered {
+            return index;
+        }
+        for (id, e) in graph.edges() {
+            let (pa, pb) = (
+                index.node_pod[e.a.0 as usize],
+                index.node_pod[e.b.0 as usize],
+            );
+            let end = |n: NodeId, pod: u32| {
+                index.node_local[n.0 as usize] | if pod == TIER { 0 } else { IN_POD }
+            };
+            let edge = ScopeEdge {
+                id: id.0,
+                a: end(e.a, pa),
+                b: end(e.b, pb),
+                capacity_mbps: e.capacity_mbps,
+            };
+            // Layered: the two ends share a pod, or at least one is tier.
+            match pa.min(pb) {
+                TIER => index.tier_edges.push(edge),
+                pod => index.pods[pod as usize].edges.push(edge),
+            }
+        }
+        index
+    }
+
+    /// The indexes of the pods in `touched` this graph has.
+    fn pod_indexes<'a>(
+        &'a self,
+        touched: &'a HashSet<(DatacenterId, u32)>,
+    ) -> impl Iterator<Item = u32> + 'a {
+        touched
+            .iter()
+            .filter_map(|pod| self.pod_ids.get(pod).copied())
+    }
+
+    /// One pair's max-flow under the resolved health view.
+    fn pair_flow(
+        &self,
+        graph: &NetworkGraph,
+        usable: &EdgeMask,
+        net: &mut FlowNet,
+        work: &mut Work,
+        (s, t): (NodeId, NodeId),
+    ) -> f64 {
+        work.solves += 1;
+        if s == t {
+            return f64::INFINITY;
+        }
+        let (ps, pt) = (self.node_pod[s.0 as usize], self.node_pod[t.0 as usize]);
+        if !self.layered || ps == TIER || pt == TIER {
+            work.edges_visited += graph.edge_count() as u64;
+            return net.max_flow_whole(graph, usable, s, t);
+        }
+        // Compact numbering: tier, then pod(s), then pod(t) if distinct.
+        let src = &self.pods[ps as usize];
+        let src_base = self.tier_nodes;
+        let (dst_edges, dst_base, nodes) = if pt == ps {
+            (&[][..], src_base, src_base + src.nodes)
+        } else {
+            let dst = &self.pods[pt as usize];
+            let dst_base = src_base + src.nodes;
+            (&dst.edges[..], dst_base, dst_base + dst.nodes)
+        };
+        net.reset(nodes as usize);
+        // Merge the three id-sorted lists so arcs go in by ascending id,
+        // a run at a time: builders number a pod's edges contiguously.
+        let mut lists = [
+            (&self.tier_edges[..], 0),
+            (&src.edges[..], src_base),
+            (dst_edges, dst_base),
+        ];
+        work.edges_visited += lists.iter().map(|(l, _)| l.len() as u64).sum::<u64>();
+        loop {
+            // The list with the lowest head, and the lowest head of the rest.
+            let (mut lowest, mut low, mut limit) = (0, u32::MAX, u32::MAX);
+            for (k, (list, _)) in lists.iter().enumerate() {
+                match list.first() {
+                    Some(e) if e.id < low => (lowest, low, limit) = (k, e.id, low),
+                    Some(e) => limit = limit.min(e.id),
+                    None => {}
+                }
+            }
+            if low == u32::MAX {
+                break;
+            }
+            let (list, base) = &mut lists[lowest];
+            let at = |end: u32| match end & IN_POD {
+                0 => end,
+                _ => *base + (end & !IN_POD),
+            };
+            let (run, rest) = list.split_at(list.partition_point(|e| e.id < limit));
+            for e in run.iter().filter(|e| usable.usable(e.id)) {
+                net.add_undirected(at(e.a), at(e.b), e.capacity_mbps);
+            }
+            *list = rest;
+        }
+        net.max_flow(
+            src_base + self.node_local[s.0 as usize],
+            dst_base + self.node_local[t.0 as usize],
+        )
+    }
+
+    /// Max-flow of each pair under `health`, in pair order. Solves are
+    /// pure, so cutting them into per-worker chunks (each with its own
+    /// workspace) cannot show in the result.
+    fn solve_pairs(
+        &self,
+        graph: &NetworkGraph,
+        health: &HealthView,
+        pairs: &[(NodeId, NodeId)],
+    ) -> (Vec<f64>, Work) {
+        let usable = EdgeMask::resolve(graph, health);
+        let solve_chunk = |chunk: &[(NodeId, NodeId)]| {
+            let (mut net, mut work) = (FlowNet::default(), Work::default());
+            let flows: Vec<f64> = chunk
+                .iter()
+                .map(|&pair| self.pair_flow(graph, &usable, &mut net, &mut work, pair))
+                .collect();
+            (flows, work)
+        };
+        let pool = WorkerPool::default();
+        if pairs.len() < FAN_OUT_MIN_SOLVES {
+            return solve_chunk(pairs);
+        }
+        let chunks: Vec<_> = pairs.chunks(pairs.len().div_ceil(pool.threads())).collect();
+        let mut flows = Vec::with_capacity(pairs.len());
+        let mut work = Work::default();
+        for (chunk_flows, chunk_work) in pool.run(chunks, |_, chunk| solve_chunk(chunk)) {
+            flows.extend(chunk_flows);
+            work.solves += chunk_work.solves;
+            work.edges_visited += chunk_work.edges_visited;
+        }
+        (flows, work)
+    }
+
+    /// A full report: every pair solved under `health`.
+    fn report(
+        &self,
+        graph: &NetworkGraph,
+        health: &HealthView,
+        pairs: &[(NodeId, NodeId)],
+        baselines: &[f64],
+    ) -> (CapacityReport, Work) {
+        assert_eq!(pairs.len(), baselines.len());
+        let (flows, work) = self.solve_pairs(graph, health, pairs);
+        let pairs = pairs
+            .iter()
+            .zip(baselines)
+            .zip(flows)
+            .map(
+                |((&(src, dst), &baseline_mbps), current_mbps)| TorPairCapacity {
+                    src,
+                    dst,
+                    baseline_mbps,
+                    current_mbps,
+                },
+            )
+            .collect();
+        (CapacityReport { pairs }, work)
+    }
+
+    /// Re-solve the pairs at `touched` (indexes into `report.pairs`) under
+    /// `health` and write the flows over the old ones, which are returned
+    /// beside their indexes.
+    fn patch(
+        &self,
+        graph: &NetworkGraph,
+        health: &HealthView,
+        touched: &[u32],
+        report: &mut CapacityReport,
+    ) -> (Vec<(u32, f64)>, Work) {
+        let pairs: Vec<(NodeId, NodeId)> = touched
+            .iter()
+            .map(|&i| {
+                let p = &report.pairs[i as usize];
+                (p.src, p.dst)
+            })
+            .collect();
+        let (flows, work) = self.solve_pairs(graph, health, &pairs);
+        let previous = touched
+            .iter()
+            .zip(flows)
+            .map(|(&i, flow)| {
+                let current = &mut report.pairs[i as usize].current_mbps;
+                (i, std::mem::replace(current, flow))
+            })
+            .collect();
+        (previous, work)
+    }
+}
+
+/// A fixed set of ToR pairs of one graph with everything that does not
+/// change between evaluations: the pairs, their all-up baselines, the
+/// scope index, and per pod the pairs with an endpoint in it. Immutable
+/// but for its work counters, so consumers share one behind an `Arc` and
+/// each keeps its own last report.
+#[derive(Debug)]
+pub struct CapacityPanel {
+    pairs: Vec<(NodeId, NodeId)>,
+    baselines: Vec<f64>,
+    scope: ScopeIndex,
+    /// Per pod of the scope index: indexes of the pairs with an endpoint
+    /// in it, ascending.
+    pod_pairs: Vec<Vec<u32>>,
+    solves: AtomicU64,
+    edges_visited: AtomicU64,
+}
+
+impl CapacityPanel {
+    /// Index `graph` and solve each pair's baseline (all-up) max-flow.
+    pub fn new(graph: &NetworkGraph, pairs: Vec<(NodeId, NodeId)>) -> CapacityPanel {
+        let scope = ScopeIndex::build(graph);
+        let mut pod_pairs = vec![Vec::new(); scope.pods.len()];
+        for (i, &(s, t)) in pairs.iter().enumerate() {
+            let (ps, pt) = (scope.node_pod[s.0 as usize], scope.node_pod[t.0 as usize]);
+            if ps != TIER {
+                pod_pairs[ps as usize].push(i as u32);
+            }
+            if pt != TIER && pt != ps {
+                pod_pairs[pt as usize].push(i as u32);
+            }
+        }
+        let (baselines, work) = scope.solve_pairs(graph, &HealthView::all_up(), &pairs);
+        let panel = CapacityPanel {
+            pairs,
+            baselines,
+            scope,
+            pod_pairs,
+            solves: AtomicU64::new(0),
+            edges_visited: AtomicU64::new(0),
+        };
+        panel.count(work);
+        panel
+    }
+
+    /// The panel's pairs.
+    pub fn pairs(&self) -> &[(NodeId, NodeId)] {
+        &self.pairs
+    }
+
+    /// Every pair's capacity under `health`. `graph` is the one the panel
+    /// was built on.
+    pub fn evaluate(&self, graph: &NetworkGraph, health: &HealthView) -> CapacityReport {
+        let (report, work) = self
+            .scope
+            .report(graph, health, &self.pairs, &self.baselines);
+        self.count(work);
+        report
+    }
+
+    /// Bring `report` (one of this panel's) up to `health`, given that
+    /// only `touched_pods` changed since it was evaluated: re-solve the
+    /// pairs with an endpoint in a touched pod, in place. Returns the
+    /// overwritten `(pair index, current_mbps)` entries, so a caller that
+    /// discards the evaluation can put them back.
+    pub fn refresh(
+        &self,
+        graph: &NetworkGraph,
+        health: &HealthView,
+        touched_pods: &HashSet<(DatacenterId, u32)>,
+        report: &mut CapacityReport,
+    ) -> Vec<(u32, f64)> {
+        let mut touched: Vec<u32> = self
+            .scope
+            .pod_indexes(touched_pods)
+            .flat_map(|pod| &self.pod_pairs[pod as usize])
+            .copied()
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let (previous, work) = self.scope.patch(graph, health, &touched, report);
+        self.count(work);
+        previous
+    }
+
+    /// Max-flow solves this panel has run since construction, baselines
+    /// included. The work a round did, free of the clock.
+    pub fn solves(&self) -> u64 {
+        self.solves.load(Ordering::Relaxed)
+    }
+
+    /// Edges examined by those solves (usable or not).
+    pub fn edges_visited(&self) -> u64 {
+        self.edges_visited.load(Ordering::Relaxed)
+    }
+
+    fn count(&self, work: Work) {
+        self.solves.fetch_add(work.solves, Ordering::Relaxed);
+        self.edges_visited
+            .fetch_add(work.edges_visited, Ordering::Relaxed);
     }
 }
 
@@ -368,6 +708,56 @@ mod tests {
         for (a, b) in inc.pairs.iter().zip(full.pairs.iter()) {
             assert!((a.current_mbps - b.current_mbps).abs() < 1.0);
         }
+    }
+
+    #[test]
+    fn a_solve_visits_its_scope_not_the_fabric() {
+        // Same pod shape and core count, 10 pods against 52: a solve looks
+        // at two pods' edges either way (2 × (16 ToR·Agg + 16 Agg·Core)),
+        // where a whole-graph kernel would look at 320 against 1,664.
+        let per_solve = |pods: u32| {
+            let g = DcnSpec {
+                pods,
+                ..DcnSpec::fig7("dc1")
+            }
+            .build();
+            let pairs = select_tor_pairs(&g, &DatacenterId::new("dc1"), Some(1));
+            let panel = CapacityPanel::new(&g, pairs);
+            let mut h = HealthView::all_up();
+            h.set_device_down(DeviceName::new("agg-2-1"));
+            panel.evaluate(&g, &h);
+            assert_eq!(panel.solves(), 2 * (pods * (pods - 1)) as u64);
+            assert_eq!(panel.edges_visited() % panel.solves(), 0);
+            panel.edges_visited() / panel.solves()
+        };
+        assert_eq!(per_solve(10), 64);
+        assert_eq!(per_solve(52), 64);
+    }
+
+    #[test]
+    fn panel_refresh_patches_in_place_and_hands_back_the_old_flows() {
+        let g = fig7();
+        let dc = DatacenterId::new("dc1");
+        let panel = CapacityPanel::new(&g, select_tor_pairs(&g, &dc, Some(1)));
+        let mut report = panel.evaluate(&g, &HealthView::all_up());
+        let before = report.clone();
+
+        let mut h = HealthView::all_up();
+        h.set_device_down(DeviceName::new("agg-3-1"));
+        // Pods 3 and 4 share two pairs; each is solved once.
+        let touched = HashSet::from([(dc.clone(), 3u32), (dc.clone(), 4u32)]);
+        let solves = panel.solves();
+        let previous = panel.refresh(&g, &h, &touched, &mut report);
+        assert_eq!(panel.solves() - solves, 34);
+        assert_eq!(report.pairs, panel.evaluate(&g, &h).pairs);
+        assert_eq!(
+            report.pairs,
+            before.evaluate_incremental(&g, &h, &touched).pairs
+        );
+        for (i, current_mbps) in previous {
+            report.pairs[i as usize].current_mbps = current_mbps;
+        }
+        assert_eq!(report.pairs, before.pairs);
     }
 
     #[test]

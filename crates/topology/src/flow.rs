@@ -7,73 +7,129 @@
 //! directions (full-duplex), and a link is usable only if it and both its
 //! endpoint devices are up.
 //!
+//! There is one kernel, [`FlowNet`]: a reusable workspace whose caller
+//! names the scope by the edges it adds. Whole-graph [`max_flow`] adds
+//! every usable edge; the capacity panel (`crate::capacity`) adds the
+//! edges of two pods and the pod-less tier from its scope index, so a
+//! solve's *work* — not only the arcs it keeps — is a few hundred edges
+//! whatever the fabric's size. Dinic's augmentations depend only on the
+//! order of each node's arcs, never on node numbering, so two scopes that
+//! add the same edges in the same order return the same bits.
+//!
 //! Dinic's algorithm is O(V²E) in general but effectively linear on the
 //! shallow, high-multiplicity fabrics we evaluate; the Fig-7 fabric solves
 //! in microseconds.
 
-use crate::graph::{HealthView, NetworkGraph, NodeId};
+use crate::graph::{EdgeId, HealthView, NetworkGraph, NodeId};
 
-/// Internal residual-graph arc.
-#[derive(Debug, Clone)]
+const NIL: u32 = u32::MAX;
+
+/// A residual arc. Arcs are pushed in pairs, so the reverse of arc `i`
+/// is arc `i ^ 1`; `next` chains a node's arcs in insertion order.
+#[derive(Debug, Clone, Copy)]
 struct Arc {
     to: u32,
+    next: u32,
     cap: f64,
-    /// index of the reverse arc in `arcs`
-    rev: u32,
 }
 
-/// A reusable Dinic solver instance over a fixed usable subgraph.
-struct Dinic {
-    arcs: Vec<Arc>,
-    head: Vec<Vec<u32>>, // per-node arc indices
-    level: Vec<i32>,
-    iter: Vec<usize>,
+/// A [`HealthView`] resolved once against a graph into a per-edge
+/// "unusable" bitset: a link is unusable if it is down or either endpoint
+/// is. Costs O(outages × degree) name lookups; after that a solve tests
+/// one bit per edge instead of hashing three names.
+pub(crate) struct EdgeMask {
+    unusable: Vec<u64>,
 }
 
-impl Dinic {
-    fn new(n: usize) -> Self {
-        Dinic {
-            arcs: Vec::new(),
-            head: vec![Vec::new(); n],
-            level: vec![-1; n],
-            iter: vec![0; n],
+impl EdgeMask {
+    pub(crate) fn resolve(graph: &NetworkGraph, health: &HealthView) -> EdgeMask {
+        let mut unusable = vec![0u64; graph.edge_count().div_ceil(64)];
+        let mut mark = |e: EdgeId| unusable[e.0 as usize / 64] |= 1 << (e.0 % 64);
+        for device in health.down_devices() {
+            if let Some(id) = graph.node_id(device) {
+                graph.neighbors(id).iter().for_each(|&(e, _)| mark(e));
+            }
         }
+        for link in health.down_links() {
+            if let Some(e) = graph.edge_id(link) {
+                mark(e);
+            }
+        }
+        EdgeMask { unusable }
     }
 
-    fn add_edge(&mut self, u: u32, v: u32, cap: f64) {
+    pub(crate) fn usable(&self, edge: u32) -> bool {
+        self.unusable[edge as usize / 64] & (1 << (edge % 64)) == 0
+    }
+}
+
+/// A reusable Dinic workspace: flat arc storage and per-node arrays that
+/// keep their allocations from one solve to the next.
+#[derive(Debug, Default)]
+pub(crate) struct FlowNet {
+    arcs: Vec<Arc>,
+    /// Per node: first and last arc of its chain.
+    first: Vec<u32>,
+    last: Vec<u32>,
+    level: Vec<i32>,
+    /// Per node: the DFS's current arc in this phase.
+    cur: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl FlowNet {
+    /// Start a new network over nodes `0..nodes` with no arcs.
+    pub(crate) fn reset(&mut self, nodes: usize) {
+        self.arcs.clear();
+        for per_node in [&mut self.first, &mut self.last, &mut self.cur] {
+            per_node.clear();
+            per_node.resize(nodes, NIL);
+        }
+        self.level.resize(nodes, -1);
+    }
+
+    fn add_arc(&mut self, u: u32, v: u32, cap: f64) {
         let a = self.arcs.len() as u32;
         self.arcs.push(Arc {
             to: v,
+            next: NIL,
             cap,
-            rev: a + 1,
         });
-        self.arcs.push(Arc {
-            to: u,
-            cap: 0.0,
-            rev: a,
-        });
-        self.head[u as usize].push(a);
-        self.head[v as usize].push(a + 1);
+        match self.last[u as usize] {
+            NIL => self.first[u as usize] = a,
+            tail => self.arcs[tail as usize].next = a,
+        }
+        self.last[u as usize] = a;
     }
 
-    /// Add an undirected (full-duplex) edge: capacity `cap` each way.
-    fn add_undirected(&mut self, u: u32, v: u32, cap: f64) {
-        self.add_edge(u, v, cap);
-        self.add_edge(v, u, cap);
+    /// Add an undirected (full-duplex) edge: capacity `cap` each way,
+    /// each direction with its own zero-capacity reverse arc. Scopes must
+    /// add their edges in ascending [`EdgeId`] order: that fixes every
+    /// node's arc order, and with it the augmentations and the result's
+    /// bits.
+    pub(crate) fn add_undirected(&mut self, u: u32, v: u32, cap: f64) {
+        self.add_arc(u, v, cap);
+        self.add_arc(v, u, 0.0);
+        self.add_arc(v, u, cap);
+        self.add_arc(u, v, 0.0);
     }
 
     fn bfs(&mut self, s: u32, t: u32) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        let mut q = std::collections::VecDeque::new();
+        self.level.fill(-1);
+        self.queue.clear();
         self.level[s as usize] = 0;
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
-            for &ai in &self.head[u as usize] {
-                let a = &self.arcs[ai as usize];
+        self.queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let mut ai = self.first[u as usize];
+            while ai != NIL {
+                let a = self.arcs[ai as usize];
                 if a.cap > 1e-9 && self.level[a.to as usize] < 0 {
                     self.level[a.to as usize] = self.level[u as usize] + 1;
-                    q.push_back(a.to);
+                    self.queue.push(a.to);
                 }
+                ai = a.next;
             }
         }
         self.level[t as usize] >= 0
@@ -83,27 +139,27 @@ impl Dinic {
         if u == t {
             return f;
         }
-        while self.iter[u as usize] < self.head[u as usize].len() {
-            let ai = self.head[u as usize][self.iter[u as usize]] as usize;
-            let (to, cap) = (self.arcs[ai].to, self.arcs[ai].cap);
+        while self.cur[u as usize] != NIL {
+            let ai = self.cur[u as usize] as usize;
+            let Arc { to, cap, next } = self.arcs[ai];
             if cap > 1e-9 && self.level[to as usize] == self.level[u as usize] + 1 {
                 let d = self.dfs(to, t, f.min(cap));
                 if d > 1e-9 {
-                    let rev = self.arcs[ai].rev as usize;
                     self.arcs[ai].cap -= d;
-                    self.arcs[rev].cap += d;
+                    self.arcs[ai ^ 1].cap += d;
                     return d;
                 }
             }
-            self.iter[u as usize] += 1;
+            self.cur[u as usize] = next;
         }
         0.0
     }
 
-    fn max_flow(&mut self, s: u32, t: u32) -> f64 {
+    /// Max-flow from `s` to `t` over the arcs added since `reset`.
+    pub(crate) fn max_flow(&mut self, s: u32, t: u32) -> f64 {
         let mut flow = 0.0;
         while self.bfs(s, t) {
-            self.iter.iter_mut().for_each(|i| *i = 0);
+            self.cur.copy_from_slice(&self.first);
             loop {
                 let f = self.dfs(s, t, f64::INFINITY);
                 if f <= 1e-9 {
@@ -114,40 +170,37 @@ impl Dinic {
         }
         flow
     }
+
+    /// Whole-graph scope: every usable edge, on the graph's own node ids.
+    pub(crate) fn max_flow_whole(
+        &mut self,
+        graph: &NetworkGraph,
+        usable: &EdgeMask,
+        s: NodeId,
+        t: NodeId,
+    ) -> f64 {
+        self.reset(graph.node_count());
+        for (id, e) in graph.edges() {
+            if usable.usable(id.0) {
+                self.add_undirected(e.a.0, e.b.0, e.capacity_mbps);
+            }
+        }
+        self.max_flow(s.0, t.0)
+    }
 }
 
 /// Maximum achievable bandwidth (Mbps) between two devices over usable
 /// links. Returns `0.0` if either endpoint device is down or no usable
 /// path exists.
 pub fn max_flow(graph: &NetworkGraph, health: &HealthView, s: NodeId, t: NodeId) -> f64 {
-    max_flow_scoped(graph, health, s, t, |_| true)
-}
-
-/// Max-flow restricted to nodes for which `allowed` returns true (both
-/// endpoints must be allowed). Used by the capacity evaluator to solve
-/// ToR-pair flows on the relevant pods + shared tiers only — on a
-/// pod-layered fabric that shrinks each solve from the whole-fabric edge
-/// set to a few hundred edges.
-pub fn max_flow_scoped(
-    graph: &NetworkGraph,
-    health: &HealthView,
-    s: NodeId,
-    t: NodeId,
-    allowed: impl Fn(NodeId) -> bool,
-) -> f64 {
     if s == t {
         return f64::INFINITY;
     }
     if !health.device_up(&graph.node(s).name) || !health.device_up(&graph.node(t).name) {
         return 0.0;
     }
-    let mut d = Dinic::new(graph.node_count());
-    for (_, e) in graph.edges() {
-        if allowed(e.a) && allowed(e.b) && health.link_usable(&e.name) {
-            d.add_undirected(e.a.0, e.b.0, e.capacity_mbps);
-        }
-    }
-    d.max_flow(s.0, t.0)
+    let usable = EdgeMask::resolve(graph, health);
+    FlowNet::default().max_flow_whole(graph, &usable, s, t)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use statesman_types::{DatacenterId, DeviceName, DeviceRole, LinkName};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// Dense node index into a [`NetworkGraph`].
@@ -72,6 +72,9 @@ pub struct NetworkGraph {
     adj: Vec<Vec<(EdgeId, NodeId)>>,
     by_name: HashMap<DeviceName, NodeId>,
     by_link: HashMap<LinkName, EdgeId>,
+    /// Pod membership: datacenter → pod → members in id order
+    /// (`add_device` hands out ascending ids, so appending keeps it).
+    pods: BTreeMap<DatacenterId, BTreeMap<u32, Vec<NodeId>>>,
 }
 
 impl NetworkGraph {
@@ -92,11 +95,16 @@ impl NetworkGraph {
         let name = name.into();
         assert!(!self.by_name.contains_key(&name), "duplicate device {name}");
         let id = NodeId(self.nodes.len() as u32);
+        let datacenter = datacenter.into();
         self.by_name.insert(name.clone(), id);
+        if let Some(pod) = pod {
+            let in_dc = self.pods.entry(datacenter.clone()).or_default();
+            in_dc.entry(pod).or_default().push(id);
+        }
         self.nodes.push(NodeInfo {
             name,
             role,
-            datacenter: datacenter.into(),
+            datacenter,
             pod,
         });
         self.adj.push(Vec::new());
@@ -200,10 +208,21 @@ impl NetworkGraph {
 
     /// All devices in a pod of a given datacenter, in id order.
     pub fn devices_in_pod(&self, dc: &DatacenterId, pod: u32) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|(_, n)| &n.datacenter == dc && n.pod == Some(pod))
-            .map(|(id, _)| id)
-            .collect()
+        self.pods
+            .get(dc)
+            .and_then(|in_dc| in_dc.get(&pod))
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// Every pod as `(datacenter, pod, members in id order)`, ascending
+    /// by datacenter then pod.
+    pub fn pods(&self) -> impl Iterator<Item = (&DatacenterId, u32, &[NodeId])> {
+        self.pods.iter().flat_map(|(dc, in_dc)| {
+            in_dc
+                .iter()
+                .map(move |(&pod, members)| (dc, pod, members.as_slice()))
+        })
     }
 
     /// All links incident to a device.
@@ -220,15 +239,10 @@ impl NetworkGraph {
 
     /// Distinct pod numbers present in a datacenter, ascending.
     pub fn pods_in(&self, dc: &DatacenterId) -> Vec<u32> {
-        let mut pods: Vec<u32> = self
-            .nodes
-            .iter()
-            .filter(|n| &n.datacenter == dc)
-            .filter_map(|n| n.pod)
-            .collect();
-        pods.sort_unstable();
-        pods.dedup();
-        pods
+        self.pods
+            .get(dc)
+            .map(|in_dc| in_dc.keys().copied().collect())
+            .unwrap_or_default()
     }
 }
 
@@ -390,6 +404,39 @@ mod tests {
         let l = LinkName::between("sw-a", "sw-b");
         assert!(g.edge_id(&l).is_some());
         assert_eq!(g.links_of_device(&DeviceName::new("sw-d")).len(), 2);
+    }
+
+    #[test]
+    fn pod_index_answers_like_a_scan() {
+        // Pods interleaved across two DCs, plus pod-less devices.
+        let mut g = NetworkGraph::new();
+        for i in 0..40u32 {
+            let dc = if i % 3 == 0 { "dc2" } else { "dc1" };
+            let pod = (i % 7 != 0).then_some(i % 5);
+            g.add_device(format!("sw-{i}"), DeviceRole::Agg, dc, pod);
+        }
+        use serde::{Deserialize, Serialize};
+        let round_tripped = NetworkGraph::from_content(&g.to_content()).unwrap();
+        for g in [&g, &g.clone(), &round_tripped] {
+            for dc in ["dc1", "dc2", "dc3"].map(DatacenterId::new) {
+                let mut pods: Vec<u32> = (g.nodes())
+                    .filter(|(_, n)| n.datacenter == dc)
+                    .filter_map(|(_, n)| n.pod)
+                    .collect();
+                pods.sort_unstable();
+                pods.dedup();
+                assert_eq!(g.pods_in(&dc), pods);
+                for pod in 0..6 {
+                    let scan: Vec<NodeId> = (g.nodes())
+                        .filter(|(_, n)| n.datacenter == dc && n.pod == Some(pod))
+                        .map(|(id, _)| id)
+                        .collect();
+                    assert_eq!(g.devices_in_pod(&dc, pod), scan, "{dc} pod {pod}");
+                }
+            }
+            let listed: usize = g.pods().map(|(_, _, members)| members.len()).sum();
+            assert_eq!(listed, g.nodes().filter(|(_, n)| n.pod.is_some()).count());
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   (full mesh of datacenters with two border routers each);
 //! * algorithms the invariants and applications need: BFS connectivity and
 //!   components, Yen's k-shortest paths, Dinic max-flow, and ToR-pair
-//!   capacity evaluation with an incremental (pod-scoped) mode.
+//!   capacity evaluation on a pod-scoped index, with an incremental
+//!   (touched-pods-only) refresh.
 
 pub mod builder;
 pub mod capacity;
@@ -27,7 +28,7 @@ pub mod graph;
 pub mod paths;
 
 pub use builder::{DcnSpec, DeploymentSpec, WanSpec};
-pub use capacity::{CapacityReport, TorPairCapacity};
+pub use capacity::{CapacityPanel, CapacityReport, TorPairCapacity};
 pub use flow::max_flow;
 pub use graph::{EdgeId, HealthView, LinkInfo, NetworkGraph, NodeId, NodeInfo};
 pub use paths::k_shortest_paths;

@@ -35,6 +35,20 @@ fn health_with_failures(graph: &NetworkGraph, failures: &[usize]) -> HealthView 
     h
 }
 
+/// Like [`health_with_failures`], plus links failed on their own.
+fn health_with_link_failures(
+    graph: &NetworkGraph,
+    devices: &[usize],
+    links: &[usize],
+) -> HealthView {
+    let mut h = health_with_failures(graph, devices);
+    for &f in links {
+        let id = statesman_topology::EdgeId((f % graph.edge_count()) as u32);
+        h.set_link_down(graph.edge(id).name.clone());
+    }
+    h
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -77,14 +91,15 @@ proptest! {
     #[test]
     fn scoped_capacity_matches_unscoped(
         spec in spec_strategy(),
-        failures in failures_strategy()
+        failures in failures_strategy(),
+        link_failures in failures_strategy()
     ) {
         // The pod-scoped fast path must agree with whole-graph max-flow.
         let g = spec.build();
         let dc = DatacenterId::new("dcp");
         let pairs = capacity::select_tor_pairs(&g, &dc, Some(1));
         prop_assume!(!pairs.is_empty());
-        let h = health_with_failures(&g, &failures);
+        let h = health_with_link_failures(&g, &failures, &link_failures);
         let report = capacity::evaluate(&g, &h, &pairs); // uses scoped path
         for p in &report.pairs {
             let unscoped = max_flow(&g, &h, p.src, p.dst);

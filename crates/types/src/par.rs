@@ -17,6 +17,9 @@
 //! 1. explicit `WorkerPool::new(n)` with `n >= 1`
 //! 2. `STATESMAN_WORKER_THREADS` env var
 //! 3. `std::thread::available_parallelism()`
+//!
+//! 2 and 3 are read once per process: the variable is a start-up
+//! setting, and the host's parallelism costs cgroup file reads to ask.
 
 /// Fixed-size deterministic fork-join pool. Cheap to construct (holds
 /// only the thread count); threads are scoped per `run` call so the
@@ -26,19 +29,23 @@ pub struct WorkerPool {
     threads: usize,
 }
 
-/// Resolve the default worker count: `STATESMAN_WORKER_THREADS` when set
-/// to a positive integer, else the host's available parallelism, else 1.
+/// The default worker count: `STATESMAN_WORKER_THREADS` when set to a
+/// positive integer, else the host's available parallelism, else 1.
+/// Resolved on first use and fixed for the life of the process.
 pub fn default_worker_threads() -> usize {
-    if let Ok(raw) = std::env::var("STATESMAN_WORKER_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
+    static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        if let Ok(raw) = std::env::var("STATESMAN_WORKER_THREADS") {
+            if let Ok(n) = raw.trim().parse::<usize>() {
+                if n >= 1 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 impl Default for WorkerPool {
