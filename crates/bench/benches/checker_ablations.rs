@@ -4,8 +4,9 @@
 //!   resolution under a stream of colliding proposals from N apps;
 //! * `impact_groups` — one checker scoped per DC (the paper's design) vs
 //!   one monolithic checker over a multi-DC deployment;
-//! * `invariant_incremental` — pod-scoped incremental capacity evaluation
-//!   vs full recomputation of all sampled ToR pairs.
+//! * `invariant_incremental` — a capacity panel synced by edge-mask diff
+//!   (re-solving the pairs whose scope an outage reached) vs full
+//!   recomputation of all sampled ToR pairs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use statesman_core::groups::ImpactGroup;
@@ -14,9 +15,8 @@ use statesman_core::{
 };
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_storage::{StorageConfig, StorageService};
-use statesman_topology::{capacity, DcnSpec, DeploymentSpec, HealthView, WanSpec};
+use statesman_topology::{capacity, CapacityPanel, DcnSpec, DeploymentSpec, HealthView, WanSpec};
 use statesman_types::{Attribute, DatacenterId, DeviceName, EntityName, Value};
-use std::collections::HashSet;
 
 fn bench_merge_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_policies");
@@ -144,26 +144,23 @@ fn bench_invariant_incremental(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("incremental_pod_scoped", |b| {
-        let base =
-            capacity::evaluate_with_baselines(&graph, &HealthView::all_up(), &pairs, &baselines);
-        let mut touched = HashSet::new();
-        touched.insert((dc.clone(), 3u32));
+    // One sync from all-up: the mask diff finds pod 3 and re-solves its
+    // 18 pairs (the clone of the 90-pair start is part of the cost).
+    let panel = CapacityPanel::new(&graph, pairs.clone());
+    let all_up = panel.evaluate_synced(&graph, &HealthView::all_up());
+    group.bench_function("mask_diff_sync", |b| {
         b.iter(|| {
-            let r = base.evaluate_incremental(&graph, &health, &touched);
-            assert_eq!(r.pairs.len(), 90);
+            let mut synced = all_up.clone();
+            panel.sync(&graph, &health, &mut synced);
+            assert_eq!(synced.report().pairs.len(), 90);
         });
     });
 
-    // Cross-check correctness once: incremental == full.
-    let base = capacity::evaluate_with_baselines(&graph, &HealthView::all_up(), &pairs, &baselines);
-    let mut touched = HashSet::new();
-    touched.insert((dc.clone(), 3u32));
-    let inc = base.evaluate_incremental(&graph, &health, &touched);
+    // Cross-check correctness once: sync == full, to the bit.
+    let mut synced = all_up.clone();
+    panel.sync(&graph, &health, &mut synced);
     let full = capacity::evaluate_with_baselines(&graph, &health, &pairs, &baselines);
-    for (a, b) in inc.pairs.iter().zip(full.pairs.iter()) {
-        assert!((a.current_mbps - b.current_mbps).abs() < 1.0);
-    }
+    assert_eq!(synced.report().pairs, full.pairs);
 
     // Verify the TorPairCapacityInvariant wrapper also works both ways.
     let _inv = TorPairCapacityInvariant::paper_default(&graph, dc, Some(1));

@@ -384,52 +384,68 @@ impl StressRig {
             }));
         }
 
-        // Overload bursts: 32 simultaneous clients against a 16-connection
-        // limit. Every client must get a real response — 200, or 429
-        // carrying retry-after — never a reset. The initial sleep leaves
-        // the first free slots to the loris so its 408s are deterministic.
+        // Overload bursts: 32 clients against a 16-connection limit, then
+        // one health probe. Every client must get a real response — 200,
+        // 408, or 429 carrying retry-after — never a reset. Burst clients
+        // connect and send nothing: an admitted one holds its slot until
+        // the reactor's idle timeout answers it 408, so once the slots
+        // are held every further connect that reaches the accept loop
+        // within that window is shed, whatever order the threads run in.
+        // Bursts go on past `stop` until one has shed and one probe has
+        // passed, so neither count rests on a single burst. The initial
+        // sleep leaves the first free slots to the loris so its 408s are
+        // deterministic.
         {
             let c = counters.clone();
             let stop = stop.clone();
-            threads.push(std::thread::spawn(move || loop {
-                std::thread::sleep(Duration::from_millis(if c.health_ok.load(Relaxed) == 0 {
-                    100
-                } else {
-                    50
-                }));
-                std::thread::scope(|scope| {
-                    for _ in 0..32 {
-                        scope.spawn(|| {
-                            let Ok(mut s) = TcpStream::connect(addr) else {
-                                c.connect_failures.fetch_add(1, Relaxed);
-                                return;
-                            };
-                            let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-                            let req =
-                                b"GET /v1/health HTTP/1.1\r\nhost: chaos\r\nconnection: close\r\n\r\n";
-                            if s.write_all(req).is_err() {
-                                c.connect_failures.fetch_add(1, Relaxed);
-                                return;
-                            }
-                            let mut buf = Vec::new();
-                            if s.read_to_end(&mut buf).is_err() || buf.is_empty() {
-                                c.connect_failures.fetch_add(1, Relaxed);
-                                return;
-                            }
-                            if buf.starts_with(b"HTTP/1.1 200") {
-                                c.health_ok.fetch_add(1, Relaxed);
-                            } else if buf.starts_with(b"HTTP/1.1 429") {
-                                c.sheds.fetch_add(1, Relaxed);
-                                let head = String::from_utf8_lossy(&buf).to_lowercase();
-                                if !head.contains("\r\nretry-after:") {
-                                    c.sheds_missing_retry_after.fetch_add(1, Relaxed);
-                                }
-                            }
-                        });
+            // Send `request` on `conn` and tally the answer.
+            let exchange =
+                |c: &StressCounters, conn: std::io::Result<TcpStream>, request: &[u8]| {
+                    let mut buf = Vec::new();
+                    let answered = conn.is_ok_and(|mut s| {
+                        let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
+                        s.write_all(request).is_ok() && s.read_to_end(&mut buf).is_ok()
+                    });
+                    if !answered || buf.is_empty() {
+                        c.connect_failures.fetch_add(1, Relaxed);
+                    } else if buf.starts_with(b"HTTP/1.1 200") {
+                        c.health_ok.fetch_add(1, Relaxed);
+                    } else if buf.starts_with(b"HTTP/1.1 429") {
+                        c.sheds.fetch_add(1, Relaxed);
+                        let head = String::from_utf8_lossy(&buf).to_lowercase();
+                        if !head.contains("\r\nretry-after:") {
+                            c.sheds_missing_retry_after.fetch_add(1, Relaxed);
+                        }
                     }
-                });
-                if stop.load(Relaxed) {
-                    break;
+                };
+            threads.push(std::thread::spawn(move || {
+                let mut bursts_after_stop = 0;
+                loop {
+                    if stop.load(Relaxed) {
+                        let seen = c.sheds.load(Relaxed) > 0 && c.health_ok.load(Relaxed) > 0;
+                        if seen || bursts_after_stop == 200 {
+                            break;
+                        }
+                        bursts_after_stop += 1;
+                    }
+                    std::thread::sleep(Duration::from_millis(if c.health_ok.load(Relaxed) == 0 {
+                        100
+                    } else {
+                        50
+                    }));
+                    let connected = std::sync::Barrier::new(32);
+                    std::thread::scope(|scope| {
+                        for _ in 0..32 {
+                            scope.spawn(|| {
+                                let conn = TcpStream::connect(addr);
+                                connected.wait();
+                                exchange(&c, conn, b"");
+                            });
+                        }
+                    });
+                    let probe =
+                        b"GET /v1/health HTTP/1.1\r\nhost: chaos\r\nconnection: close\r\n\r\n";
+                    exchange(&c, TcpStream::connect(addr), probe);
                 }
             }));
         }

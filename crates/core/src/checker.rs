@@ -679,6 +679,8 @@ impl Checker {
                         // A passing cached verdict licenses pod-scoped
                         // re-evaluation (the same contract candidate
                         // checks use); a failing one demands a full look.
+                        // Only connectivity reads the hint: capacity
+                        // diffs the projected health itself.
                         let ctx = InvariantContext {
                             graph: &self.graph,
                             projected: &health,

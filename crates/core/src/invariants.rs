@@ -16,7 +16,8 @@
 //! * [`TorPairCapacityInvariant`] — the §7.2 headline: ≥ `pair_fraction`
 //!   of sampled directional ToR pairs keep ≥ `capacity_threshold` of
 //!   baseline capacity (99% / 50% in the paper); uses cached baselines and
-//!   pod-scoped incremental re-evaluation;
+//!   re-solves only the pairs whose scope an edge-health flip reached since
+//!   its last passing check;
 //! * [`WanLinkInvariant`] — every datacenter pair keeps at least one
 //!   usable WAN link (the Fig-9/Fig-10 safety floor).
 
@@ -33,8 +34,9 @@ pub struct InvariantContext<'a> {
     pub graph: &'a NetworkGraph,
     /// Health projected from OS + candidate TS.
     pub projected: &'a HealthView,
-    /// Pods touched by the candidate change (for incremental evaluation);
-    /// `None` means unknown — evaluate everything.
+    /// Pods touched by the candidate change, for connectivity's fast path;
+    /// `None` means unknown — evaluate everything. Capacity does not read
+    /// it: it finds what changed by diffing `projected` itself.
     pub touched_pods: Option<&'a HashSet<(DatacenterId, u32)>>,
 }
 
@@ -252,9 +254,9 @@ pub struct TorPairCapacityInvariant {
     /// Pairs, baselines and scope index: immutable, shared between the
     /// instances of one datacenter.
     panel: Arc<CapacityPanel>,
-    /// Last passing evaluation, refreshed in place by incremental checks.
-    /// The only per-consumer state.
-    last_report: parking_lot::Mutex<Option<capacity::CapacityReport>>,
+    /// Last passing evaluation and the edge mask it was solved under,
+    /// synced in place by later checks. The only per-consumer state.
+    last_report: parking_lot::Mutex<Option<capacity::SyncedReport>>,
 }
 
 impl TorPairCapacityInvariant {
@@ -344,7 +346,7 @@ impl TorPairCapacityInvariant {
     /// The most recent passing evaluation (for scenario plotting — Fig 8
     /// reads this to emit its capacity matrix).
     pub fn last_report(&self) -> Option<capacity::CapacityReport> {
-        self.last_report.lock().clone()
+        (self.last_report.lock().as_ref()).map(|synced| synced.report().clone())
     }
 }
 
@@ -358,32 +360,31 @@ impl Invariant for TorPairCapacityInvariant {
     }
 
     fn order_sensitive(&self) -> bool {
-        // `check` reuses (and rewrites) `last_report` for incremental
-        // evaluation, so whether a given check runs is observable later.
+        // A verdict is history-free (a sync equals a full evaluation), but
+        // the work is not: each check re-solves what flipped since the
+        // last passing one, so checks run in the serial loop's order and
+        // only where it would run them.
         true
     }
 
     fn check(&self, ctx: &InvariantContext<'_>) -> Result<(), Violation> {
-        // Only passing evaluations are cached: the checker drops rejected
-        // candidates, so the cached report must keep reflecting the last
-        // state that could actually be merged — otherwise a later
-        // incremental evaluation would inherit phantom outages from a
-        // rejected proposal that never entered the TS.
+        // Only passing evaluations are cached — the checker drops rejected
+        // candidates, so `last_report` is the last state that could be
+        // merged. A rejected sync puts back its flows and its mask
+        // together, so the next one diffs against what the report shows.
         let mut cache = self.last_report.lock();
-        let Some((last, touched)) = cache.as_mut().zip(ctx.touched_pods) else {
-            let report = self.panel.evaluate(ctx.graph, ctx.projected);
-            let result = self.verdict(&report);
+        let Some(last) = cache.as_mut() else {
+            let synced = self.panel.evaluate_synced(ctx.graph, ctx.projected);
+            let result = self.verdict(synced.report());
             if result.is_ok() {
-                *cache = Some(report);
+                *cache = Some(synced);
             }
             return result;
         };
-        let overwritten = self.panel.refresh(ctx.graph, ctx.projected, touched, last);
-        let result = self.verdict(last);
+        let overwritten = self.panel.sync(ctx.graph, ctx.projected, last);
+        let result = self.verdict(last.report());
         if result.is_err() {
-            for (i, current_mbps) in overwritten {
-                last.pairs[i as usize].current_mbps = current_mbps;
-            }
+            last.revert(overwritten);
         }
         result
     }
@@ -632,32 +633,87 @@ mod tests {
         let g = DcnSpec::fig7("dc1").build();
         let inv = TorPairCapacityInvariant::paper_default(&g, "dc1", Some(1));
         assert_eq!(inv.solves(), 90, "baselines");
-        let h = HealthView::all_up();
+        let mut h = HealthView::all_up();
         assert!(inv.check(&ctx(&g, &h)).is_ok());
         assert_eq!(inv.solves(), 180, "a cold check solves the panel");
 
-        let check_touching = |pods: &[(&str, u32)]| {
-            let touched: HashSet<_> = (pods.iter())
-                .map(|&(dc, pod)| (DatacenterId::new(dc), pod))
-                .collect();
+        let solves_for = |h: &HealthView, pods: Option<&[u32]>| {
+            let touched: Option<HashSet<_>> = pods.map(|pods| {
+                pods.iter()
+                    .map(|&p| (DatacenterId::new("dc1"), p))
+                    .collect()
+            });
             let before = inv.solves();
             let c = InvariantContext {
                 graph: &g,
-                projected: &h,
-                touched_pods: Some(&touched),
+                projected: h,
+                touched_pods: touched.as_ref(),
             };
             assert!(inv.check(&c).is_ok());
             inv.solves() - before
         };
-        // One sampled ToR per pod: 9 pairs out of it and 9 into it.
-        assert_eq!(check_touching(&[("dc1", 7)]), 18);
-        assert_eq!(check_touching(&[("dc1", 11), ("dc2", 7)]), 0);
+        // Unchanged health solves nothing, whatever the caller names —
+        // `None` is the checker's seed re-check after a core-tier delta.
+        assert_eq!(solves_for(&h, None), 0);
+        assert_eq!(solves_for(&h, Some(&[7])), 0);
+        assert_eq!(solves_for(&h, Some(&[])), 0);
+        // One sampled ToR per pod: 9 pairs out of it and 9 into it, down
+        // and back up, and whether or not the caller names the pod.
+        h.set_device_down(DeviceName::new("agg-7-1"));
+        assert_eq!(solves_for(&h, Some(&[2])), 18);
+        h.set_device_up(&DeviceName::new("agg-7-1"));
+        assert_eq!(solves_for(&h, None), 18);
+        h.set_link_down(LinkName::between("tor-4-1", "agg-4-1"));
+        assert_eq!(solves_for(&h, Some(&[4])), 18);
+        // A core's links belong to every pod's scope.
+        h.set_device_down(DeviceName::new("core-2"));
+        assert_eq!(solves_for(&h, Some(&[])), 90);
+        h.set_device_down(DeviceName::new("dc2.agg-7-1"));
+        assert_eq!(solves_for(&h, None), 0);
         // A second instance on the panel counts into the same total and
         // starts cold.
         let second = inv.sharing_panel();
         assert!(second.last_report().is_none());
+        let before = inv.solves();
         assert!(second.check(&ctx(&g, &h)).is_ok());
-        assert_eq!(inv.solves(), 198 + 90);
+        assert_eq!(inv.solves() - before, 90);
+    }
+
+    #[test]
+    fn a_capacity_check_sees_what_the_caller_did_not_name() {
+        // The caller's touched pods are a hint for connectivity only: a
+        // degraded pod left out of them, or a core outage reported as
+        // `Some(∅)`, is still seen — whatever the cached report last saw.
+        let g = DcnSpec::fig7("dc1").build();
+        let inv = TorPairCapacityInvariant::new(&g, "dc1", 0.5, 0.9, Some(1));
+        assert!(inv.check(&ctx(&g, &HealthView::all_up())).is_ok());
+        let check_naming = |h: &HealthView, pods: &[u32]| {
+            let touched = (pods.iter())
+                .map(|&p| (DatacenterId::new("dc1"), p))
+                .collect::<HashSet<_>>();
+            inv.check(&InvariantContext {
+                graph: &g,
+                projected: h,
+                touched_pods: Some(&touched),
+            })
+        };
+        // Pod 3 loses three Aggs (18 of 90 pairs at 25%, below 90%); the
+        // check names only pod 7.
+        let mut h = HealthView::all_up();
+        for a in 1..=3 {
+            h.set_device_down(DeviceName::new(format!("agg-3-{a}")));
+        }
+        h.set_device_down(DeviceName::new("agg-7-1"));
+        assert!(check_naming(&h, &[7]).is_err());
+        // The core tier is overprovisioned: three cores down move no pair,
+        // and the fourth cuts every sampled one (all cross pods).
+        let mut h = HealthView::all_up();
+        for c in 1..=3 {
+            h.set_device_down(DeviceName::new(format!("core-{c}")));
+        }
+        assert!(check_naming(&h, &[]).is_ok());
+        h.set_device_down(DeviceName::new("core-4"));
+        assert!(check_naming(&h, &[]).is_err());
     }
 
     #[test]
@@ -684,8 +740,9 @@ mod tests {
         assert_eq!(inv.last_report().unwrap().pairs, passing.pairs);
 
         // Candidate 2: one Agg of pod 5, on the projection candidate 1 was
-        // reverted from. Had the rejected evaluation been kept, pod 2's 18
-        // pairs would still read 25% and this would be rejected too.
+        // reverted from. Had the rejected flows been kept beside the old
+        // mask, the diff would re-solve pod 5 only, pod 2's 18 pairs would
+        // still read 25% and this would be rejected too.
         let mut h = HealthView::all_up();
         h.set_device_down(DeviceName::new("agg-5-1"));
         assert!(check_touching(&h, 5).is_ok());

@@ -319,7 +319,9 @@ pub struct UpdaterReport {
     /// structure permits across independent segments.
     pub plan_max_width: usize,
     /// Steps deferred because their projected intermediate state failed
-    /// an in-flight invariant check (they rediff next round).
+    /// an in-flight invariant check (they rediff next round). A step with
+    /// a quarantined carrier is never checked: it counts as a
+    /// [`UpdaterReport::quarantine_skips`] instead.
     pub plan_inflight_rejections: usize,
     /// Steps whose projected transition was rolled back because every
     /// command for them failed (folding into the breaker/retry paths).
@@ -919,6 +921,8 @@ impl Updater {
     /// but each step first has its projected intermediate state checked
     /// against the configured in-flight invariants:
     ///
+    /// * a step whose carrier device is quarantined is **skipped** before
+    ///   any projection or check — it could issue nothing either way;
     /// * a violation **defers** the step — its projected transition is
     ///   rolled back, no command is issued, and the memoryless rediff
     ///   retries it next round once the network has moved;
@@ -1013,6 +1017,12 @@ impl Updater {
             };
             for (wi, &idx) in wave.iter().enumerate() {
                 let step = &plan.steps[idx];
+                // A quarantined carrier can issue nothing, so the step is
+                // neither projected nor checked: the skip is all it does.
+                if (self.carrier_device(&step.row)).is_some_and(|dev| skip.contains(&dev)) {
+                    report.quarantine_skips += 1;
+                    continue;
+                }
                 let key =
                     statesman_types::StateKey::new(step.row.entity.clone(), step.row.attribute);
                 let mut delta = None;
@@ -1948,6 +1958,106 @@ mod tests {
         seed_os(&net, &storage, &graph);
         let r3 = u.run_round().unwrap();
         assert_eq!(r3.diffs, 0);
+    }
+
+    #[test]
+    fn a_quarantined_step_is_skipped_without_a_check() {
+        use crate::invariants::TorPairCapacityInvariant;
+        let (net, storage, graph, clock) = setup();
+        seed_os(&net, &storage, &graph);
+        // One Agg of two down leaves pod 1's pairs at 50%, under 75%: the
+        // step's projection violates.
+        let capacity = TorPairCapacityInvariant::new(&graph, "dc1", 0.75, 0.99, Some(1));
+        let u = Updater::new(net.clone(), storage.clone(), graph.clone())
+            .with_plan_synthesis(true)
+            .with_plan_invariants(vec![Box::new(capacity.sharing_panel())]);
+        storage
+            .write(WriteRequest {
+                pool: Pool::Target,
+                rows: vec![ts_row(
+                    EntityName::device("dc1", "agg-1-1"),
+                    Attribute::DeviceFirmwareVersion,
+                    Value::text("7.0"),
+                    clock.now(),
+                )],
+            })
+            .unwrap();
+        let solves = capacity.solves();
+        let skip: BTreeSet<DeviceName> = [DeviceName::new("agg-1-1")].into_iter().collect();
+        let r = u.run_round_excluding(&skip).unwrap();
+        assert_eq!(r.plan_steps, 1);
+        assert_eq!(r.quarantine_skips, 1);
+        assert_eq!(r.plan_inflight_rejections, 0);
+        assert_eq!(
+            capacity.solves(),
+            solves,
+            "a quarantined step is not checked"
+        );
+        // Out of quarantine, the same step is checked and deferred.
+        let r = u.run_round().unwrap();
+        assert_eq!(r.quarantine_skips, 0);
+        assert_eq!(r.plan_inflight_rejections, 1);
+        assert_eq!(r.commands_applied, 0);
+        assert!(capacity.solves() > solves);
+    }
+
+    #[test]
+    fn inflight_capacity_checks_do_not_depend_on_the_updaters_history() {
+        // §6.2: an updater keeps no state the store does not. Pod 3 loses
+        // three Aggs out of band between two rounds; the second round's
+        // step in pod 7 must be decided as a fresh updater decides it —
+        // deferred, since pod 3's 18 pairs fall under 50% and 80% of 90
+        // is short of 90% — not against what the first round last saw.
+        use crate::invariants::TorPairCapacityInvariant;
+        let clock = SimClock::new();
+        let graph = DcnSpec::fig7("dc1").build();
+        let mut cfg = SimConfig::ideal();
+        cfg.faults.reboot_window_ms = 60_000;
+        let net = SimNetwork::new(&graph, clock.clone(), cfg);
+        let storage = StorageService::single_dc("dc1", clock.clone());
+        seed_os(&net, &storage, &graph);
+        let updater = || {
+            let capacity = TorPairCapacityInvariant::new(&graph, "dc1", 0.5, 0.9, Some(1));
+            Updater::new(net.clone(), storage.clone(), graph.clone())
+                .with_plan_synthesis(true)
+                .with_plan_invariants(vec![Box::new(capacity)])
+        };
+        let upgrade = |agg: &str| {
+            let attr = Attribute::DeviceFirmwareVersion;
+            let row = ts_row(
+                EntityName::device("dc1", agg),
+                attr,
+                Value::text("7.0"),
+                clock.now(),
+            );
+            let pool = Pool::Target;
+            storage
+                .write(WriteRequest {
+                    pool,
+                    rows: vec![row],
+                })
+                .unwrap();
+        };
+        let long_lived = updater();
+        upgrade("agg-5-1");
+        let r1 = long_lived.run_round().unwrap();
+        assert_eq!((r1.commands_applied, r1.plan_inflight_rejections), (1, 0));
+
+        for a in 1..=3 {
+            let agg = DeviceName::new(format!("agg-3-{a}"));
+            assert!(net
+                .submit(&agg, DeviceCommand::SetAdminPower(PowerStatus::Off))
+                .is_applied());
+        }
+        net.step(SimDuration::from_secs(100));
+        seed_os(&net, &storage, &graph);
+        upgrade("agg-7-1");
+        // The fresh updater goes first: a deferral issues nothing, so both
+        // see the same network.
+        let outcome = |r: UpdaterReport| (r.commands_applied, r.plan_inflight_rejections);
+        let fresh = outcome(updater().run_round().unwrap());
+        assert_eq!(fresh, (0, 1), "the agg-7-1 step is deferred");
+        assert_eq!(outcome(long_lived.run_round().unwrap()), fresh);
     }
 
     #[test]

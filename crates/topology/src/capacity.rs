@@ -6,13 +6,6 @@
 //! current capacity is the max-flow under a [`HealthView`]. Figure 8 plots
 //! exactly this quantity for 90 pairs over time.
 //!
-//! Because max-flow between two ToRs only depends on the state of devices
-//! and links "near" the two pods (the core tier is heavily overprovisioned),
-//! the checker can evaluate invariants incrementally: when a proposed
-//! change touches pods P, only pairs with an endpoint in P need
-//! re-evaluation ([`CapacityPanel::refresh`], benchmarked against the full
-//! evaluation in the `invariant_incremental` ablation).
-//!
 //! On a pod-layered fabric a pair's solve costs its two pods, not the
 //! fabric: a [`CapacityPanel`] owns a scope index — each pod's edges, the
 //! pod-less tier's edges, a compact node numbering, and per pod the panel
@@ -23,11 +16,20 @@
 //! restricted to those nodes would use, so the result is the same to the
 //! bit. A fabric with a cross-pod link, or a pair with a pod-less
 //! endpoint, is solved on the whole graph by the same kernel.
+//!
+//! A pair's flow is therefore a pure function of its scope's usable bits,
+//! and a panel keeps a report current by diffing health, not by trusting
+//! a caller to say what changed: [`CapacityPanel::sync`] XORs the new
+//! view's edge mask against the one the report was solved under and
+//! re-solves exactly the pairs whose scope holds a flipped edge. A flip
+//! in pod P re-solves the pairs with an endpoint in P; a flip in the tier,
+//! or anywhere on a non-layered fabric, re-solves every pair; pairs solved
+//! on the whole graph re-solve on any flip; no flip, no solve. The result
+//! is bit-identical to a full evaluation of the same view.
 
 use crate::flow::{EdgeMask, FlowNet};
 use crate::graph::{HealthView, NetworkGraph, NodeId};
 use statesman_types::{DatacenterId, DeviceRole, WorkerPool};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Capacity of one directional ToR pair.
@@ -155,16 +157,17 @@ pub fn evaluate(
     health: &HealthView,
     pairs: &[(NodeId, NodeId)],
 ) -> CapacityReport {
-    let scope = ScopeIndex::build(graph);
-    let (baselines, _) = scope.solve_pairs(graph, &HealthView::all_up(), pairs);
-    scope.report(graph, health, pairs, &baselines).0
+    evaluate_with_baselines(graph, health, pairs, &baselines_for(graph, pairs))
 }
 
 /// Baseline (all-up) max-flow per pair.
 pub fn baselines_for(graph: &NetworkGraph, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    let all_up = HealthView::all_up();
     ScopeIndex::build(graph)
-        .solve_pairs(graph, &all_up, pairs)
+        .solve_pairs(
+            graph,
+            &EdgeMask::resolve(graph, &HealthView::all_up()),
+            pairs,
+        )
         .0
 }
 
@@ -190,48 +193,15 @@ pub fn evaluate_with_baselines(
     pairs: &[(NodeId, NodeId)],
     baselines: &[f64],
 ) -> CapacityReport {
+    let usable = EdgeMask::resolve(graph, health);
     ScopeIndex::build(graph)
-        .report(graph, health, pairs, baselines)
+        .report(graph, &usable, pairs, baselines)
         .0
-}
-
-impl CapacityReport {
-    /// Incrementally refresh a previous report: only pairs with an
-    /// endpoint in one of `touched_pods` are re-solved; the rest keep
-    /// their previous `current_mbps`.
-    ///
-    /// Sound when the fabric's core tier is not the bottleneck for
-    /// untouched pairs — true of the Fig-7 fabric (Agg↔Core capacity
-    /// strictly exceeds ToR uplink capacity) and verified by the
-    /// `invariant_incremental` ablation bench, which cross-checks
-    /// incremental results against full recomputation.
-    ///
-    /// Builds the scope index and scans the report for touched pairs on
-    /// every call; a [`CapacityPanel`] keeps both.
-    pub fn evaluate_incremental(
-        &self,
-        graph: &NetworkGraph,
-        health: &HealthView,
-        touched_pods: &HashSet<(DatacenterId, u32)>,
-    ) -> CapacityReport {
-        let scope = ScopeIndex::build(graph);
-        let pods: Vec<u32> = scope.pod_indexes(touched_pods).collect();
-        let in_touched = |n: NodeId| pods.contains(&scope.node_pod[n.0 as usize]);
-        let touched: Vec<u32> = (0..self.pairs.len() as u32)
-            .filter(|&i| {
-                let p = &self.pairs[i as usize];
-                in_touched(p.src) || in_touched(p.dst)
-            })
-            .collect();
-        let mut report = self.clone();
-        scope.patch(graph, health, &touched, &mut report);
-        report
-    }
 }
 
 /// Solves at or above this many in one evaluation are cut into one chunk
 /// per worker; fewer run inline. A scoped solve is a few microseconds and
-/// a thread spawn is tens, so a touched pod's ≈100 pairs are cheaper on
+/// a thread spawn is tens, so a flipped pod's ≈100 pairs are cheaper on
 /// the caller's thread than split in two.
 const FAN_OUT_MIN_SOLVES: usize = 256;
 
@@ -282,7 +252,10 @@ struct ScopeIndex {
     /// Edges between two pod-less nodes, ascending by id.
     tier_edges: Vec<ScopeEdge>,
     pods: Vec<PodScope>,
-    pod_ids: HashMap<(DatacenterId, u32), u32>,
+    /// Per edge: the pod whose scope list holds it, or [`TIER`] — which is
+    /// every edge of a non-layered graph, since any of them is in every
+    /// pair's scope.
+    edge_owner: Vec<u32>,
 }
 
 impl ScopeIndex {
@@ -294,11 +267,10 @@ impl ScopeIndex {
             tier_nodes: 0,
             tier_edges: Vec::new(),
             pods: Vec::new(),
-            pod_ids: HashMap::new(),
+            edge_owner: vec![TIER; graph.edge_count()],
         };
-        for (dc, pod, members) in graph.pods() {
+        for (_, _, members) in graph.pods() {
             let p = index.pods.len() as u32;
-            index.pod_ids.insert((dc.clone(), pod), p);
             for (local, &n) in members.iter().enumerate() {
                 index.node_pod[n.0 as usize] = p;
                 index.node_local[n.0 as usize] = local as u32;
@@ -332,22 +304,14 @@ impl ScopeIndex {
                 capacity_mbps: e.capacity_mbps,
             };
             // Layered: the two ends share a pod, or at least one is tier.
-            match pa.min(pb) {
+            let owner = pa.min(pb);
+            index.edge_owner[id.0 as usize] = owner;
+            match owner {
                 TIER => index.tier_edges.push(edge),
                 pod => index.pods[pod as usize].edges.push(edge),
             }
         }
         index
-    }
-
-    /// The indexes of the pods in `touched` this graph has.
-    fn pod_indexes<'a>(
-        &'a self,
-        touched: &'a HashSet<(DatacenterId, u32)>,
-    ) -> impl Iterator<Item = u32> + 'a {
-        touched
-            .iter()
-            .filter_map(|pod| self.pod_ids.get(pod).copied())
     }
 
     /// One pair's max-flow under the resolved health view.
@@ -417,21 +381,20 @@ impl ScopeIndex {
         )
     }
 
-    /// Max-flow of each pair under `health`, in pair order. Solves are
+    /// Max-flow of each pair under `usable`, in pair order. Solves are
     /// pure, so cutting them into per-worker chunks (each with its own
     /// workspace) cannot show in the result.
     fn solve_pairs(
         &self,
         graph: &NetworkGraph,
-        health: &HealthView,
+        usable: &EdgeMask,
         pairs: &[(NodeId, NodeId)],
     ) -> (Vec<f64>, Work) {
-        let usable = EdgeMask::resolve(graph, health);
         let solve_chunk = |chunk: &[(NodeId, NodeId)]| {
             let (mut net, mut work) = (FlowNet::default(), Work::default());
             let flows: Vec<f64> = chunk
                 .iter()
-                .map(|&pair| self.pair_flow(graph, &usable, &mut net, &mut work, pair))
+                .map(|&pair| self.pair_flow(graph, usable, &mut net, &mut work, pair))
                 .collect();
             (flows, work)
         };
@@ -450,16 +413,16 @@ impl ScopeIndex {
         (flows, work)
     }
 
-    /// A full report: every pair solved under `health`.
+    /// A full report: every pair solved under `usable`.
     fn report(
         &self,
         graph: &NetworkGraph,
-        health: &HealthView,
+        usable: &EdgeMask,
         pairs: &[(NodeId, NodeId)],
         baselines: &[f64],
     ) -> (CapacityReport, Work) {
         assert_eq!(pairs.len(), baselines.len());
-        let (flows, work) = self.solve_pairs(graph, health, pairs);
+        let (flows, work) = self.solve_pairs(graph, usable, pairs);
         let pairs = pairs
             .iter()
             .zip(baselines)
@@ -476,25 +439,25 @@ impl ScopeIndex {
         (CapacityReport { pairs }, work)
     }
 
-    /// Re-solve the pairs at `touched` (indexes into `report.pairs`) under
-    /// `health` and write the flows over the old ones, which are returned
+    /// Re-solve the pairs at `stale` (indexes into `report.pairs`) under
+    /// `usable` and write the flows over the old ones, which are returned
     /// beside their indexes.
     fn patch(
         &self,
         graph: &NetworkGraph,
-        health: &HealthView,
-        touched: &[u32],
+        usable: &EdgeMask,
+        stale: &[u32],
         report: &mut CapacityReport,
     ) -> (Vec<(u32, f64)>, Work) {
-        let pairs: Vec<(NodeId, NodeId)> = touched
+        let pairs: Vec<(NodeId, NodeId)> = stale
             .iter()
             .map(|&i| {
                 let p = &report.pairs[i as usize];
                 (p.src, p.dst)
             })
             .collect();
-        let (flows, work) = self.solve_pairs(graph, health, &pairs);
-        let previous = touched
+        let (flows, work) = self.solve_pairs(graph, usable, &pairs);
+        let previous = stale
             .iter()
             .zip(flows)
             .map(|(&i, flow)| {
@@ -506,11 +469,42 @@ impl ScopeIndex {
     }
 }
 
+/// A panel's report together with the edge mask it was solved under: what
+/// [`CapacityPanel::sync`] diffs the next health view against.
+#[derive(Debug, Clone)]
+pub struct SyncedReport {
+    report: CapacityReport,
+    usable: EdgeMask,
+}
+
+/// What one [`CapacityPanel::sync`] overwrote: the re-solved pairs' old
+/// flows and the old mask.
+#[derive(Debug)]
+pub struct Overwritten {
+    flows: Vec<(u32, f64)>,
+    usable: EdgeMask,
+}
+
+impl SyncedReport {
+    /// The report, current as of the last sync.
+    pub fn report(&self) -> &CapacityReport {
+        &self.report
+    }
+
+    /// Undo the sync that returned `overwritten`.
+    pub fn revert(&mut self, overwritten: Overwritten) {
+        for (i, current_mbps) in overwritten.flows {
+            self.report.pairs[i as usize].current_mbps = current_mbps;
+        }
+        self.usable = overwritten.usable;
+    }
+}
+
 /// A fixed set of ToR pairs of one graph with everything that does not
 /// change between evaluations: the pairs, their all-up baselines, the
-/// scope index, and per pod the pairs with an endpoint in it. Immutable
-/// but for its work counters, so consumers share one behind an `Arc` and
-/// each keeps its own last report.
+/// scope index, and which pairs each edge's flip can move. Immutable but
+/// for its work counters, so consumers share one behind an `Arc` and each
+/// keeps its own [`SyncedReport`].
 #[derive(Debug)]
 pub struct CapacityPanel {
     pairs: Vec<(NodeId, NodeId)>,
@@ -519,6 +513,10 @@ pub struct CapacityPanel {
     /// Per pod of the scope index: indexes of the pairs with an endpoint
     /// in it, ascending.
     pod_pairs: Vec<Vec<u32>>,
+    /// Indexes of the pairs with a pod-less endpoint, which are solved on
+    /// the whole graph, ascending. (On a non-layered graph every flip is a
+    /// tier flip, so every pair is re-solved anyway.)
+    whole_pairs: Vec<u32>,
     solves: AtomicU64,
     edges_visited: AtomicU64,
 }
@@ -528,6 +526,7 @@ impl CapacityPanel {
     pub fn new(graph: &NetworkGraph, pairs: Vec<(NodeId, NodeId)>) -> CapacityPanel {
         let scope = ScopeIndex::build(graph);
         let mut pod_pairs = vec![Vec::new(); scope.pods.len()];
+        let mut whole_pairs = Vec::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
             let (ps, pt) = (scope.node_pod[s.0 as usize], scope.node_pod[t.0 as usize]);
             if ps != TIER {
@@ -536,13 +535,18 @@ impl CapacityPanel {
             if pt != TIER && pt != ps {
                 pod_pairs[pt as usize].push(i as u32);
             }
+            if ps == TIER || pt == TIER {
+                whole_pairs.push(i as u32);
+            }
         }
-        let (baselines, work) = scope.solve_pairs(graph, &HealthView::all_up(), &pairs);
+        let all_up = EdgeMask::resolve(graph, &HealthView::all_up());
+        let (baselines, work) = scope.solve_pairs(graph, &all_up, &pairs);
         let panel = CapacityPanel {
             pairs,
             baselines,
             scope,
             pod_pairs,
+            whole_pairs,
             solves: AtomicU64::new(0),
             edges_visited: AtomicU64::new(0),
         };
@@ -558,36 +562,59 @@ impl CapacityPanel {
     /// Every pair's capacity under `health`. `graph` is the one the panel
     /// was built on.
     pub fn evaluate(&self, graph: &NetworkGraph, health: &HealthView) -> CapacityReport {
-        let (report, work) = self
-            .scope
-            .report(graph, health, &self.pairs, &self.baselines);
-        self.count(work);
-        report
+        self.evaluate_synced(graph, health).report
     }
 
-    /// Bring `report` (one of this panel's) up to `health`, given that
-    /// only `touched_pods` changed since it was evaluated: re-solve the
-    /// pairs with an endpoint in a touched pod, in place. Returns the
-    /// overwritten `(pair index, current_mbps)` entries, so a caller that
-    /// discards the evaluation can put them back.
-    pub fn refresh(
+    /// [`CapacityPanel::evaluate`], kept with its mask for later syncs.
+    pub fn evaluate_synced(&self, graph: &NetworkGraph, health: &HealthView) -> SyncedReport {
+        let usable = EdgeMask::resolve(graph, health);
+        let (report, work) = self
+            .scope
+            .report(graph, &usable, &self.pairs, &self.baselines);
+        self.count(work);
+        SyncedReport { report, usable }
+    }
+
+    /// Bring `synced` (one of this panel's) up to `health` in place,
+    /// whatever changed since it was solved: re-solve exactly the pairs
+    /// whose scope holds an edge that flipped between the two views.
+    /// Returns what it overwrote, for [`SyncedReport::revert`].
+    pub fn sync(
         &self,
         graph: &NetworkGraph,
         health: &HealthView,
-        touched_pods: &HashSet<(DatacenterId, u32)>,
-        report: &mut CapacityReport,
-    ) -> Vec<(u32, f64)> {
-        let mut touched: Vec<u32> = self
-            .scope
-            .pod_indexes(touched_pods)
-            .flat_map(|pod| &self.pod_pairs[pod as usize])
-            .copied()
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let (previous, work) = self.scope.patch(graph, health, &touched, report);
+        synced: &mut SyncedReport,
+    ) -> Overwritten {
+        let usable = EdgeMask::resolve(graph, health);
+        let stale = self.stale_pairs(&synced.usable, &usable);
+        let (flows, work) = self.scope.patch(graph, &usable, &stale, &mut synced.report);
         self.count(work);
-        previous
+        let usable = std::mem::replace(&mut synced.usable, usable);
+        Overwritten { flows, usable }
+    }
+
+    /// The pairs whose scope holds an edge usable under exactly one of
+    /// `before` and `after`, ascending.
+    fn stale_pairs(&self, before: &EdgeMask, after: &EdgeMask) -> Vec<u32> {
+        let mut pods = vec![false; self.pod_pairs.len()];
+        let mut flipped = false;
+        for edge in before.flips(after) {
+            match self.scope.edge_owner[edge as usize] {
+                TIER => return (0..self.pairs.len() as u32).collect(),
+                pod => pods[pod as usize] = true,
+            }
+            flipped = true;
+        }
+        if !flipped {
+            return Vec::new();
+        }
+        let mut stale = self.whole_pairs.clone();
+        for (pairs, _) in self.pod_pairs.iter().zip(pods).filter(|(_, p)| *p) {
+            stale.extend(pairs);
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        stale
     }
 
     /// Max-flow solves this panel has run since construction, baselines
@@ -693,21 +720,19 @@ mod tests {
     #[test]
     fn incremental_matches_full() {
         let g = fig7();
-        let dc = DatacenterId::new("dc1");
-        let pairs = select_tor_pairs(&g, &dc, Some(1));
-        let base = evaluate(&g, &HealthView::all_up(), &pairs);
+        let pairs = select_tor_pairs(&g, &DatacenterId::new("dc1"), Some(1));
+        let panel = CapacityPanel::new(&g, pairs.clone());
+        let mut synced = panel.evaluate_synced(&g, &HealthView::all_up());
 
         let mut h = HealthView::all_up();
         h.set_device_down(DeviceName::new("agg-3-1"));
         h.set_device_down(DeviceName::new("agg-3-2"));
-
-        let mut touched = HashSet::new();
-        touched.insert((dc.clone(), 3u32));
-        let inc = base.evaluate_incremental(&g, &h, &touched);
-        let full = evaluate(&g, &h, &pairs);
-        for (a, b) in inc.pairs.iter().zip(full.pairs.iter()) {
-            assert!((a.current_mbps - b.current_mbps).abs() < 1.0);
-        }
+        h.set_link_down(LinkName::between("tor-8-1", "agg-8-4"));
+        // Nobody says which pods changed: the mask diff finds 3 and 8.
+        let solves = panel.solves();
+        panel.sync(&g, &h, &mut synced);
+        assert_eq!(panel.solves() - solves, 34);
+        assert_eq!(synced.report().pairs, evaluate(&g, &h, &pairs).pairs);
     }
 
     #[test]
@@ -735,29 +760,68 @@ mod tests {
     }
 
     #[test]
-    fn panel_refresh_patches_in_place_and_hands_back_the_old_flows() {
+    fn panel_sync_patches_in_place_and_reverts_flows_and_mask() {
         let g = fig7();
         let dc = DatacenterId::new("dc1");
         let panel = CapacityPanel::new(&g, select_tor_pairs(&g, &dc, Some(1)));
-        let mut report = panel.evaluate(&g, &HealthView::all_up());
-        let before = report.clone();
+        let mut synced = panel.evaluate_synced(&g, &HealthView::all_up());
+        let before = synced.report().clone();
 
+        // Pods 3 and 4 share two pairs; each is solved once.
         let mut h = HealthView::all_up();
         h.set_device_down(DeviceName::new("agg-3-1"));
-        // Pods 3 and 4 share two pairs; each is solved once.
-        let touched = HashSet::from([(dc.clone(), 3u32), (dc.clone(), 4u32)]);
+        h.set_device_down(DeviceName::new("agg-4-2"));
         let solves = panel.solves();
-        let previous = panel.refresh(&g, &h, &touched, &mut report);
+        let overwritten = panel.sync(&g, &h, &mut synced);
         assert_eq!(panel.solves() - solves, 34);
-        assert_eq!(report.pairs, panel.evaluate(&g, &h).pairs);
-        assert_eq!(
-            report.pairs,
-            before.evaluate_incremental(&g, &h, &touched).pairs
+        assert_eq!(synced.report().pairs, panel.evaluate(&g, &h).pairs);
+
+        // Reverted, the report is the old one and so is its mask: syncing
+        // to the old view again solves nothing, to the new one 34 again.
+        synced.revert(overwritten);
+        assert_eq!(synced.report().pairs, before.pairs);
+        let solves = panel.solves();
+        panel.sync(&g, &HealthView::all_up(), &mut synced);
+        assert_eq!(panel.solves(), solves);
+        panel.sync(&g, &h, &mut synced);
+        assert_eq!(panel.solves() - solves, 34);
+    }
+
+    #[test]
+    fn a_flip_re_solves_the_pairs_whose_scope_holds_it() {
+        // Fig 7 has no tier-internal links, so a core's edges belong to
+        // the pods; a border router's link to a core is the tier's. Two
+        // extra pairs have a pod-less endpoint and are solved whole.
+        let mut g = fig7();
+        g.add_device("br-1", DeviceRole::Border, "dc1", None);
+        g.add_link(
+            &DeviceName::new("br-1"),
+            &DeviceName::new("core-1"),
+            1e5,
+            "dc1",
         );
-        for (i, current_mbps) in previous {
-            report.pairs[i as usize].current_mbps = current_mbps;
-        }
-        assert_eq!(report.pairs, before.pairs);
+        let node = |n: &str| g.node_id(&DeviceName::new(n)).unwrap();
+        let mut pairs = select_tor_pairs(&g, &DatacenterId::new("dc1"), Some(1));
+        pairs.extend([
+            (node("tor-1-1"), node("br-1")),
+            (node("core-2"), node("tor-2-1")),
+        ]);
+        let panel = CapacityPanel::new(&g, pairs.clone());
+        let mut synced = panel.evaluate_synced(&g, &HealthView::all_up());
+        let mut h = HealthView::all_up();
+        let mut solves_after = |down: &str| {
+            h.set_device_down(DeviceName::new(down));
+            let solves = panel.solves();
+            panel.sync(&g, &h, &mut synced);
+            assert_eq!(synced.report().pairs, evaluate(&g, &h, &pairs).pairs);
+            panel.solves() - solves
+        };
+        // Pod 5's 18 pairs and the 2 whole-graph ones; then every pod's.
+        assert_eq!(solves_after("agg-5-1"), 20);
+        assert_eq!(solves_after("core-3"), 92);
+        // The border's only link is tier-internal.
+        assert_eq!(solves_after("br-1"), 92);
+        assert_eq!(solves_after("no-such-device"), 0);
     }
 
     #[test]

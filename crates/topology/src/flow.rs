@@ -36,7 +36,9 @@ struct Arc {
 /// A [`HealthView`] resolved once against a graph into a per-edge
 /// "unusable" bitset: a link is unusable if it is down or either endpoint
 /// is. Costs O(outages × degree) name lookups; after that a solve tests
-/// one bit per edge instead of hashing three names.
+/// one bit per edge instead of hashing three names, and two views of one
+/// graph differ exactly on the edges [`EdgeMask::flips`] names.
+#[derive(Debug, Clone)]
 pub(crate) struct EdgeMask {
     unusable: Vec<u64>,
 }
@@ -60,6 +62,21 @@ impl EdgeMask {
 
     pub(crate) fn usable(&self, edge: u32) -> bool {
         self.unusable[edge as usize / 64] & (1 << (edge % 64)) == 0
+    }
+
+    /// The edges usable under exactly one of `self` and `other` (both
+    /// resolved against the same graph), ascending.
+    pub(crate) fn flips<'a>(&'a self, other: &'a EdgeMask) -> impl Iterator<Item = u32> + 'a {
+        debug_assert_eq!(self.unusable.len(), other.unusable.len());
+        let words = self.unusable.iter().zip(&other.unusable);
+        words.enumerate().flat_map(|(w, (a, b))| {
+            let mut diff = a ^ b;
+            std::iter::from_fn(move || {
+                let bit = (diff != 0).then(|| diff.trailing_zeros())?;
+                diff &= diff - 1;
+                Some(w as u32 * 64 + bit)
+            })
+        })
     }
 }
 

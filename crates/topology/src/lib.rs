@@ -18,8 +18,8 @@
 //!   (full mesh of datacenters with two border routers each);
 //! * algorithms the invariants and applications need: BFS connectivity and
 //!   components, Yen's k-shortest paths, Dinic max-flow, and ToR-pair
-//!   capacity evaluation on a pod-scoped index, with an incremental
-//!   (touched-pods-only) refresh.
+//!   capacity evaluation on a pod-scoped index, kept current by diffing
+//!   edge masks (re-solving only the pairs a health flip can move).
 
 pub mod builder;
 pub mod capacity;

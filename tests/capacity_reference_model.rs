@@ -1,4 +1,4 @@
-//! Reference model for the capacity kernel's scoping.
+//! Reference model for the capacity kernel's scoping and the panel's sync.
 //!
 //! The panel solves a ToR pair on `pod(s) ∪ pod(t) ∪ tier` taken from its
 //! scope index: merged edge lists, a resolved edge mask, compact node
@@ -8,9 +8,17 @@
 //! public whole-graph `max_flow` on it, which is the arc order the
 //! closure-scoped kernel this design replaced would have built. Both run
 //! through seeded outage/repair histories on three fabrics, and every
-//! pair's flow must agree to the bit after every step; a chain of
-//! incremental refreshes fed each step's touched pods must equal the full
-//! evaluation of the same health.
+//! pair's flow must agree to the bit after every step.
+//!
+//! The panel keeps a report current by diffing edge masks, told nothing
+//! about what changed. Two sync chains run beside the full evaluation: one
+//! synced every step, one only every third (so a sync sees several flips
+//! at once), and each step also syncs to a phantom outage and reverts it
+//! first. Both must equal the full evaluation to the bit. A third chain
+//! restates the mask-diff rule from the public graph — flip in pod P:
+//! P's pairs; tier flip or non-layered fabric: every pair; whole-graph
+//! pairs: any flip — and re-solves what it names; its two mutants (tier
+//! flips as no-ops, whole-graph pairs never re-solved) must be caught.
 
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 use statesman_topology::{
@@ -97,6 +105,23 @@ fn cross_linked() -> Fabric {
     }
 }
 
+impl Fabric {
+    fn node(&self, name: &str) -> NodeId {
+        let name = DeviceName::new(format!("{}{name}", self.prefix));
+        self.graph.node_id(&name).unwrap()
+    }
+
+    /// Fig 8's panel — one ToR per pod, every directional pair — plus two
+    /// pairs with a pod-less endpoint, which are solved on the whole graph
+    /// and move with any flip: core-to-core flow crosses every pod.
+    fn panel_pairs(&self) -> Vec<(NodeId, NodeId)> {
+        let mut pairs = capacity::select_tor_pairs(&self.graph, &DatacenterId::new("dc1"), Some(1));
+        pairs.push((self.node("tor-1-1"), self.node("core-1")));
+        pairs.push((self.node("core-1"), self.node("core-2")));
+        pairs
+    }
+}
+
 #[derive(Clone, Copy, PartialEq)]
 enum Oracle {
     Exact,
@@ -108,14 +133,10 @@ enum Oracle {
 
 impl Oracle {
     fn flow(self, g: &NetworkGraph, h: &HealthView, (s, t): (NodeId, NodeId)) -> f64 {
-        let pod_of = |n: NodeId| {
-            let info = g.node(n);
-            info.pod.map(|pod| (&info.datacenter, pod))
-        };
-        let (sp, tp) = (pod_of(s), pod_of(t));
+        let (sp, tp) = (pod_of(g, s), pod_of(g, t));
         let scoped = capacity::is_pod_layered(g) && sp.is_some() && tp.is_some();
-        let allowed = |n: NodeId| match pod_of(n) {
-            Some(pod) if scoped => Some(pod) == sp || Some(pod) == tp,
+        let allowed = |n: NodeId| match pod_of(g, n) {
+            pod @ Some(_) if scoped => pod == sp || pod == tp,
             _ => true,
         };
         let mut scope = NetworkGraph::new();
@@ -144,6 +165,60 @@ impl Oracle {
     }
 }
 
+fn pod_of(g: &NetworkGraph, n: NodeId) -> Option<(DatacenterId, u32)> {
+    let info = g.node(n);
+    info.pod.map(|pod| (info.datacenter.clone(), pod))
+}
+
+/// The mask-diff rule, restated from the public graph and health views.
+#[derive(Clone, Copy, PartialEq)]
+enum Sync {
+    Exact,
+    /// Canary: a flip between two pod-less devices (or anywhere on a
+    /// non-layered fabric) re-solves nothing.
+    TierFlipsAreNoOps,
+    /// Canary: pairs with a pod-less endpoint (every pair of a
+    /// non-layered fabric) keep their old flows.
+    SkipsWholeGraphPairs,
+}
+
+impl Sync {
+    /// Indexes of the pairs a change from `before` to `after` can move.
+    fn stale(
+        self,
+        g: &NetworkGraph,
+        pairs: &[(NodeId, NodeId)],
+        before: &HealthView,
+        after: &HealthView,
+    ) -> Vec<usize> {
+        let layered = capacity::is_pod_layered(g);
+        let (mut pods, mut tier) = (HashSet::new(), false);
+        for (_, e) in g.edges() {
+            if before.link_usable(&e.name) == after.link_usable(&e.name) {
+                continue;
+            }
+            // A layered edge has its pod at one end or both, or none.
+            match pod_of(g, e.a).or_else(|| pod_of(g, e.b)) {
+                Some(pod) if layered => {
+                    pods.insert(pod);
+                }
+                _ => tier |= self != Sync::TierFlipsAreNoOps,
+            }
+        }
+        let flipped = tier || !pods.is_empty();
+        let stale = |&(s, t): &(NodeId, NodeId)| {
+            let (sp, tp) = (pod_of(g, s), pod_of(g, t));
+            let whole = !layered || sp.is_none() || tp.is_none();
+            let in_flipped_pod = [sp, tp].iter().flatten().any(|p| pods.contains(p));
+            match self {
+                Sync::SkipsWholeGraphPairs if whole => false,
+                _ => flipped && (tier || whole || in_flipped_pod),
+            }
+        };
+        (0..pairs.len()).filter(|&i| stale(&pairs[i])).collect()
+    }
+}
+
 #[derive(Clone)]
 enum Target {
     Device(DeviceName),
@@ -151,8 +226,9 @@ enum Target {
 }
 
 /// What a seed schedules on a fabric, as toggles (down, or back up if
-/// already down): a scripted opening, then every candidate outage once in
-/// seeded order, then three of them repaired.
+/// already down): a scripted opening, every candidate outage once in
+/// seeded order, three of them repaired, then random toggles of any
+/// device or link of the graph.
 struct History {
     steps: Vec<Target>,
 }
@@ -198,6 +274,9 @@ impl History {
             .map(|(id, n)| (id, n.name.clone()))
             .collect();
         if let Some((id, name)) = borders.choose(&mut rng) {
+            // Then, where there are borders, one fails and is repaired: a
+            // flip of tier links alone, which moves the split pods' pairs.
+            steps.extend([Target::Device(name.clone()), Target::Device(name.clone())]);
             outages.push(Target::Device(name.clone()));
             let (e, _) = g.neighbors(*id)[0];
             outages.push(Target::Link(g.edge(e).name.clone()));
@@ -206,42 +285,22 @@ impl History {
         let repairs: Vec<Target> = outages.choose_multiple(&mut rng, 3).cloned().collect();
         steps.extend(outages);
         steps.extend(repairs);
+        let anything: Vec<Target> = (g.nodes().map(|(_, n)| Target::Device(n.name.clone())))
+            .chain(g.edges().map(|(_, e)| Target::Link(e.name.clone())))
+            .collect();
+        steps.extend((0..12).map(|_| anything.choose(&mut rng).unwrap().clone()));
         History { steps }
     }
 }
 
-/// Toggle `target` in `health`; the pods the change touches, or `None` if
-/// it touches a pod-less device (the checker's fall-back-to-full rule).
-fn apply(
-    g: &NetworkGraph,
-    health: &mut HealthView,
-    target: &Target,
-) -> Option<HashSet<(DatacenterId, u32)>> {
-    let devices = match target {
-        Target::Device(d) => {
-            if health.device_up(d) {
-                health.set_device_down(d.clone());
-            } else {
-                health.set_device_up(d);
-            }
-            vec![d]
-        }
-        Target::Link(l) => {
-            if health.link_up(l) {
-                health.set_link_down(l.clone());
-            } else {
-                health.set_link_up(l);
-            }
-            vec![&l.a, &l.b]
-        }
+/// Toggle `target` in `health`.
+fn apply(health: &mut HealthView, target: &Target) {
+    match target {
+        Target::Device(d) if health.device_up(d) => health.set_device_down(d.clone()),
+        Target::Device(d) => health.set_device_up(d),
+        Target::Link(l) if health.link_up(l) => health.set_link_down(l.clone()),
+        Target::Link(l) => health.set_link_up(l),
     };
-    devices
-        .into_iter()
-        .map(|d| {
-            let info = g.node(g.node_id(d).unwrap());
-            info.pod.map(|pod| (info.datacenter.clone(), pod))
-        })
-        .collect()
 }
 
 fn bits(report: &CapacityReport) -> Vec<u64> {
@@ -250,22 +309,31 @@ fn bits(report: &CapacityReport) -> Vec<u64> {
         .collect()
 }
 
-/// Drive the panel and the oracle through one history; `Err` names the
-/// first step they disagree on. `Ok` carries how many steps refreshed
-/// incrementally.
-fn drive(fabric: &Fabric, seed: u64, oracle: Oracle) -> Result<usize, String> {
+/// Pair counts re-solved by the every-step chain's syncs, one per step.
+#[derive(Debug)]
+struct Solved {
+    per_step: Vec<u64>,
+    pairs: u64,
+}
+
+/// Drive the panel, its sync chains, the restated rule and the oracle
+/// through one history; `Err` names the first step they disagree on.
+fn drive(fabric: &Fabric, seed: u64, oracle: Oracle, rule: Sync) -> Result<Solved, String> {
     let g = &fabric.graph;
-    let pairs = capacity::select_tor_pairs(g, &DatacenterId::new("dc1"), Some(1));
+    let pairs = fabric.panel_pairs();
     let panel = CapacityPanel::new(g, pairs.clone());
     let baselines = capacity::baselines_for(g, &pairs);
     let mut health = HealthView::all_up();
-    // Two chains: the panel's in-place refresh (what the invariant runs)
-    // and the report's own wrapper.
-    let mut refreshed = panel.evaluate(g, &health);
-    let mut wrapped = refreshed.clone();
-    let mut incremental_steps = 0;
+    let mut every_step = panel.evaluate_synced(g, &health);
+    let mut lagging = every_step.clone();
+    let (mut restated, mut restated_at) = (bits(every_step.report()), health.clone());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut solved = Solved {
+        per_step: Vec::new(),
+        pairs: pairs.len() as u64,
+    };
     for (step, target) in History::of(fabric, seed).steps.iter().enumerate() {
-        let touched = apply(g, &mut health, target);
+        apply(&mut health, target);
         let full = panel.evaluate(g, &health);
         let expected: Vec<u64> = (pairs.iter())
             .map(|&pair| oracle.flow(g, &health, pair).to_bits())
@@ -287,51 +355,103 @@ fn drive(fabric: &Fabric, seed: u64, oracle: Oracle) -> Result<usize, String> {
         {
             return Err(format!("step {step}: evaluate_with_baselines differs"));
         }
-        match &touched {
-            Some(pods) => {
-                incremental_steps += 1;
-                panel.refresh(g, &health, pods, &mut refreshed);
-                wrapped = wrapped.evaluate_incremental(g, &health, pods);
-            }
-            None => {
-                refreshed = panel.evaluate(g, &health);
-                wrapped = refreshed.clone();
+
+        // A candidate with one more random outage, checked and dropped.
+        let mut phantom = health.clone();
+        let (_, n) = g.nodes().nth(rng.gen_range(0..g.node_count())).unwrap();
+        phantom.set_device_down(n.name.clone());
+        let overwritten = panel.sync(g, &phantom, &mut every_step);
+        if bits(every_step.report()) != bits(&panel.evaluate(g, &phantom)) {
+            return Err(format!("step {step}: the phantom sync left the full one"));
+        }
+        every_step.revert(overwritten);
+        let before = panel.solves();
+        panel.sync(g, &health, &mut every_step);
+        solved.per_step.push(panel.solves() - before);
+        if bits(every_step.report()) != expected {
+            return Err(format!("step {step}: the synced chain left the full one"));
+        }
+        if step % 3 == 2 {
+            panel.sync(g, &health, &mut lagging);
+            if bits(lagging.report()) != expected {
+                return Err(format!("step {step}: the lagging chain left the full one"));
             }
         }
-        if bits(&refreshed) != expected || bits(&wrapped) != expected {
-            return Err(format!(
-                "step {step}: the refreshed chain left the full one"
-            ));
+
+        let stale: Vec<usize> = rule.stale(g, &pairs, &restated_at, &health);
+        let subset: Vec<_> = stale.iter().map(|&i| pairs[i]).collect();
+        let subset_baselines: Vec<_> = stale.iter().map(|&i| baselines[i]).collect();
+        let resolved = capacity::evaluate_with_baselines(g, &health, &subset, &subset_baselines);
+        for (&i, flow) in stale.iter().zip(bits(&resolved)) {
+            restated[i] = flow;
+        }
+        restated_at = health.clone();
+        if restated != expected {
+            return Err(format!("step {step}: the restated rule left the full one"));
         }
     }
-    Ok(incremental_steps)
+    Ok(solved)
 }
 
 #[test]
 fn scoped_flows_match_the_materialised_scope_bit_for_bit() {
     for fabric in [fig7(), two_dcs(), cross_linked()] {
         for seed in SEEDS {
-            let incremental = drive(&fabric, seed, Oracle::Exact)
+            let solved = drive(&fabric, seed, Oracle::Exact, Sync::Exact)
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", fabric.name));
-            // The history holds both kinds of step: seven outages are of
-            // pod devices and intra-pod links, the others touch the tier.
-            assert!((7..=10).contains(&incremental), "{incremental}");
+            // The history holds both kinds of sync: a pod's pairs and the
+            // whole-graph ones, or (a core's links, a tier link, anything
+            // on the non-layered fabric) every pair.
+            let steps = &solved.per_step;
+            let layered = capacity::is_pod_layered(&fabric.graph);
+            let partial = steps.iter().filter(|&&n| 0 < n && n < solved.pairs).count();
+            assert_eq!(
+                partial > 0,
+                layered,
+                "{} seed {seed}: {steps:?}",
+                fabric.name
+            );
+            assert!(steps.contains(&solved.pairs), "{} seed {seed}", fabric.name);
         }
     }
 }
 
 #[test]
 fn the_oracle_catches_a_scope_without_tier_links() {
-    // From the fourth scripted step on, part of the flow between the two
-    // split pods has to cross a border router.
-    let caught = drive(&two_dcs(), 1, Oracle::OmitsTierLinks).unwrap_err();
-    assert!(caught.starts_with("step 3: "), "{caught}");
+    // Part of the core-to-core flow always crosses the border routers
+    // (and, from the fourth scripted step on, part of the flow between
+    // the two split pods).
+    let caught = drive(&two_dcs(), 1, Oracle::OmitsTierLinks, Sync::Exact).unwrap_err();
+    assert!(
+        caught.starts_with("step 0: dc1.core-1 → dc1.core-2"),
+        "{caught}"
+    );
 }
 
 #[test]
 fn the_oracle_catches_ignored_link_outages() {
     for fabric in [fig7(), two_dcs(), cross_linked()] {
-        let caught = drive(&fabric, 1, Oracle::IgnoresLinkOutages).unwrap_err();
+        let caught = drive(&fabric, 1, Oracle::IgnoresLinkOutages, Sync::Exact).unwrap_err();
         assert!(caught.starts_with("step 0: "), "{caught}");
+    }
+}
+
+#[test]
+fn the_chain_catches_a_sync_that_ignores_tier_flips() {
+    // Only the two-DC fabric has links between pod-less devices: its
+    // border outage (step 5) is the first flip of tier links alone. Every
+    // link of the non-layered fabric is in every pair's scope.
+    for (fabric, step) in [(two_dcs(), 5), (cross_linked(), 0)] {
+        let caught = drive(&fabric, 1, Oracle::Exact, Sync::TierFlipsAreNoOps).unwrap_err();
+        let expected = format!("step {step}: the restated rule");
+        assert!(caught.starts_with(&expected), "{caught}");
+    }
+}
+
+#[test]
+fn the_chain_catches_a_sync_that_skips_whole_graph_pairs() {
+    for fabric in [fig7(), two_dcs(), cross_linked()] {
+        let caught = drive(&fabric, 1, Oracle::Exact, Sync::SkipsWholeGraphPairs).unwrap_err();
+        assert!(caught.contains("the restated rule"), "{caught}");
     }
 }

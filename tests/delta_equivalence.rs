@@ -16,12 +16,12 @@ use statesman_core::{
     Checker, CheckerConfig, ConnectivityInvariant, ImpactGroup, Invariant, MapView, MergePolicy,
     Monitor, StatesmanClient, TorPairCapacityInvariant, Updater,
 };
-use statesman_net::{SimClock, SimConfig, SimNetwork};
+use statesman_net::{DeviceCommand, SimClock, SimConfig, SimNetwork};
 use statesman_storage::{ReadRequest, StorageConfig, StorageService, WriteRequest};
 use statesman_topology::{DcnSpec, NetworkGraph};
 use statesman_types::{
     AppId, Attribute, DatacenterId, DeviceName, EntityName, Freshness, LockPriority, NetworkState,
-    Pool, SimDuration, StateKey, Value, Version,
+    Pool, PowerStatus, SimDuration, StateKey, Value, Version,
 };
 use std::collections::BTreeSet;
 
@@ -281,6 +281,14 @@ fn chaotic_delta_plane_matches_snapshot_plane_outcomes() {
 // them fresh every round. Every round they must issue the same receipts
 // and the same commands, report the same diffs, and leave the same OS,
 // TS and PS behind.
+//
+// dc1 has four pods of three Aggs, so one pod's pairs are half the panel
+// and a step in pod 1 or 2 leaves most of another pod's pairs outside its
+// pod: a check that re-solved only the step's pod would decide from a
+// stale report. Late in the history two of pod 4's Aggs — a pod no
+// proposal touches — lose power between the checkers' pass and the
+// updater's round, and the updater must defer the step the checker
+// accepted as a fresh one would.
 
 const ORACLE_ROUNDS: u64 = 32;
 
@@ -313,7 +321,12 @@ impl OracleWorld {
     fn new(seed: u64) -> OracleWorld {
         let clock = SimClock::new();
         let mut graph = NetworkGraph::new();
-        DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
+        let dc1 = DcnSpec {
+            pods: 4,
+            aggs_per_pod: 3,
+            ..DcnSpec::tiny("dc1")
+        };
+        dc1.build_prefixed_into(&mut graph);
         DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
         let mut cfg = SimConfig::ideal();
         cfg.seed = seed;
@@ -339,9 +352,13 @@ impl OracleWorld {
         let invariants = |dc: &DatacenterId| -> Vec<Box<dyn Invariant>> {
             vec![
                 Box::new(ConnectivityInvariant::new(dc.clone())),
-                Box::new(TorPairCapacityInvariant::paper_default(
+                // 50% of baseline for 75% of pairs: a pod under 50% fails
+                // half of dc1's panel, and two of its pairs alone do not.
+                Box::new(TorPairCapacityInvariant::new(
                     &self.graph,
                     dc.clone(),
+                    0.5,
+                    0.75,
                     Some(1),
                 )),
             ]
@@ -405,6 +422,9 @@ struct OracleHistory {
     crossing: u64,
     /// The round `inter-dc-te` takes a four-minute lock on dc1.tor-2-1.
     lock: u64,
+    /// The round two of pod 4's Aggs lose power after the checkers'
+    /// pass; they get it back two rounds later.
+    power_off: u64,
 }
 
 impl OracleHistory {
@@ -414,7 +434,27 @@ impl OracleHistory {
             outage: 12 + seed % 3..15 + seed % 3,
             crossing: 20 + seed % 5,
             lock: 3 + seed % 4,
+            power_off: 27,
         }
+    }
+
+    fn set_pod4_power(&self, w: &OracleWorld, power: PowerStatus) {
+        for agg in ["agg-4-1", "agg-4-2"] {
+            let agg = DeviceName::new(format!("dc1.{agg}"));
+            let out = w.net.submit(&agg, DeviceCommand::SetAdminPower(power));
+            assert!(out.is_applied(), "{out:?}");
+        }
+        w.net.step(SimDuration::from_secs(1));
+    }
+
+    /// Between the checkers' pass and the updater's round: whether the
+    /// network moved, so that the monitor has to run again.
+    fn after_checkers(&self, round: u64, w: &OracleWorld) -> bool {
+        let moved = round == self.power_off;
+        if moved {
+            self.set_pod4_power(w, PowerStatus::Off);
+        }
+        moved
     }
 
     fn before_round(&self, round: u64, w: &OracleWorld) {
@@ -461,6 +501,9 @@ impl OracleHistory {
         }
         // A ToR is never upgraded here, so never quarantined: the lock
         // decides the proposal that follows it.
+        if round == self.power_off + 2 {
+            self.set_pod4_power(w, PowerStatus::On);
+        }
         let held = oracle_device("dc1", "tor-2-1");
         if round == self.lock {
             let lease = w.clock.now() + SimDuration::from_mins(4);
@@ -550,6 +593,10 @@ fn oracle_twin(seed: u64, fresh: bool, blind: bool) -> (Vec<OracleRound>, u64) {
                 Err(e) => decisions.push_str(&format!("{} failed: {e}\n", c.group())),
             }
         }
+        if history.after_checkers(round, &w) {
+            w.monitor.run_round_sharded(1, &down).unwrap();
+            quarantined = w.monitor.quarantined_devices(w.clock.now());
+        }
         let u = stages.updater.run_round_excluding(&quarantined).unwrap();
         decisions.push_str(&format!(
             "updater diffs={} applied={} failed={} unrenderable={} quarantine_skips={} \
@@ -618,6 +665,12 @@ fn fresh_stages_every_round_decide_what_long_lived_stages_decide() {
                 .iter()
                 .any(|r| !r.decisions.contains("quarantine_skips=0 ")),
             "seed {seed}: the updater never withheld a command"
+        );
+        let power_off = &long_lived[OracleHistory::of(seed).power_off as usize];
+        assert!(
+            !power_off.decisions.contains("inflight_rej=0 "),
+            "seed {seed}: the step after the power-off was not deferred: {}",
+            power_off.decisions
         );
         // The crossing reached the long-lived checker as a snapshot
         // reply: its one silent whole-network reseed.
