@@ -452,8 +452,7 @@ impl Coordinator {
             })
             .collect();
 
-        let mut monitor = Monitor::new(net.clone(), storage.clone(), graph.clone())
-            .with_columnar_state(config.columnar_state);
+        let mut monitor = Monitor::new(net.clone(), storage.clone(), graph.clone());
         if let Some(cooldown) = config.quarantine_cooldown {
             monitor = monitor.with_quarantine_cooldown(cooldown);
         }

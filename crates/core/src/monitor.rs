@@ -25,16 +25,19 @@
 //! A round costs what changed: every poll shard compares the values it
 //! collects against the monitor's *diff base* — what it believes the OS
 //! pool holds — in place, so only a row that differs is ever built,
-//! sorted, written and stored back. The belief is periodically
+//! sorted, written and stored back. The base is laid out in poll order
+//! (graph node, then edge, times a per-kind attribute column), so a
+//! comparison is one indexed load. The belief is periodically
 //! distrusted, not the store: see [`Monitor::with_resync_every`].
 
 use parking_lot::Mutex;
 use statesman_net::{DeviceModel, DeviceProtocol, OpenFlowSim, SimNetwork, SnmpSim, VendorCliSim};
 use statesman_storage::{ReadRequest, StorageService, WriteRequest};
 use statesman_topology::{EdgeId, NetworkGraph, NodeId};
+use statesman_types::entity::EntityBody;
 use statesman_types::{
-    interner, AppId, Attribute, DatacenterId, DeviceName, EntityId, EntityName, Freshness,
-    NetworkState, Pool, SimDuration, SimTime, StateResult, Value, VarId, WorkerPool,
+    AppId, Attribute, DatacenterId, DeviceName, EntityKind, EntityName, Freshness, NetworkState,
+    Pool, SimDuration, SimTime, StateResult, Value, WorkerPool,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -118,7 +121,7 @@ pub struct Monitor {
     cli: VendorCliSim,
     storage: StorageService,
     graph: NetworkGraph,
-    ids: EntityIds,
+    layout: Layout,
     /// Devices under quarantine, mapped to when their cooldown expires.
     quarantine: Mutex<HashMap<DeviceName, SimTime>>,
     quarantine_cooldown: SimDuration,
@@ -128,28 +131,84 @@ pub struct Monitor {
     resync_every: u64,
 }
 
-/// The interned id of every graph node and edge, by index. The graph is
-/// immutable, so names are resolved once and every [`VarId`] a round
-/// needs is arithmetic on these.
-struct EntityIds {
-    nodes: Vec<EntityId>,
-    edges: Vec<EntityId>,
-    /// The partitions homing those entities: what a resync re-reads.
+/// Where every polled value lives in the diff base. The graph is
+/// immutable, so the layout is derived once: node *i*'s block of device
+/// columns, then edge *j*'s block of link columns after every node's. An
+/// attribute's column is its rank among the catalogue attributes of its
+/// [`EntityKind`]. A poll addresses a block by graph index; a row read
+/// back from storage, through the graph's name index.
+struct Layout {
+    /// Each attribute's column within its kind's block, by catalogue index.
+    columns: Vec<usize>,
+    device_columns: usize,
+    link_columns: usize,
+    /// Where the edge blocks start.
+    links_from: usize,
+    /// Positions in all: every node's block, then every edge's.
+    positions: usize,
+    /// The partitions homing the graph's entities: what a resync re-reads.
     datacenters: BTreeSet<DatacenterId>,
 }
 
-impl EntityIds {
-    fn resolve(graph: &NetworkGraph) -> Self {
-        let id = |entity: EntityName| interner().intern(&entity);
-        let (nodes, edges) = (graph.nodes(), graph.edges());
-        EntityIds {
-            nodes: nodes.map(|(n, _)| id(device_entity(graph, n))).collect(),
-            edges: edges.map(|(e, _)| id(link_entity(graph, e))).collect(),
+impl Layout {
+    fn of(graph: &NetworkGraph) -> Self {
+        let catalogue = Attribute::catalogue();
+        let rank = |i: usize| {
+            let kind = catalogue[i].entity_kind();
+            catalogue[..i]
+                .iter()
+                .filter(|a| a.entity_kind() == kind)
+                .count()
+        };
+        let width = |kind| Attribute::for_entity(kind).count();
+        let (device_columns, link_columns) = (width(EntityKind::Device), width(EntityKind::Link));
+        let links_from = graph.node_count() * device_columns;
+        Layout {
+            columns: (0..catalogue.len()).map(rank).collect(),
+            device_columns,
+            link_columns,
+            links_from,
+            positions: links_from + graph.edge_count() * link_columns,
             datacenters: (graph.nodes().map(|(_, n)| &n.datacenter))
                 .chain(graph.edges().map(|(_, e)| &e.datacenter))
                 .cloned()
                 .collect(),
         }
+    }
+
+    fn node_block(&self, node: NodeId) -> (usize, EntityKind) {
+        (node.0 as usize * self.device_columns, EntityKind::Device)
+    }
+
+    fn edge_block(&self, edge: EdgeId) -> (usize, EntityKind) {
+        let offset = self.links_from + edge.0 as usize * self.link_columns;
+        (offset, EntityKind::Link)
+    }
+
+    /// The position of `attr` in an entity's block; `None` when the
+    /// attribute belongs to another kind of entity.
+    fn position(&self, (offset, kind): (usize, EntityKind), attr: Attribute) -> Option<usize> {
+        (attr.entity_kind() == kind).then(|| offset + self.columns[attr as usize])
+    }
+
+    /// The position of a stored row; `None` for an entity the graph does
+    /// not hold under that name and home.
+    fn position_of(&self, graph: &NetworkGraph, row: &NetworkState) -> Option<usize> {
+        let (block, home) = match &row.entity.body {
+            EntityBody::Device(name) => {
+                let node = graph.node_id(name)?;
+                (self.node_block(node), &graph.node(node).datacenter)
+            }
+            EntityBody::Link(name) => {
+                let edge = graph.edge_id(name)?;
+                (self.edge_block(edge), &graph.edge(edge).datacenter)
+            }
+            EntityBody::Path(_) => return None,
+        };
+        if *home != row.entity.datacenter {
+            return None;
+        }
+        self.position(block, row.attribute)
     }
 }
 
@@ -166,14 +225,30 @@ fn link_entity(graph: &NetworkGraph, id: EdgeId) -> EntityName {
 /// What the monitor believes the OS pool holds, and how many rounds it
 /// has run (the resync cadence counts from the first).
 struct DiffBase {
-    /// Columnar by default — the base lives in the process-wide OS slot
-    /// space, the same addressing as the storage column it mirrors.
-    /// Compared on value and writer only: an unchanged row keeps whatever
-    /// timestamp it arrived with. Empty means untrusted — a failed write
-    /// clears it, a bulk seed never fills it — and an empty base is
-    /// re-seeded from storage before use.
-    rows: crate::view::MapView,
+    /// By [`Layout`] position: the value of a row the store holds under
+    /// the monitor's name. A row another writer owns, or none at all,
+    /// leaves its position empty, so comparing value-and-writer is one
+    /// `==` on the value. An unchanged row keeps whatever timestamp it
+    /// arrived with. Unallocated means untrusted — a failed write clears
+    /// it, a bulk seed never fills it — and an unallocated base is
+    /// re-seeded from storage before use; it is allocated when its first
+    /// value lands.
+    values: Vec<Option<Value>>,
     rounds: u64,
+}
+
+impl DiffBase {
+    /// Record what the store now holds at `position` of a base of
+    /// `positions`: `None` for a row the monitor does not own.
+    fn land(&mut self, positions: usize, position: usize, value: Option<Value>) {
+        if self.values.is_empty() {
+            if value.is_none() {
+                return;
+            }
+            self.values.resize(positions, None);
+        }
+        self.values[position] = value;
+    }
 }
 
 impl Monitor {
@@ -185,27 +260,22 @@ impl Monitor {
             cli: VendorCliSim::new(net.clone()),
             net,
             storage,
-            ids: EntityIds::resolve(&graph),
+            layout: Layout::of(&graph),
             graph,
             quarantine: Mutex::new(HashMap::new()),
             quarantine_cooldown: DEFAULT_QUARANTINE_COOLDOWN,
             base: Mutex::new(DiffBase {
-                rows: crate::view::MapView::columnar(Pool::Observed),
+                values: Vec::new(),
                 rounds: 0,
             }),
             resync_every: DEFAULT_RESYNC_EVERY,
         }
     }
 
-    /// Enable or disable the columnar diff base (`true` by default).
-    /// Disabled, the base is a plain hash map — the reference layout the
-    /// columnar plane is property-tested against.
-    pub fn with_columnar_state(mut self, enabled: bool) -> Self {
-        self.base.get_mut().rows = if enabled {
-            crate::view::MapView::columnar(Pool::Observed)
-        } else {
-            crate::view::MapView::new()
-        };
+    /// A no-op, kept for callers that still select a state layout: the
+    /// diff base is a poll-ordered array whatever the layout of the
+    /// checker's and updater's views.
+    pub fn with_columnar_state(self, _enabled: bool) -> Self {
         self
     }
 
@@ -266,11 +336,8 @@ impl Monitor {
     fn poll_device(&self, name: &DeviceName) -> Option<Vec<(Attribute, Value)>> {
         let mut pairs = self.snmp.collect_device(name).ok()?;
         // Routing state by model.
-        let model = self
-            .net
-            .device_snapshot(name)
-            .map(|d| d.model)
-            .unwrap_or(DeviceModel::OpenFlowSwitch);
+        let model = self.net.with_device(name, |d, _| d.model);
+        let model = model.unwrap_or(DeviceModel::OpenFlowSwitch);
         let routing = match model {
             DeviceModel::OpenFlowSwitch => self.of.collect_device(name),
             DeviceModel::BgpRouter => self.cli.collect_device(name),
@@ -289,17 +356,16 @@ impl Monitor {
     /// Partitions in `skip_dcs` cannot be read (they are down), so their
     /// entries carry over and a partial resync only overwrites. A failed
     /// read leaves the base holding nothing it did not just read or
-    /// already hold, so the error costs at worst rewrites.
-    fn reseed(
-        &self,
-        base: &mut crate::view::MapView,
-        skip_dcs: &BTreeSet<DatacenterId>,
-    ) -> StateResult<usize> {
-        if self.ids.datacenters.is_disjoint(skip_dcs) {
-            base.clear();
+    /// already hold, so the error costs at worst rewrites. Rows of
+    /// entities outside the graph, and of attributes of another kind than
+    /// their entity's, have no position and are skipped.
+    fn reseed(&self, base: &mut DiffBase, skip_dcs: &BTreeSet<DatacenterId>) -> StateResult<usize> {
+        if self.layout.datacenters.is_disjoint(skip_dcs) {
+            base.values.clear();
         }
+        let monitor = AppId::monitor();
         let mut reread = 0;
-        for dc in self.ids.datacenters.difference(skip_dcs) {
+        for dc in self.layout.datacenters.difference(skip_dcs) {
             let rows = self.storage.read(ReadRequest {
                 datacenter: dc.clone(),
                 pool: Pool::Observed,
@@ -309,7 +375,10 @@ impl Monitor {
             })?;
             reread += rows.len();
             for row in rows {
-                base.upsert(row);
+                if let Some(position) = self.layout.position_of(&self.graph, &row) {
+                    let owned = (row.writer == monitor).then_some(row.value);
+                    base.land(self.layout.positions, position, owned);
+                }
             }
         }
         Ok(reread)
@@ -351,28 +420,29 @@ impl Monitor {
         // against what storage holds instead of what we remember writing.
         let keeps_base = self.resync_every > 1;
         let mut reread = 0;
-        if keeps_base && (round % self.resync_every == 0 || state.rows.is_empty()) {
-            reread = self.reseed(&mut state.rows, skip_dcs)?;
+        if keeps_base && (round.is_multiple_of(self.resync_every) || state.values.is_empty()) {
+            reread = self.reseed(&mut state, skip_dcs)?;
         }
         let reseeded = started.elapsed();
 
-        // Compare one entity's polled pairs against the base in place
-        // (one registry lock for the run): equal values are counted, the
-        // rest become owned rows — the only place a round names an entity.
-        let base = &state.rows;
+        // Compare one entity's polled pairs against the base in place, one
+        // indexed load each: equal values are counted, the rest become
+        // owned rows — the only place a round names an entity.
+        let base = &state.values;
         let compare = |poll: &mut ShardPoll,
-                       id: EntityId,
+                       block: (usize, EntityKind),
                        entity: &dyn Fn() -> EntityName,
                        pairs: Vec<(Attribute, Value)>| {
-            let vars = pairs.into_iter().map(|(a, v)| (VarId::new(id, a), (a, v)));
-            base.get_each(vars, |(attr, value), prior| {
-                if prior.is_some_and(|p| p.value == value && p.writer == writer) {
+            for (attr, value) in pairs {
+                let position = self.layout.position(block, attr);
+                let prior = position.and_then(|p| base.get(p)?.as_ref());
+                if prior == Some(&value) {
                     poll.suppressed += 1;
                 } else {
                     let row = NetworkState::new(entity(), attr, value, now, writer.clone());
                     poll.changed.push(row);
                 }
-            });
+            }
         };
         let device_ids: Vec<NodeId> = self
             .graph
@@ -397,9 +467,8 @@ impl Monitor {
                     continue;
                 };
                 poll.polled += 1;
-                let id = self.ids.nodes[node_id.0 as usize];
                 let entity = || device_entity(&self.graph, node_id);
-                compare(&mut poll, id, &entity, pairs);
+                compare(&mut poll, self.layout.node_block(node_id), &entity, pairs);
             }
             poll
         });
@@ -421,9 +490,8 @@ impl Monitor {
                     .snmp
                     .collect_link(&self.graph.edge(edge_id).name)
                     .unwrap_or_else(|_| vec![(Attribute::LinkOperStatus, Value::oper(false))]);
-                let id = self.ids.edges[edge_id.0 as usize];
                 let entity = || link_entity(&self.graph, edge_id);
-                compare(&mut poll, id, &entity, pairs);
+                compare(&mut poll, self.layout.edge_block(edge_id), &entity, pairs);
             }
             poll
         });
@@ -442,12 +510,12 @@ impl Monitor {
         let rows_written = changed.len();
         let diffed = started.elapsed();
 
-        let written = self.write_changed(&mut changed, state.rows.is_empty());
+        let written = self.write_changed(&mut changed, state.values.is_empty());
         let seed = match written {
             Ok(seed) => seed,
             Err(e) => {
                 // The base may no longer match storage: distrust it.
-                state.rows.clear();
+                state.values.clear();
                 return Err(e);
             }
         };
@@ -456,9 +524,12 @@ impl Monitor {
             // store just did: the suppressed rows are in it already, and
             // what was not polled — skipped DCs, quarantined or silent
             // devices, a key a poll stopped reporting — stays in it as it
-            // stays in the store.
+            // stays in the store. (A bulk seed took the rows, leaving the
+            // base unallocated.)
             for row in changed {
-                state.rows.upsert(row);
+                if let Some(position) = self.layout.position_of(&self.graph, &row) {
+                    state.land(self.layout.positions, position, Some(row.value));
+                }
             }
         }
         drop(state);
@@ -506,7 +577,7 @@ impl Monitor {
         // rows — at seed scale a copy is millions of rows — which leaves
         // the base empty, so the next round re-reads what was stored.
         let pool_len = |dc| self.storage.pool_len(dc, &Pool::Observed);
-        let pools_empty = || self.ids.datacenters.iter().all(|dc| pool_len(dc) == 0);
+        let pools_empty = || self.layout.datacenters.iter().all(|dc| pool_len(dc) == 0);
         if base_empty && changed.len() >= BULK_SEED_THRESHOLD && pools_empty() {
             let stats = self.storage.write_bulk(WriteRequest {
                 pool: Pool::Observed,
@@ -879,6 +950,27 @@ mod tests {
         net.step(SimDuration::from_mins(1));
         let r2 = m.run_round().unwrap();
         assert_eq!(r2.rows_materialized, r2.rows_written);
+    }
+
+    #[test]
+    fn a_bulk_seed_leaves_the_base_unallocated_and_the_next_round_fills_its_layout() {
+        let clock = SimClock::new();
+        let graph = DcnSpec::sized_for_variables("dc1", BULK_SEED_THRESHOLD + 2_000).build();
+        let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
+        let storage = StorageService::single_dc("dc1", clock);
+        let m = Monitor::new(net.clone(), storage, graph.clone());
+        let base = |m: &Monitor| {
+            let base = m.base.lock();
+            (base.values.len(), base.values.capacity())
+        };
+        assert!(m.run_round().unwrap().seed.is_some());
+        assert_eq!(base(&m), (0, 0));
+        net.step(SimDuration::from_mins(1));
+        m.run_round().unwrap();
+        let columns = |kind| Attribute::for_entity(kind).count();
+        let positions = graph.node_count() * columns(EntityKind::Device)
+            + graph.edge_count() * columns(EntityKind::Link);
+        assert_eq!(base(&m).0, positions);
     }
 
     #[test]

@@ -602,11 +602,8 @@ impl Updater {
         match &self.scope {
             None => true,
             Some(scope) => {
-                let model = self
-                    .net
-                    .device_snapshot(device)
-                    .map(|d| d.model)
-                    .unwrap_or(DeviceModel::OpenFlowSwitch);
+                let model = self.net.with_device(device, |d, _| d.model);
+                let model = model.unwrap_or(DeviceModel::OpenFlowSwitch);
                 scope.covers(model, attribute)
             }
         }
@@ -1210,7 +1207,7 @@ impl Updater {
         if skip.contains(&device) {
             return None;
         }
-        let model = self.net.device_snapshot(&device)?.model;
+        let model = self.net.with_device(&device, |d, _| d.model)?;
         let actions = self
             .pool
             .render(&TemplateCtx {
@@ -1270,8 +1267,8 @@ impl Updater {
             report.breaker_skips += 1;
             return;
         }
-        let model = match self.net.device_snapshot(&device) {
-            Some(d) => d.model,
+        let model = match self.net.with_device(&device, |d, _| d.model) {
+            Some(model) => model,
             None => {
                 report.unrenderable += 1;
                 return;

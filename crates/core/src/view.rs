@@ -54,7 +54,7 @@ pub trait StateView {
 ///   the reference the columnar plane is property-tested against;
 /// * **columnar** — a [`Column`] over the process-wide per-pool slot
 ///   space, used for the long-lived delta-maintained mirrors (checker
-///   part cache, updater read mirrors, monitor diff base):
+///   part cache, updater read mirrors):
 ///   [`MapView::apply_delta`] writes straight into slots, deletes are
 ///   tombstones, and iteration is bitmap-driven.
 ///
@@ -155,26 +155,6 @@ impl MapView {
         match &mut self.repr {
             ViewRepr::Hash(rows) => rows.clear(),
             ViewRepr::Columnar(col) => col.clear(),
-        }
-    }
-
-    /// [`StateView::get_var`] for a run of variables: `each` gets every
-    /// item back with the row stored for its variable, in input order. A
-    /// columnar view resolves the whole run under one slot-registry read
-    /// lock (see [`Column::get_each`]), so `each` must not touch the
-    /// registry.
-    pub fn get_each<'a, T>(
-        &'a self,
-        items: impl IntoIterator<Item = (VarId, T)>,
-        mut each: impl FnMut(T, Option<&'a NetworkState>),
-    ) {
-        match &self.repr {
-            ViewRepr::Hash(rows) => {
-                for (var, item) in items {
-                    each(item, rows.get(&var));
-                }
-            }
-            ViewRepr::Columnar(col) => col.get_each(items, each),
         }
     }
 

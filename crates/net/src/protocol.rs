@@ -18,10 +18,18 @@
 //! Each adapter returns typed [`StateError`]s for its failure surface so
 //! the monitor and updater can implement the §6.2 "stateless and automatic
 //! failure handling" without parsing strings.
+//!
+//! A poll reads one consistent instant: each `collect_*` call takes the
+//! simulator lock once ([`SimNetwork::with_device`] /
+//! [`SimNetwork::with_link`]) and reads the device, or the link and its
+//! endpoints, in place — no copy of the device, and no step can land
+//! between the reachability check and the values reported.
 
 use crate::command::{CommandOutcome, DeviceCommand, DeviceModel};
+use crate::device::SimDevice;
+use crate::link::SimLink;
 use crate::sim::SimNetwork;
-use statesman_types::{Attribute, DeviceName, LinkName, StateError, StateResult, Value};
+use statesman_types::{Attribute, DeviceName, LinkName, SimTime, StateError, StateResult, Value};
 
 /// Which protocol an adapter speaks (for logging and template lookup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +73,15 @@ pub trait DeviceProtocol: Send + Sync {
     fn execute(&self, device: &DeviceName, command: DeviceCommand) -> StateResult<CommandOutcome>;
 }
 
+/// The error a device (or a link, named as one) gives when its management
+/// plane does not answer `operation`.
+fn timeout(device: &impl std::fmt::Display, operation: &str) -> StateError {
+    StateError::DeviceTimeout {
+        device: device.to_string(),
+        operation: operation.into(),
+    }
+}
+
 /// SNMP-like adapter: read-only.
 #[derive(Clone)]
 pub struct SnmpSim {
@@ -84,86 +101,63 @@ impl DeviceProtocol for SnmpSim {
     }
 
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>> {
-        let now = self.net.clock().now();
-        let d = self
-            .net
-            .device_snapshot(device)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "snmp-walk".into(),
-            })?;
-        if !d.mgmt_reachable(now) {
-            return Err(StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "snmp-walk".into(),
-            });
-        }
-        Ok(vec![
-            (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
-            (
-                Attribute::DevicePowerUnitReachable,
-                Value::Bool(d.power_unit_reachable),
-            ),
-            (
-                Attribute::DeviceFirmwareVersion,
-                Value::text(d.observed_firmware()),
-            ),
-            (Attribute::DeviceBootImage, Value::text(&d.boot_image)),
-            (
-                Attribute::DeviceMgmtInterface,
-                Value::Bool(d.mgmt_configured),
-            ),
-            (Attribute::DeviceCpuUtilization, Value::Float(d.cpu_util)),
-            (Attribute::DeviceMemoryUtilization, Value::Float(d.mem_util)),
-        ])
+        let walk = |d: &SimDevice, now| {
+            if !d.mgmt_reachable(now) {
+                return Err(timeout(device, "snmp-walk"));
+            }
+            Ok(vec![
+                (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
+                (
+                    Attribute::DevicePowerUnitReachable,
+                    Value::Bool(d.power_unit_reachable),
+                ),
+                (
+                    Attribute::DeviceFirmwareVersion,
+                    Value::text(d.observed_firmware()),
+                ),
+                (Attribute::DeviceBootImage, Value::text(&d.boot_image)),
+                (
+                    Attribute::DeviceMgmtInterface,
+                    Value::Bool(d.mgmt_configured),
+                ),
+                (Attribute::DeviceCpuUtilization, Value::Float(d.cpu_util)),
+                (Attribute::DeviceMemoryUtilization, Value::Float(d.mem_util)),
+            ])
+        };
+        self.net
+            .with_device(device, walk)
+            .unwrap_or_else(|| Err(timeout(device, "snmp-walk")))
     }
 
     fn collect_link(&self, link: &LinkName) -> StateResult<Vec<(Attribute, Value)>> {
-        let now = self.net.clock().now();
-        let l = self
-            .net
-            .link_snapshot(link)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: link.to_string(),
-                operation: "snmp-walk".into(),
-            })?;
         // Link counters are reported by whichever endpoint answers.
-        let a_ok = self
-            .net
-            .device_snapshot(&link.a)
-            .map(|d| d.mgmt_reachable(now))
-            .unwrap_or(false);
-        let b_ok = self
-            .net
-            .device_snapshot(&link.b)
-            .map(|d| d.mgmt_reachable(now))
-            .unwrap_or(false);
-        if !a_ok && !b_ok {
-            return Err(StateError::DeviceTimeout {
-                device: link.to_string(),
-                operation: "snmp-walk".into(),
-            });
-        }
-        let oper = self.net.link_oper_up(link);
-        Ok(vec![
-            (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
-            (Attribute::LinkOperStatus, Value::oper(oper)),
-            (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
-            (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
-            (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
-            (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
-            (
-                Attribute::LinkIpAssignment,
-                match &l.ip_assignment {
-                    Some(ip) => Value::text(ip),
-                    None => Value::None,
-                },
-            ),
-            (
-                Attribute::LinkControlPlane,
-                Value::ControlPlane(l.control_plane),
-            ),
-        ])
+        let walk = |l: &SimLink, a_ok: bool, b_ok: bool, oper: bool| {
+            if !a_ok && !b_ok {
+                return Err(timeout(link, "snmp-walk"));
+            }
+            Ok(vec![
+                (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
+                (Attribute::LinkOperStatus, Value::oper(oper)),
+                (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
+                (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
+                (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
+                (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
+                (
+                    Attribute::LinkIpAssignment,
+                    match &l.ip_assignment {
+                        Some(ip) => Value::text(ip),
+                        None => Value::None,
+                    },
+                ),
+                (
+                    Attribute::LinkControlPlane,
+                    Value::ControlPlane(l.control_plane),
+                ),
+            ])
+        };
+        self.net
+            .with_link(link, walk)
+            .unwrap_or_else(|| Err(timeout(link, "snmp-walk")))
     }
 
     fn execute(&self, _device: &DeviceName, command: DeviceCommand) -> StateResult<CommandOutcome> {
@@ -186,21 +180,24 @@ impl OpenFlowSim {
         OpenFlowSim { net }
     }
 
-    fn require_openflow(&self, device: &DeviceName) -> StateResult<crate::device::SimDevice> {
-        let d = self
-            .net
-            .device_snapshot(device)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "of-echo".into(),
-            })?;
-        if d.model != DeviceModel::OpenFlowSwitch {
-            return Err(StateError::invalid(format!(
-                "{device} is model {} — not OpenFlow-capable",
-                d.model
-            )));
-        }
-        Ok(d)
+    /// Read `device` in place once it is known to be an OpenFlow model.
+    fn with_openflow<R>(
+        &self,
+        device: &DeviceName,
+        read: impl FnOnce(&SimDevice, SimTime) -> StateResult<R>,
+    ) -> StateResult<R> {
+        let echo = |d: &SimDevice, now| {
+            if d.model != DeviceModel::OpenFlowSwitch {
+                return Err(StateError::invalid(format!(
+                    "{device} is model {} — not OpenFlow-capable",
+                    d.model
+                )));
+            }
+            read(d, now)
+        };
+        self.net
+            .with_device(device, echo)
+            .unwrap_or_else(|| Err(timeout(device, "of-echo")))
     }
 }
 
@@ -210,34 +207,31 @@ impl DeviceProtocol for OpenFlowSim {
     }
 
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>> {
-        let now = self.net.clock().now();
-        let d = self.require_openflow(device)?;
-        if !d.mgmt_reachable(now) {
-            return Err(StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "of-echo".into(),
-            });
-        }
-        Ok(vec![
-            (
-                Attribute::DeviceOpenFlowAgent,
-                Value::Bool(d.of_agent_running),
-            ),
-            (
-                Attribute::DeviceRoutingRules,
-                Value::Routes(d.routing_rules.clone()),
-            ),
-            (
-                Attribute::DeviceLinkWeights,
-                Value::Routes(
-                    // Represent weights as pseudo-rules for wire uniformity.
-                    d.link_weights
-                        .iter()
-                        .map(|(l, w)| statesman_types::FlowLinkRule::new("*", l.clone(), *w))
-                        .collect(),
+        self.with_openflow(device, |d, now| {
+            if !d.mgmt_reachable(now) {
+                return Err(timeout(device, "of-echo"));
+            }
+            Ok(vec![
+                (
+                    Attribute::DeviceOpenFlowAgent,
+                    Value::Bool(d.of_agent_running),
                 ),
-            ),
-        ])
+                (
+                    Attribute::DeviceRoutingRules,
+                    Value::Routes(d.routing_rules.clone()),
+                ),
+                (
+                    Attribute::DeviceLinkWeights,
+                    Value::Routes(
+                        // Represent weights as pseudo-rules for wire uniformity.
+                        d.link_weights
+                            .iter()
+                            .map(|(l, w)| statesman_types::FlowLinkRule::new("*", l.clone(), *w))
+                            .collect(),
+                    ),
+                ),
+            ])
+        })
     }
 
     fn collect_link(&self, _link: &LinkName) -> StateResult<Vec<(Attribute, Value)>> {
@@ -252,7 +246,7 @@ impl DeviceProtocol for OpenFlowSim {
                 command.verb()
             )));
         }
-        self.require_openflow(device)?;
+        self.with_openflow(device, |_, _| Ok(()))?;
         Ok(self.net.submit(device, command))
     }
 }
@@ -278,32 +272,26 @@ impl DeviceProtocol for VendorCliSim {
     }
 
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>> {
-        let now = self.net.clock().now();
-        let d = self
-            .net
-            .device_snapshot(device)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "cli-show".into(),
-            })?;
-        if !d.mgmt_reachable(now) {
-            return Err(StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "cli-show".into(),
-            });
-        }
-        let mut rows = vec![(
-            Attribute::DeviceMgmtInterface,
-            Value::Bool(d.mgmt_configured),
-        )];
-        if d.model == DeviceModel::BgpRouter {
-            // BGP routers expose their RIB through the CLI.
-            rows.push((
-                Attribute::DeviceRoutingRules,
-                Value::Routes(d.routing_rules.clone()),
-            ));
-        }
-        Ok(rows)
+        let show = |d: &SimDevice, now| {
+            if !d.mgmt_reachable(now) {
+                return Err(timeout(device, "cli-show"));
+            }
+            let mut rows = vec![(
+                Attribute::DeviceMgmtInterface,
+                Value::Bool(d.mgmt_configured),
+            )];
+            if d.model == DeviceModel::BgpRouter {
+                // BGP routers expose their RIB through the CLI.
+                rows.push((
+                    Attribute::DeviceRoutingRules,
+                    Value::Routes(d.routing_rules.clone()),
+                ));
+            }
+            Ok(rows)
+        };
+        self.net
+            .with_device(device, show)
+            .unwrap_or_else(|| Err(timeout(device, "cli-show")))
     }
 
     fn collect_link(&self, _link: &LinkName) -> StateResult<Vec<(Attribute, Value)>> {
@@ -312,17 +300,13 @@ impl DeviceProtocol for VendorCliSim {
 
     fn execute(&self, device: &DeviceName, command: DeviceCommand) -> StateResult<CommandOutcome> {
         if command.is_routing() {
-            let d = self
+            let model = self
                 .net
-                .device_snapshot(device)
-                .ok_or_else(|| StateError::DeviceTimeout {
-                    device: device.to_string(),
-                    operation: "cli-exec".into(),
-                })?;
-            if d.model != DeviceModel::BgpRouter {
+                .with_device(device, |d, _| d.model)
+                .ok_or_else(|| timeout(device, "cli-exec"))?;
+            if model != DeviceModel::BgpRouter {
                 return Err(StateError::invalid(format!(
-                    "{device} is model {} — routing goes through OpenFlow",
-                    d.model
+                    "{device} is model {model} — routing goes through OpenFlow"
                 )));
             }
         }

@@ -141,10 +141,18 @@ impl SimState {
     }
 }
 
+/// Every device and link name, sorted once: the sets never change after
+/// [`SimNetwork::new`], and `step_to` draws its RNG in these orders.
+struct SortedNames {
+    devices: Vec<DeviceName>,
+    links: Vec<LinkName>,
+}
+
 /// Cloneable handle to the simulated network.
 #[derive(Clone)]
 pub struct SimNetwork {
     state: Arc<Mutex<SimState>>,
+    names: Arc<SortedNames>,
     clock: SimClock,
 }
 
@@ -175,6 +183,12 @@ impl SimNetwork {
         }
         let mut scheduled = config.faults.scheduled.clone();
         scheduled.sort_by_key(|f| f.at);
+        let mut names = SortedNames {
+            devices: devices.keys().cloned().collect(),
+            links: links.keys().cloned().collect(),
+        };
+        names.devices.sort();
+        names.links.sort();
         SimNetwork {
             state: Arc::new(Mutex::new(SimState {
                 devices,
@@ -190,6 +204,7 @@ impl SimNetwork {
                 commands_failed: 0,
                 obs: None,
             })),
+            names: Arc::new(names),
             clock,
         }
     }
@@ -340,13 +355,11 @@ impl SimNetwork {
                 let p_step = 1.0 - (1.0 - flap_p).powf(mins);
                 if p_step > 0.0 {
                     let flap_len = SimDuration::from_millis(s.faults.link_flap_duration_ms);
-                    let mut names: Vec<LinkName> = s.links.keys().cloned().collect();
-                    names.sort();
                     let mut flaps_started = 0u64;
-                    for name in names {
+                    for name in &self.names.links {
                         let roll: f64 = s.rng.gen();
                         if roll < p_step {
-                            let l = s.links.get_mut(&name).expect("link exists");
+                            let l = s.links.get_mut(name).expect("link exists");
                             if !l.flapping(target) {
                                 l.flapping_until = Some(target + flap_len);
                                 flaps_started += 1;
@@ -361,16 +374,12 @@ impl SimNetwork {
                 }
             }
 
-            // Counter random walk (CPU/memory wander within [0.02, 0.98]).
-            // Collect deltas first to appease the borrow checker.
-            let n = s.devices.len();
-            let deltas: Vec<(f64, f64)> = (0..n)
-                .map(|_| (s.rng.gen_range(-0.02..0.02), s.rng.gen_range(-0.01..0.01)))
-                .collect();
-            let mut names: Vec<DeviceName> = s.devices.keys().cloned().collect();
-            names.sort();
-            for (name, (dc, dm)) in names.into_iter().zip(deltas) {
-                let d = s.devices.get_mut(&name).expect("device exists");
+            // Counter random walk (CPU/memory wander within [0.02, 0.98]),
+            // one (cpu, mem) draw per device in name order.
+            for name in &self.names.devices {
+                let (dc, dm): (f64, f64) =
+                    (s.rng.gen_range(-0.02..0.02), s.rng.gen_range(-0.01..0.01));
+                let d = s.devices.get_mut(name).expect("device exists");
                 d.cpu_util = (d.cpu_util + dc).clamp(0.02, 0.98);
                 d.mem_util = (d.mem_util + dm).clamp(0.02, 0.98);
             }
@@ -386,7 +395,8 @@ impl SimNetwork {
         self.step_to(target);
     }
 
-    /// Snapshot one device's state (for protocol adapters and tests).
+    /// Snapshot one device's state (for tests and scenario drivers; the
+    /// protocol adapters read in place with [`SimNetwork::with_device`]).
     pub fn device_snapshot(&self, name: &DeviceName) -> Option<SimDevice> {
         self.state.lock().devices.get(name).cloned()
     }
@@ -396,18 +406,43 @@ impl SimNetwork {
         self.state.lock().links.get(name).cloned()
     }
 
+    /// Read one device in place, under one lock, with the clock instant
+    /// the read belongs to; `None` when no such device exists.
+    pub fn with_device<R>(
+        &self,
+        name: &DeviceName,
+        read: impl FnOnce(&SimDevice, SimTime) -> R,
+    ) -> Option<R> {
+        let now = self.clock.now();
+        let s = self.state.lock();
+        s.devices.get(name).map(|d| read(d, now))
+    }
+
+    /// Read one link in place, under one lock, together with whether each
+    /// endpoint's management plane answers (`a`, then `b`; false for an
+    /// unknown endpoint) and whether the link is oper-up, all at one
+    /// instant; `None` when no such link exists.
+    pub fn with_link<R>(
+        &self,
+        name: &LinkName,
+        read: impl FnOnce(&SimLink, bool, bool, bool) -> R,
+    ) -> Option<R> {
+        let now = self.clock.now();
+        let s = self.state.lock();
+        let l = s.links.get(name)?;
+        let reachable = |d: &DeviceName| s.devices.get(d).is_some_and(|d| d.mgmt_reachable(now));
+        let oper_up = link_oper_up_inner(&s, name, now);
+        Some(read(l, reachable(&name.a), reachable(&name.b), oper_up))
+    }
+
     /// All device names, sorted (stable iteration for the monitor).
     pub fn device_names(&self) -> Vec<DeviceName> {
-        let mut v: Vec<DeviceName> = self.state.lock().devices.keys().cloned().collect();
-        v.sort();
-        v
+        self.names.devices.clone()
     }
 
     /// All link names, sorted.
     pub fn link_names(&self) -> Vec<LinkName> {
-        let mut v: Vec<LinkName> = self.state.lock().links.keys().cloned().collect();
-        v.sort();
-        v
+        self.names.links.clone()
     }
 
     /// Whether a device is currently operational (forwarding traffic).

@@ -10,7 +10,7 @@
 //! histories, and must leave identical stores — value, writer,
 //! `updated_at`, *version* and watermarks — after every round, with
 //! identical written/suppressed counts on every delta round, at 1, 3 and
-//! 4 monitor instances and with both diff-base layouts.
+//! 4 monitor instances.
 
 use statesman_core::monitor::DEFAULT_QUARANTINE_COOLDOWN;
 use statesman_core::{Monitor, MonitorReport};
@@ -22,7 +22,7 @@ use statesman_storage::{ReadRequest, StorageService, WriteRequest};
 use statesman_topology::{DcnSpec, NetworkGraph, NodeId};
 use statesman_types::{
     AppId, Attribute, DatacenterId, DeviceName, EntityName, Freshness, NetworkState, Pool,
-    SimDuration, SimTime, StateResult, Value, VarId, Version,
+    SimDuration, SimTime, StateKey, StateResult, Value, VarId, Version,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -213,12 +213,17 @@ impl Oracle {
 }
 
 /// What a seed schedules: two upgrades (unreachable, then quarantined but
-/// alive), a window with dc2 skipped, and two writes behind the monitor's
-/// back — a real row overwritten, a row nothing polls.
+/// alive), a window with dc2 skipped, and changes behind the monitor's
+/// back — a real row overwritten, a row nothing polls, a monitor row
+/// re-written with the *same* value under another writer (the next
+/// resync must re-own it), and a monitor row deleted (the next full
+/// resync must rewrite it).
 struct History {
     upgrades: [(u64, &'static str); 2],
     skip: std::ops::Range<u64>,
     intrusion: u64,
+    same_value: u64,
+    deletion: u64,
 }
 
 impl History {
@@ -229,6 +234,10 @@ impl History {
             // Covers round 16 and, on odd seeds, an upgrade's quarantine.
             skip: 13 + seed % 3..18,
             intrusion: 8 + seed % 5,
+            // Both heal at a full resync — round 32 at the 16-round
+            // cadence — after the skip window.
+            same_value: 22 + seed % 3,
+            deletion: 25 + seed % 4,
         }
     }
 
@@ -258,6 +267,29 @@ impl History {
             let pool = Pool::Observed;
             world.storage.write(WriteRequest { pool, rows }).unwrap();
         }
+        let key =
+            |device: &str, attribute| StateKey::new(EntityName::device("dc1", device), attribute);
+        if round == self.same_value {
+            let key = key("dc1.tor-1-2", Attribute::DeviceFirmwareVersion);
+            let mut row = world
+                .storage
+                .read_row(&Pool::Observed, &key)
+                .unwrap()
+                .unwrap();
+            assert_eq!(row.writer, AppId::monitor());
+            row.writer = AppId::new("intruder");
+            let (pool, rows) = (Pool::Observed, vec![row]);
+            world.storage.write(WriteRequest { pool, rows }).unwrap();
+        }
+        if round == self.deletion {
+            let key = key("dc1.agg-1-2", Attribute::DeviceBootImage);
+            assert!(world
+                .storage
+                .read_row(&Pool::Observed, &key)
+                .unwrap()
+                .is_some());
+            world.storage.delete(Pool::Observed, vec![key]).unwrap();
+        }
     }
 
     fn skipped(&self, round: u64) -> BTreeSet<DatacenterId> {
@@ -273,7 +305,6 @@ struct Case {
     seed: u64,
     resync_every: u64,
     instances: usize,
-    columnar: bool,
 }
 
 /// Drive the monitor and the oracle through one history; `Err` names the
@@ -286,8 +317,7 @@ fn drive(case: &Case, first_wins: bool) -> Result<Vec<MonitorReport>, String> {
         world.storage.clone(),
         world.graph.clone(),
     )
-    .with_resync_every(case.resync_every)
-    .with_columnar_state(case.columnar);
+    .with_resync_every(case.resync_every);
     let mut oracle = Oracle::new(World::new(case.seed), case.resync_every, first_wins);
     let mut reports = Vec::new();
     // Writes the state machines discarded as value-identical, cumulative.
@@ -328,29 +358,23 @@ fn monitor_matches_the_materialise_and_rewrite_oracle() {
     for seed in 1..=3 {
         for resync_every in [2, 16] {
             for instances in [1, 3, 4] {
-                for columnar in [true, false] {
-                    let case = Case {
-                        seed,
-                        resync_every,
-                        instances,
-                        columnar,
-                    };
-                    let reports = drive(&case, false).unwrap_or_else(|e| {
-                        panic!(
-                            "seed {seed} resync_every {resync_every} instances {instances} \
-                             columnar {columnar}: {e}"
-                        )
-                    });
-                    // The history holds what it is meant to.
-                    let any = |f: fn(&MonitorReport) -> bool| reports.iter().any(f);
-                    assert!(any(|r| r.devices_unreachable > 0));
-                    assert!(any(|r| r.devices_quarantined > 0));
-                    assert!(any(|r| r.devices_polled < 20));
-                    // Resync rounds write only what differs: never again
-                    // the whole view round 0 wrote.
-                    let seeded = reports[0].rows_written;
-                    assert!(reports[1..].iter().all(|r| r.rows_written * 2 < seeded));
-                }
+                let case = Case {
+                    seed,
+                    resync_every,
+                    instances,
+                };
+                let reports = drive(&case, false).unwrap_or_else(|e| {
+                    panic!("seed {seed} resync_every {resync_every} instances {instances}: {e}")
+                });
+                // The history holds what it is meant to.
+                let any = |f: fn(&MonitorReport) -> bool| reports.iter().any(f);
+                assert!(any(|r| r.devices_unreachable > 0));
+                assert!(any(|r| r.devices_quarantined > 0));
+                assert!(any(|r| r.devices_polled < 20));
+                // Resync rounds write only what differs: never again
+                // the whole view round 0 wrote.
+                let seeded = reports[0].rows_written;
+                assert!(reports[1..].iter().all(|r| r.rows_written * 2 < seeded));
             }
         }
     }
@@ -365,7 +389,6 @@ fn the_oracle_catches_a_first_wins_dedup() {
         seed: 1,
         resync_every: 16,
         instances: 1,
-        columnar: true,
     };
     let caught = drive(&case, true).unwrap_err();
     assert!(caught.starts_with("round "), "{caught}");
