@@ -1,12 +1,10 @@
 //! The delta state plane at §8 scale: quiescent and low-churn coordinator
-//! round cost at ~394K state variables, delta path vs full-scan path.
+//! round cost at ~394K state variables.
 //!
-//! The claim under test: once the OS is seeded, a quiescent round through
-//! the delta plane (monitor suppresses value-identical rows, checker and
-//! updater advance cached views via `read_since`) costs a small fraction
-//! of the snapshot plane's full rewrite + full re-read — the headroom
-//! that lets the control loop keep its minutes-scale cadence as the
-//! variable count grows.
+//! Once the OS is seeded, a quiescent round (the monitor suppresses
+//! value-identical rows, checker and updater advance their mirrors via
+//! `read_since`) writes nothing — the headroom that lets the control
+//! loop keep its minutes-scale cadence as the variable count grows.
 //!
 //! `STATESMAN_BENCH_VARS` overrides the fabric size (CI smoke runs a
 //! reduced size; the full 394K is the default, matching the paper's
@@ -63,12 +61,12 @@ fn target_vars() -> usize {
         .unwrap_or(394_000)
 }
 
-/// Build a coordinator over a fabric sized for `vars` variables, with the
-/// state plane in delta or snapshot mode, and seed the OS with one round.
+/// Build a coordinator over a fabric sized for `vars` variables and seed
+/// the OS with one round.
 /// Invariants are disabled so the measurement isolates state-plane cost
 /// (collection, persistence, reads) from invariant compute, which
 /// `checker_latency` measures separately.
-fn seeded_coordinator(vars: usize, delta: bool) -> (Coordinator, SimClock) {
+fn seeded_coordinator(vars: usize) -> Coordinator {
     let clock = SimClock::new();
     let graph = DcnSpec::sized_for_variables("dcX", vars).build();
     let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
@@ -91,42 +89,35 @@ fn seeded_coordinator(vars: usize, delta: bool) -> (Coordinator, SimClock) {
             connectivity_invariant: false,
             capacity_invariant: None,
             wan_invariant: None,
-            delta_state_plane: delta,
             // Keep every measured round on the steady-state path: a
-            // periodic forced resync inside the sample window would mix
-            // full-write rounds into the delta measurement.
+            // periodic resync inside the sample window would mix pool
+            // re-reads into the measurement.
             monitor_resync_every: Some(u64::MAX),
             ..Default::default()
         },
     );
     coord.tick().expect("seed round");
-    (coord, clock)
+    coord
 }
 
 /// Quiescent rounds: the simulated clock does not advance between ticks,
-/// so every poll returns exactly what the last round wrote. The delta
-/// plane suppresses every write and serves empty deltas; the snapshot
-/// plane rewrites and re-reads the whole pool anyway.
+/// so every poll returns exactly what the last round wrote: every write
+/// is suppressed and every changefeed read is empty.
 fn bench_quiescent(c: &mut Criterion) {
-    let vars = target_vars();
     let mut group = c.benchmark_group("delta_pipeline_quiescent");
     group.sample_size(10);
-    for (name, delta) in [("delta_round", true), ("full_round", false)] {
-        let (coord, _clock) = seeded_coordinator(vars, delta);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let r = coord.tick().unwrap();
-                if delta {
-                    assert_eq!(r.rows_written, 0, "quiescent delta round wrote rows");
-                }
-                r
-            });
+    let coord = seeded_coordinator(target_vars());
+    group.bench_function("delta_round", |b| {
+        b.iter(|| {
+            let r = coord.tick().unwrap();
+            assert_eq!(r.rows_written, 0, "quiescent round wrote rows");
+            r
         });
-        let per_tick = allocs_during(|| {
-            coord.tick().unwrap();
-        });
-        println!("delta_pipeline_quiescent/{name} allocs/tick: {per_tick}");
-    }
+    });
+    let per_tick = allocs_during(|| {
+        coord.tick().unwrap();
+    });
+    println!("delta_pipeline_quiescent/delta_round allocs/tick: {per_tick}");
     group.finish();
 }
 
@@ -134,19 +125,16 @@ fn bench_quiescent(c: &mut Criterion) {
 /// live telemetry (cpu/mem utilization) changes while topology and
 /// configuration stay put — the steady-state shape of a healthy fabric.
 fn bench_low_churn(c: &mut Criterion) {
-    let vars = target_vars();
     let mut group = c.benchmark_group("delta_pipeline_low_churn");
     group.sample_size(10);
-    for (name, delta) in [("delta_round", true), ("full_round", false)] {
-        let (coord, _clock) = seeded_coordinator(vars, delta);
-        group.bench_function(name, |b| {
-            b.iter(|| coord.tick_and_advance(SimDuration::from_mins(1)).unwrap());
-        });
-        let per_tick = allocs_during(|| {
-            coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
-        });
-        println!("delta_pipeline_low_churn/{name} allocs/tick: {per_tick}");
-    }
+    let coord = seeded_coordinator(target_vars());
+    group.bench_function("delta_round", |b| {
+        b.iter(|| coord.tick_and_advance(SimDuration::from_mins(1)).unwrap());
+    });
+    let per_tick = allocs_during(|| {
+        coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+    });
+    println!("delta_pipeline_low_churn/delta_round allocs/tick: {per_tick}");
     group.finish();
 }
 

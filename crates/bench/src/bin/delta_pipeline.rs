@@ -4,19 +4,9 @@
 //! checker time, whole-round wall time, and resident bytes per state
 //! variable from the columnar storage arenas.
 //!
-//! Two state planes run back to back over identical fabrics:
-//!
-//! * `columnar` — delta reads + columnar mirrors + blast-radius
-//!   incremental checker (the shipping default);
-//! * `hash` — delta reads over the hashmap mirrors with full
-//!   re-projection every pass (the previous plane, kept as the
-//!   reference; its decisions are asserted bit-equal elsewhere, this
-//!   binary measures the cost difference).
-//!
 //! The paper's checker budget (§8: minutes-scale rounds, checker well
-//! under the 10 s coordination overhead) is asserted for the columnar
-//! plane at every size: steady-state checker time must stay under
-//! 10 s even at 4M variables.
+//! under the 10 s coordination overhead) is asserted at every size:
+//! steady-state checker time must stay under 10 s even at 4M variables.
 //!
 //! ```text
 //! STATESMAN_BENCH_VARS=4000000 STATESMAN_BENCH_ROUNDS=3 \
@@ -45,61 +35,55 @@ fn main() {
         .unwrap_or(3)
         .max(1);
 
-    let mut json_planes = Vec::new();
-    let mut rows = Vec::new();
-    for (plane, columnar) in [("columnar", true), ("hash", false)] {
-        let m = measure(vars, rounds, columnar);
-        println!(
-            "csv,delta_pipeline,{plane},{},{:.0},{:.0},{:.0},{:.0},{:.1}",
-            m.vars_seeded,
-            m.seed_ms,
-            m.quiescent_checker_ms,
-            m.churn_checker_ms,
-            m.churn_round_ms,
-            m.bytes_per_var
-        );
-        rows.push(vec![
-            plane.to_string(),
-            m.vars_seeded.to_string(),
-            format!("{:.0}", m.seed_ms),
-            format!("{:.0}", m.quiescent_checker_ms),
-            format!("{:.0}", m.churn_checker_ms),
-            format!("{:.0}", m.churn_round_ms),
-            format!("{:.1}", m.bytes_per_var),
-        ]);
-        let seed_stages = match &m.seed_stages {
-            Some(s) => format!(
-                "{{ \"rows\": {}, \"partitions\": {}, \"intern_ms\": {:.1}, \
-                 \"arena_fill_ms\": {:.1}, \"index_build_ms\": {:.1}, \
-                 \"paxos_commit_ms\": {:.1}, \"bulk_wall_ms\": {:.1} }}",
-                s.rows, s.partitions, s.intern_ms, s.fill_ms, s.index_ms, s.commit_ms, s.wall_ms
-            ),
-            None => "null".to_string(),
-        };
-        json_planes.push(format!(
-            "    {{ \"plane\": \"{plane}\", \"vars\": {}, \"seed_ms\": {:.1}, \
-             \"seed_stages\": {seed_stages}, \
-             \"quiescent_checker_ms\": {:.2}, \"churn_checker_ms\": {:.2}, \
-             \"churn_round_ms\": {:.1}, \"bytes_per_var\": {:.1} }}",
-            m.vars_seeded,
-            m.seed_ms,
-            m.quiescent_checker_ms,
-            m.churn_checker_ms,
-            m.churn_round_ms,
-            m.bytes_per_var
-        ));
+    let m = measure(vars, rounds);
+    println!(
+        "csv,delta_pipeline,columnar,{},{:.0},{:.0},{:.0},{:.0},{:.1}",
+        m.vars_seeded,
+        m.seed_ms,
+        m.quiescent_checker_ms,
+        m.churn_checker_ms,
+        m.churn_round_ms,
+        m.bytes_per_var
+    );
+    let rows = vec![vec![
+        "columnar".to_string(),
+        m.vars_seeded.to_string(),
+        format!("{:.0}", m.seed_ms),
+        format!("{:.0}", m.quiescent_checker_ms),
+        format!("{:.0}", m.churn_checker_ms),
+        format!("{:.0}", m.churn_round_ms),
+        format!("{:.1}", m.bytes_per_var),
+    ]];
+    let seed_stages = match &m.seed_stages {
+        Some(s) => format!(
+            "{{ \"rows\": {}, \"partitions\": {}, \"intern_ms\": {:.1}, \
+             \"arena_fill_ms\": {:.1}, \"index_build_ms\": {:.1}, \
+             \"paxos_commit_ms\": {:.1}, \"bulk_wall_ms\": {:.1} }}",
+            s.rows, s.partitions, s.intern_ms, s.fill_ms, s.index_ms, s.commit_ms, s.wall_ms
+        ),
+        None => "null".to_string(),
+    };
+    let json_plane = format!(
+        "    {{ \"plane\": \"columnar\", \"vars\": {}, \"seed_ms\": {:.1}, \
+         \"seed_stages\": {seed_stages}, \
+         \"quiescent_checker_ms\": {:.2}, \"churn_checker_ms\": {:.2}, \
+         \"churn_round_ms\": {:.1}, \"bytes_per_var\": {:.1} }}",
+        m.vars_seeded,
+        m.seed_ms,
+        m.quiescent_checker_ms,
+        m.churn_checker_ms,
+        m.churn_round_ms,
+        m.bytes_per_var
+    );
 
-        // The headline acceptance: the columnar plane's steady-state
-        // checker stays inside the paper's coordination budget.
-        if columnar {
-            assert!(
-                m.churn_checker_ms < CHECKER_BUDGET_MS,
-                "columnar checker blew the 10 s budget at {} vars: {:.0} ms",
-                m.vars_seeded,
-                m.churn_checker_ms
-            );
-        }
-    }
+    // The headline acceptance: the steady-state checker stays inside the
+    // paper's coordination budget.
+    assert!(
+        m.churn_checker_ms < CHECKER_BUDGET_MS,
+        "checker blew the 10 s budget at {} vars: {:.0} ms",
+        m.vars_seeded,
+        m.churn_checker_ms
+    );
 
     println!();
     println!("delta_pipeline: {rounds} measured rounds per shape, invariants on");
@@ -122,8 +106,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"delta_pipeline\",\n  \"target_vars\": {vars},\n  \
          \"rounds\": {rounds},\n  \"checker_budget_ms\": {CHECKER_BUDGET_MS},\n  \
-         \"planes\": [\n{}\n  ]\n}}\n",
-        json_planes.join(",\n")
+         \"planes\": [\n{json_plane}\n  ]\n}}\n"
     );
     std::fs::write("BENCH_delta_pipeline.json", json).expect("write BENCH_delta_pipeline.json");
 }
@@ -142,7 +125,7 @@ struct PlaneResult {
 /// measure seeded steady-state rounds: quiescent (clock frozen, every
 /// poll returns what the last round wrote) and low-churn (one simulated
 /// minute per round, telemetry counters move).
-fn measure(vars: usize, rounds: usize, columnar: bool) -> PlaneResult {
+fn measure(vars: usize, rounds: usize) -> PlaneResult {
     let clock = SimClock::new();
     let graph = DcnSpec::sized_for_variables("dcX", vars).build();
     let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
@@ -168,7 +151,6 @@ fn measure(vars: usize, rounds: usize, columnar: bool) -> PlaneResult {
         net.clone(),
         storage.clone(),
         CoordinatorConfig {
-            columnar_state: columnar,
             // Steady-state only: a periodic forced resync inside the
             // sample window would mix full-write rounds into the mean.
             monitor_resync_every: Some(u64::MAX),
@@ -181,14 +163,12 @@ fn measure(vars: usize, rounds: usize, columnar: bool) -> PlaneResult {
     let seed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (m_ms, c_ms, u_ms) = seed_round.latency_breakdown_ms();
     eprintln!(
-        "seed breakdown ({}): monitor {m_ms:.0} ms, checker {c_ms:.0} ms, \
+        "seed breakdown: monitor {m_ms:.0} ms, checker {c_ms:.0} ms, \
          updater {u_ms:.0} ms, other {:.0} ms",
-        if columnar { "columnar" } else { "hash" },
         seed_ms - m_ms - c_ms - u_ms
     );
     eprintln!(
-        "seed monitor stages ({}): poll {:.0} / diff {:.0} / write {:.0} ms wall",
-        if columnar { "columnar" } else { "hash" },
+        "seed monitor stages: poll {:.0} / diff {:.0} / write {:.0} ms wall",
         seed_round.monitor.stage_poll.as_secs_f64() * 1e3,
         seed_round.monitor.stage_diff.as_secs_f64() * 1e3,
         seed_round.monitor.stage_write.as_secs_f64() * 1e3,
@@ -226,9 +206,8 @@ fn measure(vars: usize, rounds: usize, columnar: bool) -> PlaneResult {
         churn_round_ms += t.elapsed().as_secs_f64() * 1e3;
         churn_checker_ms += r.latency_breakdown_ms().1;
         eprintln!(
-            "churn round ({}): monitor poll {:.0} / diff {:.0} / write {:.0} ms, \
+            "churn round: monitor poll {:.0} / diff {:.0} / write {:.0} ms, \
              checker {:.0} ms, updater read {:.0} / diff {:.0} / exec {:.0} ms",
-            if columnar { "columnar" } else { "hash" },
             r.monitor.stage_poll.as_secs_f64() * 1e3,
             r.monitor.stage_diff.as_secs_f64() * 1e3,
             r.monitor.stage_write.as_secs_f64() * 1e3,

@@ -238,7 +238,7 @@ pub struct ScenarioOutcome {
     /// post-recovery watermark fell below the pre-kill one, i.e. an
     /// acknowledged write was lost. Must stay empty.
     pub watermark_regressions: Vec<String>,
-    /// Update-plan steps synthesized across the run (0 with planning off).
+    /// Update-plan steps synthesized across the run.
     pub plan_steps: usize,
     /// Peak single-round plan width (available update parallelism).
     pub plan_max_width: usize,
@@ -526,14 +526,6 @@ pub struct ChaosScenario {
     pub durability: DurabilityMode,
     /// Print a one-line summary per round (for debugging chaos runs).
     pub verbose: bool,
-    /// State-plane representation for the scenario's coordinator: dense
-    /// columnar slots (the default) or the hashmap reference. Equivalence
-    /// tests run the same seed under both and demand identical outcomes.
-    pub columnar_state: bool,
-    /// Run the updater's plan synthesizer (dependency-ordered waves with
-    /// in-flight invariant checks) instead of the legacy chain walk.
-    /// Equivalence tests run the same seed under both.
-    pub plan_synthesis: bool,
     /// Flash-crowd TE churn: while the upgrade campaign runs, a traffic
     /// app keeps re-routing a pod-1 path between the two aggs (the
     /// devices mid-reboot), alternating every other round until a fixed
@@ -556,8 +548,6 @@ impl ChaosScenario {
             intent_at: SimTime::from_secs(3 * 60),
             durability: DurabilityMode::Memory,
             verbose: false,
-            columnar_state: true,
-            plan_synthesis: true,
             te_churn: false,
             worker_threads: None,
         }
@@ -576,8 +566,6 @@ impl ChaosScenario {
             intent_at: SimTime::from_secs(3 * 60),
             durability: DurabilityMode::Memory,
             verbose: false,
-            columnar_state: true,
-            plan_synthesis: true,
             te_churn: true,
             worker_threads: None,
         }
@@ -625,8 +613,6 @@ impl ChaosScenario {
             intent_at: SimTime::from_secs(3 * 60),
             durability,
             verbose: false,
-            columnar_state: true,
-            plan_synthesis: true,
             te_churn: false,
             worker_threads: None,
         }
@@ -714,8 +700,6 @@ impl ChaosScenario {
                     jitter_frac: 0.5,
                 }),
                 updater_breaker: Some((3, SimDuration::from_mins(3))),
-                columnar_state: self.columnar_state,
-                plan_synthesis: self.plan_synthesis,
                 worker_threads: self.worker_threads,
                 ..CoordinatorConfig::default()
             },
@@ -1320,8 +1304,6 @@ mod tests {
             intent_at: SimTime::ZERO,
             durability: DurabilityMode::Memory,
             verbose: false,
-            columnar_state: true,
-            plan_synthesis: true,
             te_churn: false,
             worker_threads: None,
         };

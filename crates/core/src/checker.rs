@@ -36,8 +36,8 @@ use parking_lot::Mutex;
 use statesman_storage::{StorageService, WriteRequest};
 use statesman_topology::{HealthView, NetworkGraph};
 use statesman_types::{
-    AppId, DatacenterId, DependencyLevel, DeviceName, NetworkState, Pool, SimTime, StateDelta,
-    StateKey, StateResult, Value, Version, WorkerPool, WriteOutcome, WriteReceipt,
+    AppId, Column, DatacenterId, DependencyLevel, DeviceName, NetworkState, Pool, SimTime,
+    StateDelta, StateKey, StateResult, Value, Version, WorkerPool, WriteOutcome, WriteReceipt,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -109,8 +109,7 @@ struct GroupMirror {
 /// abandoned — a snapshot-fallback delta arrived (the mirror was
 /// rebuilt wholesale, e.g. after a change-index compaction) or the churn
 /// exceeded [`SEED_TRACK_LIMIT`] — and the pass must reseed from scratch.
-/// It starts out abandoned where nothing is to be tracked: PS pools, and
-/// the hash plane's full-seed reference.
+/// It starts out abandoned where nothing is to be tracked: PS pools.
 #[derive(Default)]
 struct ChangeTrack {
     rows: Vec<NetworkState>,
@@ -162,18 +161,9 @@ pub struct Checker {
     model: DependencyModel,
     invariants: Vec<Box<dyn Invariant>>,
     graph: NetworkGraph,
-    /// Carry mirrors, seed and quiescent mark from pass to pass
-    /// (default). Disabled, every pass first forgets all three — the
-    /// full-read reference the equivalence suites compare against.
-    delta_reads: bool,
-    /// Columnar state plane (default). Partition mirrors are slot-indexed
-    /// [`Column`](statesman_types::Column)s, and the seed evaluation is
-    /// blast-radius incremental. Disabled, mirrors are hash maps and
-    /// every pass seeds with a full projection + invariant sweep — the
-    /// pre-columnar behavior the equivalence suite compares against.
-    columnar_state: bool,
     /// Per-(pool, partition) mirror advanced by `read_since`; the only
-    /// way a pass reads a pool.
+    /// way a pass reads a pool. Mirrors, seed and quiescent mark are
+    /// caches: a checker built fresh decides exactly what this one does.
     part_cache: Mutex<HashMap<(Pool, DatacenterId), GroupMirror>>,
     /// Pool for the pure fan-out stages (seed invariant sweeps). The
     /// per-candidate gate below stays serial: invariant caches make
@@ -203,8 +193,6 @@ impl Checker {
             model: DependencyModel::standard(),
             invariants: Vec::new(),
             graph,
-            delta_reads: true,
-            columnar_state: true,
             workers: WorkerPool::default(),
             part_cache: Mutex::new(HashMap::new()),
             seed_cache: Mutex::new(None),
@@ -223,19 +211,6 @@ impl Checker {
     /// Replace the dependency model (ablations / extensions).
     pub fn with_model(mut self, model: DependencyModel) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Enable or disable incremental pool reads (`true` by default).
-    pub fn with_delta_reads(mut self, enabled: bool) -> Self {
-        self.delta_reads = enabled;
-        self
-    }
-
-    /// Enable or disable the columnar state plane — slot-indexed zero-copy
-    /// mirrors plus the blast-radius incremental seed (`true` by default).
-    pub fn with_columnar_state(mut self, enabled: bool) -> Self {
-        self.columnar_state = enabled;
         self
     }
 
@@ -319,7 +294,7 @@ impl Checker {
         let entry = cache
             .entry((pool.clone(), dc.clone()))
             .or_insert_with(|| GroupMirror {
-                mirror: PoolMirror::cold(pool, self.columnar_state),
+                mirror: PoolMirror::cold(pool),
                 group_rows: 0,
             });
         let group_rows = &mut entry.group_rows;
@@ -338,7 +313,7 @@ impl Checker {
     /// established mirror, not on a cold one (`since` at genesis).
     fn note_delta(
         &self,
-        view: &MapView,
+        view: &Column,
         since: Version,
         delta: &StateDelta,
         group_rows: &mut usize,
@@ -467,14 +442,6 @@ impl Checker {
     ) -> StateResult<CheckerPassReport> {
         let started = Instant::now();
 
-        if !self.delta_reads {
-            // The full-read reference: every pool is re-read through a
-            // cold mirror and the seed rebuilt from scratch.
-            self.part_cache.lock().clear();
-            *self.seed_cache.lock() = None;
-            *self.quiescent.lock() = None;
-        }
-
         // ---- 0. quiescence short-circuit ----
         // If every partition's machine-wide watermark sits exactly where
         // the last recorded no-op pass left it, nothing any pool read
@@ -512,10 +479,7 @@ impl Checker {
         // change track, so the next pass must reseed.
         let cached_seed = self.seed_cache.lock().take();
         let mut cache = self.part_cache.lock();
-        let mut track = ChangeTrack {
-            full: !self.columnar_state,
-            ..ChangeTrack::default()
-        };
+        let mut track = ChangeTrack::default();
         let partitions = self.group_partitions(storage);
         for dc in &partitions {
             self.advance_partition(&mut cache, storage, &Pool::Observed, dc, &mut track)?;
@@ -642,7 +606,7 @@ impl Checker {
         // per candidate would make the pass quadratic in topology size).
         //
         // Seeding is where a 4M-variable round lives or dies. The
-        // columnar plane carries the previous pass's seed forward: from
+        // checker carries the previous pass's seed forward: from
         // the round's deltas it computes the Fig-4 blast radius,
         // re-projects only the entities inside it, re-evaluates only the
         // invariants it can reach, and keeps cached verdicts for the
@@ -650,9 +614,8 @@ impl Checker {
         let (mut health, verdicts) = if self.invariants.is_empty() {
             // With no invariants installed, nothing ever consults the
             // projection — skip the whole-graph sweep here and every
-            // per-candidate health delta below. (This was the
-            // parallel-rounds scaling leak: g checkers × one full
-            // projection per pass, all of it dead work.)
+            // per-candidate health delta below: g checkers × one full
+            // projection per pass would all be dead work.
             (HealthView::all_up(), Vec::new())
         } else {
             match cached_seed {
@@ -1013,6 +976,24 @@ impl Checker {
         // them is an idempotent no-op.
         *self.seed_cache.lock() = Some(SeedCache { health, verdicts });
         Ok(report)
+    }
+}
+
+// Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
+// this goes.
+impl Checker {
+    /// A no-op: mirrors always carry over from pass to pass. A fresh
+    /// checker (the old `false`) decides exactly what a long-lived one
+    /// does, so only the cost of a pass ever depended on this.
+    pub fn with_delta_reads(self, _enabled: bool) -> Self {
+        self
+    }
+
+    /// A no-op: mirrors are always slot-indexed columns and the seed
+    /// always blast-radius incremental; the hash layout it selected gave
+    /// identical decisions.
+    pub fn with_columnar_state(self, _enabled: bool) -> Self {
+        self
     }
 }
 
@@ -1464,19 +1445,33 @@ mod tests {
     fn delta_passes_match_full_read_passes() {
         // Two identical worlds driven through the same multi-pass history:
         // one checker carries mirrors and seed from pass to pass, the
-        // other starts every pass from cold mirrors and no seed. Reports
-        // and the resulting TS must be identical.
-        let run = |delta: bool| {
+        // other world builds a fresh checker for every pass, whose cold
+        // mirrors read every pool whole and whose seed starts from
+        // scratch. Reports and the resulting TS must be identical.
+        let run = |fresh: bool| {
             let (graph, storage, clock) = setup();
             seed_os(&graph, &storage, clock.now());
-            let chk = checker(&graph, MergePolicy::LastWriterWins).with_delta_reads(delta);
+            let long_lived = checker(&graph, MergePolicy::LastWriterWins);
+            let pass = |unreachable: &BTreeSet<DeviceName>| {
+                let rebuilt;
+                let chk = if fresh {
+                    rebuilt = checker(&graph, MergePolicy::LastWriterWins);
+                    &rebuilt
+                } else {
+                    &long_lived
+                };
+                let now = clock.now();
+                chk.run_pass_with_unreachable(&storage, now, unreachable)
+                    .unwrap()
+            };
+            let none = BTreeSet::new();
             let app = AppId::new("switch-upgrade");
             let mut history = Vec::new();
             // Pass 1: parallel proposals, one rejected by the invariant.
             for a in 1..=3 {
                 propose_upgrade(&storage, &app, &format!("agg-1-{a}"), "7.0", clock.now());
             }
-            history.push(chk.run_pass(&storage, clock.now()).unwrap());
+            history.push(pass(&none));
             // OS catches up on one device; re-propose the rejected one.
             storage
                 .write(WriteRequest {
@@ -1490,18 +1485,15 @@ mod tests {
                 })
                 .unwrap();
             propose_upgrade(&storage, &app, "agg-1-3", "7.0", clock.now());
-            history.push(chk.run_pass(&storage, clock.now()).unwrap());
+            history.push(pass(&none));
             // A quarantine pass in the middle reads like any other pass
             // (warm mirrors, carried seed); only its decisions differ.
             let q: BTreeSet<DeviceName> = [DeviceName::new("agg-1-2")].into_iter().collect();
             propose_upgrade(&storage, &app, "agg-1-2", "8.0", clock.now());
-            history.push(
-                chk.run_pass_with_unreachable(&storage, clock.now(), &q)
-                    .unwrap(),
-            );
+            history.push(pass(&q));
             // And a final clean pass.
             propose_upgrade(&storage, &app, "agg-1-4", "7.0", clock.now());
-            history.push(chk.run_pass(&storage, clock.now()).unwrap());
+            history.push(pass(&none));
             let mut ts = storage
                 .read(ReadRequest {
                     datacenter: DatacenterId::new("dc1"),
@@ -1532,7 +1524,7 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -70,37 +70,31 @@ pub struct CoordinatorConfig {
     /// Per-device updater circuit breaker: (consecutive-failure
     /// threshold, open cooldown). `None` disables breakers.
     pub updater_breaker: Option<(u32, SimDuration)>,
-    /// Run the updater's plan synthesizer: compile each round's
-    /// difference set into a dependency-ordered, maximally-parallel
-    /// update plan and gate every step on in-flight invariant checks
-    /// against the projected intermediate state. `false` restores the
-    /// legacy per-device chain walk (no plan, no in-flight checks).
-    pub plan_synthesis: bool,
-    /// Run the delta-driven state plane: the monitor diffs each poll
-    /// against its diff base and writes only changed rows, and the checker
-    /// and updater carry their `read_since` mirrors from round to round.
-    /// `false` restores the seed's snapshot-per-round behavior (every
-    /// polled row written, every pool re-read through cold mirrors).
-    pub delta_state_plane: bool,
-    /// Run the columnar state plane: storage pools, checker/updater
-    /// mirrors, and the monitor diff base use dense slot-indexed columns,
-    /// and the checker seeds each pass blast-radius-incrementally from
-    /// the round's deltas. `false` restores hash-map mirrors and a full
-    /// projection + invariant sweep per pass — the reference behavior the
-    /// columnar plane is property-tested bit-equal against.
-    pub columnar_state: bool,
     /// How often the monitor distrusts its diff base: every Nth round it
     /// re-reads the OS pool from the partition leaders and diffs the poll
     /// against that, so whatever drifted between its memory and the store
     /// — a row another writer overwrote or deleted, a half-committed
     /// write — is rewritten, and nothing else is (`None` = monitor
-    /// default, 16). Ignored when `delta_state_plane` is false (no base
-    /// is kept; every round writes every polled row).
+    /// default, 16; `Some(1)` re-reads every round).
     pub monitor_resync_every: Option<u64>,
     /// Observability handle. When set, every tick records stage metrics
     /// into its registry, pushes a [`RoundTrace`] onto its ring, and
     /// refreshes its status board. `None` records nothing.
     pub obs: Option<Obs>,
+    // Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
+    // these go.
+    /// Must stay `true`: every round is planned (a dependency-ordered
+    /// update plan with in-flight invariant checks). `false` selected the
+    /// serial chain walk, which is gone; [`Coordinator::new`] refuses it.
+    pub plan_synthesis: bool,
+    /// Ignored: the monitor always diffs against its base and checker and
+    /// updater always carry their mirrors. The snapshot-per-round plane
+    /// it selected decided identically.
+    pub delta_state_plane: bool,
+    /// Ignored: mirrors are always slot-indexed columns and the checker's
+    /// seed always blast-radius incremental. The hash layout it selected
+    /// decided identically.
+    pub columnar_state: bool,
 }
 
 impl Default for CoordinatorConfig {
@@ -117,18 +111,18 @@ impl Default for CoordinatorConfig {
             quarantine_cooldown: None,
             updater_retry: None,
             updater_breaker: None,
+            monitor_resync_every: None,
+            obs: None,
             plan_synthesis: true,
             delta_state_plane: true,
             columnar_state: true,
-            monitor_resync_every: None,
-            obs: None,
         }
     }
 }
 
 /// Seed for the capacity invariant's deterministic pair-panel
-/// downsample: fixed so every coordinator over the same fabric — and
-/// both state planes in an equivalence run — evaluates the same panel.
+/// downsample: fixed so every coordinator over the same fabric — a
+/// restarted one included — evaluates the same panel.
 const CAPACITY_PANEL_SEED: u64 = 0x57A7E;
 
 /// Cached metric handles for the control loop, one per series the
@@ -155,8 +149,8 @@ struct CoordObs {
     updater_round_ms: Histogram,
     updater_plan_steps: Counter,
     updater_plan_waves: Counter,
-    /// Widest wave of the last recorded round's update plan (0 when plan
-    /// synthesis is off or the round planned nothing).
+    /// Widest wave of the last recorded round's update plan (0 when the
+    /// round planned nothing).
     updater_plan_max_width: Gauge,
     updater_plan_inflight_rejections: Counter,
     updater_plan_rollbacks: Counter,
@@ -265,8 +259,8 @@ pub struct RoundReport {
     /// Cumulative delta reads that fell back to a full snapshot.
     pub full_fallbacks: u64,
     /// Worst-case version gap between a live partition's OS watermark and
-    /// the updater's cached view of it at round end (0 when the delta
-    /// plane is off or every cache is current).
+    /// the updater's mirror of it at round end (0 when every mirror is
+    /// current).
     pub watermark_lag: u64,
 }
 
@@ -361,6 +355,10 @@ impl Coordinator {
         storage: StorageService,
         config: CoordinatorConfig,
     ) -> Self {
+        assert!(
+            config.plan_synthesis,
+            "pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then this goes"
+        );
         let mut dcs: BTreeSet<DatacenterId> = BTreeSet::new();
         let mut has_wan = false;
         for (_, n) in graph.nodes() {
@@ -442,9 +440,6 @@ impl Coordinator {
                 for inv in invariants_for(group) {
                     c.add_invariant(inv);
                 }
-                let c = c
-                    .with_delta_reads(config.delta_state_plane)
-                    .with_columnar_state(config.columnar_state);
                 match config.worker_threads {
                     Some(n) => c.with_worker_threads(n),
                     None => c,
@@ -456,18 +451,16 @@ impl Coordinator {
         if let Some(cooldown) = config.quarantine_cooldown {
             monitor = monitor.with_quarantine_cooldown(cooldown);
         }
-        monitor = if config.delta_state_plane {
-            match config.monitor_resync_every {
-                Some(every) => monitor.with_resync_every(every),
-                None => monitor,
-            }
-        } else {
-            // Snapshot mode: no diff base, every round a full write.
-            monitor.with_resync_every(1)
-        };
+        if let Some(every) = config.monitor_resync_every {
+            monitor = monitor.with_resync_every(every);
+        }
+        // The updater gets its own invariant instances (mirroring the
+        // checker set) for the per-step in-flight checks: the checker
+        // validated the full target state, but the observed state can
+        // shift between acceptance and execution, so each step is
+        // re-checked against the projected intermediate network.
         let mut updater = Updater::new(net.clone(), storage.clone(), graph.clone())
-            .with_delta_reads(config.delta_state_plane)
-            .with_columnar_state(config.columnar_state);
+            .with_plan_invariants(groups.iter().flat_map(&invariants_for).collect());
         if let Some(n) = config.worker_threads {
             updater = updater.with_worker_threads(n);
         }
@@ -476,16 +469,6 @@ impl Coordinator {
         }
         if let Some((threshold, cooldown)) = config.updater_breaker {
             updater = updater.with_circuit_breaker(threshold, cooldown);
-        }
-        updater = updater.with_plan_synthesis(config.plan_synthesis);
-        if config.plan_synthesis {
-            // The updater gets its own invariant instances (mirroring the
-            // checker set) for the per-step in-flight checks: the checker
-            // validated the full target state, but the observed state can
-            // shift between acceptance and execution, so each step is
-            // re-checked against the projected intermediate network.
-            updater =
-                updater.with_plan_invariants(groups.iter().flat_map(&invariants_for).collect());
         }
 
         // Instrument the shared services against the same registry the
@@ -1177,31 +1160,6 @@ mod tests {
             "resolution crept into a hot loop: {}",
             obs.status().key_resolutions_last_round
         );
-    }
-
-    #[test]
-    fn disabling_the_delta_plane_restores_snapshot_rounds() {
-        let (graph, net, storage, _clock) = setup();
-        let coord = Coordinator::new(
-            &graph,
-            net,
-            storage,
-            CoordinatorConfig {
-                delta_state_plane: false,
-                ..Default::default()
-            },
-        );
-        let r0 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
-        let r1 = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
-        // Snapshot mode: the quiescent round still rewrites everything,
-        // and checker and updater read every pool again, as in round 0
-        // (from cold mirrors; no pass is skipped as quiescent).
-        assert_eq!(r1.rows_written, r0.rows_written);
-        assert_eq!(r1.writes_suppressed, 0);
-        let reads = |r: &RoundReport| r.delta_reads + r.full_fallbacks;
-        assert_eq!(reads(&r1) - reads(&r0), reads(&r0));
-        assert_eq!(r1.checkers[0].variables_read, r0.checkers[0].variables_read);
-        assert_eq!(r1.watermark_lag, 0);
     }
 
     #[test]

@@ -126,8 +126,8 @@ pub struct Monitor {
     quarantine: Mutex<HashMap<DeviceName, SimTime>>,
     quarantine_cooldown: SimDuration,
     base: Mutex<DiffBase>,
-    /// Every Nth round re-seeds the diff base from storage (1 = keep no
-    /// base: every round writes everything it polls).
+    /// Every Nth round re-seeds the diff base from storage (1 = every
+    /// round re-reads the store).
     resync_every: u64,
 }
 
@@ -272,13 +272,6 @@ impl Monitor {
         }
     }
 
-    /// A no-op, kept for callers that still select a state layout: the
-    /// diff base is a poll-ordered array whatever the layout of the
-    /// checker's and updater's views.
-    pub fn with_columnar_state(self, _enabled: bool) -> Self {
-        self
-    }
-
     /// Replace the quarantine cooldown (how long a failed device is left
     /// unpolled before a half-open re-probe).
     pub fn with_quarantine_cooldown(mut self, cooldown: SimDuration) -> Self {
@@ -295,8 +288,8 @@ impl Monitor {
     /// from the partition leaders and diffs the poll against that. What
     /// differs is exactly what the store is missing, and healing it takes
     /// a write of those rows alone — one pool read, not a rewrite of the
-    /// whole view. `1` keeps no base at all: every round writes every row
-    /// it polls, as before deltas.
+    /// whole view. `1` re-reads the store every round: the base then holds
+    /// what was read, and only rows that differ from it are written.
     pub fn with_resync_every(mut self, every: u64) -> Self {
         self.resync_every = every.max(1);
         self
@@ -418,9 +411,8 @@ impl Monitor {
 
         // Resync = distrust the base, not the store: diff this round
         // against what storage holds instead of what we remember writing.
-        let keeps_base = self.resync_every > 1;
         let mut reread = 0;
-        if keeps_base && (round.is_multiple_of(self.resync_every) || state.values.is_empty()) {
+        if round.is_multiple_of(self.resync_every) || state.values.is_empty() {
             reread = self.reseed(&mut state, skip_dcs)?;
         }
         let reseeded = started.elapsed();
@@ -519,17 +511,14 @@ impl Monitor {
                 return Err(e);
             }
         };
-        if keeps_base {
-            // The base mirrors the store, so it moves exactly as the
-            // store just did: the suppressed rows are in it already, and
-            // what was not polled — skipped DCs, quarantined or silent
-            // devices, a key a poll stopped reporting — stays in it as it
-            // stays in the store. (A bulk seed took the rows, leaving the
-            // base unallocated.)
-            for row in changed {
-                if let Some(position) = self.layout.position_of(&self.graph, &row) {
-                    state.land(self.layout.positions, position, Some(row.value));
-                }
+        // The base mirrors the store, so it moves exactly as the store
+        // just did: the suppressed rows are in it already, and what was
+        // not polled — skipped DCs, quarantined or silent devices, a key a
+        // poll stopped reporting — stays in it as it stays in the store.
+        // (A bulk seed took the rows, leaving the base unallocated.)
+        for row in changed {
+            if let Some(position) = self.layout.position_of(&self.graph, &row) {
+                state.land(self.layout.positions, position, Some(row.value));
             }
         }
         drop(state);
@@ -619,6 +608,16 @@ impl Monitor {
             })?;
         }
         Ok(None)
+    }
+}
+
+// Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
+// this goes.
+impl Monitor {
+    /// A no-op: the diff base is a poll-ordered array whatever the layout
+    /// of the checker's and updater's views.
+    pub fn with_columnar_state(self, _enabled: bool) -> Self {
+        self
     }
 }
 
@@ -974,14 +973,37 @@ mod tests {
     }
 
     #[test]
-    fn resync_every_one_disables_the_delta_path() {
-        let (net, storage, graph, clock) = setup();
-        let m = Monitor::new(net, storage.clone(), graph).with_resync_every(1);
-        let r1 = m.run_round().unwrap();
-        clock.advance(SimDuration::from_mins(5));
-        let r2 = m.run_round().unwrap();
-        assert_eq!(r1.rows_written, r2.rows_written);
-        assert_eq!(r2.writes_suppressed, 0);
+    fn resync_every_one_rereads_the_store_every_round() {
+        // Every round re-reads the pool and writes only what differs from
+        // it, so a quiescent round writes nothing and the store is the
+        // one the default cadence leaves. (That it is also the store a
+        // monitor rewriting every polled row leaves — the state machine
+        // drops value-identical writes — is what
+        // `tests/monitor_reference_model.rs` checks at this cadence.)
+        let (net, storage, m) = churning(1);
+        let (twin_net, twin_storage, twin) = churning(DEFAULT_RESYNC_EVERY);
+        let dc = DatacenterId::new("dc1");
+        let r0 = m.run_round().unwrap();
+        twin.run_round().unwrap();
+        // Counters wander on every step: a round without one is quiescent.
+        for churn in [false, true, false] {
+            if churn {
+                net.step(SimDuration::from_mins(1));
+                twin_net.step(SimDuration::from_mins(1));
+            }
+            let pool_rows = storage.pool_len(&dc, &Pool::Observed);
+            let r = m.run_round().unwrap();
+            let t = twin.run_round().unwrap();
+            assert_eq!(r.rows_materialized, r.rows_written + pool_rows);
+            assert_eq!(r.rows_compared, r0.rows_written);
+            assert_eq!(r.rows_written, t.rows_written);
+            if churn {
+                assert!(r.rows_written > 0 && r.rows_written < r0.rows_written);
+            } else {
+                assert_eq!(r.rows_written, 0, "a quiescent round writes nothing");
+            }
+            assert_eq!(os(&storage), os(&twin_storage));
+        }
     }
 
     #[test]

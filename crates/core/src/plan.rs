@@ -16,10 +16,10 @@
 //!   endpoint devices) are sequenced bottom-up along the Fig-4 chains —
 //!   device power before OS setup before device configuration before
 //!   routing control; link power after both endpoints' device
-//!   configuration and before link interface configuration. The legacy
-//!   executor's key order sorts attributes by catalogue position, which
-//!   can issue a routing change *before* the power-on it depends on; the
-//!   plan cannot.
+//!   configuration and before link interface configuration. The diff's
+//!   key order sorts attributes by catalogue position, which can put a
+//!   routing change *before* the power-on it depends on; the plan
+//!   cannot.
 //! * **Maximally parallel**: steps with no chain between them — distinct
 //!   devices, distinct pods, distinct datacenters (the per-partition
 //!   boundary of the diff stage, and the per-pod boundary of
@@ -80,7 +80,7 @@ impl PlanStep {
 /// step whose prerequisites all sit in earlier waves. Step indices within
 /// a wave are ascending, which is the synthesis input order — partition
 /// order, then global key order — so a dependency-free plan executes in
-/// exactly the legacy chain-walk order.
+/// exactly the diff's order.
 #[derive(Debug, Default)]
 pub struct UpdatePlan {
     /// All steps, in synthesis input order.

@@ -310,8 +310,7 @@ pub struct UpdaterReport {
     pub quarantine_skips: usize,
     /// Circuit breakers tripped open this round.
     pub breakers_opened: usize,
-    /// Steps in this round's synthesized [`crate::plan::UpdatePlan`]
-    /// (zero on the legacy chain-walk path).
+    /// Steps in this round's synthesized [`crate::plan::UpdatePlan`].
     pub plan_steps: usize,
     /// Execution waves the plan layered into (the DAG's depth).
     pub plan_waves: usize,
@@ -359,20 +358,12 @@ pub struct Updater {
     /// cooldown); `None` disables breakers entirely.
     breaker: Option<(u32, SimDuration)>,
     breakers: Mutex<HashMap<DeviceName, BreakerState>>,
-    /// Carry mirrors and quiescent marks from round to round (default).
-    /// This is a *read-path optimization only*: the mirror is a verbatim
-    /// copy of storage, advanced by the changefeed, and the updater still
-    /// rediffs OS−TS from scratch every round — §6.2's memoryless
-    /// property, property-tested bit-equal to the disabled setting,
-    /// where every round first forgets both.
-    delta_reads: bool,
-    /// Columnar mirrors (default): each partition mirror is a
-    /// slot-indexed column, so delta application writes straight into
-    /// slots. Disabled, mirrors are hash maps — the reference layout.
-    columnar_state: bool,
     /// Per-(pool, partition) mirror advanced by `read_since`; the only
     /// way a round reads a pool. Dropped while its partition is
-    /// unavailable.
+    /// unavailable. A *read-path optimization only*: the mirror is a
+    /// verbatim copy of storage, and the updater still rediffs OS−TS from
+    /// scratch every round — §6.2's memoryless property, tested against
+    /// an updater built fresh every round.
     part_cache: Mutex<HashMap<(Pool, DatacenterId), PoolMirror>>,
     /// Partition-level watermarks from the last zero-diff round.
     /// The updater is a deterministic function of pool contents; while
@@ -382,11 +373,6 @@ pub struct Updater {
     /// must be rediffed next round (§6.2's implicit cross-round retry),
     /// even though the storage state did not move.
     quiescent: Mutex<Option<Vec<(DatacenterId, Version)>>>,
-    /// Execute through a synthesized [`crate::plan::UpdatePlan`] (Fig-4
-    /// ordered waves + per-step in-flight checks) instead of the legacy
-    /// serial chain walk. Off by default for a raw updater; the
-    /// coordinator threads its `plan_synthesis` config knob through.
-    plan_synthesis: bool,
     /// Invariants re-checked against the projected intermediate state
     /// before each plan step commits (empty = no in-flight checks).
     plan_invariants: Vec<Box<dyn crate::invariants::Invariant>>,
@@ -489,11 +475,8 @@ impl Updater {
             retry: RetryPolicy::none(),
             breaker: None,
             breakers: Mutex::new(HashMap::new()),
-            delta_reads: true,
-            columnar_state: true,
             part_cache: Mutex::new(HashMap::new()),
             quiescent: Mutex::new(None),
-            plan_synthesis: false,
             plan_invariants: Vec::new(),
             workers: statesman_types::WorkerPool::default(),
         }
@@ -508,38 +491,17 @@ impl Updater {
         self
     }
 
-    /// Enable or disable plan-driven execution (`false` by default for a
-    /// raw updater). Enabled, each round's difference set is compiled
-    /// into an [`crate::plan::UpdatePlan`] and executed in deterministic
-    /// Fig-4-ordered waves; disabled, the legacy serial chain walk runs.
-    pub fn with_plan_synthesis(mut self, enabled: bool) -> Self {
-        self.plan_synthesis = enabled;
-        self
-    }
-
     /// Install the invariants evaluated in flight — against the projected
     /// intermediate state — before each plan step commits. Only
     /// invariants whose [`crate::invariants::Invariant::affected_by`]
     /// intersects a step's blast radius are re-checked for that step.
+    /// Every round is planned; until this is called, its steps are
+    /// issued in plan order with no in-flight checks.
     pub fn with_plan_invariants(
         mut self,
         invariants: Vec<Box<dyn crate::invariants::Invariant>>,
     ) -> Self {
         self.plan_invariants = invariants;
-        self
-    }
-
-    /// Enable or disable incremental pool reads (`true` by default).
-    /// Disabled, every round starts from cold mirrors.
-    pub fn with_delta_reads(mut self, enabled: bool) -> Self {
-        self.delta_reads = enabled;
-        self
-    }
-
-    /// Enable or disable columnar (slot-indexed) partition mirrors
-    /// (`true` by default).
-    pub fn with_columnar_state(mut self, enabled: bool) -> Self {
-        self.columnar_state = enabled;
         self
     }
 
@@ -638,12 +600,6 @@ impl Updater {
     pub fn run_round_excluding(&self, skip: &BTreeSet<DeviceName>) -> StateResult<UpdaterReport> {
         let started = Instant::now();
         let now = self.net.clock().now();
-        if !self.delta_reads {
-            // The full-read reference: carry nothing over from the last
-            // round, so every pool is re-read through a cold mirror.
-            self.part_cache.lock().clear();
-            *self.quiescent.lock() = None;
-        }
 
         // Quiescence short-circuit: unchanged partition watermarks since
         // the last zero-diff round prove the rediff would find nothing.
@@ -681,7 +637,7 @@ impl Updater {
             for pool in [Pool::Observed, Pool::Target] {
                 cache
                     .entry((pool.clone(), dc.clone()))
-                    .or_insert_with(|| PoolMirror::cold(&pool, self.columnar_state))
+                    .or_insert_with(|| PoolMirror::cold(&pool))
                     .advance(&self.storage, dc, &pool, |_, _, _| {})?;
             }
             ts_rows.extend(cache[&(Pool::Target, dc.clone())].view().rows().cloned());
@@ -821,31 +777,19 @@ impl Updater {
 
         // Serial execute stage. One jitter RNG for the whole round, the
         // historical `0xC1AC` stream: backoff draws happen in the same
-        // deterministic order as the diffs they serve. Plan-driven
-        // execution reorders steps along the Fig-4 chains but stays on
-        // this one thread with this one RNG, so determinism holds on
-        // both paths.
+        // deterministic order as the steps they serve. The plan orders
+        // steps along the Fig-4 chains but issues them on this one thread
+        // with this one RNG, so the round stays deterministic.
         let mut rng = StdRng::seed_from_u64(0xC1AC);
-        if self.plan_synthesis {
-            self.execute_plan(
-                pending,
-                &os,
-                skip,
-                &mut report,
-                &mut per_device_ms,
-                now,
-                &mut rng,
-            );
-        } else {
-            self.execute_chain_walk(
-                pending,
-                skip,
-                &mut report,
-                &mut per_device_ms,
-                now,
-                &mut rng,
-            );
-        }
+        self.execute_plan(
+            pending,
+            &os,
+            skip,
+            &mut report,
+            &mut per_device_ms,
+            now,
+            &mut rng,
+        );
 
         report.stage_exec = exec_started.elapsed();
         report.sim_io =
@@ -860,58 +804,7 @@ impl Updater {
         Ok(report)
     }
 
-    /// The legacy serial execute stage: walk the pending diffs in
-    /// partition order, then key order, issuing commands as they come.
-    /// Kept as the `plan_synthesis = false` path for equivalence testing.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_chain_walk(
-        &self,
-        pending: Vec<Vec<PendingDiff<'_>>>,
-        skip: &BTreeSet<DeviceName>,
-        report: &mut UpdaterReport,
-        per_device_ms: &mut HashMap<DeviceName, u64>,
-        now: SimTime,
-        rng: &mut StdRng,
-    ) {
-        for diffs in pending {
-            for diff in diffs {
-                match diff {
-                    PendingDiff::Row(row) => {
-                        // Scoped instances skip work outside their
-                        // partition (another specialized instance owns
-                        // it).
-                        if let Some(dev) = self.carrier_device(row) {
-                            if !self.in_scope(&dev, row.attribute) {
-                                continue;
-                            }
-                        }
-                        report.diffs += 1;
-                        self.execute_for_row(row, skip, report, per_device_ms, now, rng);
-                    }
-                    PendingDiff::Routing {
-                        dev,
-                        entity,
-                        desired,
-                    } => {
-                        if !self.in_scope(dev, Attribute::DeviceRoutingRules) {
-                            continue;
-                        }
-                        report.diffs += 1;
-                        let row = NetworkState::new(
-                            entity.clone(),
-                            Attribute::DeviceRoutingRules,
-                            Value::Routes(desired),
-                            now,
-                            statesman_types::AppId::updater(),
-                        );
-                        self.execute_for_row(&row, skip, report, per_device_ms, now, rng);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The plan-driven execute stage: compile the pending diffs into an
+    /// The execute stage: compile the pending diffs into an
     /// [`UpdatePlan`] and commit it wave by wave. Steps stay on this one
     /// thread in deterministic order (wave index, then step index — which
     /// is partition order, then key order, for dependency-free plans),
@@ -937,9 +830,9 @@ impl Updater {
         now: SimTime,
         rng: &mut StdRng,
     ) {
-        // Materialize the diffs as owned rows, preserving the legacy
-        // deterministic order (partition order, then key order) as the
-        // synthesis input order. Scope filtering happens here so scoped
+        // Materialize the diffs as owned rows, in their deterministic
+        // order (partition order, then key order) as the synthesis input
+        // order. Scope filtering happens here so scoped
         // instances never plan work another instance owns.
         let mut rows: Vec<(NetworkState, Option<DeviceName>)> = Vec::new();
         for diffs in pending {
@@ -1014,9 +907,12 @@ impl Updater {
             };
             for (wi, &idx) in wave.iter().enumerate() {
                 let step = &plan.steps[idx];
-                // A quarantined carrier can issue nothing, so the step is
-                // neither projected nor checked: the skip is all it does.
-                if (self.carrier_device(&step.row)).is_some_and(|dev| skip.contains(&dev)) {
+                // The carrier is derived at issue time: an earlier step
+                // may have rebooted a link's endpoint. A quarantined one
+                // can issue nothing, so the step is neither projected nor
+                // checked: the skip is all it does.
+                let carrier = self.carrier_device(&step.row);
+                if carrier.as_ref().is_some_and(|dev| skip.contains(dev)) {
                     report.quarantine_skips += 1;
                     continue;
                 }
@@ -1056,10 +952,10 @@ impl Updater {
                 }
                 let applied_before = report.commands_applied;
                 let failed_before = report.commands_failed;
-                self.execute_for_row_with(
+                self.execute_step(
                     &step.row,
+                    carrier,
                     pre.get(wi).and_then(|p| p.as_ref()),
-                    skip,
                     report,
                     per_device_ms,
                     now,
@@ -1225,44 +1121,28 @@ impl Updater {
         })
     }
 
-    /// Render and execute the command(s) realizing one differing row.
-    fn execute_for_row(
-        &self,
-        row: &NetworkState,
-        skip: &BTreeSet<DeviceName>,
-        report: &mut UpdaterReport,
-        per_device_ms: &mut HashMap<DeviceName, u64>,
-        now: statesman_types::SimTime,
-        rng: &mut StdRng,
-    ) {
-        self.execute_for_row_with(row, None, skip, report, per_device_ms, now, rng)
-    }
-
-    /// Like [`Updater::execute_for_row`], but may reuse a wave
-    /// pre-render. The carrier device and model are always re-derived
-    /// here (wave-mates executed since the pre-render and may have
-    /// changed both); the pre-rendered actions are used only when both
-    /// still match, in which case they are bit-identical to rendering
-    /// now — a template is a pure function of (row, device, model).
+    /// Render and execute the command(s) realizing one plan step through
+    /// its `carrier` (derived at issue time), reusing its wave pre-render
+    /// when one still applies. Wave-mates executed since the pre-render
+    /// may have changed the carrier or its model, so the pre-rendered
+    /// actions are used only when both still match, in which case they
+    /// are bit-identical to rendering now — a template is a pure function
+    /// of (row, device, model).
     #[allow(clippy::too_many_arguments)]
-    fn execute_for_row_with(
+    fn execute_step(
         &self,
         row: &NetworkState,
+        carrier: Option<DeviceName>,
         pre: Option<&PreRender>,
-        skip: &BTreeSet<DeviceName>,
         report: &mut UpdaterReport,
         per_device_ms: &mut HashMap<DeviceName, u64>,
         now: statesman_types::SimTime,
         rng: &mut StdRng,
     ) {
-        let Some(device) = self.carrier_device(row) else {
+        let Some(device) = carrier else {
             report.unrenderable += 1;
             return;
         };
-        if skip.contains(&device) {
-            report.quarantine_skips += 1;
-            return;
-        }
         if self.breaker_blocks(&device) {
             report.breaker_skips += 1;
             return;
@@ -1349,6 +1229,33 @@ impl Updater {
                 }
             }
         }
+    }
+}
+
+// Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
+// this goes.
+impl Updater {
+    /// A no-op: mirrors always carry over from round to round. An
+    /// updater built fresh (the old `false`) issues exactly what a
+    /// long-lived one does, so only the cost of a round depended on this.
+    pub fn with_delta_reads(self, _enabled: bool) -> Self {
+        self
+    }
+
+    /// A no-op: mirrors are always slot-indexed columns; the hash layout
+    /// it selected gave identical rounds.
+    pub fn with_columnar_state(self, _enabled: bool) -> Self {
+        self
+    }
+
+    /// Every round is planned. `false` selected the serial chain walk,
+    /// which is gone, so it fails loudly rather than being ignored.
+    pub fn with_plan_synthesis(self, enabled: bool) -> Self {
+        assert!(
+            enabled,
+            "pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then this goes"
+        );
+        self
     }
 }
 
@@ -1770,17 +1677,28 @@ mod tests {
     #[test]
     fn delta_rounds_match_full_read_rounds() {
         // Identical worlds, one updater carrying its mirrors from round
-        // to round and one starting every round from cold mirrors: every
-        // round's observable outcome must match, including across a
-        // quarantine round (which reads like any other round and only
-        // withholds the command) and a TS delete.
-        let run = |delta: bool| {
+        // to round and one world building a fresh updater, with cold
+        // mirrors, every round: every round's observable outcome must
+        // match, including across a quarantine round (which reads like
+        // any other round and only withholds the command) and a TS
+        // delete.
+        let run = |fresh: bool| {
             let (net, storage, graph, clock) = setup();
             seed_os(&net, &storage, &graph);
-            let u =
-                Updater::new(net.clone(), storage.clone(), graph.clone()).with_delta_reads(delta);
+            let long_lived = Updater::new(net.clone(), storage.clone(), graph.clone());
+            let round = |skip: &BTreeSet<DeviceName>| {
+                let rebuilt;
+                let u = if fresh {
+                    rebuilt = Updater::new(net.clone(), storage.clone(), graph.clone());
+                    &rebuilt
+                } else {
+                    &long_lived
+                };
+                let r = u.run_round_excluding(skip).unwrap();
+                (r.diffs, r.commands_applied, r.quarantine_skips)
+            };
+            let none = BTreeSet::new();
             let mut outcomes = Vec::new();
-            let key = |r: &UpdaterReport| (r.diffs, r.commands_applied, r.quarantine_skips);
             storage
                 .write(WriteRequest {
                     pool: Pool::Target,
@@ -1792,7 +1710,7 @@ mod tests {
                     )],
                 })
                 .unwrap();
-            outcomes.push(key(&u.run_round().unwrap()));
+            outcomes.push(round(&none));
             net.step(SimDuration::from_secs(100));
             seed_os(&net, &storage, &graph);
             // Quarantine round with a second pending diff: found through
@@ -1809,7 +1727,7 @@ mod tests {
                 })
                 .unwrap();
             let skip: BTreeSet<DeviceName> = [DeviceName::new("agg-1-2")].into_iter().collect();
-            outcomes.push(key(&u.run_round_excluding(&skip).unwrap()));
+            outcomes.push(round(&skip));
             // TS row deleted: the diff must vanish through the mirror too.
             storage
                 .delete(
@@ -1820,60 +1738,17 @@ mod tests {
                     )],
                 )
                 .unwrap();
-            outcomes.push(key(&u.run_round().unwrap()));
+            outcomes.push(round(&none));
             outcomes
         };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn plan_rounds_match_chain_walk_rounds() {
-        // Identical worlds, one updater executing through a synthesized
-        // plan and one through the legacy chain walk: with no in-flight
-        // invariants configured, every round's observable outcome must
-        // match, including across a quarantine round.
-        let run = |plan: bool| {
-            let (net, storage, graph, clock) = setup();
-            seed_os(&net, &storage, &graph);
-            let u =
-                Updater::new(net.clone(), storage.clone(), graph.clone()).with_plan_synthesis(plan);
-            let mut outcomes = Vec::new();
-            let key = |r: &UpdaterReport| (r.diffs, r.commands_applied, r.quarantine_skips);
-            storage
-                .write(WriteRequest {
-                    pool: Pool::Target,
-                    rows: vec![
-                        ts_row(
-                            EntityName::device("dc1", "agg-1-1"),
-                            Attribute::DeviceFirmwareVersion,
-                            Value::text("7.0"),
-                            clock.now(),
-                        ),
-                        ts_row(
-                            EntityName::device("dc1", "agg-1-2"),
-                            Attribute::DeviceBootImage,
-                            Value::text("img-x"),
-                            clock.now(),
-                        ),
-                    ],
-                })
-                .unwrap();
-            outcomes.push(key(&u.run_round().unwrap()));
-            let skip: BTreeSet<DeviceName> = [DeviceName::new("agg-1-2")].into_iter().collect();
-            outcomes.push(key(&u.run_round_excluding(&skip).unwrap()));
-            net.step(SimDuration::from_secs(200));
-            seed_os(&net, &storage, &graph);
-            outcomes.push(key(&u.run_round().unwrap()));
-            outcomes
-        };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
     fn plan_round_reports_waves_and_width() {
         let (net, storage, graph, clock) = setup();
         seed_os(&net, &storage, &graph);
-        let u = Updater::new(net.clone(), storage.clone(), graph.clone()).with_plan_synthesis(true);
+        let u = Updater::new(net.clone(), storage.clone(), graph.clone());
         storage
             .write(WriteRequest {
                 pool: Pool::Target,
@@ -1901,11 +1776,6 @@ mod tests {
         assert_eq!(r.plan_max_width, 2);
         assert_eq!(r.plan_inflight_rejections, 0);
         assert_eq!(r.commands_applied, 2);
-        // The legacy path leaves the plan metrics at zero.
-        let legacy = Updater::new(net, storage, graph);
-        let r2 = legacy.run_round().unwrap();
-        assert_eq!(r2.plan_steps, 0);
-        assert_eq!(r2.plan_waves, 0);
     }
 
     #[test]
@@ -1916,7 +1786,6 @@ mod tests {
         // Budget of one device down at a time: the second pending
         // firmware transition must be deferred in flight, not issued.
         let u = Updater::new(net.clone(), storage.clone(), graph.clone())
-            .with_plan_synthesis(true)
             .with_plan_invariants(vec![Box::new(MaintenanceBudgetInvariant::new("dc1", 1))]);
         storage
             .write(WriteRequest {
@@ -1966,7 +1835,6 @@ mod tests {
         // step's projection violates.
         let capacity = TorPairCapacityInvariant::new(&graph, "dc1", 0.75, 0.99, Some(1));
         let u = Updater::new(net.clone(), storage.clone(), graph.clone())
-            .with_plan_synthesis(true)
             .with_plan_invariants(vec![Box::new(capacity.sharing_panel())]);
         storage
             .write(WriteRequest {
@@ -2016,7 +1884,6 @@ mod tests {
         let updater = || {
             let capacity = TorPairCapacityInvariant::new(&graph, "dc1", 0.5, 0.9, Some(1));
             Updater::new(net.clone(), storage.clone(), graph.clone())
-                .with_plan_synthesis(true)
                 .with_plan_invariants(vec![Box::new(capacity)])
         };
         let upgrade = |agg: &str| {

@@ -5,8 +5,11 @@
 //!
 //! * [`StateView`] — anything that can answer "what is the value of
 //!   (entity, attribute)?";
-//! * [`MapView`] — a materialized snapshot (what a checker pass reads from
-//!   storage at its start);
+//! * [`PoolMirror`] / [`PartsView`] — a pool as checker and updater read
+//!   it: one slot-indexed [`Column`] per partition, advanced by
+//!   `read_since`, and the zero-copy union of those columns;
+//! * [`MapView`] — a small hash-backed set of rows (candidate overlays,
+//!   TS staging, the in-flight plan overlay, changefeed consumers);
 //! * [`OverlayView`] — a proposed/target delta layered over a base view,
 //!   used to evaluate "what would the network look like if we accepted
 //!   this?" without copying snapshots;
@@ -47,61 +50,22 @@ pub trait StateView {
     }
 }
 
-/// A materialized snapshot of one pool, in one of two representations:
-///
-/// * **hash** — `HashMap<VarId, NetworkState>`, the default for small
-///   ephemeral views (candidate overlays, per-pass TS upsert staging) and
-///   the reference the columnar plane is property-tested against;
-/// * **columnar** — a [`Column`] over the process-wide per-pool slot
-///   space, used for the long-lived delta-maintained mirrors (checker
-///   part cache, updater read mirrors):
-///   [`MapView::apply_delta`] writes straight into slots, deletes are
-///   tombstones, and iteration is bitmap-driven.
-///
-/// Either way the rows keep their entity names, so draining back to a
-/// sorted row list never consults the interner.
-#[derive(Debug, Clone)]
-enum ViewRepr {
-    Hash(HashMap<VarId, NetworkState>),
-    Columnar(Column),
-}
-
-/// A materialized snapshot of one pool. See the representation notes on
-/// [`ViewRepr`]: hash-backed by default, columnar (slot-indexed) when
-/// built with [`MapView::columnar`].
-#[derive(Debug, Clone)]
+/// A small materialized set of rows, hash-backed by variable id. The rows
+/// keep their entity names, so draining back to a sorted row list never
+/// consults the interner.
+#[derive(Debug, Clone, Default)]
 pub struct MapView {
-    repr: ViewRepr,
-}
-
-impl Default for MapView {
-    fn default() -> Self {
-        MapView {
-            repr: ViewRepr::Hash(HashMap::new()),
-        }
-    }
+    rows: HashMap<VarId, NetworkState>,
 }
 
 impl MapView {
-    /// An empty hash-backed view.
+    /// An empty view.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty columnar view over `pool`'s slot space.
-    pub fn columnar(pool: Pool) -> Self {
-        MapView {
-            repr: ViewRepr::Columnar(Column::new(pool)),
-        }
-    }
-
-    /// True when this view is columnar (slot-indexed).
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.repr, ViewRepr::Columnar(_))
-    }
-
-    /// Build a hash-backed view from a row list (later duplicates shadow
-    /// earlier ones).
+    /// Build a view from a row list (later duplicates shadow earlier
+    /// ones).
     pub fn from_rows(rows: impl IntoIterator<Item = NetworkState>) -> Self {
         let mut v = MapView::new();
         for r in rows {
@@ -112,23 +76,12 @@ impl MapView {
 
     /// Insert or replace one row.
     pub fn upsert(&mut self, row: NetworkState) {
-        match &mut self.repr {
-            ViewRepr::Hash(rows) => {
-                rows.insert(row.var_id(), row);
-            }
-            ViewRepr::Columnar(col) => {
-                col.upsert(row);
-            }
-        }
+        self.rows.insert(row.var_id(), row);
     }
 
-    /// Remove one row by variable id (a tombstone on columnar views: the
-    /// slot is never reclaimed).
+    /// Remove one row by variable id.
     pub fn remove_var(&mut self, var: VarId) -> Option<NetworkState> {
-        match &mut self.repr {
-            ViewRepr::Hash(rows) => rows.remove(&var),
-            ViewRepr::Columnar(col) => col.remove_var(var),
-        }
+        self.rows.remove(&var)
     }
 
     /// Remove one row.
@@ -138,62 +91,37 @@ impl MapView {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            ViewRepr::Hash(rows) => rows.len(),
-            ViewRepr::Columnar(col) => col.len(),
-        }
+        self.rows.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows.is_empty()
     }
 
-    /// Remove every row (columnar views keep their slots and arena, so a
-    /// rebuild writes straight back into place).
+    /// Remove every row.
     pub fn clear(&mut self) {
-        match &mut self.repr {
-            ViewRepr::Hash(rows) => rows.clear(),
-            ViewRepr::Columnar(col) => col.clear(),
-        }
+        self.rows.clear();
     }
 
-    /// Iterate all rows (hash: unordered; columnar: slot order).
-    pub fn rows(&self) -> RowsIter<'_> {
-        match &self.repr {
-            ViewRepr::Hash(rows) => RowsIter::Hash(rows.values()),
-            ViewRepr::Columnar(col) => RowsIter::Columnar(col.iter()),
-        }
+    /// Iterate all rows, unordered.
+    pub fn rows(&self) -> impl Iterator<Item = &NetworkState> {
+        self.rows.values()
     }
 
     /// Drain into a row list, sorted by string-key order for determinism
-    /// (id and slot order are execution-dependent; see
-    /// `statesman_types::intern`).
+    /// (id order is execution-dependent; see `statesman_types::intern`).
     pub fn into_sorted_rows(self) -> Vec<NetworkState> {
-        let mut v: Vec<NetworkState> = match self.repr {
-            ViewRepr::Hash(rows) => rows.into_values().collect(),
-            ViewRepr::Columnar(col) => col.rows().cloned().collect(),
-        };
+        let mut v: Vec<NetworkState> = self.rows.into_values().collect();
         v.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
         v
-    }
-
-    /// Approximate resident bytes (columnar views only; hash views report
-    /// zero — the gauge tracks the columnar plane).
-    pub fn approx_bytes(&self) -> usize {
-        match &self.repr {
-            ViewRepr::Hash(_) => 0,
-            ViewRepr::Columnar(col) => col.approx_bytes(),
-        }
     }
 
     /// Advance the view by a storage changefeed delta: deletes remove,
     /// upserts replace, and a `snapshot: true` delta rebuilds the view
     /// wholesale (the storage fallback when the change index cannot serve
     /// the gap). Applying deltas in watermark order keeps the view
-    /// bit-equal to a fresh full read — the property the delta-driven
-    /// state plane is tested against. On columnar views this writes
-    /// straight into slots; a snapshot rebuild keeps the arena.
+    /// bit-equal to a fresh full read.
     pub fn apply_delta(&mut self, delta: StateDelta) {
         if delta.snapshot {
             self.clear();
@@ -207,32 +135,42 @@ impl MapView {
     }
 }
 
+impl StateView for MapView {
+    fn get_var(&self, var: VarId) -> Option<&NetworkState> {
+        self.rows.get(&var)
+    }
+}
+
+impl StateView for Column {
+    fn get_var(&self, var: VarId) -> Option<&NetworkState> {
+        Column::get_var(self, var)
+    }
+}
+
 /// One partition's pool as checker and updater hold it — the only way
-/// they read one: a verbatim copy of storage and the watermark it is
-/// current to, advanced by `read_since`. A *full read* is a cold mirror
-/// (empty, at `Version::default()`) advanced once: what a first pass, a
-/// dropped partition and the `with_delta_reads(false)` reference all do.
+/// they read one: a verbatim copy of storage in a slot-indexed
+/// [`Column`] and the watermark it is current to, advanced by
+/// `read_since`. A *full read* is a cold mirror (empty, at
+/// `Version::default()`) advanced once: what a first pass and a dropped
+/// partition do, and what a freshly built checker or updater does for
+/// every pool.
 pub struct PoolMirror {
-    view: MapView,
+    rows: Column,
     watermark: Version,
 }
 
 impl PoolMirror {
-    /// A cold mirror of `pool`: columnar (slot-indexed) or hash-backed.
-    pub fn cold(pool: &Pool, columnar: bool) -> Self {
+    /// A cold mirror of `pool`.
+    pub fn cold(pool: &Pool) -> Self {
         PoolMirror {
-            view: if columnar {
-                MapView::columnar(pool.clone())
-            } else {
-                MapView::new()
-            },
+            rows: Column::new(pool.clone()),
             watermark: Version::default(),
         }
     }
 
     /// The mirrored rows.
-    pub fn view(&self) -> &MapView {
-        &self.view
+    pub fn view(&self) -> &Column {
+        &self.rows
     }
 
     /// The pool version the rows reflect.
@@ -244,17 +182,27 @@ impl PoolMirror {
     /// sees the reply before it is applied: the rows as they stand, the
     /// watermark the reply starts from, and the reply. A failed read
     /// leaves the mirror untouched, watermark still matching contents.
+    /// Deletes are tombstones and a snapshot reply clears first, so a
+    /// rebuild writes straight back into the column's slots.
     pub fn advance(
         &mut self,
         storage: &StorageService,
         dc: &DatacenterId,
         pool: &Pool,
-        visit: impl FnOnce(&MapView, Version, &StateDelta),
+        visit: impl FnOnce(&Column, Version, &StateDelta),
     ) -> StateResult<()> {
         let delta = storage.read_since(dc, pool, self.watermark)?;
-        visit(&self.view, self.watermark, &delta);
+        visit(&self.rows, self.watermark, &delta);
         self.watermark = delta.watermark;
-        self.view.apply_delta(delta);
+        if delta.snapshot {
+            self.rows.clear();
+        }
+        for key in &delta.deletes {
+            self.rows.remove_var(key.var_id());
+        }
+        for row in delta.upserts {
+            self.rows.upsert(row);
+        }
         Ok(())
     }
 }
@@ -265,13 +213,13 @@ impl PoolMirror {
 /// mirrors hold every row of their partitions, so the group filter is
 /// applied per hit — DC groups exclude their own border devices.
 pub struct PartsView<'a> {
-    parts: Vec<&'a MapView>,
+    parts: Vec<&'a Column>,
     group: Option<&'a ImpactGroup>,
 }
 
 impl<'a> PartsView<'a> {
     /// The union of `parts`, narrowed to `group` when one is given.
-    pub fn new(parts: Vec<&'a MapView>, group: Option<&'a ImpactGroup>) -> Self {
+    pub fn new(parts: Vec<&'a Column>, group: Option<&'a ImpactGroup>) -> Self {
         PartsView { parts, group }
     }
 
@@ -279,8 +227,9 @@ impl<'a> PartsView<'a> {
         self.group.iter().all(|g| g.contains(&row.entity))
     }
 
-    /// Iterate every row, in an order that differs between the mirror
-    /// representations: for order-insensitive consumers only.
+    /// Iterate every row in partition, then slot order — an order that
+    /// follows interning history, not keys: for order-insensitive
+    /// consumers only.
     pub fn rows(&self) -> impl Iterator<Item = &'a NetworkState> + '_ {
         self.parts
             .iter()
@@ -295,34 +244,6 @@ impl StateView for PartsView<'_> {
             .iter()
             .find_map(|p| p.get_var(var))
             .filter(|r| self.in_group(r))
-    }
-}
-
-/// Iterator over a [`MapView`]'s rows, either representation.
-pub enum RowsIter<'a> {
-    /// Hash-backed iteration (unordered).
-    Hash(std::collections::hash_map::Values<'a, VarId, NetworkState>),
-    /// Columnar iteration (slot order, bitmap-driven).
-    Columnar(statesman_types::ColumnIter<'a>),
-}
-
-impl<'a> Iterator for RowsIter<'a> {
-    type Item = &'a NetworkState;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RowsIter::Hash(it) => it.next(),
-            RowsIter::Columnar(it) => it.next().map(|(_, r)| r),
-        }
-    }
-}
-
-impl StateView for MapView {
-    fn get_var(&self, var: VarId) -> Option<&NetworkState> {
-        match &self.repr {
-            ViewRepr::Hash(rows) => rows.get(&var),
-            ViewRepr::Columnar(col) => col.get_var(var),
-        }
     }
 }
 
@@ -606,74 +527,81 @@ mod tests {
 
     #[test]
     fn columnar_view_round_trip() {
-        let mut v = MapView::columnar(Pool::Observed);
-        assert!(v.is_columnar() && v.is_empty());
-        v.upsert(os_row(
-            dev("a"),
-            Attribute::DeviceFirmwareVersion,
-            Value::text("1"),
-        ));
-        v.upsert(os_row(
-            dev("a"),
-            Attribute::DeviceFirmwareVersion,
-            Value::text("2"),
-        ));
+        // A mirror's column answers the point lookups the checker and
+        // updater make: latest upsert wins, tombstones read as absent.
+        let mut v = Column::new(Pool::Observed);
+        let fw = |name: &str, value: &str| {
+            os_row(
+                dev(name),
+                Attribute::DeviceFirmwareVersion,
+                Value::text(value),
+            )
+        };
+        v.upsert(fw("a", "1"));
+        v.upsert(fw("a", "2"));
         v.upsert(os_row(
             dev("b"),
             Attribute::DeviceBootImage,
             Value::text("x"),
         ));
-        assert_eq!(v.len(), 2);
+        let view: &dyn StateView = &v;
         assert_eq!(
-            v.value_of(&dev("a"), Attribute::DeviceFirmwareVersion),
+            view.value_of(&dev("a"), Attribute::DeviceFirmwareVersion),
             Some(&Value::text("2"))
         );
-        assert!(v.approx_bytes() > 0);
+        let key = StateKey::new(dev("b"), Attribute::DeviceBootImage);
+        assert_eq!(view.get(&key).map(|r| &r.value), Some(&Value::text("x")));
+        assert_eq!(view.value_of(&dev("a"), Attribute::DeviceBootImage), None);
 
-        // Tombstone via var id (the mirror-delete path) and via key.
-        let var = StateKey::new(dev("a"), Attribute::DeviceFirmwareVersion).var_id();
-        assert_eq!(v.remove_var(var).map(|r| r.value), Some(Value::text("2")));
-        assert_eq!(v.remove_var(var), None);
-        let removed = v.remove(&StateKey::new(dev("b"), Attribute::DeviceBootImage));
-        assert_eq!(removed.map(|r| r.value), Some(Value::text("x")));
-        assert!(v.is_empty());
-
-        // Clear keeps the representation columnar.
-        v.upsert(os_row(
-            dev("c"),
-            Attribute::DeviceBootImage,
-            Value::text("y"),
-        ));
-        v.clear();
-        assert!(v.is_columnar() && v.is_empty());
+        v.remove_var(key.var_id());
+        let view: &dyn StateView = &v;
+        assert_eq!(view.get(&key), None);
+        assert_eq!(v.len(), 1);
     }
 
     #[test]
     fn columnar_view_snapshot_delta_replaces_contents() {
-        let mut v = MapView::columnar(Pool::Observed);
-        v.upsert(os_row(
-            dev("a"),
-            Attribute::DeviceFirmwareVersion,
-            Value::text("1"),
-        ));
-        let snap = statesman_types::StateDelta::full_snapshot(
-            vec![os_row(
-                dev("b"),
-                Attribute::DeviceBootImage,
-                Value::text("x"),
-            )],
-            statesman_types::Version(9),
-        );
-        v.apply_delta(snap);
-        assert!(v.is_columnar());
-        assert_eq!(v.len(), 1);
+        // An index of four entries: a gap wider than that is answered by a
+        // snapshot, which must clear what the mirror held before it.
+        let clock = statesman_net::SimClock::new();
+        let dc = DatacenterId::new("dc1");
+        let mut config = statesman_storage::StorageConfig::default();
+        config.ring.change_index_capacity = 4;
+        let storage = StorageService::new([dc.clone()], clock, config);
+        let write = |rows| {
+            let pool = Pool::Observed;
+            storage
+                .write(statesman_storage::WriteRequest { pool, rows })
+                .unwrap();
+        };
+        let fw = |name: &str| {
+            os_row(
+                dev(name),
+                Attribute::DeviceFirmwareVersion,
+                Value::text("1"),
+            )
+        };
+        write(vec![fw("a")]);
+        let mut mirror = PoolMirror::cold(&Pool::Observed);
+        mirror
+            .advance(&storage, &dc, &Pool::Observed, |_, _, _| {})
+            .unwrap();
+
+        let gone = StateKey::new(dev("a"), Attribute::DeviceFirmwareVersion);
+        storage.delete(Pool::Observed, vec![gone.clone()]).unwrap();
+        write((0..8).map(|i| fw(&format!("b{i}"))).collect());
+        let mut snapshot = false;
+        mirror
+            .advance(&storage, &dc, &Pool::Observed, |_, _, delta| {
+                snapshot = delta.snapshot;
+            })
+            .unwrap();
+        assert!(snapshot, "the gap outran the change index");
+        assert_eq!(mirror.view().get(&gone), None);
+        assert_eq!(mirror.view().len(), 8);
         assert_eq!(
-            v.value_of(&dev("a"), Attribute::DeviceFirmwareVersion),
-            None
-        );
-        assert_eq!(
-            v.value_of(&dev("b"), Attribute::DeviceBootImage),
-            Some(&Value::text("x"))
+            mirror.watermark(),
+            storage.pool_watermark(&dc, &Pool::Observed).unwrap()
         );
     }
 
@@ -693,33 +621,31 @@ mod tests {
         };
         write(vec![fw("agg-1-1", "1"), fw("br-1", "1")]);
 
-        for columnar in [true, false] {
-            let mut mirror = PoolMirror::cold(&Pool::Observed, columnar);
-            let mut seen = Vec::new();
-            let mut advance = |mirror: &mut PoolMirror| {
-                mirror
-                    .advance(&storage, &dc, &Pool::Observed, |before, since, delta| {
-                        seen.push((before.len(), since, delta.upserts.len()));
-                    })
-                    .unwrap();
-            };
-            advance(&mut mirror);
-            let head = mirror.watermark();
-            advance(&mut mirror);
-            // The visitor saw the rows as they stood before each reply.
-            assert_eq!(seen, [(0, Version::default(), 2), (2, head, 0)]);
-            assert_eq!(mirror.view().is_columnar(), columnar);
+        let mut mirror = PoolMirror::cold(&Pool::Observed);
+        let mut seen = Vec::new();
+        let mut advance = |mirror: &mut PoolMirror| {
+            mirror
+                .advance(&storage, &dc, &Pool::Observed, |before, since, delta| {
+                    seen.push((before.len(), since, delta.upserts.len()));
+                })
+                .unwrap();
+        };
+        advance(&mut mirror);
+        let head = mirror.watermark();
+        advance(&mut mirror);
+        // The visitor saw the rows as they stood before each reply.
+        assert_eq!(seen, [(0, Version::default(), 2), (2, head, 0)]);
 
-            // A DC group does not own the border router homed with it.
-            let group = ImpactGroup::Datacenter(dc.clone());
-            let all = PartsView::new(vec![mirror.view()], None);
-            let own = PartsView::new(vec![mirror.view()], Some(&group));
-            let border = VarId::of(&dev("br-1"), Attribute::DeviceFirmwareVersion);
-            assert!(all.get_var(border).is_some() && own.get_var(border).is_none());
-            assert_eq!((all.rows().count(), own.rows().count()), (2, 1));
-        }
+        // A DC group does not own the border router homed with it.
+        let group = ImpactGroup::Datacenter(dc.clone());
+        let all = PartsView::new(vec![mirror.view()], None);
+        let own = PartsView::new(vec![mirror.view()], Some(&group));
+        let border = VarId::of(&dev("br-1"), Attribute::DeviceFirmwareVersion);
+        assert!(all.get_var(border).is_some() && own.get_var(border).is_none());
+        assert_eq!((all.rows().count(), own.rows().count()), (2, 1));
+
         // Unavailable: the read fails and the mirror stays as it was.
-        let mut mirror = PoolMirror::cold(&Pool::Observed, true);
+        let mut mirror = PoolMirror::cold(&Pool::Observed);
         storage.set_partition_available(&dc, false);
         let failed = mirror.advance(&storage, &dc, &Pool::Observed, |_, _, _| {});
         assert!(failed.is_err() && mirror.view().is_empty());

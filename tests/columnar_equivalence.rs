@@ -1,16 +1,17 @@
 //! Columnar state-plane equivalence suite.
 //!
-//! The columnar refactor swaps every hot-path state container — storage
-//! pools, checker mirrors, monitor diff base — from `HashMap<VarId, _>`
-//! to dense slot-indexed columns, and makes the checker incremental
-//! (blast-radius re-projection + cached verdicts). None of that may be
-//! observable: columnar reads must stay bit-equal to the hashmap
-//! reference, and an incremental pass must decide exactly what a full
-//! pass decides. This suite pins both:
+//! Every hot-path state container — storage pools, checker and updater
+//! mirrors — is a dense slot-indexed column, and the checker is
+//! incremental (blast-radius re-projection + cached verdicts). None of
+//! that may be observable: column reads must match plain ordered-map
+//! models, and an incremental pass must decide exactly what a checker
+//! built fresh for that pass decides. This suite pins both:
 //!
-//! * **view equivalence** — a columnar `MapView` and a hash `MapView`
-//!   driven through the same interleaved upsert/remove/remove_var/clear
-//!   soup agree on every read, including the returned rows of removals;
+//! * **mirror spec** — a `PoolMirror` advanced through a soup of
+//!   upserts, deletes and snapshot replies holds what a `BTreeMap`
+//!   applying the same replies holds, as sorted rows and point reads,
+//!   with and without a group filter; a model whose snapshot does not
+//!   clear first must be caught;
 //! * **machine equivalence** — the columnar `StateMachine` pools match a
 //!   plain `HashMap` shadow model across churn and deletes, slots are
 //!   never reused across delete/re-insert cycles, and point reads agree
@@ -23,9 +24,10 @@
 //!   a naive filter over a `BTreeMap` returns, for every filter shape and
 //!   entity kind, on the leader column and on the bounded-stale cache
 //!   across its full and delta refreshes, and report the version served;
-//! * **incremental checker equivalence** — a delta+columnar checker and
-//!   a full-read checker driven through identical proposal/churn/outage
-//!   histories issue identical receipts and leave identical pools;
+//! * **incremental checker equivalence** — a long-lived checker and one
+//!   built fresh for every pass, driven through identical
+//!   proposal/churn/outage histories, issue identical receipts and leave
+//!   identical pools;
 //! * **stale-cache regression** — a checker whose mirrors and seed cache
 //!   predate a compaction-floor crossing must still decide like a fresh
 //!   checker (the snapshot fallback evicts, never serves stale parts);
@@ -34,8 +36,9 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use statesman_core::groups::ImpactGroup;
+use statesman_core::view::{PartsView, PoolMirror};
 use statesman_core::{
-    Checker, CheckerConfig, MapView, MergePolicy, Monitor, StateView, TorPairCapacityInvariant,
+    Checker, CheckerConfig, MergePolicy, Monitor, StateView, TorPairCapacityInvariant,
 };
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_obs::Registry;
@@ -96,59 +99,161 @@ fn soup_op() -> impl Strategy<Value = SoupOp> {
     )
 }
 
+/// The mirror spec's key universe: fabric devices and border routers of
+/// one DC (a DC group does not own its border routers), three attributes.
+const MIRROR_KEYS: usize = 18;
+
+fn mirror_key(idx: usize) -> StateKey {
+    let names = ["agg-1-1", "agg-1-2", "tor-1-1", "tor-1-2", "br-1", "br-2"];
+    let attrs = [
+        Attribute::DeviceFirmwareVersion,
+        Attribute::DeviceBootImage,
+        Attribute::DeviceCpuUtilization,
+    ];
+    let idx = idx % MIRROR_KEYS;
+    StateKey::new(EntityName::device("pm-dc1", names[idx / 3]), attrs[idx % 3])
+}
+
+fn mirror_row(idx: usize, value: String) -> NetworkState {
+    let key = mirror_key(idx);
+    let writer = AppId::new("mirror-writer");
+    NetworkState::new(
+        key.entity,
+        key.attribute,
+        Value::text(value),
+        SimTime(0),
+        writer,
+    )
+}
+
+/// One step of a pool-mirror history.
+#[derive(Debug, Clone)]
+enum MirrorOp {
+    Upsert {
+        idx: usize,
+        val: u8,
+    },
+    Delete {
+        idx: usize,
+    },
+    /// Rewrite every even key: more changes than the change index holds,
+    /// so the mirror's next reply is a snapshot.
+    Burst {
+        val: u8,
+    },
+    Advance,
+}
+
+fn mirror_op() -> impl Strategy<Value = MirrorOp> {
+    (0..10u8, 0..MIRROR_KEYS, any::<u8>()).prop_map(|(kind, idx, val)| match kind {
+        0..=3 => MirrorOp::Upsert { idx, val },
+        4 | 5 => MirrorOp::Delete { idx },
+        6 => MirrorOp::Burst { val },
+        _ => MirrorOp::Advance,
+    })
+}
+
+/// The reference: a `BTreeMap` that applies each `read_since` reply.
+/// `clears` is the snapshot rule; the mutant keeps what a snapshot
+/// does not list.
+struct MirrorModel {
+    rows: BTreeMap<StateKey, NetworkState>,
+    clears: bool,
+}
+
+impl MirrorModel {
+    fn apply(&mut self, delta: &statesman_types::StateDelta) {
+        if delta.snapshot && self.clears {
+            self.rows.clear();
+        }
+        for key in &delta.deletes {
+            self.rows.remove(key);
+        }
+        for row in &delta.upserts {
+            self.rows.insert(row.key(), row.clone());
+        }
+    }
+}
+
+/// Drive a mirror and a model through `ops` over a store whose change
+/// index holds six entries, advancing both together; `Err` names the
+/// first read they disagree on.
+fn mirror_history(ops: &[MirrorOp], model_clears: bool) -> Result<usize, String> {
+    let dc = DatacenterId::new("pm-dc1");
+    let mut config = StorageConfig::default();
+    config.ring.change_index_capacity = 6;
+    let storage = StorageService::new([dc.clone()], SimClock::new(), config);
+    let pool = Pool::Observed;
+    let write = |rows: Vec<NetworkState>| {
+        let pool = pool.clone();
+        storage.write(WriteRequest { pool, rows }).unwrap();
+    };
+    let mut mirror = PoolMirror::cold(&pool);
+    let mut model = MirrorModel {
+        rows: BTreeMap::new(),
+        clears: model_clears,
+    };
+    let group = ImpactGroup::Datacenter(dc.clone());
+    let mut snapshots = 0;
+    let advance_and_compare = Some(MirrorOp::Advance);
+    for (step, op) in ops.iter().chain(&advance_and_compare).enumerate() {
+        match op {
+            MirrorOp::Upsert { idx, val } => write(vec![mirror_row(*idx, format!("v-{val}"))]),
+            MirrorOp::Delete { idx } => {
+                storage
+                    .delete(pool.clone(), vec![mirror_key(*idx)])
+                    .unwrap();
+            }
+            MirrorOp::Burst { val } => write(
+                (0..MIRROR_KEYS)
+                    .step_by(2)
+                    .map(|i| mirror_row(i, format!("burst-{val}")))
+                    .collect(),
+            ),
+            MirrorOp::Advance => {
+                mirror
+                    .advance(&storage, &dc, &pool, |_, _, delta| {
+                        snapshots += usize::from(delta.snapshot);
+                        model.apply(delta);
+                    })
+                    .unwrap();
+                for filter in [None, Some(&group)] {
+                    let view = PartsView::new(vec![mirror.view()], filter);
+                    let mut got: Vec<&NetworkState> = view.rows().collect();
+                    got.sort_by_key(|r| r.key());
+                    let owned = |r: &&NetworkState| filter.is_none_or(|g| g.contains(&r.entity));
+                    let want: Vec<&NetworkState> = model.rows.values().filter(owned).collect();
+                    if got != want {
+                        return Err(format!("step {step} group {filter:?}: rows differ"));
+                    }
+                    for idx in 0..MIRROR_KEYS {
+                        let key = mirror_key(idx);
+                        let want = model.rows.get(&key).filter(owned);
+                        if view.get_var(key.var_id()) != want {
+                            return Err(format!("step {step} group {filter:?}: {key} differs"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(snapshots)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A columnar `MapView` is observationally identical to the hashmap
-    /// representation under interleaved upserts, key removals, var-id
-    /// removals (the mirror-delete path), and clears — including the
-    /// rows the removal operations hand back.
+    /// The spec of pool-mirror semantics: a `PoolMirror` advanced by
+    /// `read_since` through a soup of upserts, deletes and change-index
+    /// overflows (snapshot replies) holds exactly what a `BTreeMap` that
+    /// applies the same replies holds — as sorted rows and on every point
+    /// read, through a `PartsView` with and without a group filter.
     #[test]
-    fn columnar_view_matches_hash_view(
-        ops in proptest::collection::vec(soup_op(), 1..80)
+    fn pool_mirror_matches_a_btreemap_model(
+        ops in proptest::collection::vec(mirror_op(), 1..60)
     ) {
-        let mut hash = MapView::new();
-        let mut col = MapView::columnar(Pool::Observed);
-        prop_assert!(col.is_columnar() && !hash.is_columnar());
-        for op in &ops {
-            match op {
-                SoupOp::Upsert { idx, val, when } => {
-                    hash.upsert(test_row(*idx, *val, *when));
-                    col.upsert(test_row(*idx, *val, *when));
-                }
-                SoupOp::RemoveKey { idx } => {
-                    let (entity, attr) = test_key(*idx);
-                    let key = StateKey::new(entity, attr);
-                    prop_assert_eq!(hash.remove(&key), col.remove(&key));
-                }
-                SoupOp::RemoveVar { idx } => {
-                    let (entity, attr) = test_key(*idx);
-                    let var = StateKey::new(entity, attr).var_id();
-                    prop_assert_eq!(hash.remove_var(var), col.remove_var(var));
-                }
-                SoupOp::Clear => {
-                    hash.clear();
-                    col.clear();
-                }
-            }
-            prop_assert_eq!(hash.len(), col.len());
-            prop_assert_eq!(hash.is_empty(), col.is_empty());
-        }
-        // Full-scan equality (sorted by key, payload bit-equal).
-        prop_assert_eq!(
-            hash.clone().into_sorted_rows(),
-            col.clone().into_sorted_rows()
-        );
-        // Point reads agree over the whole key universe, hits and misses.
-        for idx in 0..=255u8 {
-            let (entity, attr) = test_key(idx);
-            let var = StateKey::new(entity, attr).var_id();
-            prop_assert_eq!(hash.get_var(var), col.get_var(var));
-        }
-        // The columnar byte accounting tracks occupancy.
-        if !col.is_empty() {
-            prop_assert!(col.approx_bytes() > 0);
-        }
+        let run = mirror_history(&ops, true);
+        prop_assert!(run.is_ok(), "{:?}", run);
     }
 
     /// The columnar `StateMachine` pools match a plain hashmap shadow
@@ -240,6 +345,21 @@ proptest! {
             prop_assert_eq!(slots.len(), vars);
         }
     }
+}
+
+/// The mirror spec bites: a model whose snapshot reply does not clear
+/// first keeps a row deleted in the gap, and the comparison catches it.
+#[test]
+fn the_mirror_spec_catches_a_snapshot_that_does_not_clear() {
+    let ops = [
+        MirrorOp::Upsert { idx: 1, val: 1 },
+        MirrorOp::Advance,
+        MirrorOp::Delete { idx: 1 },
+        MirrorOp::Burst { val: 2 },
+    ];
+    assert_eq!(mirror_history(&ops, true), Ok(1), "one snapshot reply");
+    let caught = mirror_history(&ops, false).unwrap_err();
+    assert!(caught.starts_with("step 4 "), "{caught}");
 }
 
 fn full_sorted(storage: &StorageService, dc: &DatacenterId, pool: Pool) -> Vec<NetworkState> {
@@ -465,17 +585,17 @@ fn probe_reads_match_a_naive_filter_over_a_btreemap() {
     );
 }
 
-/// A columnar changefeed mirror crossing the change-index compaction
-/// floor: the `read_since` snapshot fallback must rebuild the columnar
-/// view bit-equal to a full read (this is the path that evicts checker
-/// mirrors after compaction).
+/// A pool mirror crossing the change-index compaction floor: the
+/// `read_since` snapshot fallback must rebuild its column bit-equal to a
+/// full read (this is the path that evicts checker mirrors after
+/// compaction).
 #[test]
 fn columnar_mirror_survives_change_index_compaction() {
     let clock = SimClock::new();
     let dc = DatacenterId::new("dc1");
     let storage = StorageService::new([dc.clone()], clock.clone(), StorageConfig::default());
 
-    // Seed a handful of rows and sync a columnar mirror incrementally.
+    // Seed a handful of rows and sync a mirror incrementally.
     let rows: Vec<NetworkState> = (0..20u8).map(|i| test_row(i, 1, 10)).collect();
     storage
         .write(WriteRequest {
@@ -483,16 +603,19 @@ fn columnar_mirror_survives_change_index_compaction() {
             rows,
         })
         .unwrap();
-    let mut view = MapView::columnar(Pool::Observed);
-    let d0 = storage
-        .read_since(&dc, &Pool::Observed, statesman_types::Version::GENESIS)
-        .unwrap();
-    let watermark = d0.watermark;
-    view.apply_delta(d0);
-    assert_eq!(
-        view.clone().into_sorted_rows(),
-        full_sorted(&storage, &dc, Pool::Observed)
-    );
+    let mut mirror = PoolMirror::cold(&Pool::Observed);
+    let mut snapshot = None;
+    let mut advance = |mirror: &mut PoolMirror| {
+        mirror
+            .advance(&storage, &dc, &Pool::Observed, |_, _, delta| {
+                snapshot = Some(delta.snapshot);
+            })
+            .unwrap();
+        let mut rows: Vec<NetworkState> = mirror.view().rows().cloned().collect();
+        rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
+        assert_eq!(rows, full_sorted(&storage, &dc, Pool::Observed));
+    };
+    advance(&mut mirror);
 
     // Blow past the change-index capacity in one commit: every entry the
     // mirror's watermark could have been served from is compacted away.
@@ -514,56 +637,74 @@ fn columnar_mirror_survives_change_index_compaction() {
         })
         .unwrap();
 
-    let d1 = storage.read_since(&dc, &Pool::Observed, watermark).unwrap();
-    assert!(
-        d1.snapshot,
-        "a burst past the change-index capacity must force the snapshot fallback"
-    );
-    view.apply_delta(d1);
-    assert!(view.is_columnar(), "snapshot rebuild must stay columnar");
+    advance(&mut mirror);
     assert_eq!(
-        view.into_sorted_rows(),
-        full_sorted(&storage, &dc, Pool::Observed)
+        snapshot,
+        Some(true),
+        "a burst past the change-index capacity must force the snapshot fallback"
     );
 }
 
-/// One control-loop stack for the incremental-vs-full comparison.
+/// One control-loop stack for the long-lived-vs-fresh checker
+/// comparison.
 struct Stack {
     clock: SimClock,
     dc: DatacenterId,
+    graph: statesman_topology::NetworkGraph,
     storage: StorageService,
+    /// The long-lived checker: mirrors and seed carried from pass to pass.
     checker: Checker,
 }
 
-fn build_stack(incremental: bool) -> Stack {
-    let clock = SimClock::new();
-    let dc = DatacenterId::new("dc1");
-    let graph = statesman_topology::DcnSpec::tiny("dc1").build();
-    let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
-    let storage = StorageService::new([dc.clone()], clock.clone(), StorageConfig::default());
-    Monitor::new(net, storage.clone(), graph.clone())
-        .run_round()
-        .unwrap();
+impl Stack {
+    fn new() -> Stack {
+        let clock = SimClock::new();
+        let dc = DatacenterId::new("dc1");
+        let graph = statesman_topology::DcnSpec::tiny("dc1").build();
+        let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
+        let storage = StorageService::new([dc.clone()], clock.clone(), StorageConfig::default());
+        Monitor::new(net, storage.clone(), graph.clone())
+            .run_round()
+            .unwrap();
+        let checker = checker_for(&graph, &dc);
+        Stack {
+            clock,
+            dc,
+            graph,
+            storage,
+            checker,
+        }
+    }
+
+    /// One pass by the long-lived checker, or by one built for this pass
+    /// alone: cold mirrors that read every pool whole, and a seed
+    /// projected and swept from scratch.
+    fn pass(&self, fresh: bool) -> statesman_types::StateResult<statesman_core::CheckerPassReport> {
+        let rebuilt;
+        let checker = if fresh {
+            rebuilt = checker_for(&self.graph, &self.dc);
+            &rebuilt
+        } else {
+            &self.checker
+        };
+        checker.run_pass(&self.storage, self.clock.now())
+    }
+}
+
+fn checker_for(graph: &statesman_topology::NetworkGraph, dc: &DatacenterId) -> Checker {
     let mut checker = Checker::new(
         CheckerConfig {
             group: ImpactGroup::Datacenter(dc.clone()),
             policy: MergePolicy::LastWriterWins,
         },
         graph.clone(),
-    )
-    .with_delta_reads(incremental)
-    .with_columnar_state(incremental);
+    );
     checker.add_invariant(Box::new(TorPairCapacityInvariant::paper_default(
-        &graph,
+        graph,
         dc.clone(),
         Some(1),
     )));
-    Stack {
-        clock,
-        dc,
-        storage,
-        checker,
-    }
+    checker
 }
 
 /// A randomly generated proposal against the tiny fabric's aggs.
@@ -688,8 +829,8 @@ fn receipt_lines(report: &statesman_core::CheckerPassReport) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The incremental checker (delta reads + columnar mirrors +
-    /// blast-radius seed cache) decides exactly what a full-read checker
+    /// The incremental checker (carried mirrors + blast-radius seed
+    /// cache) decides exactly what a checker built fresh for each pass
     /// decides, pass after pass, under proposal load, observed-state
     /// churn, deletes, and a mid-history partition outage.
     #[test]
@@ -697,8 +838,8 @@ proptest! {
         proposals in proptest::collection::vec(proposal_strategy(), 1..18),
         churn in proptest::collection::vec(churn_strategy(), 0..10),
     ) {
-        let inc = build_stack(true);
-        let full = build_stack(false);
+        let inc = Stack::new();
+        let full = Stack::new();
         let rounds = 4usize;
         let mut when = 20_000u64;
 
@@ -720,14 +861,14 @@ proptest! {
             if round == 2 {
                 inc.storage.set_partition_available(&inc.dc, false);
                 full.storage.set_partition_available(&full.dc, false);
-                prop_assert!(inc.checker.run_pass(&inc.storage, inc.clock.now()).is_err());
-                prop_assert!(full.checker.run_pass(&full.storage, full.clock.now()).is_err());
+                prop_assert!(inc.pass(false).is_err());
+                prop_assert!(full.pass(true).is_err());
                 inc.storage.set_partition_available(&inc.dc, true);
                 full.storage.set_partition_available(&full.dc, true);
             }
 
-            let ri = inc.checker.run_pass(&inc.storage, inc.clock.now()).unwrap();
-            let rf = full.checker.run_pass(&full.storage, full.clock.now()).unwrap();
+            let ri = inc.pass(false).unwrap();
+            let rf = full.pass(true).unwrap();
             prop_assert_eq!(ri.proposals_seen, rf.proposals_seen, "round {}", round);
             prop_assert_eq!(ri.accepted, rf.accepted, "round {}", round);
             prop_assert_eq!(ri.rejected, rf.rejected, "round {}", round);
@@ -758,8 +899,9 @@ fn checker_cache_evicted_on_compaction_crossing() {
     // seeds the mirrors and verdict cache, then a burst of distinct OS
     // rows crosses the compaction floor (plus a real health flip the
     // stale seed doesn't know about), then new proposals force a second
-    // decision pass. Returns that second pass's report.
-    let drive = |stack: &Stack| -> statesman_core::CheckerPassReport {
+    // decision pass — by the long-lived checker, or by a fresh one each
+    // pass. Returns that second pass's report.
+    let drive = |stack: &Stack, fresh: bool| -> statesman_core::CheckerPassReport {
         write_proposal(
             stack,
             &RandomProposal {
@@ -770,10 +912,7 @@ fn checker_cache_evicted_on_compaction_crossing() {
                 when: 100,
             },
         );
-        stack
-            .checker
-            .run_pass(&stack.storage, stack.clock.now())
-            .unwrap();
+        stack.pass(fresh).unwrap();
 
         let mut burst: Vec<NetworkState> = (0..CHANGE_INDEX_CAPACITY as u32 + 10)
             .map(|i| {
@@ -813,16 +952,13 @@ fn checker_cache_evicted_on_compaction_crossing() {
                 },
             );
         }
-        stack
-            .checker
-            .run_pass(&stack.storage, stack.clock.now())
-            .unwrap()
+        stack.pass(fresh).unwrap()
     };
 
-    let stale = build_stack(true);
-    let report = drive(&stale);
-    let oracle = build_stack(false);
-    let want = drive(&oracle);
+    let stale = Stack::new();
+    let report = drive(&stale, false);
+    let oracle = Stack::new();
+    let want = drive(&oracle, true);
 
     assert_eq!(report.proposals_seen, want.proposals_seen);
     assert_eq!(report.accepted, want.accepted);

@@ -380,7 +380,6 @@ impl OracleWorld {
             })
             .collect();
         let updater = Updater::new(self.net.clone(), self.storage.clone(), self.graph.clone())
-            .with_plan_synthesis(true)
             .with_plan_invariants(oracle_dcs().iter().flat_map(invariants).collect());
         Stages { checkers, updater }
     }

@@ -10,7 +10,9 @@
 //! histories, and must leave identical stores — value, writer,
 //! `updated_at`, *version* and watermarks — after every round, with
 //! identical written/suppressed counts on every delta round, at 1, 3 and
-//! 4 monitor instances.
+//! 4 monitor instances. At a cadence of 1 the oracle writes every polled
+//! row every round, while the monitor re-reads the pool every round and
+//! writes only what differs from it.
 
 use statesman_core::monitor::DEFAULT_QUARANTINE_COOLDOWN;
 use statesman_core::{Monitor, MonitorReport};
@@ -356,7 +358,7 @@ fn drive(case: &Case, first_wins: bool) -> Result<Vec<MonitorReport>, String> {
 #[test]
 fn monitor_matches_the_materialise_and_rewrite_oracle() {
     for seed in 1..=3 {
-        for resync_every in [2, 16] {
+        for resync_every in [1, 2, 16] {
             for instances in [1, 3, 4] {
                 let case = Case {
                     seed,
