@@ -816,14 +816,16 @@ mod tests {
 
     #[test]
     fn end_to_end_upgrade_converges() {
-        // The default configuration: the tiny fabric has 2 aggs/pod, and
-        // the default 50% capacity threshold allows 1 down.
         let (graph, net, storage, clock) = setup();
         let coord = Coordinator::new(
             &graph,
             net.clone(),
             storage.clone(),
-            CoordinatorConfig::default(),
+            CoordinatorConfig {
+                // tiny fabric has 2 aggs/pod: 50% threshold allows 1 down.
+                capacity_invariant: Some((0.5, 0.99, Some(1))),
+                ..Default::default()
+            },
         );
         let app = StatesmanClient::new("switch-upgrade", storage.clone(), clock.clone());
 
@@ -840,14 +842,11 @@ mod tests {
         let r = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
         assert_eq!(r.accepted(), 1);
         assert!(r.updater.commands_applied >= 1);
-        // The accepted upgrade went out as one planned, checked step.
-        assert!(r.updater.plan_steps >= 1, "{:?}", r.updater);
-        assert!(r.updater.plan_waves >= 1);
-        assert_eq!(r.updater.plan_inflight_rejections, 0);
 
         // After the reboot window, the device runs 7.0 and the loop is
         // quiescent.
-        coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+        let r2 = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+        let _ = r2;
         let r3 = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
         assert_eq!(r3.updater.diffs, 0, "converged: {:?}", r3.updater);
         assert_eq!(
@@ -1159,6 +1158,82 @@ mod tests {
             obs.status().key_resolutions_last_round < 100,
             "resolution crept into a hot loop: {}",
             obs.status().key_resolutions_last_round
+        );
+    }
+
+    #[test]
+    fn delta_plane_converges_like_the_snapshot_plane() {
+        // The end-to-end upgrade scenario, once per `delta_state_plane`
+        // setting. The flag is ignored now that the delta plane is the
+        // only one, so both runs must land the final device state and
+        // proposal outcome the snapshot plane landed.
+        for delta in [true, false] {
+            let (graph, net, storage, clock) = setup();
+            let coord = Coordinator::new(
+                &graph,
+                net.clone(),
+                storage.clone(),
+                CoordinatorConfig {
+                    delta_state_plane: delta,
+                    ..Default::default()
+                },
+            );
+            let app = StatesmanClient::new("switch-upgrade", storage, clock);
+            coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+            app.propose([(
+                EntityName::device("dc1", "agg-1-1"),
+                Attribute::DeviceFirmwareVersion,
+                Value::text("7.0"),
+            )])
+            .unwrap();
+            let r = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+            assert_eq!(r.accepted(), 1, "delta={delta}");
+            coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+            let r3 = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+            assert_eq!(r3.updater.diffs, 0, "delta={delta}: {:?}", r3.updater);
+            assert_eq!(
+                net.device_snapshot(&"agg-1-1".into())
+                    .unwrap()
+                    .observed_firmware(),
+                "7.0",
+                "delta={delta}"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_synthesis_converges_like_the_chain_walk() {
+        // The end-to-end upgrade scenario on the planned executor: it must
+        // land the final device state the serial chain walk landed, and
+        // report its plan shape.
+        let (graph, net, storage, clock) = setup();
+        let coord = Coordinator::new(
+            &graph,
+            net.clone(),
+            storage.clone(),
+            CoordinatorConfig::default(),
+        );
+        let app = StatesmanClient::new("switch-upgrade", storage, clock);
+        coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+        app.propose([(
+            EntityName::device("dc1", "agg-1-1"),
+            Attribute::DeviceFirmwareVersion,
+            Value::text("7.0"),
+        )])
+        .unwrap();
+        let r = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+        assert_eq!(r.accepted(), 1);
+        assert!(r.updater.plan_steps >= 1, "planned: {:?}", r.updater);
+        assert!(r.updater.plan_waves >= 1);
+        assert_eq!(r.updater.plan_inflight_rejections, 0);
+        coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+        let r3 = coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+        assert_eq!(r3.updater.diffs, 0, "planned: {:?}", r3.updater);
+        assert_eq!(
+            net.device_snapshot(&"agg-1-1".into())
+                .unwrap()
+                .observed_firmware(),
+            "7.0"
         );
     }
 
