@@ -531,10 +531,6 @@ pub struct ChaosScenario {
     /// devices mid-reboot), alternating every other round until a fixed
     /// cutoff, so routing updates race the firmware rolls.
     pub te_churn: bool,
-    /// Pin the round engine's worker pool (`None`: the coordinator
-    /// default). Determinism tests run the same seed at 1 and N workers
-    /// and demand identical outcomes.
-    pub worker_threads: Option<usize>,
 }
 
 impl ChaosScenario {
@@ -549,7 +545,6 @@ impl ChaosScenario {
             durability: DurabilityMode::Memory,
             verbose: false,
             te_churn: false,
-            worker_threads: None,
         }
     }
 
@@ -567,7 +562,6 @@ impl ChaosScenario {
             durability: DurabilityMode::Memory,
             verbose: false,
             te_churn: true,
-            worker_threads: None,
         }
     }
 
@@ -614,7 +608,6 @@ impl ChaosScenario {
             durability,
             verbose: false,
             te_churn: false,
-            worker_threads: None,
         }
     }
 
@@ -700,7 +693,6 @@ impl ChaosScenario {
                     jitter_frac: 0.5,
                 }),
                 updater_breaker: Some((3, SimDuration::from_mins(3))),
-                worker_threads: self.worker_threads,
                 ..CoordinatorConfig::default()
             },
         );
@@ -1305,7 +1297,6 @@ mod tests {
             durability: DurabilityMode::Memory,
             verbose: false,
             te_churn: false,
-            worker_threads: None,
         };
         let outcome = scenario.run();
         assert!(outcome.safety_violations.is_empty());

@@ -165,12 +165,6 @@ pub struct Checker {
     /// way a pass reads a pool. Mirrors, seed and quiescent mark are
     /// caches: a checker built fresh decides exactly what this one does.
     part_cache: Mutex<HashMap<(Pool, DatacenterId), GroupMirror>>,
-    /// Pool for the pure fan-out stages (seed invariant sweeps). The
-    /// per-candidate gate below stays serial: invariant caches make
-    /// evaluation *order* observable once a candidate is rejected, and
-    /// the determinism contract forbids that. Seed sweeps evaluate every
-    /// invariant unconditionally, so order cannot leak there.
-    workers: WorkerPool,
     /// Carried-over seed for the blast-radius incremental checker.
     seed_cache: Mutex<Option<SeedCache>>,
     /// Set iff the previous pass was a recorded no-op (see
@@ -193,7 +187,6 @@ impl Checker {
             model: DependencyModel::standard(),
             invariants: Vec::new(),
             graph,
-            workers: WorkerPool::default(),
             part_cache: Mutex::new(HashMap::new()),
             seed_cache: Mutex::new(None),
             quiescent: Mutex::new(None),
@@ -214,14 +207,6 @@ impl Checker {
         self
     }
 
-    /// Set the worker-thread count for the pure parallel stages (seed
-    /// invariant sweeps). Defaults to `STATESMAN_WORKER_THREADS` / host
-    /// parallelism; `1` forces the serial reference path.
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.workers = WorkerPool::new(threads);
-        self
-    }
-
     /// Install an operator invariant.
     pub fn add_invariant(&mut self, inv: Box<dyn Invariant>) {
         self.invariants.push(inv);
@@ -229,10 +214,6 @@ impl Checker {
 
     /// The group this checker covers.
     pub fn group(&self) -> &ImpactGroup {
-        &self.config.group
-    }
-
-    fn group_ref(&self) -> &ImpactGroup {
         &self.config.group
     }
 
@@ -248,7 +229,7 @@ impl Checker {
 
     /// The partitions this group's entities are homed in.
     fn group_partitions(&self, storage: &StorageService) -> Vec<DatacenterId> {
-        match self.group_ref() {
+        match self.group() {
             // A DC group's entities are all homed in its own partition.
             ImpactGroup::Datacenter(dc) => vec![dc.clone()],
             // The WAN group spans the WAN partition (inter-DC links) and
@@ -272,7 +253,7 @@ impl Checker {
             self.advance_partition(cache, storage, pool, &dc, track)?;
             let part = cache[&(pool.clone(), dc)].mirror.view();
             rows.extend(
-                PartsView::new(vec![part], Some(self.group_ref()))
+                PartsView::new(vec![part], Some(self.group()))
                     .rows()
                     .cloned(),
             );
@@ -319,7 +300,7 @@ impl Checker {
         group_rows: &mut usize,
         track: &mut ChangeTrack,
     ) {
-        let in_group = |r: &&NetworkState| self.group_ref().contains(&r.entity);
+        let in_group = |r: &&NetworkState| self.group().contains(&r.entity);
         let degrade = |t: &mut ChangeTrack| {
             if !t.full && since != Version::default() {
                 self.full_degrades
@@ -457,7 +438,7 @@ impl Checker {
         if let (Some(m), Some(prev)) = (marks.as_ref(), self.quiescent.lock().as_ref()) {
             if *m == prev.marks {
                 return Ok(CheckerPassReport {
-                    group: self.group_ref().name(),
+                    group: self.group().name(),
                     proposals_seen: 0,
                     accepted: 0,
                     rejected: 0,
@@ -504,7 +485,7 @@ impl Checker {
         let variables_read = os_parts.clone().map(|m| m.group_rows).sum::<usize>()
             + ts_rows.len()
             + proposals.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let group = Some(self.group_ref());
+        let group = Some(self.group());
         let os = PartsView::new(os_parts.map(|m| m.mirror.view()).collect(), group);
         let mut ts = MapView::from_rows(ts_rows.clone());
         // Lock rows expire on the wall clock, not on writes — a TS
@@ -631,14 +612,10 @@ impl Checker {
                     let mut health = seed.health;
                     reproject_entities(&self.graph, &os, &ts, &radius.entities, &mut health);
                     let mut verdicts = seed.verdicts;
-                    // Affected invariants re-check concurrently: each is
-                    // a distinct instance (own cache), every one runs
-                    // unconditionally, and results land back in invariant
-                    // order — bit-identical to the serial loop.
-                    let affected: Vec<usize> = (0..self.invariants.len())
-                        .filter(|&i| self.invariants[i].affected_by(&radius))
-                        .collect();
-                    let rechecked = self.workers.run(&affected, |_, &i| {
+                    for (inv, verdict) in self.invariants.iter().zip(&mut verdicts) {
+                        if !inv.affected_by(&radius) {
+                            continue;
+                        }
                         // A passing cached verdict licenses pod-scoped
                         // re-evaluation (the same contract candidate
                         // checks use); a failing one demands a full look.
@@ -647,29 +624,31 @@ impl Checker {
                         let ctx = InvariantContext {
                             graph: &self.graph,
                             projected: &health,
-                            touched_pods: if verdicts[i].is_none() {
+                            touched_pods: if verdict.is_none() {
                                 radius.pods.as_ref()
                             } else {
                                 None
                             },
                         };
-                        self.invariants[i].check(&ctx).err()
-                    });
-                    for (&i, v) in affected.iter().zip(rechecked) {
-                        verdicts[i] = v;
+                        *verdict = inv.check(&ctx).err();
                     }
                     (health, verdicts)
                 }
                 _ => {
                     let health = project_health(&self.graph, &os, Some(&ts as &dyn StateView));
-                    let verdicts = self.workers.run(&self.invariants, |_, inv| {
-                        inv.check(&InvariantContext {
-                            graph: &self.graph,
-                            projected: &health,
-                            touched_pods: None,
-                        })
-                        .err()
-                    });
+                    let ctx = InvariantContext {
+                        graph: &self.graph,
+                        projected: &health,
+                        touched_pods: None,
+                    };
+                    // Side by side on the default pool: on the caller's
+                    // thread, a cold capacity solve's allocations left
+                    // glibc holding 27 MB more after the seed round on
+                    // `api_ingest` (`setup_rss_mb`, EXPERIMENTS.md).
+                    // Every invariant runs, each on its own cache, so the
+                    // verdicts are the serial loop's.
+                    let verdicts =
+                        WorkerPool::default().run(&self.invariants, |_, inv| inv.check(&ctx).err());
                     (health, verdicts)
                 }
             }
@@ -696,7 +675,6 @@ impl Checker {
 
             // -- 3a/3b/3c: validate, satisfied, controllable, locks --
             let mut survivors: Vec<NetworkState> = Vec::new();
-            let mut group_rejected = false;
             for row in &group.rows {
                 let key = row.key();
                 if !row.is_well_formed() || !row.attribute.is_proposable() {
@@ -712,7 +690,6 @@ impl Checker {
                         },
                     );
                     rejected += 1;
-                    group_rejected = true;
                     continue;
                 }
 
@@ -773,7 +750,6 @@ impl Checker {
                     );
                     rejected += 1;
                     quarantine_rejected += 1;
-                    group_rejected = true;
                     continue;
                 }
 
@@ -784,7 +760,6 @@ impl Checker {
                         WriteOutcome::RejectedUncontrollable { reason: u.reason },
                     );
                     rejected += 1;
-                    group_rejected = true;
                     continue;
                 }
 
@@ -798,7 +773,6 @@ impl Checker {
                             WriteOutcome::RejectedConflict { winner, reason },
                         );
                         rejected += 1;
-                        group_rejected = true;
                         continue;
                     }
                 }
@@ -822,7 +796,6 @@ impl Checker {
                             },
                         );
                         rejected += 1;
-                        group_rejected = true;
                         continue;
                     }
                 }
@@ -831,17 +804,15 @@ impl Checker {
             }
 
             if survivors.is_empty() {
-                let _ = group_rejected;
                 continue;
             }
 
             // -- 3f: invariants on the projected candidate --
-            // The first violation (in invariant order) is the one that
-            // reaches receipts; `first_violation` preserves that while
-            // fanning pure invariants out and gating order-sensitive
-            // ones exactly as the serial loop would. With no invariants,
-            // the projection is never read, so the delta is skipped
-            // outright.
+            // The first violation, in invariant order, is the one that
+            // reaches receipts; no later invariant is checked (capacity
+            // caches what its last passing check solved). With no
+            // invariants, the projection is never read, so the delta is
+            // skipped outright.
             let (delta, violation) = if self.invariants.is_empty() {
                 (None, None)
             } else {
@@ -869,9 +840,7 @@ impl Checker {
                         None
                     },
                 };
-                let invs: Vec<&dyn Invariant> =
-                    self.invariants.iter().map(|b| b.as_ref()).collect();
-                let violation = crate::invariants::first_violation(&self.workers, &invs, &ctx);
+                let violation = self.invariants.iter().find_map(|inv| inv.check(&ctx).err());
                 (Some(delta), violation)
             };
 
@@ -934,11 +903,11 @@ impl Checker {
         }
         // Post receipts to the group's primary partition.
         if !receipts.is_empty() {
-            storage.post_receipts(&self.group_ref().primary_partition(), receipts.clone())?;
+            storage.post_receipts(&self.group().primary_partition(), receipts.clone())?;
         }
 
         let report = CheckerPassReport {
-            group: self.group_ref().name(),
+            group: self.group().name(),
             proposals_seen,
             accepted,
             rejected,

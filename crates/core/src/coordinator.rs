@@ -45,23 +45,6 @@ pub struct CoordinatorConfig {
     pub capacity_max_pairs: Option<usize>,
     /// Install the WAN-link invariant on the WAN group with this minimum.
     pub wan_invariant: Option<usize>,
-    /// Collect with this many concurrent monitor instances (`None` =
-    /// serial). The paper runs one instance per ~1,000 switches (§6.3);
-    /// pass `Some(devices / 1000 + 1)` to mirror that.
-    pub monitor_instances: Option<usize>,
-    /// Run the per-group checker passes on concurrent threads. Groups are
-    /// independent by construction (§5 — disjoint entities, disjoint
-    /// invariant scopes), so their passes commute; the report order stays
-    /// deterministic (group order) either way. Concurrency is bounded by
-    /// the round engine's worker pool (`worker_threads`), not one thread
-    /// per group.
-    pub parallel_checkers: bool,
-    /// Worker threads for the round engine's pure fan-out stages
-    /// (invariant evaluation, partition diffing, wave pre-rendering, and
-    /// the `parallel_checkers` pool). `None` resolves via
-    /// `STATESMAN_WORKER_THREADS`, then host parallelism. Results are
-    /// bit-identical at every setting; only wall time changes.
-    pub worker_threads: Option<usize>,
     /// Monitor quarantine cooldown override (`None` = monitor default).
     pub quarantine_cooldown: Option<SimDuration>,
     /// In-round retry schedule for the updater (`None` = §6.2's pure
@@ -95,6 +78,15 @@ pub struct CoordinatorConfig {
     /// seed always blast-radius incremental. The hash layout it selected
     /// decided identically.
     pub columnar_state: bool,
+    /// Ignored: the monitor polls on the caller's thread. The §6.3
+    /// instance count survives as a model, [`MonitorReport::shards`].
+    pub monitor_instances: Option<usize>,
+    /// Ignored: groups are checked in group order on the caller's thread.
+    pub parallel_checkers: bool,
+    /// Ignored: every fan-out sizes its pool with
+    /// `statesman_types::par::default_worker_threads()`, one width per
+    /// process (`STATESMAN_WORKER_THREADS`, else host parallelism).
+    pub worker_threads: Option<usize>,
 }
 
 impl Default for CoordinatorConfig {
@@ -105,9 +97,6 @@ impl Default for CoordinatorConfig {
             capacity_invariant: Some((0.5, 0.99, Some(1))),
             capacity_max_pairs: Some(65_536),
             wan_invariant: Some(1),
-            monitor_instances: None,
-            parallel_checkers: false,
-            worker_threads: None,
             quarantine_cooldown: None,
             updater_retry: None,
             updater_breaker: None,
@@ -116,6 +105,9 @@ impl Default for CoordinatorConfig {
             plan_synthesis: true,
             delta_state_plane: true,
             columnar_state: true,
+            monitor_instances: None,
+            parallel_checkers: false,
+            worker_threads: None,
         }
     }
 }
@@ -336,11 +328,6 @@ pub struct Coordinator {
     updater: Updater,
     storage: StorageService,
     net: SimNetwork,
-    monitor_instances: usize,
-    parallel_checkers: bool,
-    /// Bounds the `parallel_checkers` fan-out (no thread-per-group
-    /// spawning on large fleets).
-    workers: statesman_types::WorkerPool,
     obs: Option<(Obs, CoordObs)>,
     round: AtomicU64,
 }
@@ -440,10 +427,7 @@ impl Coordinator {
                 for inv in invariants_for(group) {
                     c.add_invariant(inv);
                 }
-                match config.worker_threads {
-                    Some(n) => c.with_worker_threads(n),
-                    None => c,
-                }
+                c
             })
             .collect();
 
@@ -461,9 +445,6 @@ impl Coordinator {
         // re-checked against the projected intermediate network.
         let mut updater = Updater::new(net.clone(), storage.clone(), graph.clone())
             .with_plan_invariants(groups.iter().flat_map(&invariants_for).collect());
-        if let Some(n) = config.worker_threads {
-            updater = updater.with_worker_threads(n);
-        }
         if let Some(policy) = config.updater_retry.clone() {
             updater = updater.with_retry(policy);
         }
@@ -488,12 +469,6 @@ impl Coordinator {
             updater,
             storage,
             net,
-            monitor_instances: config.monitor_instances.unwrap_or(1),
-            parallel_checkers: config.parallel_checkers,
-            workers: config
-                .worker_threads
-                .map(statesman_types::WorkerPool::new)
-                .unwrap_or_default(),
             obs,
             round: AtomicU64::new(0),
         }
@@ -530,40 +505,19 @@ impl Coordinator {
             .filter(|dc| !self.storage.partition_available(dc))
             .collect();
 
-        let monitor = self
-            .monitor
-            .run_round_sharded(self.monitor_instances, &down)?;
+        let monitor = self.monitor.run_round_skipping(&down)?;
         let now = self.net.clock().now();
         let quarantined = self.monitor.quarantined_devices(now);
 
         let mut skipped_groups = Vec::new();
-        let live: Vec<&Checker> = self
-            .checkers
-            .iter()
-            .filter(|c| {
-                if down.contains(&c.group().primary_partition()) {
-                    skipped_groups.push(c.group().name());
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-
-        let checkers = if self.parallel_checkers {
-            // Groups fan out across the bounded worker pool; results
-            // come back in group order so the report stays deterministic.
-            let results: Vec<StateResult<CheckerPassReport>> = self.workers.run(&live, |_, c| {
-                c.run_pass_with_unreachable(&self.storage, now, &quarantined)
-            });
-            results.into_iter().collect::<StateResult<Vec<_>>>()?
-        } else {
-            let mut reports = Vec::with_capacity(live.len());
-            for c in &live {
-                reports.push(c.run_pass_with_unreachable(&self.storage, now, &quarantined)?);
+        let mut checkers = Vec::with_capacity(self.checkers.len());
+        for c in &self.checkers {
+            if down.contains(&c.group().primary_partition()) {
+                skipped_groups.push(c.group().name());
+            } else {
+                checkers.push(c.run_pass_with_unreachable(&self.storage, now, &quarantined)?);
             }
-            reports
-        };
+        }
         // The updater honors the quarantine too: commanding a device whose
         // OS is stale can re-disturb it (reboot loops) and starve the
         // monitor of the fresh poll that would clear the diff.
@@ -874,51 +828,40 @@ mod tests {
 
     #[test]
     fn degraded_tick_skips_down_partition_groups() {
-        // Sharded polling honors the skip set exactly like one instance.
-        for monitor_instances in [None, Some(3)] {
-            let clock = SimClock::new();
-            let mut graph = NetworkGraph::new();
-            DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
-            DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
-            let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
-            let storage = StorageService::new(
-                [DatacenterId::new("dc1"), DatacenterId::new("dc2")],
-                clock.clone(),
-                statesman_storage::StorageConfig::default(),
-            );
-            let coord = Coordinator::new(
-                &graph,
-                net,
-                storage.clone(),
-                CoordinatorConfig {
-                    monitor_instances,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(coord.groups().len(), 2);
+        let clock = SimClock::new();
+        let mut graph = NetworkGraph::new();
+        DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
+        DcnSpec::tiny("dc2").build_prefixed_into(&mut graph);
+        let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
+        let storage = StorageService::new(
+            [DatacenterId::new("dc1"), DatacenterId::new("dc2")],
+            clock.clone(),
+            statesman_storage::StorageConfig::default(),
+        );
+        let coord = Coordinator::new(&graph, net, storage.clone(), CoordinatorConfig::default());
+        assert_eq!(coord.groups().len(), 2);
 
-            let r0 = coord.tick().unwrap();
-            assert!(!r0.degraded());
-            assert_eq!(r0.checkers.len(), 2);
+        let r0 = coord.tick().unwrap();
+        assert!(!r0.degraded());
+        assert_eq!(r0.checkers.len(), 2);
 
-            // dc2's partition goes down: its group is skipped, dc1's work
-            // continues, and the round completes instead of erroring.
-            storage.set_partition_available(&DatacenterId::new("dc2"), false);
-            clock.advance(SimDuration::from_mins(1));
-            let r1 = coord.tick().unwrap();
-            assert!(r1.degraded());
-            assert_eq!(r1.skipped_groups, vec!["dc:dc2".to_string()]);
-            assert_eq!(r1.checkers.len(), 1);
-            assert_eq!(r1.monitor.devices_polled, graph.node_count() / 2);
+        // dc2's partition goes down: its group is skipped, dc1's work
+        // continues, and the round completes instead of erroring.
+        storage.set_partition_available(&DatacenterId::new("dc2"), false);
+        clock.advance(SimDuration::from_mins(1));
+        let r1 = coord.tick().unwrap();
+        assert!(r1.degraded());
+        assert_eq!(r1.skipped_groups, vec!["dc:dc2".to_string()]);
+        assert_eq!(r1.checkers.len(), 1);
+        assert_eq!(r1.monitor.devices_polled, graph.node_count() / 2);
 
-            // Heal: full service resumes.
-            storage.set_partition_available(&DatacenterId::new("dc2"), true);
-            clock.advance(SimDuration::from_mins(1));
-            let r2 = coord.tick().unwrap();
-            assert!(!r2.degraded());
-            assert_eq!(r2.checkers.len(), 2);
-            assert_eq!(r2.monitor.devices_polled, graph.node_count());
-        }
+        // Heal: full service resumes.
+        storage.set_partition_available(&DatacenterId::new("dc2"), true);
+        clock.advance(SimDuration::from_mins(1));
+        let r2 = coord.tick().unwrap();
+        assert!(!r2.degraded());
+        assert_eq!(r2.checkers.len(), 2);
+        assert_eq!(r2.monitor.devices_polled, graph.node_count());
     }
 
     #[test]

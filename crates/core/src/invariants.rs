@@ -24,7 +24,7 @@
 use statesman_topology::{
     capacity, graph::components, CapacityPanel, HealthView, NetworkGraph, NodeId,
 };
-use statesman_types::{DatacenterId, DeviceRole, WorkerPool};
+use statesman_types::{DatacenterId, DeviceRole};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -62,75 +62,6 @@ pub trait Invariant: Send + Sync {
     fn affected_by(&self, _radius: &crate::deps::BlastRadius) -> bool {
         true
     }
-    /// Does calling [`Invariant::check`] mutate internal state that later
-    /// checks observe (e.g. a cached report reused for incremental
-    /// evaluation)? The parallel round engine evaluates order-insensitive
-    /// (pure) invariants concurrently and speculatively; order-sensitive
-    /// ones are evaluated exactly when the serial first-violation loop
-    /// would, preserving bit-identical cache trajectories.
-    fn order_sensitive(&self) -> bool {
-        false
-    }
-}
-
-/// Evaluate a list of invariants against one context and return the
-/// first violation **in invariant order** — bit-identical to the serial
-/// loop `for inv in invariants { if let Err(v) = inv.check(ctx) { return
-/// Some(v) } }`, but with order-insensitive (pure) invariants fanned out
-/// across `pool`.
-///
-/// Order-sensitive invariants (those whose `check` mutates caches that
-/// later checks observe) are evaluated serially, in order, and *only*
-/// when no earlier-indexed invariant has already failed — exactly the
-/// set of evaluations the serial loop performs, so their cache
-/// trajectories are preserved. Pure invariants may be evaluated
-/// speculatively past the first failure; by definition that is
-/// unobservable.
-pub fn first_violation(
-    pool: &WorkerPool,
-    invariants: &[&dyn Invariant],
-    ctx: &InvariantContext<'_>,
-) -> Option<Violation> {
-    if invariants.is_empty() {
-        return None;
-    }
-    let pure_idx: Vec<usize> = (0..invariants.len())
-        .filter(|&i| !invariants[i].order_sensitive())
-        .collect();
-    let mut first: Option<(usize, Violation)> = None;
-    fn note(first: &mut Option<(usize, Violation)>, i: usize, v: Violation) {
-        if first.as_ref().map(|(fi, _)| i < *fi).unwrap_or(true) {
-            *first = Some((i, v));
-        }
-    }
-    if pure_idx.len() == invariants.len() && pool.threads() <= 1 {
-        // All pure, one thread: plain serial loop with early exit.
-        for inv in invariants {
-            if let Err(v) = inv.check(ctx) {
-                return Some(v);
-            }
-        }
-        return None;
-    }
-    let pure_errs = pool.run(&pure_idx, |_, &i| invariants[i].check(ctx).err());
-    for (&i, err) in pure_idx.iter().zip(pure_errs) {
-        if let Some(v) = err {
-            note(&mut first, i, v);
-        }
-    }
-    for (i, inv) in invariants.iter().enumerate() {
-        if !inv.order_sensitive() {
-            continue;
-        }
-        // The serial loop evaluates invariant i iff none of 0..i failed.
-        if first.as_ref().map(|(fi, _)| *fi < i).unwrap_or(false) {
-            continue;
-        }
-        if let Err(v) = inv.check(ctx) {
-            note(&mut first, i, v);
-        }
-    }
-    first.map(|(_, v)| v)
 }
 
 /// No operational ToR may be disconnected from every core router.
@@ -357,14 +288,6 @@ impl Invariant for TorPairCapacityInvariant {
 
     fn affected_by(&self, radius: &crate::deps::BlastRadius) -> bool {
         radius.affects_dc(&self.datacenter)
-    }
-
-    fn order_sensitive(&self) -> bool {
-        // A verdict is history-free (a sync equals a full evaluation), but
-        // the work is not: each check re-solves what flipped since the
-        // last passing one, so checks run in the serial loop's order and
-        // only where it would run them.
-        true
     }
 
     fn check(&self, ctx: &InvariantContext<'_>) -> Result<(), Violation> {

@@ -20,8 +20,8 @@
 //!   proposals against the observed state, resolves PS–PS and PS–TS
 //!   conflicts (last-writer-wins or priority locks), merges survivors into
 //!   the target state, and posts acceptance/rejection receipts;
-//! * [`monitor`] — periodic, sharded collection of device/link state into
-//!   the observed state through protocol adapters;
+//! * [`monitor`] — periodic collection of device/link state into the
+//!   observed state through protocol adapters;
 //! * [`updater`] — the memoryless OS→TS difference engine: renders state
 //!   deltas into device commands via a per-model command-template pool and
 //!   relies on rediffing (not memory) to survive failures;
@@ -58,6 +58,5 @@ pub use invariants::{
 };
 pub use monitor::{Monitor, MonitorReport};
 pub use plan::{PlanStep, UpdatePlan};
-pub use statesman_types::{default_worker_threads, WorkerPool};
 pub use updater::{CommandTemplatePool, Updater, UpdaterReport, UpdaterScope};
 pub use view::{MapView, StateView};

@@ -22,9 +22,9 @@
 //! either clears the quarantine or renews it. Only storage failures abort
 //! a round; those are the coordinator's degraded-mode concern.
 //!
-//! A round costs what changed: every poll shard compares the values it
-//! collects against the monitor's *diff base* — what it believes the OS
-//! pool holds — in place, so only a row that differs is ever built,
+//! A round costs what changed: the poll compares the values it collects
+//! against the monitor's *diff base* — what it believes the OS pool
+//! holds — in place, so only a row that differs is ever built,
 //! sorted, written and stored back. The base is laid out in poll order
 //! (graph node, then edge, times a per-kind attribute column), so a
 //! comparison is one indexed load. The belief is periodically
@@ -37,7 +37,7 @@ use statesman_topology::{EdgeId, NetworkGraph, NodeId};
 use statesman_types::entity::EntityBody;
 use statesman_types::{
     AppId, Attribute, DatacenterId, DeviceName, EntityKind, EntityName, Freshness, NetworkState,
-    Pool, SimDuration, SimTime, StateResult, Value, WorkerPool,
+    Pool, SimDuration, SimTime, StateResult, Value,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -88,21 +88,21 @@ pub struct MonitorReport {
     /// storage are not counted.) A quiescent round materialises exactly
     /// what it writes.
     pub rows_materialized: usize,
-    /// Number of monitor instances (shards) this round used.
+    /// The modeled §6.3 monitor instance count, one per [`SHARD_SIZE`]
+    /// switches, that `sim_io` spreads the polls over. A model of the
+    /// deployment, not a thread count: the host polls on one thread.
     pub shards: usize,
     /// Modeled wall time of the collection round in simulated terms
-    /// (polls run concurrently within each shard).
+    /// (polls run concurrently within each modeled instance).
     pub sim_io: SimDuration,
     /// Host wall-clock time of the round (compute only). The three
     /// stages below sum to it.
     pub elapsed: Duration,
     /// Wall time spent polling devices and links *and comparing what
-    /// they report against the diff base*, which rides in the poll
-    /// shards (including shard fan-in on the parallel path).
+    /// they report against the diff base*, which rides in the poll.
     pub stage_poll: Duration,
     /// Wall time spent re-reading the OS pool into the diff base (resync
-    /// rounds only), merging the shards' changed rows and sorting them
-    /// into write order.
+    /// rounds only) and sorting the changed rows into write order.
     pub stage_diff: Duration,
     /// Wall time spent on storage writes and diff-base maintenance.
     pub stage_write: Duration,
@@ -379,32 +379,26 @@ impl Monitor {
 
     /// Run one collection round: poll everything, write the OS.
     pub fn run_round(&self) -> StateResult<MonitorReport> {
-        self.run_round_sharded(1, &BTreeSet::new())
+        self.run_round_skipping(&BTreeSet::new())
     }
 
-    /// Run one collection round with `instances` concurrent monitor
-    /// instances (§6.3: "We split the monitoring responsibility across
-    /// many monitor instances"), skipping every entity homed in
+    /// Run one collection round, skipping every entity homed in
     /// `skip_dcs` (their storage partition is down, so their OS rows
     /// could not be written anyway; the coordinator's degraded mode
     /// drives this).
     ///
-    /// The one poll loop: the devices and links outside `skip_dcs` are
-    /// cut into `instances` contiguous shards and polled one shard per
-    /// worker, each shard comparing what it collects against the
-    /// read-only diff base and handing back only the rows that differ.
-    /// Every variable is polled, and so compared, exactly once, and the
-    /// changed rows are sorted by key before they are written, so the
-    /// round's outcome does not depend on the instance count.
-    pub fn run_round_sharded(
+    /// Devices, then links, outside `skip_dcs` are polled in graph order,
+    /// each compared against the diff base as it is collected, so only
+    /// the rows that differ are ever built. Every variable is polled, and
+    /// so compared, exactly once, and the changed rows are sorted by key
+    /// before they are written.
+    pub fn run_round_skipping(
         &self,
-        instances: usize,
         skip_dcs: &BTreeSet<DatacenterId>,
     ) -> StateResult<MonitorReport> {
         let started = Instant::now();
         let now = self.net.clock().now();
         let writer = AppId::monitor();
-        let pool = WorkerPool::new(instances);
         let mut state = self.base.lock();
         let round = state.rounds;
         state.rounds += 1;
@@ -421,83 +415,73 @@ impl Monitor {
         // indexed load each: equal values are counted, the rest become
         // owned rows — the only place a round names an entity.
         let base = &state.values;
-        let compare = |poll: &mut ShardPoll,
-                       block: (usize, EntityKind),
-                       entity: &dyn Fn() -> EntityName,
-                       pairs: Vec<(Attribute, Value)>| {
+        let mut changed: Vec<NetworkState> = Vec::new();
+        let mut suppressed = 0;
+        let mut compare = |block: (usize, EntityKind),
+                           entity: &dyn Fn() -> EntityName,
+                           pairs: Vec<(Attribute, Value)>| {
             for (attr, value) in pairs {
                 let position = self.layout.position(block, attr);
                 let prior = position.and_then(|p| base.get(p)?.as_ref());
                 if prior == Some(&value) {
-                    poll.suppressed += 1;
+                    suppressed += 1;
                 } else {
                     let row = NetworkState::new(entity(), attr, value, now, writer.clone());
-                    poll.changed.push(row);
+                    changed.push(row);
                 }
             }
         };
+        // The entities polled, collected before the poll: iterating the
+        // graph in place left glibc holding 6–27 MB more after the seed
+        // round on the API workloads (`setup_rss_mb`, EXPERIMENTS.md).
         let device_ids: Vec<NodeId> = self
             .graph
             .nodes()
             .filter(|(_, info)| !skip_dcs.contains(&info.datacenter))
             .map(|(id, _)| id)
             .collect();
-        let device_shards = pool.run(shards(&device_ids, pool.threads()), |_, shard| {
-            let mut poll = ShardPoll::default();
-            for &node_id in shard {
-                let name = &self.graph.node(node_id).name;
-                // Quarantined devices are not re-polled (no poll budget
-                // spent re-timing-out); their rows go stale.
-                if self.is_quarantined(name, now) {
-                    poll.quarantined += 1;
-                    continue;
-                }
-                let pairs = self.poll_device(name);
-                self.note_poll(name, now, pairs.is_some());
-                let Some(pairs) = pairs else {
-                    poll.unreachable += 1;
-                    continue;
-                };
-                poll.polled += 1;
-                let entity = || device_entity(&self.graph, node_id);
-                compare(&mut poll, self.layout.node_block(node_id), &entity, pairs);
-            }
-            poll
-        });
-
         let edge_ids: Vec<EdgeId> = self
             .graph
             .edges()
             .filter(|(_, edge)| !skip_dcs.contains(&edge.datacenter))
             .map(|(id, _)| id)
             .collect();
-        let link_shards = pool.run(shards(&edge_ids, pool.threads()), |_, shard| {
-            let mut poll = ShardPoll::default();
-            for &edge_id in shard {
-                // Infallible for the same reason as device polls. A link
-                // reports its own oper status whatever its endpoints'
-                // polls did; when neither endpoint answers, the NMS
-                // inference stands in: oper-down for traffic purposes.
-                let pairs = self
-                    .snmp
-                    .collect_link(&self.graph.edge(edge_id).name)
-                    .unwrap_or_else(|_| vec![(Attribute::LinkOperStatus, Value::oper(false))]);
-                let entity = || link_entity(&self.graph, edge_id);
-                compare(&mut poll, self.layout.edge_block(edge_id), &entity, pairs);
+        let (mut devices_polled, mut unreachable, mut quarantined) = (0, 0, 0);
+        for &node_id in &device_ids {
+            let name = &self.graph.node(node_id).name;
+            // Quarantined devices are not re-polled (no poll budget spent
+            // re-timing-out); their rows go stale.
+            if self.is_quarantined(name, now) {
+                quarantined += 1;
+                continue;
             }
-            poll
-        });
-
-        // Fold the shards into the first, whose rows then never move.
-        let mut shards_polled = device_shards.into_iter().chain(link_shards);
-        let mut round_poll = shards_polled.next().unwrap_or_default();
-        shards_polled.for_each(|shard| round_poll.absorb(shard));
+            let pairs = self.poll_device(name);
+            self.note_poll(name, now, pairs.is_some());
+            let Some(pairs) = pairs else {
+                unreachable += 1;
+                continue;
+            };
+            devices_polled += 1;
+            let entity = || device_entity(&self.graph, node_id);
+            compare(self.layout.node_block(node_id), &entity, pairs);
+        }
+        for &edge_id in &edge_ids {
+            // Infallible for the same reason as device polls. A link
+            // reports its own oper status whatever its endpoints' polls
+            // did; when neither endpoint answers, the NMS inference stands
+            // in: oper-down for traffic purposes.
+            let pairs = self
+                .snmp
+                .collect_link(&self.graph.edge(edge_id).name)
+                .unwrap_or_else(|_| vec![(Attribute::LinkOperStatus, Value::oper(false))]);
+            let entity = || link_entity(&self.graph, edge_id);
+            compare(self.layout.edge_block(edge_id), &entity, pairs);
+        }
         let polled = started.elapsed();
 
         // Only the changed rows need the deterministic write order —
         // string-key order, not id order (ids follow interning order).
         // Keys are unique, so the in-place sort yields that one order.
-        let mut changed = std::mem::take(&mut round_poll.changed);
         changed.sort_unstable_by(|a, b| a.key_ref().cmp(&b.key_ref()));
         let rows_written = changed.len();
         let diffed = started.elapsed();
@@ -525,18 +509,18 @@ impl Monitor {
 
         let shards = self.graph.node_count().div_ceil(SHARD_SIZE).max(1);
         let lanes = shards as u64 * CONCURRENCY_PER_SHARD;
-        let entities_polled = (round_poll.polled + round_poll.unreachable + edge_ids.len()) as u64;
+        let entities_polled = (devices_polled + unreachable + edge_ids.len()) as u64;
         let sim_io = SimDuration::from_millis(entities_polled.div_ceil(lanes) * POLL_MS);
 
         let elapsed = started.elapsed();
         Ok(MonitorReport {
-            devices_polled: round_poll.polled,
-            devices_unreachable: round_poll.unreachable,
-            devices_quarantined: round_poll.quarantined,
+            devices_polled,
+            devices_unreachable: unreachable,
+            devices_quarantined: quarantined,
             links_polled: edge_ids.len(),
             rows_written,
-            writes_suppressed: round_poll.suppressed,
-            rows_compared: rows_written + round_poll.suppressed,
+            writes_suppressed: suppressed,
+            rows_compared: rows_written + suppressed,
             rows_materialized: rows_written + reread,
             shards,
             sim_io,
@@ -619,36 +603,6 @@ impl Monitor {
     pub fn with_columnar_state(self, _enabled: bool) -> Self {
         self
     }
-}
-
-/// What one poll shard hands back: the rows that differ from the diff
-/// base, and counts for everything else.
-#[derive(Default)]
-struct ShardPoll {
-    /// Rows whose value or writer differs from the base (or that the base
-    /// does not hold), in poll order.
-    changed: Vec<NetworkState>,
-    /// Polled values equal to their base row.
-    suppressed: usize,
-    polled: usize,
-    unreachable: usize,
-    quarantined: usize,
-}
-
-impl ShardPoll {
-    /// Fold a later shard into this one.
-    fn absorb(&mut self, mut shard: ShardPoll) {
-        self.changed.append(&mut shard.changed);
-        self.suppressed += shard.suppressed;
-        self.polled += shard.polled;
-        self.unreachable += shard.unreachable;
-        self.quarantined += shard.quarantined;
-    }
-}
-
-/// Cut `ids` into at most `instances` contiguous shards.
-fn shards<T>(ids: &[T], instances: usize) -> Vec<&[T]> {
-    ids.chunks(ids.len().div_ceil(instances).max(1)).collect()
 }
 
 #[cfg(test)]
@@ -1043,15 +997,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_round_matches_serial() {
-        // Identical worlds polled by 1, 3 and 4 monitor instances, with
-        // and without a skipped DC, must end with identical reports and
-        // OS contents. dc1.agg-1-1 is unreachable in round 1 and back up
-        // — but still quarantined — in round 2, so its inferred-down link
-        // rows compete with the polled rows of the same links: only the
-        // fixed merge order makes that outcome instance-count invariant.
+    fn a_skipped_dc_keeps_its_rows_and_the_rest_is_polled_as_usual() {
+        // Two DCs; dc1.agg-1-1 is unreachable in round 1 and back up — but
+        // still quarantined — in round 2, which runs with and without dc2
+        // skipped. Skipping polls nothing homed in dc2 and leaves its rows
+        // as round 1 wrote them, and dc1 ends the same either way.
         let dcs = [DatacenterId::new("dc1"), DatacenterId::new("dc2")];
-        let run = |instances: usize, skip: &BTreeSet<DatacenterId>| {
+        let run = |skip: &BTreeSet<DatacenterId>| {
             let clock = SimClock::new();
             let mut graph = NetworkGraph::new();
             DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
@@ -1067,14 +1019,7 @@ mod tests {
                 },
             );
             net.step(SimDuration::from_millis(1));
-            let m = Monitor::new(net.clone(), storage.clone(), graph);
-            let r1 = m.run_round_sharded(instances, &BTreeSet::new()).unwrap();
-            assert_eq!(r1.devices_unreachable, 1);
-            net.step(SimDuration::from_mins(1));
-            let r2 = m.run_round_sharded(instances, skip).unwrap();
-            assert_eq!(r2.devices_quarantined, 1);
-            let mut os: Vec<(StateKey, Value)> = Vec::new();
-            for dc in &dcs {
+            let os = |dc: &DatacenterId| {
                 let rows = storage.read(statesman_storage::ReadRequest {
                     datacenter: dc.clone(),
                     pool: Pool::Observed,
@@ -1082,49 +1027,33 @@ mod tests {
                     entity: None,
                     attribute: None,
                 });
-                os.extend(rows.unwrap().into_iter().map(|r| (r.key(), r.value)));
+                let mut os: Vec<(StateKey, Value)> = rows
+                    .unwrap()
+                    .into_iter()
+                    .map(|r| (r.key(), r.value))
+                    .collect();
+                os.sort_by(|a, b| a.0.cmp(&b.0));
+                os
+            };
+            let m = Monitor::new(net.clone(), storage.clone(), graph.clone());
+            let r1 = m.run_round().unwrap();
+            assert_eq!(r1.devices_unreachable, 1);
+            let dc2_after_r1 = os(&dcs[1]);
+            net.step(SimDuration::from_mins(1));
+            let r2 = m.run_round_skipping(skip).unwrap();
+            assert_eq!(r2.devices_quarantined, 1);
+            let share = if skip.is_empty() { 1 } else { 2 };
+            assert_eq!(r2.devices_polled, graph.node_count() / share - 1);
+            assert_eq!(r2.links_polled, graph.edge_count() / share);
+            if !skip.is_empty() {
+                assert_eq!(os(&dcs[1]), dc2_after_r1);
             }
-            os.sort_by(|a, b| a.0.cmp(&b.0));
-            let counts = [r1, r2].map(|r| {
-                (
-                    r.devices_polled,
-                    r.links_polled,
-                    r.rows_written,
-                    r.writes_suppressed,
-                )
-            });
-            (counts, os)
+            os(&dcs[0])
         };
-        for skip in [BTreeSet::new(), BTreeSet::from([dcs[1].clone()])] {
-            let serial = run(1, &skip);
-            for instances in [3, 4] {
-                assert_eq!(
-                    run(instances, &skip),
-                    serial,
-                    "instances={instances} skip={skip:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_round_handles_unreachable_devices() {
-        let clock = SimClock::new();
-        let graph = DcnSpec::tiny("dc1").build();
-        let mut cfg = SimConfig::ideal();
-        cfg.faults.reboot_window_ms = 600_000;
-        let net = SimNetwork::new(&graph, clock.clone(), cfg);
-        let storage = StorageService::single_dc("dc1", clock.clone());
-        net.submit(
-            &DeviceName::new("agg-1-1"),
-            DeviceCommand::UpgradeFirmware {
-                version: "7".into(),
-            },
+        assert_eq!(
+            run(&BTreeSet::from([dcs[1].clone()])),
+            run(&BTreeSet::new())
         );
-        net.step(SimDuration::from_millis(1));
-        let m = Monitor::new(net, storage, graph);
-        let r = m.run_round_sharded(3, &BTreeSet::new()).unwrap();
-        assert_eq!(r.devices_unreachable, 1);
     }
 
     /// A world where agg-1-1 is mid-reboot (unreachable) for `reboot_ms`.

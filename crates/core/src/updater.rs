@@ -26,7 +26,7 @@ use statesman_storage::StorageService;
 use statesman_topology::NetworkGraph;
 use statesman_types::{
     Attribute, DatacenterId, DeviceName, EntityName, FlowLinkRule, LinkName, NetworkState, Pool,
-    RetryPolicy, SimDuration, SimTime, StateError, StateResult, Value, Version,
+    RetryPolicy, SimDuration, SimTime, StateError, StateResult, Value, Version, WorkerPool,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -376,11 +376,6 @@ pub struct Updater {
     /// Invariants re-checked against the projected intermediate state
     /// before each plan step commits (empty = no in-flight checks).
     plan_invariants: Vec<Box<dyn crate::invariants::Invariant>>,
-    /// Pool for the round's pure fan-out stages: per-partition diffs and
-    /// per-wave command pre-rendering. All effectful work (command
-    /// issue, RNG draws, clock stepping) stays on the round's one
-    /// execute thread regardless of this pool's size.
-    workers: statesman_types::WorkerPool,
 }
 
 /// One storage partition's share of a round's diff work: its non-routing
@@ -478,17 +473,7 @@ impl Updater {
             part_cache: Mutex::new(HashMap::new()),
             quiescent: Mutex::new(None),
             plan_invariants: Vec::new(),
-            workers: statesman_types::WorkerPool::default(),
         }
-    }
-
-    /// Set the worker-thread count for the round's pure fan-out stages
-    /// (per-partition diffs, per-wave command pre-rendering, pure
-    /// invariant evaluation). Defaults to `STATESMAN_WORKER_THREADS` /
-    /// host parallelism; `1` forces the serial reference path.
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.workers = statesman_types::WorkerPool::new(threads);
-        self
     }
 
     /// Install the invariants evaluated in flight — against the projected
@@ -696,10 +681,10 @@ impl Updater {
 
         // ---- per-variable diff, grouped by storage partition ----
         // Each entity belongs to exactly one datacenter partition, and so
-        // does the device carrying its commands — the same impact-group
-        // boundary the checker's parallel stage cuts on. The round runs
-        // in two stages: a *pure* diff stage fans out one thread per
-        // partition with work (value comparisons against the frozen OS
+        // does the device carrying its commands — the impact-group
+        // boundary the checkers are cut on. The round runs in two
+        // stages: a *pure* diff stage fans out one worker per partition
+        // with work (value comparisons against the frozen OS
         // and TS snapshots — never the simulated network), then a single
         // serial stage executes every pending diff against the network
         // in sorted-partition order. Keeping all network interaction on
@@ -768,7 +753,7 @@ impl Updater {
         // Fan out by index so the borrowed diffs tie to `parts`, not to
         // the per-worker reference the pool hands the closure.
         let part_idx: Vec<usize> = (0..parts.len()).collect();
-        let pending: Vec<Vec<PendingDiff<'_>>> = self.workers.run(&part_idx, |_, &i| {
+        let pending: Vec<Vec<PendingDiff<'_>>> = WorkerPool::default().run(&part_idx, |_, &i| {
             self.collect_partition_diffs(&parts[i], &os, &desired_routes)
         });
         report.stage_read = stage_read;
@@ -890,6 +875,7 @@ impl Updater {
             Some(crate::view::project_health(&self.graph, os, None))
         };
 
+        let workers = WorkerPool::default();
         for wave in &plan.waves {
             // Pre-render the wave's commands in parallel (pure: no
             // issue, no RNG, no breaker state), then issue serially in
@@ -898,8 +884,8 @@ impl Updater {
             // later step's carrier or model (a link endpoint reboots),
             // so each pre-render is used only if it still matches at
             // issue time.
-            let pre: Vec<Option<PreRender>> = if self.workers.threads() > 1 && wave.len() > 1 {
-                self.workers.run(wave, |_, &idx| {
+            let pre: Vec<Option<PreRender>> = if workers.threads() > 1 && wave.len() > 1 {
+                workers.run(wave, |_, &idx| {
                     self.prerender_step(&plan.steps[idx].row, skip)
                 })
             } else {
@@ -933,15 +919,9 @@ impl Updater {
                         projected: health,
                         touched_pods: step.radius.pods.as_ref(),
                     };
-                    let affected: Vec<&dyn crate::invariants::Invariant> = self
-                        .plan_invariants
-                        .iter()
+                    let violated = (self.plan_invariants.iter())
                         .filter(|inv| inv.affected_by(&step.radius))
-                        .map(|b| b.as_ref())
-                        .collect();
-                    let violated =
-                        crate::invariants::first_violation(&self.workers, &affected, &ctx)
-                            .is_some();
+                        .any(|inv| inv.check(&ctx).is_err());
                     if violated {
                         d.revert(health);
                         committed.remove(&key);

@@ -169,8 +169,9 @@ pub struct StatusResponse {
 /// small values to hit the edges quickly.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads in the pool. `0` means auto: available parallelism
-    /// clamped to `[2, 8]`. Total thread count is `workers + 2` (accept +
+    /// Worker threads in the pool. `0` means auto: the process width
+    /// (`statesman_types::par::default_worker_threads`) clamped to
+    /// `[2, 8]`. Total thread count is `workers + 2` (accept +
     /// reactor) regardless of how many connections are open.
     pub workers: usize,
     /// Ready-queue bound. A complete request arriving while the queue
@@ -238,10 +239,7 @@ impl ServerConfig {
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
+        statesman_types::default_worker_threads().clamp(2, 8)
     }
 
     fn limits(&self) -> HttpLimits {

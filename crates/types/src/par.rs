@@ -1,25 +1,26 @@
 //! The workspace's one fan-out primitive: a deterministic fork-join
-//! worker pool.
+//! worker pool, one width per process.
 //!
-//! Every stage that splits independent work across threads — capacity
-//! pair panels, invariant sweeps, per-group checker passes, monitor
-//! shards, per-partition storage commits and reads — maps it on a
-//! [`WorkerPool`]. The pool guarantees that `run(items, f)` returns
-//! exactly what the serial `items.into_iter().enumerate().map(f)` would,
-//! in item order, regardless of worker count: items are dealt to workers
-//! by stride, each worker tags results with the item index, and the
-//! merge reorders by index. No work-stealing, no shared mutable state,
-//! no scheduling dependence. Effectful stages whose *order* matters
+//! Only work that is wide fans out on a [`WorkerPool`]: capacity pair
+//! panels of at least 256 solves, the updater's per-partition diffs and
+//! per-wave command pre-rendering, storage's per-partition commits, and
+//! a checker's whole-group re-seed, which checks every invariant. The
+//! rest of a round — the monitor's poll, the checker's groups, its
+//! incremental and per-candidate invariant checks, the updater's
+//! in-flight checks — runs on the caller's thread. The pool guarantees that `run(items, f)` returns exactly what
+//! the serial `items.into_iter().enumerate().map(f)` would, in item
+//! order, regardless of worker count: items are dealt to workers by
+//! stride, each worker tags results with the item index, and the merge
+//! reorders by index. No work-stealing, no shared mutable state, no
+//! scheduling dependence. Effectful stages whose *order* matters
 //! (command issue, RNG draws, sim clock stepping) stay on the caller's
 //! thread.
 //!
-//! Worker count resolution (first match wins):
-//! 1. explicit `WorkerPool::new(n)` with `n >= 1`
-//! 2. `STATESMAN_WORKER_THREADS` env var
-//! 3. `std::thread::available_parallelism()`
-//!
-//! 2 and 3 are read once per process: the variable is a start-up
-//! setting, and the host's parallelism costs cgroup file reads to ask.
+//! The width is [`default_worker_threads`]: `STATESMAN_WORKER_THREADS`,
+//! else the host's available parallelism. It is read once per process:
+//! the variable is a start-up setting, and the host's parallelism costs
+//! cgroup file reads to ask. Every pool is `WorkerPool::default()`;
+//! nothing sizes one per instance.
 
 /// Fixed-size deterministic fork-join pool. Cheap to construct (holds
 /// only the thread count); threads are scoped per `run` call so the
@@ -56,7 +57,7 @@ impl Default for WorkerPool {
 
 impl WorkerPool {
     /// A pool with exactly `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
+    fn new(threads: usize) -> Self {
         WorkerPool {
             threads: threads.max(1),
         }

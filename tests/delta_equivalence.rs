@@ -556,7 +556,7 @@ fn oracle_twin(seed: u64, fresh: bool, blind: bool) -> (Vec<OracleRound>, u64) {
             .into_iter()
             .filter(|dc| !w.storage.partition_available(dc))
             .collect();
-        w.monitor.run_round_sharded(1, &down).unwrap();
+        w.monitor.run_round_skipping(&down).unwrap();
         let now = w.clock.now();
         let mut quarantined = w.monitor.quarantined_devices(now);
         let seen = quarantined.len();
@@ -593,7 +593,7 @@ fn oracle_twin(seed: u64, fresh: bool, blind: bool) -> (Vec<OracleRound>, u64) {
             }
         }
         if history.after_checkers(round, &w) {
-            w.monitor.run_round_sharded(1, &down).unwrap();
+            w.monitor.run_round_skipping(&down).unwrap();
             quarantined = w.monitor.quarantined_devices(w.clock.now());
         }
         let u = stages.updater.run_round_excluding(&quarantined).unwrap();

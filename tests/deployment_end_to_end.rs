@@ -220,51 +220,3 @@ fn border_router_locks_live_in_the_wan_group() {
     assert!(upg.holds_lock(&br).unwrap());
     assert!(!te.holds_lock(&br).unwrap());
 }
-
-#[test]
-fn parallel_checkers_match_serial() {
-    // Groups are independent; running their passes on threads must
-    // produce the same decisions as running them sequentially.
-    let run = |parallel: bool| {
-        let (graph, net, storage, clock) = deployment();
-        let coord = Coordinator::new(
-            &graph,
-            net,
-            storage.clone(),
-            CoordinatorConfig {
-                parallel_checkers: parallel,
-                ..Default::default()
-            },
-        );
-        coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
-        let app = StatesmanClient::new("mixed", storage.clone(), clock);
-        app.propose([
-            (
-                EntityName::device("dc1", "dc1.agg-1-1"),
-                Attribute::DeviceFirmwareVersion,
-                Value::text("7.0"),
-            ),
-            (
-                EntityName::device("dc2", "dc2.agg-1-1"),
-                Attribute::DeviceFirmwareVersion,
-                Value::text("7.0"),
-            ),
-            (
-                EntityName::device("dc1", "br-1"),
-                Attribute::DeviceBootImage,
-                Value::text("img"),
-            ),
-        ])
-        .unwrap();
-        let round = coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
-        let mut receipts: Vec<String> = app
-            .take_receipts()
-            .unwrap()
-            .iter()
-            .map(|r| format!("{}|{}", r.key, r.outcome.tag()))
-            .collect();
-        receipts.sort();
-        (round.accepted(), round.rejected(), receipts)
-    };
-    assert_eq!(run(false), run(true));
-}

@@ -9,10 +9,9 @@
 //! networks and identical (separate) stores through seeded 40-round
 //! histories, and must leave identical stores — value, writer,
 //! `updated_at`, *version* and watermarks — after every round, with
-//! identical written/suppressed counts on every delta round, at 1, 3 and
-//! 4 monitor instances. At a cadence of 1 the oracle writes every polled
-//! row every round, while the monitor re-reads the pool every round and
-//! writes only what differs from it.
+//! identical written/suppressed counts on every delta round. At a cadence
+//! of 1 the oracle writes every polled row every round, while the monitor
+//! re-reads the pool every round and writes only what differs from it.
 
 use statesman_core::monitor::DEFAULT_QUARANTINE_COOLDOWN;
 use statesman_core::{Monitor, MonitorReport};
@@ -306,7 +305,6 @@ impl History {
 struct Case {
     seed: u64,
     resync_every: u64,
-    instances: usize,
 }
 
 /// Drive the monitor and the oracle through one history; `Err` names the
@@ -329,7 +327,7 @@ fn drive(case: &Case, first_wins: bool) -> Result<Vec<MonitorReport>, String> {
         history.before_round(round, &world);
         history.before_round(round, &oracle.world);
         let skip = history.skipped(round);
-        let report = monitor.run_round_sharded(case.instances, &skip).unwrap();
+        let report = monitor.run_round_skipping(&skip).unwrap();
         let (written, suppressed) = oracle.round(&skip).unwrap();
         if round % case.resync_every != 0 {
             // A delta round: the same rows written (the version order of
@@ -359,25 +357,18 @@ fn drive(case: &Case, first_wins: bool) -> Result<Vec<MonitorReport>, String> {
 fn monitor_matches_the_materialise_and_rewrite_oracle() {
     for seed in 1..=3 {
         for resync_every in [1, 2, 16] {
-            for instances in [1, 3, 4] {
-                let case = Case {
-                    seed,
-                    resync_every,
-                    instances,
-                };
-                let reports = drive(&case, false).unwrap_or_else(|e| {
-                    panic!("seed {seed} resync_every {resync_every} instances {instances}: {e}")
-                });
-                // The history holds what it is meant to.
-                let any = |f: fn(&MonitorReport) -> bool| reports.iter().any(f);
-                assert!(any(|r| r.devices_unreachable > 0));
-                assert!(any(|r| r.devices_quarantined > 0));
-                assert!(any(|r| r.devices_polled < 20));
-                // Resync rounds write only what differs: never again
-                // the whole view round 0 wrote.
-                let seeded = reports[0].rows_written;
-                assert!(reports[1..].iter().all(|r| r.rows_written * 2 < seeded));
-            }
+            let case = Case { seed, resync_every };
+            let reports = drive(&case, false)
+                .unwrap_or_else(|e| panic!("seed {seed} resync_every {resync_every}: {e}"));
+            // The history holds what it is meant to.
+            let any = |f: fn(&MonitorReport) -> bool| reports.iter().any(f);
+            assert!(any(|r| r.devices_unreachable > 0));
+            assert!(any(|r| r.devices_quarantined > 0));
+            assert!(any(|r| r.devices_polled < 20));
+            // Resync rounds write only what differs: never again the
+            // whole view round 0 wrote.
+            let seeded = reports[0].rows_written;
+            assert!(reports[1..].iter().all(|r| r.rows_written * 2 < seeded));
         }
     }
 }
@@ -390,7 +381,6 @@ fn the_oracle_catches_a_first_wins_dedup() {
     let case = Case {
         seed: 1,
         resync_every: 16,
-        instances: 1,
     };
     let caught = drive(&case, true).unwrap_err();
     assert!(caught.starts_with("round "), "{caught}");
