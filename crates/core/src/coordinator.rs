@@ -1104,6 +1104,102 @@ mod tests {
         );
     }
 
+    /// Every decision-bearing field of a round except `delta_reads`: the
+    /// fields `tests/round_engine_equivalence.rs` digests, none of the
+    /// wall-clock ones.
+    fn decisions(r: &RoundReport) -> String {
+        let checkers: Vec<_> = (r.checkers.iter())
+            .map(|c| {
+                (
+                    &c.group,
+                    [c.proposals_seen, c.accepted, c.rejected],
+                    [c.already_satisfied, c.ts_pruned, c.quarantine_rejected],
+                    c.variables_read,
+                    &c.receipts,
+                )
+            })
+            .collect();
+        let u = &r.updater;
+        let updater = [
+            u.diffs,
+            u.commands_applied,
+            u.commands_failed,
+            u.unrenderable,
+            u.retries,
+            u.breaker_skips,
+            u.quarantine_skips,
+            u.breakers_opened,
+            u.plan_steps,
+            u.plan_waves,
+            u.plan_max_width,
+            u.plan_inflight_rejections,
+            u.plan_rollbacks,
+        ];
+        let monitor = (r.monitor.devices_quarantined, r.monitor.devices_polled);
+        let seed = r.monitor.seed.map(|s| (s.rows, s.partitions));
+        let round = (&r.skipped_groups, r.full_fallbacks, r.watermark_lag);
+        format!(
+            "{:?} {monitor:?} {seed:?} {checkers:?} {updater:?} {:?} {round:?} {}",
+            (r.rows_written, r.writes_suppressed),
+            u.sim_io,
+            r.storage_retries,
+        )
+    }
+
+    #[test]
+    fn frozen_clock_rounds_after_convergence_are_no_ops() {
+        let (graph, net, storage, clock) = setup();
+        let coord = Coordinator::new(
+            &graph,
+            net,
+            storage.clone(),
+            CoordinatorConfig {
+                capacity_invariant: Some((0.5, 0.99, Some(1))),
+                ..Default::default()
+            },
+        );
+        let app = StatesmanClient::new("switch-upgrade", storage.clone(), clock);
+        coord.tick_and_advance(SimDuration::from_mins(1)).unwrap();
+        app.propose([(
+            EntityName::device("dc1", "agg-1-1"),
+            Attribute::DeviceFirmwareVersion,
+            Value::text("7.0"),
+        )])
+        .unwrap();
+        for _ in 0..3 {
+            coord.tick_and_advance(SimDuration::from_mins(5)).unwrap();
+        }
+        // One more round observes the last step's counter walk.
+        let settled = coord.tick().unwrap();
+        assert_eq!(settled.updater.diffs, 0, "not converged: {settled:?}");
+        let dc = DatacenterId::new("dc1");
+        assert_eq!(storage.pool_len(&dc, &Pool::Target), 1);
+
+        // The clock stands still: three more rounds write, decide and
+        // issue nothing, and agree with each other.
+        let marks = || {
+            let dcs = storage.partitions();
+            dcs.iter()
+                .map(|dc| storage.partition_watermark(dc).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = marks();
+        let frozen: Vec<RoundReport> = (0..3)
+            .map(|_| {
+                let r = coord.tick().unwrap();
+                assert_eq!(marks(), before, "a frozen round moved a watermark");
+                r
+            })
+            .collect();
+        for r in &frozen {
+            assert_eq!(r.rows_written, 0, "{r:?}");
+            assert!(r.checkers.iter().all(|c| c.receipts.is_empty()), "{r:?}");
+            assert_eq!(r.updater.diffs, 0, "{r:?}");
+        }
+        assert_eq!(decisions(&frozen[0]), decisions(&frozen[1]));
+        assert_eq!(decisions(&frozen[1]), decisions(&frozen[2]));
+    }
+
     #[test]
     fn delta_plane_converges_like_the_snapshot_plane() {
         // The end-to-end upgrade scenario, once per `delta_state_plane`
