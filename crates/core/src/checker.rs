@@ -30,7 +30,7 @@ use crate::groups::ImpactGroup;
 use crate::invariants::{Invariant, InvariantContext, Violation};
 use crate::locks;
 use crate::view::{
-    project_health, reproject_entities, MapView, OverlayView, PartsView, PoolMirror, StateView,
+    project_health, HealthDelta, MapView, OverlayView, PartsView, PoolMirror, StateView,
 };
 use parking_lot::Mutex;
 use statesman_storage::{StorageService, WriteRequest};
@@ -39,7 +39,7 @@ use statesman_types::{
     AppId, Column, DatacenterId, DependencyLevel, DeviceName, NetworkState, Pool, SimTime,
     StateDelta, StateKey, StateResult, Value, Version, WorkerPool, WriteOutcome, WriteReceipt,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 /// How same-key conflicts between applications are resolved (§4.2: "one
@@ -135,24 +135,12 @@ const SEED_TRACK_LIMIT: usize = 8_192;
 /// invariant's verdict against it. A pass whose change track is exact
 /// re-projects only the blast radius and re-evaluates only the affected
 /// invariants; everything else keeps these cached values. Taken (and
-/// thus invalidated) at the start of every non-skipped pass and only
-/// stored back after the pass fully persists, so an error mid-pass
-/// forces the next pass to reseed.
+/// thus invalidated) at the start of every pass and only stored back
+/// after the pass fully persists, so an error mid-pass forces the next
+/// pass to reseed.
 struct SeedCache {
     health: HealthView,
     verdicts: Vec<Option<Violation>>,
-}
-
-/// Evidence that the last pass was a pure no-op: the partition-level
-/// watermarks it ran against, and the variables it read. While every
-/// watermark stays put, re-running the pass is provably the same no-op
-/// (the pass is a deterministic function of pool contents), so it can be
-/// skipped outright. Lock rows are the one time-dependent input — a pass
-/// over a lock-bearing TS is never recorded as skippable.
-#[derive(PartialEq)]
-struct QuiescentMark {
-    marks: Vec<(DatacenterId, Version)>,
-    variables_read: usize,
 }
 
 /// The checker for one impact group.
@@ -162,15 +150,11 @@ pub struct Checker {
     invariants: Vec<Box<dyn Invariant>>,
     graph: NetworkGraph,
     /// Per-(pool, partition) mirror advanced by `read_since`; the only
-    /// way a pass reads a pool. Mirrors, seed and quiescent mark are
-    /// caches: a checker built fresh decides exactly what this one does.
+    /// way a pass reads a pool. Mirrors and seed are caches: a checker
+    /// built fresh decides exactly what this one does.
     part_cache: Mutex<HashMap<(Pool, DatacenterId), GroupMirror>>,
     /// Carried-over seed for the blast-radius incremental checker.
     seed_cache: Mutex<Option<SeedCache>>,
-    /// Set iff the previous pass was a recorded no-op (see
-    /// [`QuiescentMark`]); cleared by quarantine passes or any pass that
-    /// did work.
-    quiescent: Mutex<Option<QuiescentMark>>,
     /// Times a pass's [`ChangeTrack`] silently degraded to a full reseed:
     /// churn beyond [`SEED_TRACK_LIMIT`], or a snapshot-fallback delta on
     /// an established mirror. Cumulative; surfaced by the coordinator as
@@ -189,7 +173,6 @@ impl Checker {
             graph,
             part_cache: Mutex::new(HashMap::new()),
             seed_cache: Mutex::new(None),
-            quiescent: Mutex::new(None),
             full_degrades: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -215,16 +198,6 @@ impl Checker {
     /// The group this checker covers.
     pub fn group(&self) -> &ImpactGroup {
         &self.config.group
-    }
-
-    /// Partition-level watermarks for every partition this group reads,
-    /// or `None` when any is unreadable (offline partitions make
-    /// quiescence unprovable — the pass must run and find out).
-    fn partition_marks(&self, storage: &StorageService) -> Option<Vec<(DatacenterId, Version)>> {
-        self.group_partitions(storage)
-            .into_iter()
-            .map(|dc| storage.partition_watermark(&dc).ok().map(|v| (dc, v)))
-            .collect()
     }
 
     /// The partitions this group's entities are homed in.
@@ -358,49 +331,6 @@ impl Checker {
         apps
     }
 
-    /// Pods touched by a set of entities (for incremental invariant
-    /// evaluation).
-    /// Returns `None` when any touched device is pod-less (core/border)
-    /// or unknown — such changes can have fabric-wide blast radius, so
-    /// invariants must evaluate fully.
-    fn touched_pods(&self, entities: &[&NetworkState]) -> Option<HashSet<(DatacenterId, u32)>> {
-        let mut pods = HashSet::new();
-        let mut global = false;
-        let mut add_device = |name: &statesman_types::DeviceName| match self.graph.node_id(name) {
-            Some(id) => {
-                let info = self.graph.node(id);
-                match info.pod {
-                    Some(pod) => {
-                        pods.insert((info.datacenter.clone(), pod));
-                    }
-                    None => global = true,
-                }
-            }
-            None => global = true,
-        };
-        for row in entities {
-            match &row.entity.body {
-                statesman_types::entity::EntityBody::Device(d) => add_device(d),
-                statesman_types::entity::EntityBody::Link(l) => {
-                    add_device(&l.a);
-                    add_device(&l.b);
-                }
-                statesman_types::entity::EntityBody::Path(_) => {
-                    if let Some(list) = row.value.as_device_list() {
-                        for d in list {
-                            add_device(d);
-                        }
-                    }
-                }
-            }
-        }
-        if global {
-            None
-        } else {
-            Some(pods)
-        }
-    }
-
     /// Run one checker pass against the storage service.
     pub fn run_pass(
         &self,
@@ -422,35 +352,6 @@ impl Checker {
         unreachable: &BTreeSet<DeviceName>,
     ) -> StateResult<CheckerPassReport> {
         let started = Instant::now();
-
-        // ---- 0. quiescence short-circuit ----
-        // If every partition's machine-wide watermark sits exactly where
-        // the last recorded no-op pass left it, nothing any pool read
-        // could return has changed, and this pass — a deterministic
-        // function of pool contents — would repeat that no-op. Skip it.
-        // A pass with quarantined devices is a function of that set too:
-        // it neither honours nor records a mark.
-        let marks = if unreachable.is_empty() {
-            self.partition_marks(storage)
-        } else {
-            None
-        };
-        if let (Some(m), Some(prev)) = (marks.as_ref(), self.quiescent.lock().as_ref()) {
-            if *m == prev.marks {
-                return Ok(CheckerPassReport {
-                    group: self.group().name(),
-                    proposals_seen: 0,
-                    accepted: 0,
-                    rejected: 0,
-                    already_satisfied: 0,
-                    ts_pruned: 0,
-                    quarantine_rejected: 0,
-                    receipts: Vec::new(),
-                    elapsed: started.elapsed(),
-                    variables_read: prev.variables_read,
-                });
-            }
-        }
 
         // ---- 1. read OS, TS, PSes ----
         // Every pool is read by advancing its partition mirrors; the OS
@@ -488,10 +389,6 @@ impl Checker {
         let group = Some(self.group());
         let os = PartsView::new(os_parts.map(|m| m.mirror.view()).collect(), group);
         let mut ts = MapView::from_rows(ts_rows.clone());
-        // Lock rows expire on the wall clock, not on writes — a TS
-        // carrying any lock keeps the pass time-dependent and therefore
-        // never skippable (see the quiescence short-circuit above).
-        let ts_has_locks = ts_rows.iter().any(|r| r.attribute.is_lock());
 
         // ---- 2. TS ⁄ OS reconciliation ----
         let mut ts_deletes: Vec<StateKey> = Vec::new();
@@ -610,7 +507,7 @@ impl Checker {
                             .chain(track.keys.iter().map(|k| (&k.entity, None))),
                     );
                     let mut health = seed.health;
-                    reproject_entities(&self.graph, &os, &ts, &radius.entities, &mut health);
+                    HealthDelta::apply(&self.graph, &os, &ts, &radius.entities, &mut health);
                     let mut verdicts = seed.verdicts;
                     for (inv, verdict) in self.invariants.iter().zip(&mut verdicts) {
                         if !inv.affected_by(&radius) {
@@ -817,25 +714,20 @@ impl Checker {
                 (None, None)
             } else {
                 let candidate = MapView::from_rows(survivors.iter().cloned());
-                let refs: Vec<&NetworkState> = survivors.iter().collect();
-                let touched = self.touched_pods(&refs);
-                // Update the working projection for just the touched
+                let radius = blast_radius(
+                    &self.graph,
+                    survivors.iter().map(|r| (&r.entity, Some(&r.value))),
+                );
+                // Update the working projection for just the candidate's
                 // entities (reversible if the candidate is rejected).
-                let delta = {
-                    let overlay = OverlayView::new(&ts, &candidate);
-                    crate::view::HealthDelta::apply(
-                        &self.graph,
-                        &os,
-                        &overlay,
-                        &survivors,
-                        &mut health,
-                    )
-                };
+                let overlay = OverlayView::new(&ts, &candidate);
+                let delta =
+                    HealthDelta::apply(&self.graph, &os, &overlay, &radius.entities, &mut health);
                 let ctx = InvariantContext {
                     graph: &self.graph,
                     projected: &health,
                     touched_pods: if incremental_ok {
-                        touched.as_ref()
+                        radius.pods.as_ref()
                     } else {
                         None
                     },
@@ -906,7 +798,13 @@ impl Checker {
             storage.post_receipts(&self.group().primary_partition(), receipts.clone())?;
         }
 
-        let report = CheckerPassReport {
+        // Carry the seed forward: `health` reflects every accepted
+        // candidate (rejected ones were reverted) and matches the TS just
+        // persisted; verdicts are the seed's. The next pass covers this
+        // pass's own writes via its changefeed, so re-projection over
+        // them is an idempotent no-op.
+        *self.seed_cache.lock() = Some(SeedCache { health, verdicts });
+        Ok(CheckerPassReport {
             group: self.group().name(),
             proposals_seen,
             accepted,
@@ -917,34 +815,7 @@ impl Checker {
             receipts,
             elapsed: started.elapsed(),
             variables_read,
-        };
-
-        // Record provable no-ops for the quiescence short-circuit. A pass
-        // that persisted nothing (no proposals consumed, no TS pruned, no
-        // receipts posted) left its start-of-pass watermarks intact, so
-        // those marks certify "this exact pass, again, does nothing".
-        *self.quiescent.lock() = match marks {
-            Some(marks)
-                if report.proposals_seen == 0
-                    && report.ts_pruned == 0
-                    && report.receipts.is_empty()
-                    && !ts_has_locks =>
-            {
-                Some(QuiescentMark {
-                    marks,
-                    variables_read: report.variables_read,
-                })
-            }
-            _ => None,
-        };
-
-        // Carry the seed forward: `health` reflects every accepted
-        // candidate (rejected ones were reverted) and matches the TS just
-        // persisted; verdicts are the seed's. The next pass covers this
-        // pass's own writes via its changefeed, so re-projection over
-        // them is an idempotent no-op.
-        *self.seed_cache.lock() = Some(SeedCache { health, verdicts });
-        Ok(report)
+        })
     }
 }
 

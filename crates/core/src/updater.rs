@@ -26,7 +26,7 @@ use statesman_storage::StorageService;
 use statesman_topology::NetworkGraph;
 use statesman_types::{
     Attribute, DatacenterId, DeviceName, EntityName, FlowLinkRule, LinkName, NetworkState, Pool,
-    RetryPolicy, SimDuration, SimTime, StateError, StateResult, Value, Version, WorkerPool,
+    RetryPolicy, SimDuration, SimTime, StateError, StateResult, Value, Version,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -332,8 +332,8 @@ pub struct UpdaterReport {
     pub elapsed: Duration,
     /// Host wall time of the read stage: advancing the mirrors.
     pub stage_read: Duration,
-    /// Host wall time of the pure diff stage: path expansion, TS sort,
-    /// and the per-partition OS−TS comparisons.
+    /// Host wall time of the diff stage: path expansion, TS sort, and the
+    /// per-partition OS−TS comparisons with their carriers and scope.
     pub stage_diff: Duration,
     /// Host wall time of the execute stage: plan synthesis, in-flight
     /// checks, rendering, and command issue.
@@ -365,14 +365,6 @@ pub struct Updater {
     /// scratch every round — §6.2's memoryless property, tested against
     /// an updater built fresh every round.
     part_cache: Mutex<HashMap<(Pool, DatacenterId), PoolMirror>>,
-    /// Partition-level watermarks from the last zero-diff round.
-    /// The updater is a deterministic function of pool contents; while
-    /// every partition's machine-wide watermark is unchanged, the rediff
-    /// would find the same zero differences, so the round short-circuits.
-    /// A round that *found* diffs never records marks — failed commands
-    /// must be rediffed next round (§6.2's implicit cross-round retry),
-    /// even though the storage state did not move.
-    quiescent: Mutex<Option<Vec<(DatacenterId, Version)>>>,
     /// Invariants re-checked against the projected intermediate state
     /// before each plan step commits (empty = no in-flight checks).
     plan_invariants: Vec<Box<dyn crate::invariants::Invariant>>,
@@ -385,33 +377,6 @@ pub struct Updater {
 struct PartitionWork<'a> {
     ts: Vec<&'a NetworkState>,
     routing: Vec<(DeviceName, Option<Vec<FlowLinkRule>>, EntityName)>,
-}
-
-/// One differing variable found by the parallel diff stage, queued for
-/// the round's serial execute stage (scope filtering, breaker checks,
-/// template rendering, and device interaction all happen there, on one
-/// thread, in deterministic partition order).
-enum PendingDiff<'a> {
-    /// A non-routing TS row whose OS value differs.
-    Row(&'a NetworkState),
-    /// A device whose normalized desired routing rule-set (device-level
-    /// TS rules ∪ path-derived rules) differs from its OS rule-set.
-    Routing {
-        dev: &'a DeviceName,
-        entity: &'a EntityName,
-        desired: Vec<FlowLinkRule>,
-    },
-}
-
-/// A step's commands rendered ahead of the serial issue point, tagged
-/// with the carrier device and model they were rendered for. The issue
-/// path re-derives both and uses these actions only when they still
-/// match — rendering is a pure function of (row, device, model), so a
-/// matching pre-render is bit-identical to rendering at issue time.
-struct PreRender {
-    device: DeviceName,
-    model: DeviceModel,
-    actions: Vec<RenderedAction>,
 }
 
 /// Per-device circuit-breaker bookkeeping. This is deliberately *not*
@@ -471,7 +436,6 @@ impl Updater {
             breaker: None,
             breakers: Mutex::new(HashMap::new()),
             part_cache: Mutex::new(HashMap::new()),
-            quiescent: Mutex::new(None),
             plan_invariants: Vec::new(),
         }
     }
@@ -586,23 +550,6 @@ impl Updater {
         let started = Instant::now();
         let now = self.net.clock().now();
 
-        // Quiescence short-circuit: unchanged partition watermarks since
-        // the last zero-diff round prove the rediff would find nothing.
-        // A round with excluded devices neither honours nor records one.
-        let marks = if skip.is_empty() {
-            self.partition_marks()
-        } else {
-            None
-        };
-        if let (Some(m), Some(prev)) = (marks.as_ref(), self.quiescent.lock().as_ref()) {
-            if m == prev {
-                return Ok(UpdaterReport {
-                    elapsed: started.elapsed(),
-                    ..UpdaterReport::default()
-                });
-            }
-        }
-
         // ---- read stage ----
         // Hold the mirror-cache lock for the whole round and diff
         // directly against the partition mirrors, advanced in place by
@@ -682,17 +629,14 @@ impl Updater {
         // ---- per-variable diff, grouped by storage partition ----
         // Each entity belongs to exactly one datacenter partition, and so
         // does the device carrying its commands — the impact-group
-        // boundary the checkers are cut on. The round runs in two
-        // stages: a *pure* diff stage fans out one worker per partition
-        // with work (value comparisons against the frozen OS
-        // and TS snapshots — never the simulated network), then a single
-        // serial stage executes every pending diff against the network
-        // in sorted-partition order. Keeping all network interaction on
-        // one thread is what preserves determinism: the sim's one seeded
-        // RNG (command jitter, link flaps, counter walks), its effect
-        // sequence numbers, and the shared clock are consumed in an
-        // order that is a pure function of the inputs, never of thread
-        // scheduling — and retry backoffs can never race the clock.
+        // boundary the checkers are cut on. The diff stage compares each
+        // partition's work against the OS mirrors in sorted-partition
+        // order, then key order, and keeps what this instance's scope
+        // covers; the execute stage issues it. That order is the plan's
+        // input order, and so the order in which the sim's one seeded RNG
+        // (command jitter, link flaps, counter walks), its effect
+        // sequence numbers and the shared clock are consumed: a pure
+        // function of the inputs.
         let mut routing_devices: BTreeMap<DeviceName, Option<Vec<FlowLinkRule>>> = BTreeMap::new();
         // Borrow-sort by string-key order: no row clones, no key clones.
         let mut sorted_ts: Vec<&NetworkState> = ts_rows.iter().collect();
@@ -749,25 +693,22 @@ impl Updater {
                 .push((dev, device_rules, entity));
         }
 
-        let parts: Vec<PartitionWork<'_>> = work.into_values().collect();
-        // Fan out by index so the borrowed diffs tie to `parts`, not to
-        // the per-worker reference the pool hands the closure.
-        let part_idx: Vec<usize> = (0..parts.len()).collect();
-        let pending: Vec<Vec<PendingDiff<'_>>> = WorkerPool::default().run(&part_idx, |_, &i| {
-            self.collect_partition_diffs(&parts[i], &os, &desired_routes)
-        });
+        let mut diffs = Vec::new();
+        for part in work.values() {
+            self.collect_partition_diffs(part, &os, &desired_routes, now, &mut diffs);
+        }
         report.stage_read = stage_read;
         report.stage_diff = diff_started.elapsed();
         let exec_started = Instant::now();
 
-        // Serial execute stage. One jitter RNG for the whole round, the
+        // Execute stage. One jitter RNG for the whole round, the
         // historical `0xC1AC` stream: backoff draws happen in the same
         // deterministic order as the steps they serve. The plan orders
-        // steps along the Fig-4 chains but issues them on this one thread
-        // with this one RNG, so the round stays deterministic.
+        // steps along the Fig-4 chains and issues them in that order with
+        // this one RNG, so the round stays deterministic.
         let mut rng = StdRng::seed_from_u64(0xC1AC);
         self.execute_plan(
-            pending,
+            diffs,
             &os,
             skip,
             &mut report,
@@ -780,19 +721,13 @@ impl Updater {
         report.sim_io =
             SimDuration::from_millis(per_device_ms.values().copied().max().unwrap_or(0));
         report.elapsed = started.elapsed();
-        // The updater writes nothing to storage, so a zero-diff round's
-        // start-of-round marks are still its end-of-round marks.
-        *self.quiescent.lock() = match marks {
-            Some(marks) if report.diffs == 0 => Some(marks),
-            _ => None,
-        };
         Ok(report)
     }
 
-    /// The execute stage: compile the pending diffs into an
-    /// [`UpdatePlan`] and commit it wave by wave. Steps stay on this one
-    /// thread in deterministic order (wave index, then step index — which
-    /// is partition order, then key order, for dependency-free plans),
+    /// The execute stage: compile the diff stage's rows into an
+    /// [`UpdatePlan`] and commit it wave by wave. Steps run in
+    /// deterministic order (wave index, then step index — which is
+    /// partition order, then key order, for dependency-free plans),
     /// but each step first has its projected intermediate state checked
     /// against the configured in-flight invariants:
     ///
@@ -807,7 +742,7 @@ impl Updater {
     #[allow(clippy::too_many_arguments)]
     fn execute_plan(
         &self,
-        pending: Vec<Vec<PendingDiff<'_>>>,
+        rows: Vec<(NetworkState, Option<DeviceName>)>,
         os: &PartsView<'_>,
         skip: &BTreeSet<DeviceName>,
         report: &mut UpdaterReport,
@@ -815,43 +750,6 @@ impl Updater {
         now: SimTime,
         rng: &mut StdRng,
     ) {
-        // Materialize the diffs as owned rows, in their deterministic
-        // order (partition order, then key order) as the synthesis input
-        // order. Scope filtering happens here so scoped
-        // instances never plan work another instance owns.
-        let mut rows: Vec<(NetworkState, Option<DeviceName>)> = Vec::new();
-        for diffs in pending {
-            for diff in diffs {
-                match diff {
-                    PendingDiff::Row(row) => {
-                        let device = self.carrier_device(row);
-                        if let Some(dev) = &device {
-                            if !self.in_scope(dev, row.attribute) {
-                                continue;
-                            }
-                        }
-                        rows.push((row.clone(), device));
-                    }
-                    PendingDiff::Routing {
-                        dev,
-                        entity,
-                        desired,
-                    } => {
-                        if !self.in_scope(dev, Attribute::DeviceRoutingRules) {
-                            continue;
-                        }
-                        let row = NetworkState::new(
-                            entity.clone(),
-                            Attribute::DeviceRoutingRules,
-                            Value::Routes(desired),
-                            now,
-                            statesman_types::AppId::updater(),
-                        );
-                        rows.push((row, Some(dev.clone())));
-                    }
-                }
-            }
-        }
         report.diffs += rows.len();
         let plan = crate::plan::UpdatePlan::synthesize(&self.graph, rows);
         report.plan_steps = plan.step_count();
@@ -875,23 +773,8 @@ impl Updater {
             Some(crate::view::project_health(&self.graph, os, None))
         };
 
-        let workers = WorkerPool::default();
         for wave in &plan.waves {
-            // Pre-render the wave's commands in parallel (pure: no
-            // issue, no RNG, no breaker state), then issue serially in
-            // step order below. A wave's steps are pairwise independent
-            // by construction, but issuing a step can still change a
-            // later step's carrier or model (a link endpoint reboots),
-            // so each pre-render is used only if it still matches at
-            // issue time.
-            let pre: Vec<Option<PreRender>> = if workers.threads() > 1 && wave.len() > 1 {
-                workers.run(wave, |_, &idx| {
-                    self.prerender_step(&plan.steps[idx].row, skip)
-                })
-            } else {
-                Vec::new()
-            };
-            for (wi, &idx) in wave.iter().enumerate() {
+            for &idx in wave {
                 let step = &plan.steps[idx];
                 // The carrier is derived at issue time: an earlier step
                 // may have rebooted a link's endpoint. A quarantined one
@@ -911,7 +794,7 @@ impl Updater {
                         &self.graph,
                         os,
                         &committed,
-                        std::slice::from_ref(&step.row),
+                        &step.radius.entities,
                         health,
                     );
                     let ctx = crate::invariants::InvariantContext {
@@ -932,15 +815,7 @@ impl Updater {
                 }
                 let applied_before = report.commands_applied;
                 let failed_before = report.commands_failed;
-                self.execute_step(
-                    &step.row,
-                    carrier,
-                    pre.get(wi).and_then(|p| p.as_ref()),
-                    report,
-                    per_device_ms,
-                    now,
-                    rng,
-                );
+                self.execute_step(&step.row, carrier, report, per_device_ms, now, rng);
                 if report.commands_applied == applied_before {
                     // Nothing landed (skipped, unrenderable, or every
                     // command failed): the projected transition is not in
@@ -956,17 +831,6 @@ impl Updater {
                 }
             }
         }
-    }
-
-    /// Partition-level watermarks for every partition, or `None` when any
-    /// is unavailable (degraded rounds drop entities from the diff, so
-    /// quiescence cannot be proven against them).
-    fn partition_marks(&self) -> Option<Vec<(DatacenterId, Version)>> {
-        self.storage
-            .partitions()
-            .into_iter()
-            .map(|dc| self.storage.partition_watermark(&dc).ok().map(|v| (dc, v)))
-            .collect()
     }
 
     /// The device that carries the commands realizing a row's difference.
@@ -1025,26 +889,31 @@ impl Updater {
 
     /// One partition's share of the diff stage: compare its TS rows
     /// (global key order) and routing rule-sets (device-name order)
-    /// against the OS, emitting the differing variables in that same
-    /// order. **Pure with respect to the simulated network** — this runs
-    /// one thread per partition, so it must never touch `self.net`: no
-    /// command execution, no clock stepping, no sim RNG draws, no
-    /// breaker state. Everything it reads (`os`, the partition's work
-    /// list, `desired_routes`) is frozen for the round, so its output is
-    /// a pure function of the inputs, independent of thread scheduling;
-    /// all device interaction happens afterwards on the round's single
-    /// execute thread.
-    fn collect_partition_diffs<'a>(
+    /// against the OS and append each differing variable this instance's
+    /// scope covers to `diffs`, in that same order, as the row to plan
+    /// and the device that carries it. A routing diff's row is the
+    /// device's normalized desired rule-set (device-level TS rules ∪
+    /// path-derived rules), written by the updater at `now`.
+    fn collect_partition_diffs(
         &self,
-        work: &'a PartitionWork<'a>,
+        work: &PartitionWork<'_>,
         os: &PartsView<'_>,
         desired_routes: &BTreeMap<DeviceName, Vec<FlowLinkRule>>,
-    ) -> Vec<PendingDiff<'a>> {
-        let mut pending = Vec::new();
+        now: SimTime,
+        diffs: &mut Vec<(NetworkState, Option<DeviceName>)>,
+    ) {
         for &row in &work.ts {
-            if os.value_of(&row.entity, row.attribute) != Some(&row.value) {
-                pending.push(PendingDiff::Row(row));
+            if os.value_of(&row.entity, row.attribute) == Some(&row.value) {
+                continue;
             }
+            let device = self.carrier_device(row);
+            if device
+                .as_ref()
+                .is_some_and(|dev| !self.in_scope(dev, row.attribute))
+            {
+                continue;
+            }
+            diffs.push((row.clone(), device));
         }
 
         // ---- routing diffs (device rules ∪ path rules) ----
@@ -1059,61 +928,26 @@ impl Updater {
                 .and_then(|v| v.as_routes().map(|r| r.to_vec()))
                 .unwrap_or_default();
             normalize_rules(&mut current);
-            if current != desired {
-                pending.push(PendingDiff::Routing {
-                    dev,
-                    entity,
-                    desired,
-                });
+            if current != desired && self.in_scope(dev, Attribute::DeviceRoutingRules) {
+                let row = NetworkState::new(
+                    entity.clone(),
+                    Attribute::DeviceRoutingRules,
+                    Value::Routes(desired),
+                    now,
+                    statesman_types::AppId::updater(),
+                );
+                diffs.push((row, Some(dev.clone())));
             }
         }
-        pending
-    }
-
-    /// Render a step's commands ahead of its issue point. **Pure with
-    /// respect to the round's effect order**: it reads the carrier
-    /// device and model but issues nothing, draws no RNG, and never
-    /// touches breaker state (inspecting a breaker mutates it via the
-    /// half-open probe, so breakers are checked only serially at issue
-    /// time). Returns `None` when the step renders to nothing from this
-    /// vantage; the issue path re-derives everything anyway, so `None`
-    /// only means "no shortcut", never "skip".
-    fn prerender_step(&self, row: &NetworkState, skip: &BTreeSet<DeviceName>) -> Option<PreRender> {
-        let device = self.carrier_device(row)?;
-        if skip.contains(&device) {
-            return None;
-        }
-        let model = self.net.with_device(&device, |d, _| d.model)?;
-        let actions = self
-            .pool
-            .render(&TemplateCtx {
-                entity: &row.entity,
-                attribute: row.attribute,
-                target: &row.value,
-                device: &device,
-                model,
-            })
-            .ok()?;
-        Some(PreRender {
-            device,
-            model,
-            actions,
-        })
     }
 
     /// Render and execute the command(s) realizing one plan step through
-    /// its `carrier` (derived at issue time), reusing its wave pre-render
-    /// when one still applies. Wave-mates executed since the pre-render
-    /// may have changed the carrier or its model, so the pre-rendered
-    /// actions are used only when both still match, in which case they
-    /// are bit-identical to rendering now — a template is a pure function
-    /// of (row, device, model).
-    #[allow(clippy::too_many_arguments)]
+    /// its `carrier`, both derived at issue time: an earlier step may
+    /// have rebooted a link's endpoint or changed a carrier's model.
     fn execute_step(
         &self,
         row: &NetworkState,
         carrier: Option<DeviceName>,
-        pre: Option<&PreRender>,
         report: &mut UpdaterReport,
         per_device_ms: &mut HashMap<DeviceName, u64>,
         now: statesman_types::SimTime,
@@ -1134,28 +968,18 @@ impl Updater {
                 return;
             }
         };
-        let rendered;
-        let actions: &[RenderedAction] = match pre {
-            Some(p) if p.device == device && p.model == model => &p.actions,
-            _ => {
-                let ctx = TemplateCtx {
-                    entity: &row.entity,
-                    attribute: row.attribute,
-                    target: &row.value,
-                    device: &device,
-                    model,
-                };
-                rendered = match self.pool.render(&ctx) {
-                    Ok(a) => a,
-                    Err(_) => {
-                        report.unrenderable += 1;
-                        return;
-                    }
-                };
-                &rendered
-            }
+        let ctx = TemplateCtx {
+            entity: &row.entity,
+            attribute: row.attribute,
+            target: &row.value,
+            device: &device,
+            model,
         };
-        for action in actions {
+        let Ok(actions) = self.pool.render(&ctx) else {
+            report.unrenderable += 1;
+            return;
+        };
+        for action in &actions {
             self.execute_action(action, report, per_device_ms, now, rng);
         }
     }

@@ -359,55 +359,12 @@ pub fn link_projected_down(
     false
 }
 
-/// Re-run the projection rules for just `entities` against the current
-/// OS/TS views, updating `health` in place — the blast-radius analogue of
-/// a full [`project_health`]. Entities absent from the graph (and paths,
-/// which carry no health) are skipped. Re-projection is idempotent, so
-/// covering an entity that did not actually change is harmless.
-pub fn reproject_entities(
-    graph: &NetworkGraph,
-    os: &dyn StateView,
-    ts: &dyn StateView,
-    entities: &[EntityName],
-    health: &mut HealthView,
-) {
-    for entity in entities {
-        match entity.kind() {
-            statesman_types::EntityKind::Device => {
-                let Some(dev) = entity.as_device() else {
-                    continue;
-                };
-                if graph.node_id(dev).is_none() {
-                    continue;
-                }
-                if device_projected_down(entity, os, Some(ts)) {
-                    health.set_device_down(dev.clone());
-                } else {
-                    health.set_device_up(dev);
-                }
-            }
-            statesman_types::EntityKind::Link => {
-                let Some(link) = entity.as_link() else {
-                    continue;
-                };
-                if graph.edge_id(link).is_none() {
-                    continue;
-                }
-                if link_projected_down(entity, os, Some(ts)) {
-                    health.set_link_down(link.clone());
-                } else {
-                    health.set_link_up(link);
-                }
-            }
-            statesman_types::EntityKind::Path => {}
-        }
-    }
-}
-
 /// A reversible, entity-scoped health update: re-evaluate the projection
-/// for just the entities a candidate touches, remembering prior states so
-/// a rejected candidate can be rolled back. This keeps checker passes
-/// linear in proposal count instead of O(proposals × topology).
+/// for just the entities a change reaches, remembering prior states so a
+/// rejected candidate can be rolled back. This keeps checker passes
+/// linear in proposal count instead of O(proposals × topology), and is
+/// how a carried seed is brought up to date with a round's changes (the
+/// blast-radius analogue of a full [`project_health`]).
 #[derive(Debug, Default)]
 pub struct HealthDelta {
     devices: Vec<(statesman_types::DeviceName, bool)>,
@@ -415,29 +372,31 @@ pub struct HealthDelta {
 }
 
 impl HealthDelta {
-    /// Apply the projection rules for the entities of `rows` against
-    /// `health`, recording prior states.
+    /// Re-run the projection rules for `entities` against `health`,
+    /// recording prior states. Entities absent from the graph (and paths,
+    /// which carry no health) are skipped; re-projecting an entity whose
+    /// inputs did not change leaves it as it was.
     pub fn apply(
         graph: &NetworkGraph,
         os: &dyn StateView,
-        ts_with_candidate: &dyn StateView,
-        rows: &[NetworkState],
+        ts: &dyn StateView,
+        entities: &[EntityName],
         health: &mut HealthView,
     ) -> HealthDelta {
         let mut delta = HealthDelta::default();
         let mut seen_devices = std::collections::HashSet::new();
         let mut seen_links = std::collections::HashSet::new();
-        for row in rows {
-            match row.entity.kind() {
+        for entity in entities {
+            match entity.kind() {
                 statesman_types::EntityKind::Device => {
-                    let Some(dev) = row.entity.as_device() else {
+                    let Some(dev) = entity.as_device() else {
                         continue;
                     };
                     if !seen_devices.insert(dev.clone()) || graph.node_id(dev).is_none() {
                         continue;
                     }
                     let was_down = !health.device_up(dev);
-                    let now_down = device_projected_down(&row.entity, os, Some(ts_with_candidate));
+                    let now_down = device_projected_down(entity, os, Some(ts));
                     if was_down != now_down {
                         delta.devices.push((dev.clone(), was_down));
                         if now_down {
@@ -448,14 +407,14 @@ impl HealthDelta {
                     }
                 }
                 statesman_types::EntityKind::Link => {
-                    let Some(link) = row.entity.as_link() else {
+                    let Some(link) = entity.as_link() else {
                         continue;
                     };
                     if !seen_links.insert(link.clone()) || graph.edge_id(link).is_none() {
                         continue;
                     }
                     let was_down = !health.link_up(link);
-                    let now_down = link_projected_down(&row.entity, os, Some(ts_with_candidate));
+                    let now_down = link_projected_down(entity, os, Some(ts));
                     if was_down != now_down {
                         delta.links.push((link.clone(), was_down));
                         if now_down {
@@ -466,7 +425,7 @@ impl HealthDelta {
                     }
                 }
                 statesman_types::EntityKind::Path => {
-                    // Path rows do not change device/link health.
+                    // Paths do not carry device/link health.
                 }
             }
         }
@@ -489,11 +448,6 @@ impl HealthDelta {
                 health.set_link_up(&link);
             }
         }
-    }
-
-    /// True if the delta changed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty() && self.links.is_empty()
     }
 }
 

@@ -7,7 +7,7 @@
 //! directions (full-duplex), and a link is usable only if it and both its
 //! endpoint devices are up.
 //!
-//! There is one kernel, [`FlowNet`]: a reusable workspace whose caller
+//! There is one kernel, `FlowNet`: a reusable workspace whose caller
 //! names the scope by the edges it adds. Whole-graph [`max_flow`] adds
 //! every usable edge; the capacity panel (`crate::capacity`) adds the
 //! edges of two pods and the pod-less tier from its scope index, so a

@@ -2,12 +2,12 @@
 //! worker pool, one width per process.
 //!
 //! Only work that is wide fans out on a [`WorkerPool`]: capacity pair
-//! panels of at least 256 solves, the updater's per-partition diffs and
-//! per-wave command pre-rendering, storage's per-partition commits, and
-//! a checker's whole-group re-seed, which checks every invariant. The
-//! rest of a round — the monitor's poll, the checker's groups, its
-//! incremental and per-candidate invariant checks, the updater's
-//! in-flight checks — runs on the caller's thread. The pool guarantees that `run(items, f)` returns exactly what
+//! panels of at least 256 solves, storage's per-partition commits, and a
+//! checker's whole-group re-seed, which checks every invariant. The rest
+//! of a round — the monitor's poll, the checker's groups, its
+//! incremental and per-candidate invariant checks, the updater's diffs,
+//! in-flight checks and command rendering — runs on the caller's thread.
+//! The pool guarantees that `run(items, f)` returns exactly what
 //! the serial `items.into_iter().enumerate().map(f)` would, in item
 //! order, regardless of worker count: items are dealt to workers by
 //! stride, each worker tags results with the item index, and the merge

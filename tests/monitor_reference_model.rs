@@ -181,7 +181,7 @@ impl Oracle {
                 dedup.insert(r.var_id(), r);
             }
         }
-        let force_full = self.rounds % self.resync_every == 0;
+        let force_full = self.rounds.is_multiple_of(self.resync_every);
         self.rounds += 1;
         let mut changed = Vec::new();
         let mut suppressed = 0;
