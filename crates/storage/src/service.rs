@@ -1260,8 +1260,8 @@ impl StorageService {
     /// The leader's current version counter for one partition, across
     /// *all* pools (versions are stamped machine-wide). Any effective
     /// write to any pool moves it, so an unchanged partition watermark
-    /// proves the partition's entire state is unchanged — consumers use
-    /// it as a cheap quiescence signal before paying for reads.
+    /// proves the partition's entire state is unchanged; it never
+    /// regresses, not even across replica crashes (chaos checks that).
     pub fn partition_watermark(&self, dc: &DatacenterId) -> StateResult<Version> {
         let part = self.part(dc)?;
         part.check_online(dc)?;
