@@ -911,6 +911,18 @@ impl ReplicaStore {
         }
     }
 
+    /// The raw snapshot blob and log bytes of a framed store (`None` for
+    /// the logical backend, which holds no bytes): what a byte-format pin
+    /// hashes.
+    #[cfg(test)]
+    pub(crate) fn media_bytes(&self) -> Option<(Option<Vec<u8>>, Vec<u8>)> {
+        let inner = self.inner.lock().unwrap();
+        match &*inner {
+            StoreInner::Logical { .. } => None,
+            StoreInner::Framed { media, .. } => Some((media.read_snap(), media.read_wal())),
+        }
+    }
+
     /// Cumulative counters (monotone for the lifetime of this store
     /// handle, across kill/restart of the owning replica).
     pub fn stats(&self) -> WalStats {
