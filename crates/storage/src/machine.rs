@@ -12,6 +12,7 @@ use statesman_types::{
     WriteReceipt,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default bound on the per-pool change index. Entries beyond it are
@@ -29,6 +30,19 @@ use std::time::Instant;
 pub const CHANGE_INDEX_CAPACITY: usize = 65_536;
 
 /// A command in the replicated log.
+///
+/// Row batches ([`WriteBatch`] and [`BulkBatch`]) hold their rows behind
+/// an `Arc`. A committed command is copied many times on its way through
+/// a ring: the submit retry clone, every `Accept` and `Commit` message,
+/// the leader's in-flight entry, each replica's accepted and chosen log,
+/// the WAL's accept and commit records and a snapshot's tail. Shared,
+/// each of those copies is a refcount bump, and each replica copies a
+/// row once, when it stamps the row into its column. The wire, WAL and
+/// snapshot bytes are those of a plain list of rows: serialization is
+/// transparent over the pointer.
+///
+/// [`WriteBatch`]: LogCommand::WriteBatch
+/// [`BulkBatch`]: LogCommand::BulkBatch
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogCommand {
     /// Write (upsert) a batch of rows into one pool. Batching is the wire
@@ -37,8 +51,8 @@ pub enum LogCommand {
     WriteBatch {
         /// Destination pool.
         pool: Pool,
-        /// The rows to upsert.
-        rows: Vec<NetworkState>,
+        /// The rows to upsert, shared (see [`LogCommand`]).
+        rows: Arc<Vec<NetworkState>>,
     },
     /// Delete a batch of keys from one pool (e.g. clearing an application's
     /// PS after the checker consumed it).
@@ -59,19 +73,15 @@ pub enum LogCommand {
     /// Incremental readers from before the bulk load observe a raised
     /// compaction floor and fall back to a full snapshot — exactly what
     /// a seed-sized `WriteBatch` would force anyway by blowing through
-    /// the change-index capacity.
+    /// the change-index capacity. That difference in what `read_since`
+    /// answers is why the two stay separate commands.
     ///
     /// [`WriteBatch`]: LogCommand::WriteBatch
     BulkBatch {
         /// Destination pool.
         pool: Pool,
-        /// The rows to upsert. Shared, not owned: a seed batch is
-        /// millions of rows, and the commit path copies the command
-        /// several times (the submit retry clone, the WAL accept and
-        /// commit records, replica catch-up). Behind an `Arc` every copy
-        /// is a refcount bump; the wire format is unchanged
-        /// (serialization is transparent over the pointer).
-        rows: std::sync::Arc<Vec<NetworkState>>,
+        /// The rows to upsert, shared (see [`LogCommand`]).
+        rows: Arc<Vec<NetworkState>>,
     },
     /// Record checker receipts for an application to poll.
     PostReceipts {
@@ -641,11 +651,11 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1"), row("b", "1")],
+            rows: vec![row("a", "1"), row("b", "1")].into(),
         });
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "2")],
+            rows: vec![row("a", "2")].into(),
         });
         let a = m.get(&Pool::Observed, &row("a", "").key()).unwrap();
         let b = m.get(&Pool::Observed, &row("b", "").key()).unwrap();
@@ -660,11 +670,11 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Target,
-            rows: vec![row("a", "9")],
+            rows: vec![row("a", "9")].into(),
         });
         assert_eq!(
             m.get(&Pool::Observed, &row("a", "").key()).unwrap().value,
@@ -682,7 +692,7 @@ mod tests {
         let app = AppId::new("te");
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Proposed(app.clone()),
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         let removed = m.apply(&LogCommand::DeleteBatch {
             pool: Pool::Proposed(app.clone()),
@@ -725,7 +735,7 @@ mod tests {
         assert!(m.column(&Pool::Observed).is_none());
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("agg-1-1", "1"), row("tor-1-1", "1")],
+            rows: vec![row("agg-1-1", "1"), row("tor-1-1", "1")].into(),
         });
         let col = m.column(&Pool::Observed).unwrap();
         let aggs = col.entity_rows(&EntityName::device("dc1", "agg-1-1"), None);
@@ -738,7 +748,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         let before = m.get(&Pool::Observed, &row("a", "").key()).unwrap().clone();
         // Same value+writer, later timestamp: suppressed entirely.
@@ -746,7 +756,7 @@ mod tests {
         later.updated_at = SimTime::from_secs(300);
         let touched = m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![later],
+            rows: vec![later].into(),
         });
         assert_eq!(touched, 0);
         assert_eq!(m.suppressed_count(), 1);
@@ -759,7 +769,7 @@ mod tests {
         // A real change still lands and moves the watermark.
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "2")],
+            rows: vec![row("a", "2")].into(),
         });
         assert_eq!(m.pool_watermark(&Pool::Observed), Version(2));
     }
@@ -769,7 +779,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1"), row("b", "1")],
+            rows: vec![row("a", "1"), row("b", "1")].into(),
         });
         let w0 = m.pool_watermark(&Pool::Observed);
         assert_eq!(w0, Version(2));
@@ -777,11 +787,11 @@ mod tests {
         // disposition of each key.
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "2")],
+            rows: vec![row("a", "2")].into(),
         });
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "3")],
+            rows: vec![row("a", "3")].into(),
         });
         m.apply(&LogCommand::DeleteBatch {
             pool: Pool::Observed,
@@ -810,7 +820,7 @@ mod tests {
             .collect();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows,
+            rows: rows.into(),
         });
         // The oldest 10 entries were compacted away: genesis reads fall
         // back, reads above the floor still work.
@@ -847,7 +857,7 @@ mod tests {
         // Subsequent incremental writes are served normally.
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("bulk0", "2")],
+            rows: vec![row("bulk0", "2")].into(),
         });
         let d = m.changes_since(&Pool::Observed, Version(100)).unwrap();
         assert_eq!(d.upserts.len(), 1);
@@ -859,7 +869,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         let touched = m.apply(&LogCommand::BulkBatch {
             pool: Pool::Observed,
@@ -879,7 +889,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::BulkBatch {
             pool: Pool::Observed,
-            rows: std::sync::Arc::new((0..50).map(|i| row(&format!("s{i}"), "1")).collect()),
+            rows: Arc::new((0..50).map(|i| row(&format!("s{i}"), "1")).collect()),
         });
         let snap = m.to_snapshot();
         let back = StateMachine::from_snapshot(&snap);
@@ -896,7 +906,7 @@ mod tests {
         assert_eq!(
             LogCommand::WriteBatch {
                 pool: Pool::Observed,
-                rows: vec![row("a", "1"), row("b", "1")]
+                rows: vec![row("a", "1"), row("b", "1")].into()
             }
             .weight(),
             2

@@ -234,8 +234,7 @@ impl Replica {
         // Re-apply committed decrees above the snapshot. These commits are
         // already durable, so no WAL re-append happens here.
         while let Some(cmd) = r.chosen.get(&r.apply_frontier) {
-            let cmd = cmd.clone();
-            r.machine.apply(&cmd);
+            r.machine.apply(cmd);
             r.apply_frontier += 1;
         }
         r
@@ -259,6 +258,16 @@ impl Replica {
     /// Whether a specific proposal (by slot) has committed.
     pub fn slot_committed(&self, slot: Slot) -> bool {
         self.chosen.contains_key(&slot)
+    }
+
+    /// This replica's accepted and chosen values for one slot (tests of
+    /// what the log shares with the submitted command).
+    #[cfg(test)]
+    pub(crate) fn log_entries(&self, slot: Slot) -> (Option<&LogCommand>, Option<&LogCommand>) {
+        (
+            self.accepted.get(&slot).map(|(_, c)| c),
+            self.chosen.get(&slot),
+        )
     }
 
     /// Discard log entries more than `keep_last` slots below the apply
@@ -661,8 +670,7 @@ impl Replica {
             self.chosen.insert(slot, cmd);
         }
         while let Some(cmd) = self.chosen.get(&self.apply_frontier) {
-            let cmd = cmd.clone();
-            self.machine.apply(&cmd);
+            self.machine.apply(cmd);
             self.apply_frontier += 1;
         }
     }
@@ -703,7 +711,7 @@ mod tests {
     fn write(n: u64) -> LogCommand {
         LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![],
+            rows: Default::default(),
         }
         .tagged(n)
     }

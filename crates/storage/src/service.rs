@@ -622,7 +622,8 @@ impl StorageService {
     }
 
     /// One partition's share of a write: a single consensus commit under
-    /// that partition's lock only.
+    /// that partition's lock only. The sub-batch moves into the command's
+    /// shared row list; the ring copies it by refcount from here on.
     fn write_partition(
         &self,
         dc: &DatacenterId,
@@ -632,6 +633,7 @@ impl StorageService {
         let part = self.parts.get(dc).expect("routability validated");
         let mut ring = self.lock_ring(dc, part);
         let before = leader_suppressed(&mut ring);
+        let rows = Arc::new(rows);
         self.submit_with_retry(part, &mut ring, dc, LogCommand::WriteBatch { pool, rows })?;
         let suppressed = leader_suppressed(&mut ring).saturating_sub(before);
         if suppressed > 0 {
@@ -700,7 +702,7 @@ impl StorageService {
             dc,
             LogCommand::BulkBatch {
                 pool,
-                rows: std::sync::Arc::new(rows),
+                rows: Arc::new(rows),
             },
         )?;
         let suppressed = leader_suppressed(&mut ring).saturating_sub(before_suppressed);
@@ -1445,6 +1447,60 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].value, Value::text("6.0"));
+    }
+
+    /// The rows of a committed write exist once per ring: the retry loop,
+    /// every Paxos message, each replica's accepted and chosen entry and
+    /// every logical-WAL record share the submitted batch. (Each replica
+    /// still copies a row into its column when it applies it.)
+    #[test]
+    fn a_write_batch_is_shared_through_the_ring() {
+        use crate::wal::WalEvent;
+        fn rows_of(cmd: &LogCommand) -> &Arc<Vec<NetworkState>> {
+            match cmd {
+                LogCommand::Tagged { inner, .. } => rows_of(inner),
+                LogCommand::WriteBatch { rows, .. } => rows,
+                other => panic!("not a write batch: {other:?}"),
+            }
+        }
+        let c = clock();
+        let s = svc(&c);
+        let dc = DatacenterId::new("dc1");
+        let rows = Arc::new(vec![
+            row("dc1", "agg-1-1", "6.0", c.now()),
+            row("dc1", "agg-1-2", "6.0", c.now()),
+        ]);
+        let part = s.part(&dc).unwrap();
+        let mut ring = s.lock_ring(&dc, part);
+        let cmd = LogCommand::WriteBatch {
+            pool: Pool::Observed,
+            rows: Arc::clone(&rows),
+        };
+        s.submit_with_retry(part, &mut ring, &dc, cmd).unwrap();
+        let slot = ring.applied_through(ring.leader().unwrap());
+        assert_eq!(ring.replica_count(), 3);
+        for i in 0..3 {
+            let id = ReplicaId(i);
+            let (accepted, chosen) = ring.replica(id).log_entries(slot);
+            assert!(
+                Arc::ptr_eq(rows_of(accepted.unwrap()), &rows),
+                "r{i} accepted"
+            );
+            assert!(Arc::ptr_eq(rows_of(chosen.unwrap()), &rows), "r{i} chosen");
+            let mut records = 0;
+            for ev in ring.store(id).load().events {
+                match ev {
+                    WalEvent::Accept { slot: at, cmd, .. } | WalEvent::Commit { slot: at, cmd }
+                        if at == slot =>
+                    {
+                        assert!(Arc::ptr_eq(rows_of(&cmd), &rows), "r{i} WAL slot {at}");
+                        records += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert!(records >= 2, "r{i} logged an accept and a commit");
+        }
     }
 
     #[test]

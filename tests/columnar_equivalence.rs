@@ -280,7 +280,7 @@ proptest! {
                     let key = row.key();
                     machine.apply(&LogCommand::WriteBatch {
                         pool: pool.clone(),
-                        rows: vec![row.clone()],
+                        rows: vec![row.clone()].into(),
                     });
                     shadow.entry(pool.clone()).or_default().insert(key.clone(), row);
                     let slot = slot_registry().slot_of(&pool, key.var_id()).0;

@@ -345,7 +345,7 @@ fn wal_event() -> WalEvent {
             id: 99,
             inner: Box::new(LogCommand::WriteBatch {
                 pool: Pool::Proposed(AppId::new("te")),
-                rows: rows(8),
+                rows: rows(8).into(),
             }),
         },
     }
