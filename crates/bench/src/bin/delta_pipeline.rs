@@ -1,8 +1,9 @@
 //! The columnar + blast-radius control loop at millions of variables:
 //! drives full coordinator rounds (invariants on) over a fabric sized by
 //! `STATESMAN_BENCH_VARS` (default 4,000,000) and reports per-round
-//! checker time, whole-round wall time, and resident bytes per state
-//! variable from the columnar storage arenas.
+//! checker time, whole-round wall time, resident bytes per state
+//! variable from the columnar storage arenas, and the process's peak
+//! resident set (`VmHWM`, read from `/proc/self/status` at exit).
 //!
 //! The paper's checker budget (§8: minutes-scale rounds, checker well
 //! under the 10 s coordination overhead) is asserted at every size:
@@ -36,6 +37,8 @@ fn main() {
         .max(1);
 
     let m = measure(vars, rounds);
+    // Read after the last round, so the figure covers the whole run.
+    let peak_rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
     println!(
         "csv,delta_pipeline,columnar,{},{:.0},{:.0},{:.0},{:.0},{:.1}",
         m.vars_seeded,
@@ -53,6 +56,7 @@ fn main() {
         format!("{:.0}", m.churn_checker_ms),
         format!("{:.0}", m.churn_round_ms),
         format!("{:.1}", m.bytes_per_var),
+        peak_rss.clone(),
     ]];
     let seed_stages = match &m.seed_stages {
         Some(s) => format!(
@@ -67,7 +71,8 @@ fn main() {
         "    {{ \"plane\": \"columnar\", \"vars\": {}, \"seed_ms\": {:.1}, \
          \"seed_stages\": {seed_stages}, \
          \"quiescent_checker_ms\": {:.2}, \"churn_checker_ms\": {:.2}, \
-         \"churn_round_ms\": {:.1}, \"bytes_per_var\": {:.1} }}",
+         \"churn_round_ms\": {:.1}, \"bytes_per_var\": {:.1}, \
+         \"peak_rss_mb\": {peak_rss} }}",
         m.vars_seeded,
         m.seed_ms,
         m.quiescent_checker_ms,
@@ -97,7 +102,8 @@ fn main() {
                 "quiet_chk_ms",
                 "churn_chk_ms",
                 "churn_round_ms",
-                "bytes/var"
+                "bytes/var",
+                "peak_rss_mb"
             ],
             &rows
         )
@@ -109,6 +115,15 @@ fn main() {
          \"planes\": [\n{json_plane}\n  ]\n}}\n"
     );
     std::fs::write("BENCH_delta_pipeline.json", json).expect("write BENCH_delta_pipeline.json");
+}
+
+/// This process's peak resident set (`VmHWM`) in MB, or `None` where
+/// `/proc/self/status` is absent.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 struct PlaneResult {

@@ -37,7 +37,7 @@ use statesman_storage::{StorageService, WriteRequest};
 use statesman_topology::{HealthView, NetworkGraph};
 use statesman_types::{
     AppId, Column, DatacenterId, DependencyLevel, DeviceName, NetworkState, Pool, SimTime,
-    StateDelta, StateKey, StateResult, Value, Version, WorkerPool, WriteOutcome, WriteReceipt,
+    StateDelta, StateKey, StateResult, Value, Version, WriteOutcome, WriteReceipt,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -538,14 +538,11 @@ impl Checker {
                         projected: &health,
                         touched_pods: None,
                     };
-                    // Side by side on the default pool: on the caller's
-                    // thread, a cold capacity solve's allocations left
-                    // glibc holding 27 MB more after the seed round on
-                    // `api_ingest` (`setup_rss_mb`, EXPERIMENTS.md).
-                    // Every invariant runs, each on its own cache, so the
-                    // verdicts are the serial loop's.
-                    let verdicts =
-                        WorkerPool::default().run(&self.invariants, |_, inv| inv.check(&ctx).err());
+                    let verdicts = self
+                        .invariants
+                        .iter()
+                        .map(|inv| inv.check(&ctx).err())
+                        .collect();
                     (health, verdicts)
                 }
             }

@@ -431,24 +431,12 @@ impl Monitor {
                 }
             }
         };
-        // The entities polled, collected before the poll: iterating the
-        // graph in place left glibc holding 6–27 MB more after the seed
-        // round on the API workloads (`setup_rss_mb`, EXPERIMENTS.md).
-        let device_ids: Vec<NodeId> = self
-            .graph
-            .nodes()
-            .filter(|(_, info)| !skip_dcs.contains(&info.datacenter))
-            .map(|(id, _)| id)
-            .collect();
-        let edge_ids: Vec<EdgeId> = self
-            .graph
-            .edges()
-            .filter(|(_, edge)| !skip_dcs.contains(&edge.datacenter))
-            .map(|(id, _)| id)
-            .collect();
         let (mut devices_polled, mut unreachable, mut quarantined) = (0, 0, 0);
-        for &node_id in &device_ids {
-            let name = &self.graph.node(node_id).name;
+        for (node_id, info) in self.graph.nodes() {
+            if skip_dcs.contains(&info.datacenter) {
+                continue;
+            }
+            let name = &info.name;
             // Quarantined devices are not re-polled (no poll budget spent
             // re-timing-out); their rows go stale.
             if self.is_quarantined(name, now) {
@@ -465,14 +453,19 @@ impl Monitor {
             let entity = || device_entity(&self.graph, node_id);
             compare(self.layout.node_block(node_id), &entity, pairs);
         }
-        for &edge_id in &edge_ids {
+        let mut links_polled = 0;
+        for (edge_id, edge) in self.graph.edges() {
+            if skip_dcs.contains(&edge.datacenter) {
+                continue;
+            }
+            links_polled += 1;
             // Infallible for the same reason as device polls. A link
             // reports its own oper status whatever its endpoints' polls
             // did; when neither endpoint answers, the NMS inference stands
             // in: oper-down for traffic purposes.
             let pairs = self
                 .snmp
-                .collect_link(&self.graph.edge(edge_id).name)
+                .collect_link(&edge.name)
                 .unwrap_or_else(|_| vec![(Attribute::LinkOperStatus, Value::oper(false))]);
             let entity = || link_entity(&self.graph, edge_id);
             compare(self.layout.edge_block(edge_id), &entity, pairs);
@@ -509,7 +502,7 @@ impl Monitor {
 
         let shards = self.graph.node_count().div_ceil(SHARD_SIZE).max(1);
         let lanes = shards as u64 * CONCURRENCY_PER_SHARD;
-        let entities_polled = (devices_polled + unreachable + edge_ids.len()) as u64;
+        let entities_polled = (devices_polled + unreachable + links_polled) as u64;
         let sim_io = SimDuration::from_millis(entities_polled.div_ceil(lanes) * POLL_MS);
 
         let elapsed = started.elapsed();
@@ -517,7 +510,7 @@ impl Monitor {
             devices_polled,
             devices_unreachable: unreachable,
             devices_quarantined: quarantined,
-            links_polled: edge_ids.len(),
+            links_polled,
             rows_written,
             writes_suppressed: suppressed,
             rows_compared: rows_written + suppressed,
@@ -645,6 +638,45 @@ mod tests {
             .unwrap();
         assert_eq!(fw.value, Value::text("6.0.3"));
         assert_eq!(fw.writer, AppId::monitor());
+    }
+
+    #[test]
+    fn os_rows_share_the_topologys_names() {
+        use std::sync::Arc;
+        let (net, storage, graph, _clock) = setup();
+        let m = Monitor::new(net, storage.clone(), graph.clone());
+        m.run_round().unwrap();
+        let read_one = |entity: EntityName, attribute| {
+            let mut rows = storage
+                .read(ReadRequest {
+                    datacenter: entity.datacenter.clone(),
+                    pool: Pool::Observed,
+                    freshness: Freshness::UpToDate,
+                    entity: Some(entity),
+                    attribute: Some(attribute),
+                })
+                .unwrap();
+            assert_eq!(rows.len(), 1);
+            rows.pop().unwrap()
+        };
+        let shares_node_name = |name: &DeviceName| {
+            let node = graph.node(graph.node_id(name).unwrap());
+            Arc::ptr_eq(&name.0, &node.name.0)
+        };
+
+        let device = read_one(
+            EntityName::device("dc1", "agg-1-1"),
+            Attribute::DeviceFirmwareVersion,
+        );
+        assert!(shares_node_name(device.entity.as_device().unwrap()));
+
+        let (_, edge) = graph.edges().next().unwrap();
+        let link = read_one(
+            EntityName::link_named(edge.datacenter.clone(), edge.name.clone()),
+            Attribute::LinkOperStatus,
+        );
+        let name = link.entity.as_link().unwrap();
+        assert!(shares_node_name(&name.a) && shares_node_name(&name.b));
     }
 
     #[test]

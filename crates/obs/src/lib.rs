@@ -93,7 +93,8 @@ pub struct StatusBoard {
     pub pool_rows: Vec<(String, u64)>,
     /// Approximate resident bytes per state variable in the columnar
     /// storage plane (slot vectors + occupancy bitmaps + row arenas,
-    /// including string payloads). Zero when the plane is empty.
+    /// including value payloads; shared names are not counted). Zero when
+    /// the plane is empty.
     #[serde(default)]
     pub state_bytes_per_var: f64,
     /// Update-plan steps synthesized last round (0 with planning off).

@@ -389,11 +389,9 @@ impl PaxosCluster {
         self.ensure_leader();
         if let Some(leader) = self.leader {
             if leader != id {
-                let (machine, frontier) = {
-                    let l = &self.replicas[leader.0 as usize];
-                    (l.machine.clone(), l.applied_through() + 1)
-                };
+                let frontier = self.replicas[leader.0 as usize].applied_through() + 1;
                 if self.replicas[id.0 as usize].applied_through() + 1 < frontier {
+                    let machine = self.replicas[leader.0 as usize].machine.clone();
                     self.replicas[id.0 as usize].install_snapshot(machine, frontier);
                 }
             }

@@ -126,7 +126,11 @@ impl NetworkGraph {
         let b = self
             .node_id(y)
             .unwrap_or_else(|| panic!("unknown device {y}"));
-        let name = LinkName::between(x.clone(), y.clone());
+        // The endpoints' own names, so a link shares its devices' allocations.
+        let name = LinkName::between(
+            self.nodes[a.0 as usize].name.clone(),
+            self.nodes[b.0 as usize].name.clone(),
+        );
         assert!(!self.by_link.contains_key(&name), "duplicate link {name}");
         let id = EdgeId(self.edges.len() as u32);
         self.by_link.insert(name.clone(), id);

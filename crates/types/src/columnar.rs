@@ -91,7 +91,7 @@ impl RowArena {
     }
 
     /// Bytes reserved for row storage (chunk capacity, not counting
-    /// per-row heap payloads — see [`Column::approx_bytes`] for the
+    /// per-row value payloads — see [`Column::approx_bytes`] for the
     /// payload-inclusive figure).
     pub fn reserved_bytes(&self) -> usize {
         self.chunks
@@ -102,17 +102,19 @@ impl RowArena {
 }
 
 /// Estimate of one row's heap payload beyond `size_of::<NetworkState>()`:
-/// the entity/writer strings and the value's owned storage. Kept cheap and
-/// deliberately approximate — it feeds a memory *gauge*, not an allocator.
+/// the value's owned storage only. The entity's and writer's names are
+/// shared `Arc<str>`s (every variable of an entity, and every copy of a
+/// row, points at the same allocation), so a row is not charged for them.
+/// Kept cheap and deliberately approximate — it feeds a memory *gauge*,
+/// not an allocator.
 fn row_heap_bytes(row: &NetworkState) -> usize {
-    let value = match &row.value {
+    match &row.value {
         Value::Text(s) => s.len(),
         Value::Routes(r) => r.len() * std::mem::size_of::<crate::value::FlowLinkRule>(),
-        Value::DeviceList(d) => d.iter().map(|n| n.as_str().len() + 24).sum(),
+        Value::DeviceList(d) => d.len() * std::mem::size_of::<crate::entity::DeviceName>(),
         Value::Lock(_) => 64,
         _ => 0,
-    };
-    row.entity.wire_len() + row.writer.as_str().len() + value
+    }
 }
 
 /// One pool's columnar store: a dense slot → row mapping over a
@@ -329,8 +331,10 @@ impl Column {
         self.slots.len()
     }
 
-    /// Approximate resident bytes: slot vector + bitmap + arena reservation
-    /// + live rows' heap payloads. Feeds the `state_bytes_per_var` gauge.
+    /// Approximate resident bytes: the slot vector, the bitmap, the arena
+    /// reservation and the live rows' value payloads. Names are shared with
+    /// the topology and with every copy of a row, so they are not counted.
+    /// Feeds the `state_bytes_per_var` gauge.
     pub fn approx_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<u32>()
             + self.occupied.capacity() * std::mem::size_of::<u64>()

@@ -17,13 +17,16 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a datacenter (e.g. `"dc1"`). Also identifies the storage
 /// partition (Paxos ring) that owns entities homed in that datacenter. The
-/// special WAN "impact group" uses [`DatacenterId::wan`].
+/// special WAN "impact group" uses [`DatacenterId::wan`]. Like every
+/// name newtype here it holds a shared `Arc<str>`: a clone bumps a
+/// refcount, and the wire form is the plain string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct DatacenterId(pub String);
+pub struct DatacenterId(pub Arc<str>);
 
 impl DatacenterId {
     /// The pseudo-datacenter that owns WAN entities: border routers and
@@ -34,17 +37,17 @@ impl DatacenterId {
 
     /// Construct from any string-like name.
     pub fn new(name: impl Into<String>) -> Self {
-        DatacenterId(name.into())
+        DatacenterId(name.into().into())
     }
 
     /// The WAN pseudo-datacenter.
     pub fn wan() -> Self {
-        DatacenterId(Self::WAN_NAME.to_string())
+        DatacenterId(Self::WAN_NAME.into())
     }
 
     /// True if this is the WAN pseudo-datacenter.
     pub fn is_wan(&self) -> bool {
-        self.0 == Self::WAN_NAME
+        &*self.0 == Self::WAN_NAME
     }
 
     /// The raw name.
@@ -61,13 +64,13 @@ impl fmt::Display for DatacenterId {
 
 impl From<&str> for DatacenterId {
     fn from(s: &str) -> Self {
-        DatacenterId(s.to_string())
+        DatacenterId(s.into())
     }
 }
 
 impl From<String> for DatacenterId {
     fn from(s: String) -> Self {
-        DatacenterId(s)
+        DatacenterId(s.into())
     }
 }
 
@@ -106,15 +109,16 @@ impl fmt::Display for DeviceRole {
     }
 }
 
-/// A switch or router name, unique within its datacenter.
+/// A switch or router name, unique within its datacenter. Shared
+/// `Arc<str>`: a row's entity points at the topology's allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct DeviceName(pub String);
+pub struct DeviceName(pub Arc<str>);
 
 impl DeviceName {
     /// Construct from any string-like name.
     pub fn new(name: impl Into<String>) -> Self {
-        DeviceName(name.into())
+        DeviceName(name.into().into())
     }
 
     /// The raw name.
@@ -161,13 +165,13 @@ impl fmt::Display for DeviceName {
 
 impl From<&str> for DeviceName {
     fn from(s: &str) -> Self {
-        DeviceName(s.to_string())
+        DeviceName(s.into())
     }
 }
 
 impl From<String> for DeviceName {
     fn from(s: String) -> Self {
-        DeviceName(s)
+        DeviceName(s.into())
     }
 }
 
@@ -234,12 +238,12 @@ impl fmt::Display for LinkName {
 /// switch on the path (§4.1).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct PathName(pub String);
+pub struct PathName(pub Arc<str>);
 
 impl PathName {
     /// Construct from any string-like name.
     pub fn new(name: impl Into<String>) -> Self {
-        PathName(name.into())
+        PathName(name.into().into())
     }
 
     /// The raw name.
@@ -379,18 +383,6 @@ impl EntityName {
         self.to_string()
     }
 
-    /// `self.wire_name().len()`, computed from the component lengths
-    /// without formatting or allocating (the column memory gauge asks on
-    /// every row of every apply).
-    pub fn wire_len(&self) -> usize {
-        let (kind, name) = match &self.body {
-            EntityBody::Device(d) => ("/device/", d.0.len()),
-            EntityBody::Link(l) => ("/link/", l.a.0.len() + "~".len() + l.b.0.len()),
-            EntityBody::Path(p) => ("/path/", p.0.len()),
-        };
-        self.datacenter.0.len() + kind.len() + name
-    }
-
     /// Parse the wire form produced by [`EntityName::wire_name`].
     pub fn parse_wire_name(s: &str) -> Option<Self> {
         let mut parts = s.splitn(3, '/');
@@ -475,17 +467,6 @@ mod tests {
         }
         assert_eq!(EntityName::parse_wire_name("dc1/blob/x"), None);
         assert_eq!(EntityName::parse_wire_name("dc1/device"), None);
-    }
-
-    #[test]
-    fn wire_len_is_the_wire_names_length() {
-        for e in [
-            EntityName::device("dc1", "agg-1-1"),
-            EntityName::link("dc2", "tor-1-1", "agg-1-1"),
-            EntityName::path(DatacenterId::wan(), "te:dc1>dc3:0"),
-        ] {
-            assert_eq!(e.wire_len(), e.wire_name().len(), "{e}");
-        }
     }
 
     #[test]

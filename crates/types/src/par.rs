@@ -2,11 +2,11 @@
 //! worker pool, one width per process.
 //!
 //! Only work that is wide fans out on a [`WorkerPool`]: capacity pair
-//! panels of at least 256 solves, storage's per-partition commits, and a
-//! checker's whole-group re-seed, which checks every invariant. The rest
-//! of a round — the monitor's poll, the checker's groups, its
-//! incremental and per-candidate invariant checks, the updater's diffs,
-//! in-flight checks and command rendering — runs on the caller's thread.
+//! panels of at least 256 solves and storage's per-partition commits.
+//! The rest of a round — the monitor's poll, the checker's groups, its
+//! re-seed, incremental and per-candidate invariant checks, the
+//! updater's diffs, in-flight checks and command rendering — runs on the
+//! caller's thread.
 //! The pool guarantees that `run(items, f)` returns exactly what
 //! the serial `items.into_iter().enumerate().map(f)` would, in item
 //! order, regardless of worker count: items are dealt to workers by

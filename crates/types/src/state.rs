@@ -20,19 +20,20 @@ use crate::vars::Attribute;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a management application (e.g. `"switch-upgrade"`,
 /// `"failure-mitigation"`, `"inter-dc-te"`). Also used to name Statesman's
 /// own components where they write state (the monitor writes the OS under
-/// `AppId::monitor()`).
+/// `AppId::monitor()`). Shared `Arc<str>`: a row copy bumps a refcount.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct AppId(pub String);
+pub struct AppId(pub Arc<str>);
 
 impl AppId {
     /// Construct from any string-like name.
     pub fn new(name: impl Into<String>) -> Self {
-        AppId(name.into())
+        AppId(name.into().into())
     }
 
     /// The monitor component's writer identity.
@@ -64,13 +65,13 @@ impl fmt::Display for AppId {
 
 impl From<&str> for AppId {
     fn from(s: &str) -> Self {
-        AppId(s.to_string())
+        AppId(s.into())
     }
 }
 
 impl From<String> for AppId {
     fn from(s: String) -> Self {
-        AppId(s)
+        AppId(s.into())
     }
 }
 
@@ -609,6 +610,44 @@ mod tests {
         assert!(s.snapshot);
         assert!(!s.is_empty(), "snapshots always replace the view");
         assert!(StateDelta::incremental(vec![], vec![], Version(9)).is_empty());
+    }
+
+    #[test]
+    fn a_row_copy_shares_its_names() {
+        use crate::entity::EntityBody;
+        let writer = AppId::monitor();
+        let device = NetworkState::new(
+            EntityName::device("dc1", "agg-1-1"),
+            Attribute::DeviceFirmwareVersion,
+            Value::text("7.0"),
+            SimTime::ZERO,
+            writer.clone(),
+        );
+        let link = NetworkState::new(
+            EntityName::link("dc1", "tor-1-1", "agg-1-1"),
+            Attribute::LinkOperStatus,
+            Value::oper(true),
+            SimTime::ZERO,
+            writer.clone(),
+        );
+        assert!(Arc::ptr_eq(&writer.0, &device.writer.0));
+        for row in [device, link] {
+            let copy = row.clone();
+            assert_eq!(copy, row);
+            assert!(Arc::ptr_eq(
+                &row.entity.datacenter.0,
+                &copy.entity.datacenter.0
+            ));
+            assert!(Arc::ptr_eq(&row.writer.0, &copy.writer.0));
+            match (&row.entity.body, &copy.entity.body) {
+                (EntityBody::Device(d), EntityBody::Device(c)) => assert!(Arc::ptr_eq(&d.0, &c.0)),
+                (EntityBody::Link(l), EntityBody::Link(c)) => {
+                    assert!(Arc::ptr_eq(&l.a.0, &c.a.0));
+                    assert!(Arc::ptr_eq(&l.b.0, &c.b.0));
+                }
+                other => panic!("body changed kind: {other:?}"),
+            }
+        }
     }
 
     #[test]

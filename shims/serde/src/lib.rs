@@ -286,6 +286,15 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
     }
 }
 
+impl Deserialize for std::sync::Arc<str> {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        match c {
+            Content::Str(s) => Ok(s.as_str().into()),
+            other => Err(help::err(format!("expected string, got {other:?}"))),
+        }
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_content(&self) -> Content {
         match self {
