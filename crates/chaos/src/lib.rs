@@ -40,6 +40,7 @@ use statesman_types::{
     Attribute, DatacenterId, DeviceName, EntityName, Freshness, RetryPolicy, SimDuration, SimTime,
     Value, Version,
 };
+use std::collections::HashSet;
 
 /// A kill -9-style crash of one storage replica: process state is
 /// dropped on the floor, durable WAL/snapshot files survive, and the
@@ -740,6 +741,10 @@ impl ChaosScenario {
         let mut pre_watermarks: Vec<Option<Version>> = vec![None; self.plan.replica_kills.len()];
         let mut recovery_checker = RecoverySafetyChecker::default();
         let mut chain_checker = HashChainChecker::default();
+        // Receipts the app has taken so far, and how many replica pairs
+        // the determinism check has compared.
+        let mut delivered: HashSet<String> = HashSet::new();
+        let mut determinism_pairs = 0;
         let replicas_per_ring = 3u8;
 
         // The out-of-process changefeed consumer: an API server over the
@@ -837,7 +842,14 @@ impl ChaosScenario {
                 None => true,
             };
             if app_alive && now >= self.intent_at {
-                let _ = app.take_receipts();
+                // Exactly-once delivery: no receipt comes back twice.
+                for receipt in app.take_receipts().unwrap_or_default() {
+                    assert!(
+                        delivered.insert(format!("{receipt:?}")),
+                        "seed {}: round {round}: receipt delivered twice: {receipt}",
+                        self.plan.seed
+                    );
+                }
                 let mut wanted = Vec::new();
                 for d in &firmware_targets {
                     if !fw_done(&net, d) {
@@ -1006,7 +1018,21 @@ impl ChaosScenario {
                     chain_checker.record("dc1", storage.verify_wal_chains(&dc));
                 }
             }
+
+            // Replica determinism: replicas at one frontier hold one
+            // machine, in every partition, whatever faults are active.
+            for part in storage.partitions() {
+                match storage.check_replica_determinism(&part) {
+                    Ok(pairs) => determinism_pairs += pairs,
+                    Err(e) => panic!("seed {}: round {round}: {e}", self.plan.seed),
+                }
+            }
         }
+        assert!(
+            determinism_pairs > 0,
+            "seed {}: the replica determinism check compared no replicas",
+            self.plan.seed
+        );
 
         if let (Some(out), Some(rig)) = (api_stress, stress_rig) {
             *out = rig.finish();

@@ -114,12 +114,12 @@ impl StatesmanClient {
     }
 
     /// Poll (and consume) this application's receipts across all
-    /// partitions.
+    /// partitions. Each receipt is delivered once: a partition that is
+    /// unavailable keeps its receipts for a later call, and the call
+    /// fails only when no partition delivered any (see
+    /// [`StorageService::take_all_receipts`]).
     pub fn take_receipts(&self) -> StateResult<Vec<WriteReceipt>> {
-        let mut all = Vec::new();
-        for dc in self.storage.partitions() {
-            all.extend(self.storage.take_receipts(&dc, &self.app)?);
-        }
+        let mut all = self.storage.take_all_receipts(&self.app)?;
         all.sort_by(|a, b| {
             a.decided_at
                 .cmp(&b.decided_at)
@@ -273,6 +273,43 @@ mod tests {
         assert_eq!(d2.upserts.len(), 1);
         assert_eq!(d2.upserts[0].value, Value::text("7.0"));
         assert!(!d2.snapshot);
+    }
+
+    /// Exactly once across a partial outage: with `dc2` down, a take
+    /// delivers what `dc1` holds (or nothing) and acknowledges nothing it
+    /// does not return, so after `dc2` heals the next take delivers the
+    /// rest and no receipt twice.
+    #[test]
+    fn a_partial_take_loses_and_repeats_nothing() {
+        let clock = SimClock::new();
+        let storage = StorageService::new(
+            [DatacenterId::new("dc1"), DatacenterId::new("dc2")],
+            clock.clone(),
+            statesman_storage::StorageConfig::default(),
+        );
+        let c = StatesmanClient::new("app", storage.clone(), clock.clone());
+        let receipt = |dc: &str| WriteReceipt {
+            app: c.app().clone(),
+            key: StateKey::new(
+                EntityName::device(dc, "agg-1-1"),
+                Attribute::DeviceFirmwareVersion,
+            ),
+            proposed: Value::text("7.0"),
+            outcome: statesman_types::WriteOutcome::Accepted,
+            decided_at: clock.now(),
+        };
+        for dc in ["dc1", "dc2"] {
+            storage
+                .post_receipts(&DatacenterId::new(dc), vec![receipt(dc)])
+                .unwrap();
+        }
+        let dc2 = DatacenterId::new("dc2");
+        storage.set_partition_available(&dc2, false);
+        let mut delivered = c.take_receipts().unwrap_or_default();
+        storage.set_partition_available(&dc2, true);
+        delivered.extend(c.take_receipts().unwrap());
+        assert_eq!(delivered, vec![receipt("dc1"), receipt("dc2")]);
+        assert!(c.take_receipts().unwrap().is_empty());
     }
 
     #[test]

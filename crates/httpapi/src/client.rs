@@ -254,11 +254,17 @@ impl ApiClient {
 
     /// Drain an application's receipts (`GET /v1/receipts`), walking the
     /// cursor pages transparently: 512-receipt pages are pulled with
-    /// `limit=`, each page is acknowledged by feeding its cursor
-    /// back as `after=`, and the final empty page acks the last batch.
-    /// A crash mid-drain never loses receipts — unacked pages replay.
+    /// `limit=`, each page is acknowledged by feeding its cursor back as
+    /// `after=` with the next request, and the final empty page confirms
+    /// the last ack. A crash mid-drain never loses receipts: unacked
+    /// pages replay. A page is returned only once a later reply has
+    /// confirmed its ack, so when a request fails the call returns the
+    /// confirmed pages (and the error only if there are none). The
+    /// unconfirmed page stays pending in storage, unless the failure was
+    /// a lost reply to a request whose ack the server had committed.
     pub fn receipts(&self, app: &AppId) -> StateResult<Vec<WriteReceipt>> {
-        let mut all = Vec::new();
+        let mut taken = Vec::new();
+        let mut unacked = Vec::new();
         let mut after: Option<u64> = None;
         loop {
             let mut target = format!(
@@ -268,22 +274,29 @@ impl ApiClient {
             if let Some(c) = after {
                 target.push_str(&format!("&after={c}"));
             }
-            let resp = self.raw_request("GET", &target, &[])?;
-            if !(200..300).contains(&resp.status) {
-                return Err(decode_error(resp.status, &resp.body));
-            }
-            let page: Vec<WriteReceipt> = serde_json::from_slice(&resp.body)
-                .map_err(|e| StateError::protocol(format!("bad response JSON: {e}")))?;
+            let page = self.raw_request("GET", &target, &[]).and_then(|resp| {
+                if !(200..300).contains(&resp.status) {
+                    return Err(decode_error(resp.status, &resp.body));
+                }
+                let page: Vec<WriteReceipt> = serde_json::from_slice(&resp.body)
+                    .map_err(|e| StateError::protocol(format!("bad response JSON: {e}")))?;
+                let cursor = resp
+                    .cursor()
+                    .ok_or_else(|| StateError::protocol("receipt page missing its cursor"))?;
+                Ok((page, cursor))
+            });
+            let (page, cursor) = match page {
+                Ok(reply) => reply,
+                Err(e) if taken.is_empty() => return Err(e),
+                Err(_) => return Ok(taken),
+            };
+            // This reply carried the previous page's ack.
+            taken.append(&mut unacked);
             if page.is_empty() {
-                return Ok(all);
+                return Ok(taken);
             }
-            all.extend(page);
-            match resp.cursor() {
-                Some(c) => after = Some(c),
-                // A server without a cursor (shouldn't happen on a
-                // paginated read) already drained; don't loop forever.
-                None => return Ok(all),
-            }
+            unacked = page;
+            after = Some(cursor);
         }
     }
 

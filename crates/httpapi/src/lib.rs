@@ -8,7 +8,7 @@
 //! GET  /v1/read?Datacenter={dc}&Pool={p}&Freshness={c}&Entity={e}&Attribute={a}
 //! GET  /v1/read?Datacenter={dc}&Pool={p}&since={v}   (changefeed delta)
 //! POST /v1/write?Pool={p}            (body: JSON list of NetworkState)
-//! GET  /v1/receipts?App={app}[&limit=N&after=C]      (drain or paginate receipts)
+//! GET  /v1/receipts?App={app}[&limit=N&after=C]      (take receipts, or page and ack them)
 //! GET  /v1/health                    ({ok, now_ms}: liveness + simulated clock)
 //! GET  /v1/metrics[?format=json]     (the metrics registry; text by default)
 //! GET  /v1/status[?rounds=N]         (status board + last N round traces)
@@ -32,7 +32,10 @@
 //! Every response carries `x-statesman-server`; every retryable error
 //! carries `retry-after`; delta and pool reads carry
 //! `x-statesman-watermark`; paginated receipts carry
-//! `x-statesman-cursor`. [`ApiClient`] keeps one persistent keep-alive
+//! `x-statesman-cursor`, which names a partition and a receipt position
+//! in it. Receipts live only in storage: a page is a read, `after=` is a
+//! logged ack, and the server holds no receipt state, so a restart loses
+//! nothing. [`ApiClient`] keeps one persistent keep-alive
 //! connection (reconnecting transparently when it goes stale) and
 //! exposes the header contract on [`RawResponse`].
 //!

@@ -592,17 +592,7 @@ struct ServerContext {
     storage: StorageService,
     obs: Option<Obs>,
     cfg: ServerConfig,
-    pager: Mutex<HashMap<String, AppReceipts>>,
     requests: Arc<AtomicU64>,
-}
-
-/// Per-app receipt pagination state: receipts pulled from storage wait
-/// here, sequence-stamped, until the client acks them by cursor — a
-/// reconnecting app re-reads the same page instead of losing it.
-#[derive(Default)]
-struct AppReceipts {
-    next_seq: u64,
-    pending: VecDeque<(u64, WriteReceipt)>,
 }
 
 impl ServerContext {
@@ -770,7 +760,6 @@ impl ApiServer {
             storage,
             obs,
             cfg: cfg.clone(),
-            pager: Mutex::new(HashMap::new()),
             requests: requests.clone(),
         });
 
@@ -1470,94 +1459,87 @@ fn handle_write(req: &HttpRequest, storage: &StorageService) -> HttpResponse {
     }
 }
 
+/// Bits of a receipt cursor that hold the position; the partition's
+/// ordinal sits above them.
+const CURSOR_POSITION_BITS: u32 = 48;
+
 /// `GET /v1/receipts?App=<app>[&limit=N][&after=C]`.
 ///
-/// Without `limit`: the legacy drain — every pending receipt, removed on
-/// send. With `limit`: cursor pagination — receipts are pulled from
-/// storage into a per-app pending list with monotonically increasing
-/// sequence numbers, a page is the first `limit` entries (NOT removed),
-/// the last sequence in the page rides in [`CURSOR_HEADER`], and
-/// `after=C` acknowledges (removes) everything up to `C`. A client that
-/// crashes mid-page re-reads the same page on reconnect.
+/// Receipts live only in storage and the server holds none, so a
+/// restarted server serves the same pages. `after=C` first acknowledges
+/// the page `C` came from: a logged ack of every receipt up to `C`'s
+/// position in `C`'s partition. Then, without `limit`, every pending
+/// receipt in every partition is taken (read and acknowledged). With
+/// `limit`, the reply is a page of at most `limit` pending receipts from
+/// the first partition, in sorted order, that has any. The page is read,
+/// not acknowledged: reading again without `after` returns it again.
+/// [`CURSOR_HEADER`] is the partition's ordinal shifted left by
+/// [`CURSOR_POSITION_BITS`], or'd with the page's last position (an empty
+/// page echoes `after`, or 0). A partition that fails is skipped and
+/// keeps its receipts; the reply is an error only if the request
+/// acknowledged and returned nothing.
 fn handle_receipts(req: &HttpRequest, ctx: &ServerContext) -> HttpResponse {
-    let app = match req.require("App") {
-        Ok(a) => AppId::new(a),
+    let partitions = ctx.storage.partitions();
+    let parse = || -> StateResult<(AppId, Option<usize>, Option<u64>)> {
+        let app = AppId::new(req.require("App")?);
+        let limit = req.param("limit").map(|l| {
+            l.parse::<usize>().map_err(|_| {
+                StateError::invalid(format!("limit must be a non-negative integer, got {l:?}"))
+            })
+        });
+        let after = req.param("after").map(|a| match a.parse::<u64>() {
+            Ok(c) if ((c >> CURSOR_POSITION_BITS) as usize) < partitions.len() => Ok(c),
+            _ => Err(StateError::invalid(format!(
+                "after must be a cursor from a prior page, got {a:?}"
+            ))),
+        });
+        Ok((app, limit.transpose()?, after.transpose()?))
+    };
+    let (app, limit, after) = match parse() {
+        Ok(p) => p,
         Err(e) => return error_response(e),
     };
-    let limit = match req.param("limit") {
-        None => None,
-        Some(l) => match l.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return error_response(StateError::invalid(format!(
-                    "limit must be a non-negative integer, got {l:?}"
-                )))
-            }
-        },
-    };
-    let after = match req.param("after") {
-        None => None,
-        Some(a) => match a.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return error_response(StateError::invalid(format!(
-                    "after must be a cursor from a prior page, got {a:?}"
-                )))
-            }
-        },
-    };
-
-    // Pull fresh receipts from every partition, in a deterministic
-    // order so pages are stable.
-    let mut fresh = Vec::new();
-    for dc in ctx.storage.partitions() {
-        match ctx.storage.take_receipts(&dc, &app) {
-            Ok(r) => fresh.extend(r),
-            Err(e) => return storage_error(e),
-        }
-    }
-    fresh.sort_by(|a, b| {
-        a.decided_at
-            .cmp(&b.decided_at)
-            .then_with(|| a.key.cmp(&b.key))
-    });
-
-    let mut pager = ctx.pager.lock().expect("pager poisoned");
-    let entry = pager.entry(app.as_str().to_string()).or_default();
     if let Some(c) = after {
-        entry.pending.retain(|(seq, _)| *seq > c);
-    }
-    for r in fresh {
-        entry.next_seq += 1;
-        let seq = entry.next_seq;
-        entry.pending.push_back((seq, r));
-    }
-
-    match limit {
-        None => {
-            // Legacy shape: drain everything in one body.
-            let all: Vec<WriteReceipt> = entry.pending.drain(..).map(|(_, r)| r).collect();
-            match serde_json::to_vec(&all) {
-                Ok(json) => HttpResponse::ok_json(json),
-                Err(e) => error_response(StateError::protocol(format!("serialize: {e}"))),
-            }
+        let dc = &partitions[(c >> CURSOR_POSITION_BITS) as usize];
+        let through = c & ((1 << CURSOR_POSITION_BITS) - 1);
+        if let Err(e) = ctx.storage.ack_receipts(dc, &app, through) {
+            return storage_error(e);
         }
-        Some(n) => {
-            let page: Vec<&WriteReceipt> = entry.pending.iter().take(n).map(|(_, r)| r).collect();
-            let cursor = page
-                .len()
-                .checked_sub(1)
-                .and_then(|i| entry.pending.get(i))
-                .map(|(seq, _)| *seq)
-                .or(after)
-                .unwrap_or(0);
-            match serde_json::to_vec(&page) {
-                Ok(json) => {
-                    HttpResponse::ok_json(json).with_header(CURSOR_HEADER, cursor.to_string())
+    }
+    let Some(limit) = limit else {
+        return match ctx.storage.take_all_receipts(&app) {
+            Ok(all) => receipts_reply(&all, None),
+            Err(_) if after.is_some() => receipts_reply(&[], None),
+            Err(e) => storage_error(e),
+        };
+    };
+    let mut failure = None;
+    for (ordinal, dc) in partitions.iter().enumerate() {
+        match ctx.storage.pending_receipts(dc, &app, limit) {
+            Ok(pending) => {
+                if let Some((last, _)) = pending.last() {
+                    let cursor = ((ordinal as u64) << CURSOR_POSITION_BITS) | last;
+                    let page: Vec<WriteReceipt> = pending.into_iter().map(|(_, r)| r).collect();
+                    return receipts_reply(&page, Some(cursor));
                 }
-                Err(e) => error_response(StateError::protocol(format!("serialize: {e}"))),
             }
+            Err(e) => failure = failure.or(Some(e)),
         }
+    }
+    match failure {
+        Some(e) if after.is_none() => storage_error(e),
+        _ => receipts_reply(&[], Some(after.unwrap_or(0))),
+    }
+}
+
+/// A receipts body, with its page cursor when paginated.
+fn receipts_reply(receipts: &[WriteReceipt], cursor: Option<u64>) -> HttpResponse {
+    match serde_json::to_vec(receipts) {
+        Ok(json) => match cursor {
+            Some(c) => HttpResponse::ok_json(json).with_header(CURSOR_HEADER, c.to_string()),
+            None => HttpResponse::ok_json(json),
+        },
+        Err(e) => error_response(StateError::protocol(format!("serialize: {e}"))),
     }
 }
 
@@ -2181,7 +2163,7 @@ mod tests {
         let page3: Vec<WriteReceipt> = serde_json::from_slice(&p3.body).unwrap();
         assert!(page3.is_empty());
 
-        // And the client-side pager walks all pages transparently.
+        // And the client walks all pages transparently.
         storage
             .post_receipts(
                 &dc,
@@ -2199,10 +2181,77 @@ mod tests {
             .unwrap();
         let receipts = writer.take_receipts().unwrap();
         assert_eq!(receipts.len(), 1);
-        // Drained: the pager acked everything.
+        // Drained: the client acked everything.
         assert!(writer.take_receipts().unwrap().is_empty());
         let _ = client;
         server.shutdown();
+    }
+
+    /// The server holds no receipt state: a page read but not acked
+    /// survives a server restart, served again by a new server over the
+    /// same storage; once acked it is gone for every server.
+    #[test]
+    fn an_unacked_receipt_page_survives_a_server_restart() {
+        use statesman_types::{StateKey, Value, WriteOutcome};
+        let clock = SimClock::new();
+        let storage = StorageService::new(
+            [DatacenterId::new("dc1"), DatacenterId::new("dc2")],
+            clock.clone(),
+            statesman_storage::StorageConfig::default(),
+        );
+        for (dc, dev) in [("dc1", "agg-1-1"), ("dc1", "agg-1-2"), ("dc2", "agg-1-1")] {
+            storage
+                .post_receipts(
+                    &DatacenterId::new(dc),
+                    vec![WriteReceipt {
+                        app: AppId::new("upgrade"),
+                        key: StateKey::new(
+                            EntityName::device(dc, dev),
+                            Attribute::DeviceFirmwareVersion,
+                        ),
+                        proposed: Value::text("7.0"),
+                        outcome: WriteOutcome::Accepted,
+                        decided_at: clock.now(),
+                    }],
+                )
+                .unwrap();
+        }
+        let page = |server: &ApiServer, after: Option<u64>| {
+            let target = match after {
+                Some(c) => format!("/v1/receipts?App=upgrade&limit=2&after={c}"),
+                None => "/v1/receipts?App=upgrade&limit=2".to_string(),
+            };
+            let resp = ApiClient::new(server.addr())
+                .raw_request("GET", &target, &[])
+                .unwrap();
+            assert_eq!(resp.status, 200);
+            let receipts: Vec<WriteReceipt> = serde_json::from_slice(&resp.body).unwrap();
+            (
+                receipts,
+                resp.cursor().expect("paginated reply carries a cursor"),
+            )
+        };
+
+        let mut first = ApiServer::start(storage.clone()).unwrap();
+        let (before, cursor) = page(&first, None);
+        assert_eq!(before.len(), 2, "one partition's page: {before:?}");
+        first.shutdown();
+
+        let mut second = ApiServer::start(storage.clone()).unwrap();
+        assert_eq!(
+            page(&second, None),
+            (before, cursor),
+            "same page after restart"
+        );
+        // Acking it moves on to the other partition's receipt, then to
+        // an empty page.
+        let (rest, next) = page(&second, Some(cursor));
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].key.entity.datacenter, DatacenterId::new("dc2"));
+        assert!(next > cursor);
+        let (empty, _) = page(&second, Some(next));
+        assert!(empty.is_empty());
+        second.shutdown();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ring on equal footing.
 
 use crate::bus::{LatencyModel, MessageBus, Micros, ReplicaId};
-use crate::machine::{LogCommand, StateMachine};
+use crate::machine::{LogCommand, MachineSnapshot, StateMachine};
 use crate::paxos::{PaxosMsg, Replica, Slot};
 use crate::recovery::{self, RecoveryReport};
 use crate::wal::{DurabilityMode, ReplicaStore, WalCorruption, WalStats};
@@ -301,20 +301,6 @@ impl PaxosCluster {
         }
     }
 
-    /// Mutable access to the leader's machine — used by the service layer
-    /// to drain receipts (a read-modify op served linearizably by the
-    /// leader).
-    pub fn leader_machine_mut(&mut self) -> StateResult<&mut StateMachine> {
-        self.ensure_leader();
-        match self.leader {
-            Some(l) => Ok(&mut self.replicas[l.0 as usize].machine),
-            None => Err(StateError::StorageUnavailable {
-                partition: "ring".into(),
-                reason: "no leader".into(),
-            }),
-        }
-    }
-
     /// A follower's (possibly stale) machine — models reading a cache
     /// replica.
     pub fn any_machine(&self) -> &StateMachine {
@@ -477,10 +463,52 @@ impl PaxosCluster {
         self.replicas[id.0 as usize].applied_through()
     }
 
+    /// Replica determinism: every live replica that has applied the same
+    /// decree holds the same machine. The log is the only way to change
+    /// a replica, so two canonical images ([`StateMachine::to_snapshot`])
+    /// at one frontier must be equal; a difference means something wrote
+    /// to one replica's machine outside `apply`, snapshot install and
+    /// recovery. Crashed replicas are skipped (a killed one is an empty
+    /// husk until it recovers). Returns how many replica pairs were
+    /// compared, or a description of the first pair that differs.
+    pub fn check_replica_determinism(&self) -> Result<usize, String> {
+        let live: Vec<(usize, Slot, MachineSnapshot)> = self
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !self.bus.is_crashed(ReplicaId(*i as u8)))
+            .map(|(i, r)| (i, r.applied_through(), r.machine.to_snapshot()))
+            .collect();
+        let mut pairs = 0;
+        for (k, (a, through, image)) in live.iter().enumerate() {
+            for (b, other_through, other) in &live[k + 1..] {
+                if through != other_through {
+                    continue;
+                }
+                pairs += 1;
+                if image != other {
+                    return Err(format!(
+                        "replicas r{a} and r{b} both applied through decree {through} \
+                         but hold different machines"
+                    ));
+                }
+            }
+        }
+        Ok(pairs)
+    }
+
     /// One replica (tests that look inside its log).
     #[cfg(test)]
     pub(crate) fn replica(&self, id: ReplicaId) -> &Replica {
         &self.replicas[id.0 as usize]
+    }
+
+    /// One replica's machine, writable behind the log's back: only for
+    /// the canary proving [`PaxosCluster::check_replica_determinism`]
+    /// notices such a write.
+    #[cfg(test)]
+    fn replica_machine_mut(&mut self, id: ReplicaId) -> &mut StateMachine {
+        &mut self.replicas[id.0 as usize].machine
     }
 }
 
@@ -861,11 +889,61 @@ mod tests {
         (0, 0xd4cc_6775_1c8f_bf6b),
     ];
     /// Everything is applied at the fold, so each log is empty after it.
+    /// The snapshot half was re-pinned once (from 0x08cc_032a_30e1_4a72)
+    /// when the image started carrying each application's receipt ack
+    /// position beside its pending receipts; the log half never moved.
     const PINNED_FOLDED: [(u64, u64); 3] = [
-        (0x08cc_032a_30e1_4a72, 0xa8c7_f832_281a_39c5),
-        (0x08cc_032a_30e1_4a72, 0xa8c7_f832_281a_39c5),
-        (0x08cc_032a_30e1_4a72, 0xa8c7_f832_281a_39c5),
+        (0xc09d_9420_71c6_bf42, 0xa8c7_f832_281a_39c5),
+        (0xc09d_9420_71c6_bf42, 0xa8c7_f832_281a_39c5),
+        (0xc09d_9420_71c6_bf42, 0xa8c7_f832_281a_39c5),
     ];
+
+    /// The canary for the replica-determinism checker: receipts posted
+    /// and acknowledged through the log leave every replica equal, and
+    /// one write to one replica's machine outside the log — what the
+    /// deleted leader-side receipt drain did — is reported.
+    #[test]
+    fn replica_determinism_reports_a_write_outside_the_log() {
+        let mut c = PaxosCluster::new(ClusterConfig::intra_dc(8));
+        let app = AppId::new("te");
+        let post = |dev: &str| LogCommand::PostReceipts {
+            receipts: vec![WriteReceipt {
+                app: app.clone(),
+                key: row(dev, "").key(),
+                proposed: Value::text("2"),
+                outcome: WriteOutcome::Accepted,
+                decided_at: SimTime::from_secs(60),
+            }],
+        };
+        let ack = |through| LogCommand::AckReceipts {
+            app: app.clone(),
+            through,
+        };
+        c.submit(wb("a", "1")).unwrap();
+        c.submit(post("a")).unwrap();
+        assert_eq!(c.check_replica_determinism(), Ok(3));
+        c.submit(ack(1)).unwrap();
+        assert_eq!(c.check_replica_determinism(), Ok(3));
+
+        // A follower cut off from the leader lags; only the two replicas
+        // at the same frontier are compared.
+        let leader = c.leader().unwrap();
+        let lagging = (0..3u8).map(ReplicaId).find(|r| *r != leader).unwrap();
+        c.partition_replicas(leader, lagging);
+        c.submit(post("b")).unwrap();
+        assert_eq!(c.check_replica_determinism(), Ok(1));
+        c.heal_partitions();
+
+        // The leader drops its receipts behind the log's back.
+        c.submit(post("c")).unwrap();
+        let through = c.applied_through(leader);
+        c.replica_machine_mut(leader).apply(&ack(3));
+        let err = c.check_replica_determinism().unwrap_err();
+        assert!(
+            err.contains(&format!("decree {through}")),
+            "the divergence names its frontier: {err}"
+        );
+    }
 
     #[test]
     fn commit_latency_is_recorded() {

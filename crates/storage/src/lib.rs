@@ -21,7 +21,8 @@
 //! * [`cluster`] — a pump-driven Paxos ring of N replicas exposing
 //!   `submit → committed` with measured (virtual) commit latencies;
 //! * [`machine`] — the replicated state machine: OS/PS/TS pools of
-//!   versioned rows plus checker receipts;
+//!   versioned rows plus each application's queue of checker receipts,
+//!   acknowledged through the log like every other change;
 //! * [`service`] — the per-DC partitioning, the proxy that routes entities
 //!   to rings, and the §6.4 freshness modes (up-to-date reads served from
 //!   the ring; bounded-stale reads served from a cache);

@@ -6,7 +6,7 @@
 //! monotonically increasing [`Version`] stamped at apply time, which the
 //! checker uses to detect stale-basis proposals.
 
-use serde::{Deserialize, Serialize};
+use serde::{help, Content, DeError, Deserialize, Serialize};
 use statesman_types::{
     slot_registry, AppId, Column, NetworkState, Pool, SlotId, StateDelta, StateKey, Version,
     WriteReceipt,
@@ -83,7 +83,8 @@ pub enum LogCommand {
         /// The rows to upsert, shared (see [`LogCommand`]).
         rows: Arc<Vec<NetworkState>>,
     },
-    /// Record checker receipts for an application to poll.
+    /// Record checker receipts for an application to poll. Each receipt
+    /// joins its application's receipt queue at the next position.
     PostReceipts {
         /// The receipts.
         receipts: Vec<WriteReceipt>,
@@ -102,6 +103,16 @@ pub enum LogCommand {
         /// The wrapped command.
         inner: Box<LogCommand>,
     },
+    /// An application has received its receipts up to a position: drop
+    /// every receipt of `app` at or below `through`. Idempotent — a
+    /// repeated or older ack drops nothing more — so a client may resend
+    /// a cursor. The last variant, so earlier commands keep their bytes.
+    AckReceipts {
+        /// The application whose queue is acknowledged.
+        app: AppId,
+        /// The highest position acknowledged.
+        through: u64,
+    },
 }
 
 impl LogCommand {
@@ -114,6 +125,7 @@ impl LogCommand {
             LogCommand::PostReceipts { receipts } => receipts.len().max(1),
             LogCommand::Noop => 1,
             LogCommand::Tagged { inner, .. } => inner.weight(),
+            LogCommand::AckReceipts { .. } => 1,
         }
     }
 }
@@ -147,6 +159,76 @@ impl ChangeIndex {
     }
 }
 
+/// One application's receipts, in the order the log posted them. Every
+/// receipt ever posted for the application has a position, counting
+/// from 1: the queue holds the receipts after `acked`, so `pending[i]`
+/// sits at position `acked + 1 + i`. Positions are stamped at apply and
+/// never reused, and `acked` only grows, so an application that has
+/// read up to a position can acknowledge it by number, on any replica
+/// and across any restart. A deque, so acknowledging a page of a long
+/// backlog costs the page, not the backlog; its image is a plain list.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ReceiptQueue {
+    acked: u64,
+    pending: VecDeque<WriteReceipt>,
+}
+
+impl Serialize for ReceiptQueue {
+    fn to_content(&self) -> Content {
+        let pending = self.pending.iter().map(Serialize::to_content).collect();
+        Content::Map(vec![
+            (Content::Str("acked".into()), self.acked.to_content()),
+            (Content::Str("pending".into()), Content::Seq(pending)),
+        ])
+    }
+}
+
+impl Deserialize for ReceiptQueue {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let pending = |c| Vec::<WriteReceipt>::from_content(c).map(VecDeque::from);
+        match content {
+            // An image written before acks went through the log holds a
+            // bare list: its receipts keep loading, none acknowledged.
+            Content::Seq(_) => Ok(ReceiptQueue {
+                acked: 0,
+                pending: pending(content)?,
+            }),
+            Content::Map(fields) => {
+                let field = |name: &str| {
+                    help::map_get(fields, name)
+                        .ok_or_else(|| help::err(format!("receipt queue without `{name}`")))
+                };
+                Ok(ReceiptQueue {
+                    acked: u64::from_content(field("acked")?)?,
+                    pending: pending(field("pending")?)?,
+                })
+            }
+            other => Err(help::err(format!(
+                "expected a receipt queue, got {other:?}"
+            ))),
+        }
+    }
+}
+
+impl ReceiptQueue {
+    /// Up to `limit` pending receipts, oldest first, with their positions.
+    pub(crate) fn pending(&self, limit: usize) -> impl Iterator<Item = (u64, &WriteReceipt)> {
+        (self.acked + 1..).zip(self.pending.iter().take(limit))
+    }
+
+    /// How many pending receipts an ack through `through` would drop.
+    pub(crate) fn ackable(&self, through: u64) -> usize {
+        (through.saturating_sub(self.acked) as usize).min(self.pending.len())
+    }
+
+    fn ack(&mut self, through: u64) -> usize {
+        let n = self.ackable(through);
+        self.pending.drain(..n);
+        self.acked += n as u64;
+        n
+    }
+}
+
 /// The materialized store one replica derives from the committed log.
 ///
 /// Pools are columnar [`Column`]s over the process-wide slot space: every
@@ -159,7 +241,7 @@ impl ChangeIndex {
 #[derive(Debug, Clone)]
 pub struct StateMachine {
     pools: HashMap<Pool, Column>,
-    receipts: HashMap<AppId, Vec<WriteReceipt>>,
+    receipts: HashMap<AppId, ReceiptQueue>,
     next_version: u64,
     applied: u64,
     /// Request ids already applied (dedupe for failover re-submission).
@@ -334,10 +416,15 @@ impl StateMachine {
                     self.receipts
                         .entry(r.app.clone())
                         .or_default()
-                        .push(r.clone());
+                        .pending
+                        .push_back(r.clone());
                 }
                 receipts.len()
             }
+            LogCommand::AckReceipts { app, through } => self
+                .receipts
+                .get_mut(app)
+                .map_or(0, |queue| queue.ack(*through)),
             LogCommand::Noop => 0,
             LogCommand::Tagged { id, inner } => {
                 if self.applied_ids.insert(*id) {
@@ -417,14 +504,10 @@ impl StateMachine {
         v
     }
 
-    /// Drain (return and clear) the receipts queued for one application.
-    pub fn take_receipts(&mut self, app: &AppId) -> Vec<WriteReceipt> {
-        self.receipts.remove(app).unwrap_or_default()
-    }
-
-    /// Peek queued receipts without draining.
-    pub fn peek_receipts(&self, app: &AppId) -> &[WriteReceipt] {
-        self.receipts.get(app).map(|v| v.as_slice()).unwrap_or(&[])
+    /// One application's receipt queue (`None` if nothing was ever
+    /// posted for it).
+    pub(crate) fn receipts(&self, app: &AppId) -> Option<&ReceiptQueue> {
+        self.receipts.get(app)
     }
 
     /// Commands applied so far (monotone; equality across replicas after
@@ -502,7 +585,8 @@ impl StateMachine {
     /// A canonical, serializable image of this machine for durable
     /// snapshots and recovery-equivalence checks. Hash-map contents are
     /// emitted in a deterministic order (pools by wire name, rows by key,
-    /// receipts by application id) and interned
+    /// receipt queues, with their ack positions, by application id) and
+    /// interned
     /// [`VarId`](statesman_types::VarId)s are resolved
     /// back to string keys, so two machines with identical logical
     /// contents produce bit-identical snapshots — including across
@@ -518,7 +602,7 @@ impl StateMachine {
             })
             .collect();
         pools.sort_by_key(|(p, _)| p.wire_name());
-        let mut receipts: Vec<(AppId, Vec<WriteReceipt>)> = self
+        let mut receipts: Vec<(AppId, ReceiptQueue)> = self
             .receipts
             .iter()
             .map(|(a, r)| (a.clone(), r.clone()))
@@ -623,7 +707,7 @@ pub struct ChangeIndexSnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineSnapshot {
     pools: Vec<(Pool, Vec<NetworkState>)>,
-    receipts: Vec<(AppId, Vec<WriteReceipt>)>,
+    receipts: Vec<(AppId, ReceiptQueue)>,
     next_version: u64,
     applied: u64,
     applied_ids: Vec<u64>,
@@ -706,19 +790,70 @@ mod tests {
     fn receipts_queue_and_drain() {
         let mut m = StateMachine::new();
         let app = AppId::new("upgrade");
-        let receipt = WriteReceipt {
+        let receipt = |dev: &str| WriteReceipt {
             app: app.clone(),
-            key: row("a", "").key(),
+            key: row(dev, "").key(),
             proposed: Value::text("7"),
             outcome: WriteOutcome::Accepted,
             decided_at: SimTime::ZERO,
         };
+        let posted = vec![receipt("a"), receipt("b"), receipt("c")];
         m.apply(&LogCommand::PostReceipts {
-            receipts: vec![receipt.clone()],
+            receipts: posted.clone(),
         });
-        assert_eq!(m.peek_receipts(&app).len(), 1);
-        assert_eq!(m.take_receipts(&app), vec![receipt]);
-        assert!(m.take_receipts(&app).is_empty());
+        let positions = |m: &StateMachine| -> Vec<u64> {
+            m.receipts(&app)
+                .map(|q| q.pending(usize::MAX).map(|(p, _)| p).collect())
+                .unwrap_or_default()
+        };
+        assert_eq!(positions(&m), vec![1, 2, 3]);
+        let version = m.current_version();
+        let ack = |through| LogCommand::AckReceipts {
+            app: app.clone(),
+            through,
+        };
+        assert_eq!(m.apply(&ack(2)), 2);
+        assert_eq!(positions(&m), vec![3]);
+        // Idempotent: a repeated or older ack drops nothing more.
+        assert_eq!(m.apply(&ack(2)), 0);
+        assert_eq!(m.apply(&ack(1)), 0);
+        // A later post continues the numbering; an ack past the end
+        // drops only what exists.
+        m.apply(&LogCommand::PostReceipts {
+            receipts: vec![receipt("d")],
+        });
+        assert_eq!(positions(&m), vec![3, 4]);
+        assert_eq!(m.apply(&ack(99)), 2);
+        assert!(positions(&m).is_empty());
+        m.apply(&LogCommand::PostReceipts {
+            receipts: vec![receipt("e")],
+        });
+        assert_eq!(positions(&m), vec![5]);
+        // Receipts move no row version, and an unknown app's ack is a no-op.
+        assert_eq!(m.current_version(), version);
+        assert_eq!(
+            m.apply(&LogCommand::AckReceipts {
+                app: AppId::new("other"),
+                through: 9,
+            }),
+            0
+        );
+        // The ack position survives a snapshot round trip, and an image
+        // written before acks were logged (a bare list) still loads.
+        let back = StateMachine::from_snapshot(&m.to_snapshot());
+        assert_eq!(back.to_snapshot(), m.to_snapshot());
+        assert_eq!(positions(&back), vec![5]);
+        let json = serde_json::to_string(&m.to_snapshot()).unwrap();
+        assert_eq!(
+            serde_json::from_str::<MachineSnapshot>(&json).unwrap(),
+            m.to_snapshot()
+        );
+        let old = serde_json::to_string(&posted).unwrap();
+        let queue: ReceiptQueue = serde_json::from_str(&old).unwrap();
+        assert_eq!(
+            queue.pending(9).map(|(p, _)| p).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]

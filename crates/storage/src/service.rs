@@ -32,7 +32,7 @@
 
 use crate::bus::ReplicaId;
 use crate::cluster::{ClusterConfig, PaxosCluster};
-use crate::machine::LogCommand;
+use crate::machine::{LogCommand, StateMachine};
 use crate::wal::{DurabilityMode, WalCorruption};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -160,6 +160,9 @@ struct StorageObs {
     retries_exhausted: Counter,
     unavailable: Counter,
     receipts_posted: Counter,
+    /// Receipts acknowledged (dropped from storage by a committed
+    /// `AckReceipts`), not receipts read: a page read twice before its
+    /// ack counts once.
     receipts_taken: Counter,
     partitions_offline: Gauge,
     delta_reads: Counter,
@@ -917,16 +920,108 @@ impl StorageService {
         self.submit_with_retry(part, &mut ring, dc, LogCommand::PostReceipts { receipts })
     }
 
-    /// Drain the receipts queued for an application in one partition.
+    /// Up to `limit` of an application's pending receipts in one
+    /// partition, oldest first, each with its position in the
+    /// application's queue: a plain leader read that removes nothing.
+    /// Feed the last position back to [`StorageService::ack_receipts`]
+    /// once the receipts are delivered.
+    pub fn pending_receipts(
+        &self,
+        dc: &DatacenterId,
+        app: &AppId,
+        limit: usize,
+    ) -> StateResult<Vec<(u64, WriteReceipt)>> {
+        let part = self.part(dc)?;
+        part.check_online(dc)?;
+        let mut ring = self.lock_ring(dc, part);
+        Ok(pending(ring.leader_machine()?, app, limit))
+    }
+
+    /// Acknowledge an application's receipts in one partition up to and
+    /// including position `through`: a logged [`LogCommand::AckReceipts`],
+    /// so every replica drops the same receipts. Idempotent; an ack that
+    /// would drop nothing commits nothing.
+    pub fn ack_receipts(&self, dc: &DatacenterId, app: &AppId, through: u64) -> StateResult<()> {
+        let part = self.part(dc)?;
+        part.check_online(dc)?;
+        let mut ring = self.lock_ring(dc, part);
+        self.ack_locked(part, &mut ring, dc, app, through)
+    }
+
+    /// Take (read, then acknowledge) every pending receipt of an
+    /// application in one partition. Both steps run under one ring-lock
+    /// acquisition, so concurrent takers get disjoint sets; if the ack
+    /// fails, nothing is returned and the receipts stay pending.
     pub fn take_receipts(&self, dc: &DatacenterId, app: &AppId) -> StateResult<Vec<WriteReceipt>> {
         let part = self.part(dc)?;
         part.check_online(dc)?;
         let mut ring = self.lock_ring(dc, part);
-        let receipts = ring.leader_machine_mut()?.take_receipts(app);
-        if let Some(o) = self.obs() {
-            o.receipts_taken.add(receipts.len() as u64);
+        let receipts = pending(ring.leader_machine()?, app, usize::MAX);
+        if let Some((through, _)) = receipts.last() {
+            self.ack_locked(part, &mut ring, dc, app, *through)?;
         }
-        Ok(receipts)
+        Ok(receipts.into_iter().map(|(_, r)| r).collect())
+    }
+
+    /// Take an application's receipts from every partition, in partition
+    /// order. A partition that fails keeps its receipts for a later
+    /// take: the call returns what the other partitions delivered, and
+    /// the error only when none delivered any. Nothing is acknowledged
+    /// that is not returned.
+    pub fn take_all_receipts(&self, app: &AppId) -> StateResult<Vec<WriteReceipt>> {
+        let mut taken = Vec::new();
+        let mut failure = None;
+        for dc in self.names.iter() {
+            match self.take_receipts(dc, app) {
+                Ok(receipts) => taken.extend(receipts),
+                Err(e) => failure = failure.or(Some(e)),
+            }
+        }
+        match failure {
+            Some(e) if taken.is_empty() => Err(e),
+            _ => Ok(taken),
+        }
+    }
+
+    /// [`StorageService::ack_receipts`] under a held ring lock. Counts
+    /// the receipts the committed ack dropped into
+    /// `storage_receipts_taken_total`.
+    fn ack_locked(
+        &self,
+        part: &Partition,
+        ring: &mut PaxosCluster,
+        dc: &DatacenterId,
+        app: &AppId,
+        through: u64,
+    ) -> StateResult<()> {
+        let dropped = ring
+            .leader_machine()?
+            .receipts(app)
+            .map_or(0, |queue| queue.ackable(through));
+        if dropped == 0 {
+            return Ok(());
+        }
+        let app = app.clone();
+        self.submit_with_retry(part, ring, dc, LogCommand::AckReceipts { app, through })?;
+        if let Some(o) = self.obs() {
+            o.receipts_taken.add(dropped as u64);
+        }
+        Ok(())
+    }
+
+    /// Replica determinism for one partition (see
+    /// [`PaxosCluster::check_replica_determinism`]): the number of replica
+    /// pairs at an equal frontier whose machines were compared, or the
+    /// first difference. Deliberately bypasses `check_online`: it runs
+    /// through outages and recoveries, skipping only crashed replicas.
+    pub fn check_replica_determinism(&self, dc: &DatacenterId) -> Result<usize, String> {
+        let part = self
+            .parts
+            .get(dc)
+            .ok_or_else(|| format!("unknown partition {dc}"))?;
+        let ring = self.lock_ring(dc, part);
+        ring.check_replica_determinism()
+            .map_err(|e| format!("partition {dc}: {e}"))
     }
 
     /// Total rows across all partitions and pools (scale reporting).
@@ -1389,6 +1484,14 @@ fn select_rows(column: &Column, req: &ReadRequest) -> (Vec<NetworkState>, u64) {
     }
 }
 
+/// Up to `limit` of `app`'s pending receipts in `machine`, with their
+/// positions.
+fn pending(machine: &StateMachine, app: &AppId, limit: usize) -> Vec<(u64, WriteReceipt)> {
+    machine.receipts(app).map_or_else(Vec::new, |queue| {
+        queue.pending(limit).map(|(p, r)| (p, r.clone())).collect()
+    })
+}
+
 /// Cumulative value-identical writes suppressed by this ring's leader (0
 /// when no leader is reachable — callers diff before/after the same
 /// commit, so a mid-write leader change at worst undercounts).
@@ -1678,6 +1781,80 @@ mod tests {
         s.post_receipts(&dc, vec![receipt.clone()]).unwrap();
         assert_eq!(s.take_receipts(&dc, &app).unwrap(), vec![receipt]);
         assert!(s.take_receipts(&dc, &app).unwrap().is_empty());
+    }
+
+    /// Exactly once across leader changes: an ack is a logged command,
+    /// so whichever replica leads next has dropped the taken receipt too
+    /// (a leader-local drain let each new leader deliver it again).
+    #[test]
+    fn a_taken_receipt_stays_taken_across_leader_changes() {
+        let c = clock();
+        let s = svc(&c);
+        let dc = DatacenterId::new("dc1");
+        let app = AppId::new("upgrade");
+        let receipt = WriteReceipt {
+            app: app.clone(),
+            key: StateKey::new(
+                EntityName::device("dc1", "agg-1-1"),
+                Attribute::DeviceFirmwareVersion,
+            ),
+            proposed: Value::text("7.0"),
+            outcome: statesman_types::WriteOutcome::Accepted,
+            decided_at: c.now(),
+        };
+        s.post_receipts(&dc, vec![receipt.clone()]).unwrap();
+        assert_eq!(s.take_receipts(&dc, &app).unwrap(), vec![receipt]);
+        for replica in 0..3 {
+            s.crash_replica(&dc, replica);
+            assert_eq!(
+                s.take_receipts(&dc, &app).unwrap(),
+                vec![],
+                "re-delivered after replica {replica} crashed"
+            );
+            s.restart_replica(&dc, replica);
+        }
+        assert_eq!(s.check_replica_determinism(&dc), Ok(3));
+    }
+
+    /// A page read is not a take: pending receipts stay until acked by
+    /// position, and the ack drops exactly the receipts at or below it.
+    #[test]
+    fn pending_receipts_stay_until_acked() {
+        let c = clock();
+        let s = svc(&c);
+        let dc = DatacenterId::new("dc1");
+        let app = AppId::new("upgrade");
+        let receipts: Vec<WriteReceipt> = ["agg-1-1", "agg-1-2", "agg-1-3"]
+            .iter()
+            .map(|dev| WriteReceipt {
+                app: app.clone(),
+                key: StateKey::new(
+                    EntityName::device("dc1", *dev),
+                    Attribute::DeviceFirmwareVersion,
+                ),
+                proposed: Value::text("7.0"),
+                outcome: statesman_types::WriteOutcome::Accepted,
+                decided_at: c.now(),
+            })
+            .collect();
+        s.post_receipts(&dc, receipts.clone()).unwrap();
+        let page = s.pending_receipts(&dc, &app, 2).unwrap();
+        assert_eq!(
+            page,
+            vec![(1, receipts[0].clone()), (2, receipts[1].clone())]
+        );
+        assert_eq!(s.pending_receipts(&dc, &app, 2).unwrap(), page);
+        s.ack_receipts(&dc, &app, 2).unwrap();
+        s.ack_receipts(&dc, &app, 2).unwrap();
+        assert_eq!(
+            s.pending_receipts(&dc, &app, 2).unwrap(),
+            vec![(3, receipts[2].clone())]
+        );
+        assert_eq!(
+            s.take_receipts(&dc, &app).unwrap(),
+            vec![receipts[2].clone()]
+        );
+        assert!(s.pending_receipts(&dc, &app, 2).unwrap().is_empty());
     }
 
     #[test]

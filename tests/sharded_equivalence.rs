@@ -146,6 +146,19 @@ fn assert_partitions_identical(a: &StorageService, b: &StorageService) {
     }
 }
 
+/// Replica determinism in every partition: the replicas that applied
+/// the same decree hold the same machine, and at least one pair was
+/// compared (a check that compares nothing proves nothing).
+fn assert_replicas_deterministic(storage: &StorageService) {
+    let mut pairs = 0;
+    for dc in storage.partitions() {
+        pairs += storage
+            .check_replica_determinism(&dc)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+    assert!(pairs > 0, "no replica pair was compared");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -191,6 +204,8 @@ proptest! {
         });
 
         assert_partitions_identical(&sequential, &concurrent);
+        assert_replicas_deterministic(&sequential);
+        assert_replicas_deterministic(&concurrent);
     }
 }
 
@@ -259,6 +274,8 @@ fn multi_partition_batch_fanout_matches_per_partition_batches() {
             .unwrap();
     }
     assert_partitions_identical(&batched, &split);
+    assert_replicas_deterministic(&batched);
+    assert_replicas_deterministic(&split);
 }
 
 /// An offline partition fails fast without a partition lock while the
@@ -324,6 +341,8 @@ fn outage_isolates_one_partition_under_concurrent_load() {
     }
     assert_partitions_identical(&concurrent, &reference);
     assert_eq!(full_sorted(&concurrent, &down), Vec::new());
+    assert_replicas_deterministic(&concurrent);
+    assert_replicas_deterministic(&reference);
 }
 
 /// Concurrent churn bursts past the change index capacity (65,536
@@ -425,6 +444,7 @@ fn compaction_floor_crossing_under_concurrent_bursts() {
         view.apply_delta(tail);
         assert_eq!(view.clone().into_sorted_rows(), full_sorted(&storage, dc));
     }
+    assert_replicas_deterministic(&storage);
 }
 
 /// Chaos determinism across the sharded plane: the five standard seeds
@@ -446,6 +466,8 @@ fn chaos_seeds_remain_deterministic() {
             first.safety_violations
         );
     }
+    // Replica determinism is asserted inside each run, after every
+    // round, over the run's own storage.
 }
 
 /// Regression: a partition with a replica mid-recovery must report
@@ -531,4 +553,5 @@ fn mid_recovery_partition_is_retryably_unavailable_not_stale() {
     assert!(full_sorted(&storage, &dc1)
         .iter()
         .any(|r| r.entity == EntityName::device(dc1.clone(), "dev-99")));
+    assert_replicas_deterministic(&storage);
 }
