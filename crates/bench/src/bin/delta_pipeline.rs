@@ -1,29 +1,36 @@
 //! The columnar + blast-radius control loop at millions of variables:
 //! drives full coordinator rounds (invariants on) over a fabric sized by
-//! `STATESMAN_BENCH_VARS` (default 4,000,000) and reports per-round
-//! checker time, whole-round wall time, resident bytes per state
-//! variable from the columnar storage arenas, and the process's peak
+//! `STATESMAN_BENCH_VARS` (default 4,000,000) and prints every round's
+//! wall-clock stage tree (`tick → monitor {poll, diff, write} →
+//! checker[group] → updater {read, diff, exec}`, the seed's `write`
+//! split into the bulk seed's stages), plus resident bytes per state
+//! variable from the columnar storage arenas and the process's peak
 //! resident set (`VmHWM`, read from `/proc/self/status` at exit).
 //!
-//! The paper's checker budget (§8: minutes-scale rounds, checker well
-//! under the 10 s coordination overhead) is asserted at every size:
-//! steady-state checker time must stay under 10 s even at 4M variables.
+//! Two budgets are asserted at every size: the paper's (§8: minutes-scale
+//! rounds, checker well under the 10 s coordination overhead), so the
+//! steady-state checker time must stay under 10 s even at 4M variables;
+//! and a closed account, so every tree's root leaves at most 5% of the
+//! round `unaccounted`.
 //!
 //! ```text
 //! STATESMAN_BENCH_VARS=4000000 STATESMAN_BENCH_ROUNDS=3 \
 //!     cargo run --release -p statesman-bench --bin delta_pipeline
 //! ```
 //!
-//! Emits `BENCH_delta_pipeline.json` in the working directory.
+//! Emits `BENCH_delta_pipeline.json` in the working directory, with the
+//! seed round's tree and every churn round's.
 
 use statesman_core::{Coordinator, CoordinatorConfig};
 use statesman_net::{SimClock, SimConfig, SimNetwork};
+use statesman_obs::{Obs, Stage};
 use statesman_storage::{ClusterConfig, StorageConfig, StorageService};
 use statesman_topology::DcnSpec;
 use statesman_types::{DatacenterId, SimDuration};
-use std::time::Instant;
 
 const CHECKER_BUDGET_MS: f64 = 10_000.0;
+/// The most of a round its stage tree may leave unaccounted.
+const UNACCOUNTED_BUDGET: f64 = 0.05;
 
 fn main() {
     let vars: usize = std::env::var("STATESMAN_BENCH_VARS")
@@ -39,80 +46,50 @@ fn main() {
     let m = measure(vars, rounds);
     // Read after the last round, so the figure covers the whole run.
     let peak_rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
-    println!(
-        "csv,delta_pipeline,columnar,{},{:.0},{:.0},{:.0},{:.0},{:.1}",
-        m.vars_seeded,
-        m.seed_ms,
-        m.quiescent_checker_ms,
-        m.churn_checker_ms,
-        m.churn_round_ms,
-        m.bytes_per_var
-    );
-    let rows = vec![vec![
-        "columnar".to_string(),
-        m.vars_seeded.to_string(),
-        format!("{:.0}", m.seed_ms),
-        format!("{:.0}", m.quiescent_checker_ms),
-        format!("{:.0}", m.churn_checker_ms),
-        format!("{:.0}", m.churn_round_ms),
-        format!("{:.1}", m.bytes_per_var),
-        peak_rss.clone(),
-    ]];
-    let seed_stages = match &m.seed_stages {
-        Some(s) => format!(
-            "{{ \"rows\": {}, \"partitions\": {}, \"intern_ms\": {:.1}, \
-             \"arena_fill_ms\": {:.1}, \"index_build_ms\": {:.1}, \
-             \"paxos_commit_ms\": {:.1}, \"bulk_wall_ms\": {:.1} }}",
-            s.rows, s.partitions, s.intern_ms, s.fill_ms, s.index_ms, s.commit_ms, s.wall_ms
-        ),
-        None => "null".to_string(),
-    };
-    let json_plane = format!(
-        "    {{ \"plane\": \"columnar\", \"vars\": {}, \"seed_ms\": {:.1}, \
-         \"seed_stages\": {seed_stages}, \
-         \"quiescent_checker_ms\": {:.2}, \"churn_checker_ms\": {:.2}, \
-         \"churn_round_ms\": {:.1}, \"bytes_per_var\": {:.1}, \
-         \"peak_rss_mb\": {peak_rss} }}",
-        m.vars_seeded,
-        m.seed_ms,
-        m.quiescent_checker_ms,
-        m.churn_checker_ms,
-        m.churn_round_ms,
-        m.bytes_per_var
-    );
+    let quiescent_checker_ms = mean(m.quiescent.iter().map(checker_ms));
+    let churn_checker_ms = mean(m.churn.iter().map(checker_ms));
+    let churn_round_ms = mean(m.churn.iter().map(|t| t.ms));
 
     // The headline acceptance: the steady-state checker stays inside the
-    // paper's coordination budget.
+    // paper's coordination budget, and every tree accounts for its round.
     assert!(
-        m.churn_checker_ms < CHECKER_BUDGET_MS,
-        "checker blew the 10 s budget at {} vars: {:.0} ms",
+        churn_checker_ms < CHECKER_BUDGET_MS,
+        "checker blew the 10 s budget at {} vars: {churn_checker_ms:.0} ms",
         m.vars_seeded,
-        m.churn_checker_ms
     );
+    for t in std::iter::once(&m.seed).chain(&m.quiescent).chain(&m.churn) {
+        assert!(
+            t.unaccounted_ms() <= UNACCOUNTED_BUDGET * t.ms,
+            "a round left more than 5% unaccounted:\n{}",
+            t.render()
+        );
+    }
 
-    println!();
     println!("delta_pipeline: {rounds} measured rounds per shape, invariants on");
-    print!(
-        "{}",
-        statesman_bench::report::table(
-            &[
-                "plane",
-                "vars",
-                "seed_ms",
-                "quiet_chk_ms",
-                "churn_chk_ms",
-                "churn_round_ms",
-                "bytes/var",
-                "peak_rss_mb"
-            ],
-            &rows
-        )
+    println!(
+        "csv,delta_pipeline,vars,seed_ms,quiet_chk_ms,churn_chk_ms,churn_round_ms,bytes_per_var,peak_rss_mb"
     );
-
+    println!(
+        "csv,delta_pipeline,{},{:.0},{quiescent_checker_ms:.0},{churn_checker_ms:.0},\
+         {churn_round_ms:.0},{:.1},{peak_rss}",
+        m.vars_seeded, m.seed.ms, m.bytes_per_var
+    );
+    let tree = |t: &Stage| serde_json::to_string(t).expect("stage tree encodes");
+    let churn_trees: Vec<String> = m.churn.iter().map(tree).collect();
     let json = format!(
         "{{\n  \"bench\": \"delta_pipeline\",\n  \"target_vars\": {vars},\n  \
          \"rounds\": {rounds},\n  \"checker_budget_ms\": {CHECKER_BUDGET_MS},\n  \
-         \"planes\": [\n{json_plane}\n  ]\n}}\n"
+         \"vars\": {},\n  \"seed_ms\": {:.1},\n  \
+         \"quiescent_checker_ms\": {quiescent_checker_ms:.2},\n  \
+         \"churn_checker_ms\": {churn_checker_ms:.2},\n  \
+         \"churn_round_ms\": {churn_round_ms:.1},\n  \"bytes_per_var\": {:.1},\n  \
+         \"peak_rss_mb\": {peak_rss},\n  \"seed_tree\": {},\n  \
+         \"churn_trees\": [\n    {}\n  ]\n}}\n",
+        m.vars_seeded,
+        m.seed.ms,
+        m.bytes_per_var,
+        tree(&m.seed),
+        churn_trees.join(",\n    "),
     );
     std::fs::write("BENCH_delta_pipeline.json", json).expect("write BENCH_delta_pipeline.json");
 }
@@ -126,21 +103,33 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-struct PlaneResult {
+/// A round's checker time: its `checker[group]` nodes.
+fn checker_ms(tick: &Stage) -> f64 {
+    let checkers = tick
+        .children
+        .iter()
+        .filter(|s| s.name.starts_with("checker["));
+    checkers.map(|s| s.ms).sum()
+}
+
+fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len().max(1) as f64;
+    xs.sum::<f64>() / n
+}
+
+struct Measured {
     vars_seeded: usize,
-    seed_ms: f64,
-    seed_stages: Option<statesman_storage::SeedStats>,
-    quiescent_checker_ms: f64,
-    churn_checker_ms: f64,
-    churn_round_ms: f64,
+    seed: Stage,
+    quiescent: Vec<Stage>,
+    churn: Vec<Stage>,
     bytes_per_var: f64,
 }
 
 /// Build a coordinator over a fabric sized for `vars` variables and
-/// measure seeded steady-state rounds: quiescent (clock frozen, every
-/// poll returns what the last round wrote) and low-churn (one simulated
-/// minute per round, telemetry counters move).
-fn measure(vars: usize, rounds: usize) -> PlaneResult {
+/// trace the seed round and seeded steady-state rounds: quiescent (clock
+/// frozen, every poll returns what the last round wrote) and low-churn
+/// (one simulated minute per round, telemetry counters move).
+fn measure(vars: usize, rounds: usize) -> Measured {
     let clock = SimClock::new();
     let graph = DcnSpec::sized_for_variables("dcX", vars).build();
     let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
@@ -161,6 +150,7 @@ fn measure(vars: usize, rounds: usize) -> PlaneResult {
             ..Default::default()
         },
     );
+    let obs = Obs::new();
     let coord = Coordinator::new(
         &graph,
         net.clone(),
@@ -169,34 +159,18 @@ fn measure(vars: usize, rounds: usize) -> PlaneResult {
             // Steady-state only: a periodic forced resync inside the
             // sample window would mix full-write rounds into the mean.
             monitor_resync_every: Some(u64::MAX),
+            obs: Some(obs.clone()),
             ..Default::default()
         },
     );
+    let traced = |label: &str| {
+        let tree = obs.traces.last().expect("a traced round").stages;
+        println!("{label} round:\n{}", tree.render());
+        tree
+    };
 
-    let t0 = Instant::now();
-    let seed_round = coord.tick().expect("seed round");
-    let seed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (m_ms, c_ms, u_ms) = seed_round.latency_breakdown_ms();
-    eprintln!(
-        "seed breakdown: monitor {m_ms:.0} ms, checker {c_ms:.0} ms, \
-         updater {u_ms:.0} ms, other {:.0} ms",
-        seed_ms - m_ms - c_ms - u_ms
-    );
-    eprintln!(
-        "seed monitor stages: poll {:.0} / diff {:.0} / write {:.0} ms wall",
-        seed_round.monitor.stage_poll.as_secs_f64() * 1e3,
-        seed_round.monitor.stage_diff.as_secs_f64() * 1e3,
-        seed_round.monitor.stage_write.as_secs_f64() * 1e3,
-    );
-    let seed_stages = seed_round.monitor.seed;
-    if let Some(s) = &seed_stages {
-        eprintln!(
-            "seed stages: {} rows over {} partitions — intern {:.0} ms, \
-             arena fill {:.0} ms, index build {:.0} ms, paxos commit {:.0} ms \
-             (bulk wall {:.0} ms)",
-            s.rows, s.partitions, s.intern_ms, s.fill_ms, s.index_ms, s.commit_ms, s.wall_ms
-        );
-    }
+    coord.tick().expect("seed round");
+    let seed = traced("seed");
     let (state_bytes, state_rows) = storage.state_bytes();
     let bytes_per_var = if state_rows > 0 {
         state_bytes as f64 / state_rows as f64
@@ -204,42 +178,28 @@ fn measure(vars: usize, rounds: usize) -> PlaneResult {
         0.0
     };
 
-    let mut quiescent_checker_ms = 0.0;
-    for _ in 0..rounds {
-        let r = coord.tick().expect("quiescent round");
-        quiescent_checker_ms += r.latency_breakdown_ms().1;
-    }
-    let mut churn_checker_ms = 0.0;
-    let mut churn_round_ms = 0.0;
-    for _ in 0..rounds {
-        // Advance first so every measured tick sees one simulated minute
-        // of telemetry churn (tick_and_advance steps after the tick,
-        // which would leave the last round's churn unmeasured).
-        net.step(SimDuration::from_mins(1));
-        let t = Instant::now();
-        let r = coord.tick().expect("churn round");
-        churn_round_ms += t.elapsed().as_secs_f64() * 1e3;
-        churn_checker_ms += r.latency_breakdown_ms().1;
-        eprintln!(
-            "churn round: monitor poll {:.0} / diff {:.0} / write {:.0} ms, \
-             checker {:.0} ms, updater read {:.0} / diff {:.0} / exec {:.0} ms",
-            r.monitor.stage_poll.as_secs_f64() * 1e3,
-            r.monitor.stage_diff.as_secs_f64() * 1e3,
-            r.monitor.stage_write.as_secs_f64() * 1e3,
-            r.latency_breakdown_ms().1,
-            r.updater.stage_read.as_secs_f64() * 1e3,
-            r.updater.stage_diff.as_secs_f64() * 1e3,
-            r.updater.stage_exec.as_secs_f64() * 1e3,
-        );
-    }
+    let quiescent = (0..rounds)
+        .map(|_| {
+            coord.tick().expect("quiescent round");
+            traced("quiescent")
+        })
+        .collect();
+    let churn = (0..rounds)
+        .map(|_| {
+            // Advance first so every measured tick sees one simulated
+            // minute of telemetry churn (tick_and_advance steps after the
+            // tick, which would leave the last round's churn unmeasured).
+            net.step(SimDuration::from_mins(1));
+            coord.tick().expect("churn round");
+            traced("churn")
+        })
+        .collect();
 
-    PlaneResult {
+    Measured {
         vars_seeded: state_rows as usize,
-        seed_ms,
-        seed_stages,
-        quiescent_checker_ms: quiescent_checker_ms / rounds as f64,
-        churn_checker_ms: churn_checker_ms / rounds as f64,
-        churn_round_ms: churn_round_ms / rounds as f64,
+        seed,
+        quiescent,
+        churn,
         bytes_per_var,
     }
 }

@@ -12,10 +12,9 @@
 //!   priority locks;
 //! * [`motivation`] — Fig 1 / Fig 2 recreated: what happens *without*
 //!   Statesman (traffic loss, partition) vs with it;
-//! * [`scale`] — §8 checker-latency scaling up to the paper's 394K
-//!   state variables, and the ten-DC deployment inventory;
-//! * [`latency`] — the end-to-end loop breakdown (application vs checker
-//!   vs updater share).
+//! * [`scale`] — the §8 ten-DC deployment inventory;
+//! * [`latency`] — the end-to-end loop breakdown (application vs modeled
+//!   monitor and updater device time vs checker compute).
 //!
 //! Every scenario is deterministic given its seed; binaries under
 //! `src/bin/` print the series the paper plots, and criterion benches
@@ -32,4 +31,4 @@ pub use fig10::{Fig10Config, Fig10Result, Fig10Scenario};
 pub use fig8::{Fig8Config, Fig8Result, Fig8Scenario};
 pub use latency::{measure_loop_breakdown, LoopBreakdown};
 pub use motivation::{run_fig1, run_fig2, MotivationOutcome};
-pub use scale::{checker_pass_at_scale, deployment_inventory, ScalePoint};
+pub use scale::deployment_inventory;

@@ -1,13 +1,14 @@
 //! The coordinator: one Statesman control round, end-to-end.
 //!
 //! Wires the monitor → checkers (one per impact group) → updater into the
-//! round a deployment runs continuously (Fig 6), and accounts per-stage
-//! latency: the monitor and updater report modeled device-interaction time
-//! (their work is I/O against hundreds of switches), while the checker
-//! reports wall-clock compute time (its work is in-memory merging and
-//! invariant evaluation). The §8 slide summarizes the resulting breakdown:
-//! application share negligible, checker seconds, updater dominating with
-//! more than half the loop.
+//! round a deployment runs continuously (Fig 6), and accounts for where
+//! the round's host wall time went: with an [`Obs`] attached, every tick
+//! records a [`Stage`] tree — `tick → monitor {poll, diff, write} →
+//! checker[group] → updater {read, diff, exec}` — built from the wall
+//! times the stage reports already carry. The modeled device-interaction
+//! time the §8 breakdown is about (hundreds of switches polled and
+//! commanded) is reported separately, as `MonitorReport::modeled_io` and
+//! `UpdaterReport::modeled_io`, and never enters the tree.
 
 use crate::checker::{Checker, CheckerConfig, CheckerPassReport, MergePolicy};
 use crate::groups::ImpactGroup;
@@ -17,12 +18,15 @@ use crate::invariants::{
 use crate::monitor::{Monitor, MonitorReport};
 use crate::updater::{Updater, UpdaterReport};
 use statesman_net::SimNetwork;
-use statesman_obs::{Counter, Gauge, Histogram, Obs, RoundTrace, StatusBoard, LATENCY_BUCKETS_MS};
+use statesman_obs::{
+    Counter, Gauge, Histogram, Obs, RoundTrace, Stage, StatusBoard, LATENCY_BUCKETS_MS,
+};
 use statesman_storage::StorageService;
 use statesman_topology::NetworkGraph;
 use statesman_types::{DatacenterId, Pool, RetryPolicy, SimDuration, StateResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Coordinator construction knobs.
 #[derive(Debug, Clone)]
@@ -257,29 +261,39 @@ pub struct RoundReport {
 }
 
 impl RoundReport {
-    /// Per-stage latency in milliseconds: (monitor, checker, updater).
-    /// Monitor/updater latency is modeled device I/O; checker latency is
-    /// measured compute (its I/O is against in-memory storage leaders).
-    pub fn latency_breakdown_ms(&self) -> (f64, f64, f64) {
-        let monitor = self.monitor.sim_io.as_millis() as f64;
-        let checker: f64 = self
-            .checkers
-            .iter()
-            .map(|c| c.elapsed.as_secs_f64() * 1e3)
-            .sum();
-        let updater = self.updater.sim_io.as_millis() as f64;
-        (monitor, checker, updater)
-    }
-
-    /// Updater share of the loop, in `[0,1]`.
-    pub fn updater_share(&self) -> f64 {
-        let (m, c, u) = self.latency_breakdown_ms();
-        let total = m + c + u;
-        if total <= 0.0 {
-            0.0
-        } else {
-            u / total
-        }
+    /// The round's wall-clock stages in the order they ran — `monitor
+    /// {poll, diff, write}`, one `checker[group]` per checked group,
+    /// `updater {read, diff, exec}` — from the durations the stage
+    /// reports carry. On a bulk-seed round the monitor's `write` splits
+    /// into the seed's own stages. A round trace's `tick` root holds
+    /// exactly these.
+    pub fn stages(&self) -> Vec<Stage> {
+        let m = &self.monitor;
+        let seed = m.seed.iter().flat_map(|seed| {
+            [
+                Stage::new("intern", seed.intern_ms),
+                Stage::new("arena_fill", seed.fill_ms),
+                Stage::new("index_build", seed.index_ms),
+                Stage::new("paxos_commit", seed.commit_ms),
+            ]
+        });
+        let monitor = Stage::wall("monitor", m.elapsed).with_children(vec![
+            Stage::wall("poll", m.stage_poll),
+            Stage::wall("diff", m.stage_diff),
+            Stage::wall("write", m.stage_write).with_children(seed.collect()),
+        ]);
+        let u = &self.updater;
+        let updater = Stage::wall("updater", u.elapsed).with_children(vec![
+            Stage::wall("read", u.stage_read),
+            Stage::wall("diff", u.stage_diff),
+            Stage::wall("exec", u.stage_exec),
+        ]);
+        let checkers =
+            (self.checkers.iter()).map(|c| Stage::wall(format!("checker[{}]", c.group), c.elapsed));
+        std::iter::once(monitor)
+            .chain(checkers)
+            .chain(std::iter::once(updater))
+            .collect()
     }
 
     /// Total proposals accepted across groups.
@@ -498,6 +512,7 @@ impl Coordinator {
     /// are passed to every checker as uncontrollable. A partition outage
     /// therefore shrinks the round instead of failing it.
     pub fn tick(&self) -> StateResult<RoundReport> {
+        let started = Instant::now();
         let down: BTreeSet<DatacenterId> = self
             .storage
             .partitions()
@@ -553,19 +568,20 @@ impl Coordinator {
             full_fallbacks,
             watermark_lag,
         };
-        self.record_round(&report);
+        self.record_round(&report, started.elapsed());
         Ok(report)
     }
 
-    /// Record one finished round into the observability handle (metrics,
-    /// a [`RoundTrace`], and the status board). No-op without one.
-    fn record_round(&self, report: &RoundReport) {
+    /// Record one finished round, `tick` long, into the observability
+    /// handle (metrics, a [`RoundTrace`], and the status board). No-op
+    /// without one.
+    fn record_round(&self, report: &RoundReport, tick: Duration) {
         let Some((obs, m)) = &self.obs else {
             return;
         };
         let round = self.round.fetch_add(1, Ordering::Relaxed);
         let now = self.net.clock().now();
-        let (monitor_ms, checker_ms, updater_ms) = report.latency_breakdown_ms();
+        let stages = Stage::wall("tick", tick).with_children(report.stages());
 
         m.rounds.inc();
         if report.degraded() {
@@ -576,14 +592,14 @@ impl Coordinator {
             .add(report.monitor.devices_unreachable as u64);
         m.monitor_quarantined
             .set(report.monitor.devices_quarantined as i64);
-        m.monitor_round_ms.observe(monitor_ms);
+        m.monitor_round_ms.observe(ms(report.monitor.elapsed));
         let mut reject_reasons: BTreeMap<String, usize> = BTreeMap::new();
         let mut proposals_seen = 0usize;
         let mut already_satisfied = 0usize;
         for pass in &report.checkers {
             proposals_seen += pass.proposals_seen;
             already_satisfied += pass.already_satisfied;
-            m.checker_pass_ms.observe(pass.elapsed.as_secs_f64() * 1e3);
+            m.checker_pass_ms.observe(ms(pass.elapsed));
             for receipt in &pass.receipts {
                 if receipt.outcome.is_rejected() {
                     *reject_reasons
@@ -615,7 +631,7 @@ impl Coordinator {
             .add(report.updater.plan_inflight_rejections as u64);
         m.updater_plan_rollbacks
             .add(report.updater.plan_rollbacks as u64);
-        m.updater_round_ms.observe(updater_ms);
+        m.updater_round_ms.observe(ms(report.updater.elapsed));
         let full_degrades_total: u64 = self.checkers.iter().map(|c| c.full_degrades()).sum();
         let prev_degrades = m
             .last_full_degrades
@@ -670,9 +686,7 @@ impl Coordinator {
         obs.traces.push(RoundTrace {
             round,
             at_ms: now.as_millis(),
-            monitor_ms,
-            checker_ms,
-            updater_ms,
+            stages,
             devices_polled: report.monitor.devices_polled,
             devices_unreachable: report.monitor.devices_unreachable,
             devices_quarantined: report.monitor.devices_quarantined,
@@ -704,12 +718,6 @@ impl Coordinator {
             plan_max_width: report.updater.plan_max_width,
             plan_inflight_rejections: report.updater.plan_inflight_rejections,
             plan_rollbacks: report.updater.plan_rollbacks,
-            updater_stage_read_ms: report.updater.stage_read.as_secs_f64() * 1e3,
-            updater_stage_diff_ms: report.updater.stage_diff.as_secs_f64() * 1e3,
-            updater_stage_exec_ms: report.updater.stage_exec.as_secs_f64() * 1e3,
-            monitor_stage_poll_ms: report.monitor.stage_poll.as_secs_f64() * 1e3,
-            monitor_stage_diff_ms: report.monitor.stage_diff.as_secs_f64() * 1e3,
-            monitor_stage_write_ms: report.monitor.stage_write.as_secs_f64() * 1e3,
         });
         obs.set_status(StatusBoard {
             quarantined,
@@ -740,6 +748,10 @@ impl Coordinator {
         self.net.step(step);
         Ok(report)
     }
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 #[cfg(test)]
@@ -813,17 +825,82 @@ mod tests {
         assert!(receipts.iter().any(|x| x.outcome.is_accepted()));
     }
 
+    /// No node's children overrun it (a nanosecond of float rounding
+    /// aside): every node is wall time, measured around its children.
+    fn assert_closed(node: &Stage) {
+        let left = node.unaccounted_ms();
+        assert!(
+            left >= -1e-6,
+            "{} overrun by {left} ms:\n{}",
+            node.name,
+            node.render()
+        );
+        node.children.iter().for_each(assert_closed);
+    }
+
+    /// The `tick` root's children are the report's own durations.
+    fn assert_tree_is_the_report(tree: &Stage, r: &RoundReport) {
+        let parts = |s: &Stage| -> Vec<(String, f64)> {
+            (s.children.iter())
+                .map(|c| (c.name.clone(), c.ms))
+                .collect()
+        };
+        let want = |stages: [(&str, Duration); 3]| -> Vec<(String, f64)> {
+            stages.map(|(name, d)| (name.to_string(), ms(d))).into()
+        };
+        let (m, u, c) = (&r.monitor, &r.updater, &r.checkers[0]);
+        let top = [
+            ("monitor", m.elapsed),
+            ("checker[dc:dc1]", c.elapsed),
+            ("updater", u.elapsed),
+        ];
+        assert_eq!(parts(tree), want(top));
+        let monitor = [
+            ("poll", m.stage_poll),
+            ("diff", m.stage_diff),
+            ("write", m.stage_write),
+        ];
+        assert_eq!(parts(&tree.children[0]), want(monitor));
+        let updater = [
+            ("read", u.stage_read),
+            ("diff", u.stage_diff),
+            ("exec", u.stage_exec),
+        ];
+        assert_eq!(parts(&tree.children[2]), want(updater));
+        assert_eq!(tree.children, r.stages());
+        assert_closed(tree);
+    }
+
     #[test]
     fn latency_breakdown_has_all_stages() {
-        let (graph, net, storage, _clock) = setup();
-        let coord = Coordinator::new(&graph, net, storage, CoordinatorConfig::default());
-        let r = coord.tick().unwrap();
-        let (m, c, u) = r.latency_breakdown_ms();
-        assert!(m > 0.0);
-        assert!(c > 0.0);
-        // No TS yet → no updater work this round.
-        assert_eq!(u, 0.0);
-        assert!(r.updater_share() < 0.5);
+        // Big enough for the bulk seed, so the seed round's `write` splits
+        // into the seed's own stages.
+        let clock = SimClock::new();
+        let graph =
+            DcnSpec::sized_for_variables("dc1", crate::monitor::BULK_SEED_THRESHOLD + 2_000)
+                .build();
+        let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
+        let storage = StorageService::single_dc("dc1", clock);
+        let obs = Obs::new();
+        let config = CoordinatorConfig {
+            capacity_invariant: None,
+            obs: Some(obs.clone()),
+            ..Default::default()
+        };
+        let coord = Coordinator::new(&graph, net, storage, config);
+        let seed = coord.tick().unwrap();
+        let tree = obs.traces.last().unwrap().stages;
+        assert_eq!(tree.name, "tick");
+        assert_tree_is_the_report(&tree, &seed);
+        let write = &tree.children[0].children[2];
+        let names: Vec<&str> = write.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["intern", "arena_fill", "index_build", "paxos_commit"]
+        );
+        let children: f64 = write.children.iter().map(|c| c.ms).sum();
+        let wall_ms = seed.monitor.seed.expect("a bulk seed").wall_ms;
+        assert!((children - wall_ms).abs() < 1e-6, "{children} vs {wall_ms}");
     }
 
     #[test]
@@ -1001,10 +1078,15 @@ mod tests {
         // Storage was auto-attached to the same registry.
         assert!(reg.counter_value("storage_reads_total").unwrap() > 0);
 
-        // The last trace matches the report's latency breakdown exactly.
+        // The last trace's stage tree is the report's wall time, and the
+        // round histograms observe those same nodes.
         let trace = obs.traces.last().unwrap();
         assert_eq!(trace.round, 1);
-        assert_eq!(trace.latency_breakdown_ms(), r.latency_breakdown_ms());
+        assert_tree_is_the_report(&trace.stages, &r);
+        let traces = obs.traces.recent(2);
+        let updater: f64 = (traces.iter()).map(|t| t.stages.children[2].ms).sum();
+        let histogram = reg.histogram("updater_round_ms", LATENCY_BUCKETS_MS);
+        assert_eq!((histogram.count(), histogram.sum()), (2, updater));
         assert_eq!(trace.accepted, 1);
         assert_eq!(
             trace.proposals_seen,
@@ -1141,7 +1223,7 @@ mod tests {
         format!(
             "{:?} {monitor:?} {seed:?} {checkers:?} {updater:?} {:?} {round:?} {}",
             (r.rows_written, r.writes_suppressed),
-            u.sim_io,
+            u.modeled_io,
             r.storage_retries,
         )
     }

@@ -89,12 +89,13 @@ pub struct MonitorReport {
     /// what it writes.
     pub rows_materialized: usize,
     /// The modeled §6.3 monitor instance count, one per [`SHARD_SIZE`]
-    /// switches, that `sim_io` spreads the polls over. A model of the
+    /// switches, that `modeled_io` spreads the polls over. A model of the
     /// deployment, not a thread count: the host polls on one thread.
     pub shards: usize,
-    /// Modeled wall time of the collection round in simulated terms
-    /// (polls run concurrently within each modeled instance).
-    pub sim_io: SimDuration,
+    /// Modeled device-polling time of the round in simulated terms (polls
+    /// run concurrently within each modeled instance). A model, not a
+    /// measurement: it never enters the wall-clock stage tree.
+    pub modeled_io: SimDuration,
     /// Host wall-clock time of the round (compute only). The three
     /// stages below sum to it.
     pub elapsed: Duration,
@@ -503,7 +504,7 @@ impl Monitor {
         let shards = self.graph.node_count().div_ceil(SHARD_SIZE).max(1);
         let lanes = shards as u64 * CONCURRENCY_PER_SHARD;
         let entities_polled = (devices_polled + unreachable + links_polled) as u64;
-        let sim_io = SimDuration::from_millis(entities_polled.div_ceil(lanes) * POLL_MS);
+        let modeled_io = SimDuration::from_millis(entities_polled.div_ceil(lanes) * POLL_MS);
 
         let elapsed = started.elapsed();
         Ok(MonitorReport {
@@ -516,7 +517,7 @@ impl Monitor {
             rows_compared: rows_written + suppressed,
             rows_materialized: rows_written + reread,
             shards,
-            sim_io,
+            modeled_io,
             elapsed,
             stage_poll: polled - reseeded,
             stage_diff: reseeded + (diffed - polled),
@@ -623,7 +624,7 @@ mod tests {
         assert_eq!(report.links_polled, graph.edge_count());
         assert!(report.rows_written > graph.node_count() * 7);
         assert_eq!(report.shards, 1);
-        assert!(report.sim_io > SimDuration::ZERO);
+        assert!(report.modeled_io > SimDuration::ZERO);
 
         // Spot-check an OS row.
         let fw = storage
@@ -1124,7 +1125,10 @@ mod tests {
         let r2 = m.run_round().unwrap();
         assert_eq!(r2.devices_unreachable, 0);
         assert_eq!(r2.devices_quarantined, 1);
-        assert!(r2.sim_io <= r1.sim_io, "quarantine must not add poll cost");
+        assert!(
+            r2.modeled_io <= r1.modeled_io,
+            "quarantine must not add poll cost"
+        );
         let oper = storage
             .read_row(
                 &Pool::Observed,

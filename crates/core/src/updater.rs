@@ -327,7 +327,9 @@ pub struct UpdaterReport {
     pub plan_rollbacks: usize,
     /// Modeled device-interaction time: commands run concurrently across
     /// devices, sequentially per device, so this is the per-device max.
-    pub sim_io: SimDuration,
+    /// A model, not a measurement: it never enters the wall-clock stage
+    /// tree.
+    pub modeled_io: SimDuration,
     /// Host wall-clock compute time.
     pub elapsed: Duration,
     /// Host wall time of the read stage: advancing the mirrors.
@@ -718,7 +720,7 @@ impl Updater {
         );
 
         report.stage_exec = exec_started.elapsed();
-        report.sim_io =
+        report.modeled_io =
             SimDuration::from_millis(per_device_ms.values().copied().max().unwrap_or(0));
         report.elapsed = started.elapsed();
         Ok(report)
@@ -1131,7 +1133,7 @@ mod tests {
         let r1 = u.run_round().unwrap();
         assert_eq!(r1.diffs, 1);
         assert_eq!(r1.commands_applied, 1);
-        assert!(r1.sim_io >= SimDuration::from_millis(100));
+        assert!(r1.modeled_io >= SimDuration::from_millis(100));
 
         // Command latency + reboot window pass; device comes back on 7.0.
         net.step(SimDuration::from_secs(100));
@@ -1393,7 +1395,7 @@ mod tests {
         assert_eq!(r3.diffs, 1);
         assert_eq!(r3.breaker_skips, 1);
         assert_eq!(r3.commands_failed, 0);
-        assert_eq!(r3.sim_io, SimDuration::ZERO);
+        assert_eq!(r3.modeled_io, SimDuration::ZERO);
 
         // After the reboot and the cooldown, the half-open probe goes
         // through, succeeds, and closes the breaker.
@@ -1456,7 +1458,7 @@ mod tests {
         assert_eq!(r.quarantine_skips, 1);
         assert_eq!(r.commands_applied, 0);
         assert_eq!(r.commands_failed, 0);
-        assert_eq!(r.sim_io, SimDuration::ZERO);
+        assert_eq!(r.modeled_io, SimDuration::ZERO);
 
         // An empty exclusion set behaves exactly like run_round.
         net.step(SimDuration::from_secs(5));

@@ -4,7 +4,8 @@
 //!
 //! The observability subsystem: a lock-cheap [`Registry`] of counters,
 //! gauges, and fixed-bucket histograms, plus a [`TraceRing`] of
-//! structured [`RoundTrace`]s — one per coordinator tick.
+//! structured [`RoundTrace`]s — one per coordinator tick, each carrying
+//! the round's wall-clock [`Stage`] tree.
 //!
 //! The paper's operators run Statesman by watching latency breakdowns,
 //! pool sizes, and per-app proposal outcomes (§8, Figs 8–10). This crate
@@ -19,11 +20,13 @@
 //! without an `Obs` simply records nothing.
 
 pub mod registry;
+pub mod stage;
 pub mod trace;
 
 pub use registry::{
     Counter, Gauge, Histogram, MetricSample, Registry, LATENCY_BUCKETS_MS, LATENCY_BUCKETS_US,
 };
+pub use stage::Stage;
 pub use trace::{RoundTrace, TraceRing, DEFAULT_TRACE_CAPACITY};
 
 use parking_lot::Mutex;

@@ -3,12 +3,13 @@
 //!
 //! The paper's operators debug Statesman with latency breakdowns and
 //! per-app proposal outcomes (§8, Figs 8–10). A `RoundTrace` is the
-//! machine-readable record of one control round — stage latencies,
-//! retries, quarantines, degraded partitions, and checker accept/reject
+//! machine-readable record of one control round — its wall-clock
+//! [`Stage`] tree, retries, quarantines, degraded partitions, and checker accept/reject
 //! counts with reasons — and the [`TraceRing`] holds the last N of them
 //! so `/v1/status` can answer "what has the loop been doing lately?"
 //! without a log scrape.
 
+use crate::Stage;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -24,12 +25,11 @@ pub struct RoundTrace {
     pub round: u64,
     /// Simulated time at tick start, milliseconds.
     pub at_ms: u64,
-    /// Monitor stage latency, ms (modeled device I/O).
-    pub monitor_ms: f64,
-    /// Checker stage latency, ms (measured compute, summed over groups).
-    pub checker_ms: f64,
-    /// Updater stage latency, ms (modeled device I/O).
-    pub updater_ms: f64,
+    /// Where the round's host wall time went: `tick → monitor {poll,
+    /// diff, write} → checker[group] → updater {read, diff, exec}`, the
+    /// seed round's `write` split further into the bulk seed's stages.
+    #[serde(default)]
+    pub stages: Stage,
     /// Devices successfully polled.
     pub devices_polled: usize,
     /// Devices that timed out this round.
@@ -104,35 +104,6 @@ pub struct RoundTrace {
     /// Steps rolled back after every rendered command failed.
     #[serde(default)]
     pub plan_rollbacks: usize,
-    /// Updater wall time in the read stage (mirror advance or full pool
-    /// reads), ms.
-    #[serde(default)]
-    pub updater_stage_read_ms: f64,
-    /// Updater wall time in the diff stage (path expansion, TS sort,
-    /// per-partition comparisons), ms.
-    #[serde(default)]
-    pub updater_stage_diff_ms: f64,
-    /// Updater wall time in the execute stage (plan synthesis, in-flight
-    /// checks, rendering, command issue), ms.
-    #[serde(default)]
-    pub updater_stage_exec_ms: f64,
-    /// Monitor wall time polling devices and links, ms.
-    #[serde(default)]
-    pub monitor_stage_poll_ms: f64,
-    /// Monitor wall time deduplicating and diffing against its base, ms.
-    #[serde(default)]
-    pub monitor_stage_diff_ms: f64,
-    /// Monitor wall time writing storage and maintaining the base, ms.
-    #[serde(default)]
-    pub monitor_stage_write_ms: f64,
-}
-
-impl RoundTrace {
-    /// Per-stage latency `(monitor, checker, updater)` in ms — the same
-    /// tuple as `RoundReport::latency_breakdown_ms`.
-    pub fn latency_breakdown_ms(&self) -> (f64, f64, f64) {
-        (self.monitor_ms, self.checker_ms, self.updater_ms)
-    }
 }
 
 /// A bounded ring of the most recent [`RoundTrace`]s. Cheap to clone; all
@@ -196,7 +167,7 @@ mod tests {
     fn trace(round: u64) -> RoundTrace {
         RoundTrace {
             round,
-            monitor_ms: 10.0 * round as f64,
+            stages: Stage::new("tick", 10.0 * round as f64),
             ..RoundTrace::default()
         }
     }
@@ -224,7 +195,7 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: RoundTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
-        assert_eq!(back.latency_breakdown_ms(), (70.0, 0.0, 0.0));
+        assert_eq!(back.stages.ms, 70.0);
     }
 
     #[test]

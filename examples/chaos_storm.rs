@@ -127,9 +127,9 @@ fn main() {
          {retries} updater retries",
     );
     println!(
-        "scraped /v1/status: last trace round {} at {}ms \
-         (monitor {:.1}ms / checker {:.1}ms / updater {:.1}ms)",
-        last.round, last.at_ms, last.monitor_ms, last.checker_ms, last.updater_ms
+        "scraped /v1/status: last trace round {} at {}ms, wall-clock stages:",
+        last.round, last.at_ms
     );
+    print!("{}", last.stages.render());
     println!("metrics consistent: OK");
 }

@@ -610,7 +610,7 @@ fn oracle_twin(seed: u64, fresh: bool, blind: bool) -> (Vec<OracleRound>, u64) {
             u.plan_max_width,
             u.plan_inflight_rejections,
             u.plan_rollbacks,
-            u.sim_io,
+            u.modeled_io,
             w.net.command_stats(),
         ));
         rounds.push(OracleRound {

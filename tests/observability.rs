@@ -2,13 +2,14 @@
 //! Statesman instance runs five rounds (with a device crash injected so a
 //! quarantine forms), and everything is verified over the real wire —
 //! `/v1/metrics` reports non-zero series from every layer, `/v1/status`'s
-//! last trace matches the coordinator's own `RoundReport` accounting,
+//! last trace carries the stage tree of the coordinator's own
+//! `RoundReport`, the round histograms observe exactly the tree's nodes,
 //! and counters are monotonic across rounds.
 
 use statesman::core::{Coordinator, CoordinatorConfig, StatesmanClient};
 use statesman::httpapi::{ApiClient, ApiServer, StatusResponse};
 use statesman::net::{SimClock, SimConfig, SimNetwork};
-use statesman::obs::Obs;
+use statesman::obs::{Obs, LATENCY_BUCKETS_MS};
 use statesman::prelude::*;
 use statesman::storage::{StorageConfig, StorageService};
 use statesman::topology::DcnSpec;
@@ -124,10 +125,30 @@ fn five_rounds_light_up_every_layer_over_the_wire() {
     assert_eq!(status.traces.len(), 5);
     let last = status.traces.last().unwrap();
     assert_eq!(last.round, 4);
+    assert_eq!(last.stages.name, "tick");
     assert_eq!(
-        last.latency_breakdown_ms(),
-        last_report.latency_breakdown_ms(),
-        "trace must match RoundReport::latency_breakdown_ms"
+        last.stages.children,
+        last_report.stages(),
+        "the trace's stage tree must be the report's"
+    );
+    // The round histograms observe wall time: over the rounds driven,
+    // each one's sum is the sum of the matching tree nodes.
+    let node_sum = |matches: fn(&str) -> bool| -> f64 {
+        let nodes = status.traces.iter().flat_map(|t| &t.stages.children);
+        nodes.filter(|s| matches(&s.name)).map(|s| s.ms).sum()
+    };
+    let histogram_sum = |name| obs.registry.histogram(name, LATENCY_BUCKETS_MS).sum();
+    assert_eq!(
+        histogram_sum("monitor_round_ms"),
+        node_sum(|n| n == "monitor")
+    );
+    assert_eq!(
+        histogram_sum("updater_round_ms"),
+        node_sum(|n| n == "updater")
+    );
+    assert_eq!(
+        histogram_sum("checker_pass_ms"),
+        node_sum(|n| n.starts_with("checker["))
     );
     assert_eq!(
         last.proposals_seen,

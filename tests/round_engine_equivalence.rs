@@ -67,7 +67,7 @@ fn digest(r: &RoundReport) -> String {
         r.updater.plan_max_width,
         r.updater.plan_inflight_rejections,
         r.updater.plan_rollbacks,
-        r.updater.sim_io,
+        r.updater.modeled_io,
     ));
     out.push_str(&format!(
         "round skipped={:?} delta_reads={} fallbacks={} watermark_lag={} retries={}\n",
