@@ -816,8 +816,8 @@ impl Checker {
     }
 }
 
-// Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
-// this goes.
+// Pinned by the frozen benchmark; the first bullet of ROADMAP item 9
+// removes the call, then this goes.
 impl Checker {
     /// A no-op: mirrors always carry over from pass to pass. A fresh
     /// checker (the old `false`) decides exactly what a long-lived one

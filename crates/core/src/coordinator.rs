@@ -68,8 +68,8 @@ pub struct CoordinatorConfig {
     /// into its registry, pushes a [`RoundTrace`] onto its ring, and
     /// refreshes its status board. `None` records nothing.
     pub obs: Option<Obs>,
-    // Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
-    // these go.
+    // Pinned by the frozen benchmark; the first bullet of ROADMAP item 9
+    // removes the call, then these go.
     /// Must stay `true`: every round is planned (a dependency-ordered
     /// update plan with in-flight invariant checks). `false` selected the
     /// serial chain walk, which is gone; [`Coordinator::new`] refuses it.
@@ -358,7 +358,7 @@ impl Coordinator {
     ) -> Self {
         assert!(
             config.plan_synthesis,
-            "pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then this goes"
+            "pinned by the frozen benchmark; ROADMAP item 9 (first bullet) removes the call, then this goes"
         );
         let mut dcs: BTreeSet<DatacenterId> = BTreeSet::new();
         let mut has_wan = false;

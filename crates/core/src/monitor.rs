@@ -589,8 +589,8 @@ impl Monitor {
     }
 }
 
-// Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
-// this goes.
+// Pinned by the frozen benchmark; the first bullet of ROADMAP item 9
+// removes the call, then this goes.
 impl Monitor {
     /// A no-op: the diff base is a poll-ordered array whatever the layout
     /// of the checker's and updater's views.

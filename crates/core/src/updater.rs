@@ -1038,8 +1038,8 @@ impl Updater {
     }
 }
 
-// Pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then
-// this goes.
+// Pinned by the frozen benchmark; the first bullet of ROADMAP item 9
+// removes the call, then this goes.
 impl Updater {
     /// A no-op: mirrors always carry over from round to round. An
     /// updater built fresh (the old `false`) issues exactly what a
@@ -1059,7 +1059,7 @@ impl Updater {
     pub fn with_plan_synthesis(self, enabled: bool) -> Self {
         assert!(
             enabled,
-            "pinned by the frozen benchmark; ROADMAP 1(a) removes the call, then this goes"
+            "pinned by the frozen benchmark; ROADMAP item 9 (first bullet) removes the call, then this goes"
         );
         self
     }

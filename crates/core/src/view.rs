@@ -25,8 +25,8 @@ use crate::groups::ImpactGroup;
 use statesman_storage::StorageService;
 use statesman_topology::{HealthView, NetworkGraph};
 use statesman_types::{
-    Attribute, Column, DatacenterId, EntityName, NetworkState, Pool, StateDelta, StateKey,
-    StateResult, Value, VarId, Version,
+    slot_registry, Attribute, Column, DatacenterId, EntityName, NetworkState, Pool, StateDelta,
+    StateKey, StateResult, Value, VarId, Version,
 };
 use std::collections::HashMap;
 
@@ -148,12 +148,18 @@ impl StateView for Column {
 }
 
 /// One partition's pool as checker and updater hold it — the only way
-/// they read one: a verbatim copy of storage in a slot-indexed
-/// [`Column`] and the watermark it is current to, advanced by
-/// `read_since`. A *full read* is a cold mirror (empty, at
-/// `Version::default()`) advanced once: what a first pass and a dropped
-/// partition do, and what a freshly built checker or updater does for
-/// every pool.
+/// they read one: a copy of storage in a slot-indexed [`Column`] and the
+/// watermark it is current to, advanced by `read_since`. A *full read*
+/// is a cold mirror (empty, at `Version::default()`) advanced once: what
+/// a first pass and a dropped partition do, and what a freshly built
+/// checker or updater does for every pool.
+///
+/// An OS mirror holds every row but the counters
+/// ([`Attribute::is_counter`]): neither stage reads a measured counter,
+/// and they are nearly every row a steady round changes, so storage
+/// leaves them out of the reply. PS and TS mirrors are verbatim — a
+/// proposal of a read-only counter must still reach the checker to be
+/// rejected.
 pub struct PoolMirror {
     rows: Column,
     watermark: Version,
@@ -178,12 +184,14 @@ impl PoolMirror {
         self.watermark
     }
 
-    /// Advance to the leader's watermark with one `read_since`. `visit`
-    /// sees the reply before it is applied: the rows as they stand, the
+    /// Advance to the leader's watermark with one `read_since` (counters
+    /// filtered out for the OS pool, see [`PoolMirror`]). `visit` sees
+    /// the reply before it is applied: the rows as they stand, the
     /// watermark the reply starts from, and the reply. A failed read
     /// leaves the mirror untouched, watermark still matching contents.
     /// Deletes are tombstones and a snapshot reply clears first, so a
-    /// rebuild writes straight back into the column's slots.
+    /// rebuild writes straight back into the column's slots; the
+    /// upserts' slots are resolved in one pass.
     pub fn advance(
         &mut self,
         storage: &StorageService,
@@ -191,7 +199,10 @@ impl PoolMirror {
         pool: &Pool,
         visit: impl FnOnce(&Column, Version, &StateDelta),
     ) -> StateResult<()> {
-        let delta = storage.read_since(dc, pool, self.watermark)?;
+        let observed = matches!(pool, Pool::Observed);
+        let delta = storage.read_since_where(dc, pool, self.watermark, |attribute| {
+            !(observed && attribute.is_counter())
+        })?;
         visit(&self.rows, self.watermark, &delta);
         self.watermark = delta.watermark;
         if delta.snapshot {
@@ -200,8 +211,9 @@ impl PoolMirror {
         for key in &delta.deletes {
             self.rows.remove_var(key.var_id());
         }
-        for row in delta.upserts {
-            self.rows.upsert(row);
+        let slots = slot_registry().slots_of_rows(pool, &delta.upserts);
+        for (slot, row) in slots.into_iter().zip(delta.upserts) {
+            self.rows.upsert_at(slot, row);
         }
         Ok(())
     }

@@ -8,8 +8,8 @@
 
 use serde::{help, Content, DeError, Deserialize, Serialize};
 use statesman_types::{
-    slot_registry, AppId, Column, NetworkState, Pool, SlotId, StateDelta, StateKey, Version,
-    WriteReceipt,
+    slot_registry, AppId, Attribute, Column, NetworkState, Pool, SlotId, StateDelta, StateKey,
+    Version, WriteReceipt,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -304,19 +304,20 @@ impl Default for StateMachine {
 }
 
 impl StateMachine {
-    /// Upsert `rows` into `pool` with per-row slot resolution, version
-    /// stamping, value-identical suppression, and changefeed recording —
-    /// the [`LogCommand::WriteBatch`] semantics, shared with the
-    /// non-empty-pool fallback of [`LogCommand::BulkBatch`].
+    /// Upsert `rows` into `pool` with version stamping, value-identical
+    /// suppression, and changefeed recording — the
+    /// [`LogCommand::WriteBatch`] semantics, shared with the
+    /// non-empty-pool fallback of [`LogCommand::BulkBatch`]. The rows'
+    /// slots are resolved for the whole batch in one pass first.
     fn apply_write_rows(&mut self, pool: &Pool, rows: &[NetworkState]) -> usize {
+        let slots = slot_registry().slots_of_rows(pool, rows);
         let p = self
             .pools
             .entry(pool.clone())
             .or_insert_with(|| Column::new(pool.clone()));
         let idx = self.changes.entry(pool.clone()).or_default();
         let mut effective = 0;
-        for row in rows {
-            let slot = slot_registry().slot_of(pool, row.var_id());
+        for (slot, row) in slots.into_iter().zip(rows) {
             // Value-identical re-writes are complete no-ops: no
             // version bump, no watermark move, no index entry, and
             // the stored row keeps its original timestamp. This is
@@ -364,8 +365,7 @@ impl StateMachine {
                     return self.apply_write_rows(pool, rows);
                 }
                 let minted = Instant::now();
-                let vars: Vec<statesman_types::VarId> = rows.iter().map(|r| r.var_id()).collect();
-                let slots = slot_registry().slots_of_batch(pool, &vars);
+                let slots = slot_registry().slots_of_rows(pool, rows);
                 let filled = Instant::now();
                 let p = self
                     .pools
@@ -444,11 +444,11 @@ impl StateMachine {
         self.pools.get(pool)?.get_var(key.var_id())
     }
 
-    /// All rows of a pool, in slot order.
-    pub fn pool_rows(&self, pool: &Pool) -> Vec<NetworkState> {
+    /// The rows of a pool whose attribute `keep` accepts, in slot order.
+    pub fn pool_rows(&self, pool: &Pool, keep: impl Fn(Attribute) -> bool) -> Vec<NetworkState> {
         self.pools
             .get(pool)
-            .map(|p| p.rows().cloned().collect())
+            .map(|p| p.rows().filter(|r| keep(r.attribute)).cloned().collect())
             .unwrap_or_default()
     }
 
@@ -544,7 +544,14 @@ impl StateMachine {
     ///
     /// Upserts carry the row's *current* value (keys touched several
     /// times appear once); keys no longer present are tombstone deletes.
-    pub fn changes_since(&self, pool: &Pool, since: Version) -> Option<StateDelta> {
+    /// Only variables whose attribute `keep` accepts are listed, either
+    /// way; the watermark is the pool's whatever `keep` drops.
+    pub fn changes_since(
+        &self,
+        pool: &Pool,
+        since: Version,
+        keep: impl Fn(Attribute) -> bool,
+    ) -> Option<StateDelta> {
         let idx = self.changes.get(pool);
         let (floor, watermark) = idx.map(|c| (c.floor, c.watermark)).unwrap_or((0, 0));
         if since.0 < floor || since.0 > watermark {
@@ -563,16 +570,24 @@ impl StateMachine {
             if *v <= since.0 {
                 break;
             }
-            if !seen.insert(*slot) {
-                continue;
-            }
             match rows.and_then(|p| p.get_slot(*slot)) {
-                Some(row) => upserts.push(row.clone()),
+                Some(row) => {
+                    if keep(row.attribute) && seen.insert(*slot) {
+                        upserts.push(row.clone());
+                    }
+                }
                 // Tombstones are the one place the read edge consults the
                 // interner: the deleted row is gone, so its string key is
                 // rebuilt from the slot's variable (counted as a key
                 // resolution).
-                None => deletes.push(slot_registry().var_of(pool, *slot).resolve_key()),
+                None => {
+                    if seen.insert(*slot) {
+                        let var = slot_registry().var_of(pool, *slot);
+                        if keep(var.attribute()) {
+                            deletes.push(var.resolve_key());
+                        }
+                    }
+                }
             }
         }
         Some(StateDelta::incremental(
@@ -718,7 +733,7 @@ pub struct MachineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use statesman_types::{Attribute, EntityName, SimTime, Value, WriteOutcome};
+    use statesman_types::{EntityName, SimTime, Value, WriteOutcome};
 
     fn row(dev: &str, fw: &str) -> NetworkState {
         NetworkState::new(
@@ -932,7 +947,7 @@ mod tests {
             pool: Pool::Observed,
             keys: vec![row("b", "").key()],
         });
-        let d = m.changes_since(&Pool::Observed, w0).unwrap();
+        let d = m.changes_since(&Pool::Observed, w0, |_| true).unwrap();
         assert_eq!(d.upserts.len(), 1);
         assert_eq!(d.upserts[0].value, Value::text("3"));
         assert_eq!(d.deletes, vec![row("b", "").key()]);
@@ -941,10 +956,54 @@ mod tests {
         // Reading at the watermark is an empty delta; reading ahead of it
         // (a behind replica) cannot be served.
         assert!(m
-            .changes_since(&Pool::Observed, Version(5))
+            .changes_since(&Pool::Observed, Version(5), |_| true)
             .unwrap()
             .is_empty());
-        assert!(m.changes_since(&Pool::Observed, Version(9)).is_none());
+        assert!(m
+            .changes_since(&Pool::Observed, Version(9), |_| true)
+            .is_none());
+    }
+
+    #[test]
+    fn a_filtered_read_lists_only_kept_attributes() {
+        let mut m = StateMachine::new();
+        let cpu = |dev: &str, load: f64| {
+            let mut r = row(dev, "");
+            r.attribute = Attribute::DeviceCpuUtilization;
+            r.value = Value::Float(load);
+            r
+        };
+        m.apply(&LogCommand::WriteBatch {
+            pool: Pool::Observed,
+            rows: vec![row("a", "1"), cpu("a", 0.1), cpu("b", 0.2)].into(),
+        });
+        m.apply(&LogCommand::DeleteBatch {
+            pool: Pool::Observed,
+            keys: vec![cpu("b", 0.0).key()],
+        });
+        let no_counters = |a: Attribute| !a.is_counter();
+        let d = m
+            .changes_since(&Pool::Observed, Version::GENESIS, no_counters)
+            .unwrap();
+        assert_eq!(
+            d.upserts,
+            vec![m.get(&Pool::Observed, &row("a", "").key()).unwrap().clone()]
+        );
+        assert!(
+            d.deletes.is_empty(),
+            "a counter's tombstone is filtered too"
+        );
+        assert_eq!(
+            d.watermark,
+            Version(4),
+            "the pool's watermark, counters included"
+        );
+        let all = m
+            .changes_since(&Pool::Observed, Version::GENESIS, |_| true)
+            .unwrap();
+        assert_eq!((all.upserts.len(), all.deletes.len()), (2, 1));
+        assert_eq!(m.pool_rows(&Pool::Observed, no_counters).len(), 1);
+        assert_eq!(m.pool_rows(&Pool::Observed, |_| true).len(), 2);
     }
 
     #[test]
@@ -959,8 +1018,12 @@ mod tests {
         });
         // The oldest 10 entries were compacted away: genesis reads fall
         // back, reads above the floor still work.
-        assert!(m.changes_since(&Pool::Observed, Version::GENESIS).is_none());
-        let d = m.changes_since(&Pool::Observed, Version(10 + 100)).unwrap();
+        assert!(m
+            .changes_since(&Pool::Observed, Version::GENESIS, |_| true)
+            .is_none());
+        let d = m
+            .changes_since(&Pool::Observed, Version(10 + 100), |_| true)
+            .unwrap();
         assert_eq!(d.upserts.len(), CHANGE_INDEX_CAPACITY - 100);
         // Pool contents are unaffected by index compaction.
         assert_eq!(m.pool_len(&Pool::Observed), CHANGE_INDEX_CAPACITY + 10);
@@ -984,9 +1047,11 @@ mod tests {
         assert!(v99.is_newer_than(v0));
         // Pre-seed history is unservable (floor raised); reads at the
         // watermark are an empty delta, exactly like post-compaction.
-        assert!(m.changes_since(&Pool::Observed, Version::GENESIS).is_none());
         assert!(m
-            .changes_since(&Pool::Observed, Version(100))
+            .changes_since(&Pool::Observed, Version::GENESIS, |_| true)
+            .is_none());
+        assert!(m
+            .changes_since(&Pool::Observed, Version(100), |_| true)
             .unwrap()
             .is_empty());
         // Subsequent incremental writes are served normally.
@@ -994,7 +1059,9 @@ mod tests {
             pool: Pool::Observed,
             rows: vec![row("bulk0", "2")].into(),
         });
-        let d = m.changes_since(&Pool::Observed, Version(100)).unwrap();
+        let d = m
+            .changes_since(&Pool::Observed, Version(100), |_| true)
+            .unwrap();
         assert_eq!(d.upserts.len(), 1);
         assert_eq!(d.upserts[0].value, Value::text("2"));
     }
@@ -1014,7 +1081,9 @@ mod tests {
         assert_eq!(touched, 1);
         assert_eq!(m.suppressed_count(), 1);
         assert_eq!(m.bulk_stats().rows, 0, "fast path did not run");
-        let d = m.changes_since(&Pool::Observed, Version(1)).unwrap();
+        let d = m
+            .changes_since(&Pool::Observed, Version(1), |_| true)
+            .unwrap();
         assert_eq!(d.upserts.len(), 1);
         assert_eq!(d.upserts[0].value, Value::text("2"));
     }
@@ -1031,7 +1100,7 @@ mod tests {
         assert_eq!(back.to_snapshot(), snap, "snapshot round-trip is exact");
         assert_eq!(back.pool_watermark(&Pool::Observed), Version(50));
         assert!(back
-            .changes_since(&Pool::Observed, Version::GENESIS)
+            .changes_since(&Pool::Observed, Version::GENESIS, |_| true)
             .is_none());
     }
 

@@ -598,7 +598,9 @@ impl StorageService {
     /// partition is unknown (so a bad item cannot land part of it), then
     /// run one `commit` per partition on the worker pool, each sub-batch
     /// moved into its commit. Results come back in sorted partition
-    /// order; a single-partition batch commits inline with no spawn.
+    /// order; a single-partition batch commits inline with no spawn. A
+    /// batch homed in one partition (every one-DC write and seed) is not
+    /// regrouped: the caller's `Vec` itself moves into its commit.
     fn dispatch<T: Send, R: Send>(
         &self,
         items: Vec<T>,
@@ -606,11 +608,18 @@ impl StorageService {
         commit: impl Fn(&DatacenterId, Vec<T>) -> StateResult<R> + Sync,
     ) -> StateResult<Vec<R>> {
         let mut by_dc: BTreeMap<DatacenterId, Vec<T>> = BTreeMap::new();
-        for item in items {
-            by_dc
-                .entry(entity(&item).datacenter.clone())
-                .or_default()
-                .push(item);
+        match items.first().map(|item| entity(item).datacenter.clone()) {
+            Some(dc) if items.iter().all(|item| entity(item).datacenter == dc) => {
+                by_dc.insert(dc, items);
+            }
+            _ => {
+                for item in items {
+                    by_dc
+                        .entry(entity(&item).datacenter.clone())
+                        .or_default()
+                        .push(item);
+                }
+            }
         }
         for (dc, batch) in &by_dc {
             if !self.parts.contains_key(dc) {
@@ -844,7 +853,7 @@ impl StorageService {
             let machine = ring.any_machine();
             let delta = prior.and_then(|held| {
                 machine
-                    .changes_since(&req.pool, held.watermark)
+                    .changes_since(&req.pool, held.watermark, |_| true)
                     .filter(|d| !d.snapshot)
                     .map(|d| (held.column, d))
             });
@@ -1313,6 +1322,21 @@ impl StorageService {
         pool: &Pool,
         since: Version,
     ) -> StateResult<StateDelta> {
+        self.read_since_where(dc, pool, since, |_| true)
+    }
+
+    /// [`StorageService::read_since`] narrowed at the source to the
+    /// variables whose attribute `keep` accepts: the reply lists no other
+    /// row or tombstone, in a delta or a snapshot, and carries the pool's
+    /// watermark whatever it drops. A mirror advanced only by replies
+    /// with one `keep` holds exactly the accepted rows of the pool.
+    pub fn read_since_where(
+        &self,
+        dc: &DatacenterId,
+        pool: &Pool,
+        since: Version,
+        keep: impl Fn(Attribute) -> bool,
+    ) -> StateResult<StateDelta> {
         if let Some(o) = self.obs() {
             o.reads.inc();
             o.leader_reads.inc();
@@ -1322,7 +1346,7 @@ impl StorageService {
         part.leader_reads.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.lock_ring(dc, part);
         let machine = ring.leader_machine()?;
-        match machine.changes_since(pool, since) {
+        match machine.changes_since(pool, since, &keep) {
             Some(delta) => {
                 part.delta_reads.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = self.obs() {
@@ -1332,7 +1356,7 @@ impl StorageService {
             }
             None => {
                 let delta = StateDelta::full_snapshot(
-                    machine.pool_rows(pool),
+                    machine.pool_rows(pool, &keep),
                     machine.pool_watermark(pool),
                 );
                 part.full_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -1604,6 +1628,22 @@ mod tests {
             }
             assert!(records >= 2, "r{i} logged an accept and a commit");
         }
+        drop(ring);
+        // Through the proxy, a write homed in one partition commits the
+        // caller's own allocation: dispatch does not regroup it.
+        let rows = vec![row("dc1", "agg-1-1", "6.1", c.now())];
+        let caller = rows.as_ptr();
+        s.write(WriteRequest {
+            pool: Pool::Observed,
+            rows,
+        })
+        .unwrap();
+        let ring = s.lock_ring(&dc, part);
+        let leader = ring.leader().unwrap();
+        let (_, chosen) = ring
+            .replica(leader)
+            .log_entries(ring.applied_through(leader));
+        assert_eq!(rows_of(chosen.unwrap()).as_ptr(), caller);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! order (property-tested in `tests/proptests.rs`).
 
 use crate::entity::EntityName;
-use crate::state::{Pool, StateKey};
+use crate::state::{NetworkState, Pool, StateKey};
 use crate::vars::Attribute;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,6 +101,21 @@ struct InternerInner {
     names: Vec<Arc<EntityName>>,
 }
 
+impl InternerInner {
+    /// The id of `name`, minting the next one if it is new (a racing
+    /// writer may have minted it since the caller's read probe).
+    fn mint(&mut self, name: &EntityName) -> EntityId {
+        if let Some(&id) = self.lookup.get(name) {
+            return EntityId(id);
+        }
+        let id = u32::try_from(self.names.len()).expect("interner overflow");
+        let arc = Arc::new(name.clone());
+        self.names.push(Arc::clone(&arc));
+        self.lookup.insert(arc, id);
+        EntityId(id)
+    }
+}
+
 impl Interner {
     /// An empty table.
     pub fn new() -> Self {
@@ -113,15 +128,32 @@ impl Interner {
         if let Some(id) = self.lookup(name) {
             return id;
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
-        if let Some(&id) = inner.lookup.get(name) {
-            return EntityId(id); // raced: another thread minted it first
+        self.inner.write().expect("interner poisoned").mint(name)
+    }
+
+    /// The variable ids of `rows`, in input order: known entities under
+    /// one shared read lock, then the first-sight ones under one write
+    /// lock, in input order — the ids per-row [`VarId::of`] would mint.
+    fn vars_of_rows(&self, rows: &[NetworkState]) -> Vec<VarId> {
+        let mut misses = Vec::new();
+        let mut vars: Vec<VarId> = {
+            let inner = self.inner.read().expect("interner poisoned");
+            let known = |(i, row): (usize, &NetworkState)| match inner.lookup.get(&row.entity) {
+                Some(&id) => VarId::new(EntityId(id), row.attribute),
+                None => {
+                    misses.push(i);
+                    VarId(u64::MAX)
+                }
+            };
+            rows.iter().enumerate().map(known).collect()
+        };
+        if !misses.is_empty() {
+            let mut inner = self.inner.write().expect("interner poisoned");
+            for i in misses {
+                vars[i] = VarId::new(inner.mint(&rows[i].entity), rows[i].attribute);
+            }
         }
-        let id = u32::try_from(inner.names.len()).expect("interner overflow");
-        let arc = Arc::new(name.clone());
-        inner.names.push(Arc::clone(&arc));
-        inner.lookup.insert(arc, id);
-        EntityId(id)
+        vars
     }
 
     /// The id of `name` if it has been interned; never mints. This is the
@@ -200,6 +232,19 @@ struct PoolSlots {
     vars: Vec<VarId>,
 }
 
+impl PoolSlots {
+    /// The slot of `var`, minting the next one if it is new.
+    fn mint(&mut self, var: VarId) -> SlotId {
+        if let Some(&slot) = self.lookup.get(&var) {
+            return SlotId(slot);
+        }
+        let slot = u32::try_from(self.vars.len()).expect("slot registry overflow");
+        self.vars.push(var);
+        self.lookup.insert(var, slot);
+        SlotId(slot)
+    }
+}
+
 impl SlotRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -220,40 +265,59 @@ impl SlotRegistry {
             return SlotId(slot);
         }
         let mut inner = self.inner.write().expect("slot registry poisoned");
-        let pool_slots = inner.pools.entry(pool.clone()).or_default();
-        if let Some(&slot) = pool_slots.lookup.get(&var) {
-            return SlotId(slot); // raced: another thread minted it first
-        }
-        let slot = u32::try_from(pool_slots.vars.len()).expect("slot registry overflow");
-        pool_slots.vars.push(var);
-        pool_slots.lookup.insert(var, slot);
-        SlotId(slot)
+        inner.pools.entry(pool.clone()).or_default().mint(var)
     }
 
-    /// Slots for a whole batch of variables in one pool, minting on first
-    /// sight — one write-lock acquisition for the entire batch instead of
-    /// a read-probe + write-mint cycle per variable. Returned slots are in
-    /// input order; duplicates in `vars` resolve to the same slot. The
-    /// bulk-ingest seed path lives on this: a bootstrap batch is almost
-    /// entirely first-sight variables, where `slot_of`'s per-call fast
-    /// path never hits.
+    /// Slots for a whole batch of variables in one pool, in input order,
+    /// minting on first sight: the known ones under one shared read lock,
+    /// then the first-sight ones under one write lock, in input order —
+    /// the slots per-variable [`SlotRegistry::slot_of`] would mint, for
+    /// two lock acquisitions instead of one or two per variable.
+    /// Duplicates in `vars` resolve to the same slot.
     pub fn slots_of_batch(&self, pool: &Pool, vars: &[VarId]) -> Vec<SlotId> {
-        let mut inner = self.inner.write().expect("slot registry poisoned");
-        let pool_slots = inner.pools.entry(pool.clone()).or_default();
-        pool_slots.lookup.reserve(vars.len());
-        pool_slots.vars.reserve(vars.len());
-        vars.iter()
-            .map(|v| match pool_slots.lookup.entry(*v) {
-                std::collections::hash_map::Entry::Occupied(e) => SlotId(*e.get()),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let slot =
-                        u32::try_from(pool_slots.vars.len()).expect("slot registry overflow");
-                    pool_slots.vars.push(*v);
-                    e.insert(slot);
-                    SlotId(slot)
+        let mut misses = Vec::new();
+        let mut slots: Vec<SlotId> = {
+            let inner = self.inner.read().expect("slot registry poisoned");
+            let pool_slots = inner.pools.get(pool);
+            let known = |(i, var): (usize, &VarId)| match pool_slots.and_then(|p| p.lookup.get(var))
+            {
+                Some(&slot) => SlotId(slot),
+                None => {
+                    misses.push(i);
+                    SlotId(u32::MAX)
                 }
-            })
-            .collect()
+            };
+            vars.iter().enumerate().map(known).collect()
+        };
+        if !misses.is_empty() {
+            let mut inner = self.inner.write().expect("slot registry poisoned");
+            let pool_slots = inner.pools.entry(pool.clone()).or_default();
+            pool_slots.lookup.reserve(misses.len());
+            pool_slots.vars.reserve(misses.len());
+            for i in misses {
+                slots[i] = pool_slots.mint(vars[i]);
+            }
+        }
+        slots
+    }
+
+    /// The slots of `rows`' variables in `pool`, in input order, minting
+    /// entities and slots on first sight exactly as per-row
+    /// `slot_of(pool, row.var_id())` would: the one resolver behind a
+    /// committed batch's apply and a mirror's upserts. It takes the
+    /// process-wide interner's read lock once and this registry's read
+    /// lock once, plus one write lock each only if something is new.
+    pub fn slots_of_rows(&self, pool: &Pool, rows: &[NetworkState]) -> Vec<SlotId> {
+        self.slots_of_rows_in(interner(), pool, rows)
+    }
+
+    fn slots_of_rows_in(
+        &self,
+        interner: &Interner,
+        pool: &Pool,
+        rows: &[NetworkState],
+    ) -> Vec<SlotId> {
+        self.slots_of_batch(pool, &interner.vars_of_rows(rows))
     }
 
     /// The slot of `var` in `pool`, if one has been minted (never mints —
@@ -468,6 +532,68 @@ mod tests {
             assert_eq!(reg.slot_of(&Pool::Observed, *v), slots[i]);
         }
         assert_eq!(reg.pool_slots(&Pool::Observed), vars.len());
+    }
+
+    #[test]
+    fn batched_row_resolution_matches_per_row_resolution() {
+        use crate::{AppId, SimTime, Value};
+        let row = |name: &str, attribute| {
+            NetworkState::new(
+                dev(name),
+                attribute,
+                Value::text("v"),
+                SimTime::ZERO,
+                AppId::monitor(),
+            )
+        };
+        let (fw, boot) = (Attribute::DeviceFirmwareVersion, Attribute::DeviceBootImage);
+        // Twin tables with one history: an entity with a slot, one
+        // interned without a slot. One twin then resolves row by row, the
+        // other by batch.
+        let per_row = (Interner::new(), SlotRegistry::new());
+        let batched = (Interner::new(), SlotRegistry::new());
+        for (names, slots) in [&per_row, &batched] {
+            let warm = names.intern(&dev("warm-0"));
+            names.intern(&dev("warm-1"));
+            slots.slot_of(&Pool::Observed, VarId::new(warm, fw));
+        }
+        let batch = [
+            row("new-a", fw),
+            row("warm-1", fw),
+            row("warm-0", fw),
+            row("new-b", boot),
+            row("new-a", fw),
+            row("new-a", boot),
+            row("warm-0", boot),
+            row("new-b", boot),
+        ];
+        // Two pools: one partly minted, one seen for the first time.
+        for pool in [Pool::Observed, Pool::Target] {
+            let (names, slots) = &per_row;
+            let want: Vec<SlotId> = batch
+                .iter()
+                .map(|r| slots.slot_of(&pool, VarId::new(names.intern(&r.entity), r.attribute)))
+                .collect();
+            let (names, slots) = &batched;
+            assert_eq!(
+                slots.slots_of_rows_in(names, &pool, &batch),
+                want,
+                "{pool:?}"
+            );
+        }
+        // Same ids minted in the same order, in both spaces.
+        assert_eq!(batched.0.len(), per_row.0.len());
+        for id in (0..per_row.0.len() as u32).map(EntityId) {
+            assert_eq!(batched.0.resolve(id), per_row.0.resolve(id));
+        }
+        for pool in [Pool::Observed, Pool::Target] {
+            assert_eq!(batched.1.pool_slots(&pool), per_row.1.pool_slots(&pool));
+            for slot in (0..per_row.1.pool_slots(&pool) as u32).map(SlotId) {
+                assert_eq!(batched.1.var_of(&pool, slot), per_row.1.var_of(&pool, slot));
+            }
+        }
+        assert_eq!(per_row.0.len(), 4);
+        assert_eq!(per_row.1.pool_slots(&Pool::Target), 6);
     }
 
     #[test]

@@ -153,46 +153,61 @@ fn mirror_op() -> impl Strategy<Value = MirrorOp> {
     })
 }
 
-/// The reference: a `BTreeMap` that applies each `read_since` reply.
-/// `clears` is the snapshot rule; the mutant keeps what a snapshot
-/// does not list.
+/// The reference: a `BTreeMap` that advances by its own unfiltered
+/// `read_since` replies. `clears` is the snapshot rule; the mutant keeps
+/// what a snapshot does not list.
 struct MirrorModel {
     rows: BTreeMap<StateKey, NetworkState>,
+    watermark: Version,
     clears: bool,
 }
 
 impl MirrorModel {
-    fn apply(&mut self, delta: &statesman_types::StateDelta) {
+    fn advance(&mut self, storage: &StorageService, dc: &DatacenterId, pool: &Pool) {
+        let delta = storage.read_since(dc, pool, self.watermark).unwrap();
         if delta.snapshot && self.clears {
             self.rows.clear();
         }
         for key in &delta.deletes {
             self.rows.remove(key);
         }
-        for row in &delta.upserts {
-            self.rows.insert(row.key(), row.clone());
+        for row in delta.upserts {
+            self.rows.insert(row.key(), row);
         }
+        self.watermark = delta.watermark;
     }
 }
 
-/// Drive a mirror and a model through `ops` over a store whose change
-/// index holds six entries, advancing both together; `Err` names the
-/// first read they disagree on.
+/// Drive an OS and a PS mirror, and a model of each pool, through `ops`
+/// over a store whose change index holds six entries, advancing all four
+/// together. The OS mirror must hold the model minus its counter rows,
+/// the PS mirror the model whole. `Err` names the first read they
+/// disagree on; `Ok` counts the OS mirror's snapshot replies.
 fn mirror_history(ops: &[MirrorOp], model_clears: bool) -> Result<usize, String> {
     let dc = DatacenterId::new("pm-dc1");
     let mut config = StorageConfig::default();
     config.ring.change_index_capacity = 6;
     let storage = StorageService::new([dc.clone()], SimClock::new(), config);
-    let pool = Pool::Observed;
+    let pools = [Pool::Observed, Pool::Proposed(AppId::new("pm-app"))];
     let write = |rows: Vec<NetworkState>| {
-        let pool = pool.clone();
-        storage.write(WriteRequest { pool, rows }).unwrap();
+        for pool in &pools {
+            let rows = rows.clone();
+            storage
+                .write(WriteRequest {
+                    pool: pool.clone(),
+                    rows,
+                })
+                .unwrap();
+        }
     };
-    let mut mirror = PoolMirror::cold(&pool);
-    let mut model = MirrorModel {
-        rows: BTreeMap::new(),
-        clears: model_clears,
-    };
+    let mut mirrors = pools.clone().map(|pool| {
+        let model = MirrorModel {
+            rows: BTreeMap::new(),
+            watermark: Version::default(),
+            clears: model_clears,
+        };
+        (PoolMirror::cold(&pool), model, pool)
+    });
     let group = ImpactGroup::Datacenter(dc.clone());
     let mut snapshots = 0;
     let advance_and_compare = Some(MirrorOp::Advance);
@@ -200,9 +215,11 @@ fn mirror_history(ops: &[MirrorOp], model_clears: bool) -> Result<usize, String>
         match op {
             MirrorOp::Upsert { idx, val } => write(vec![mirror_row(*idx, format!("v-{val}"))]),
             MirrorOp::Delete { idx } => {
-                storage
-                    .delete(pool.clone(), vec![mirror_key(*idx)])
-                    .unwrap();
+                for pool in &pools {
+                    storage
+                        .delete(pool.clone(), vec![mirror_key(*idx)])
+                        .unwrap();
+                }
             }
             MirrorOp::Burst { val } => write(
                 (0..MIRROR_KEYS)
@@ -211,26 +228,36 @@ fn mirror_history(ops: &[MirrorOp], model_clears: bool) -> Result<usize, String>
                     .collect(),
             ),
             MirrorOp::Advance => {
-                mirror
-                    .advance(&storage, &dc, &pool, |_, _, delta| {
-                        snapshots += usize::from(delta.snapshot);
-                        model.apply(delta);
-                    })
-                    .unwrap();
-                for filter in [None, Some(&group)] {
-                    let view = PartsView::new(vec![mirror.view()], filter);
-                    let mut got: Vec<&NetworkState> = view.rows().collect();
-                    got.sort_by_key(|r| r.key());
-                    let owned = |r: &&NetworkState| filter.is_none_or(|g| g.contains(&r.entity));
-                    let want: Vec<&NetworkState> = model.rows.values().filter(owned).collect();
-                    if got != want {
-                        return Err(format!("step {step} group {filter:?}: rows differ"));
-                    }
-                    for idx in 0..MIRROR_KEYS {
-                        let key = mirror_key(idx);
-                        let want = model.rows.get(&key).filter(owned);
-                        if view.get_var(key.var_id()) != want {
-                            return Err(format!("step {step} group {filter:?}: {key} differs"));
+                for (mirror, model, pool) in &mut mirrors {
+                    let observed = *pool == Pool::Observed;
+                    mirror
+                        .advance(&storage, &dc, pool, |_, _, delta| {
+                            snapshots += usize::from(observed && delta.snapshot);
+                        })
+                        .unwrap();
+                    model.advance(&storage, &dc, pool);
+                    let held = |r: &NetworkState| !(observed && r.attribute.is_counter());
+                    for filter in [None, Some(&group)] {
+                        let view = PartsView::new(vec![mirror.view()], filter);
+                        let mut got: Vec<&NetworkState> = view.rows().collect();
+                        got.sort_by_key(|r| r.key());
+                        let owned = |r: &&NetworkState| {
+                            held(r) && filter.is_none_or(|g| g.contains(&r.entity))
+                        };
+                        let want: Vec<&NetworkState> = model.rows.values().filter(owned).collect();
+                        if got != want {
+                            return Err(format!(
+                                "step {step} {pool} group {filter:?}: rows differ"
+                            ));
+                        }
+                        for idx in 0..MIRROR_KEYS {
+                            let key = mirror_key(idx);
+                            let want = model.rows.get(&key).filter(owned);
+                            if view.get_var(key.var_id()) != want {
+                                return Err(format!(
+                                    "step {step} {pool} group {filter:?}: {key} differs"
+                                ));
+                            }
                         }
                     }
                 }
@@ -246,8 +273,10 @@ proptest! {
     /// The spec of pool-mirror semantics: a `PoolMirror` advanced by
     /// `read_since` through a soup of upserts, deletes and change-index
     /// overflows (snapshot replies) holds exactly what a `BTreeMap` that
-    /// applies the same replies holds — as sorted rows and on every point
-    /// read, through a `PartsView` with and without a group filter.
+    /// applies its own unfiltered replies holds — minus the counter rows
+    /// for an OS mirror, whole for a PS mirror — as sorted rows and on
+    /// every point read, through a `PartsView` with and without a group
+    /// filter.
     #[test]
     fn pool_mirror_matches_a_btreemap_model(
         ops in proptest::collection::vec(mirror_op(), 1..60)
@@ -316,7 +345,7 @@ proptest! {
         for pool in [Pool::Observed, Pool::Target] {
             let model = shadow.remove(&pool).unwrap_or_default();
             prop_assert_eq!(machine.pool_len(&pool), model.len());
-            let mut got: Vec<_> = machine.pool_rows(&pool).iter().map(essence).collect();
+            let mut got: Vec<_> = machine.pool_rows(&pool, |_| true).iter().map(essence).collect();
             got.sort_by(|a, b| a.0.cmp(&b.0));
             let mut want: Vec<_> = model.values().map(essence).collect();
             want.sort_by(|a, b| a.0.cmp(&b.0));
@@ -587,8 +616,10 @@ fn probe_reads_match_a_naive_filter_over_a_btreemap() {
 
 /// A pool mirror crossing the change-index compaction floor: the
 /// `read_since` snapshot fallback must rebuild its column bit-equal to a
-/// full read (this is the path that evicts checker mirrors after
-/// compaction).
+/// full read minus the counter rows an OS mirror leaves out (this is the
+/// path that evicts checker mirrors after compaction). The burst is
+/// counter rows: the mirror never holds them, but they still cross the
+/// floor its watermark was served from.
 #[test]
 fn columnar_mirror_survives_change_index_compaction() {
     let clock = SimClock::new();
@@ -613,7 +644,9 @@ fn columnar_mirror_survives_change_index_compaction() {
             .unwrap();
         let mut rows: Vec<NetworkState> = mirror.view().rows().cloned().collect();
         rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
-        assert_eq!(rows, full_sorted(&storage, &dc, Pool::Observed));
+        let mut want = full_sorted(&storage, &dc, Pool::Observed);
+        want.retain(|r| !r.attribute.is_counter());
+        assert_eq!(rows, want);
     };
     advance(&mut mirror);
 
