@@ -84,7 +84,9 @@ pub struct CheckerPassReport {
     pub receipts: Vec<WriteReceipt>,
     /// Wall-clock time of the pass (the §8 checker latency).
     pub elapsed: Duration,
-    /// State variables read at pass start (scale metric).
+    /// State variables the pass holds at its start (scale metric): the
+    /// group's OS mirror rows — counters are not among them — plus the
+    /// TS and proposal rows it read.
     pub variables_read: usize,
 }
 
