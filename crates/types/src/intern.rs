@@ -30,6 +30,7 @@
 use crate::entity::EntityName;
 use crate::state::{NetworkState, Pool, StateKey};
 use crate::vars::Attribute;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -131,27 +132,27 @@ impl Interner {
         self.inner.write().expect("interner poisoned").mint(name)
     }
 
-    /// The variable ids of `rows`, in input order: known entities under
-    /// one shared read lock, then the first-sight ones under one write
-    /// lock, in input order — the ids per-row [`VarId::of`] would mint.
+    /// The variable ids of `rows`, in input order — the ids per-row
+    /// [`VarId::of`] would mint. The rows up to the first unknown entity
+    /// resolve under one shared read lock; the rest, from there on, under
+    /// one write lock that mints first-sight entities in input order.
     fn vars_of_rows(&self, rows: &[NetworkState]) -> Vec<VarId> {
-        let mut misses = Vec::new();
-        let mut vars: Vec<VarId> = {
+        let var = |id: &u32, row: &NetworkState| VarId::new(EntityId(*id), row.attribute);
+        let mut vars = Vec::with_capacity(rows.len());
+        {
             let inner = self.inner.read().expect("interner poisoned");
-            let known = |(i, row): (usize, &NetworkState)| match inner.lookup.get(&row.entity) {
-                Some(&id) => VarId::new(EntityId(id), row.attribute),
-                None => {
-                    misses.push(i);
-                    VarId(u64::MAX)
-                }
-            };
-            rows.iter().enumerate().map(known).collect()
-        };
-        if !misses.is_empty() {
+            vars.extend(
+                rows.iter()
+                    .map_while(|row| inner.lookup.get(&row.entity).map(|id| var(id, row))),
+            );
+        }
+        if vars.len() < rows.len() {
             let mut inner = self.inner.write().expect("interner poisoned");
-            for i in misses {
-                vars[i] = VarId::new(inner.mint(&rows[i].entity), rows[i].attribute);
-            }
+            vars.extend(
+                rows[vars.len()..]
+                    .iter()
+                    .map(|row| var(&inner.mint(&row.entity).0, row)),
+            );
         }
         vars
     }
@@ -235,13 +236,15 @@ struct PoolSlots {
 impl PoolSlots {
     /// The slot of `var`, minting the next one if it is new.
     fn mint(&mut self, var: VarId) -> SlotId {
-        if let Some(&slot) = self.lookup.get(&var) {
-            return SlotId(slot);
+        match self.lookup.entry(var) {
+            Entry::Occupied(known) => SlotId(*known.get()),
+            Entry::Vacant(new) => {
+                let slot = u32::try_from(self.vars.len()).expect("slot registry overflow");
+                self.vars.push(var);
+                new.insert(slot);
+                SlotId(slot)
+            }
         }
-        let slot = u32::try_from(self.vars.len()).expect("slot registry overflow");
-        self.vars.push(var);
-        self.lookup.insert(var, slot);
-        SlotId(slot)
     }
 }
 
@@ -268,35 +271,34 @@ impl SlotRegistry {
         inner.pools.entry(pool.clone()).or_default().mint(var)
     }
 
-    /// Slots for a whole batch of variables in one pool, in input order,
-    /// minting on first sight: the known ones under one shared read lock,
-    /// then the first-sight ones under one write lock, in input order —
+    /// Slots for a whole batch of variables in one pool, in input order —
     /// the slots per-variable [`SlotRegistry::slot_of`] would mint, for
-    /// two lock acquisitions instead of one or two per variable.
-    /// Duplicates in `vars` resolve to the same slot.
+    /// at most two lock acquisitions instead of one or two per variable.
+    /// The variables up to the first unminted one resolve under one
+    /// shared read lock; the rest, from there on, under one write lock
+    /// that mints first-sight variables in input order. Duplicates in
+    /// `vars` resolve to the same slot. A pool's first batch (the bulk
+    /// seed) sizes the pool's tables for itself once.
     pub fn slots_of_batch(&self, pool: &Pool, vars: &[VarId]) -> Vec<SlotId> {
-        let mut misses = Vec::new();
-        let mut slots: Vec<SlotId> = {
+        let mut slots = Vec::with_capacity(vars.len());
+        {
             let inner = self.inner.read().expect("slot registry poisoned");
-            let pool_slots = inner.pools.get(pool);
-            let known = |(i, var): (usize, &VarId)| match pool_slots.and_then(|p| p.lookup.get(var))
-            {
-                Some(&slot) => SlotId(slot),
-                None => {
-                    misses.push(i);
-                    SlotId(u32::MAX)
-                }
-            };
-            vars.iter().enumerate().map(known).collect()
-        };
-        if !misses.is_empty() {
+            if let Some(known) = inner.pools.get(pool) {
+                slots.extend(
+                    vars.iter()
+                        .map_while(|var| known.lookup.get(var).map(|&slot| SlotId(slot))),
+                );
+            }
+        }
+        if slots.len() < vars.len() {
             let mut inner = self.inner.write().expect("slot registry poisoned");
             let pool_slots = inner.pools.entry(pool.clone()).or_default();
-            pool_slots.lookup.reserve(misses.len());
-            pool_slots.vars.reserve(misses.len());
-            for i in misses {
-                slots[i] = pool_slots.mint(vars[i]);
+            let rest = &vars[slots.len()..];
+            if pool_slots.vars.is_empty() {
+                pool_slots.lookup.reserve(rest.len());
+                pool_slots.vars.reserve(rest.len());
             }
+            slots.extend(rest.iter().map(|var| pool_slots.mint(*var)));
         }
         slots
     }
@@ -557,9 +559,13 @@ mod tests {
             names.intern(&dev("warm-1"));
             slots.slot_of(&Pool::Observed, VarId::new(warm, fw));
         }
+        // Known ids first, so both the read-locked prefix and the minting
+        // rest are exercised; duplicates and known ids recur after the
+        // first miss.
         let batch = [
-            row("new-a", fw),
+            row("warm-0", fw),
             row("warm-1", fw),
+            row("new-a", fw),
             row("warm-0", fw),
             row("new-b", boot),
             row("new-a", fw),
