@@ -137,21 +137,20 @@ impl Interner {
     /// resolve under one shared read lock; the rest, from there on, under
     /// one write lock that mints first-sight entities in input order.
     fn vars_of_rows(&self, rows: &[NetworkState]) -> Vec<VarId> {
-        let var = |id: &u32, row: &NetworkState| VarId::new(EntityId(*id), row.attribute);
         let mut vars = Vec::with_capacity(rows.len());
         {
             let inner = self.inner.read().expect("interner poisoned");
-            vars.extend(
-                rows.iter()
-                    .map_while(|row| inner.lookup.get(&row.entity).map(|id| var(id, row))),
-            );
+            vars.extend(rows.iter().map_while(|row| {
+                let id = *inner.lookup.get(&row.entity)?;
+                Some(VarId::new(EntityId(id), row.attribute))
+            }));
         }
         if vars.len() < rows.len() {
             let mut inner = self.inner.write().expect("interner poisoned");
+            let rest = &rows[vars.len()..];
             vars.extend(
-                rows[vars.len()..]
-                    .iter()
-                    .map(|row| var(&inner.mint(&row.entity).0, row)),
+                rest.iter()
+                    .map(|row| VarId::new(inner.mint(&row.entity), row.attribute)),
             );
         }
         vars
