@@ -6,7 +6,7 @@
 //! monotonically increasing [`Version`] stamped at apply time, which the
 //! checker uses to detect stale-basis proposals.
 
-use serde::{help, Content, DeError, Deserialize, Serialize};
+use serde::{help, Content, DeError, Deserialize, SerError, Serialize};
 use statesman_types::{
     slot_registry, AppId, Attribute, Column, NetworkState, Pool, SlotId, StateDelta, StateKey,
     Version, WriteReceipt,
@@ -180,6 +180,15 @@ impl Serialize for ReceiptQueue {
             (Content::Str("acked".into()), self.acked.to_content()),
             (Content::Str("pending".into()), Content::Seq(pending)),
         ])
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        out.push_str("{\"acked\":");
+        self.acked.write_json(out)?;
+        out.push_str(",\"pending\":");
+        serde::json::write_seq(&self.pending, out)?;
+        out.push('}');
+        Ok(())
     }
 }
 

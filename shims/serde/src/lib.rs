@@ -1,11 +1,22 @@
 //! Offline stand-in for `serde` (1.x) sufficient for this workspace.
 //!
 //! Instead of serde's visitor-based zero-copy architecture, this shim
-//! uses a concrete data-model tree, [`Content`]: serialization lowers a
-//! value into a `Content`, deserialization lifts a `Content` back into a
-//! value. The companion `serde_json` shim converts `Content` to and from
-//! JSON text using the same conventions as upstream serde (externally
-//! tagged enums, maps for structs, transparent newtypes), so existing
+//! has a concrete data-model tree, [`Content`], and writes JSON text
+//! directly:
+//!
+//! * serialization streams: [`Serialize::write_json`] appends a value's
+//!   JSON straight to the output buffer, field by field, with no tree in
+//!   between (the derive emits it for every type);
+//! * deserialization lifts a `Content` back into a value, so the tree is
+//!   the deserialize model. [`Serialize::to_content`] still lowers a
+//!   value into one: it is the default of `write_json` for hand-written
+//!   impls and the reference the streaming writer is tested against.
+//!
+//! Both serialization paths share one text writer ([`json`]): one string
+//! escaper, one integer and one float formatter. The companion
+//! `serde_json` shim parses JSON into `Content` and uses the same
+//! conventions as upstream serde (externally tagged enums, maps for
+//! structs, transparent newtypes), so existing
 //! `#[derive(Serialize, Deserialize)]` code and its wire format keep
 //! working without registry access.
 
@@ -44,16 +55,184 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Lower `self` into the data-model tree.
+/// Serialization error. JSON can represent every value the data model
+/// can, except a map whose key is not a string.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SerError(pub String);
+
+impl std::fmt::Display for SerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for SerError {}
+
+/// Lower `self` into the data-model tree, or write it as JSON text.
 pub trait Serialize {
     /// Produce the `Content` representation.
     fn to_content(&self) -> Content;
+
+    /// Append this value's JSON text to `out`. The default lowers through
+    /// [`Serialize::to_content`] and walks the tree, so a hand-written
+    /// impl is correct without it; every impl in this crate and every
+    /// derived one overrides it to write directly. On `Err` the contents
+    /// of `out` are unspecified.
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_content(&self.to_content(), out)
+    }
+
+    /// Append this value as a JSON object key: a string, or the error
+    /// the tree walk gives for a non-string key.
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_key(&self.to_content(), out)
+    }
 }
 
 /// Lift a value out of the data-model tree.
 pub trait Deserialize: Sized {
     /// Reconstruct from a `Content` representation.
     fn from_content(content: &Content) -> Result<Self, DeError>;
+}
+
+pub mod json {
+    //! The one JSON text writer. The tree walk ([`write_content`]) and
+    //! every streaming [`Serialize::write_json`] call these same
+    //! functions, so the two paths cannot format a string or a number
+    //! differently.
+
+    use super::{Content, SerError, Serialize};
+
+    /// Write a data-model tree as JSON text.
+    pub fn write_content(c: &Content, out: &mut String) -> Result<(), SerError> {
+        match c {
+            Content::Null => out.push_str("null"),
+            Content::Bool(b) => write_bool(*b, out),
+            Content::I64(v) => write_i64(*v, out),
+            Content::U64(v) => write_u64(*v, out),
+            Content::F64(v) => write_f64(*v, out),
+            Content::Str(s) => write_str(s, out),
+            Content::Seq(items) => write_seq(items, out)?,
+            Content::Map(entries) => write_map(entries.iter().map(|(k, v)| (k, v)), out)?,
+        }
+        Ok(())
+    }
+
+    /// Write a tree node as an object key: only a string is one.
+    pub fn write_key(c: &Content, out: &mut String) -> Result<(), SerError> {
+        match c {
+            Content::Str(s) => {
+                write_str(s, out);
+                Ok(())
+            }
+            other => Err(SerError(format!(
+                "JSON object keys must be strings, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Write a sequence as a JSON array.
+    pub fn write_seq<'a, T: Serialize + ?Sized + 'a>(
+        items: impl IntoIterator<Item = &'a T>,
+        out: &mut String,
+    ) -> Result<(), SerError> {
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out)?;
+        }
+        out.push(']');
+        Ok(())
+    }
+
+    /// Write key/value pairs as a JSON object.
+    pub fn write_map<'a, K: Serialize + 'a, V: Serialize + 'a>(
+        entries: impl IntoIterator<Item = (&'a K, &'a V)>,
+        out: &mut String,
+    ) -> Result<(), SerError> {
+        out.push('{');
+        for (i, (k, v)) in entries.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            k.write_json_key(out)?;
+            out.push(':');
+            v.write_json(out)?;
+        }
+        out.push('}');
+        Ok(())
+    }
+
+    pub fn write_bool(b: bool, out: &mut String) {
+        out.push_str(if b { "true" } else { "false" });
+    }
+
+    pub fn write_i64(v: i64, out: &mut String) {
+        if v < 0 {
+            out.push('-');
+        }
+        write_u64(v.unsigned_abs(), out);
+    }
+
+    /// Decimal digits, as `{v}` prints them, without the formatter.
+    pub fn write_u64(mut v: u64, out: &mut String) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    }
+
+    /// `{v:?}` is Rust's shortest round-trip float formatting and keeps
+    /// `.0` on integral values, matching upstream serde_json with
+    /// `float_roundtrip`. Non-finite values are `null`, as upstream.
+    pub fn write_f64(v: f64, out: &mut String) {
+        if v.is_finite() {
+            use std::fmt::Write;
+            write!(out, "{v:?}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    pub fn write_str(s: &str, out: &mut String) {
+        out.push('"');
+        // Everything that needs escaping is ASCII, so the unescaped run
+        // before it ends on a char boundary and is copied whole.
+        let mut run_start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            out.push_str(&s[run_start..i]);
+            run_start = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                0x08 => out.push_str("\\b"),
+                0x0C => out.push_str("\\f"),
+                _ => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    out.push_str("\\u00");
+                    out.push(HEX[(b >> 4) as usize] as char);
+                    out.push(HEX[(b & 0xF) as usize] as char);
+                }
+            }
+        }
+        out.push_str(&s[run_start..]);
+        out.push('"');
+    }
 }
 
 pub mod help {
@@ -95,11 +274,28 @@ pub mod help {
 // Primitive impls
 // ---------------------------------------------------------------------
 
+/// A tree writes itself: this is the tree walk's recursion.
+impl Serialize for Content {
+    fn to_content(&self) -> Content {
+        self.clone()
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_content(self, out)
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_key(self, out)
+    }
+}
+
 macro_rules! ser_de_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_content(&self) -> Content {
                 Content::I64(*self as i64)
+            }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                json::write_i64(*self as i64, out);
+                Ok(())
             }
         }
         impl Deserialize for $t {
@@ -133,6 +329,10 @@ macro_rules! ser_de_unsigned {
                     Content::U64(v)
                 }
             }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                json::write_u64(*self as u64, out);
+                Ok(())
+            }
         }
         impl Deserialize for $t {
             fn from_content(c: &Content) -> Result<Self, DeError> {
@@ -158,6 +358,10 @@ impl Serialize for bool {
     fn to_content(&self) -> Content {
         Content::Bool(*self)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_bool(*self, out);
+        Ok(())
+    }
 }
 
 impl Deserialize for bool {
@@ -172,6 +376,10 @@ impl Deserialize for bool {
 impl Serialize for f64 {
     fn to_content(&self) -> Content {
         Content::F64(*self)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_f64(*self, out);
+        Ok(())
     }
 }
 
@@ -191,6 +399,10 @@ impl Serialize for f32 {
     fn to_content(&self) -> Content {
         Content::F64(*self as f64)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_f64(*self as f64, out);
+        Ok(())
+    }
 }
 
 impl Deserialize for f32 {
@@ -202,6 +414,13 @@ impl Deserialize for f32 {
 impl Serialize for String {
     fn to_content(&self) -> Content {
         Content::Str(self.clone())
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_str(self, out);
+        Ok(())
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        self.write_json(out)
     }
 }
 
@@ -218,11 +437,25 @@ impl Serialize for str {
     fn to_content(&self) -> Content {
         Content::Str(self.to_string())
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_str(self, out);
+        Ok(())
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        self.write_json(out)
+    }
 }
 
 impl Serialize for char {
     fn to_content(&self) -> Content {
         Content::Str(self.to_string())
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_str(self.encode_utf8(&mut [0; 4]), out);
+        Ok(())
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        self.write_json(out)
     }
 }
 
@@ -240,6 +473,10 @@ impl Deserialize for char {
 impl Serialize for () {
     fn to_content(&self) -> Content {
         Content::Null
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        out.push_str("null");
+        Ok(())
     }
 }
 
@@ -260,11 +497,23 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_content(&self) -> Content {
         (**self).to_content()
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json(out)
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json_key(out)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_content(&self) -> Content {
         (**self).to_content()
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json(out)
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json_key(out)
     }
 }
 
@@ -277,6 +526,12 @@ impl<T: Deserialize> Deserialize for Box<T> {
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn to_content(&self) -> Content {
         (**self).to_content()
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json(out)
+    }
+    fn write_json_key(&self, out: &mut String) -> Result<(), SerError> {
+        (**self).write_json_key(out)
     }
 }
 
@@ -302,6 +557,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Content::Null,
         }
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        match self {
+            Some(v) => v.write_json(out),
+            None => ().write_json(out),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -316,6 +577,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_content(&self) -> Content {
         Content::Seq(self.iter().map(Serialize::to_content).collect())
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
     }
 }
 
@@ -332,6 +596,9 @@ impl<T: Serialize> Serialize for [T] {
     fn to_content(&self) -> Content {
         Content::Seq(self.iter().map(Serialize::to_content).collect())
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
+    }
 }
 
 macro_rules! ser_de_tuple {
@@ -339,6 +606,17 @@ macro_rules! ser_de_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_content(&self) -> Content {
                 Content::Seq(vec![$(self.$n.to_content()),+])
+            }
+            fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+                out.push('[');
+                $(
+                    if $n > 0 {
+                        out.push(',');
+                    }
+                    self.$n.write_json(out)?;
+                )+
+                out.push(']');
+                Ok(())
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -376,6 +654,9 @@ impl<K: Serialize, V: Serialize, S> Serialize for std::collections::HashMap<K, V
                 .collect(),
         )
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_map(self, out)
+    }
 }
 
 impl<K, V, S> Deserialize for std::collections::HashMap<K, V, S>
@@ -403,6 +684,9 @@ impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> 
                 .collect(),
         )
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_map(self, out)
+    }
 }
 
 impl<K, V> Deserialize for std::collections::BTreeMap<K, V>
@@ -428,6 +712,9 @@ where
     fn to_content(&self) -> Content {
         Content::Seq(self.iter().map(Serialize::to_content).collect())
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
+    }
 }
 
 impl<T> Deserialize for std::collections::HashSet<T, std::collections::hash_map::RandomState>
@@ -446,6 +733,9 @@ impl<T: Serialize> Serialize for std::collections::BTreeSet<T> {
     fn to_content(&self) -> Content {
         Content::Seq(self.iter().map(Serialize::to_content).collect())
     }
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        json::write_seq(self, out)
+    }
 }
 
 impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
@@ -453,6 +743,27 @@ impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
         match c {
             Content::Seq(items) => items.iter().map(T::from_content).collect(),
             other => Err(help::err(format!("expected sequence, got {other:?}"))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json;
+
+    #[test]
+    fn integers_print_as_the_formatter_prints_them() {
+        let mut powers: Vec<u64> = (0..20).map(|e| 10u64.pow(e)).collect();
+        powers.extend(powers.clone().iter().map(|p| p - 1));
+        for v in powers.into_iter().chain([u64::MAX, i64::MAX as u64 + 1]) {
+            let mut out = String::new();
+            json::write_u64(v, &mut out);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [0, -1, -9, -10, 42, i64::MIN, i64::MIN + 1, i64::MAX] {
+            let mut out = String::new();
+            json::write_i64(v, &mut out);
+            assert_eq!(out, v.to_string());
         }
     }
 }

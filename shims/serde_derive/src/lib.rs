@@ -4,7 +4,10 @@
 //! build environment cannot fetch them) and emits `impl serde::Serialize`
 //! / `impl serde::Deserialize` blocks following upstream serde's default
 //! representation: structs as maps keyed by field name, enums externally
-//! tagged, newtype structs delegating to their inner value. Supported
+//! tagged, newtype structs delegating to their inner value. A derived
+//! `Serialize` has both writers: `to_content` builds the `Content` tree,
+//! and `write_json` writes the same JSON text directly, field by field,
+//! with the text between values precomputed here. Supported
 //! attributes: `#[serde(transparent)]` on containers and
 //! `#[serde(default)]` on named fields. Generic types are not supported
 //! (the workspace has none).
@@ -319,46 +322,162 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(c: &Container) -> String {
     let name = &c.name;
-    let body = match &c.kind {
-        Kind::Struct(Shape::Unit) => "serde::Content::Null".to_string(),
-        Kind::Struct(Shape::Tuple(1)) => {
+    // A newtype, or a transparent one-field struct, delegates both the
+    // tree and the JSON writers (the key writer included) to its field.
+    let delegate = match &c.kind {
+        Kind::Struct(Shape::Tuple(1)) => Some("0".to_string()),
+        Kind::Struct(Shape::Named(fields)) if c.transparent && fields.len() == 1 => {
+            Some(fields[0].name.clone())
+        }
+        _ => None,
+    };
+    let (body, write) = match (&c.kind, &delegate) {
+        (_, Some(field)) => (
             // Newtype structs delegate to the inner value (upstream
             // default, and what `#[serde(transparent)]` requests).
-            "serde::Serialize::to_content(&self.0)".to_string()
-        }
-        Kind::Struct(Shape::Tuple(n)) => {
+            format!("serde::Serialize::to_content(&self.{field})"),
+            format!("serde::Serialize::write_json(&self.{field}, out)"),
+        ),
+        (Kind::Struct(Shape::Unit), None) => (
+            "serde::Content::Null".to_string(),
+            "out.push_str(\"null\"); Ok(())".to_string(),
+        ),
+        (Kind::Struct(Shape::Tuple(n)), None) => {
             let items: Vec<String> = (0..*n)
                 .map(|i| format!("serde::Serialize::to_content(&self.{i})"))
                 .collect();
-            format!("serde::Content::Seq(vec![{}])", items.join(", "))
+            let access: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            (
+                format!("serde::Content::Seq(vec![{}])", items.join(", ")),
+                format!("{} Ok(())", write_items("[", &seq_items(&access), "]")),
+            )
         }
-        Kind::Struct(Shape::Named(fields)) => {
-            if c.transparent && fields.len() == 1 {
-                format!("serde::Serialize::to_content(&self.{})", fields[0].name)
-            } else {
-                let entries: Vec<String> = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "(serde::Content::Str({:?}.to_string()), \
-                             serde::Serialize::to_content(&self.{}))",
-                            f.name, f.name
-                        )
-                    })
-                    .collect();
-                format!("serde::Content::Map(vec![{}])", entries.join(", "))
-            }
+        (Kind::Struct(Shape::Named(fields)), None) => {
+            let entries: Vec<String> = fields
+                .iter()
+                .map(|f| {
+                    format!(
+                        "(serde::Content::Str({:?}.to_string()), \
+                         serde::Serialize::to_content(&self.{}))",
+                        f.name, f.name
+                    )
+                })
+                .collect();
+            let access: Vec<String> = fields.iter().map(|f| format!("&self.{}", f.name)).collect();
+            (
+                format!("serde::Content::Map(vec![{}])", entries.join(", ")),
+                format!(
+                    "{} Ok(())",
+                    write_items("{", &map_items(fields, &access), "}")
+                ),
+            )
         }
-        Kind::Enum(variants) => {
+        (Kind::Enum(variants), None) => {
             let arms: Vec<String> = variants.iter().map(|v| ser_variant_arm(name, v)).collect();
-            format!("match self {{ {} }}", arms.join(" "))
+            let write_arms: Vec<String> = variants
+                .iter()
+                .map(|v| write_variant_arm(name, v))
+                .collect();
+            (
+                format!("match self {{ {} }}", arms.join(" ")),
+                format!("match self {{ {} }} Ok(())", write_arms.join(" ")),
+            )
         }
+    };
+    let write_key = match &delegate {
+        Some(field) => format!(
+            "fn write_json_key(&self, out: &mut ::std::string::String) -> \
+             ::std::result::Result<(), serde::SerError> {{ \
+             serde::Serialize::write_json_key(&self.{field}, out) }}\n"
+        ),
+        None => String::new(),
     };
     format!(
         "impl serde::Serialize for {name} {{\n\
          fn to_content(&self) -> serde::Content {{ {body} }}\n\
+         fn write_json(&self, out: &mut ::std::string::String) -> \
+         ::std::result::Result<(), serde::SerError> {{ {write} }}\n\
+         {write_key}\
          }}"
     )
+}
+
+/// Statements that write `open`, then each value `expr` of `items`
+/// after its separator text, then `close`. Adjacent text is joined at
+/// expansion time, so the text between two values is one `push_str` of
+/// a precomputed literal (`,"b":`).
+fn write_items(open: &str, items: &[(String, String)], close: &str) -> String {
+    let mut code = String::new();
+    let mut text = open.to_string();
+    for (sep, expr) in items {
+        text += sep;
+        code += &format!("out.push_str({text:?}); serde::Serialize::write_json({expr}, out)?; ");
+        text.clear();
+    }
+    text += close;
+    code + &format!("out.push_str({text:?});")
+}
+
+/// Array elements: the values at `access`, comma-separated.
+fn seq_items(access: &[String]) -> Vec<(String, String)> {
+    let sep = |i| if i == 0 { "" } else { "," };
+    access
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (sep(i).to_string(), a.clone()))
+        .collect()
+}
+
+/// Object members: each field's value at `access`, after `"name":`.
+fn map_items(fields: &[Field], access: &[String]) -> Vec<(String, String)> {
+    let sep = |i| if i == 0 { "" } else { "," };
+    fields
+        .iter()
+        .zip(access)
+        .enumerate()
+        .map(|(i, (f, a))| (format!("{}\"{}\":", sep(i), f.name), a.clone()))
+        .collect()
+}
+
+fn write_variant_arm(enum_name: &str, v: &Variant) -> String {
+    let vname = &v.name;
+    match &v.shape {
+        Shape::Unit => format!(
+            "{enum_name}::{vname} => out.push_str({:?}),",
+            format!("\"{vname}\"")
+        ),
+        Shape::Tuple(1) => format!(
+            "{enum_name}::{vname}(f0) => {{ {} }}",
+            write_items(&format!("{{\"{vname}\":"), &seq_items(&["f0".into()]), "}")
+        ),
+        Shape::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+            format!(
+                "{enum_name}::{vname}({}) => {{ {} }}",
+                binds.join(", "),
+                write_items(&format!("{{\"{vname}\":["), &seq_items(&binds), "]}")
+            )
+        }
+        Shape::Named(fields) => {
+            // Bound under fresh names, so a field called `out` does not
+            // shadow the output buffer.
+            let binds: Vec<String> = (0..fields.len()).map(|i| format!("f{i}")).collect();
+            let pattern: Vec<String> = fields
+                .iter()
+                .zip(&binds)
+                .map(|(f, b)| format!("{}: {b}", f.name))
+                .collect();
+            format!(
+                "{enum_name}::{vname} {{ {} }} => {{ {} }}",
+                pattern.join(", "),
+                write_items(
+                    &format!("{{\"{vname}\":{{"),
+                    &map_items(fields, &binds),
+                    "}}"
+                )
+            )
+        }
+    }
 }
 
 fn ser_variant_arm(enum_name: &str, v: &Variant) -> String {

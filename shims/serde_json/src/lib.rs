@@ -1,6 +1,12 @@
 //! Offline stand-in for `serde_json` (1.x API surface used here):
-//! `to_string`/`to_vec` and `from_str`/`from_slice` over the serde
-//! shim's [`Content`] tree.
+//! `to_string`/`to_vec` and `from_str`/`from_slice`.
+//!
+//! Serialization streams: `to_string` calls the value's
+//! [`Serialize::write_json`], which writes JSON text straight into one
+//! output buffer. Parsing builds the serde shim's [`Content`] tree, the
+//! deserialize model; [`to_string_via_content`] writes through that same
+//! tree and is the reference the streaming path is tested against. Both
+//! writers share the serde shim's one text writer (`serde::json`).
 //!
 //! Wire-format conventions match upstream defaults: structs are objects,
 //! enums are externally tagged, integers round-trip exactly through a
@@ -29,10 +35,25 @@ impl From<serde::DeError> for Error {
     }
 }
 
+impl From<serde::SerError> for Error {
+    fn from(e: serde::SerError) -> Self {
+        Error(e.0)
+    }
+}
+
 /// Serialize a value to a JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_content(&value.to_content(), &mut out)?;
+    value.write_json(&mut out)?;
+    Ok(out)
+}
+
+/// Serialize a value by lowering it into a [`Content`] tree and writing
+/// the tree: the reference for [`to_string`], which must produce the
+/// same bytes and the same errors.
+pub fn to_string_via_content<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let mut out = String::new();
+    serde::json::write_content(&value.to_content(), &mut out)?;
     Ok(out)
 }
 
@@ -51,94 +72,6 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
 pub fn from_slice<T: Deserialize>(input: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(input).map_err(|e| Error(format!("invalid UTF-8: {e}")))?;
     from_str(s)
-}
-
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn write_content(c: &Content, out: &mut String) -> Result<(), Error> {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(true) => out.push_str("true"),
-        Content::Bool(false) => out.push_str("false"),
-        Content::I64(v) => write_fmt(out, format_args!("{v}")),
-        Content::U64(v) => write_fmt(out, format_args!("{v}")),
-        Content::F64(v) => {
-            if v.is_finite() {
-                // `{:?}` is Rust's shortest round-trip float formatting
-                // and keeps `.0` on integral values, matching upstream
-                // serde_json with `float_roundtrip`.
-                write_fmt(out, format_args!("{v:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Content::Str(s) => write_json_string(s, out),
-        Content::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_content(item, out)?;
-            }
-            out.push(']');
-        }
-        Content::Map(entries) => {
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                match k {
-                    Content::Str(s) => write_json_string(s, out),
-                    other => {
-                        return Err(Error(format!(
-                            "JSON object keys must be strings, got {other:?}"
-                        )))
-                    }
-                }
-                out.push(':');
-                write_content(v, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-/// Format straight into the output: no `to_string()`/`format!` temporary.
-fn write_fmt(out: &mut String, args: std::fmt::Arguments<'_>) {
-    use std::fmt::Write;
-    out.write_fmt(args)
-        .expect("writing to a String cannot fail");
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    // Everything that needs escaping is ASCII, so the unescaped run
-    // before it ends on a char boundary and is copied whole.
-    let mut run_start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run_start..i]);
-        run_start = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            0x08 => out.push_str("\\b"),
-            0x0C => out.push_str("\\f"),
-            _ => write_fmt(out, format_args!("\\u{b:04x}")),
-        }
-    }
-    out.push_str(&s[run_start..]);
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------
