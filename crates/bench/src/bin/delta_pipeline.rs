@@ -19,18 +19,25 @@
 //! ```
 //!
 //! Emits `BENCH_delta_pipeline.json` in the working directory, with the
-//! seed round's tree and every churn round's.
+//! seed round's tree and every churn round's. After the main run, a
+//! second fixed run measures the durable ring: 100K variables on a
+//! 3-replica `FramedMemory` ring (every record JSON-encoded, CRC-framed
+//! and hash-chained on every replica), under the `framed_100k` key with
+//! its seed and churn trees and the WAL's appends and bytes.
 
 use statesman_core::{Coordinator, CoordinatorConfig};
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_obs::{Obs, Stage};
-use statesman_storage::{ClusterConfig, StorageConfig, StorageService};
+use statesman_storage::{ClusterConfig, DurabilityMode, StorageConfig, StorageService, WalStats};
 use statesman_topology::DcnSpec;
 use statesman_types::{DatacenterId, SimDuration};
 
 const CHECKER_BUDGET_MS: f64 = 10_000.0;
 /// The most of a round its stage tree may leave unaccounted.
 const UNACCOUNTED_BUDGET: f64 = 0.05;
+/// The durable run's size and ring, fixed whatever the main run's size.
+const FRAMED_VARS: usize = 100_000;
+const FRAMED_REPLICAS: usize = 3;
 
 fn main() {
     let vars: usize = std::env::var("STATESMAN_BENCH_VARS")
@@ -43,9 +50,17 @@ fn main() {
         .unwrap_or(3)
         .max(1);
 
-    let m = measure(vars, rounds);
-    // Read after the last round, so the figure covers the whole run.
+    let m = measure(vars, rounds, 1, DurabilityMode::Memory);
+    // Read after the main run's last round, so the figure covers it and
+    // not the smaller durable run after it.
     let peak_rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
+    println!("framed run: {FRAMED_VARS} variables, {FRAMED_REPLICAS}-replica FramedMemory ring");
+    let framed = measure(
+        FRAMED_VARS,
+        rounds,
+        FRAMED_REPLICAS,
+        DurabilityMode::FramedMemory,
+    );
     let quiescent_checker_ms = mean(m.quiescent.iter().map(checker_ms));
     let churn_checker_ms = mean(m.churn.iter().map(checker_ms));
     let churn_round_ms = mean(m.churn.iter().map(|t| t.ms));
@@ -57,7 +72,10 @@ fn main() {
         "checker blew the 10 s budget at {} vars: {churn_checker_ms:.0} ms",
         m.vars_seeded,
     );
-    for t in std::iter::once(&m.seed).chain(&m.quiescent).chain(&m.churn) {
+    for t in [&m, &framed]
+        .into_iter()
+        .flat_map(|m| std::iter::once(&m.seed).chain(&m.quiescent).chain(&m.churn))
+    {
         assert!(
             t.unaccounted_ms() <= UNACCOUNTED_BUDGET * t.ms,
             "a round left more than 5% unaccounted:\n{}",
@@ -74,8 +92,19 @@ fn main() {
          {churn_round_ms:.0},{:.1},{peak_rss}",
         m.vars_seeded, m.seed.ms, m.bytes_per_var
     );
+    let framed_write_ms = mean(framed.churn.iter().map(monitor_write_ms));
+    println!(
+        "csv,delta_pipeline_framed,vars,replicas,seed_ms,churn_write_ms,wal_appends,wal_bytes"
+    );
+    println!(
+        "csv,delta_pipeline_framed,{},{FRAMED_REPLICAS},{:.0},{framed_write_ms:.1},{},{}",
+        framed.vars_seeded, framed.seed.ms, framed.wal.appends, framed.wal.bytes_written
+    );
     let tree = |t: &Stage| serde_json::to_string(t).expect("stage tree encodes");
-    let churn_trees: Vec<String> = m.churn.iter().map(tree).collect();
+    let trees = |ts: &[Stage], indent: &str| {
+        let sep = format!(",\n{indent}");
+        ts.iter().map(tree).collect::<Vec<_>>().join(&sep)
+    };
     let json = format!(
         "{{\n  \"bench\": \"delta_pipeline\",\n  \"target_vars\": {vars},\n  \
          \"rounds\": {rounds},\n  \"checker_budget_ms\": {CHECKER_BUDGET_MS},\n  \
@@ -84,12 +113,23 @@ fn main() {
          \"churn_checker_ms\": {churn_checker_ms:.2},\n  \
          \"churn_round_ms\": {churn_round_ms:.1},\n  \"bytes_per_var\": {:.1},\n  \
          \"peak_rss_mb\": {peak_rss},\n  \"seed_tree\": {},\n  \
-         \"churn_trees\": [\n    {}\n  ]\n}}\n",
+         \"churn_trees\": [\n    {}\n  ],\n  \
+         \"framed_100k\": {{\n    \"replicas\": {FRAMED_REPLICAS},\n    \
+         \"durability\": \"FramedMemory\",\n    \"vars\": {},\n    \
+         \"seed_ms\": {:.1},\n    \"churn_write_ms\": {framed_write_ms:.2},\n    \
+         \"wal_appends\": {},\n    \"wal_bytes\": {},\n    \"seed_tree\": {},\n    \
+         \"churn_trees\": [\n      {}\n    ]\n  }}\n}}\n",
         m.vars_seeded,
         m.seed.ms,
         m.bytes_per_var,
         tree(&m.seed),
-        churn_trees.join(",\n    "),
+        trees(&m.churn, "    "),
+        framed.vars_seeded,
+        framed.seed.ms,
+        framed.wal.appends,
+        framed.wal.bytes_written,
+        tree(&framed.seed),
+        trees(&framed.churn, "      "),
     );
     std::fs::write("BENCH_delta_pipeline.json", json).expect("write BENCH_delta_pipeline.json");
 }
@@ -112,6 +152,13 @@ fn checker_ms(tick: &Stage) -> f64 {
     checkers.map(|s| s.ms).sum()
 }
 
+/// A round's `monitor → write` time.
+fn monitor_write_ms(tick: &Stage) -> f64 {
+    let monitor = tick.children.iter().filter(|s| s.name == "monitor");
+    let writes = monitor.flat_map(|m| m.children.iter().filter(|s| s.name == "write"));
+    writes.map(|s| s.ms).sum()
+}
+
 fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
     let n = xs.len().max(1) as f64;
     xs.sum::<f64>() / n
@@ -123,13 +170,16 @@ struct Measured {
     quiescent: Vec<Stage>,
     churn: Vec<Stage>,
     bytes_per_var: f64,
+    /// The WAL's cumulative stats over the whole run, every replica.
+    wal: WalStats,
 }
 
 /// Build a coordinator over a fabric sized for `vars` variables and
 /// trace the seed round and seeded steady-state rounds: quiescent (clock
 /// frozen, every poll returns what the last round wrote) and low-churn
-/// (one simulated minute per round, telemetry counters move).
-fn measure(vars: usize, rounds: usize) -> Measured {
+/// (one simulated minute per round, telemetry counters move). The ring
+/// has `replicas` replicas logging to `durability`.
+fn measure(vars: usize, rounds: usize, replicas: usize, durability: DurabilityMode) -> Measured {
     let clock = SimClock::new();
     let graph = DcnSpec::sized_for_variables("dcX", vars).build();
     let net = SimNetwork::new(&graph, clock.clone(), SimConfig::ideal());
@@ -138,7 +188,8 @@ fn measure(vars: usize, rounds: usize) -> Measured {
         clock.clone(),
         StorageConfig {
             ring: ClusterConfig {
-                replicas: 1,
+                replicas,
+                durability,
                 // One simulated minute walks every device's cpu/mem
                 // counters (~164K rows at 4M variables); the change
                 // index must hold a few rounds of that churn or every
@@ -201,5 +252,6 @@ fn measure(vars: usize, rounds: usize) -> Measured {
         quiescent,
         churn,
         bytes_per_var,
+        wal: storage.wal_stats(),
     }
 }
