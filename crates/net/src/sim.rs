@@ -966,6 +966,53 @@ mod tests {
         assert!(a.iter().any(|up| *up), "flaps heal between probes");
     }
 
+    /// FNV-1a-64 over every device's counters and every link's flap
+    /// deadline, in sorted-name order.
+    fn draws_digest(net: &SimNetwork) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for name in net.device_names() {
+            let d = net.device_snapshot(&name).unwrap();
+            eat(d.cpu_util.to_bits());
+            eat(d.mem_util.to_bits());
+        }
+        for name in net.link_names() {
+            let l = net.link_snapshot(&name).unwrap();
+            eat(l.flapping_until.map_or(u64::MAX, |t| t.0));
+        }
+        h
+    }
+
+    #[test]
+    fn counter_walk_and_flap_draws_are_pinned() {
+        // The RNG is drawn in sorted-name order: flaps over the links, then
+        // one (cpu, mem) pair per device, every step. A change to that
+        // order (or to how entities are stored) moves this digest, and with
+        // it every OS digest built on the simulator.
+        let mut graph = statesman_topology::NetworkGraph::new();
+        DcnSpec::tiny("dc1").build_prefixed_into(&mut graph);
+        DcnSpec::fig7("dc2").build_prefixed_into(&mut graph);
+        let mut cfg = SimConfig::ideal();
+        cfg.seed = 4242;
+        cfg.faults = FaultPlan::ideal().with_link_flapping(0.05, SimDuration::from_secs(150));
+        let net = SimNetwork::new(&graph, SimClock::new(), cfg);
+        for (i, secs) in [60, 90, 60, 240, 30, 60, 60, 600].into_iter().enumerate() {
+            net.step(SimDuration::from_secs(secs));
+            if i == 3 {
+                assert_eq!(draws_digest(&net), 14548491616831247435, "after four steps");
+            }
+        }
+        let flapped = (net.link_names().iter())
+            .filter(|l| net.link_snapshot(l).unwrap().flapping_until.is_some())
+            .count();
+        assert!(flapped > 0, "the history holds flaps");
+        assert_eq!(draws_digest(&net), 318133145602149887, "after eight steps");
+    }
+
     #[test]
     fn unknown_device_rejected() {
         let net = sim();
