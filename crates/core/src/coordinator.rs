@@ -262,11 +262,11 @@ pub struct RoundReport {
 
 impl RoundReport {
     /// The round's wall-clock stages in the order they ran — `monitor
-    /// {poll, diff, write}`, one `checker[group]` per checked group,
-    /// `updater {read, diff, exec}` — from the durations the stage
-    /// reports carry. On a bulk-seed round the monitor's `write` splits
-    /// into the seed's own stages. A round trace's `tick` root holds
-    /// exactly these.
+    /// {poll {devices, links}, diff {reseed, order}, write}`, one
+    /// `checker[group]` per checked group, `updater {read, diff, exec}` —
+    /// from the durations the stage reports carry. On a bulk-seed round
+    /// the monitor's `write` splits into the seed's own stages. A round
+    /// trace's `tick` root holds exactly these.
     pub fn stages(&self) -> Vec<Stage> {
         let m = &self.monitor;
         let seed = m.seed.iter().flat_map(|seed| {
@@ -278,8 +278,14 @@ impl RoundReport {
             ]
         });
         let monitor = Stage::wall("monitor", m.elapsed).with_children(vec![
-            Stage::wall("poll", m.stage_poll),
-            Stage::wall("diff", m.stage_diff),
+            Stage::wall("poll", m.stage_poll).with_children(vec![
+                Stage::wall("devices", m.stage_poll_devices),
+                Stage::wall("links", m.stage_poll_links),
+            ]),
+            Stage::wall("diff", m.stage_diff).with_children(vec![
+                Stage::wall("reseed", m.stage_diff_reseed),
+                Stage::wall("order", m.stage_diff_order),
+            ]),
             Stage::wall("write", m.stage_write).with_children(seed.collect()),
         ]);
         let u = &self.updater;
@@ -845,8 +851,10 @@ mod tests {
                 .map(|c| (c.name.clone(), c.ms))
                 .collect()
         };
-        let want = |stages: [(&str, Duration); 3]| -> Vec<(String, f64)> {
-            stages.map(|(name, d)| (name.to_string(), ms(d))).into()
+        let want = |stages: &[(&str, Duration)]| -> Vec<(String, f64)> {
+            (stages.iter())
+                .map(|&(name, d)| (name.to_string(), ms(d)))
+                .collect()
         };
         let (m, u, c) = (&r.monitor, &r.updater, &r.checkers[0]);
         let top = [
@@ -854,19 +862,32 @@ mod tests {
             ("checker[dc:dc1]", c.elapsed),
             ("updater", u.elapsed),
         ];
-        assert_eq!(parts(tree), want(top));
+        assert_eq!(parts(tree), want(&top));
         let monitor = [
             ("poll", m.stage_poll),
             ("diff", m.stage_diff),
             ("write", m.stage_write),
         ];
-        assert_eq!(parts(&tree.children[0]), want(monitor));
+        assert_eq!(parts(&tree.children[0]), want(&monitor));
+        // The poll and the diff are closed: their parts sum to them.
+        let poll = [
+            ("devices", m.stage_poll_devices),
+            ("links", m.stage_poll_links),
+        ];
+        assert_eq!(parts(&tree.children[0].children[0]), want(&poll));
+        assert_eq!(m.stage_poll, m.stage_poll_devices + m.stage_poll_links);
+        let diff = [
+            ("reseed", m.stage_diff_reseed),
+            ("order", m.stage_diff_order),
+        ];
+        assert_eq!(parts(&tree.children[0].children[1]), want(&diff));
+        assert_eq!(m.stage_diff, m.stage_diff_reseed + m.stage_diff_order);
         let updater = [
             ("read", u.stage_read),
             ("diff", u.stage_diff),
             ("exec", u.stage_exec),
         ];
-        assert_eq!(parts(&tree.children[2]), want(updater));
+        assert_eq!(parts(&tree.children[2]), want(&updater));
         assert_eq!(tree.children, r.stages());
         assert_closed(tree);
     }

@@ -24,22 +24,31 @@
 //!
 //! A round costs what changed: the poll compares the values it collects
 //! against the monitor's *diff base* — what it believes the OS pool
-//! holds — in place, so only a row that differs is ever built,
-//! sorted, written and stored back. The base is laid out in poll order
-//! (graph node, then edge, times a per-kind attribute column), so a
-//! comparison is one indexed load. The belief is periodically
-//! distrusted, not the store: see [`Monitor::with_resync_every`].
+//! holds — in place, so only a value that differs is ever built, and
+//! only its row is ordered, written and stored back. The poll reads the
+//! simulator by id, a block of entities under one lock
+//! ([`BlockCollector`]), as values borrowed from it. The base is laid out
+//! in poll order (graph node, then edge, times a per-kind attribute
+//! column), so a comparison is one indexed load. The belief is
+//! periodically distrusted, not the store: see
+//! [`Monitor::with_resync_every`].
+//!
+//! Rows are written in key order without comparing a name: every entity
+//! is ranked once by [`EntityName`] at [`Monitor::new`], and since a
+//! [`StateKey`](statesman_types::StateKey) orders by entity, then
+//! attribute, the changed rows come out of an integer sort of their
+//! entities' ranks, each entity's rows in attribute order.
 
 use parking_lot::Mutex;
-use statesman_net::{DeviceModel, DeviceProtocol, OpenFlowSim, SimNetwork, SnmpSim, VendorCliSim};
+use statesman_net::{BlockCollector, Reading, SimNetwork};
 use statesman_storage::{ReadRequest, StorageService, WriteRequest};
 use statesman_topology::{EdgeId, NetworkGraph, NodeId};
 use statesman_types::entity::EntityBody;
 use statesman_types::{
     AppId, Attribute, DatacenterId, DeviceName, EntityKind, EntityName, Freshness, NetworkState,
-    Pool, SimDuration, SimTime, StateResult, Value,
+    OperStatus, Pool, SimDuration, SimTime, StateResult, Value,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// Modeled per-entity poll cost (SNMP walk + parse), milliseconds.
@@ -61,6 +70,8 @@ pub const DEFAULT_QUARANTINE_COOLDOWN: SimDuration = SimDuration::from_mins(5);
 /// re-reads the OS pool and diffs against that, healing any drift between
 /// the monitor's memory of what it wrote and what storage actually holds.
 pub const DEFAULT_RESYNC_EVERY: u64 = 16;
+/// Entities polled under one simulator lock.
+const POLL_BLOCK: usize = 1_024;
 
 /// One collection round's outcome.
 #[derive(Debug, Clone)]
@@ -100,11 +111,22 @@ pub struct MonitorReport {
     /// stages below sum to it.
     pub elapsed: Duration,
     /// Wall time spent polling devices and links *and comparing what
-    /// they report against the diff base*, which rides in the poll.
+    /// they report against the diff base*, which rides in the poll:
+    /// `stage_poll_devices + stage_poll_links`.
     pub stage_poll: Duration,
+    /// The devices' part of `stage_poll`.
+    pub stage_poll_devices: Duration,
+    /// The links' part of `stage_poll`.
+    pub stage_poll_links: Duration,
     /// Wall time spent re-reading the OS pool into the diff base (resync
-    /// rounds only) and sorting the changed rows into write order.
+    /// rounds only) and ordering the changed rows for the write:
+    /// `stage_diff_reseed + stage_diff_order`.
     pub stage_diff: Duration,
+    /// The re-read's part of `stage_diff` (zero outside resync rounds).
+    pub stage_diff_reseed: Duration,
+    /// The write order's part of `stage_diff`: building the changed rows
+    /// in key order.
+    pub stage_diff_order: Duration,
     /// Wall time spent on storage writes and diff-base maintenance.
     pub stage_write: Duration,
     /// Stage breakdown of the bulk-ingest seed write, present only on
@@ -117,14 +139,17 @@ pub struct MonitorReport {
 /// The monitor over one simulated network.
 pub struct Monitor {
     net: SimNetwork,
-    snmp: SnmpSim,
-    of: OpenFlowSim,
-    cli: VendorCliSim,
+    collector: BlockCollector,
     storage: StorageService,
     graph: NetworkGraph,
     layout: Layout,
-    /// Devices under quarantine, mapped to when their cooldown expires.
-    quarantine: Mutex<HashMap<DeviceName, SimTime>>,
+    /// Each graph node's id in the simulator, resolved by name once.
+    sim_nodes: Vec<Option<NodeId>>,
+    /// Each graph edge's id in the simulator, resolved by name once.
+    sim_edges: Vec<Option<EdgeId>>,
+    /// By graph node: when the device's quarantine cooldown expires
+    /// ([`SimTime::ZERO`], never after `now`, when it is not quarantined).
+    quarantine: Mutex<Vec<SimTime>>,
     quarantine_cooldown: SimDuration,
     base: Mutex<DiffBase>,
     /// Every Nth round re-seeds the diff base from storage (1 = every
@@ -132,23 +157,32 @@ pub struct Monitor {
     resync_every: u64,
 }
 
-/// Where every polled value lives in the diff base. The graph is
-/// immutable, so the layout is derived once: node *i*'s block of device
-/// columns, then edge *j*'s block of link columns after every node's. An
-/// attribute's column is its rank among the catalogue attributes of its
-/// [`EntityKind`]. A poll addresses a block by graph index; a row read
-/// back from storage, through the graph's name index.
+/// Where every polled value lives in the diff base, and where its row
+/// goes in the write order. The graph is immutable, so the layout is
+/// derived once: node *i*'s block of device columns, then edge *j*'s
+/// block of link columns after every node's. An attribute's column is
+/// its rank among the catalogue attributes of its [`EntityKind`]. A poll
+/// addresses a block by graph index; a row read back from storage,
+/// through the graph's name index.
+///
+/// Entities are numbered the same way, node *i* as *i* and edge *j* as
+/// `node_count + j`, and each has a rank: its place among all the
+/// graph's entities in [`EntityName`] order.
 struct Layout {
     /// Each attribute's column within its kind's block, by catalogue index.
     columns: Vec<usize>,
     device_columns: usize,
     link_columns: usize,
+    /// Graph nodes: the first edge's entity number.
+    nodes: usize,
     /// Where the edge blocks start.
     links_from: usize,
     /// Positions in all: every node's block, then every edge's.
     positions: usize,
     /// The partitions homing the graph's entities: what a resync re-reads.
     datacenters: BTreeSet<DatacenterId>,
+    /// Every entity's rank, by entity number.
+    ranks: Vec<u32>,
 }
 
 impl Layout {
@@ -164,16 +198,35 @@ impl Layout {
         let width = |kind| Attribute::for_entity(kind).count();
         let (device_columns, link_columns) = (width(EntityKind::Device), width(EntityKind::Link));
         let links_from = graph.node_count() * device_columns;
+        let names: Vec<EntityName> = (graph.nodes().map(|(id, _)| device_entity(graph, id)))
+            .chain(graph.edges().map(|(id, _)| link_entity(graph, id)))
+            .collect();
+        let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
+        by_name.sort_unstable_by(|&x, &y| names[x as usize].cmp(&names[y as usize]));
+        let mut ranks = vec![0; names.len()];
+        for (rank, &entity) in by_name.iter().enumerate() {
+            ranks[entity as usize] = rank as u32;
+        }
         Layout {
             columns: (0..catalogue.len()).map(rank).collect(),
             device_columns,
             link_columns,
+            nodes: graph.node_count(),
             links_from,
             positions: links_from + graph.edge_count() * link_columns,
             datacenters: (graph.nodes().map(|(_, n)| &n.datacenter))
                 .chain(graph.edges().map(|(_, e)| &e.datacenter))
                 .cloned()
                 .collect(),
+            ranks,
+        }
+    }
+
+    /// The block of entity number `entity`.
+    fn entity_block(&self, entity: usize) -> (usize, EntityKind) {
+        match entity.checked_sub(self.nodes) {
+            None => self.node_block(NodeId(entity as u32)),
+            Some(edge) => self.edge_block(EdgeId(edge as u32)),
         }
     }
 
@@ -223,6 +276,76 @@ fn link_entity(graph: &NetworkGraph, id: EdgeId) -> EntityName {
     EntityName::link_named(edge.datacenter.clone(), edge.name.clone())
 }
 
+/// The name of entity number `entity` (see [`Layout`]).
+fn entity_name(graph: &NetworkGraph, entity: usize) -> EntityName {
+    match entity.checked_sub(graph.node_count()) {
+        None => device_entity(graph, NodeId(entity as u32)),
+        Some(edge) => link_entity(graph, EdgeId(edge as u32)),
+    }
+}
+
+/// What a round's poll found changed, entity by entity in poll order.
+#[derive(Default)]
+struct Changed {
+    /// Every changed attribute with its new value.
+    pairs: Vec<(Attribute, Value)>,
+    /// One per entity with a changed pair.
+    spans: Vec<Span>,
+}
+
+/// One entity's run of [`Changed::pairs`].
+struct Span {
+    rank: u32,
+    entity: u32,
+    start: u32,
+    end: u32,
+}
+
+impl Changed {
+    /// Close the run of pairs pushed since `start` as entity `entity`'s.
+    fn close(&mut self, layout: &Layout, entity: usize, start: usize) {
+        if self.pairs.len() > start {
+            self.spans.push(Span {
+                rank: layout.ranks[entity],
+                entity: entity as u32,
+                start: start as u32,
+                end: self.pairs.len() as u32,
+            });
+        }
+    }
+
+    /// The changed rows in key order: entities by rank (an integer sort),
+    /// each entity's rows by attribute. Leaves the spans in that order.
+    fn rows(&mut self, graph: &NetworkGraph, now: SimTime) -> Vec<NetworkState> {
+        self.spans.sort_unstable_by_key(|span| span.rank);
+        let writer = AppId::monitor();
+        let mut rows = Vec::with_capacity(self.pairs.len());
+        for span in &self.spans {
+            let pairs = &mut self.pairs[span.start as usize..span.end as usize];
+            pairs.sort_unstable_by_key(|&(attr, _)| attr);
+            let entity = entity_name(graph, span.entity as usize);
+            for (attr, value) in pairs {
+                let value = std::mem::replace(value, Value::None);
+                let row = NetworkState::new(entity.clone(), *attr, value, now, writer.clone());
+                rows.push(row);
+            }
+        }
+        rows
+    }
+}
+
+/// One poll's findings and counts.
+struct Polled {
+    changed: Changed,
+    devices_polled: usize,
+    unreachable: usize,
+    quarantined: usize,
+    links_polled: usize,
+    suppressed: usize,
+    /// When the device polls ended, since the round started.
+    devices_done: Duration,
+}
+
 /// What the monitor believes the OS pool holds, and how many rounds it
 /// has run (the resync cadence counts from the first).
 struct DiffBase {
@@ -256,14 +379,16 @@ impl Monitor {
     /// Build a monitor with the standard protocol adapters.
     pub fn new(net: SimNetwork, storage: StorageService, graph: NetworkGraph) -> Self {
         Monitor {
-            snmp: SnmpSim::new(net.clone()),
-            of: OpenFlowSim::new(net.clone()),
-            cli: VendorCliSim::new(net.clone()),
+            collector: BlockCollector::new(net.clone()),
+            sim_nodes: (graph.nodes())
+                .map(|(_, n)| net.device_id(&n.name))
+                .collect(),
+            sim_edges: (graph.edges()).map(|(_, e)| net.link_id(&e.name)).collect(),
+            quarantine: Mutex::new(vec![SimTime::ZERO; graph.node_count()]),
             net,
             storage,
             layout: Layout::of(&graph),
             graph,
-            quarantine: Mutex::new(HashMap::new()),
             quarantine_cooldown: DEFAULT_QUARANTINE_COOLDOWN,
             base: Mutex::new(DiffBase {
                 values: Vec::new(),
@@ -299,50 +424,11 @@ impl Monitor {
     /// Devices currently under quarantine at `now` — the set the checker
     /// must treat as uncontrollable (their OS rows are stale).
     pub fn quarantined_devices(&self, now: SimTime) -> BTreeSet<DeviceName> {
-        self.quarantine
-            .lock()
-            .iter()
-            .filter(|(_, &until)| now < until)
-            .map(|(d, _)| d.clone())
+        let quarantine = self.quarantine.lock();
+        (self.graph.nodes())
+            .filter(|(id, _)| now < quarantine[id.0 as usize])
+            .map(|(_, n)| n.name.clone())
             .collect()
-    }
-
-    fn is_quarantined(&self, device: &DeviceName, now: SimTime) -> bool {
-        matches!(self.quarantine.lock().get(device), Some(&until) if now < until)
-    }
-
-    /// Record a poll outcome in the quarantine table: failures (re)start
-    /// the cooldown, successes clear it.
-    fn note_poll(&self, device: &DeviceName, now: SimTime, reachable: bool) {
-        let mut q = self.quarantine.lock();
-        if reachable {
-            q.remove(device);
-        } else {
-            q.insert(device.clone(), now + self.quarantine_cooldown);
-        }
-    }
-
-    /// Poll one device: its attribute/value pairs (one per attribute; a
-    /// value the routing adapter repeats replaces SNMP's), or `None` when
-    /// its management plane fails in any way. Infallible by design — a
-    /// broken device must never abort a collection round (partial-round
-    /// tolerance).
-    fn poll_device(&self, name: &DeviceName) -> Option<Vec<(Attribute, Value)>> {
-        let mut pairs = self.snmp.collect_device(name).ok()?;
-        // Routing state by model.
-        let model = self.net.with_device(name, |d, _| d.model);
-        let model = model.unwrap_or(DeviceModel::OpenFlowSwitch);
-        let routing = match model {
-            DeviceModel::OpenFlowSwitch => self.of.collect_device(name),
-            DeviceModel::BgpRouter => self.cli.collect_device(name),
-        };
-        for (attr, value) in routing.unwrap_or_default() {
-            match pairs.iter_mut().find(|(a, _)| *a == attr) {
-                Some(pair) => pair.1 = value,
-                None => pairs.push((attr, value)),
-            }
-        }
-        Some(pairs)
     }
 
     /// Re-seed the diff base from a leader read of the OS pool of every
@@ -378,6 +464,102 @@ impl Monitor {
         Ok(reread)
     }
 
+    /// Poll every device, then every link, outside `skip_dcs` in graph
+    /// order, a block at a time, comparing each value against `base` as
+    /// it is read: every variable is polled, and so compared, exactly
+    /// once. `devices_done` is read off `started`.
+    fn poll(
+        &self,
+        base: &[Option<Value>],
+        skip_dcs: &BTreeSet<DatacenterId>,
+        now: SimTime,
+        started: Instant,
+    ) -> Polled {
+        // Compare one entity's polled pairs against the base in place, one
+        // indexed load each: equal values are counted, the rest are built
+        // and kept with the entity's number — the only values a round
+        // builds.
+        let mut changed = Changed::default();
+        let mut suppressed = 0;
+        let mut compare = |entity: usize, pairs: &[(Attribute, Reading<'_>)]| {
+            let block = self.layout.entity_block(entity);
+            let start = changed.pairs.len();
+            for &(attr, reading) in pairs {
+                let position = self.layout.position(block, attr);
+                let prior = position.and_then(|p| base.get(p)?.as_ref());
+                if prior.is_some_and(|prior| reading.matches(prior)) {
+                    suppressed += 1;
+                } else {
+                    changed.pairs.push((attr, reading.to_value()));
+                }
+            }
+            changed.close(&self.layout, entity, start);
+        };
+        let (mut devices_polled, mut unreachable, mut quarantined) = (0, 0, 0);
+        let mut quarantine = self.quarantine.lock();
+        let mut block = Vec::with_capacity(POLL_BLOCK);
+        for first in (0..self.layout.nodes).step_by(POLL_BLOCK) {
+            block.clear();
+            for node in first..self.layout.nodes.min(first + POLL_BLOCK) {
+                if skip_dcs.contains(&self.graph.node(NodeId(node as u32)).datacenter) {
+                    continue;
+                }
+                // Quarantined devices are not re-polled (no poll budget
+                // spent re-timing-out); their rows go stale.
+                if now < quarantine[node] {
+                    quarantined += 1;
+                    continue;
+                }
+                block.push((node, self.sim_nodes[node]));
+            }
+            // A failed poll (re)starts the device's cooldown, a good one
+            // clears it.
+            self.collector
+                .devices(block.iter().copied(), |node, pairs| {
+                    let Some(pairs) = pairs else {
+                        quarantine[node] = now + self.quarantine_cooldown;
+                        unreachable += 1;
+                        return;
+                    };
+                    quarantine[node] = SimTime::ZERO;
+                    devices_polled += 1;
+                    compare(node, pairs);
+                });
+        }
+        drop(quarantine);
+        let devices_done = started.elapsed();
+        // Infallible for the same reason as device polls. A link reports
+        // its own oper status whatever its endpoints' polls did; when
+        // neither endpoint answers, the NMS inference stands in:
+        // oper-down for traffic purposes.
+        let inferred = [(Attribute::LinkOperStatus, Reading::Oper(OperStatus::Down))];
+        let mut links_polled = 0;
+        let edges = self.graph.edge_count();
+        let mut block = Vec::with_capacity(POLL_BLOCK);
+        for first in (0..edges).step_by(POLL_BLOCK) {
+            block.clear();
+            for edge in first..edges.min(first + POLL_BLOCK) {
+                if !skip_dcs.contains(&self.graph.edge(EdgeId(edge as u32)).datacenter) {
+                    block.push((self.layout.nodes + edge, self.sim_edges[edge]));
+                }
+            }
+            self.collector
+                .links(block.iter().copied(), |entity, pairs| {
+                    links_polled += 1;
+                    compare(entity, pairs.unwrap_or(&inferred));
+                });
+        }
+        Polled {
+            changed,
+            devices_polled,
+            unreachable,
+            quarantined,
+            links_polled,
+            suppressed,
+            devices_done,
+        }
+    }
+
     /// Run one collection round: poll everything, write the OS.
     pub fn run_round(&self) -> StateResult<MonitorReport> {
         self.run_round_skipping(&BTreeSet::new())
@@ -391,15 +573,14 @@ impl Monitor {
     /// Devices, then links, outside `skip_dcs` are polled in graph order,
     /// each compared against the diff base as it is collected, so only
     /// the rows that differ are ever built. Every variable is polled, and
-    /// so compared, exactly once, and the changed rows are sorted by key
-    /// before they are written.
+    /// so compared, exactly once, and the changed rows are put in key
+    /// order (by entity rank) before they are written.
     pub fn run_round_skipping(
         &self,
         skip_dcs: &BTreeSet<DatacenterId>,
     ) -> StateResult<MonitorReport> {
         let started = Instant::now();
         let now = self.net.clock().now();
-        let writer = AppId::monitor();
         let mut state = self.base.lock();
         let round = state.rounds;
         state.rounds += 1;
@@ -412,75 +593,26 @@ impl Monitor {
         }
         let reseeded = started.elapsed();
 
-        // Compare one entity's polled pairs against the base in place, one
-        // indexed load each: equal values are counted, the rest become
-        // owned rows — the only place a round names an entity.
-        let base = &state.values;
-        let mut changed: Vec<NetworkState> = Vec::new();
-        let mut suppressed = 0;
-        let mut compare = |block: (usize, EntityKind),
-                           entity: &dyn Fn() -> EntityName,
-                           pairs: Vec<(Attribute, Value)>| {
-            for (attr, value) in pairs {
-                let position = self.layout.position(block, attr);
-                let prior = position.and_then(|p| base.get(p)?.as_ref());
-                if prior == Some(&value) {
-                    suppressed += 1;
-                } else {
-                    let row = NetworkState::new(entity(), attr, value, now, writer.clone());
-                    changed.push(row);
-                }
-            }
-        };
-        let (mut devices_polled, mut unreachable, mut quarantined) = (0, 0, 0);
-        for (node_id, info) in self.graph.nodes() {
-            if skip_dcs.contains(&info.datacenter) {
-                continue;
-            }
-            let name = &info.name;
-            // Quarantined devices are not re-polled (no poll budget spent
-            // re-timing-out); their rows go stale.
-            if self.is_quarantined(name, now) {
-                quarantined += 1;
-                continue;
-            }
-            let pairs = self.poll_device(name);
-            self.note_poll(name, now, pairs.is_some());
-            let Some(pairs) = pairs else {
-                unreachable += 1;
-                continue;
-            };
-            devices_polled += 1;
-            let entity = || device_entity(&self.graph, node_id);
-            compare(self.layout.node_block(node_id), &entity, pairs);
-        }
-        let mut links_polled = 0;
-        for (edge_id, edge) in self.graph.edges() {
-            if skip_dcs.contains(&edge.datacenter) {
-                continue;
-            }
-            links_polled += 1;
-            // Infallible for the same reason as device polls. A link
-            // reports its own oper status whatever its endpoints' polls
-            // did; when neither endpoint answers, the NMS inference stands
-            // in: oper-down for traffic purposes.
-            let pairs = self
-                .snmp
-                .collect_link(&edge.name)
-                .unwrap_or_else(|_| vec![(Attribute::LinkOperStatus, Value::oper(false))]);
-            let entity = || link_entity(&self.graph, edge_id);
-            compare(self.layout.edge_block(edge_id), &entity, pairs);
-        }
+        let Polled {
+            mut changed,
+            devices_polled,
+            unreachable,
+            quarantined,
+            links_polled,
+            suppressed,
+            devices_done,
+        } = self.poll(&state.values, skip_dcs, now, started);
         let polled = started.elapsed();
 
         // Only the changed rows need the deterministic write order —
-        // string-key order, not id order (ids follow interning order).
-        // Keys are unique, so the in-place sort yields that one order.
-        changed.sort_unstable_by(|a, b| a.key_ref().cmp(&b.key_ref()));
-        let rows_written = changed.len();
+        // string-key order, not id order (ids follow interning order) —
+        // and the ranks give it without comparing a string.
+        let mut rows = changed.rows(&self.graph, now);
+        debug_assert!(rows.windows(2).all(|w| w[0].key_ref() < w[1].key_ref()));
+        let rows_written = rows.len();
         let diffed = started.elapsed();
 
-        let written = self.write_changed(&mut changed, state.values.is_empty());
+        let written = self.write_changed(&mut rows, state.values.is_empty());
         let seed = match written {
             Ok(seed) => seed,
             Err(e) => {
@@ -493,10 +625,15 @@ impl Monitor {
         // just did: the suppressed rows are in it already, and what was
         // not polled — skipped DCs, quarantined or silent devices, a key a
         // poll stopped reporting — stays in it as it stays in the store.
-        // (A bulk seed took the rows, leaving the base unallocated.)
-        for row in changed {
-            if let Some(position) = self.layout.position_of(&self.graph, &row) {
-                state.land(self.layout.positions, position, Some(row.value));
+        // (A bulk seed took the rows, leaving the base unallocated.) The
+        // spans are in row order now.
+        let mut rows = rows.into_iter();
+        for span in &changed.spans {
+            let block = self.layout.entity_block(span.entity as usize);
+            for row in rows.by_ref().take((span.end - span.start) as usize) {
+                if let Some(position) = self.layout.position(block, row.attribute) {
+                    state.land(self.layout.positions, position, Some(row.value));
+                }
             }
         }
         drop(state);
@@ -520,7 +657,11 @@ impl Monitor {
             modeled_io,
             elapsed,
             stage_poll: polled - reseeded,
+            stage_poll_devices: devices_done - reseeded,
+            stage_poll_links: polled - devices_done,
             stage_diff: reseeded + (diffed - polled),
+            stage_diff_reseed: reseeded,
+            stage_diff_order: diffed - polled,
             stage_write: elapsed.saturating_sub(diffed),
             seed,
         })
@@ -1161,6 +1302,105 @@ mod tests {
         let r2 = m.run_round().unwrap();
         assert_eq!(r2.devices_unreachable, 1);
         assert_eq!(m.quarantined_devices(clock.now()).len(), 1);
+    }
+
+    /// The changed rows as the poll found them: entity by entity, in
+    /// poll order.
+    fn in_poll_order(changed: &Changed, graph: &NetworkGraph, now: SimTime) -> Vec<NetworkState> {
+        let rows = changed.spans.iter().flat_map(|span| {
+            let entity = entity_name(graph, span.entity as usize);
+            let pairs = &changed.pairs[span.start as usize..span.end as usize];
+            (pairs.iter()).map(move |(attr, value)| {
+                NetworkState::new(entity.clone(), *attr, value.clone(), now, AppId::monitor())
+            })
+        });
+        rows.collect()
+    }
+
+    /// Rounds over `graph` with flapping links, an FCS fault on one link
+    /// per datacenter and a rebooting device in the last: every round's
+    /// changed rows, ordered by rank, are the rows sorted by key, and
+    /// devices and links of every datacenter change along the way.
+    fn rank_order_is_key_order(graph: NetworkGraph) {
+        let dcs: BTreeSet<DatacenterId> = (graph.nodes().map(|(_, n)| &n.datacenter))
+            .chain(graph.edges().map(|(_, e)| &e.datacenter))
+            .cloned()
+            .collect();
+        let mut faults =
+            statesman_net::FaultPlan::ideal().with_link_flapping(0.05, SimDuration::from_secs(90));
+        for (i, dc) in dcs.iter().enumerate() {
+            let (_, edge) = graph.edges().find(|(_, e)| e.datacenter == *dc).unwrap();
+            faults = faults.with_event(
+                SimTime::from_mins(2 + i as u64),
+                statesman_net::FaultEvent::SetFcsErrorRate {
+                    link: edge.name.clone(),
+                    rate: 0.01,
+                },
+            );
+        }
+        let (_, last) = graph.nodes().last().unwrap();
+        faults = faults.with_event(
+            SimTime::from_mins(3),
+            statesman_net::FaultEvent::RebootDevice {
+                device: last.name.clone(),
+                down_ms: 120_000,
+            },
+        );
+        let clock = SimClock::new();
+        let mut cfg = SimConfig::ideal();
+        cfg.faults = faults;
+        let net = SimNetwork::new(&graph, clock.clone(), cfg);
+        let storage = StorageService::new(dcs.clone(), clock, Default::default());
+        let m = Monitor::new(net.clone(), storage, graph.clone());
+        let mut changed_kinds = std::collections::HashSet::new();
+        for _ in 0..8 {
+            let now = net.clock().now();
+            let polled = {
+                let base = m.base.lock();
+                m.poll(&base.values, &BTreeSet::new(), now, Instant::now())
+            };
+            let mut want = in_poll_order(&polled.changed, &graph, now);
+            want.sort_unstable_by(|a, b| a.key_ref().cmp(&b.key_ref()));
+            let mut changed = polled.changed;
+            assert_eq!(changed.rows(&graph, now), want);
+            if !m.base.lock().values.is_empty() {
+                changed_kinds.extend(
+                    want.iter()
+                        .map(|r| (r.entity.datacenter.clone(), r.entity.kind())),
+                );
+            }
+            m.run_round().unwrap();
+            net.step(SimDuration::from_mins(1));
+        }
+        for dc in &dcs {
+            for kind in [EntityKind::Device, EntityKind::Link] {
+                let homed = match kind {
+                    EntityKind::Device => graph.nodes().any(|(_, n)| n.datacenter == *dc),
+                    _ => graph.edges().any(|(_, e)| e.datacenter == *dc),
+                };
+                let changed = changed_kinds.contains(&(dc.clone(), kind));
+                assert_eq!(changed, homed, "{dc} {kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_come_out_in_key_order_on_one_dc() {
+        rank_order_is_key_order(DcnSpec::fig7("dc1").build());
+    }
+
+    #[test]
+    fn rows_come_out_in_key_order_on_two_dcs_and_the_wan() {
+        let deployment = statesman_topology::DeploymentSpec {
+            dcns: vec![DcnSpec::tiny("dc1"), DcnSpec::tiny("dc2")],
+            wan: Some(statesman_topology::WanSpec {
+                dc_names: vec!["dc1".into(), "dc2".into()],
+                border_routers_per_dc: 2,
+                wan_link_mbps: 100_000.0,
+            }),
+            br_core_mbps: 100_000.0,
+        };
+        rank_order_is_key_order(deployment.build());
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub mod traffic;
 pub use clock::SimClock;
 pub use command::{CommandOutcome, DeviceCommand, DeviceModel};
 pub use fault::{FaultEvent, FaultPlan};
-pub use protocol::{DeviceProtocol, OpenFlowSim, ProtocolKind, SnmpSim, VendorCliSim};
+pub use protocol::{
+    BlockCollector, DeviceProtocol, OpenFlowSim, ProtocolKind, Reading, SnmpSim, VendorCliSim,
+};
 pub use sim::{SimConfig, SimNetwork};
 pub use traffic::{FlowSpec, TrafficReport};

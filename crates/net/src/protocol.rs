@@ -24,12 +24,22 @@
 //! [`SimNetwork::with_link`]) and reads the device, or the link and its
 //! endpoints, in place — no copy of the device, and no step can land
 //! between the reachability check and the values reported.
+//!
+//! Each adapter's pairs are defined once, as [`Reading`]s borrowed from
+//! the simulator; a `collect_*` call builds owned [`Value`]s from them.
+//! The monitor polls through [`BlockCollector`] instead: by id, a block
+//! of entities under one lock, handing out the borrowed pairs so that
+//! only a value that changed is ever built.
 
 use crate::command::{CommandOutcome, DeviceCommand, DeviceModel};
 use crate::device::SimDevice;
 use crate::link::SimLink;
 use crate::sim::SimNetwork;
-use statesman_types::{Attribute, DeviceName, LinkName, SimTime, StateError, StateResult, Value};
+use statesman_topology::{EdgeId, NodeId};
+use statesman_types::{
+    Attribute, ControlPlaneMode, DeviceName, FlowLinkRule, LinkName, OperStatus, PowerStatus,
+    SimTime, StateError, StateResult, Value,
+};
 
 /// Which protocol an adapter speaks (for logging and template lookup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,6 +92,211 @@ fn timeout(device: &impl std::fmt::Display, operation: &str) -> StateError {
     }
 }
 
+/// One polled value, borrowed from the simulator: what an adapter reports
+/// before anything is built from it. [`Reading::to_value`] is the value
+/// a `collect_*` call returns for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Reading<'a> {
+    /// [`Value::None`].
+    None,
+    /// [`Value::Bool`].
+    Bool(bool),
+    /// [`Value::Float`].
+    Float(f64),
+    /// [`Value::Text`].
+    Text(&'a str),
+    /// [`Value::Power`].
+    Power(PowerStatus),
+    /// [`Value::Oper`].
+    Oper(OperStatus),
+    /// [`Value::ControlPlane`].
+    ControlPlane(ControlPlaneMode),
+    /// [`Value::Routes`].
+    Routes(&'a [FlowLinkRule]),
+    /// Link weights, reported as [`Value::Routes`] of `*` pseudo-rules
+    /// for wire uniformity.
+    Weights(&'a [(LinkName, f64)]),
+}
+
+/// The flow a link weight's pseudo-rule carries.
+const WEIGHT_FLOW: &str = "*";
+
+impl Reading<'_> {
+    /// The owned value this reading reports.
+    pub fn to_value(self) -> Value {
+        match self {
+            Reading::None => Value::None,
+            Reading::Bool(b) => Value::Bool(b),
+            Reading::Float(x) => Value::Float(x),
+            Reading::Text(s) => Value::text(s),
+            Reading::Power(p) => Value::Power(p),
+            Reading::Oper(o) => Value::Oper(o),
+            Reading::ControlPlane(c) => Value::ControlPlane(c),
+            Reading::Routes(rules) => Value::Routes(rules.to_vec()),
+            Reading::Weights(weights) => Value::Routes(
+                (weights.iter())
+                    .map(|(l, w)| FlowLinkRule::new(WEIGHT_FLOW, l.clone(), *w))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Whether `value` equals [`Reading::to_value`], without building it.
+    pub fn matches(self, value: &Value) -> bool {
+        match (self, value) {
+            (Reading::None, Value::None) => true,
+            (Reading::Bool(x), Value::Bool(y)) => x == *y,
+            (Reading::Float(x), Value::Float(y)) => x == *y,
+            (Reading::Text(x), Value::Text(y)) => x == y,
+            (Reading::Power(x), Value::Power(y)) => x == *y,
+            (Reading::Oper(x), Value::Oper(y)) => x == *y,
+            (Reading::ControlPlane(x), Value::ControlPlane(y)) => x == *y,
+            (Reading::Routes(x), Value::Routes(y)) => x == y.as_slice(),
+            (Reading::Weights(x), Value::Routes(y)) => {
+                x.len() == y.len()
+                    && x.iter().zip(y).all(|((l, w), r)| {
+                        r.flow == WEIGHT_FLOW && r.out_link == *l && r.weight == *w
+                    })
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Owned pairs built from readings: what a `collect_*` call returns.
+fn owned(pairs: &[(Attribute, Reading<'_>)]) -> Vec<(Attribute, Value)> {
+    (pairs.iter()).map(|&(a, r)| (a, r.to_value())).collect()
+}
+
+/// A device's SNMP walk.
+fn snmp_device(d: &SimDevice) -> [(Attribute, Reading<'_>); 7] {
+    [
+        (Attribute::DeviceAdminPower, Reading::Power(d.admin_power)),
+        (
+            Attribute::DevicePowerUnitReachable,
+            Reading::Bool(d.power_unit_reachable),
+        ),
+        (
+            Attribute::DeviceFirmwareVersion,
+            Reading::Text(d.observed_firmware()),
+        ),
+        (Attribute::DeviceBootImage, Reading::Text(&d.boot_image)),
+        (
+            Attribute::DeviceMgmtInterface,
+            Reading::Bool(d.mgmt_configured),
+        ),
+        (Attribute::DeviceCpuUtilization, Reading::Float(d.cpu_util)),
+        (
+            Attribute::DeviceMemoryUtilization,
+            Reading::Float(d.mem_util),
+        ),
+    ]
+}
+
+/// A link's SNMP walk, given whether it is oper-up.
+fn snmp_link(l: &SimLink, oper_up: bool) -> [(Attribute, Reading<'_>); 8] {
+    let oper = if oper_up {
+        OperStatus::Up
+    } else {
+        OperStatus::Down
+    };
+    [
+        (Attribute::LinkAdminPower, Reading::Power(l.admin_power)),
+        (Attribute::LinkOperStatus, Reading::Oper(oper)),
+        (Attribute::LinkTrafficLoadAB, Reading::Float(l.load_ab_mbps)),
+        (Attribute::LinkTrafficLoadBA, Reading::Float(l.load_ba_mbps)),
+        (Attribute::LinkPacketDropRate, Reading::Float(l.drop_rate)),
+        (
+            Attribute::LinkFcsErrorRate,
+            Reading::Float(l.fcs_error_rate),
+        ),
+        (
+            Attribute::LinkIpAssignment,
+            match &l.ip_assignment {
+                Some(ip) => Reading::Text(ip),
+                None => Reading::None,
+            },
+        ),
+        (
+            Attribute::LinkControlPlane,
+            Reading::ControlPlane(l.control_plane),
+        ),
+    ]
+}
+
+/// An OpenFlow switch's routing state.
+fn openflow_device(d: &SimDevice) -> [(Attribute, Reading<'_>); 3] {
+    [
+        (
+            Attribute::DeviceOpenFlowAgent,
+            Reading::Bool(d.of_agent_running),
+        ),
+        (
+            Attribute::DeviceRoutingRules,
+            Reading::Routes(&d.routing_rules),
+        ),
+        (
+            Attribute::DeviceLinkWeights,
+            Reading::Weights(&d.link_weights),
+        ),
+    ]
+}
+
+/// What the CLI shows of a device: its management interface, and on BGP
+/// routers the RIB.
+fn cli_device(d: &SimDevice) -> Pairs<'_> {
+    let mut pairs = Pairs::default();
+    pairs.merge(&[(
+        Attribute::DeviceMgmtInterface,
+        Reading::Bool(d.mgmt_configured),
+    )]);
+    if d.model == DeviceModel::BgpRouter {
+        pairs.merge(&[(
+            Attribute::DeviceRoutingRules,
+            Reading::Routes(&d.routing_rules),
+        )]);
+    }
+    pairs
+}
+
+/// Up to [`Pairs::CAPACITY`] pairs, one per attribute, on the stack.
+struct Pairs<'a> {
+    pairs: [(Attribute, Reading<'a>); Pairs::CAPACITY],
+    len: usize,
+}
+
+impl Default for Pairs<'_> {
+    fn default() -> Self {
+        Pairs {
+            pairs: [(Attribute::DeviceAdminPower, Reading::None); Pairs::CAPACITY],
+            len: 0,
+        }
+    }
+}
+
+impl<'a> Pairs<'a> {
+    /// A device's SNMP walk plus its routing state.
+    const CAPACITY: usize = 10;
+
+    /// Add `from`: a pair for an attribute already held replaces it, the
+    /// rest are appended in order.
+    fn merge(&mut self, from: &[(Attribute, Reading<'a>)]) {
+        for &(attr, reading) in from {
+            match self.pairs[..self.len].iter_mut().find(|(a, _)| *a == attr) {
+                Some(pair) => pair.1 = reading,
+                None => {
+                    self.pairs[self.len] = (attr, reading);
+                    self.len += 1;
+                }
+            }
+        }
+    }
+
+    fn as_slice(&self) -> &[(Attribute, Reading<'a>)] {
+        &self.pairs[..self.len]
+    }
+}
+
 /// SNMP-like adapter: read-only.
 #[derive(Clone)]
 pub struct SnmpSim {
@@ -105,24 +320,7 @@ impl DeviceProtocol for SnmpSim {
             if !d.mgmt_reachable(now) {
                 return Err(timeout(device, "snmp-walk"));
             }
-            Ok(vec![
-                (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
-                (
-                    Attribute::DevicePowerUnitReachable,
-                    Value::Bool(d.power_unit_reachable),
-                ),
-                (
-                    Attribute::DeviceFirmwareVersion,
-                    Value::text(d.observed_firmware()),
-                ),
-                (Attribute::DeviceBootImage, Value::text(&d.boot_image)),
-                (
-                    Attribute::DeviceMgmtInterface,
-                    Value::Bool(d.mgmt_configured),
-                ),
-                (Attribute::DeviceCpuUtilization, Value::Float(d.cpu_util)),
-                (Attribute::DeviceMemoryUtilization, Value::Float(d.mem_util)),
-            ])
+            Ok(owned(&snmp_device(d)))
         };
         self.net
             .with_device(device, walk)
@@ -135,25 +333,7 @@ impl DeviceProtocol for SnmpSim {
             if !a_ok && !b_ok {
                 return Err(timeout(link, "snmp-walk"));
             }
-            Ok(vec![
-                (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
-                (Attribute::LinkOperStatus, Value::oper(oper)),
-                (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
-                (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
-                (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
-                (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
-                (
-                    Attribute::LinkIpAssignment,
-                    match &l.ip_assignment {
-                        Some(ip) => Value::text(ip),
-                        None => Value::None,
-                    },
-                ),
-                (
-                    Attribute::LinkControlPlane,
-                    Value::ControlPlane(l.control_plane),
-                ),
-            ])
+            Ok(owned(&snmp_link(l, oper)))
         };
         self.net
             .with_link(link, walk)
@@ -211,26 +391,7 @@ impl DeviceProtocol for OpenFlowSim {
             if !d.mgmt_reachable(now) {
                 return Err(timeout(device, "of-echo"));
             }
-            Ok(vec![
-                (
-                    Attribute::DeviceOpenFlowAgent,
-                    Value::Bool(d.of_agent_running),
-                ),
-                (
-                    Attribute::DeviceRoutingRules,
-                    Value::Routes(d.routing_rules.clone()),
-                ),
-                (
-                    Attribute::DeviceLinkWeights,
-                    Value::Routes(
-                        // Represent weights as pseudo-rules for wire uniformity.
-                        d.link_weights
-                            .iter()
-                            .map(|(l, w)| statesman_types::FlowLinkRule::new("*", l.clone(), *w))
-                            .collect(),
-                    ),
-                ),
-            ])
+            Ok(owned(&openflow_device(d)))
         })
     }
 
@@ -276,18 +437,7 @@ impl DeviceProtocol for VendorCliSim {
             if !d.mgmt_reachable(now) {
                 return Err(timeout(device, "cli-show"));
             }
-            let mut rows = vec![(
-                Attribute::DeviceMgmtInterface,
-                Value::Bool(d.mgmt_configured),
-            )];
-            if d.model == DeviceModel::BgpRouter {
-                // BGP routers expose their RIB through the CLI.
-                rows.push((
-                    Attribute::DeviceRoutingRules,
-                    Value::Routes(d.routing_rules.clone()),
-                ));
-            }
-            Ok(rows)
+            Ok(owned(cli_device(d).as_slice()))
         };
         self.net
             .with_device(device, show)
@@ -311,6 +461,62 @@ impl DeviceProtocol for VendorCliSim {
             }
         }
         Ok(self.net.submit(device, command))
+    }
+}
+
+/// The monitor's collection, by id and a block of entities under one
+/// simulator lock. A device reports its SNMP walk with the routing state
+/// of the adapter its model speaks merged in — OpenFlow on switches, the
+/// CLI's RIB on BGP routers, a repeated attribute replacing SNMP's — the
+/// pairs [`SnmpSim::collect_device`] and [`OpenFlowSim::collect_device`]
+/// or [`VendorCliSim::collect_device`] return between them. A link
+/// reports its SNMP walk, [`SnmpSim::collect_link`]'s pairs. Both hand
+/// out borrowed [`Reading`]s, and `None` where the collect would time
+/// out (or the id is unknown).
+#[derive(Clone)]
+pub struct BlockCollector {
+    net: SimNetwork,
+}
+
+impl BlockCollector {
+    /// Build over a simulator handle.
+    pub fn new(net: SimNetwork) -> Self {
+        BlockCollector { net }
+    }
+
+    /// Poll a block of devices: `visit` gets each item's key and the
+    /// device's pairs, or `None` when its management plane does not
+    /// answer.
+    pub fn devices<K>(
+        &self,
+        block: impl IntoIterator<Item = (K, Option<NodeId>)>,
+        mut visit: impl FnMut(K, Option<&[(Attribute, Reading<'_>)]>),
+    ) {
+        self.net.with_device_block(block, |key, device, now| {
+            let Some(d) = device.filter(|d| d.mgmt_reachable(now)) else {
+                return visit(key, None);
+            };
+            let mut pairs = Pairs::default();
+            pairs.merge(&snmp_device(d));
+            match d.model {
+                DeviceModel::OpenFlowSwitch => pairs.merge(&openflow_device(d)),
+                DeviceModel::BgpRouter => pairs.merge(cli_device(d).as_slice()),
+            }
+            visit(key, Some(pairs.as_slice()))
+        });
+    }
+
+    /// Poll a block of links: `visit` gets each item's key and the link's
+    /// pairs, or `None` when neither endpoint answers.
+    pub fn links<K>(
+        &self,
+        block: impl IntoIterator<Item = (K, Option<EdgeId>)>,
+        mut visit: impl FnMut(K, Option<&[(Attribute, Reading<'_>)]>),
+    ) {
+        self.net.with_link_block(block, |key, link| match link {
+            Some((l, a_ok, b_ok, oper)) if a_ok || b_ok => visit(key, Some(&snmp_link(l, oper))),
+            _ => visit(key, None),
+        });
     }
 }
 
@@ -454,6 +660,82 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, StateError::InvalidRequest { .. }));
+    }
+
+    #[test]
+    fn a_reading_matches_exactly_the_value_it_builds() {
+        let link = LinkName::between("a", "b");
+        let rules = [FlowLinkRule::new("f", link.clone(), 1.0)];
+        let weights = [(link.clone(), 1.0)];
+        let star = [FlowLinkRule::new(WEIGHT_FLOW, link.clone(), 1.0)];
+        let readings = [
+            Reading::None,
+            Reading::Bool(true),
+            Reading::Bool(false),
+            Reading::Float(0.0),
+            Reading::Float(-0.0),
+            Reading::Float(f64::NAN),
+            Reading::Float(0.25),
+            Reading::Text("6.0.3"),
+            Reading::Text(""),
+            Reading::Power(PowerStatus::On),
+            Reading::Power(PowerStatus::Off),
+            Reading::Oper(OperStatus::Up),
+            Reading::Oper(OperStatus::Down),
+            Reading::ControlPlane(ControlPlaneMode::Bgp),
+            Reading::ControlPlane(ControlPlaneMode::OpenFlow),
+            Reading::Routes(&[]),
+            Reading::Routes(&rules),
+            Reading::Routes(&star),
+            Reading::Weights(&[]),
+            Reading::Weights(&weights),
+        ];
+        let mut values: Vec<Value> = readings.iter().map(|r| r.to_value()).collect();
+        values.extend([Value::Int(0), Value::text("bgp"), Value::Float(1.0)]);
+        for r in readings {
+            for v in &values {
+                assert_eq!(r.matches(v), r.to_value() == *v, "{r:?} vs {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_collect_reports_what_the_adapters_report() {
+        for net in [dc_sim(), wan_sim()] {
+            let (snmp, of, cli) = (
+                SnmpSim::new(net.clone()),
+                OpenFlowSim::new(net.clone()),
+                VendorCliSim::new(net.clone()),
+            );
+            let block = BlockCollector::new(net.clone());
+            // The block holds the simulator lock while it visits, so the
+            // per-name collects run after it.
+            let mut got = Vec::new();
+            let names = net.device_names();
+            let ids = names.iter().map(|n| (n, net.device_id(n)));
+            block.devices(ids, |name, pairs| got.push((name, pairs.map(owned))));
+            for (name, pairs) in got {
+                let mut want = snmp.collect_device(name).unwrap();
+                let routing = (of.collect_device(name)).or_else(|_| cli.collect_device(name));
+                for (attr, value) in routing.unwrap() {
+                    match want.iter_mut().find(|(a, _)| *a == attr) {
+                        Some(pair) => pair.1 = value,
+                        None => want.push((attr, value)),
+                    }
+                }
+                assert_eq!(pairs, Some(want), "{name}");
+            }
+            let mut got = Vec::new();
+            let names = net.link_names();
+            let ids = names.iter().map(|n| (n, net.link_id(n)));
+            block.links(ids, |name, pairs| got.push((name, pairs.map(owned))));
+            for (name, pairs) in got {
+                assert_eq!(pairs, Some(snmp.collect_link(name).unwrap()), "{name}");
+            }
+            block.devices([((), None)], |_, pairs| assert!(pairs.is_none()));
+            let unknown = Some(EdgeId(u32::MAX));
+            block.links([((), unknown)], |_, pairs| assert!(pairs.is_none()));
+        }
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! multi-threaded components (the HTTP examples) without extra plumbing;
 //! scenario determinism comes from the seeded RNG plus single-driver
 //! stepping.
+//!
+//! The simulator is indexed like the graph it is built from: devices by
+//! [`NodeId`], links by [`EdgeId`], and each link knows its endpoints'
+//! ids, so nothing inside a step or a by-id read hashes a name. Names
+//! resolve to ids once, where they come in: commands, faults, flows,
+//! [`SimNetwork::set_device_model`] and the name-keyed accessors.
 
 use crate::clock::SimClock;
 use crate::command::{CommandOutcome, DeviceCommand, DeviceModel};
@@ -29,7 +35,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use statesman_obs::{Counter, Registry};
-use statesman_topology::NetworkGraph;
+use statesman_topology::{EdgeId, NetworkGraph, NodeId};
 use statesman_types::{DeviceName, DeviceRole, LinkName, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,7 +85,7 @@ impl SimConfig {
 #[derive(Debug, Clone)]
 struct PendingEffect {
     effective_at: SimTime,
-    device: DeviceName,
+    device: NodeId,
     command: DeviceCommand,
     /// Monotonic sequence for stable ordering among same-instant effects.
     seq: u64,
@@ -106,10 +112,11 @@ impl NetObs {
     }
 }
 
-/// Inner mutable simulator state.
+/// Inner mutable simulator state: devices by [`NodeId`], links by
+/// [`EdgeId`], as in the graph the simulator was built from.
 struct SimState {
-    devices: HashMap<DeviceName, SimDevice>,
-    links: HashMap<LinkName, SimLink>,
+    devices: Vec<SimDevice>,
+    links: Vec<SimLink>,
     pending: Vec<PendingEffect>,
     scheduled_faults: Vec<ScheduledFault>,
     flows: Vec<FlowSpec>,
@@ -126,6 +133,32 @@ struct SimState {
 }
 
 impl SimState {
+    fn device(&self, id: NodeId) -> &SimDevice {
+        &self.devices[id.0 as usize]
+    }
+
+    fn link(&self, id: EdgeId) -> &SimLink {
+        &self.links[id.0 as usize]
+    }
+
+    fn device_named(&mut self, index: &Index, name: &DeviceName) -> Option<&mut SimDevice> {
+        let id = index.device(name)?;
+        Some(&mut self.devices[id.0 as usize])
+    }
+
+    fn link_named(&mut self, index: &Index, name: &LinkName) -> Option<&mut SimLink> {
+        let id = index.link(name)?;
+        Some(&mut self.links[id.0 as usize])
+    }
+
+    /// Whether link `id` is oper-up at `now`: its own state and both
+    /// endpoints operational.
+    fn link_oper_up(&self, index: &Index, id: EdgeId, now: SimTime) -> bool {
+        let [a, b] = index.ends[id.0 as usize];
+        let up = |d: NodeId| self.device(d).is_operational(now);
+        self.link(id).oper_up(now, up(a), up(b))
+    }
+
     fn note_command_accepted(&mut self) {
         self.commands_accepted += 1;
         if let Some(o) = &self.obs {
@@ -141,18 +174,35 @@ impl SimState {
     }
 }
 
-/// Every device and link name, sorted once: the sets never change after
-/// [`SimNetwork::new`], and `step_to` draws its RNG in these orders.
-struct SortedNames {
-    devices: Vec<DeviceName>,
-    links: Vec<LinkName>,
+/// What never changes after [`SimNetwork::new`]: where a name resolves,
+/// each link's endpoints, and the name order `step_to` draws its RNG in.
+struct Index {
+    devices: HashMap<DeviceName, NodeId>,
+    links: HashMap<LinkName, EdgeId>,
+    /// Each link's endpoints, [`LinkName::a`] then [`LinkName::b`] (not
+    /// the edge's own endpoint order).
+    ends: Vec<[NodeId; 2]>,
+    /// Device ids in name order.
+    devices_sorted: Vec<NodeId>,
+    /// Link ids in name order.
+    links_sorted: Vec<EdgeId>,
+}
+
+impl Index {
+    fn device(&self, name: &DeviceName) -> Option<NodeId> {
+        self.devices.get(name).copied()
+    }
+
+    fn link(&self, name: &LinkName) -> Option<EdgeId> {
+        self.links.get(name).copied()
+    }
 }
 
 /// Cloneable handle to the simulated network.
 #[derive(Clone)]
 pub struct SimNetwork {
     state: Arc<Mutex<SimState>>,
-    names: Arc<SortedNames>,
+    index: Arc<Index>,
     clock: SimClock,
 }
 
@@ -161,34 +211,50 @@ impl SimNetwork {
     /// everything else is an OpenFlow switch (override per device with
     /// [`SimNetwork::set_device_model`] before the scenario starts).
     pub fn new(graph: &NetworkGraph, clock: SimClock, config: SimConfig) -> Self {
-        let mut devices = HashMap::new();
-        for (_, n) in graph.nodes() {
-            let model = match n.role {
-                DeviceRole::Border => DeviceModel::BgpRouter,
-                _ => DeviceModel::OpenFlowSwitch,
-            };
-            let mut dev = SimDevice::healthy(n.name.clone(), model, &config.initial_firmware);
-            if config.start_powered_off {
-                dev.admin_power = statesman_types::PowerStatus::Off;
-            }
-            devices.insert(n.name.clone(), dev);
-        }
-        let mut links = HashMap::new();
-        for (_, e) in graph.edges() {
-            let mut link = SimLink::healthy(e.name.clone(), e.capacity_mbps);
-            if config.start_powered_off {
-                link.admin_power = statesman_types::PowerStatus::Off;
-            }
-            links.insert(e.name.clone(), link);
-        }
+        let devices: Vec<SimDevice> = (graph.nodes())
+            .map(|(_, n)| {
+                let model = match n.role {
+                    DeviceRole::Border => DeviceModel::BgpRouter,
+                    _ => DeviceModel::OpenFlowSwitch,
+                };
+                let mut dev = SimDevice::healthy(n.name.clone(), model, &config.initial_firmware);
+                if config.start_powered_off {
+                    dev.admin_power = statesman_types::PowerStatus::Off;
+                }
+                dev
+            })
+            .collect();
+        let links: Vec<SimLink> = (graph.edges())
+            .map(|(_, e)| {
+                let mut link = SimLink::healthy(e.name.clone(), e.capacity_mbps);
+                if config.start_powered_off {
+                    link.admin_power = statesman_types::PowerStatus::Off;
+                }
+                link
+            })
+            .collect();
         let mut scheduled = config.faults.scheduled.clone();
         scheduled.sort_by_key(|f| f.at);
-        let mut names = SortedNames {
-            devices: devices.keys().cloned().collect(),
-            links: links.keys().cloned().collect(),
+        let node = |name: &DeviceName| graph.node_id(name).expect("a link's endpoint is a node");
+        let mut index = Index {
+            devices: (graph.nodes())
+                .map(|(id, n)| (n.name.clone(), id))
+                .collect(),
+            links: (graph.edges())
+                .map(|(id, e)| (e.name.clone(), id))
+                .collect(),
+            ends: (graph.edges())
+                .map(|(_, e)| [node(&e.name.a), node(&e.name.b)])
+                .collect(),
+            devices_sorted: graph.nodes().map(|(id, _)| id).collect(),
+            links_sorted: graph.edges().map(|(id, _)| id).collect(),
         };
-        names.devices.sort();
-        names.links.sort();
+        index
+            .devices_sorted
+            .sort_unstable_by(|&x, &y| graph.node(x).name.cmp(&graph.node(y).name));
+        index
+            .links_sorted
+            .sort_unstable_by(|&x, &y| graph.edge(x).name.cmp(&graph.edge(y).name));
         SimNetwork {
             state: Arc::new(Mutex::new(SimState {
                 devices,
@@ -204,7 +270,7 @@ impl SimNetwork {
                 commands_failed: 0,
                 obs: None,
             })),
-            names: Arc::new(names),
+            index: Arc::new(index),
             clock,
         }
     }
@@ -223,8 +289,7 @@ impl SimNetwork {
 
     /// Override a device's hardware model (call before the scenario runs).
     pub fn set_device_model(&self, device: &DeviceName, model: DeviceModel) {
-        let mut s = self.state.lock();
-        if let Some(d) = s.devices.get_mut(device) {
+        if let Some(d) = self.state.lock().device_named(&self.index, device) {
             d.model = model;
         }
     }
@@ -255,12 +320,13 @@ impl SimNetwork {
             };
         }
 
-        let Some(dev) = s.devices.get(device) else {
+        let Some(id) = self.index.device(device) else {
             s.note_command_failed();
             return CommandOutcome::Rejected {
                 code: "E-NO-SUCH-DEVICE".to_string(),
             };
         };
+        let dev = s.device(id);
 
         // Reachability gates (the dependency model made physical).
         if command.is_out_of_band() {
@@ -294,7 +360,7 @@ impl SimNetwork {
         s.next_seq += 1;
         s.pending.push(PendingEffect {
             effective_at,
-            device: device.clone(),
+            device: id,
             command,
             seq,
         });
@@ -321,7 +387,7 @@ impl SimNetwork {
                 due
             };
             for f in due_faults {
-                apply_fault(&mut s, f.at, &f.event);
+                apply_fault(&mut s, &self.index, f.at, &f.event);
             }
 
             let mut due_effects: Vec<PendingEffect> = {
@@ -333,12 +399,12 @@ impl SimNetwork {
             due_effects.sort_by_key(|e| (e.effective_at, e.seq));
             let reboot = SimDuration::from_millis(s.faults.reboot_window_ms);
             for e in due_effects {
-                apply_effect(&mut s, &e, reboot);
+                apply_effect(&mut s, &self.index, &e, reboot);
             }
 
             // Settle any upgrades whose reboot window has elapsed, and
             // crash-reboots whose downtime has passed.
-            for dev in s.devices.values_mut() {
+            for dev in &mut s.devices {
                 dev.settle_upgrade(target);
                 dev.settle_crash(target);
             }
@@ -356,10 +422,10 @@ impl SimNetwork {
                 if p_step > 0.0 {
                     let flap_len = SimDuration::from_millis(s.faults.link_flap_duration_ms);
                     let mut flaps_started = 0u64;
-                    for name in &self.names.links {
+                    for id in &self.index.links_sorted {
                         let roll: f64 = s.rng.gen();
                         if roll < p_step {
-                            let l = s.links.get_mut(name).expect("link exists");
+                            let l = &mut s.links[id.0 as usize];
                             if !l.flapping(target) {
                                 l.flapping_until = Some(target + flap_len);
                                 flaps_started += 1;
@@ -376,15 +442,15 @@ impl SimNetwork {
 
             // Counter random walk (CPU/memory wander within [0.02, 0.98]),
             // one (cpu, mem) draw per device in name order.
-            for name in &self.names.devices {
+            for id in &self.index.devices_sorted {
                 let (dc, dm): (f64, f64) =
                     (s.rng.gen_range(-0.02..0.02), s.rng.gen_range(-0.01..0.01));
-                let d = s.devices.get_mut(name).expect("device exists");
+                let d = &mut s.devices[id.0 as usize];
                 d.cpu_util = (d.cpu_util + dc).clamp(0.02, 0.98);
                 d.mem_util = (d.mem_util + dm).clamp(0.02, 0.98);
             }
 
-            recompute_traffic(&mut s, target);
+            recompute_traffic(&mut s, &self.index, target);
         }
         self.clock.advance_to(target);
     }
@@ -398,12 +464,26 @@ impl SimNetwork {
     /// Snapshot one device's state (for tests and scenario drivers; the
     /// protocol adapters read in place with [`SimNetwork::with_device`]).
     pub fn device_snapshot(&self, name: &DeviceName) -> Option<SimDevice> {
-        self.state.lock().devices.get(name).cloned()
+        let id = self.index.device(name)?;
+        Some(self.state.lock().device(id).clone())
     }
 
     /// Snapshot one link's state.
     pub fn link_snapshot(&self, name: &LinkName) -> Option<SimLink> {
-        self.state.lock().links.get(name).cloned()
+        let id = self.index.link(name)?;
+        Some(self.state.lock().link(id).clone())
+    }
+
+    /// The id a device is held under (its [`NodeId`] in the graph the
+    /// simulator was built from); `None` for an unknown name.
+    pub fn device_id(&self, name: &DeviceName) -> Option<NodeId> {
+        self.index.device(name)
+    }
+
+    /// The id a link is held under (its [`EdgeId`] in the graph the
+    /// simulator was built from); `None` for an unknown name.
+    pub fn link_id(&self, name: &LinkName) -> Option<EdgeId> {
+        self.index.link(name)
     }
 
     /// Read one device in place, under one lock, with the clock instant
@@ -413,9 +493,9 @@ impl SimNetwork {
         name: &DeviceName,
         read: impl FnOnce(&SimDevice, SimTime) -> R,
     ) -> Option<R> {
+        let id = self.index.device(name)?;
         let now = self.clock.now();
-        let s = self.state.lock();
-        s.devices.get(name).map(|d| read(d, now))
+        Some(read(self.state.lock().device(id), now))
     }
 
     /// Read one link in place, under one lock, together with whether each
@@ -427,52 +507,80 @@ impl SimNetwork {
         name: &LinkName,
         read: impl FnOnce(&SimLink, bool, bool, bool) -> R,
     ) -> Option<R> {
+        let id = self.index.link(name)?;
         let now = self.clock.now();
         let s = self.state.lock();
-        let l = s.links.get(name)?;
-        let reachable = |d: &DeviceName| s.devices.get(d).is_some_and(|d| d.mgmt_reachable(now));
-        let oper_up = link_oper_up_inner(&s, name, now);
-        Some(read(l, reachable(&name.a), reachable(&name.b), oper_up))
+        Some(read_link(&s, &self.index, id, now, read))
+    }
+
+    /// Read a block of devices by id, in place and under one lock, at the
+    /// clock instant the block belongs to. `read` gets each item's key
+    /// and its device, or `None` for an id the simulator does not hold.
+    pub fn with_device_block<K>(
+        &self,
+        block: impl IntoIterator<Item = (K, Option<NodeId>)>,
+        mut read: impl FnMut(K, Option<&SimDevice>, SimTime),
+    ) {
+        let now = self.clock.now();
+        let s = self.state.lock();
+        for (key, id) in block {
+            read(key, id.and_then(|id| s.devices.get(id.0 as usize)), now);
+        }
+    }
+
+    /// Read a block of links by id, in place and under one lock, each as
+    /// [`SimNetwork::with_link`] reads one: `read` gets each item's key
+    /// and the link with its endpoints' reachability and its oper status,
+    /// or `None` for an id the simulator does not hold.
+    pub fn with_link_block<K>(
+        &self,
+        block: impl IntoIterator<Item = (K, Option<EdgeId>)>,
+        mut read: impl FnMut(K, Option<(&SimLink, bool, bool, bool)>),
+    ) {
+        let now = self.clock.now();
+        let s = self.state.lock();
+        for (key, id) in block {
+            match id.filter(|id| (id.0 as usize) < s.links.len()) {
+                Some(id) => read_link(&s, &self.index, id, now, |l, a, b, up| {
+                    read(key, Some((l, a, b, up)))
+                }),
+                None => read(key, None),
+            }
+        }
     }
 
     /// All device names, sorted (stable iteration for the monitor).
     pub fn device_names(&self) -> Vec<DeviceName> {
-        self.names.devices.clone()
+        let s = self.state.lock();
+        let names = self.index.devices_sorted.iter();
+        names.map(|&id| s.device(id).name.clone()).collect()
     }
 
     /// All link names, sorted.
     pub fn link_names(&self) -> Vec<LinkName> {
-        self.names.links.clone()
+        let s = self.state.lock();
+        let names = self.index.links_sorted.iter();
+        names.map(|&id| s.link(id).name.clone()).collect()
     }
 
     /// Whether a device is currently operational (forwarding traffic).
     pub fn device_operational(&self, name: &DeviceName) -> bool {
         let now = self.clock.now();
-        self.state
-            .lock()
-            .devices
-            .get(name)
-            .map(|d| d.is_operational(now))
-            .unwrap_or(false)
+        (self.index.device(name)).is_some_and(|id| self.state.lock().device(id).is_operational(now))
     }
 
     /// Whether a device's management plane currently answers (the
     /// monitor's-eye view; false for crashed or mgmt-faulted devices).
     pub fn device_mgmt_reachable(&self, name: &DeviceName) -> bool {
         let now = self.clock.now();
-        self.state
-            .lock()
-            .devices
-            .get(name)
-            .map(|d| d.mgmt_reachable(now))
-            .unwrap_or(false)
+        (self.index.device(name)).is_some_and(|id| self.state.lock().device(id).mgmt_reachable(now))
     }
 
     /// Whether a link is currently oper-up (including endpoint health).
     pub fn link_oper_up(&self, name: &LinkName) -> bool {
         let now = self.clock.now();
-        let s = self.state.lock();
-        link_oper_up_inner(&s, name, now)
+        (self.index.link(name))
+            .is_some_and(|id| self.state.lock().link_oper_up(&self.index, id, now))
     }
 
     /// The most recent traffic routing outcome.
@@ -487,80 +595,83 @@ impl SimNetwork {
     }
 }
 
-fn link_oper_up_inner(s: &SimState, name: &LinkName, now: SimTime) -> bool {
-    let Some(l) = s.links.get(name) else {
-        return false;
-    };
-    let a_up = s
-        .devices
-        .get(&l.name.a)
-        .map(|d| d.is_operational(now))
-        .unwrap_or(false);
-    let b_up = s
-        .devices
-        .get(&l.name.b)
-        .map(|d| d.is_operational(now))
-        .unwrap_or(false);
-    l.oper_up(now, a_up, b_up)
+/// Read link `id` as [`SimNetwork::with_link`] does: the link, whether
+/// each endpoint's management plane answers (`a`, then `b`) and whether
+/// the link is oper-up, all at `now`.
+fn read_link<R>(
+    s: &SimState,
+    index: &Index,
+    id: EdgeId,
+    now: SimTime,
+    read: impl FnOnce(&SimLink, bool, bool, bool) -> R,
+) -> R {
+    let [a, b] = index.ends[id.0 as usize];
+    let reachable = |d: NodeId| s.device(d).mgmt_reachable(now);
+    let oper_up = s.link_oper_up(index, id, now);
+    read(s.link(id), reachable(a), reachable(b), oper_up)
 }
 
-fn apply_fault(s: &mut SimState, at: SimTime, event: &FaultEvent) {
+fn apply_fault(s: &mut SimState, index: &Index, at: SimTime, event: &FaultEvent) {
     if let Some(o) = &s.obs {
         o.faults_fired.inc();
     }
     match event {
-        FaultEvent::SetFcsErrorRate { link, rate } => {
-            if let Some(l) = s.links.get_mut(link) {
+        FaultEvent::SetFcsErrorRate { link: l, rate } => {
+            if let Some(l) = s.link_named(index, l) {
                 l.fcs_error_rate = *rate;
             }
         }
-        FaultEvent::SetDropRate { link, rate } => {
-            if let Some(l) = s.links.get_mut(link) {
+        FaultEvent::SetDropRate { link: l, rate } => {
+            if let Some(l) = s.link_named(index, l) {
                 l.drop_rate = *rate;
             }
         }
-        FaultEvent::SetPhysicalLinkState { link, cut } => {
-            if let Some(l) = s.links.get_mut(link) {
+        FaultEvent::SetPhysicalLinkState { link: l, cut } => {
+            if let Some(l) = s.link_named(index, l) {
                 l.physically_down = *cut;
             }
         }
-        FaultEvent::SetPowerUnitReachable { device, reachable } => {
-            if let Some(d) = s.devices.get_mut(device) {
+        FaultEvent::SetPowerUnitReachable {
+            device: d,
+            reachable,
+        } => {
+            if let Some(d) = s.device_named(index, d) {
                 d.power_unit_reachable = *reachable;
             }
         }
-        FaultEvent::CrashOpenFlowAgent { device } => {
-            if let Some(d) = s.devices.get_mut(device) {
+        FaultEvent::CrashOpenFlowAgent { device: d } => {
+            if let Some(d) = s.device_named(index, d) {
                 d.of_agent_running = false;
             }
         }
-        FaultEvent::CrashDevice { device } => {
-            if let Some(d) = s.devices.get_mut(device) {
+        FaultEvent::CrashDevice { device: d } => {
+            if let Some(d) = s.device_named(index, d) {
                 d.crash(None);
             }
         }
-        FaultEvent::RestoreDevice { device } => {
-            if let Some(d) = s.devices.get_mut(device) {
+        FaultEvent::RestoreDevice { device: d } => {
+            if let Some(d) = s.device_named(index, d) {
                 d.restore();
             }
         }
-        FaultEvent::RebootDevice { device, down_ms } => {
-            if let Some(d) = s.devices.get_mut(device) {
+        FaultEvent::RebootDevice { device: d, down_ms } => {
+            if let Some(d) = s.device_named(index, d) {
                 d.crash(Some(at + SimDuration::from_millis(*down_ms)));
             }
         }
-        FaultEvent::SetMgmtPlaneReachable { device, reachable } => {
-            if let Some(d) = s.devices.get_mut(device) {
+        FaultEvent::SetMgmtPlaneReachable {
+            device: d,
+            reachable,
+        } => {
+            if let Some(d) = s.device_named(index, d) {
                 d.mgmt_plane_reachable = *reachable;
             }
         }
     }
 }
 
-fn apply_effect(s: &mut SimState, e: &PendingEffect, reboot: SimDuration) {
-    let Some(dev) = s.devices.get_mut(&e.device) else {
-        return;
-    };
+fn apply_effect(s: &mut SimState, index: &Index, e: &PendingEffect, reboot: SimDuration) {
+    let dev = &mut s.devices[e.device.0 as usize];
     match &e.command {
         DeviceCommand::SetAdminPower(p) => {
             dev.admin_power = *p;
@@ -587,18 +698,18 @@ fn apply_effect(s: &mut SimState, e: &PendingEffect, reboot: SimDuration) {
         DeviceCommand::SetLinkWeights { weights } => {
             dev.link_weights = weights.clone();
         }
-        DeviceCommand::SetLinkAdminPower { link, status } => {
-            if let Some(l) = s.links.get_mut(link) {
+        DeviceCommand::SetLinkAdminPower { link: l, status } => {
+            if let Some(l) = index.link(l).map(|id| &mut s.links[id.0 as usize]) {
                 l.admin_power = *status;
             }
         }
-        DeviceCommand::SetLinkIp { link, ip } => {
-            if let Some(l) = s.links.get_mut(link) {
+        DeviceCommand::SetLinkIp { link: l, ip } => {
+            if let Some(l) = index.link(l).map(|id| &mut s.links[id.0 as usize]) {
                 l.ip_assignment = Some(ip.clone());
             }
         }
-        DeviceCommand::SetLinkControlPlane { link, mode } => {
-            if let Some(l) = s.links.get_mut(link) {
+        DeviceCommand::SetLinkControlPlane { link: l, mode } => {
+            if let Some(l) = index.link(l).map(|id| &mut s.links[id.0 as usize]) {
                 l.control_plane = *mode;
             }
         }
@@ -608,13 +719,20 @@ fn apply_effect(s: &mut SimState, e: &PendingEffect, reboot: SimDuration) {
 /// Forwarding environment over the locked state at a fixed instant.
 struct EnvView<'a> {
     s: &'a SimState,
+    index: &'a Index,
     now: SimTime,
+}
+
+impl EnvView<'_> {
+    fn device(&self, name: &DeviceName) -> Option<&SimDevice> {
+        Some(self.s.device(self.index.device(name)?))
+    }
 }
 
 impl ForwardingEnv for EnvView<'_> {
     fn matching_rules(&self, device: &DeviceName, flow: &str) -> Vec<(LinkName, f64)> {
         let now = self.now;
-        match self.s.devices.get(device) {
+        match self.device(device) {
             Some(d) if d.is_operational(now) => d
                 .routing_rules
                 .iter()
@@ -626,30 +744,23 @@ impl ForwardingEnv for EnvView<'_> {
     }
 
     fn link_oper_up(&self, link: &LinkName) -> bool {
-        link_oper_up_inner(self.s, link, self.now)
+        (self.index.link(link)).is_some_and(|id| self.s.link_oper_up(self.index, id, self.now))
     }
 
     fn device_operational(&self, device: &DeviceName) -> bool {
-        self.s
-            .devices
-            .get(device)
-            .map(|d| d.is_operational(self.now))
-            .unwrap_or(false)
+        self.device(device)
+            .is_some_and(|d| d.is_operational(self.now))
     }
 }
 
-fn recompute_traffic(s: &mut SimState, now: SimTime) {
-    let report = {
-        let env = EnvView { s, now };
-        let flows = s.flows.clone();
-        route_flows(&env, &flows)
-    };
-    for l in s.links.values_mut() {
+fn recompute_traffic(s: &mut SimState, index: &Index, now: SimTime) {
+    let report = route_flows(&EnvView { s, index, now }, &s.flows);
+    for l in &mut s.links {
         l.clear_loads();
     }
     for ((link, from), mbps) in &report.link_loads {
-        if let Some(l) = s.links.get_mut(link) {
-            l.add_load_from(from, *mbps);
+        if let Some(id) = index.link(link) {
+            s.links[id.0 as usize].add_load_from(from, *mbps);
         }
     }
     s.last_traffic = report;

@@ -13,11 +13,23 @@
 //! Every `collect_device` and `collect_link` call, and every routing
 //! command the two adapters validate, must give equal answers or equal
 //! errors.
+//!
+//! The monitor's by-id path goes through the same histories. Every round,
+//! `BlockCollector` polls every device and link by id, in blocks under one
+//! lock, and each entity's borrowed pairs, built, must equal what the
+//! monitor used to poll by name from the oracle: a device's SNMP walk with
+//! its model's routing pairs merged in, a link's SNMP walk, and nothing
+//! where those time out. Below the pairs, `SimNetwork::with_link_block`'s
+//! view of each link's endpoints (`a` answers, `b` answers, oper-up) must
+//! equal the oracle's per-name reads of `LinkName::a` and `LinkName::b`.
+//! Two canaries show that check bites: an index that swaps a link's
+//! endpoints, and one that reads an endpoint as it was a round ago.
 
 use statesman_net::device::SimDevice;
+use statesman_net::Reading;
 use statesman_net::{
-    CommandOutcome, DeviceCommand, DeviceModel, DeviceProtocol, FaultEvent, FaultPlan, OpenFlowSim,
-    SimClock, SimConfig, SimNetwork, SnmpSim, VendorCliSim,
+    BlockCollector, CommandOutcome, DeviceCommand, DeviceModel, DeviceProtocol, FaultEvent,
+    FaultPlan, OpenFlowSim, SimClock, SimConfig, SimNetwork, SnmpSim, VendorCliSim,
 };
 use statesman_topology::{DcnSpec, NetworkGraph, WanSpec};
 use statesman_types::{
@@ -157,6 +169,43 @@ impl Snapshots {
         Ok(rows)
     }
 
+    /// What the monitor polled of a device by name: the SNMP walk, with
+    /// the routing adapter of its model merged in (a repeated attribute
+    /// replaces SNMP's); `None` when the walk times out.
+    fn monitor_device(&self, device: &DeviceName) -> Option<Vec<(Attribute, Value)>> {
+        let mut pairs = self.snmp_device(device).ok()?;
+        let model = self.0.device_snapshot(device).map(|d| d.model);
+        let routing = match model.unwrap_or(DeviceModel::OpenFlowSwitch) {
+            DeviceModel::OpenFlowSwitch => self.of_device(device),
+            DeviceModel::BgpRouter => self.cli_device(device),
+        };
+        for (attr, value) in routing.unwrap_or_default() {
+            match pairs.iter_mut().find(|(a, _)| *a == attr) {
+                Some(pair) => pair.1 = value,
+                None => pairs.push((attr, value)),
+            }
+        }
+        Some(pairs)
+    }
+
+    /// A link's endpoints as the oracle sees them: whether `a` answers,
+    /// whether `b` does, and whether the link is oper-up; `None` for a
+    /// link that does not exist.
+    fn ends(&self, link: &LinkName) -> Option<Ends> {
+        let now = self.0.clock().now();
+        self.0.link_snapshot(link)?;
+        let reachable = |d: &DeviceName| {
+            (self.0.device_snapshot(d))
+                .map(|d| d.mgmt_reachable(now))
+                .unwrap_or(false)
+        };
+        Some((
+            reachable(&link.a),
+            reachable(&link.b),
+            self.0.link_oper_up(link),
+        ))
+    }
+
     fn cli_execute(&self, device: &DeviceName, command: DeviceCommand) -> Outcome {
         if command.is_routing() {
             let d = (self.0.device_snapshot(device)).ok_or_else(|| timeout(device, "cli-exec"))?;
@@ -169,6 +218,51 @@ impl Snapshots {
         }
         Ok(self.0.submit(device, command))
     }
+}
+
+/// A link's endpoints: `a` answers, `b` answers, oper-up.
+type Ends = (bool, bool, bool);
+
+/// How the by-id endpoint view is read: as the simulator gives it, or
+/// through a deliberately broken index the check must catch.
+#[derive(Clone, Copy, PartialEq)]
+enum Canary {
+    /// The product.
+    None,
+    /// Every link's endpoints swapped: `b` read as `a`.
+    SwappedEnds,
+    /// Every endpoint read as it was at the previous round.
+    StaleEnds,
+}
+
+/// Every link's endpoint view by id, in `links` order, through `canary`.
+fn block_ends(
+    net: &SimNetwork,
+    links: &[LinkName],
+    canary: Canary,
+    previous: &[Option<Ends>],
+) -> Vec<Option<Ends>> {
+    let mut ends = Vec::new();
+    let ids = links.iter().map(|l| ((), net.link_id(l)));
+    net.with_link_block(ids, |_, link| {
+        ends.push(link.map(|(_, a, b, up)| (a, b, up)));
+    });
+    match canary {
+        Canary::None => {}
+        Canary::SwappedEnds => {
+            for (a, b, _) in ends.iter_mut().flatten() {
+                std::mem::swap(a, b);
+            }
+        }
+        Canary::StaleEnds => {
+            for (now, was) in ends.iter_mut().zip(previous) {
+                if let (Some((a, b, _)), Some((was_a, was_b, _))) = (now.as_mut(), was) {
+                    (*a, *b) = (*was_a, *was_b);
+                }
+            }
+        }
+    }
+    ends
 }
 
 /// What a seed schedules over a topology's sorted names. One link loses
@@ -238,9 +332,10 @@ impl History {
     }
 }
 
-/// Both reads of one topology through one seed's history; `Err` names the
-/// first call they disagree on. Returns every error the product gave.
-fn drive(graph: &NetworkGraph, seed: u64) -> Result<Vec<StateError>, String> {
+/// Both reads of one topology through one seed's history, the by-id
+/// endpoint view read through `canary`; `Err` names the first call they
+/// disagree on. Returns every error the product gave.
+fn drive(graph: &NetworkGraph, seed: u64, canary: Canary) -> Result<Vec<StateError>, String> {
     let (history, plan) = History::of(graph, seed);
     let world = || {
         let mut cfg = SimConfig::ideal();
@@ -255,6 +350,8 @@ fn drive(graph: &NetworkGraph, seed: u64) -> Result<Vec<StateError>, String> {
         OpenFlowSim::new(net.clone()),
         VendorCliSim::new(net.clone()),
     );
+    let block = BlockCollector::new(net.clone());
+    let mut previous_ends = Vec::new();
     let ghost = DeviceName::new("ghost");
     let mut devices = history.devices.clone();
     devices.push(ghost.clone());
@@ -326,6 +423,38 @@ fn drive(graph: &NetworkGraph, seed: u64) -> Result<Vec<StateError>, String> {
                 check(format!("round {round}: {adapter} {l}"), new, was)?;
             }
         }
+
+        // The monitor's by-id poll, a block per entity kind (the block
+        // holds the simulator lock, so the oracle reads after it).
+        let built = |pairs: Option<&[(Attribute, Reading<'_>)]>| {
+            pairs.map(|pairs| (pairs.iter()).map(|&(a, r)| (a, r.to_value())).collect())
+        };
+        let mut polled: Vec<Option<Vec<(Attribute, Value)>>> = Vec::new();
+        let ids = devices.iter().map(|d| ((), net.device_id(d)));
+        block.devices(ids, |_, pairs| polled.push(built(pairs)));
+        for (d, new) in devices.iter().zip(polled) {
+            let was = old.monitor_device(d);
+            if new != was {
+                return Err(format!("round {round}: block {d}: {new:?} vs {was:?}"));
+            }
+        }
+        let mut polled: Vec<Option<Vec<(Attribute, Value)>>> = Vec::new();
+        let ids = links.iter().map(|l| ((), net.link_id(l)));
+        block.links(ids, |_, pairs| polled.push(built(pairs)));
+        for (l, new) in links.iter().zip(polled) {
+            let was = old.snmp_link(l).ok();
+            if new != was {
+                return Err(format!("round {round}: block {l}: {new:?} vs {was:?}"));
+            }
+        }
+        let ends = block_ends(&net, &links, canary, &previous_ends);
+        for (l, new) in links.iter().zip(&ends) {
+            let was = old.ends(l);
+            if *new != was {
+                return Err(format!("round {round}: ends of {l}: {new:?} vs {was:?}"));
+            }
+        }
+        previous_ends = block_ends(&net, &links, Canary::None, &[]);
     }
     Ok(errors)
 }
@@ -337,8 +466,8 @@ fn in_place_adapters_match_the_snapshot_oracle() {
         ("wan", WanSpec::fig9().build()),
     ] {
         for seed in 1..=4 {
-            let errors =
-                drive(&graph, seed).unwrap_or_else(|e| panic!("{topology} seed {seed}: {e}"));
+            let errors = drive(&graph, seed, Canary::None)
+                .unwrap_or_else(|e| panic!("{topology} seed {seed}: {e}"));
             // The history holds what it is meant to: a link both of whose
             // endpoints are dark, a name that does not exist, and (on the
             // WAN only) BGP routers refusing OpenFlow.
@@ -363,6 +492,23 @@ fn in_place_adapters_match_the_snapshot_oracle() {
                 .iter()
                 .any(|e| matches!(e, StateError::InvalidRequest { .. }));
             assert_eq!(invalid, topology == "wan", "{topology} seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn a_broken_endpoint_index_is_caught() {
+    for (topology, graph) in [
+        ("dc", DcnSpec::tiny("dc1").build()),
+        ("wan", WanSpec::fig9().build()),
+    ] {
+        for canary in [Canary::SwappedEnds, Canary::StaleEnds] {
+            // Each seed's history has a link with one end dark while the
+            // other answers, and endpoints that change between rounds.
+            for seed in 1..=4 {
+                let caught = drive(&graph, seed, canary).is_err_and(|e| e.contains("ends of"));
+                assert!(caught, "{topology} seed {seed}: a broken index passed");
+            }
         }
     }
 }
