@@ -25,19 +25,19 @@
 //! A round costs what changed: the poll compares the values it collects
 //! against the monitor's *diff base* — what it believes the OS pool
 //! holds — in place, so only a value that differs is ever built, and
-//! only its row is ordered, written and stored back. The poll reads the
-//! simulator by id, a block of entities under one lock
-//! ([`BlockCollector`]), as values borrowed from it. The base is laid out
-//! in poll order (graph node, then edge, times a per-kind attribute
-//! column), so a comparison is one indexed load. The belief is
-//! periodically distrusted, not the store: see
-//! [`Monitor::with_resync_every`].
+//! only its row is written and stored back. The poll reads the simulator
+//! by id, a block of entities under one lock ([`BlockCollector`]), as
+//! values borrowed from it. The base is laid out in poll order (one
+//! block of per-kind attribute columns per entity), so a comparison is
+//! one indexed load. The belief is periodically distrusted, not the
+//! store: see [`Monitor::with_resync_every`].
 //!
-//! Rows are written in key order without comparing a name: every entity
-//! is ranked once by [`EntityName`] at [`Monitor::new`], and since a
+//! Rows are written in key order without comparing a name or sorting:
+//! every entity is ranked once by [`EntityName`] at [`Monitor::new`], the
+//! poll visits entities in rank order and the adapters report each
+//! entity's pairs in catalogue order, and a
 //! [`StateKey`](statesman_types::StateKey) orders by entity, then
-//! attribute, the changed rows come out of an integer sort of their
-//! entities' ranks, each entity's rows in attribute order.
+//! attribute — so the rows come out of the poll in write order.
 
 use parking_lot::Mutex;
 use statesman_net::{BlockCollector, Reading, SimNetwork};
@@ -72,6 +72,13 @@ pub const DEFAULT_QUARANTINE_COOLDOWN: SimDuration = SimDuration::from_mins(5);
 pub const DEFAULT_RESYNC_EVERY: u64 = 16;
 /// Entities polled under one simulator lock.
 const POLL_BLOCK: usize = 1_024;
+/// What a link neither endpoint answers for reports: oper-down.
+const INFERRED_DOWN: [(Attribute, Reading<'static>); 1] =
+    [(Attribute::LinkOperStatus, Reading::Oper(OperStatus::Down))];
+/// A changed row's position when its attribute has none (another kind's).
+const NO_POSITION: u32 = u32::MAX;
+/// The simulator id of an entity the simulator does not hold.
+const NO_SIM_ID: u32 = u32::MAX;
 
 /// One collection round's outcome.
 #[derive(Debug, Clone)]
@@ -111,21 +118,23 @@ pub struct MonitorReport {
     /// stages below sum to it.
     pub elapsed: Duration,
     /// Wall time spent polling devices and links *and comparing what
-    /// they report against the diff base*, which rides in the poll:
-    /// `stage_poll_devices + stage_poll_links`.
+    /// they report against the diff base*, which rides in the poll, as
+    /// does building the changed rows: `stage_poll_devices +
+    /// stage_poll_links`.
     pub stage_poll: Duration,
-    /// The devices' part of `stage_poll`.
+    /// The device blocks' part of `stage_poll`.
     pub stage_poll_devices: Duration,
-    /// The links' part of `stage_poll`.
+    /// The link blocks' part of `stage_poll`.
     pub stage_poll_links: Duration,
     /// Wall time spent re-reading the OS pool into the diff base (resync
-    /// rounds only) and ordering the changed rows for the write:
+    /// rounds only) and putting the changed rows in write order:
     /// `stage_diff_reseed + stage_diff_order`.
     pub stage_diff: Duration,
     /// The re-read's part of `stage_diff` (zero outside resync rounds).
     pub stage_diff_reseed: Duration,
-    /// The write order's part of `stage_diff`: building the changed rows
-    /// in key order.
+    /// The write order's part of `stage_diff`: the poll builds the rows
+    /// in key order, so this is only the hand-off from the poll to the
+    /// write — a sort that crept back in would show here.
     pub stage_diff_order: Duration,
     /// Wall time spent on storage writes and diff-base maintenance.
     pub stage_write: Duration,
@@ -143,10 +152,6 @@ pub struct Monitor {
     storage: StorageService,
     graph: NetworkGraph,
     layout: Layout,
-    /// Each graph node's id in the simulator, resolved by name once.
-    sim_nodes: Vec<Option<NodeId>>,
-    /// Each graph edge's id in the simulator, resolved by name once.
-    sim_edges: Vec<Option<EdgeId>>,
     /// By graph node: when the device's quarantine cooldown expires
     /// ([`SimTime::ZERO`], never after `now`, when it is not quarantined).
     quarantine: Mutex<Vec<SimTime>>,
@@ -157,36 +162,38 @@ pub struct Monitor {
     resync_every: u64,
 }
 
-/// Where every polled value lives in the diff base, and where its row
-/// goes in the write order. The graph is immutable, so the layout is
-/// derived once: node *i*'s block of device columns, then edge *j*'s
-/// block of link columns after every node's. An attribute's column is
-/// its rank among the catalogue attributes of its [`EntityKind`]. A poll
-/// addresses a block by graph index; a row read back from storage,
-/// through the graph's name index.
-///
-/// Entities are numbered the same way, node *i* as *i* and edge *j* as
-/// `node_count + j`, and each has a rank: its place among all the
-/// graph's entities in [`EntityName`] order.
+/// Where every polled value lives in the diff base, and the order the
+/// poll visits it in. The graph is immutable, so the layout is derived
+/// once. Entities are numbered node *i* as *i* and edge *j* as
+/// `node_count + j`, and ranked by [`EntityName`]: the poll visits them
+/// in rank order, and each entity's block of columns (device columns for
+/// a node, link columns for an edge) follows the previous rank's, so the
+/// poll walks the base front to back. An attribute's column is its rank
+/// among the catalogue attributes of its [`EntityKind`]. A
+/// [`StateKey`](statesman_types::StateKey) orders by entity, then by
+/// attribute, so positions are in key order: a poll that reports each
+/// entity's pairs in catalogue order builds its changed rows in the order
+/// they are written, with no sort. A row read back from storage finds its
+/// block through the graph's name index.
 struct Layout {
     /// Each attribute's column within its kind's block, by catalogue index.
     columns: Vec<usize>,
-    device_columns: usize,
-    link_columns: usize,
     /// Graph nodes: the first edge's entity number.
     nodes: usize,
-    /// Where the edge blocks start.
-    links_from: usize,
-    /// Positions in all: every node's block, then every edge's.
+    /// The poll's order: every entity's number and its id in the
+    /// simulator (resolved by name once; [`NO_SIM_ID`] for an entity the
+    /// simulator does not hold), in rank order.
+    order: Vec<(u32, u32)>,
+    /// Where each entity's block starts, by entity number.
+    offsets: Vec<u32>,
+    /// Positions in all.
     positions: usize,
     /// The partitions homing the graph's entities: what a resync re-reads.
     datacenters: BTreeSet<DatacenterId>,
-    /// Every entity's rank, by entity number.
-    ranks: Vec<u32>,
 }
 
 impl Layout {
-    fn of(graph: &NetworkGraph) -> Self {
+    fn of(graph: &NetworkGraph, net: &SimNetwork) -> Self {
         let catalogue = Attribute::catalogue();
         let rank = |i: usize| {
             let kind = catalogue[i].entity_kind();
@@ -197,46 +204,57 @@ impl Layout {
         };
         let width = |kind| Attribute::for_entity(kind).count();
         let (device_columns, link_columns) = (width(EntityKind::Device), width(EntityKind::Link));
-        let links_from = graph.node_count() * device_columns;
-        let names: Vec<EntityName> = (graph.nodes().map(|(id, _)| device_entity(graph, id)))
-            .chain(graph.edges().map(|(id, _)| link_entity(graph, id)))
+        let nodes = graph.node_count();
+        let names: Vec<EntityName> = (0..nodes + graph.edge_count())
+            .map(|entity| entity_name(graph, entity))
             .collect();
-        let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
-        by_name.sort_unstable_by(|&x, &y| names[x as usize].cmp(&names[y as usize]));
-        let mut ranks = vec![0; names.len()];
-        for (rank, &entity) in by_name.iter().enumerate() {
-            ranks[entity as usize] = rank as u32;
+        let mut by_rank: Vec<u32> = (0..names.len() as u32).collect();
+        by_rank.sort_unstable_by(|&x, &y| names[x as usize].cmp(&names[y as usize]));
+        let mut offsets = vec![0; names.len()];
+        let mut positions = 0;
+        for &entity in &by_rank {
+            offsets[entity as usize] = u32::try_from(positions).expect("positions fit in u32");
+            positions += match (entity as usize) < nodes {
+                true => device_columns,
+                false => link_columns,
+            };
         }
+        let sim_id = |entity: usize| {
+            let id = match entity.checked_sub(nodes) {
+                None => net
+                    .device_id(&graph.node(NodeId(entity as u32)).name)
+                    .map(|id| id.0),
+                Some(edge) => net
+                    .link_id(&graph.edge(EdgeId(edge as u32)).name)
+                    .map(|id| id.0),
+            };
+            id.unwrap_or(NO_SIM_ID)
+        };
         Layout {
             columns: (0..catalogue.len()).map(rank).collect(),
-            device_columns,
-            link_columns,
-            nodes: graph.node_count(),
-            links_from,
-            positions: links_from + graph.edge_count() * link_columns,
+            nodes,
+            order: (by_rank.iter())
+                .map(|&entity| (entity, sim_id(entity as usize)))
+                .collect(),
+            offsets,
+            positions,
             datacenters: (graph.nodes().map(|(_, n)| &n.datacenter))
                 .chain(graph.edges().map(|(_, e)| &e.datacenter))
                 .cloned()
                 .collect(),
-            ranks,
+        }
+    }
+
+    fn kind(&self, entity: usize) -> EntityKind {
+        match entity < self.nodes {
+            true => EntityKind::Device,
+            false => EntityKind::Link,
         }
     }
 
     /// The block of entity number `entity`.
-    fn entity_block(&self, entity: usize) -> (usize, EntityKind) {
-        match entity.checked_sub(self.nodes) {
-            None => self.node_block(NodeId(entity as u32)),
-            Some(edge) => self.edge_block(EdgeId(edge as u32)),
-        }
-    }
-
-    fn node_block(&self, node: NodeId) -> (usize, EntityKind) {
-        (node.0 as usize * self.device_columns, EntityKind::Device)
-    }
-
-    fn edge_block(&self, edge: EdgeId) -> (usize, EntityKind) {
-        let offset = self.links_from + edge.0 as usize * self.link_columns;
-        (offset, EntityKind::Link)
+    fn block(&self, entity: usize) -> (usize, EntityKind) {
+        (self.offsets[entity] as usize, self.kind(entity))
     }
 
     /// The position of `attr` in an entity's block; `None` when the
@@ -248,21 +266,21 @@ impl Layout {
     /// The position of a stored row; `None` for an entity the graph does
     /// not hold under that name and home.
     fn position_of(&self, graph: &NetworkGraph, row: &NetworkState) -> Option<usize> {
-        let (block, home) = match &row.entity.body {
+        let (entity, home) = match &row.entity.body {
             EntityBody::Device(name) => {
                 let node = graph.node_id(name)?;
-                (self.node_block(node), &graph.node(node).datacenter)
+                (node.0 as usize, &graph.node(node).datacenter)
             }
             EntityBody::Link(name) => {
                 let edge = graph.edge_id(name)?;
-                (self.edge_block(edge), &graph.edge(edge).datacenter)
+                (self.nodes + edge.0 as usize, &graph.edge(edge).datacenter)
             }
             EntityBody::Path(_) => return None,
         };
         if *home != row.entity.datacenter {
             return None;
         }
-        self.position(block, row.attribute)
+        self.position(self.block(entity), row.attribute)
     }
 }
 
@@ -284,66 +302,21 @@ fn entity_name(graph: &NetworkGraph, entity: usize) -> EntityName {
     }
 }
 
-/// What a round's poll found changed, entity by entity in poll order.
-#[derive(Default)]
-struct Changed {
-    /// Every changed attribute with its new value.
-    pairs: Vec<(Attribute, Value)>,
-    /// One per entity with a changed pair.
-    spans: Vec<Span>,
-}
-
-/// One entity's run of [`Changed::pairs`].
-struct Span {
-    rank: u32,
-    entity: u32,
-    start: u32,
-    end: u32,
-}
-
-impl Changed {
-    /// Close the run of pairs pushed since `start` as entity `entity`'s.
-    fn close(&mut self, layout: &Layout, entity: usize, start: usize) {
-        if self.pairs.len() > start {
-            self.spans.push(Span {
-                rank: layout.ranks[entity],
-                entity: entity as u32,
-                start: start as u32,
-                end: self.pairs.len() as u32,
-            });
-        }
-    }
-
-    /// The changed rows in key order: entities by rank (an integer sort),
-    /// each entity's rows by attribute. Leaves the spans in that order.
-    fn rows(&mut self, graph: &NetworkGraph, now: SimTime) -> Vec<NetworkState> {
-        self.spans.sort_unstable_by_key(|span| span.rank);
-        let writer = AppId::monitor();
-        let mut rows = Vec::with_capacity(self.pairs.len());
-        for span in &self.spans {
-            let pairs = &mut self.pairs[span.start as usize..span.end as usize];
-            pairs.sort_unstable_by_key(|&(attr, _)| attr);
-            let entity = entity_name(graph, span.entity as usize);
-            for (attr, value) in pairs {
-                let value = std::mem::replace(value, Value::None);
-                let row = NetworkState::new(entity.clone(), *attr, value, now, writer.clone());
-                rows.push(row);
-            }
-        }
-        rows
-    }
-}
-
 /// One poll's findings and counts.
+#[derive(Default)]
 struct Polled {
-    changed: Changed,
+    /// The changed rows, in key order.
+    rows: Vec<NetworkState>,
+    /// Each changed row's position in the base.
+    positions: Vec<u32>,
     devices_polled: usize,
     unreachable: usize,
     quarantined: usize,
     links_polled: usize,
     suppressed: usize,
-    /// When the device polls ended, since the round started.
-    devices_done: Duration,
+    /// Wall time spent on device blocks and on link blocks.
+    devices: Duration,
+    links: Duration,
 }
 
 /// What the monitor believes the OS pool holds, and how many rounds it
@@ -380,14 +353,10 @@ impl Monitor {
     pub fn new(net: SimNetwork, storage: StorageService, graph: NetworkGraph) -> Self {
         Monitor {
             collector: BlockCollector::new(net.clone()),
-            sim_nodes: (graph.nodes())
-                .map(|(_, n)| net.device_id(&n.name))
-                .collect(),
-            sim_edges: (graph.edges()).map(|(_, e)| net.link_id(&e.name)).collect(),
+            layout: Layout::of(&graph, &net),
             quarantine: Mutex::new(vec![SimTime::ZERO; graph.node_count()]),
             net,
             storage,
-            layout: Layout::of(&graph),
             graph,
             quarantine_cooldown: DEFAULT_QUARANTINE_COOLDOWN,
             base: Mutex::new(DiffBase {
@@ -464,100 +433,114 @@ impl Monitor {
         Ok(reread)
     }
 
-    /// Poll every device, then every link, outside `skip_dcs` in graph
-    /// order, a block at a time, comparing each value against `base` as
-    /// it is read: every variable is polled, and so compared, exactly
-    /// once. `devices_done` is read off `started`.
+    /// Poll every entity outside `skip_dcs` once, in rank order, a block
+    /// of one kind at a time, comparing each value against `base` as it
+    /// is read, and build a row for each value that differs: the rows
+    /// come out in key order. Block times are measured from `since`, a
+    /// reading of `started`.
     fn poll(
         &self,
         base: &[Option<Value>],
         skip_dcs: &BTreeSet<DatacenterId>,
         now: SimTime,
         started: Instant,
+        since: Duration,
     ) -> Polled {
-        // Compare one entity's polled pairs against the base in place, one
-        // indexed load each: equal values are counted, the rest are built
-        // and kept with the entity's number — the only values a round
-        // builds.
-        let mut changed = Changed::default();
-        let mut suppressed = 0;
-        let mut compare = |entity: usize, pairs: &[(Attribute, Reading<'_>)]| {
-            let block = self.layout.entity_block(entity);
-            let start = changed.pairs.len();
+        let layout = &self.layout;
+        let writer = AppId::monitor();
+        // Compare one entity's pairs against its block, one indexed load
+        // each: equal values are counted, the rest become rows — the only
+        // values a round builds.
+        let compare = |polled: &mut Polled, entity: usize, pairs: &[(Attribute, Reading<'_>)]| {
+            let block = layout.block(entity);
+            let mut name = None;
             for &(attr, reading) in pairs {
-                let position = self.layout.position(block, attr);
+                let position = layout.position(block, attr);
                 let prior = position.and_then(|p| base.get(p)?.as_ref());
                 if prior.is_some_and(|prior| reading.matches(prior)) {
-                    suppressed += 1;
-                } else {
-                    changed.pairs.push((attr, reading.to_value()));
+                    polled.suppressed += 1;
+                    continue;
                 }
+                let name = name.get_or_insert_with(|| entity_name(&self.graph, entity));
+                let value = reading.to_value();
+                let row = NetworkState::new(name.clone(), attr, value, now, writer.clone());
+                polled.rows.push(row);
+                polled
+                    .positions
+                    .push(position.map_or(NO_POSITION, |p| p as u32));
             }
-            changed.close(&self.layout, entity, start);
         };
-        let (mut devices_polled, mut unreachable, mut quarantined) = (0, 0, 0);
+        let skipped = |entity: usize| {
+            if skip_dcs.is_empty() {
+                return false;
+            }
+            let home = match entity.checked_sub(layout.nodes) {
+                None => &self.graph.node(NodeId(entity as u32)).datacenter,
+                Some(edge) => &self.graph.edge(EdgeId(edge as u32)).datacenter,
+            };
+            skip_dcs.contains(home)
+        };
+        let mut polled = Polled::default();
         let mut quarantine = self.quarantine.lock();
-        let mut block = Vec::with_capacity(POLL_BLOCK);
-        for first in (0..self.layout.nodes).step_by(POLL_BLOCK) {
-            block.clear();
-            for node in first..self.layout.nodes.min(first + POLL_BLOCK) {
-                if skip_dcs.contains(&self.graph.node(NodeId(node as u32)).datacenter) {
-                    continue;
+        let mut devices = Vec::with_capacity(POLL_BLOCK);
+        let mut links = Vec::with_capacity(POLL_BLOCK);
+        let mut last = since;
+        let same_kind =
+            |x: &(u32, u32), y: &(u32, u32)| layout.kind(x.0 as usize) == layout.kind(y.0 as usize);
+        for run in layout.order.chunk_by(same_kind) {
+            for entities in run.chunks(POLL_BLOCK) {
+                let kind = layout.kind(entities[0].0 as usize);
+                let sim_id = |id: u32| (id != NO_SIM_ID).then_some(id);
+                let entities = (entities.iter()).map(|&(e, id)| (e as usize, sim_id(id)));
+                if kind == EntityKind::Device {
+                    devices.clear();
+                    for (node, id) in entities.filter(|&(node, _)| !skipped(node)) {
+                        // Quarantined devices are not re-polled (no poll
+                        // budget spent re-timing-out); their rows go stale.
+                        if now < quarantine[node] {
+                            polled.quarantined += 1;
+                            continue;
+                        }
+                        devices.push((node, id.map(NodeId)));
+                    }
+                    // A failed poll (re)starts the device's cooldown, a
+                    // good one clears it.
+                    self.collector
+                        .devices(devices.iter().copied(), |node, pairs| {
+                            let Some(pairs) = pairs else {
+                                quarantine[node] = now + self.quarantine_cooldown;
+                                polled.unreachable += 1;
+                                return;
+                            };
+                            quarantine[node] = SimTime::ZERO;
+                            polled.devices_polled += 1;
+                            compare(&mut polled, node, pairs);
+                        });
+                } else {
+                    links.clear();
+                    for (entity, id) in entities.filter(|&(entity, _)| !skipped(entity)) {
+                        links.push((entity, id.map(EdgeId)));
+                    }
+                    // Infallible for the same reason as device polls. A
+                    // link reports its own oper status whatever its
+                    // endpoints' polls did; when neither endpoint answers,
+                    // the NMS inference stands in: oper-down for traffic
+                    // purposes.
+                    self.collector
+                        .links(links.iter().copied(), |entity, pairs| {
+                            polled.links_polled += 1;
+                            compare(&mut polled, entity, pairs.unwrap_or(&INFERRED_DOWN));
+                        });
                 }
-                // Quarantined devices are not re-polled (no poll budget
-                // spent re-timing-out); their rows go stale.
-                if now < quarantine[node] {
-                    quarantined += 1;
-                    continue;
+                let at = started.elapsed();
+                match kind {
+                    EntityKind::Device => polled.devices += at - last,
+                    _ => polled.links += at - last,
                 }
-                block.push((node, self.sim_nodes[node]));
+                last = at;
             }
-            // A failed poll (re)starts the device's cooldown, a good one
-            // clears it.
-            self.collector
-                .devices(block.iter().copied(), |node, pairs| {
-                    let Some(pairs) = pairs else {
-                        quarantine[node] = now + self.quarantine_cooldown;
-                        unreachable += 1;
-                        return;
-                    };
-                    quarantine[node] = SimTime::ZERO;
-                    devices_polled += 1;
-                    compare(node, pairs);
-                });
         }
-        drop(quarantine);
-        let devices_done = started.elapsed();
-        // Infallible for the same reason as device polls. A link reports
-        // its own oper status whatever its endpoints' polls did; when
-        // neither endpoint answers, the NMS inference stands in:
-        // oper-down for traffic purposes.
-        let inferred = [(Attribute::LinkOperStatus, Reading::Oper(OperStatus::Down))];
-        let mut links_polled = 0;
-        let edges = self.graph.edge_count();
-        let mut block = Vec::with_capacity(POLL_BLOCK);
-        for first in (0..edges).step_by(POLL_BLOCK) {
-            block.clear();
-            for edge in first..edges.min(first + POLL_BLOCK) {
-                if !skip_dcs.contains(&self.graph.edge(EdgeId(edge as u32)).datacenter) {
-                    block.push((self.layout.nodes + edge, self.sim_edges[edge]));
-                }
-            }
-            self.collector
-                .links(block.iter().copied(), |entity, pairs| {
-                    links_polled += 1;
-                    compare(entity, pairs.unwrap_or(&inferred));
-                });
-        }
-        Polled {
-            changed,
-            devices_polled,
-            unreachable,
-            quarantined,
-            links_polled,
-            suppressed,
-            devices_done,
-        }
+        polled
     }
 
     /// Run one collection round: poll everything, write the OS.
@@ -570,11 +553,10 @@ impl Monitor {
     /// could not be written anyway; the coordinator's degraded mode
     /// drives this).
     ///
-    /// Devices, then links, outside `skip_dcs` are polled in graph order,
+    /// Devices and links outside `skip_dcs` are polled in rank order,
     /// each compared against the diff base as it is collected, so only
-    /// the rows that differ are ever built. Every variable is polled, and
-    /// so compared, exactly once, and the changed rows are put in key
-    /// order (by entity rank) before they are written.
+    /// the rows that differ are ever built, and they are built in key
+    /// order. Every variable is polled, and so compared, exactly once.
     pub fn run_round_skipping(
         &self,
         skip_dcs: &BTreeSet<DatacenterId>,
@@ -594,20 +576,21 @@ impl Monitor {
         let reseeded = started.elapsed();
 
         let Polled {
-            mut changed,
+            mut rows,
+            positions,
             devices_polled,
             unreachable,
             quarantined,
             links_polled,
             suppressed,
-            devices_done,
-        } = self.poll(&state.values, skip_dcs, now, started);
-        let polled = started.elapsed();
+            devices,
+            links,
+        } = self.poll(&state.values, skip_dcs, now, started, reseeded);
+        let polled = reseeded + devices + links;
 
-        // Only the changed rows need the deterministic write order —
-        // string-key order, not id order (ids follow interning order) —
-        // and the ranks give it without comparing a string.
-        let mut rows = changed.rows(&self.graph, now);
+        // The poll visits entities in rank order, so the changed rows are
+        // in the deterministic write order already — string-key order, not
+        // id order (ids follow interning order).
         debug_assert!(rows.windows(2).all(|w| w[0].key_ref() < w[1].key_ref()));
         let rows_written = rows.len();
         let diffed = started.elapsed();
@@ -625,15 +608,10 @@ impl Monitor {
         // just did: the suppressed rows are in it already, and what was
         // not polled — skipped DCs, quarantined or silent devices, a key a
         // poll stopped reporting — stays in it as it stays in the store.
-        // (A bulk seed took the rows, leaving the base unallocated.) The
-        // spans are in row order now.
-        let mut rows = rows.into_iter();
-        for span in &changed.spans {
-            let block = self.layout.entity_block(span.entity as usize);
-            for row in rows.by_ref().take((span.end - span.start) as usize) {
-                if let Some(position) = self.layout.position(block, row.attribute) {
-                    state.land(self.layout.positions, position, Some(row.value));
-                }
+        // (A bulk seed took the rows, leaving the base unallocated.)
+        for (row, position) in rows.into_iter().zip(positions) {
+            if position != NO_POSITION {
+                state.land(self.layout.positions, position as usize, Some(row.value));
             }
         }
         drop(state);
@@ -656,9 +634,9 @@ impl Monitor {
             shards,
             modeled_io,
             elapsed,
-            stage_poll: polled - reseeded,
-            stage_poll_devices: devices_done - reseeded,
-            stage_poll_links: polled - devices_done,
+            stage_poll: devices + links,
+            stage_poll_devices: devices,
+            stage_poll_links: links,
             stage_diff: reseeded + (diffed - polled),
             stage_diff_reseed: reseeded,
             stage_diff_order: diffed - polled,
@@ -1304,23 +1282,11 @@ mod tests {
         assert_eq!(m.quarantined_devices(clock.now()).len(), 1);
     }
 
-    /// The changed rows as the poll found them: entity by entity, in
-    /// poll order.
-    fn in_poll_order(changed: &Changed, graph: &NetworkGraph, now: SimTime) -> Vec<NetworkState> {
-        let rows = changed.spans.iter().flat_map(|span| {
-            let entity = entity_name(graph, span.entity as usize);
-            let pairs = &changed.pairs[span.start as usize..span.end as usize];
-            (pairs.iter()).map(move |(attr, value)| {
-                NetworkState::new(entity.clone(), *attr, value.clone(), now, AppId::monitor())
-            })
-        });
-        rows.collect()
-    }
-
     /// Rounds over `graph` with flapping links, an FCS fault on one link
     /// per datacenter and a rebooting device in the last: every round's
-    /// changed rows, ordered by rank, are the rows sorted by key, and
-    /// devices and links of every datacenter change along the way.
+    /// changed rows, in the order the poll builds them (rank order), are
+    /// the rows sorted by key, and devices and links of every datacenter
+    /// change along the way.
     fn rank_order_is_key_order(graph: NetworkGraph) {
         let dcs: BTreeSet<DatacenterId> = (graph.nodes().map(|(_, n)| &n.datacenter))
             .chain(graph.edges().map(|(_, e)| &e.datacenter))
@@ -1357,12 +1323,17 @@ mod tests {
             let now = net.clock().now();
             let polled = {
                 let base = m.base.lock();
-                m.poll(&base.values, &BTreeSet::new(), now, Instant::now())
+                m.poll(
+                    &base.values,
+                    &BTreeSet::new(),
+                    now,
+                    Instant::now(),
+                    Duration::ZERO,
+                )
             };
-            let mut want = in_poll_order(&polled.changed, &graph, now);
+            let mut want = polled.rows.clone();
             want.sort_unstable_by(|a, b| a.key_ref().cmp(&b.key_ref()));
-            let mut changed = polled.changed;
-            assert_eq!(changed.rows(&graph, now), want);
+            assert_eq!(polled.rows, want);
             if !m.base.lock().values.is_empty() {
                 changed_kinds.extend(
                     want.iter()

@@ -67,14 +67,15 @@ pub trait DeviceProtocol: Send + Sync {
     /// Which protocol this adapter speaks.
     fn kind(&self) -> ProtocolKind;
 
-    /// Poll one device's protocol-visible state as attribute/value pairs.
+    /// Poll one device's protocol-visible state as attribute/value pairs,
+    /// one per attribute, in catalogue order ([`Attribute`]'s order).
     /// Errors with [`StateError::DeviceTimeout`] when the device's
     /// management plane does not answer.
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>>;
 
-    /// Poll one link's protocol-visible state. Link state is reported by
-    /// its endpoint devices; if neither endpoint answers the poll times
-    /// out.
+    /// Poll one link's protocol-visible state, in catalogue order. Link
+    /// state is reported by its endpoint devices; if neither endpoint
+    /// answers the poll times out.
     fn collect_link(&self, link: &LinkName) -> StateResult<Vec<(Attribute, Value)>>;
 
     /// Execute a management command. Errors with
@@ -168,22 +169,25 @@ fn owned(pairs: &[(Attribute, Reading<'_>)]) -> Vec<(Attribute, Value)> {
     (pairs.iter()).map(|&(a, r)| (a, r.to_value())).collect()
 }
 
+// Each adapter's pairs are listed in catalogue order — the order of
+// [`Attribute`], so the order a row's key sorts in — one per attribute.
+
 /// A device's SNMP walk.
 fn snmp_device(d: &SimDevice) -> [(Attribute, Reading<'_>); 7] {
     [
-        (Attribute::DeviceAdminPower, Reading::Power(d.admin_power)),
         (
-            Attribute::DevicePowerUnitReachable,
-            Reading::Bool(d.power_unit_reachable),
+            Attribute::DeviceMgmtInterface,
+            Reading::Bool(d.mgmt_configured),
         ),
         (
             Attribute::DeviceFirmwareVersion,
             Reading::Text(d.observed_firmware()),
         ),
         (Attribute::DeviceBootImage, Reading::Text(&d.boot_image)),
+        (Attribute::DeviceAdminPower, Reading::Power(d.admin_power)),
         (
-            Attribute::DeviceMgmtInterface,
-            Reading::Bool(d.mgmt_configured),
+            Attribute::DevicePowerUnitReachable,
+            Reading::Bool(d.power_unit_reachable),
         ),
         (Attribute::DeviceCpuUtilization, Reading::Float(d.cpu_util)),
         (
@@ -201,15 +205,6 @@ fn snmp_link(l: &SimLink, oper_up: bool) -> [(Attribute, Reading<'_>); 8] {
         OperStatus::Down
     };
     [
-        (Attribute::LinkAdminPower, Reading::Power(l.admin_power)),
-        (Attribute::LinkOperStatus, Reading::Oper(oper)),
-        (Attribute::LinkTrafficLoadAB, Reading::Float(l.load_ab_mbps)),
-        (Attribute::LinkTrafficLoadBA, Reading::Float(l.load_ba_mbps)),
-        (Attribute::LinkPacketDropRate, Reading::Float(l.drop_rate)),
-        (
-            Attribute::LinkFcsErrorRate,
-            Reading::Float(l.fcs_error_rate),
-        ),
         (
             Attribute::LinkIpAssignment,
             match &l.ip_assignment {
@@ -221,16 +216,21 @@ fn snmp_link(l: &SimLink, oper_up: bool) -> [(Attribute, Reading<'_>); 8] {
             Attribute::LinkControlPlane,
             Reading::ControlPlane(l.control_plane),
         ),
+        (Attribute::LinkAdminPower, Reading::Power(l.admin_power)),
+        (Attribute::LinkOperStatus, Reading::Oper(oper)),
+        (Attribute::LinkTrafficLoadAB, Reading::Float(l.load_ab_mbps)),
+        (Attribute::LinkTrafficLoadBA, Reading::Float(l.load_ba_mbps)),
+        (Attribute::LinkPacketDropRate, Reading::Float(l.drop_rate)),
+        (
+            Attribute::LinkFcsErrorRate,
+            Reading::Float(l.fcs_error_rate),
+        ),
     ]
 }
 
 /// An OpenFlow switch's routing state.
 fn openflow_device(d: &SimDevice) -> [(Attribute, Reading<'_>); 3] {
     [
-        (
-            Attribute::DeviceOpenFlowAgent,
-            Reading::Bool(d.of_agent_running),
-        ),
         (
             Attribute::DeviceRoutingRules,
             Reading::Routes(&d.routing_rules),
@@ -239,27 +239,32 @@ fn openflow_device(d: &SimDevice) -> [(Attribute, Reading<'_>); 3] {
             Attribute::DeviceLinkWeights,
             Reading::Weights(&d.link_weights),
         ),
+        (
+            Attribute::DeviceOpenFlowAgent,
+            Reading::Bool(d.of_agent_running),
+        ),
     ]
 }
 
-/// What the CLI shows of a device: its management interface, and on BGP
-/// routers the RIB.
+/// What the CLI shows of a device: on BGP routers the RIB, and its
+/// management interface.
 fn cli_device(d: &SimDevice) -> Pairs<'_> {
     let mut pairs = Pairs::default();
-    pairs.merge(&[(
-        Attribute::DeviceMgmtInterface,
-        Reading::Bool(d.mgmt_configured),
-    )]);
     if d.model == DeviceModel::BgpRouter {
         pairs.merge(&[(
             Attribute::DeviceRoutingRules,
             Reading::Routes(&d.routing_rules),
         )]);
     }
+    pairs.merge(&[(
+        Attribute::DeviceMgmtInterface,
+        Reading::Bool(d.mgmt_configured),
+    )]);
     pairs
 }
 
-/// Up to [`Pairs::CAPACITY`] pairs, one per attribute, on the stack.
+/// Up to [`Pairs::CAPACITY`] pairs, one per attribute and in catalogue
+/// order, on the stack.
 struct Pairs<'a> {
     pairs: [(Attribute, Reading<'a>); Pairs::CAPACITY],
     len: usize,
@@ -279,15 +284,17 @@ impl<'a> Pairs<'a> {
     const CAPACITY: usize = 10;
 
     /// Add `from`: a pair for an attribute already held replaces it, the
-    /// rest are appended in order.
+    /// rest are inserted in catalogue order.
     fn merge(&mut self, from: &[(Attribute, Reading<'a>)]) {
         for &(attr, reading) in from {
-            match self.pairs[..self.len].iter_mut().find(|(a, _)| *a == attr) {
-                Some(pair) => pair.1 = reading,
-                None => {
-                    self.pairs[self.len] = (attr, reading);
-                    self.len += 1;
-                }
+            let held = &self.pairs[..self.len];
+            let at = held.partition_point(|(a, _)| *a < attr);
+            if at < self.len && self.pairs[at].0 == attr {
+                self.pairs[at].1 = reading;
+            } else {
+                self.pairs.copy_within(at..self.len, at + 1);
+                self.pairs[at] = (attr, reading);
+                self.len += 1;
             }
         }
     }
@@ -471,8 +478,9 @@ impl DeviceProtocol for VendorCliSim {
 /// pairs [`SnmpSim::collect_device`] and [`OpenFlowSim::collect_device`]
 /// or [`VendorCliSim::collect_device`] return between them. A link
 /// reports its SNMP walk, [`SnmpSim::collect_link`]'s pairs. Both hand
-/// out borrowed [`Reading`]s, and `None` where the collect would time
-/// out (or the id is unknown).
+/// out borrowed [`Reading`]s in catalogue order, so an entity's rows come
+/// out in key order, and `None` where the collect would time out (or the
+/// id is unknown).
 #[derive(Clone)]
 pub struct BlockCollector {
     net: SimNetwork,
@@ -723,6 +731,7 @@ mod tests {
                         None => want.push((attr, value)),
                     }
                 }
+                want.sort_by_key(|&(a, _)| a);
                 assert_eq!(pairs, Some(want), "{name}");
             }
             let mut got = Vec::new();
@@ -735,6 +744,31 @@ mod tests {
             block.devices([((), None)], |_, pairs| assert!(pairs.is_none()));
             let unknown = Some(EdgeId(u32::MAX));
             block.links([((), unknown)], |_, pairs| assert!(pairs.is_none()));
+        }
+    }
+
+    #[test]
+    fn every_adapter_reports_in_catalogue_order() {
+        let ascending = |pairs: &[(Attribute, Value)]| pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        for net in [dc_sim(), wan_sim()] {
+            let (snmp, of, cli) = (
+                SnmpSim::new(net.clone()),
+                OpenFlowSim::new(net.clone()),
+                VendorCliSim::new(net.clone()),
+            );
+            for d in net.device_names() {
+                let replies = [
+                    snmp.collect_device(&d),
+                    of.collect_device(&d),
+                    cli.collect_device(&d),
+                ];
+                for pairs in replies.iter().flatten() {
+                    assert!(ascending(pairs), "{d}: {pairs:?}");
+                }
+            }
+            for l in net.link_names() {
+                assert!(ascending(&snmp.collect_link(&l).unwrap()), "{l}");
+            }
         }
     }
 

@@ -12,7 +12,8 @@
 //! agent, BGP routers polled over OpenFlow, and names that do not exist.
 //! Every `collect_device` and `collect_link` call, and every routing
 //! command the two adapters validate, must give equal answers or equal
-//! errors.
+//! errors. Answers are compared as lists: the adapters report their pairs
+//! in catalogue order, and the oracle's bodies list them in that order.
 //!
 //! The monitor's by-id path goes through the same histories. Every round,
 //! `BlockCollector` polls every device and link by id, in blocks under one
@@ -60,19 +61,19 @@ impl Snapshots {
             return Err(timeout(device, "snmp-walk"));
         }
         Ok(vec![
-            (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
             (
-                Attribute::DevicePowerUnitReachable,
-                Value::Bool(d.power_unit_reachable),
+                Attribute::DeviceMgmtInterface,
+                Value::Bool(d.mgmt_configured),
             ),
             (
                 Attribute::DeviceFirmwareVersion,
                 Value::text(d.observed_firmware()),
             ),
             (Attribute::DeviceBootImage, Value::text(&d.boot_image)),
+            (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
             (
-                Attribute::DeviceMgmtInterface,
-                Value::Bool(d.mgmt_configured),
+                Attribute::DevicePowerUnitReachable,
+                Value::Bool(d.power_unit_reachable),
             ),
             (Attribute::DeviceCpuUtilization, Value::Float(d.cpu_util)),
             (Attribute::DeviceMemoryUtilization, Value::Float(d.mem_util)),
@@ -92,12 +93,6 @@ impl Snapshots {
         }
         let oper = self.0.link_oper_up(link);
         Ok(vec![
-            (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
-            (Attribute::LinkOperStatus, Value::oper(oper)),
-            (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
-            (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
-            (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
-            (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
             (
                 Attribute::LinkIpAssignment,
                 match &l.ip_assignment {
@@ -109,6 +104,12 @@ impl Snapshots {
                 Attribute::LinkControlPlane,
                 Value::ControlPlane(l.control_plane),
             ),
+            (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
+            (Attribute::LinkOperStatus, Value::oper(oper)),
+            (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
+            (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
+            (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
+            (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
         ])
     }
 
@@ -134,14 +135,14 @@ impl Snapshots {
             .collect();
         Ok(vec![
             (
-                Attribute::DeviceOpenFlowAgent,
-                Value::Bool(d.of_agent_running),
-            ),
-            (
                 Attribute::DeviceRoutingRules,
                 Value::Routes(d.routing_rules.clone()),
             ),
             (Attribute::DeviceLinkWeights, Value::Routes(weights)),
+            (
+                Attribute::DeviceOpenFlowAgent,
+                Value::Bool(d.of_agent_running),
+            ),
         ])
     }
 
@@ -156,22 +157,24 @@ impl Snapshots {
         if !d.mgmt_reachable(now) {
             return Err(timeout(device, "cli-show"));
         }
-        let mut rows = vec![(
-            Attribute::DeviceMgmtInterface,
-            Value::Bool(d.mgmt_configured),
-        )];
+        let mut rows = Vec::new();
         if d.model == DeviceModel::BgpRouter {
             rows.push((
                 Attribute::DeviceRoutingRules,
                 Value::Routes(d.routing_rules.clone()),
             ));
         }
+        rows.push((
+            Attribute::DeviceMgmtInterface,
+            Value::Bool(d.mgmt_configured),
+        ));
         Ok(rows)
     }
 
     /// What the monitor polled of a device by name: the SNMP walk, with
     /// the routing adapter of its model merged in (a repeated attribute
-    /// replaces SNMP's); `None` when the walk times out.
+    /// replaces SNMP's), in catalogue order; `None` when the walk times
+    /// out.
     fn monitor_device(&self, device: &DeviceName) -> Option<Vec<(Attribute, Value)>> {
         let mut pairs = self.snmp_device(device).ok()?;
         let model = self.0.device_snapshot(device).map(|d| d.model);
@@ -185,6 +188,7 @@ impl Snapshots {
                 None => pairs.push((attr, value)),
             }
         }
+        pairs.sort_by_key(|&(attr, _)| attr);
         Some(pairs)
     }
 
