@@ -284,21 +284,17 @@ impl Layout {
     }
 }
 
-fn device_entity(graph: &NetworkGraph, id: NodeId) -> EntityName {
-    let info = graph.node(id);
-    EntityName::device(info.datacenter.clone(), info.name.clone())
-}
-
-fn link_entity(graph: &NetworkGraph, id: EdgeId) -> EntityName {
-    let edge = graph.edge(id);
-    EntityName::link_named(edge.datacenter.clone(), edge.name.clone())
-}
-
 /// The name of entity number `entity` (see [`Layout`]).
 fn entity_name(graph: &NetworkGraph, entity: usize) -> EntityName {
     match entity.checked_sub(graph.node_count()) {
-        None => device_entity(graph, NodeId(entity as u32)),
-        Some(edge) => link_entity(graph, EdgeId(edge as u32)),
+        None => {
+            let info = graph.node(NodeId(entity as u32));
+            EntityName::device(info.datacenter.clone(), info.name.clone())
+        }
+        Some(edge) => {
+            let edge = graph.edge(EdgeId(edge as u32));
+            EntityName::link_named(edge.datacenter.clone(), edge.name.clone())
+        }
     }
 }
 

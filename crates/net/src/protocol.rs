@@ -708,48 +708,9 @@ mod tests {
     }
 
     #[test]
-    fn block_collect_reports_what_the_adapters_report() {
-        for net in [dc_sim(), wan_sim()] {
-            let (snmp, of, cli) = (
-                SnmpSim::new(net.clone()),
-                OpenFlowSim::new(net.clone()),
-                VendorCliSim::new(net.clone()),
-            );
-            let block = BlockCollector::new(net.clone());
-            // The block holds the simulator lock while it visits, so the
-            // per-name collects run after it.
-            let mut got = Vec::new();
-            let names = net.device_names();
-            let ids = names.iter().map(|n| (n, net.device_id(n)));
-            block.devices(ids, |name, pairs| got.push((name, pairs.map(owned))));
-            for (name, pairs) in got {
-                let mut want = snmp.collect_device(name).unwrap();
-                let routing = (of.collect_device(name)).or_else(|_| cli.collect_device(name));
-                for (attr, value) in routing.unwrap() {
-                    match want.iter_mut().find(|(a, _)| *a == attr) {
-                        Some(pair) => pair.1 = value,
-                        None => want.push((attr, value)),
-                    }
-                }
-                want.sort_by_key(|&(a, _)| a);
-                assert_eq!(pairs, Some(want), "{name}");
-            }
-            let mut got = Vec::new();
-            let names = net.link_names();
-            let ids = names.iter().map(|n| (n, net.link_id(n)));
-            block.links(ids, |name, pairs| got.push((name, pairs.map(owned))));
-            for (name, pairs) in got {
-                assert_eq!(pairs, Some(snmp.collect_link(name).unwrap()), "{name}");
-            }
-            block.devices([((), None)], |_, pairs| assert!(pairs.is_none()));
-            let unknown = Some(EdgeId(u32::MAX));
-            block.links([((), unknown)], |_, pairs| assert!(pairs.is_none()));
-        }
-    }
-
-    #[test]
-    fn every_adapter_reports_in_catalogue_order() {
-        let ascending = |pairs: &[(Attribute, Value)]| pairs.windows(2).all(|w| w[0].0 < w[1].0);
+    fn every_collect_reports_in_catalogue_order() {
+        let ascending =
+            |attrs: &mut dyn Iterator<Item = Attribute>| attrs.is_sorted_by(|a, b| a < b);
         for net in [dc_sim(), wan_sim()] {
             let (snmp, of, cli) = (
                 SnmpSim::new(net.clone()),
@@ -763,12 +724,30 @@ mod tests {
                     cli.collect_device(&d),
                 ];
                 for pairs in replies.iter().flatten() {
-                    assert!(ascending(pairs), "{d}: {pairs:?}");
+                    assert!(ascending(&mut pairs.iter().map(|p| p.0)), "{d}: {pairs:?}");
                 }
             }
             for l in net.link_names() {
-                assert!(ascending(&snmp.collect_link(&l).unwrap()), "{l}");
+                let pairs = snmp.collect_link(&l).unwrap();
+                assert!(ascending(&mut pairs.iter().map(|p| p.0)), "{l}");
             }
+            // The monitor's by-id path: every entity answers here, in
+            // order; an id the simulator does not hold does not.
+            let block = BlockCollector::new(net.clone());
+            let names = net.device_names();
+            let ids = names.iter().map(|d| (d, net.device_id(d)));
+            block.devices(ids, |d, pairs| {
+                let pairs = pairs.unwrap_or_else(|| panic!("{d} answers"));
+                assert!(ascending(&mut pairs.iter().map(|p| p.0)), "{d}");
+            });
+            let names = net.link_names();
+            let ids = names.iter().map(|l| (l, net.link_id(l)));
+            block.links(ids, |l, pairs| {
+                let pairs = pairs.unwrap_or_else(|| panic!("{l} answers"));
+                assert!(ascending(&mut pairs.iter().map(|p| p.0)), "{l}");
+            });
+            block.devices([((), Some(NodeId(u32::MAX)))], |_, p| assert!(p.is_none()));
+            block.links([((), Some(EdgeId(u32::MAX)))], |_, p| assert!(p.is_none()));
         }
     }
 
