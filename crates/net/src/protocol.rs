@@ -96,7 +96,7 @@ fn timeout(device: &impl std::fmt::Display, operation: &str) -> StateError {
 /// One polled value, borrowed from the simulator: what an adapter reports
 /// before anything is built from it. [`Reading::to_value`] is the value
 /// a `collect_*` call returns for it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Reading<'a> {
     /// [`Value::None`].
     None,
