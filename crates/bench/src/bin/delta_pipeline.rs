@@ -1,17 +1,26 @@
 //! The columnar + blast-radius control loop at millions of variables:
 //! drives full coordinator rounds (invariants on) over a fabric sized by
 //! `STATESMAN_BENCH_VARS` (default 4,000,000) and prints every round's
-//! wall-clock stage tree (`tick → monitor {poll, diff, write} →
-//! checker[group] → updater {read, diff, exec}`, the seed's `write`
-//! split into the bulk seed's stages), plus resident bytes per state
+//! wall-clock stage tree (`tick → monitor {poll {devices, links}, diff
+//! {reseed, order}, write} → checker[group] → updater {read, diff,
+//! exec}`, the seed's `write` split into the bulk seed's stages) and the
+//! heap allocations the round made, plus resident bytes per state
 //! variable from the columnar storage arenas and the process's peak
 //! resident set (`VmHWM`, read from `/proc/self/status` at exit).
 //!
-//! Two budgets are asserted at every size: the paper's (§8: minutes-scale
-//! rounds, checker well under the 10 s coordination overhead), so the
-//! steady-state checker time must stay under 10 s even at 4M variables;
-//! and a closed account, so every tree's root leaves at most 5% of the
-//! round `unaccounted`.
+//! Allocations are counted by a counting global allocator this binary
+//! installs (the product installs none): every `alloc`, `alloc_zeroed`
+//! and `realloc` call, and the bytes it asked for, process-wide. At
+//! `STATESMAN_WORKER_THREADS=1` no pool thread allocates during a
+//! round, so the counts repeat from run to run to within one or two.
+//!
+//! Three budgets are asserted at every size: the paper's (§8:
+//! minutes-scale rounds, checker well under the 10 s coordination
+//! overhead), so the steady-state checker time must stay under 10 s even
+//! at 4M variables; a closed account, so every tree's root leaves at
+//! most 5% of the round `unaccounted`; and a round that costs what
+//! changed, so a churn round makes at most two allocations per row its
+//! monitor wrote, plus 1,024.
 //!
 //! ```text
 //! STATESMAN_BENCH_VARS=4000000 STATESMAN_BENCH_ROUNDS=3 \
@@ -19,7 +28,8 @@
 //! ```
 //!
 //! Emits `BENCH_delta_pipeline.json` in the working directory, with the
-//! seed round's tree and every churn round's. After the main run, a
+//! seed round's tree and every churn round's, and each of those rounds'
+//! allocations beside the rows its monitor wrote. After the main run, a
 //! second fixed run measures the durable ring: 100K variables on a
 //! 3-replica `FramedMemory` ring (every record JSON-encoded, CRC-framed
 //! and hash-chained on every replica), under the `framed_100k` key with
@@ -31,6 +41,76 @@ use statesman_obs::{Obs, Stage};
 use statesman_storage::{ClusterConfig, DurabilityMode, StorageConfig, StorageService, WalStats};
 use statesman_topology::DcnSpec;
 use statesman_types::{DatacenterId, SimDuration};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting calls and requested bytes.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are plain atomics and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// One round's heap allocations, and the OS rows its monitor wrote.
+#[derive(Clone, Copy)]
+struct Allocs {
+    count: u64,
+    bytes: u64,
+    rows: usize,
+}
+
+impl Allocs {
+    fn json(&self) -> String {
+        format!(
+            "{{\"allocs\": {}, \"alloc_bytes\": {}, \"rows_written\": {}}}",
+            self.count, self.bytes, self.rows
+        )
+    }
+}
+
+/// Run `tick`, counting the allocations it makes.
+fn counted(tick: impl FnOnce() -> usize) -> Allocs {
+    let (count, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    let rows = tick();
+    Allocs {
+        count: ALLOCS.load(Ordering::Relaxed) - count,
+        bytes: ALLOC_BYTES.load(Ordering::Relaxed) - bytes,
+        rows,
+    }
+}
 
 const CHECKER_BUDGET_MS: f64 = 10_000.0;
 /// The most of a round its stage tree may leave unaccounted.
@@ -38,6 +118,10 @@ const UNACCOUNTED_BUDGET: f64 = 0.05;
 /// The durable run's size and ring, fixed whatever the main run's size.
 const FRAMED_VARS: usize = 100_000;
 const FRAMED_REPLICAS: usize = 3;
+/// A churn round's allocations may be at most this many per row its
+/// monitor wrote, plus [`ALLOC_SLACK`]: a round costs what changed.
+const ALLOCS_PER_ROW: u64 = 2;
+const ALLOC_SLACK: u64 = 1_024;
 
 fn main() {
     let vars: usize = std::env::var("STATESMAN_BENCH_VARS")
@@ -83,6 +167,15 @@ fn main() {
         );
     }
 
+    for a in m.churn_allocs.iter().chain(&framed.churn_allocs) {
+        assert!(
+            a.count <= ALLOCS_PER_ROW * a.rows as u64 + ALLOC_SLACK,
+            "a churn round made {} allocations for {} rows written",
+            a.count,
+            a.rows
+        );
+    }
+
     println!("delta_pipeline: {rounds} measured rounds per shape, invariants on");
     println!(
         "csv,delta_pipeline,vars,seed_ms,quiet_chk_ms,churn_chk_ms,churn_round_ms,bytes_per_var,peak_rss_mb"
@@ -105,6 +198,10 @@ fn main() {
         let sep = format!(",\n{indent}");
         ts.iter().map(tree).collect::<Vec<_>>().join(&sep)
     };
+    let allocs = |rounds: &[Allocs]| {
+        let rounds: Vec<String> = rounds.iter().map(Allocs::json).collect();
+        rounds.join(", ")
+    };
     let json = format!(
         "{{\n  \"bench\": \"delta_pipeline\",\n  \"target_vars\": {vars},\n  \
          \"rounds\": {rounds},\n  \"checker_budget_ms\": {CHECKER_BUDGET_MS},\n  \
@@ -112,22 +209,28 @@ fn main() {
          \"quiescent_checker_ms\": {quiescent_checker_ms:.2},\n  \
          \"churn_checker_ms\": {churn_checker_ms:.2},\n  \
          \"churn_round_ms\": {churn_round_ms:.1},\n  \"bytes_per_var\": {:.1},\n  \
-         \"peak_rss_mb\": {peak_rss},\n  \"seed_tree\": {},\n  \
+         \"peak_rss_mb\": {peak_rss},\n  \"seed_allocs\": {},\n  \
+         \"churn_allocs\": [{}],\n  \"seed_tree\": {},\n  \
          \"churn_trees\": [\n    {}\n  ],\n  \
          \"framed_100k\": {{\n    \"replicas\": {FRAMED_REPLICAS},\n    \
          \"durability\": \"FramedMemory\",\n    \"vars\": {},\n    \
          \"seed_ms\": {:.1},\n    \"churn_write_ms\": {framed_write_ms:.2},\n    \
-         \"wal_appends\": {},\n    \"wal_bytes\": {},\n    \"seed_tree\": {},\n    \
+         \"wal_appends\": {},\n    \"wal_bytes\": {},\n    \"seed_allocs\": {},\n    \
+         \"churn_allocs\": [{}],\n    \"seed_tree\": {},\n    \
          \"churn_trees\": [\n      {}\n    ]\n  }}\n}}\n",
         m.vars_seeded,
         m.seed.ms,
         m.bytes_per_var,
+        m.seed_allocs.json(),
+        allocs(&m.churn_allocs),
         tree(&m.seed),
         trees(&m.churn, "    "),
         framed.vars_seeded,
         framed.seed.ms,
         framed.wal.appends,
         framed.wal.bytes_written,
+        framed.seed_allocs.json(),
+        allocs(&framed.churn_allocs),
         tree(&framed.seed),
         trees(&framed.churn, "      "),
     );
@@ -167,8 +270,10 @@ fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
 struct Measured {
     vars_seeded: usize,
     seed: Stage,
+    seed_allocs: Allocs,
     quiescent: Vec<Stage>,
     churn: Vec<Stage>,
+    churn_allocs: Vec<Allocs>,
     bytes_per_var: f64,
     /// The WAL's cumulative stats over the whole run, every replica.
     wal: WalStats,
@@ -214,14 +319,20 @@ fn measure(vars: usize, rounds: usize, replicas: usize, durability: DurabilityMo
             ..Default::default()
         },
     );
-    let traced = |label: &str| {
+    let traced = |label: &str, allocs: Allocs| {
         let tree = obs.traces.last().expect("a traced round").stages;
-        println!("{label} round:\n{}", tree.render());
-        tree
+        println!(
+            "{label} round: {} allocations ({:.1} MB) for {} rows written\n{}",
+            allocs.count,
+            allocs.bytes as f64 / 1e6,
+            allocs.rows,
+            tree.render()
+        );
+        (tree, allocs)
     };
+    let tick = |what: &str| counted(|| coord.tick().expect(what).rows_written);
 
-    coord.tick().expect("seed round");
-    let seed = traced("seed");
+    let (seed, seed_allocs) = traced("seed", tick("seed round"));
     let (state_bytes, state_rows) = storage.state_bytes();
     let bytes_per_var = if state_rows > 0 {
         state_bytes as f64 / state_rows as f64
@@ -230,27 +341,25 @@ fn measure(vars: usize, rounds: usize, replicas: usize, durability: DurabilityMo
     };
 
     let quiescent = (0..rounds)
-        .map(|_| {
-            coord.tick().expect("quiescent round");
-            traced("quiescent")
-        })
+        .map(|_| traced("quiescent", tick("quiescent round")).0)
         .collect();
-    let churn = (0..rounds)
+    let (churn, churn_allocs) = (0..rounds)
         .map(|_| {
             // Advance first so every measured tick sees one simulated
             // minute of telemetry churn (tick_and_advance steps after the
             // tick, which would leave the last round's churn unmeasured).
             net.step(SimDuration::from_mins(1));
-            coord.tick().expect("churn round");
-            traced("churn")
+            traced("churn", tick("churn round"))
         })
-        .collect();
+        .unzip();
 
     Measured {
         vars_seeded: state_rows as usize,
         seed,
+        seed_allocs,
         quiescent,
         churn,
+        churn_allocs,
         bytes_per_var,
         wal: storage.wal_stats(),
     }
