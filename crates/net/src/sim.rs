@@ -616,54 +616,48 @@ fn apply_fault(s: &mut SimState, index: &Index, at: SimTime, event: &FaultEvent)
         o.faults_fired.inc();
     }
     match event {
-        FaultEvent::SetFcsErrorRate { link: l, rate } => {
-            if let Some(l) = s.link_named(index, l) {
+        FaultEvent::SetFcsErrorRate { link, rate } => {
+            if let Some(l) = s.link_named(index, link) {
                 l.fcs_error_rate = *rate;
             }
         }
-        FaultEvent::SetDropRate { link: l, rate } => {
-            if let Some(l) = s.link_named(index, l) {
+        FaultEvent::SetDropRate { link, rate } => {
+            if let Some(l) = s.link_named(index, link) {
                 l.drop_rate = *rate;
             }
         }
-        FaultEvent::SetPhysicalLinkState { link: l, cut } => {
-            if let Some(l) = s.link_named(index, l) {
+        FaultEvent::SetPhysicalLinkState { link, cut } => {
+            if let Some(l) = s.link_named(index, link) {
                 l.physically_down = *cut;
             }
         }
-        FaultEvent::SetPowerUnitReachable {
-            device: d,
-            reachable,
-        } => {
-            if let Some(d) = s.device_named(index, d) {
+        FaultEvent::SetPowerUnitReachable { device, reachable } => {
+            if let Some(d) = s.device_named(index, device) {
                 d.power_unit_reachable = *reachable;
             }
         }
-        FaultEvent::CrashOpenFlowAgent { device: d } => {
-            if let Some(d) = s.device_named(index, d) {
+        FaultEvent::CrashOpenFlowAgent { device } => {
+            if let Some(d) = s.device_named(index, device) {
                 d.of_agent_running = false;
             }
         }
-        FaultEvent::CrashDevice { device: d } => {
-            if let Some(d) = s.device_named(index, d) {
+        FaultEvent::CrashDevice { device } => {
+            if let Some(d) = s.device_named(index, device) {
                 d.crash(None);
             }
         }
-        FaultEvent::RestoreDevice { device: d } => {
-            if let Some(d) = s.device_named(index, d) {
+        FaultEvent::RestoreDevice { device } => {
+            if let Some(d) = s.device_named(index, device) {
                 d.restore();
             }
         }
-        FaultEvent::RebootDevice { device: d, down_ms } => {
-            if let Some(d) = s.device_named(index, d) {
+        FaultEvent::RebootDevice { device, down_ms } => {
+            if let Some(d) = s.device_named(index, device) {
                 d.crash(Some(at + SimDuration::from_millis(*down_ms)));
             }
         }
-        FaultEvent::SetMgmtPlaneReachable {
-            device: d,
-            reachable,
-        } => {
-            if let Some(d) = s.device_named(index, d) {
+        FaultEvent::SetMgmtPlaneReachable { device, reachable } => {
+            if let Some(d) = s.device_named(index, device) {
                 d.mgmt_plane_reachable = *reachable;
             }
         }
@@ -698,18 +692,18 @@ fn apply_effect(s: &mut SimState, index: &Index, e: &PendingEffect, reboot: SimD
         DeviceCommand::SetLinkWeights { weights } => {
             dev.link_weights = weights.clone();
         }
-        DeviceCommand::SetLinkAdminPower { link: l, status } => {
-            if let Some(l) = index.link(l).map(|id| &mut s.links[id.0 as usize]) {
+        DeviceCommand::SetLinkAdminPower { link, status } => {
+            if let Some(l) = index.link(link).map(|id| &mut s.links[id.0 as usize]) {
                 l.admin_power = *status;
             }
         }
-        DeviceCommand::SetLinkIp { link: l, ip } => {
-            if let Some(l) = index.link(l).map(|id| &mut s.links[id.0 as usize]) {
+        DeviceCommand::SetLinkIp { link, ip } => {
+            if let Some(l) = index.link(link).map(|id| &mut s.links[id.0 as usize]) {
                 l.ip_assignment = Some(ip.clone());
             }
         }
-        DeviceCommand::SetLinkControlPlane { link: l, mode } => {
-            if let Some(l) = index.link(l).map(|id| &mut s.links[id.0 as usize]) {
+        DeviceCommand::SetLinkControlPlane { link, mode } => {
+            if let Some(l) = index.link(link).map(|id| &mut s.links[id.0 as usize]) {
                 l.control_plane = *mode;
             }
         }
