@@ -8,8 +8,8 @@
 //! variable from the columnar storage arenas and the process's peak
 //! resident set (`VmHWM`, read from `/proc/self/status` at exit).
 //!
-//! Allocations are counted by a counting global allocator this binary
-//! installs (the product installs none): every `alloc`, `alloc_zeroed`
+//! Allocations are counted by the counting global allocator this binary
+//! installs (`statesman_bench::alloc`): every `alloc`, `alloc_zeroed`
 //! and `realloc` call, and the bytes it asked for, process-wide. At
 //! `STATESMAN_WORKER_THREADS=1` no pool thread allocates during a
 //! round, so the counts repeat from run to run to within one or two.
@@ -35,82 +35,16 @@
 //! and hash-chained on every replica), under the `framed_100k` key with
 //! its seed and churn trees and the WAL's appends and bytes.
 
+use statesman_bench::alloc::{counted, Allocs, Counting};
 use statesman_core::{Coordinator, CoordinatorConfig};
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_obs::{Obs, Stage};
 use statesman_storage::{ClusterConfig, DurabilityMode, StorageConfig, StorageService, WalStats};
 use statesman_topology::DcnSpec;
 use statesman_types::{DatacenterId, SimDuration};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator, counting calls and requested bytes.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// are plain atomics and never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// One round's heap allocations, and the OS rows its monitor wrote.
-#[derive(Clone, Copy)]
-struct Allocs {
-    count: u64,
-    bytes: u64,
-    rows: usize,
-}
-
-impl Allocs {
-    fn json(&self) -> String {
-        format!(
-            "{{\"allocs\": {}, \"alloc_bytes\": {}, \"rows_written\": {}}}",
-            self.count, self.bytes, self.rows
-        )
-    }
-}
-
-/// Run `tick`, counting the allocations it makes.
-fn counted(tick: impl FnOnce() -> usize) -> Allocs {
-    let (count, bytes) = (
-        ALLOCS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    );
-    let rows = tick();
-    Allocs {
-        count: ALLOCS.load(Ordering::Relaxed) - count,
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed) - bytes,
-        rows,
-    }
-}
 
 const CHECKER_BUDGET_MS: f64 = 10_000.0;
 /// The most of a round its stage tree may leave unaccounted.

@@ -17,9 +17,11 @@
 //!   monitor and updater device time vs checker compute).
 //!
 //! Every scenario is deterministic given its seed; binaries under
-//! `src/bin/` print the series the paper plots, and criterion benches
-//! under `benches/` measure the quantitative claims.
+//! `src/bin/` print the series the paper plots, and the `BENCH_*` ones
+//! (`paper_claims`, `delta_pipeline`, `api_swarm`) time the quantitative
+//! claims as stage trees, counting allocations with [`alloc`].
 
+pub mod alloc;
 pub mod fig10;
 pub mod fig8;
 pub mod latency;

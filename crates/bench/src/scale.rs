@@ -2,8 +2,8 @@
 //!
 //! The paper's deployment manages "over 1.5 million state variables"
 //! across ten datacenters, the largest at 394K. Checker latency against
-//! that size (< 10 s at 394K) is measured by the `checker_latency`
-//! criterion bench, and whole rounds up to 4M variables by the
+//! that size (< 10 s at 394K) is the `paper_claims` binary's
+//! `checker_scale` section, and whole rounds up to 4M variables are the
 //! `delta_pipeline` binary's stage trees.
 
 use statesman_topology::DcnSpec;

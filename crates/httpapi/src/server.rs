@@ -1,6 +1,6 @@
-//! The API server: the versioned v1 API over a [`StorageService`],
-//! rebuilt as a fixed worker thread-pool behind a readiness-driven
-//! reactor (ROADMAP item 3: "thousands of out-of-process applications").
+//! The API server: the versioned v1 API over a [`StorageService`] for
+//! "thousands of out-of-process applications", as a fixed worker pool
+//! behind a readiness-driven reactor (ROADMAP parks an async front end).
 //!
 //! ## Architecture
 //!
