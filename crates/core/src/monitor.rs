@@ -328,6 +328,12 @@ struct DiffBase {
     /// value lands.
     values: Vec<Option<Value>>,
     rounds: u64,
+    /// Rows the last round changed (0 after a seed): the next poll's
+    /// starting capacity, so a churn round collects its rows (≈164K at
+    /// 4M) into one allocation instead of regrowing the buffer by
+    /// doubling, each regrowth copying the rows into freshly faulted
+    /// pages.
+    changed: usize,
 }
 
 impl DiffBase {
@@ -358,6 +364,7 @@ impl Monitor {
             base: Mutex::new(DiffBase {
                 values: Vec::new(),
                 rounds: 0,
+                changed: 0,
             }),
             resync_every: DEFAULT_RESYNC_EVERY,
         }
@@ -437,6 +444,7 @@ impl Monitor {
     fn poll(
         &self,
         base: &[Option<Value>],
+        expected: usize,
         skip_dcs: &BTreeSet<DatacenterId>,
         now: SimTime,
         started: Instant,
@@ -476,7 +484,11 @@ impl Monitor {
             };
             skip_dcs.contains(home)
         };
-        let mut polled = Polled::default();
+        let mut polled = Polled {
+            rows: Vec::with_capacity(expected),
+            positions: Vec::with_capacity(expected),
+            ..Polled::default()
+        };
         let mut quarantine = self.quarantine.lock();
         let mut devices = Vec::with_capacity(POLL_BLOCK);
         let mut links = Vec::with_capacity(POLL_BLOCK);
@@ -581,7 +593,20 @@ impl Monitor {
             suppressed,
             devices,
             links,
-        } = self.poll(&state.values, skip_dcs, now, started, reseeded);
+        } = self.poll(
+            &state.values,
+            state.changed,
+            skip_dcs,
+            now,
+            started,
+            reseeded,
+        );
+        // A seed's row count is no guide to a steady round's.
+        state.changed = if state.values.is_empty() {
+            0
+        } else {
+            rows.len()
+        };
         let polled = reseeded + devices + links;
 
         // The poll visits entities in rank order, so the changed rows are
@@ -1321,6 +1346,7 @@ mod tests {
                 let base = m.base.lock();
                 m.poll(
                     &base.values,
+                    base.changed,
                     &BTreeSet::new(),
                     now,
                     Instant::now(),

@@ -104,7 +104,7 @@ impl PaxosCluster {
         let stores: Vec<ReplicaStore> = (0..config.replicas as u8)
             .map(|i| ReplicaStore::new(&config.durability, ReplicaId(i)))
             .collect();
-        let replicas = stores
+        let replicas: Vec<Replica> = stores
             .iter()
             .enumerate()
             .map(|(i, s)| {
@@ -114,6 +114,15 @@ impl PaxosCluster {
                 r
             })
             .collect();
+        // A ring resumed from disk must not reuse a request id its
+        // replicas already hold: the machine skips a duplicate id, so
+        // the new command would be acknowledged and never applied.
+        let next_request_id = replicas
+            .iter()
+            .map(Replica::max_request_id)
+            .max()
+            .unwrap_or(0)
+            + 1;
         let mut bus = MessageBus::new(config.latency.clone(), config.seed);
         bus.drop_prob = config.drop_prob;
         let mut cluster = PaxosCluster {
@@ -123,7 +132,7 @@ impl PaxosCluster {
             leader: None,
             config,
             commit_latencies: Vec::new(),
-            next_request_id: 1,
+            next_request_id,
             last_recovery: None,
         };
         cluster.ensure_leader();
@@ -818,6 +827,35 @@ mod tests {
         let m = c.leader_machine().unwrap();
         assert_eq!(m.pool_len(&Pool::Observed), 6, "state came back from disk");
         assert!(c.applied_through(c.leader().unwrap()) >= applied);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_write_after_a_full_process_restart_is_applied() {
+        let dir = std::env::temp_dir().join(format!(
+            "statesman-wal-test-{}-cluster-reuse",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ClusterConfig::intra_dc(5);
+        cfg.durability = DurabilityMode::Dir(dir.clone());
+        PaxosCluster::new(cfg.clone())
+            .submit(wb("before", "1"))
+            .unwrap();
+        // A fresh process over the same directory: its first request id
+        // must not collide with the one the recovered replicas applied.
+        let mut c = PaxosCluster::new(cfg);
+        c.submit(wb("after", "2")).unwrap();
+        let m = c.leader_machine().unwrap();
+        assert_eq!(m.pool_len(&Pool::Observed), 2, "both writes are applied");
+        for (dev, v) in [("before", "1"), ("after", "2")] {
+            let key = row(dev, v).key();
+            assert_eq!(
+                m.get(&Pool::Observed, &key).map(|r| &r.value),
+                Some(&Value::text(v)),
+                "{dev} reads back"
+            );
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

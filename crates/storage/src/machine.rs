@@ -448,6 +448,11 @@ impl StateMachine {
         }
     }
 
+    /// The highest request id applied so far (0 when none was).
+    pub(crate) fn max_applied_id(&self) -> u64 {
+        self.applied_ids.iter().copied().max().unwrap_or(0)
+    }
+
     /// Read one row.
     pub fn get(&self, pool: &Pool, key: &StateKey) -> Option<&NetworkState> {
         self.pools.get(pool)?.get_var(key.var_id())
@@ -616,21 +621,40 @@ impl StateMachine {
     /// contents produce bit-identical snapshots — including across
     /// processes with differently populated interners.
     pub fn to_snapshot(&self) -> MachineSnapshot {
-        let mut pools: Vec<(Pool, Vec<NetworkState>)> = self
+        let view = self.snapshot_view();
+        MachineSnapshot {
+            pools: view
+                .pools
+                .into_iter()
+                .map(|(p, rows)| (p.clone(), rows.into_iter().cloned().collect()))
+                .collect(),
+            receipts: view
+                .receipts
+                .into_iter()
+                .map(|(a, r)| (a.clone(), r.clone()))
+                .collect(),
+            next_version: view.next_version,
+            applied: view.applied,
+            applied_ids: view.applied_ids,
+            changes: view.changes,
+            suppressed: view.suppressed,
+        }
+    }
+
+    /// [`StateMachine::to_snapshot`] with the rows and receipt queues
+    /// borrowed instead of copied: what a framed fold serializes.
+    pub(crate) fn snapshot_view(&self) -> SnapshotView<'_> {
+        let mut pools: Vec<(&Pool, Vec<&NetworkState>)> = self
             .pools
             .iter()
             .map(|(p, col)| {
-                let mut rows: Vec<NetworkState> = col.rows().cloned().collect();
+                let mut rows: Vec<&NetworkState> = col.rows().collect();
                 rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
-                (p.clone(), rows)
+                (p, rows)
             })
             .collect();
         pools.sort_by_key(|(p, _)| p.wire_name());
-        let mut receipts: Vec<(AppId, ReceiptQueue)> = self
-            .receipts
-            .iter()
-            .map(|(a, r)| (a.clone(), r.clone()))
-            .collect();
+        let mut receipts: Vec<(&AppId, &ReceiptQueue)> = self.receipts.iter().collect();
         receipts.sort_by(|(a, _), (b, _)| a.0.cmp(&b.0));
         let mut applied_ids: Vec<u64> = self.applied_ids.iter().copied().collect();
         applied_ids.sort_unstable();
@@ -653,7 +677,7 @@ impl StateMachine {
             })
             .collect();
         changes.sort_by_key(|(p, _)| p.wire_name());
-        MachineSnapshot {
+        SnapshotView {
             pools,
             receipts,
             next_version: self.next_version,
@@ -737,6 +761,73 @@ pub struct MachineSnapshot {
     applied_ids: Vec<u64>,
     changes: Vec<(Pool, ChangeIndexSnapshot)>,
     suppressed: u64,
+}
+
+/// A [`MachineSnapshot`] whose rows and receipt queues are borrowed from
+/// the machine (see [`StateMachine::snapshot_view`]). It has the same
+/// fields in the same canonical order and writes the same JSON, so a
+/// framed fold encodes the machine without copying a row.
+pub(crate) struct SnapshotView<'a> {
+    pools: Vec<(&'a Pool, Vec<&'a NetworkState>)>,
+    receipts: Vec<(&'a AppId, &'a ReceiptQueue)>,
+    next_version: u64,
+    applied: u64,
+    applied_ids: Vec<u64>,
+    changes: Vec<(Pool, ChangeIndexSnapshot)>,
+    suppressed: u64,
+}
+
+impl SnapshotView<'_> {
+    fn fields(&self) -> Fields<'_, 7> {
+        Fields([
+            ("pools", &self.pools),
+            ("receipts", &self.receipts),
+            ("next_version", &self.next_version),
+            ("applied", &self.applied),
+            ("applied_ids", &self.applied_ids),
+            ("changes", &self.changes),
+            ("suppressed", &self.suppressed),
+        ])
+    }
+}
+
+impl Serialize for SnapshotView<'_> {
+    fn to_content(&self) -> Content {
+        self.fields().to_content()
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        self.fields().write_json(out)
+    }
+}
+
+/// Named values serialized as the derive serializes a struct: a map
+/// keyed by field name, in the order given.
+pub(crate) struct Fields<'a, const N: usize>(pub(crate) [(&'static str, &'a dyn Serialize); N]);
+
+impl<const N: usize> Serialize for Fields<'_, N> {
+    fn to_content(&self) -> Content {
+        let entries = self
+            .0
+            .iter()
+            .map(|(name, value)| (Content::Str((*name).to_string()), value.to_content()));
+        Content::Map(entries.collect())
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), SerError> {
+        out.push('{');
+        for (i, (name, value)) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\":");
+            value.write_json(out)?;
+        }
+        out.push('}');
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -260,6 +260,22 @@ impl Replica {
         self.chosen.contains_key(&slot)
     }
 
+    /// The highest client request id this replica has seen: applied by
+    /// its machine, or wrapped in a `Tagged` command of its accepted or
+    /// chosen log. A restarted ring numbers its next request above the
+    /// highest of these, so no new command is taken for a duplicate.
+    pub(crate) fn max_request_id(&self) -> u64 {
+        let tagged = |cmd: &LogCommand| match cmd {
+            LogCommand::Tagged { id, .. } => *id,
+            _ => 0,
+        };
+        let accepted = self.accepted.values().map(|(_, c)| tagged(c));
+        let chosen = self.chosen.values().map(tagged);
+        accepted
+            .chain(chosen)
+            .fold(self.machine.max_applied_id(), u64::max)
+    }
+
     /// This replica's accepted and chosen values for one slot (tests of
     /// what the log shares with the submitted command).
     #[cfg(test)]
@@ -312,14 +328,17 @@ impl Replica {
         let Some(store) = self.store.clone() else {
             return;
         };
-        // A snapshot costs O(machine rows) — cloning (logical stores) or
-        // serializing (framed stores) the full image. Against a fixed
-        // absolute budget, steady telemetry churn over an N-row machine
-        // pays that O(N) image every round: quadratic compaction work
-        // over time (at 4M variables, a multi-second machine clone per
-        // round). Scaling the budget with the machine amortizes
-        // compaction to O(1) per appended row and still bounds the
-        // replayable tail to ~1/8 of a full image.
+        // A framed store's snapshot costs O(machine rows): it serializes
+        // the full image. A logical store's costs the slot maps and
+        // bitmaps plus a refcount bump per column chunk, because the
+        // image shares every chunk with the live machine; the rows are
+        // paid for later, by the first write to each shared chunk (for
+        // churn, the counter chunks alone). Against a fixed absolute
+        // budget, steady telemetry churn over an N-row machine would pay
+        // an O(N) image every round: quadratic compaction work over time.
+        // Scaling the budget with the machine amortizes compaction to
+        // O(1) per appended row and still bounds the replayable tail to
+        // ~1/8 of a full image.
         let weight_budget = SNAPSHOT_WEIGHT_BUDGET.max(self.machine.total_rows() / 8);
         let frontier = self.apply_frontier;
         let due = frontier > self.last_snap_frontier

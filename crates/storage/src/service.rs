@@ -831,8 +831,10 @@ impl StorageService {
     /// replica: under the partition lock, extract the changefeed since
     /// the held column's watermark, or clone the replica's column when
     /// the change index cannot serve the gap; outside it, apply the
-    /// delta to the held column. (Refreshes check partition health;
-    /// cache *hits* deliberately do not.)
+    /// delta to the held column. The full clone shares the replica's
+    /// arena chunks, so the replica's next write to a shared chunk pays
+    /// for copying that chunk. (Refreshes check partition health; cache
+    /// *hits* deliberately do not.)
     fn refresh_cache_entry(
         &self,
         req: &ReadRequest,
@@ -874,8 +876,11 @@ impl StorageService {
                     o.cache_delta_refreshes.inc();
                 }
                 if !delta.is_empty() {
-                    // Copy-on-write: the cache, and any reader mid-read,
-                    // still share the expired column.
+                    // Copy-on-write twice over: while the cache or a
+                    // reader mid-read still holds the expired column,
+                    // `make_mut` clones it, which copies its slot map and
+                    // bitmap and shares its arena chunks; the upserts
+                    // below then copy only the chunks they touch.
                     let held = Arc::make_mut(&mut column);
                     for key in &delta.deletes {
                         held.remove_var(key.var_id());

@@ -11,7 +11,10 @@
 //!
 //! * **live** — a structural clone of the machine, used by the in-memory
 //!   logical backend so the default (bench-comparable) path never pays
-//!   for serialization;
+//!   for serialization. The clone shares every column chunk with the
+//!   live machine (copy-on-write, see `statesman_types::Column`): taking
+//!   it copies slot maps and bitmaps, and the live machine's first write
+//!   to each shared chunk copies that chunk;
 //! * **encoded** — a canonical [`MachineSnapshot`] serialized to bytes,
 //!   used by the framed backends, where the snapshot payload also anchors
 //!   the WAL's hash chain ([`crate::wal::chain_hash`] of the payload from
@@ -24,7 +27,8 @@ use serde::{Deserialize, Serialize};
 /// The machine image inside a snapshot: live clone or canonical encoding.
 #[derive(Debug, Clone)]
 pub enum MachineImage {
-    /// A structural clone (logical/in-memory backend only).
+    /// A structural clone sharing the machine's column chunks
+    /// (logical/in-memory backend only).
     Live(StateMachine),
     /// A canonical serializable image (framed backends).
     Encoded(MachineSnapshot),

@@ -36,7 +36,7 @@
 //! per replica under a per-partition directory).
 
 use crate::bus::ReplicaId;
-use crate::machine::StateMachine;
+use crate::machine::{Fields, StateMachine};
 use crate::paxos::{Ballot, Slot};
 use crate::snapshot::{MachineImage, Snapshot, SnapshotWire};
 use crate::LogCommand;
@@ -393,9 +393,10 @@ pub fn replay_log(bytes: &[u8], anchor: u64) -> ReplayedLog {
 }
 
 /// Frame a snapshot blob: `[len u32][crc u32][payload]`, CRC over the
-/// payload. Returns the blob and the chain anchor the log after this
-/// snapshot must start from.
-pub fn encode_snapshot_blob(wire: &SnapshotWire) -> (Vec<u8>, u64) {
+/// payload, which is `wire`'s JSON: a [`SnapshotWire`], or the same
+/// fields over a borrowed machine image. Returns the blob and the chain
+/// anchor the log after this snapshot must start from.
+pub fn encode_snapshot_blob(wire: &impl Serialize) -> (Vec<u8>, u64) {
     let mut blob = json_after_header(8, wire);
     let (header, payload) = blob.split_at_mut(8);
     header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -867,11 +868,14 @@ impl ReplicaStore {
                 // group buffered are part of the tail being re-framed, so
                 // the buffer itself is dead.
                 pending.clear();
-                let wire = SnapshotWire {
-                    frontier,
-                    promised,
-                    machine: machine.to_snapshot(),
-                };
+                // A `SnapshotWire`'s bytes, with the rows borrowed from
+                // the machine rather than copied into an image.
+                let image = machine.snapshot_view();
+                let wire = Fields([
+                    ("frontier", &frontier as &dyn Serialize),
+                    ("promised", &promised),
+                    ("machine", &image),
+                ]);
                 let (blob, anchor) = encode_snapshot_blob(&wire);
                 stats.fsyncs += media.write_snap(&blob);
                 stats.bytes_written += blob.len() as u64;

@@ -5,10 +5,19 @@
 //! matching state layout to access pattern applies directly. This module
 //! is the layout: one [`Column`] per pool, a dense `Vec` of slots indexed
 //! by the process-wide [`SlotId`] space
-//! (append-only, never reused), row payloads packed contiguously in a
-//! chunked [`RowArena`], tombstone deletes that clear an occupancy bit
+//! (append-only, never reused), row payloads packed contiguously in
+//! chunked [`RowArena`]s, tombstone deletes that clear an occupancy bit
 //! without reclaiming the slot, and a bitmap-driven iterator so full scans
 //! touch only live rows.
+//!
+//! Arena chunks are copy-on-write. Cloning a column copies its slot map
+//! and its bitmap and bumps one refcount per chunk; the rows stay shared.
+//! Whoever first writes to a shared chunk pays for the copy of that chunk
+//! alone. Counter rows ([`Attribute::is_counter`]) live in an arena of
+//! their own, so the telemetry a churn round rewrites never shares a chunk
+//! with configuration rows: a replica's log-fold image, a cached read
+//! column or a catch-up payload keeps sharing every non-counter chunk
+//! while the live column moves on.
 //!
 //! Nothing here is wire-visible: columns serialize through the same
 //! string-keyed, key-sorted snapshots as the hash maps they replace, and
@@ -21,6 +30,7 @@ use crate::intern::{interner, slot_registry, SlotId, VarId};
 use crate::state::{NetworkState, Pool};
 use crate::value::Value;
 use crate::vars::Attribute;
+use std::sync::Arc;
 
 /// Rows per arena chunk. Chunks are allocated whole and never moved, so
 /// row references stay valid across pushes while values still sit
@@ -30,12 +40,31 @@ const ARENA_CHUNK: usize = 4096;
 /// Sentinel for "this slot has never been allocated an arena row".
 const NO_ROW: u32 = u32::MAX;
 
+/// The class bit of a slot's row reference: set when the row lives in
+/// the column's counter arena. The low 31 bits are the arena index.
+const COUNTER_ROW: u32 = 1 << 31;
+
 /// A chunked, append-only arena of row payloads. Indices are stable for
 /// the arena's lifetime; rows within a chunk are contiguous in memory.
+///
+/// Each chunk sits behind an `Arc`, so a clone of the arena shares every
+/// chunk. A write to a shared chunk first copies that chunk (at full
+/// [`ARENA_CHUNK`] capacity, so later pushes never reallocate it); the
+/// other holders keep the rows they had.
 #[derive(Debug, Clone, Default)]
 pub struct RowArena {
-    chunks: Vec<Vec<NetworkState>>,
+    chunks: Vec<Arc<Vec<NetworkState>>>,
     len: usize,
+}
+
+/// The chunk behind `chunk`, copied first if another arena shares it.
+fn unshare(chunk: &mut Arc<Vec<NetworkState>>) -> &mut Vec<NetworkState> {
+    if Arc::get_mut(chunk).is_none() {
+        let mut copy = Vec::with_capacity(ARENA_CHUNK);
+        copy.extend_from_slice(chunk);
+        *chunk = Arc::new(copy);
+    }
+    Arc::get_mut(chunk).expect("a fresh copy has one owner")
 }
 
 impl RowArena {
@@ -56,7 +85,8 @@ impl RowArena {
         self.chunks.reserve(needed);
     }
 
-    /// Append a row, returning its stable index.
+    /// Append a row, returning its stable index (below `!COUNTER_ROW`, so
+    /// a column can tag it with its class and never make it [`NO_ROW`]).
     fn push(&mut self, row: NetworkState) -> u32 {
         if self
             .chunks
@@ -64,12 +94,15 @@ impl RowArena {
             .map(|c| c.len() == ARENA_CHUNK)
             .unwrap_or(true)
         {
-            self.chunks.push(Vec::with_capacity(ARENA_CHUNK));
+            self.chunks.push(Arc::new(Vec::with_capacity(ARENA_CHUNK)));
         }
         let idx = self.len;
-        self.chunks.last_mut().expect("chunk just pushed").push(row);
+        unshare(self.chunks.last_mut().expect("chunk just pushed")).push(row);
         self.len += 1;
-        u32::try_from(idx).expect("row arena overflow")
+        u32::try_from(idx)
+            .ok()
+            .filter(|i| *i < !COUNTER_ROW)
+            .expect("row arena overflow")
     }
 
     fn get(&self, idx: u32) -> &NetworkState {
@@ -77,7 +110,7 @@ impl RowArena {
     }
 
     fn get_mut(&mut self, idx: u32) -> &mut NetworkState {
-        &mut self.chunks[idx as usize / ARENA_CHUNK][idx as usize % ARENA_CHUNK]
+        &mut unshare(&mut self.chunks[idx as usize / ARENA_CHUNK])[idx as usize % ARENA_CHUNK]
     }
 
     /// Rows ever allocated (tombstoned rows keep their storage).
@@ -92,7 +125,8 @@ impl RowArena {
 
     /// Bytes reserved for row storage (chunk capacity, not counting
     /// per-row value payloads — see [`Column::approx_bytes`] for the
-    /// payload-inclusive figure).
+    /// payload-inclusive figure). A chunk shared with another arena is
+    /// counted in full by each of them.
     pub fn reserved_bytes(&self) -> usize {
         self.chunks
             .iter()
@@ -117,8 +151,13 @@ fn row_heap_bytes(row: &NetworkState) -> usize {
     }
 }
 
-/// One pool's columnar store: a dense slot → row mapping over a
-/// [`RowArena`], with an occupancy bitmap for fast live-row iteration.
+/// One pool's columnar store: a dense slot → row mapping over two
+/// [`RowArena`]s, one for counter rows and one for the rest, with an
+/// occupancy bitmap for fast live-row iteration.
+///
+/// A clone shares every arena chunk (see [`RowArena`]): it costs the slot
+/// map, the bitmap and a refcount bump per chunk, and the first write to
+/// a shared chunk, on either side, copies that chunk.
 ///
 /// Slot ids come from the process-wide
 /// [`slot_registry`], so every column (and
@@ -129,11 +168,14 @@ fn row_heap_bytes(row: &NetworkState) -> usize {
 #[derive(Debug, Clone)]
 pub struct Column {
     pool: Pool,
-    /// Slot → arena row ([`NO_ROW`] until the slot first holds a value).
+    /// Slot → arena row ([`NO_ROW`] until the slot first holds a value;
+    /// [`COUNTER_ROW`] set for a row of the counter arena).
     slots: Vec<u32>,
     /// Occupancy bitmap, one bit per slot.
     occupied: Vec<u64>,
     arena: RowArena,
+    /// Counter rows, apart so that rewriting them copies no other row.
+    counters: RowArena,
     /// Live (occupied) rows.
     len: usize,
     /// Running estimate of live rows' heap payload bytes.
@@ -148,6 +190,7 @@ impl Column {
             slots: Vec::new(),
             occupied: Vec::new(),
             arena: RowArena::new(),
+            counters: RowArena::new(),
             len: 0,
             heap_bytes: 0,
         }
@@ -156,6 +199,31 @@ impl Column {
     /// The pool this column stores.
     pub fn pool(&self) -> &Pool {
         &self.pool
+    }
+
+    fn row(&self, at: u32) -> &NetworkState {
+        if at & COUNTER_ROW == 0 {
+            self.arena.get(at)
+        } else {
+            self.counters.get(at & !COUNTER_ROW)
+        }
+    }
+
+    fn row_mut(&mut self, at: u32) -> &mut NetworkState {
+        if at & COUNTER_ROW == 0 {
+            self.arena.get_mut(at)
+        } else {
+            self.counters.get_mut(at & !COUNTER_ROW)
+        }
+    }
+
+    /// Append a row to the arena of its class; returns its reference.
+    fn push_row(&mut self, row: NetworkState) -> u32 {
+        if row.attribute.is_counter() {
+            self.counters.push(row) | COUNTER_ROW
+        } else {
+            self.arena.push(row)
+        }
     }
 
     fn ensure_slot(&mut self, slot: SlotId) {
@@ -192,7 +260,7 @@ impl Column {
         if !self.is_occupied(slot) {
             return None;
         }
-        Some(self.arena.get(self.slots[slot.index()]))
+        Some(self.row(self.slots[slot.index()]))
     }
 
     /// The row for `var`, if live (resolves the slot through the
@@ -257,6 +325,7 @@ impl Column {
             self.occupied.resize(words, 0);
         }
         self.arena.reserve(rows);
+        self.counters.reserve(rows);
     }
 
     /// Insert or replace the row for `var`, minting its slot on first
@@ -273,13 +342,13 @@ impl Column {
         let new_bytes = row_heap_bytes(&row);
         let idx = self.slots[slot.index()];
         if idx == NO_ROW {
-            self.slots[slot.index()] = self.arena.push(row);
+            self.slots[slot.index()] = self.push_row(row);
         } else {
             if self.is_occupied(slot) {
-                self.heap_bytes -= row_heap_bytes(self.arena.get(idx));
+                self.heap_bytes -= row_heap_bytes(self.row(idx));
                 self.len -= 1;
             }
-            *self.arena.get_mut(idx) = row;
+            *self.row_mut(idx) = row;
         }
         self.heap_bytes += new_bytes;
         self.len += 1;
@@ -298,7 +367,7 @@ impl Column {
         if !self.is_occupied(slot) {
             return None;
         }
-        let row = self.arena.get(self.slots[slot.index()]).clone();
+        let row = self.row(self.slots[slot.index()]).clone();
         self.heap_bytes -= row_heap_bytes(&row);
         self.len -= 1;
         self.set_occupied(slot, false);
@@ -332,13 +401,19 @@ impl Column {
     }
 
     /// Approximate resident bytes: the slot vector, the bitmap, the arena
-    /// reservation and the live rows' value payloads. Names are shared with
+    /// reservations and the live rows' value payloads. Names are shared with
     /// the topology and with every copy of a row, so they are not counted.
     /// Feeds the `state_bytes_per_var` gauge.
+    ///
+    /// Arena chunks shared with a clone (a snapshot image, a cached read
+    /// column) are counted in full here and again in every other holder:
+    /// summed over holders this over-counts, and telling the unique owner
+    /// of a chunk is left to a memory account that needs it.
     pub fn approx_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<u32>()
             + self.occupied.capacity() * std::mem::size_of::<u64>()
             + self.arena.reserved_bytes()
+            + self.counters.reserved_bytes()
             + self.heap_bytes
     }
 
@@ -376,7 +451,7 @@ impl<'a> Iterator for ColumnIter<'a> {
                 self.bits &= self.bits - 1;
                 let slot = SlotId((self.word * 64 + bit) as u32);
                 let idx = self.col.slots[slot.index()];
-                return Some((slot, self.col.arena.get(idx)));
+                return Some((slot, self.col.row(idx)));
             }
             self.word += 1;
             if self.word >= self.col.occupied.len() {
@@ -525,6 +600,50 @@ mod tests {
         let av: Vec<&NetworkState> = a.rows().collect();
         let bv: Vec<&NetworkState> = b.rows().collect();
         assert_eq!(av, bv, "bulk fill is bit-identical to per-row upserts");
+    }
+
+    #[test]
+    fn a_clone_shares_chunks_until_a_write_copies_one() {
+        let counter = |dev: &str, v: f64| {
+            NetworkState::new(
+                EntityName::device("dc-col", dev),
+                Attribute::DeviceCpuUtilization,
+                Value::Float(v),
+                SimTime::ZERO,
+                AppId::monitor(),
+            )
+        };
+        let mut c = Column::new(Pool::Observed);
+        for i in 0..ARENA_CHUNK + 10 {
+            c.upsert(row(&format!("cow{i}"), "1"));
+            c.upsert(counter(&format!("cow{i}"), 0.5));
+        }
+        let shared = |a: &RowArena, b: &RowArena| {
+            a.chunks
+                .iter()
+                .zip(&b.chunks)
+                .filter(|(x, y)| Arc::ptr_eq(x, y))
+                .count()
+        };
+        let image = c.clone();
+        assert_eq!(shared(&c.arena, &image.arena), 2);
+        assert_eq!(shared(&c.counters, &image.counters), 2);
+
+        // Rewriting a counter copies its counter chunk and nothing else.
+        c.upsert(counter("cow1", 0.9));
+        assert_eq!(shared(&c.arena, &image.arena), 2, "config rows untouched");
+        assert_eq!(shared(&c.counters, &image.counters), 1);
+        assert_eq!(c.counters.chunks[0].capacity(), ARENA_CHUNK);
+        let key = counter("cow1", 0.0).var_id();
+        assert_eq!(c.get_var(key).unwrap().value, Value::Float(0.9));
+        assert_eq!(image.get_var(key).unwrap().value, Value::Float(0.5));
+
+        // A push into a shared last chunk copies it with room to grow.
+        let mut grown = image.clone();
+        grown.upsert(row("cow-new", "1"));
+        assert_eq!(grown.arena.chunks[1].capacity(), ARENA_CHUNK);
+        assert_eq!(image.len() + 1, grown.len());
+        assert!(image.get_var(row("cow-new", "1").var_id()).is_none());
     }
 
     #[test]

@@ -31,6 +31,10 @@
 //! * **stale-cache regression** — a checker whose mirrors and seed cache
 //!   predate a compaction-floor crossing must still decide like a fresh
 //!   checker (the snapshot fallback evicts, never serves stale parts);
+//! * **copy-on-write isolation** — a column clone (a fold image, a cached
+//!   read column) shares its arena chunks with the original, yet each
+//!   holds the model of its own step while the other is written, and a
+//!   replica recovered from a live fold image comes back bit-equal;
 //! * **chaos golden** — one standard chaos seed's whole outcome, pinned.
 
 use proptest::prelude::*;
@@ -46,8 +50,8 @@ use statesman_storage::{
     LogCommand, ReadRequest, StateMachine, StorageConfig, StorageService, WriteRequest,
 };
 use statesman_types::{
-    interner, slot_registry, AppId, Attribute, DatacenterId, EntityName, Freshness, NetworkState,
-    Pool, SimDuration, SimTime, StateKey, Value, Version,
+    interner, slot_registry, AppId, Attribute, Column, DatacenterId, EntityName, Freshness,
+    NetworkState, Pool, SimDuration, SimTime, StateKey, Value, Version,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -1002,6 +1006,184 @@ fn checker_cache_evicted_on_compaction_crossing() {
     assert_eq!(
         full_sorted(&stale.storage, &stale.dc, Pool::Target),
         full_sorted(&oracle.storage, &oracle.dc, Pool::Target)
+    );
+}
+
+/// One row of the copy-on-write tests: a text value for a configuration
+/// attribute, a float for a counter.
+fn cow_row(key: &StateKey, val: u32) -> NetworkState {
+    let value = if key.attribute.is_counter() {
+        Value::Float(f64::from(val))
+    } else {
+        Value::text(format!("v-{val}"))
+    };
+    NetworkState::new(
+        key.entity.clone(),
+        key.attribute,
+        value,
+        SimTime(u64::from(val)),
+        AppId::new("cow-writer"),
+    )
+}
+
+/// `devices` devices of one DC, each with two configuration attributes
+/// and one counter.
+fn cow_keys(dc: &str, devices: usize) -> Vec<StateKey> {
+    let attrs = [
+        Attribute::DeviceFirmwareVersion,
+        Attribute::DeviceBootImage,
+        Attribute::DeviceCpuUtilization,
+    ];
+    (0..devices)
+        .flat_map(|d| {
+            let entity = EntityName::device(dc, format!("cow-{d}"));
+            attrs.map(|a| StateKey::new(entity.clone(), a))
+        })
+        .collect()
+}
+
+/// A column holds exactly the model: the same live count, every live row
+/// (walked through the bitmap) equal to the model's row for its key, and
+/// every model key read back by point lookup.
+fn column_matches(col: &Column, model: &BTreeMap<StateKey, NetworkState>) -> Result<(), String> {
+    if col.len() != model.len() {
+        return Err(format!("{} live rows, model {}", col.len(), model.len()));
+    }
+    for row in col.rows() {
+        if model.get(&row.key()) != Some(row) {
+            return Err(format!("row {} differs from the model", row.key()));
+        }
+    }
+    for (key, row) in model {
+        if col.get_var(key.var_id()) != Some(row) {
+            return Err(format!("point read of {key} differs from the model"));
+        }
+    }
+    Ok(())
+}
+
+/// Copy-on-write isolation. Seeded soups over a column whose arenas both
+/// cross two chunk boundaries (8,400 counter rows and 16,800 configuration
+/// rows against 4,096-row chunks), with tombstones and re-inserts, clone
+/// the column at random steps. Every clone must still equal the
+/// `BTreeMap` model as it stood at its step while the original goes on,
+/// and writes into a clone must leave the original alone.
+#[test]
+fn column_clones_are_isolated_copy_on_write() {
+    let keys = cow_keys("cow-dc1", 8_400);
+    for seed in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(5_600 + seed);
+        let mut col = Column::new(Pool::Observed);
+        let mut model = BTreeMap::new();
+        let mut clones = Vec::new();
+        let mut step = 0usize;
+        let apply =
+            |col: &mut Column, model: &mut BTreeMap<StateKey, NetworkState>, rng: &mut StdRng| {
+                let key = &keys[rng.gen_range(0..keys.len())];
+                if rng.gen_bool(0.25) {
+                    let gone = col.remove_var(key.var_id());
+                    assert_eq!(gone, model.remove(key), "tombstone of {key}");
+                } else {
+                    let row = cow_row(key, rng.gen_range(1..1_000u32));
+                    col.upsert(row.clone());
+                    model.insert(key.clone(), row);
+                }
+            };
+        for key in &keys {
+            let row = cow_row(key, 0);
+            col.upsert(row.clone());
+            model.insert(key.clone(), row);
+        }
+        clones.push((step, col.clone(), model.clone()));
+        for _ in 0..12_000 {
+            step += 1;
+            apply(&mut col, &mut model, &mut rng);
+            if rng.gen_bool(1.0 / 2_000.0) {
+                let mut copy = col.clone();
+                let mut copy_model = model.clone();
+                if rng.gen_bool(0.5) {
+                    for _ in 0..256 {
+                        apply(&mut copy, &mut copy_model, &mut rng);
+                    }
+                    column_matches(&col, &model)
+                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: original: {e}"));
+                }
+                clones.push((step, copy, copy_model));
+            }
+        }
+        column_matches(&col, &model).unwrap_or_else(|e| panic!("seed {seed}: original: {e}"));
+        assert!(clones.len() >= 3, "seed {seed}: {} clones", clones.len());
+        for (at, copy, copy_model) in &clones {
+            column_matches(copy, copy_model)
+                .unwrap_or_else(|e| panic!("seed {seed}: clone at step {at}: {e}"));
+        }
+    }
+}
+
+/// A logical replica recovered from a live fold image comes back
+/// bit-equal after writes that touched the image's chunks. The image is a
+/// copy-on-write clone of the machine, so each later write must copy the
+/// chunk it hits, never reach into the image: a write seen by the image
+/// would be replayed onto itself and suppressed, leaving the recovered
+/// machine's versions behind its peers'.
+#[test]
+fn a_replica_recovered_from_a_live_image_is_bit_equal() {
+    use statesman_storage::bus::ReplicaId;
+    use statesman_storage::{ClusterConfig, PaxosCluster};
+    let keys = cow_keys("cow-dc2", 5_000);
+    let write = |c: &mut PaxosCluster, rows: Vec<NetworkState>| {
+        c.submit(LogCommand::WriteBatch {
+            pool: Pool::Observed,
+            rows: rows.into(),
+        })
+        .expect("write commits");
+    };
+    let mut cfg = ClusterConfig::intra_dc(56);
+    cfg.snapshot_every = 4;
+    let mut c = PaxosCluster::new(cfg);
+    let leader = c.leader().expect("a leader");
+    let follower = (0..3u8).map(ReplicaId).find(|r| *r != leader).unwrap();
+    let folds = |c: &PaxosCluster| c.replica_wal_stats(follower).compactions;
+
+    write(&mut c, keys.iter().map(|k| cow_row(k, 1)).collect());
+    // Small writes until the follower folds the seed into a live image.
+    let mut v = 2;
+    while folds(&c) == 0 {
+        write(&mut c, vec![cow_row(&keys[0], v)]);
+        v += 1;
+    }
+    let folded = folds(&c);
+    // Two writes below the fold cadence, touching every chunk of both
+    // arenas: rows near the start and the end of the key space, a delete
+    // and a re-insert.
+    let touched: Vec<NetworkState> = keys
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 97 == 0)
+        .map(|(_, k)| cow_row(k, 500))
+        .collect();
+    write(&mut c, touched);
+    c.submit(LogCommand::DeleteBatch {
+        pool: Pool::Observed,
+        keys: keys[3..9].to_vec(),
+    })
+    .expect("delete commits");
+    write(
+        &mut c,
+        vec![cow_row(&keys[4], 600), cow_row(&keys[14_999], 600)],
+    );
+    assert_eq!(folds(&c), folded, "the image predates the touching writes");
+
+    let before = c.replica_machine(follower).to_snapshot();
+    c.kill9(follower);
+    c.restart(follower);
+    let report = c.last_recovery().expect("a recovery ran").clone();
+    assert!(report.snapshot_frontier > 1, "recovered from the image");
+    assert!(report.replayed_events > 0, "and replayed the tail over it");
+    assert_eq!(c.replica_machine(follower).to_snapshot(), before);
+    assert_eq!(
+        c.replica_machine(follower).to_snapshot(),
+        c.replica_machine(leader).to_snapshot()
     );
 }
 
