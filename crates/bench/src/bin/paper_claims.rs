@@ -1,24 +1,34 @@
-//! The paper's quantitative claims that no control round shows, each
-//! timed as a stage tree (`statesman_obs::Stage`) with every stage's heap
-//! allocations, and each asserted: `checker_scale` (§8), `ablations`
-//! (merge policies, §5's impact groups, incremental capacity),
-//! `storage_write`, `freshness` (§6.4) and `partitioning` (§6.1). Sizes
-//! and repeat counts are fixed; `cargo run --release -p statesman-bench
-//! --bin paper_claims` takes seconds, prints every tree and writes
-//! `BENCH_paper_claims.json`: per section the tree, each stage's ms and
-//! allocations by path, and the figures that are not wall time.
+//! The paper's figures and the quantitative claims that no control round
+//! shows, each timed as a stage tree (`statesman_obs::Stage`) with every
+//! stage's heap allocations, and each asserted: `fig1_fig2`, `fig8`
+//! (§7.2) and `fig10` (§7.3), `checker_scale` (§8's ten-DC fleet),
+//! `ablations` (merge policies, §5's impact groups, incremental
+//! capacity), `storage_write`, `freshness` (§6.4) and `partitioning`
+//! (§6.1). Sizes and repeat counts are fixed; `cargo run --release -p
+//! statesman-bench --bin paper_claims` takes seconds, prints every tree
+//! and writes `BENCH_paper_claims.json`: per section the tree, each
+//! stage's ms and allocations by path, and the figures that are not wall
+//! time (a figure's events, raster and per-sample series among them).
 
+use serde_json::to_string as json;
 use statesman_bench::alloc::{counted, Counting};
+use statesman_bench::fig10::{Fig10Config, Fig10Sample, Fig10Scenario};
+use statesman_bench::fig8::{Fig8Config, Fig8Scenario};
+use statesman_bench::motivation::{run_fig1, run_fig2};
+use statesman_bench::{report, scale};
 use statesman_core::groups::ImpactGroup;
+use statesman_core::TorPairCapacityInvariant;
 use statesman_core::{Checker, CheckerConfig, CheckerPassReport, ConnectivityInvariant};
-use statesman_core::{MergePolicy, Monitor, StatesmanClient, TorPairCapacityInvariant};
+use statesman_core::{MergePolicy, Monitor, MonitorReport, StatesmanClient};
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_obs::Stage;
 use statesman_storage::WriteRequest;
 use statesman_storage::{ClusterConfig, LogCommand, PaxosCluster, StorageConfig, StorageService};
 use statesman_topology::NetworkGraph;
 use statesman_topology::{capacity, CapacityPanel, DcnSpec, DeploymentSpec, HealthView};
-use statesman_types::{AppId, Attribute, DatacenterId, DeviceName, EntityName, Freshness};
+use statesman_types::{
+    AppId, Attribute, DatacenterId, DeviceName, EntityName, Freshness, LinkName,
+};
 use statesman_types::{NetworkState, Pool, SimTime, Value};
 use std::time::Instant;
 
@@ -27,6 +37,9 @@ static GLOBAL: Counting = Counting;
 
 fn main() {
     let mut t = Timer::default();
+    t.stage("fig1_fig2", fig1_fig2);
+    t.stage("fig8", fig8);
+    t.stage("fig10", fig10);
     t.stage("checker_scale", checker_scale);
     t.stage("ablations", |t| {
         t.stage("merge_policies", merge_policies);
@@ -55,8 +68,7 @@ impl Timer {
     /// and the allocations any thread made meanwhile.
     fn stage<T>(&mut self, name: impl Into<String>, f: impl FnOnce(&mut Self) -> T) -> T {
         self.open.push((name.into(), Vec::new()));
-        let path: Vec<&str> = self.open.iter().map(|(n, _)| n.as_str()).collect();
-        let (path, at) = (path.join("/"), self.rows.len());
+        let at = self.rows.len();
         self.rows.push(String::new());
         let (start, mut out) = (Instant::now(), None);
         let allocs = counted(|| {
@@ -64,6 +76,8 @@ impl Timer {
             0
         });
         let ms = start.elapsed().as_secs_f64() * 1e3;
+        let path: Vec<&str> = self.open.iter().map(|(n, _)| n.as_str()).collect();
+        let path = path.join("/");
         let (n, bytes) = (allocs.count, allocs.bytes);
         self.rows[at] = format!(
             "{{\"stage\": \"{path}\", \"ms\": {ms:.3}, \"allocs\": {n}, \"alloc_bytes\": {bytes}}}"
@@ -92,10 +106,22 @@ impl Timer {
         })
     }
 
+    /// Rename the running stage, for a name that only its outcome tells.
+    fn rename(&mut self, name: &str) {
+        self.open.last_mut().expect("a running stage").0 = name.into();
+    }
+
     /// A figure of the running section that is not wall time.
     fn figure(&mut self, key: &str, value: impl std::fmt::Display) {
         println!("{key}: {value}");
-        let row = format!("{{\"figure\": \"{key}\", \"value\": {value}}}");
+        self.data(key, Ok(value.to_string()));
+    }
+
+    /// A figure too long to print (events, a raster, a series), as the
+    /// JSON that [`json`] made of it.
+    fn data(&mut self, key: &str, json: Result<String, serde_json::Error>) {
+        let json = json.expect("figure data encodes");
+        let row = format!("{{\"figure\": \"{key}\", \"value\": {json}}}");
         self.rows.push(row);
     }
 }
@@ -119,10 +145,10 @@ fn storage(dcs: impl IntoIterator<Item = DatacenterId>, replicas: usize) -> Stor
 }
 
 /// Seed `storage`'s OS pool with one monitor round over `graph`.
-fn seed_os(graph: &NetworkGraph, storage: &StorageService) {
+fn seed_os(graph: &NetworkGraph, storage: &StorageService) -> MonitorReport {
     let net = SimNetwork::new(graph, storage.clock().clone(), SimConfig::ideal());
     let monitor = Monitor::new(net, storage.clone(), graph.clone());
-    monitor.run_round().expect("seed OS");
+    monitor.run_round().expect("seed OS")
 }
 
 fn client(app: &str, storage: &StorageService) -> StatesmanClient {
@@ -143,13 +169,89 @@ fn agg(dc: &str, pod: u32, a: u32) -> EntityName {
     EntityName::device(dc, format!("agg-{pod}-{a}"))
 }
 
+/// Figs 1–2: without Statesman a TE tunnel loses its traffic to a
+/// firmware upgrade (Fig 1) and a pod partitions when both its Aggs go
+/// down (Fig 2); with Statesman mediating, neither happens.
+fn fig1_fig2(t: &mut Timer) {
+    // Lost Mbps for Fig 1; 1 if the pod partitioned for Fig 2.
+    for (name, run) in [("fig1", run_fig1 as fn() -> _), ("fig2", run_fig2)] {
+        let outcome = t.stage(name, |_| run());
+        let (without, with) = (outcome.without_statesman, outcome.with_statesman);
+        t.figure(&format!("{name}_without_statesman"), without);
+        t.figure(&format!("{name}_with_statesman"), with);
+        t.data(&format!("{name}_notes"), json(&outcome.notes));
+        assert!(without > 0.0 && with == 0.0, "{name}: {:?}", outcome.notes);
+    }
+}
+
+/// §7.2, Fig 8: switch-upgrade and failure-mitigation coexisting under
+/// the 99%/50% ToR-pair capacity invariant on the Fig-7 fabric.
+fn fig8(t: &mut Timer) {
+    let scenario = t.stage("setup", |_| Fig8Scenario::new(Fig8Config::default()));
+    let result = t.stage("run", |_| scenario.run());
+    let min = result.min_fraction();
+    t.figure("min_fraction", min);
+    t.figure("accepted", result.accepted);
+    t.figure("rejected", result.rejected);
+    assert!(min >= 0.5 - 1e-9, "a ToR pair fell below 50% capacity");
+    // Pods 1–3 (A–C), the link shut (D), then pods 4 and 5 (E, F).
+    let at = |label| result.event_time(label).expect(label);
+    let order = ["A:", "B:", "C:", "D: failure-mitigation", "E:", "F:"].map(at);
+    assert!(order.windows(2).all(|w| w[0] < w[1]), "{:?}", result.events);
+    // Per sample, each pair's capacity fraction in `pair_pods` order.
+    let times: Vec<_> = result.samples.iter().map(|s| s.at).collect();
+    let fractions: Vec<_> = result.samples.iter().map(|s| s.fractions.clone()).collect();
+    t.data("events", json(&result.events));
+    t.data("pair_pods", json(&result.pair_pods));
+    t.data("raster", json(&report::capacity_raster(&fractions)));
+    t.data("sample_times", json(&times));
+    t.data("fractions", json(&fractions));
+}
+
+/// §7.3, Fig 10: inter-DC TE and switch-upgrade resolving their conflict
+/// over br-1 through priority locks on the Fig-9 WAN.
+fn fig10(t: &mut Timer) {
+    let scenario = t.stage("setup", |_| Fig10Scenario::new(Fig10Config::default()));
+    let result = t.stage("run", |_| scenario.run());
+    let br1 = DeviceName::new("br-1");
+    let at = |label| result.event_time(label).expect(label);
+    // From its reboot (C) until the upgrade releases its lock (D).
+    let peak = result.peak_load(&br1, at("C:"), at("D:"));
+    t.figure("br1_peak_mbps_while_upgrading", peak);
+    assert!(
+        peak < 1.0,
+        "br-1 loaded while upgrading: {:?}",
+        result.events
+    );
+    let firmware = &result.final_versions[0].1;
+    t.figure("br1_final_firmware", format!("\"{firmware}\""));
+    assert_eq!(firmware, "9.4.2");
+    // Per sample, each directed link's Mbps in `links` order.
+    let link = |(l, from, _): &(LinkName, DeviceName, f64)| {
+        format!("{from}>{}", l.peer_of(from).expect("an endpoint"))
+    };
+    let links: Vec<_> = result.samples[0].loads.iter().map(link).collect();
+    let times: Vec<_> = result.samples.iter().map(|s| s.at).collect();
+    let mbps = |s: &Fig10Sample| s.loads.iter().map(|(_, _, m)| *m).collect::<Vec<_>>();
+    let loads: Vec<_> = result.samples.iter().map(mbps).collect();
+    t.data("events", json(&result.events));
+    t.data("links", json(&links));
+    // Utilisation levels against a WAN link's 100 Gbps.
+    t.data("raster", json(&report::load_raster(&loads, 100_000.0)));
+    t.data("sample_times", json(&times));
+    t.data("loads_mbps", json(&loads));
+}
+
+/// §8: the ten-DC fleet, over 1.5M variables with the largest DC at
+/// 394K, and every checker pass under 10 s. §5's impact groups give each
+/// DC a checker of its own, so each DC is seeded and checked in turn.
 fn checker_scale(t: &mut Timer) {
-    for target in [10_000, 50_000, 100_000, 394_000] {
+    let (mut total, mut largest) = (0, 0);
+    for (name, spec, _) in scale::deployment_inventory() {
         let setup = || {
-            let graph = DcnSpec::sized_for_variables("dcX", target).build();
-            let dc = DatacenterId::new("dcX");
+            let (graph, dc) = (spec.build(), spec.dc());
             let storage = storage([dc.clone()], 1);
-            seed_os(&graph, &storage);
+            let seeded = seed_os(&graph, &storage);
             let group = ImpactGroup::Datacenter(dc.clone());
             let mut checker = checker(&graph, group, MergePolicy::PriorityLock);
             let cap =
@@ -159,12 +261,17 @@ fn checker_scale(t: &mut Timer) {
             // Two Aggs per pod to firmware 7.0.
             let fw = |agg| (agg, Attribute::DeviceFirmwareVersion, Value::text("7.0"));
             let pods = graph.pods_in(&dc);
-            let aggs = pods.iter().flat_map(|&p| [1, 2].map(|a| agg("dcX", p, a)));
+            let aggs = pods.iter().flat_map(|&p| [1, 2].map(|a| agg(&name, p, a)));
             let app = client("switch-upgrade", &storage);
-            (checker, storage, app, aggs.map(fw).collect::<Vec<_>>())
+            (
+                checker,
+                storage,
+                app,
+                aggs.map(fw).collect::<Vec<_>>(),
+                seeded,
+            )
         };
-        let name = target.to_string();
-        t.point(&name, setup, |t, (checker, storage, app, fws)| {
+        t.point(&name, setup, |t, (checker, storage, app, fws, seeded)| {
             let mut variables_read = 0;
             for _ in 0..2 {
                 let proposed = t.stage("propose", |_| app.propose(fws.clone()));
@@ -175,9 +282,19 @@ fn checker_scale(t: &mut Timer) {
                 assert!(report.elapsed.as_secs_f64() < 10.0, "{report:?}");
                 variables_read = report.variables_read;
             }
-            t.figure(&format!("variables_read_{target}"), variables_read);
+            t.figure(&format!("{name}_pods"), spec.pods);
+            t.figure(&format!("{name}_devices"), seeded.devices_polled);
+            t.figure(&format!("{name}_links"), seeded.links_polled);
+            t.figure(&format!("{name}_variables"), seeded.rows_written);
+            t.figure(&format!("{name}_variables_read"), variables_read);
+            total += seeded.rows_written;
+            largest = largest.max(seeded.rows_written);
         });
     }
+    t.figure("fleet_variables", total);
+    t.figure("largest_dc_variables", largest);
+    assert!(total > 1_500_000, "the fleet holds over 1.5M variables");
+    assert!(largest >= 394_000, "the largest DC holds 394K");
 }
 
 fn merge_policies(t: &mut Timer) {
@@ -283,12 +400,25 @@ fn storage_write(t: &mut Timer) {
         (storage, (0..=5).map(churn).collect::<Vec<_>>())
     };
     t.point("storage_write", setup, |t, (storage, rounds)| {
-        // The first write after a seed this size folds the ring's log:
-        // its own stage, apart from the five steady-state writes.
-        for (r, req) in rounds.drain(..).enumerate() {
-            let name = if r == 0 { "fold_write" } else { "write" };
-            t.stage(name, |_| storage.write(req)).expect("churn write");
+        // A write that folds the ring's log is its own stage, apart from
+        // the steady-state writes.
+        let seeded = storage.wal_stats().compactions;
+        for req in rounds.drain(..) {
+            let before = storage.wal_stats().compactions;
+            let written = t.stage("write", |t| {
+                let written = storage.write(req);
+                if storage.wal_stats().compactions > before {
+                    t.rename("fold_write");
+                }
+                written
+            });
+            written.expect("churn write");
         }
+        t.figure("setup_compactions", seeded);
+        t.figure(
+            "write_compactions",
+            storage.wal_stats().compactions - seeded,
+        );
     });
 }
 

@@ -110,6 +110,12 @@ impl Fig10Result {
             .map(|(t, _)| *t)
     }
 
+    /// The largest load on a device over the samples in `[from, to)`.
+    pub fn peak_load(&self, dev: &DeviceName, from: SimTime, to: SimTime) -> f64 {
+        let window = self.samples.iter().filter(|s| (from..to).contains(&s.at));
+        window.map(|s| s.device_load(dev)).fold(0.0, f64::max)
+    }
+
     /// Load on a device at the sample closest to `at`.
     pub fn device_load_at(&self, dev: &DeviceName, at: SimTime) -> f64 {
         self.samples

@@ -1,8 +1,8 @@
 //! # statesman-bench
 //!
-//! Scenario drivers and measurement harnesses that regenerate every table
-//! and figure of the paper's evaluation (see `DESIGN.md` for the full
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured records):
+//! Scenario drivers and measurement harnesses for the paper's evaluation
+//! (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
+//! paper-vs-measured records):
 //!
 //! * [`fig8`] — the §7.2 capacity-invariant scenario (Fig 7 topology,
 //!   Fig 8 time series): switch-upgrade and failure-mitigation coexisting
@@ -16,10 +16,12 @@
 //! * [`latency`] — the end-to-end loop breakdown (application vs modeled
 //!   monitor and updater device time vs checker compute).
 //!
-//! Every scenario is deterministic given its seed; binaries under
-//! `src/bin/` print the series the paper plots, and the `BENCH_*` ones
-//! (`paper_claims`, `delta_pipeline`, `api_swarm`) time the quantitative
-//! claims as stage trees, counting allocations with [`alloc`].
+//! Every scenario is deterministic given its seed. The `paper_claims`
+//! binary runs the three figures and §8's fleet as sections beside the
+//! other quantitative claims, asserts each, and writes every section's
+//! stage tree, allocations ([`alloc`]) and series to
+//! `BENCH_paper_claims.json`; `delta_pipeline` and `api_swarm` time whole
+//! rounds and the HTTP front end the same way.
 
 pub mod alloc;
 pub mod fig10;
@@ -28,9 +30,3 @@ pub mod latency;
 pub mod motivation;
 pub mod report;
 pub mod scale;
-
-pub use fig10::{Fig10Config, Fig10Result, Fig10Scenario};
-pub use fig8::{Fig8Config, Fig8Result, Fig8Scenario};
-pub use latency::{measure_loop_breakdown, LoopBreakdown};
-pub use motivation::{run_fig1, run_fig2, MotivationOutcome};
-pub use scale::deployment_inventory;

@@ -1,8 +1,6 @@
-//! Plain-text table and series rendering for the figure regenerators.
-//!
-//! The binaries print the same rows/series the paper plots; these helpers
-//! keep the output aligned and machine-greppable (CSV lines are prefixed
-//! with `csv,` so `grep ^csv` extracts the raw data).
+//! Plain-text tables and character rasters: `api_swarm` and
+//! `latency_breakdown` print tables, and `paper_claims` stores the Fig 8
+//! and Fig 10 rasters in its JSON.
 
 use std::fmt::Write as _;
 
@@ -92,11 +90,6 @@ pub fn load_raster(loads_per_tick: &[Vec<f64>], capacity: f64) -> Vec<String> {
         .collect()
 }
 
-/// CSV line with the `csv,` prefix.
-pub fn csv_line(fields: &[String]) -> String {
-    format!("csv,{}", fields.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,10 +126,5 @@ mod tests {
         assert_eq!(r[1], "▁");
         assert_eq!(r[2], "▄");
         assert_eq!(r[3], "█");
-    }
-
-    #[test]
-    fn csv_prefix() {
-        assert_eq!(csv_line(&["a".into(), "b".into()]), "csv,a,b");
     }
 }

@@ -1,9 +1,10 @@
 //! §8 scale: the ten-datacenter deployment inventory.
 //!
 //! The paper's deployment manages "over 1.5 million state variables"
-//! across ten datacenters, the largest at 394K. Checker latency against
-//! that size (< 10 s at 394K) is the `paper_claims` binary's
-//! `checker_scale` section, and whole rounds up to 4M variables are the
+//! across ten datacenters, the largest at 394K. The `paper_claims`
+//! binary's `checker_scale` section seeds each DC of this inventory in
+//! turn, runs its checker passes (each < 10 s) and asserts the fleet's
+//! total and its largest DC; whole rounds up to 4M variables are the
 //! `delta_pipeline` binary's stage trees.
 
 use statesman_topology::DcnSpec;

@@ -181,11 +181,6 @@ impl<M> MessageBus<M> {
         None
     }
 
-    /// Sever the directed pair (messages `a`→`b` are dropped).
-    pub fn partition_one_way(&mut self, a: ReplicaId, b: ReplicaId) {
-        self.partitions.insert((a, b));
-    }
-
     /// Sever both directions between two replicas.
     pub fn partition(&mut self, a: ReplicaId, b: ReplicaId) {
         self.partitions.insert((a, b));

@@ -457,11 +457,6 @@ impl PaxosCluster {
         (self.bus.sent, self.bus.dropped)
     }
 
-    /// Set the message drop probability mid-run (failure injection).
-    pub fn set_drop_prob(&mut self, p: f64) {
-        self.bus.drop_prob = p;
-    }
-
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
