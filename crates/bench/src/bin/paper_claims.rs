@@ -22,8 +22,8 @@ use statesman_core::{Checker, CheckerConfig, CheckerPassReport, ConnectivityInva
 use statesman_core::{MergePolicy, Monitor, MonitorReport, StatesmanClient};
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_obs::Stage;
-use statesman_storage::WriteRequest;
 use statesman_storage::{ClusterConfig, LogCommand, PaxosCluster, StorageConfig, StorageService};
+use statesman_storage::{ReadRequest, WriteRequest};
 use statesman_topology::NetworkGraph;
 use statesman_topology::{capacity, CapacityPanel, DcnSpec, DeploymentSpec, HealthView};
 use statesman_types::{
@@ -424,22 +424,34 @@ fn storage_write(t: &mut Timer) {
 
 /// §6.4: bounded-stale reads are served from a cache that scales out (a
 /// shared read lock and an `Arc` snapshot), while up-to-date reads
-/// serialize on the partition leader.
+/// serialize on the partition leader. Each read borrows the whole pool
+/// and folds every row into a (rows, Σ version) checksum.
 fn freshness(t: &mut Timer) {
     let dc = DatacenterId::new("dc1");
+    let checksum = |storage: &StorageService, freshness| {
+        let req = ReadRequest {
+            datacenter: dc.clone(),
+            pool: Pool::Observed,
+            freshness,
+            entity: None,
+            attribute: None,
+        };
+        let fold = |rows: &[&NetworkState], _| (rows.len(), rows.iter().map(|r| r.version.0).sum());
+        storage.read_with(req, fold).expect("read")
+    };
     let setup = || {
         let storage = storage([dc.clone()], 3);
         for c in 0..4 {
             let req = os_write(c * 5_000..(c + 1) * 5_000, "6.0");
             storage.write(req).expect("seed");
         }
-        let app = client("reader", &storage);
         // The cache fill is set-up, not a read.
-        app.read_os(&dc, Freshness::BoundedStale).expect("fill");
-        (storage, app)
+        let pool: (usize, u64) = checksum(&storage, Freshness::BoundedStale);
+        assert_eq!(pool.0, 20_000);
+        (storage, pool)
     };
-    t.point("freshness", setup, |t, (storage, app)| {
-        let read = |mode| assert_eq!(app.read_os(&dc, mode).expect("read").len(), 20_000);
+    t.point("freshness", setup, |t, (storage, pool)| {
+        let read = |mode| assert_eq!(checksum(storage, mode), *pool);
         let (hits, leader_reads) = storage.read_stats();
         let mut reads = 0;
         for (name, threads, each) in [("one_thread", 1, 1), ("8_threads_x50", 8, 50)] {

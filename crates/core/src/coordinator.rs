@@ -1134,8 +1134,8 @@ mod tests {
             reg.counter_value("monitor_rows_compared_total"),
             total(|m| m.rows_compared)
         );
-        // Neither round re-read a row (round 0 found the pool empty), so
-        // the loop built exactly the rows it wrote.
+        // A round builds exactly the rows it writes: the resync in round
+        // 0 borrows what it re-reads.
         assert_eq!(
             reg.counter_value("monitor_rows_materialized_total"),
             total(|m| m.rows_written)

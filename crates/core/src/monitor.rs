@@ -101,10 +101,10 @@ pub struct MonitorReport {
     /// Polled or inferred values compared against the diff base: one
     /// base probe each, `rows_written + writes_suppressed`.
     pub rows_compared: usize,
-    /// Owned rows the round built: one per changed row, plus every OS
-    /// row a resync re-read from storage. (The copies a write hands to
-    /// storage are not counted.) A quiescent round materialises exactly
-    /// what it writes.
+    /// Owned rows the round built: one per changed row. A resync borrows
+    /// the rows it re-reads from storage, and the copies a write hands to
+    /// storage are not counted, so every round materialises exactly what
+    /// it writes.
     pub rows_materialized: usize,
     /// The modeled §6.3 monitor instance count, one per [`SHARD_SIZE`]
     /// switches, that `modeled_io` spreads the polls over. A model of the
@@ -404,36 +404,37 @@ impl Monitor {
     }
 
     /// Re-seed the diff base from a leader read of the OS pool of every
-    /// partition that homes a polled entity; returns the rows read.
-    /// Partitions in `skip_dcs` cannot be read (they are down), so their
-    /// entries carry over and a partial resync only overwrites. A failed
-    /// read leaves the base holding nothing it did not just read or
-    /// already hold, so the error costs at worst rewrites. Rows of
+    /// partition that homes a polled entity. The read lends the leader's
+    /// rows, and only the values of rows the monitor owns are copied out
+    /// of them. Partitions in `skip_dcs` cannot be read (they are down),
+    /// so their entries carry over and a partial resync only overwrites.
+    /// A failed read leaves the base holding nothing it did not just read
+    /// or already hold, so the error costs at worst rewrites. Rows of
     /// entities outside the graph, and of attributes of another kind than
     /// their entity's, have no position and are skipped.
-    fn reseed(&self, base: &mut DiffBase, skip_dcs: &BTreeSet<DatacenterId>) -> StateResult<usize> {
+    fn reseed(&self, base: &mut DiffBase, skip_dcs: &BTreeSet<DatacenterId>) -> StateResult<()> {
         if self.layout.datacenters.is_disjoint(skip_dcs) {
             base.values.clear();
         }
         let monitor = AppId::monitor();
-        let mut reread = 0;
         for dc in self.layout.datacenters.difference(skip_dcs) {
-            let rows = self.storage.read(ReadRequest {
+            let req = ReadRequest {
                 datacenter: dc.clone(),
                 pool: Pool::Observed,
                 freshness: Freshness::UpToDate,
                 entity: None,
                 attribute: None,
-            })?;
-            reread += rows.len();
-            for row in rows {
-                if let Some(position) = self.layout.position_of(&self.graph, &row) {
-                    let owned = (row.writer == monitor).then_some(row.value);
-                    base.land(self.layout.positions, position, owned);
+            };
+            self.storage.read_with(req, |rows, _| {
+                for row in rows {
+                    if let Some(position) = self.layout.position_of(&self.graph, row) {
+                        let owned = (row.writer == monitor).then(|| row.value.clone());
+                        base.land(self.layout.positions, position, owned);
+                    }
                 }
-            }
+            })?;
         }
-        Ok(reread)
+        Ok(())
     }
 
     /// Poll every entity outside `skip_dcs` once, in rank order, a block
@@ -577,9 +578,8 @@ impl Monitor {
 
         // Resync = distrust the base, not the store: diff this round
         // against what storage holds instead of what we remember writing.
-        let mut reread = 0;
         if round.is_multiple_of(self.resync_every) || state.values.is_empty() {
-            reread = self.reseed(&mut state, skip_dcs)?;
+            self.reseed(&mut state, skip_dcs)?;
         }
         let reseeded = started.elapsed();
 
@@ -651,7 +651,7 @@ impl Monitor {
             rows_written,
             writes_suppressed: suppressed,
             rows_compared: rows_written + suppressed,
-            rows_materialized: rows_written + reread,
+            rows_materialized: rows_written,
             shards,
             modeled_io,
             elapsed,
@@ -1030,12 +1030,16 @@ mod tests {
     fn work_counters_count_rows_built_and_rows_reread() {
         let (net, storage, m) = churning(3);
         let dc = DatacenterId::new("dc1");
+        let registry = statesman_obs::Registry::new();
+        storage.attach_obs(&registry);
+        let reread = || registry.counter_value("storage_read_rows_visited_total");
         let assert_compared = |r: &MonitorReport| {
             assert_eq!(r.rows_compared, r.rows_written + r.writes_suppressed);
         };
         // Round 0 re-reads an empty pool and builds every row it writes.
         let r0 = m.run_round().unwrap();
         assert_eq!(r0.rows_materialized, r0.rows_written);
+        assert_eq!(reread(), Some(0));
         assert_compared(&r0);
         // A full-coverage delta round builds exactly the rows that
         // changed — none at all when nothing did.
@@ -1047,12 +1051,15 @@ mod tests {
         let r2 = m.run_round().unwrap();
         assert_eq!((r2.rows_written, r2.rows_materialized), (0, 0));
         assert_eq!(r2.rows_compared, r0.rows_written);
-        // A resync round adds the pool rows it re-read, nothing else.
+        assert_eq!(reread(), Some(0), "delta rounds read nothing back");
+        // A resync round re-reads every pool row, borrowed: it builds
+        // only the rows it writes.
         net.step(SimDuration::from_mins(1));
         let pool_rows = storage.pool_len(&dc, &Pool::Observed);
         let r3 = m.run_round().unwrap();
         assert!(r3.rows_written > 0);
-        assert_eq!(r3.rows_materialized, r3.rows_written + pool_rows);
+        assert_eq!(r3.rows_materialized, r3.rows_written);
+        assert_eq!(reread(), Some(pool_rows as u64));
         assert_compared(&r3);
     }
 
@@ -1070,7 +1077,7 @@ mod tests {
         // empty, so round 1 re-reads the pool and then diffs as usual.
         net.step(SimDuration::from_mins(1));
         let r1 = m.run_round().unwrap();
-        assert_eq!(r1.rows_materialized, r1.rows_written + r0.rows_written);
+        assert_eq!(r1.rows_materialized, r1.rows_written);
         assert!(r1.rows_written > 0 && r1.rows_written * 4 < r0.rows_written);
         assert!(r1.seed.is_none());
         net.step(SimDuration::from_mins(1));
@@ -1110,6 +1117,9 @@ mod tests {
         let (net, storage, m) = churning(1);
         let (twin_net, twin_storage, twin) = churning(DEFAULT_RESYNC_EVERY);
         let dc = DatacenterId::new("dc1");
+        let registry = statesman_obs::Registry::new();
+        storage.attach_obs(&registry);
+        let reread = || registry.counter_value("storage_read_rows_visited_total");
         let r0 = m.run_round().unwrap();
         twin.run_round().unwrap();
         // Counters wander on every step: a round without one is quiescent.
@@ -1118,10 +1128,11 @@ mod tests {
                 net.step(SimDuration::from_mins(1));
                 twin_net.step(SimDuration::from_mins(1));
             }
-            let pool_rows = storage.pool_len(&dc, &Pool::Observed);
+            let (pool_rows, before) = (storage.pool_len(&dc, &Pool::Observed), reread());
             let r = m.run_round().unwrap();
             let t = twin.run_round().unwrap();
-            assert_eq!(r.rows_materialized, r.rows_written + pool_rows);
+            assert_eq!(reread(), before.map(|n| n + pool_rows as u64));
+            assert_eq!(r.rows_materialized, r.rows_written);
             assert_eq!(r.rows_compared, r0.rows_written);
             assert_eq!(r.rows_written, t.rows_written);
             if churn {
@@ -1159,10 +1170,9 @@ mod tests {
         // gone: it is re-seeded from storage, and the round writes what
         // storage is missing — the rows that changed since round 1 — not
         // the whole view.
-        let pool_rows = storage.pool_len(&dc, &Pool::Observed);
         let r3 = m.run_round().unwrap();
         twin.run_round().unwrap();
-        assert_eq!(r3.rows_materialized, r3.rows_written + pool_rows);
+        assert_eq!(r3.rows_materialized, r3.rows_written);
         assert!(r3.rows_written > 0 && r3.rows_written * 4 < r0.rows_written);
         assert_eq!(r3.rows_written + r3.writes_suppressed, r0.rows_written);
         // OS ≡ device state: the same as a store that never went away.

@@ -9,9 +9,9 @@
 //!   ring lock (linearizable with respect to commits through this
 //!   service);
 //! * `BoundedStale` — served from a per-partition cache: an
-//!   `Arc<Column>` cloned from a follower replica no more often than the
-//!   staleness bound (5 minutes in the paper) and patched by the
-//!   changefeed in between, trading freshness for read throughput.
+//!   `Arc<Column>` cloned from a follower replica once the staleness
+//!   bound (5 minutes in the paper) has passed, trading freshness for
+//!   read throughput.
 //!
 //! Both modes answer from the same representation, so both answer an
 //! `Entity=` filter the same way: [`Column::entity_rows`] probes the
@@ -19,9 +19,10 @@
 //! across the pool (§6.4's applications read "this switch", not the
 //! pool). Attribute-only and unfiltered reads scan the live rows. The
 //! order of returned rows is unspecified; callers that show rows sort
-//! them. Every read also knows which pool version it served
-//! ([`StorageService::read_versioned`]) — the cache entry's watermark, or
-//! the leader's under the same lock acquisition as the rows.
+//! them. Every read is one borrowing read ([`StorageService::read_with`]):
+//! it lends the selected rows in place, with the pool version they
+//! reflect — the cache entry's watermark, or the leader's under the same
+//! lock acquisition as the rows — and the owned-row reads copy from it.
 //!
 //! Locking is sharded to match the paper's partitioning: each partition
 //! owns its own ring mutex and bookkeeping, so operations against
@@ -124,14 +125,13 @@ pub struct SeedStats {
 }
 
 /// One pool of one partition as a follower replica held it at
-/// `fetched_at`, for bounded-stale reads. It is the replica's [`Column`]
-/// itself, not a flattened row list: a cached read probes or scans it
-/// exactly as a leader read does the live one, and an expired entry is
-/// refreshed by upserting and tombstoning the changefeed since
-/// `watermark` into it instead of recopying the pool. Shared via `Arc`,
-/// so a hit is a refcount bump under the cache lock and the selection
-/// runs outside it. `watermark` is the pool version the column reflects
-/// — what a read served from it reports as the version served.
+/// `fetched_at`, for bounded-stale reads. It is a clone of the replica's
+/// [`Column`], not a flattened row list: a cached read probes or scans it
+/// exactly as a leader read does the live one, and the clone shares the
+/// replica's arena chunks. Shared via `Arc`, so a hit is a refcount bump
+/// under the cache lock and the selection runs outside it. `watermark`
+/// is the pool version the column reflects — what a read served from it
+/// reports as the version served.
 #[derive(Clone)]
 struct CacheEntry {
     fetched_at: SimTime,
@@ -168,7 +168,6 @@ struct StorageObs {
     delta_reads: Counter,
     full_fallbacks: Counter,
     writes_suppressed: Counter,
-    cache_delta_refreshes: Counter,
     /// Rows (or slots) reads looked at to select what they returned: a
     /// deterministic work count, not a time.
     rows_visited: Counter,
@@ -231,7 +230,6 @@ impl StorageObs {
             delta_reads: registry.counter("storage_delta_reads_total"),
             full_fallbacks: registry.counter("storage_full_fallbacks_total"),
             writes_suppressed: registry.counter("storage_writes_suppressed_total"),
-            cache_delta_refreshes: registry.counter("storage_cache_delta_refreshes_total"),
             rows_visited: registry.counter("storage_read_rows_visited_total"),
             lock_wait,
             partition_inflight,
@@ -760,24 +758,42 @@ impl StorageService {
         self.submit_with_retry(part, &mut ring, dc, LogCommand::DeleteBatch { pool, keys })
     }
 
-    /// Read rows per the request's freshness mode. Row order is
-    /// unspecified (it differs between a probe and a scan, and between
-    /// processes); callers that show rows sort them.
+    /// Read rows per the request's freshness mode, as owned copies of
+    /// what [`StorageService::read_with`] lends.
     pub fn read(&self, req: ReadRequest) -> StateResult<Vec<NetworkState>> {
-        self.read_versioned(req).map(|(rows, _)| rows)
+        self.read_with(req, |rows, _| rows.iter().copied().cloned().collect())
     }
 
     /// [`StorageService::read`], plus the pool version the returned rows
-    /// reflect: the cached column's watermark for a bounded-stale read,
-    /// the leader's pool watermark — under the same ring-lock acquisition
-    /// as the rows — for an up-to-date one. A snapshot-then-follow client
-    /// passes it as its first `since=`; a version taken any later would
-    /// skip the changes committed in between.
+    /// reflect (see [`StorageService::read_with`]).
     pub fn read_versioned(&self, req: ReadRequest) -> StateResult<(Vec<NetworkState>, Version)> {
+        self.read_with(req, |rows, v| (rows.iter().copied().cloned().collect(), v))
+    }
+
+    /// The read every other read is built on: call `f` with the rows the
+    /// request selects, borrowed in place, and the pool version they
+    /// reflect. Row order is unspecified (it differs between a probe and
+    /// a scan, and between processes); callers that show rows sort them.
+    ///
+    /// An up-to-date read lends the leader's column, and `f` runs under
+    /// the partition's ring lock: it must not call back into this
+    /// partition, and the version is the leader's pool watermark under
+    /// the same lock acquisition as the rows. A bounded-stale read lends
+    /// the cache entry's column with no lock held, and the version is its
+    /// watermark. A snapshot-then-follow client passes the version as its
+    /// first `since=`; a version taken any later would skip the changes
+    /// committed in between.
+    pub fn read_with<R>(
+        &self,
+        req: ReadRequest,
+        f: impl FnOnce(&[&NetworkState], Version) -> R,
+    ) -> StateResult<R> {
         if let Some(o) = self.obs() {
             o.reads.inc();
         }
-        let (rows, visited, served) = match req.freshness {
+        let mut ring;
+        let cached;
+        let (column, served) = match req.freshness {
             Freshness::UpToDate => {
                 let part = self.part(&req.datacenter)?;
                 part.check_online(&req.datacenter)?;
@@ -785,118 +801,56 @@ impl StorageService {
                 if let Some(o) = self.obs() {
                     o.leader_reads.inc();
                 }
-                let mut ring = self.lock_ring(&req.datacenter, part);
+                ring = self.lock_ring(&req.datacenter, part);
                 let machine = ring.leader_machine()?;
-                let (rows, visited) = machine
-                    .column(&req.pool)
-                    .map(|column| select_rows(column, &req))
-                    .unwrap_or_default();
-                (rows, visited, machine.pool_watermark(&req.pool))
+                (machine.column(&req.pool), machine.pool_watermark(&req.pool))
             }
             Freshness::BoundedStale => {
-                let cached = self.cached_column(&req)?;
-                let (rows, visited) = select_rows(&cached.column, &req);
-                (rows, visited, cached.watermark)
+                cached = self.cached_column(&req)?;
+                (Some(&*cached.column), cached.watermark)
             }
         };
+        let (rows, visited) = column.map_or_else(Default::default, |c| select_rows(c, &req));
         if let Some(o) = self.obs() {
             o.rows_visited.add(visited);
         }
-        Ok((rows, served))
+        Ok(f(&rows, served))
     }
 
     /// The bounded-stale cache's entry for the request's pool, refreshed
     /// first if older than the staleness bound. A hit is a shared read
     /// lock and an `Arc` clone: no partition lock, no health check
     /// (bounded-stale reads ride out outages within the bound), no row
-    /// copies.
+    /// copies. A refresh clones a (possibly behind) follower replica's
+    /// column under the partition lock, after a health check; the clone
+    /// shares the replica's arena chunks, so the replica's next write to
+    /// a shared chunk pays for copying that chunk.
     fn cached_column(&self, req: &ReadRequest) -> StateResult<CacheEntry> {
         let now = self.clock.now();
         let key = (req.datacenter.clone(), req.pool.clone());
         let held = self.cache.read().get(&key).cloned();
-        match held {
-            Some(hit) if now.saturating_since(hit.fetched_at) <= self.config.staleness_bound => {
+        if let Some(hit) = held {
+            if now.saturating_since(hit.fetched_at) <= self.config.staleness_bound {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = self.obs() {
                     o.cache_hits.inc();
                 }
-                Ok(hit)
+                return Ok(hit);
             }
-            // The expired entry (if any) seeds a delta refresh.
-            expired => self.refresh_cache_entry(req, now, key, expired),
         }
-    }
-
-    /// Refresh one bounded-stale cache entry from a (possibly behind)
-    /// replica: under the partition lock, extract the changefeed since
-    /// the held column's watermark, or clone the replica's column when
-    /// the change index cannot serve the gap; outside it, apply the
-    /// delta to the held column. The full clone shares the replica's
-    /// arena chunks, so the replica's next write to a shared chunk pays
-    /// for copying that chunk. (Refreshes check partition health; cache
-    /// *hits* deliberately do not.)
-    fn refresh_cache_entry(
-        &self,
-        req: &ReadRequest,
-        now: SimTime,
-        key: (DatacenterId, Pool),
-        prior: Option<CacheEntry>,
-    ) -> StateResult<CacheEntry> {
-        enum Refresh {
-            Delta(Arc<Column>, StateDelta),
-            Full(Column, Version),
-        }
-        let refresh = {
+        let entry = {
             let part = self.part(&req.datacenter)?;
             part.check_online(&req.datacenter)?;
             let ring = self.lock_ring(&req.datacenter, part);
             // A follower replica: cheap, and possibly behind the leader —
             // both forms of staleness the 5-minute bound covers.
             let machine = ring.any_machine();
-            let delta = prior.and_then(|held| {
-                machine
-                    .changes_since(&req.pool, held.watermark, |_| true)
-                    .filter(|d| !d.snapshot)
-                    .map(|d| (held.column, d))
-            });
-            match delta {
-                Some((column, delta)) => Refresh::Delta(column, delta),
-                None => Refresh::Full(
-                    machine
-                        .column(&req.pool)
-                        .cloned()
-                        .unwrap_or_else(|| Column::new(req.pool.clone())),
-                    machine.pool_watermark(&req.pool),
-                ),
+            let column = machine.column(&req.pool).cloned();
+            CacheEntry {
+                fetched_at: now,
+                watermark: machine.pool_watermark(&req.pool),
+                column: Arc::new(column.unwrap_or_else(|| Column::new(req.pool.clone()))),
             }
-        };
-        let (column, watermark) = match refresh {
-            Refresh::Delta(mut column, delta) => {
-                if let Some(o) = self.obs() {
-                    o.cache_delta_refreshes.inc();
-                }
-                if !delta.is_empty() {
-                    // Copy-on-write twice over: while the cache or a
-                    // reader mid-read still holds the expired column,
-                    // `make_mut` clones it, which copies its slot map and
-                    // bitmap and shares its arena chunks; the upserts
-                    // below then copy only the chunks they touch.
-                    let held = Arc::make_mut(&mut column);
-                    for key in &delta.deletes {
-                        held.remove_var(key.var_id());
-                    }
-                    for row in delta.upserts {
-                        held.upsert(row);
-                    }
-                }
-                (column, delta.watermark)
-            }
-            Refresh::Full(column, watermark) => (Arc::new(column), watermark),
-        };
-        let entry = CacheEntry {
-            fetched_at: now,
-            watermark,
-            column,
         };
         self.cache.write().insert(key, entry.clone());
         Ok(entry)
@@ -1492,23 +1446,22 @@ fn partition_results<R>(dcs: &[DatacenterId], results: Vec<StateResult<R>>) -> S
     }
 }
 
-/// The rows of `column` a request selects, and how many rows the
-/// selection looked at (`storage_read_rows_visited_total`): an entity
+/// The rows of `column` a request selects, borrowed, and how many rows
+/// the selection looked at (`storage_read_rows_visited_total`): an entity
 /// filter is one probe per attribute asked for — the whole catalogue, or
 /// the one named — whatever the column holds; anything else walks the
 /// live rows.
-fn select_rows(column: &Column, req: &ReadRequest) -> (Vec<NetworkState>, u64) {
+fn select_rows<'c>(column: &'c Column, req: &ReadRequest) -> (Vec<&'c NetworkState>, u64) {
     match &req.entity {
         Some(entity) => {
             let probes = req.attribute.map_or(Attribute::catalogue().len(), |_| 1);
-            let rows = column.entity_rows(entity, req.attribute);
-            (rows.into_iter().cloned().collect(), probes as u64)
+            (column.entity_rows(entity, req.attribute), probes as u64)
         }
         None => {
-            let rows = column
-                .rows()
-                .filter(|r| req.attribute.map(|a| r.attribute == a).unwrap_or(true));
-            (rows.cloned().collect(), column.len() as u64)
+            let mut rows = Vec::with_capacity(column.len());
+            let wanted = |r: &&NetworkState| req.attribute.is_none_or(|a| r.attribute == a);
+            rows.extend(column.rows().filter(wanted));
+            (rows, column.len() as u64)
         }
     }
 }
@@ -2372,29 +2325,37 @@ mod tests {
     }
 
     #[test]
-    fn bounded_stale_cache_refreshes_via_delta() {
+    fn bounded_stale_cache_refreshes_past_the_bound() {
         let c = clock();
         let s = svc(&c);
         let dc = DatacenterId::new("dc1");
-        let registry = Registry::new();
-        s.attach_obs(&registry);
         let rd = || {
-            s.read(ReadRequest {
-                datacenter: dc.clone(),
-                pool: Pool::Observed,
-                freshness: Freshness::BoundedStale,
-                entity: None,
-                attribute: None,
-            })
-            .unwrap()
+            let mut rows = s
+                .read(ReadRequest {
+                    datacenter: dc.clone(),
+                    pool: Pool::Observed,
+                    freshness: Freshness::BoundedStale,
+                    entity: None,
+                    attribute: None,
+                })
+                .unwrap();
+            rows.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
+            rows.into_iter()
+                .map(|r| (r.entity, r.value))
+                .collect::<Vec<_>>()
         };
+        let dev = |name: &str, v: &str| (EntityName::device("dc1", name), Value::text(v));
         s.write(WriteRequest {
             pool: Pool::Observed,
             rows: vec![row("dc1", "a", "1", c.now()), row("dc1", "b", "1", c.now())],
         })
         .unwrap();
-        assert_eq!(rd().len(), 2, "first read fills the cache in full");
-        // Churn one row and delete another past the staleness bound.
+        assert_eq!(
+            rd(),
+            [dev("a", "1"), dev("b", "1")],
+            "first read fills the cache"
+        );
+        // Update one row, add one and delete one past the staleness bound.
         let b_key = row("dc1", "b", "1", c.now()).key();
         s.write(WriteRequest {
             pool: Pool::Observed,
@@ -2402,18 +2363,12 @@ mod tests {
         })
         .unwrap();
         s.delete(Pool::Observed, vec![b_key]).unwrap();
+        assert_eq!(rd(), [dev("a", "1"), dev("b", "1")], "within the bound");
         c.advance(SimDuration::from_mins(6));
-        let rows = rd();
-        assert_eq!(rows.len(), 2, "a (updated) and c; b deleted");
-        let a = rows
-            .iter()
-            .find(|r| r.entity == EntityName::device("dc1", "a"))
-            .unwrap();
-        assert_eq!(a.value, Value::text("2"));
         assert_eq!(
-            registry.counter_value("storage_cache_delta_refreshes_total"),
-            Some(1),
-            "second fill applied the changefeed to the held snapshot"
+            rd(),
+            [dev("a", "2"), dev("c", "1")],
+            "a updated, b deleted, c added"
         );
     }
 

@@ -22,8 +22,9 @@
 //! * **probe equivalence** — `StorageService` reads, which answer an
 //!   `Entity=` filter by probing the entity's catalogue slots, return what
 //!   a naive filter over a `BTreeMap` returns, for every filter shape and
-//!   entity kind, on the leader column and on the bounded-stale cache
-//!   across its full and delta refreshes, and report the version served;
+//!   entity kind, owned and borrowed (`read_with`), on the leader column
+//!   and on the bounded-stale cache across refreshes that update, delete
+//!   and add rows, and report the version served;
 //! * **incremental checker equivalence** — a long-lived checker and one
 //!   built fresh for every pass, driven through identical
 //!   proposal/churn/outage histories, issue identical receipts and leave
@@ -45,7 +46,6 @@ use statesman_core::{
     Checker, CheckerConfig, MergePolicy, Monitor, StateView, TorPairCapacityInvariant,
 };
 use statesman_net::{SimClock, SimConfig, SimNetwork};
-use statesman_obs::Registry;
 use statesman_storage::{
     LogCommand, ReadRequest, StateMachine, StorageConfig, StorageService, WriteRequest,
 };
@@ -419,20 +419,18 @@ struct PoolModel {
 
 /// One seeded history of writes, tombstone deletes, re-inserts and clock
 /// advances against a two-DC service, with every read shape compared to
-/// the reference after every step. Returns how many times the reference
-/// refreshed its bounded-stale copy.
-fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
+/// the reference after every step. Returns how many rows the reference's
+/// bounded-stale refreshes (after the first fills) updated, deleted and
+/// added.
+fn probe_read_history(seed: u64) -> [usize; 3] {
     let mut rng = StdRng::seed_from_u64(seed);
     let clock = SimClock::new();
     let dcs = [DatacenterId::new("pe-dc1"), DatacenterId::new("pe-dc2")];
-    let mut config = StorageConfig::default();
-    // Small enough that a whole-universe batch outruns the change index
-    // (the cache's full refresh) and a few small ones do not (its delta).
-    config.ring.change_index_capacity = 16;
+    let config = StorageConfig::default();
     let bound = config.staleness_bound;
     let storage = StorageService::new(dcs.clone(), clock.clone(), config);
-    storage.attach_obs(registry);
     let pool = Pool::Observed;
+    let essence = |r: &NetworkState| (r.key(), r.value.clone(), r.updated_at, r.writer.clone());
 
     // A device, a second device, a link and a path homed in dc1, a device
     // homed in dc2, and a name nobody ever writes. Every catalogue
@@ -473,7 +471,7 @@ fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
 
     let mut live: HashMap<DatacenterId, PoolModel> = HashMap::new();
     let mut cached: HashMap<DatacenterId, (SimTime, PoolModel)> = HashMap::new();
-    let mut refreshes = 0;
+    let mut churn = [0; 3];
     for step in 0..60 {
         match rng.gen_range(0..10u32) {
             kind @ 0..=4 => {
@@ -540,8 +538,15 @@ fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
                             .get(dc)
                             .is_some_and(|(at, _)| now.saturating_since(*at) <= bound);
                         if !fresh {
+                            if let Some((_, prior)) = cached.get(dc) {
+                                let (was, is) = (&prior.rows, &held.rows);
+                                let changed =
+                                    |(k, r): &(_, _)| was.get(*k).is_some_and(|w| w != *r);
+                                churn[0] += is.iter().filter(changed).count();
+                                churn[1] += was.keys().filter(|k| !is.contains_key(k)).count();
+                                churn[2] += is.keys().filter(|k| !was.contains_key(k)).count();
+                            }
                             cached.insert(dc.clone(), (now, held.clone()));
-                            refreshes += 1;
                         }
                         &cached[dc].1
                     }
@@ -553,15 +558,14 @@ fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
                     let attribute_filters = std::iter::once(None)
                         .chain(Attribute::catalogue().iter().copied().map(Some));
                     for attribute in attribute_filters {
-                        let (mut got, served) = storage
-                            .read_versioned(ReadRequest {
-                                datacenter: dc.clone(),
-                                pool: pool.clone(),
-                                freshness,
-                                entity: entity.cloned(),
-                                attribute,
-                            })
-                            .unwrap();
+                        let req = ReadRequest {
+                            datacenter: dc.clone(),
+                            pool: pool.clone(),
+                            freshness,
+                            entity: entity.cloned(),
+                            attribute,
+                        };
+                        let (mut got, served) = storage.read_versioned(req.clone()).unwrap();
                         got.sort_by(|a, b| a.key_ref().cmp(&b.key_ref()));
                         // Commit versions are the machine's to stamp.
                         for r in &mut got {
@@ -580,6 +584,16 @@ fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
                         );
                         assert_eq!(got, want, "{shape}");
                         assert_eq!(served, reference.watermark, "{shape}: version served");
+                        // The borrowing read, checked on the rows it lends.
+                        let lend = |rows: &[&NetworkState], served| {
+                            let rows: Vec<_> = rows.iter().map(|r| essence(r)).collect();
+                            (rows, served)
+                        };
+                        let (mut lent, served) = storage.read_with(req, lend).unwrap();
+                        lent.sort_by(|a, b| a.0.cmp(&b.0));
+                        let want: Vec<_> = want.iter().map(essence).collect();
+                        assert_eq!(lent, want, "{shape}: read_with");
+                        assert_eq!(served, reference.watermark, "{shape}: read_with version");
                     }
                 }
             }
@@ -590,7 +604,7 @@ fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
         None,
         "reading a name never interns it"
     );
-    refreshes
+    churn
 }
 
 /// Probe-based reads ≡ a naive filter over a `BTreeMap`, as sorted sets:
@@ -600,22 +614,16 @@ fn probe_read_history(seed: u64, registry: &Registry) -> u64 {
 /// and clock advances past the staleness bound.
 #[test]
 fn probe_reads_match_a_naive_filter_over_a_btreemap() {
-    let registry = Registry::new();
-    let seeds = 4;
-    let refreshes: u64 = (0..seeds)
-        .map(|seed| probe_read_history(seed, &registry))
-        .sum();
-    // Both ways of refreshing the cache were on the path: every seed's
-    // two first fills are full copies, so any further non-delta refresh
-    // is a full copy forced by the change index.
-    let delta = registry
-        .counter_value("storage_cache_delta_refreshes_total")
-        .unwrap_or(0);
-    assert!(delta > 0, "no delta refresh in {refreshes} refreshes");
-    assert!(
-        refreshes - delta > 2 * seeds,
-        "no full refresh after the first fills ({refreshes} refreshes, {delta} delta)"
-    );
+    // Every read after a refresh past the staleness bound was checked
+    // against the reference: across the seeds, those refreshes brought
+    // updated rows, dropped deleted ones and brought added ones.
+    let mut churn = [0; 3];
+    for seed in 0..4 {
+        let c = probe_read_history(seed);
+        (0..3).for_each(|i| churn[i] += c[i]);
+    }
+    let [updated, deleted, added] = churn;
+    assert!(updated > 0 && deleted > 0 && added > 0, "{churn:?}");
 }
 
 /// A pool mirror crossing the change-index compaction floor: the
